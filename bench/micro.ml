@@ -1,6 +1,7 @@
 (* M1 — Bechamel micro-benchmarks (real wall-clock time) of the hot data
    structures: GTID-set operations, log append, CRC-32 checksumming,
-   quorum evaluation, and histogram recording. *)
+   entry stamping, quorum evaluation and the commit point, and histogram
+   recording. *)
 
 open Bechamel
 open Toolkit
@@ -54,29 +55,69 @@ let crc32 =
   let payload = String.make 512 'x' in
   Test.make ~name:"crc32 (512B payload)" (Staged.stage (fun () -> Binlog.Checksum.string payload))
 
-let quorum_check =
-  let cfg =
-    {
-      Raft.Types.members =
-        List.concat_map
-          (fun r ->
-            List.map
-              (fun i ->
-                {
-                  Raft.Types.id = Printf.sprintf "n%s%d" r i;
-                  region = r;
-                  voter = true;
-                  kind = Raft.Types.Mysql_server;
-                })
-              [ 1; 2; 3 ])
-          [ "r1"; "r2"; "r3"; "r4"; "r5"; "r6" ];
-    }
+(* One sysbench-style write as the commit path stamps it: GTID, table
+   map, a one-row insert of ~300 B, XID. *)
+let entry_make =
+  let gtid = Binlog.Gtid.make ~source:"mysql1" ~gno:12_345 in
+  let payload =
+    Binlog.Entry.Transaction
+      {
+        gtid;
+        events =
+          [
+            Binlog.Event.make (Binlog.Event.Gtid_event gtid);
+            Binlog.Event.make (Binlog.Event.Table_map { table = "sbtest" });
+            Binlog.Event.make
+              (Binlog.Event.Write_rows
+                 {
+                   table = "sbtest";
+                   ops = [ Binlog.Event.Insert { key = "row-12345"; value = String.make 300 'd' } ];
+                 });
+            Binlog.Event.make (Binlog.Event.Xid { xid = 12_345L });
+          ];
+      }
   in
+  let opid = Binlog.Opid.make ~term:3 ~index:12_345 in
+  Test.make ~name:"entry.make (sysbench txn, 300B row)"
+    (Staged.stage (fun () -> Binlog.Entry.make ~opid payload))
+
+(* The §6.1 evaluation ring: six regions of three voters each. *)
+let cfg_18 =
+  {
+    Raft.Types.members =
+      List.concat_map
+        (fun r ->
+          List.map
+            (fun i ->
+              {
+                Raft.Types.id = Printf.sprintf "n%s%d" r i;
+                region = r;
+                voter = true;
+                kind = Raft.Types.Mysql_server;
+              })
+            [ 1; 2; 3 ])
+        [ "r1"; "r2"; "r3"; "r4"; "r5"; "r6" ];
+  }
+
+let quorum_check =
   let acks = [ "nr11"; "nr12" ] in
   Test.make ~name:"flexiraft data-quorum check (18 voters)"
     (Staged.stage (fun () ->
-         Raft.Quorum.data_quorum_satisfied Raft.Quorum.Single_region_dynamic cfg
+         Raft.Quorum.data_quorum_satisfied Raft.Quorum.Single_region_dynamic cfg_18
            ~leader_region:"r1" ~acks))
+
+(* A leader in r1 with a pipeline in flight: acks spread over the last
+   few indexes, looked up by node id as the Raft node does. *)
+let commit_point =
+  let acked = Hashtbl.create 32 in
+  List.iteri
+    (fun i m -> Hashtbl.replace acked m.Raft.Types.id (1_000 - (i * 3)))
+    cfg_18.Raft.Types.members;
+  let ack id = match Hashtbl.find acked id with n -> n | exception Not_found -> 0 in
+  Test.make ~name:"quorum.commit_point (18 voters)"
+    (Staged.stage (fun () ->
+         Raft.Quorum.commit_point Raft.Quorum.Single_region_dynamic cfg_18 ~leader_region:"r1"
+           ~ack ~above:990 ~upto:1_000))
 
 let pipeline_group_drain =
   (* submit → flush group → consensus release → engine commit for 100
@@ -92,13 +133,12 @@ let pipeline_group_drain =
          for i = 1 to 100 do
            Myraft.Pipeline.submit p
              {
-               Myraft.Pipeline.label = "txn";
-               flush = (fun () -> Ok i);
+               Myraft.Pipeline.flush = (fun () -> Ok i);
                finish = (fun ~ok:_ -> incr done_count);
              }
          done;
          Myraft.Pipeline.notify_commit_index p 100;
-         Sim.Engine.run_for engine 0.1;
+         Sim.Engine.run_for engine (0.1 *. Sim.Engine.s);
          assert (!done_count = 100);
          !done_count))
 
@@ -119,7 +159,9 @@ let run () =
       gtid_set_contains;
       log_append;
       crc32;
+      entry_make;
       quorum_check;
+      commit_point;
       pipeline_group_drain;
       histogram_record;
     ]

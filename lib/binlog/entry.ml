@@ -23,17 +23,10 @@ type deps = { last_committed : int; sequence_number : int }
 type t = {
   opid : Opid.t;
   payload : payload;
-  serialized : string;
-    (* the payload's wire form, computed exactly once at [make] time and
-       shared by every later read (replication, checksum verification,
-       proxy reconstitution).  Re-marshalling on each touch used to be
-       the single largest per-entry allocation on the commit path. *)
   checksum : int32;
   size : int;
   mutable deps : deps option;
 }
-
-let serialize payload = Marshal.to_string payload []
 
 let payload_size payload =
   match payload with
@@ -43,21 +36,57 @@ let payload_size payload =
   | Config_change { encoded; _ } -> 40 + String.length encoded
   | Rotate_marker { next_file } -> 27 + String.length next_file
 
+(* The checksum streams over the payload's fields in a fixed order: every
+   constructor contributes a distinct non-zero tag, every string its length
+   before its bytes, and every list a 0 tag after its last element, so two
+   different payloads never feed the same byte stream.  Folding the fields
+   directly allocates nothing — no wire form is ever materialized. *)
+let feed_str st s = Checksum.feed_string (Checksum.feed_int st (String.length s)) s
+
+let feed_row_op st = function
+  | Event.Insert { key; value } -> feed_str (feed_str (Checksum.feed_int st 1) key) value
+  | Event.Update { key; before; after } ->
+    feed_str (feed_str (feed_str (Checksum.feed_int st 2) key) before) after
+  | Event.Delete { key; before } -> feed_str (feed_str (Checksum.feed_int st 3) key) before
+
+let feed_event st e =
+  let open Checksum in
+  match Event.body e with
+  | Event.Format_description -> feed_int st 1
+  | Event.Previous_gtids set -> feed_str (feed_int st 2) (Gtid_set.to_string set)
+  | Event.Gtid_event g -> feed_int (feed_str (feed_int st 3) (Gtid.source g)) (Gtid.gno g)
+  | Event.Table_map { table } -> feed_str (feed_int st 4) table
+  | Event.Write_rows { table; ops } ->
+    feed_int (List.fold_left feed_row_op (feed_str (feed_int st 5) table) ops) 0
+  | Event.Query { sql } -> feed_str (feed_int st 6) sql
+  | Event.Xid { xid } ->
+    feed_int32
+      (feed_int32 (feed_int st 7) (Int64.to_int32 xid))
+      (Int64.to_int32 (Int64.shift_right_logical xid 32))
+  | Event.Rotate { next_file } -> feed_str (feed_int st 8) next_file
+
+let payload_checksum payload =
+  let open Checksum in
+  let st =
+    match payload with
+    | Transaction { gtid; events } ->
+      let st = feed_int (feed_str (feed_int init 1) (Gtid.source gtid)) (Gtid.gno gtid) in
+      feed_int (List.fold_left feed_event st events) 0
+    | Noop -> feed_int init 2
+    | Config_change { description; encoded } ->
+      feed_str (feed_str (feed_int init 3) description) encoded
+    | Rotate_marker { next_file } -> feed_str (feed_int init 4) next_file
+  in
+  finalize st
+
 let make ~opid payload =
-  let serialized = serialize payload in
-  let checksum = Checksum.string serialized in
   {
     opid;
     payload;
-    serialized;
-    checksum;
+    checksum = payload_checksum payload;
     size = payload_size payload + 16 (* opid + checksum framing *);
     deps = None;
   }
-
-(* The memoized serialized form: repeated calls return the same physical
-   string — callers may slice it but must never mutate it. *)
-let payload_bytes t = t.serialized
 
 let opid t = t.opid
 
@@ -71,7 +100,7 @@ let size t = t.size
 
 let checksum t = t.checksum
 
-let verify t = Int32.equal (Checksum.string t.serialized) t.checksum
+let verify t = Int32.equal (payload_checksum t.payload) t.checksum
 
 let deps t = t.deps
 
@@ -95,10 +124,9 @@ type corruption = Header | Body
    bits under the entry.  [Header] flips a bit inside the stored checksum
    field; [Body] mutates the payload while keeping the now-stale checksum.
    Either way [verify] must fail on the result.  The mutated payload stays
-   structurally well-formed (no mangled Marshal bytes to trip over): the
-   point is silent content damage only the CRC can catch.  Entries whose
-   payload has no distinguishable body bytes fall back to the header
-   flavour. *)
+   structurally well-formed: the point is silent content damage only the
+   CRC can catch.  Entries whose payload has no distinguishable body
+   bytes fall back to the header flavour. *)
 let corrupt t flavor =
   let flip_header () = { t with checksum = Int32.logxor t.checksum 0x00010000l } in
   match flavor with
@@ -115,9 +143,8 @@ let corrupt t flavor =
       | Rotate_marker { next_file } -> Some (Rotate_marker { next_file = next_file ^ "\x00" })
     in
     (match mangled with
-    (* the bit-rotted copy re-serializes its mangled payload (the stored
-       bytes changed); the checksum stays stale, so [verify] fails *)
-    | Some payload -> { t with payload; serialized = serialize payload }
+    (* the stored payload changed under a stale checksum: [verify] fails *)
+    | Some payload -> { t with payload }
     | None -> flip_header ())
 
 let describe t =

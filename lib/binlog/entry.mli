@@ -29,18 +29,14 @@ val index : t -> int
 
 val payload : t -> payload
 
-(** The payload's serialized wire form, computed once at {!make} time and
-    memoized: repeated calls return the same physical string (no
-    re-marshalling).  Callers may share and slice it but must not mutate
-    it. *)
-val payload_bytes : t -> string
-
 (** Approximate wire/disk size in bytes. *)
 val size : t -> int
 
+(** CRC-32 over the payload's fields (constructor tags, length-prefixed
+    strings, terminated lists), stamped at {!make} time. *)
 val checksum : t -> int32
 
-(** Recompute and compare the checksum. *)
+(** Recompute the checksum from the payload and compare. *)
 val verify : t -> bool
 
 val deps : t -> deps option

@@ -36,7 +36,6 @@
    latency the way Figure 4 does. *)
 
 type item = {
-  label : string;
   flush : unit -> (int, string) result; (* returns raft index to wait on *)
   finish : ok:bool -> unit;
 }

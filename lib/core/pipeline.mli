@@ -4,7 +4,6 @@
     replicas (the applier feeds it), preserving the paper's symmetry. *)
 
 type item = {
-  label : string;
   flush : unit -> (int, string) result;
       (** perform the flush work; returns the Raft index to wait on *)
   finish : ok:bool -> unit;

@@ -284,8 +284,7 @@ let applier_process t entry ~live ~on_submitted ~on_done =
             let term = Binlog.Entry.term entry in
             Pipeline.submit t.pipeline
               {
-                Pipeline.label = Binlog.Gtid.to_string gtid;
-                flush =
+                Pipeline.flush =
                   (fun () ->
                     trace_event t ~stage:"flush" ~term ~index;
                     Ok index);
@@ -322,8 +321,7 @@ let applier_process t entry ~live ~on_submitted ~on_done =
        once the event is consensus committed. *)
     Pipeline.submit t.pipeline
       {
-        Pipeline.label = "rotate";
-        flush = (fun () -> Ok (Binlog.Entry.index entry));
+        Pipeline.flush = (fun () -> Ok (Binlog.Entry.index entry));
         finish =
           (fun ~ok ->
             if ok then Binlog.Log_store.rotate t.log;
@@ -335,8 +333,7 @@ let applier_process t entry ~live ~on_submitted ~on_done =
        applied_index remains a committed-prefix watermark. *)
     Pipeline.submit t.pipeline
       {
-        Pipeline.label = "noop";
-        flush = (fun () -> Ok (Binlog.Entry.index entry));
+        Pipeline.flush = (fun () -> Ok (Binlog.Entry.index entry));
         finish = (fun ~ok -> on_done ~ok);
       };
     on_submitted ()
@@ -647,8 +644,7 @@ let submit_write t ~table ~ops ~reply =
                let opid = ref Binlog.Opid.zero in
                Pipeline.submit t.pipeline
                  {
-                   Pipeline.label = Binlog.Gtid.to_string gtid;
-                   flush =
+                   Pipeline.flush =
                      (fun () ->
                        match Raft.Node.client_append (raft t) payload with
                        | Ok assigned ->
@@ -754,8 +750,7 @@ let flush_binary_logs t =
   else begin
     Pipeline.submit t.pipeline
       {
-        Pipeline.label = "rotate";
-        flush =
+        Pipeline.flush =
           (fun () ->
             match
               Raft.Node.client_append (raft t)

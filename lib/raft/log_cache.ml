@@ -19,8 +19,8 @@
    internal scratch buffer and returns a right-sized array — one
    allocation per AppendEntries batch, no list cells, no [List.rev] — and
    [read] wraps it for callers that want a list.  Returned slices hold
-   the entries themselves (immutable, their serialized bytes memoized),
-   so they stay valid however the cache evicts afterwards. *)
+   the entries themselves, which are immutable, so they stay valid
+   however the cache evicts afterwards. *)
 
 type t = {
   mutable ring : Binlog.Entry.t array; (* slot for index i = i land (cap-1) *)

@@ -23,8 +23,8 @@ val truncate_from : t -> index:int -> unit
     first entry always ships so oversized transactions still progress.
 
     The hot-path shape: one right-sized array per call (no list cells).
-    The array holds the entries themselves — immutable, serialized bytes
-    memoized — so it stays valid however the cache evicts afterwards. *)
+    The array holds the entries themselves, which are immutable, so it
+    stays valid however the cache evicts afterwards. *)
 val read_slice :
   t -> ?max_bytes:int -> from_index:int -> max_count:int ->
   read_log:(int -> Binlog.Entry.t option) -> unit ->

@@ -1029,46 +1029,30 @@ and replicate_all t ~allow_empty =
 
 and advance_commit t =
   if t.role = Types.Leader then begin
-    let cfg = config t in
-    let self_index = last_index t in
     let self_durable = t.log.durable_index () in
-    let rec scan n best =
-      if n > self_index then best
-      else begin
-        let acks =
-          (* The leader's own ack counts only once its log has fsynced
-             the entry — symmetrical with followers reporting their
-             durable index. *)
-          (if self_durable >= n then [ t.id ] else [])
-          @ Hashtbl.fold
-              (fun pid p acc -> if p.match_index >= n then pid :: acc else acc)
-              t.peers []
-        in
-        let quorum =
-          Quorum.data_quorum_satisfied t.params.quorum_mode cfg ~leader_region:t.region
-            ~acks
-        in
-        if quorum then scan (n + 1) (Some n) else best
-      end
+    (* The leader's own ack counts only once its log has fsynced the
+       entry — symmetrical with followers reporting their durable index. *)
+    let ack id =
+      if String.equal id t.id then self_durable
+      else match Hashtbl.find t.peers id with p -> p.match_index | exception Not_found -> 0
     in
-    match scan (t.commit_index + 1) None with
-    | Some n when n > t.commit_index ->
+    let n =
+      Quorum.commit_point t.params.quorum_mode (config t) ~leader_region:t.region ~ack
+        ~above:t.commit_index ~upto:(last_index t)
+    in
+    if
+      n > t.commit_index
       (* Raft safety: only commit entries from the current term directly. *)
-      let term_ok =
-        match t.log.term_at n with
-        | Some term -> term = t.durable.current_term
-        | None -> false
-      in
-      if term_ok then begin
-        let prev_commit = t.commit_index in
-        t.commit_index <- n;
-        note_commit t ~from_index:(prev_commit + 1) ~to_index:n;
-        t.callbacks.on_commit_advance ~commit_index:n;
-        (* Reads queued behind "no current-term commit yet" can start
-           their confirmation round now. *)
-        maybe_start_read_round t
-      end
-    | _ -> ()
+      && match t.log.term_at n with Some term -> term = t.durable.current_term | None -> false
+    then begin
+      let prev_commit = t.commit_index in
+      t.commit_index <- n;
+      note_commit t ~from_index:(prev_commit + 1) ~to_index:n;
+      t.callbacks.on_commit_advance ~commit_index:n;
+      (* Reads queued behind "no current-term commit yet" can start
+         their confirmation round now. *)
+      maybe_start_read_round t
+    end
   end
 
 (* ----- linearizable read path: ReadIndex rounds + leader lease ----- *)

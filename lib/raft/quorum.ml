@@ -56,6 +56,60 @@ let data_quorum_satisfied mode config ~leader_region ~acks =
   | Single_region_dynamic -> region_majority config ~region:leader_region acks
   | Region_majorities -> majority_of_region_majorities config acks
 
+(* Do the voters in [region] ([None]: all voters) whose ack reaches [n]
+   form a majority of them?  Counts in place, building no ack list. *)
+let majority_acked members ~region ~ack n =
+  let rec go total got = function
+    | [] -> got >= majority_of total
+    | m :: rest ->
+      if
+        m.Types.voter
+        && match region with None -> true | Some r -> String.equal m.Types.region r
+      then go (total + 1) (if ack m.Types.id >= n then got + 1 else got) rest
+      else go total got rest
+  in
+  go 0 0 members
+
+(* The highest index in (above, upto] that a data quorum has acked, where
+   [ack id] is the highest index member [id] acknowledges (acks cover
+   prefixes, 0 for none); [above] when no index qualifies.
+
+   An acking set only shrinks as the index grows, so the quorum predicate
+   is monotone: true up to the answer, false past it.  The acking set is
+   constant between consecutive ack values, so the answer is one of them
+   (clamped to [upto]): only those candidates are evaluated, each between
+   the highest known-good and the lowest known-bad index. *)
+let commit_point mode config ~leader_region ~ack ~above ~upto =
+  let members = config.Types.members in
+  let quorum_at =
+    match mode with
+    | Majority -> majority_acked members ~region:None ~ack
+    | Single_region_dynamic -> majority_acked members ~region:(Some leader_region) ~ack
+    | Region_majorities ->
+      let regions = Types.regions_with_voters config in
+      let needed = majority_of (List.length regions) in
+      fun n ->
+        List.fold_left
+          (fun got r -> if majority_acked members ~region:(Some r) ~ack n then got + 1 else got)
+          0 regions
+        >= needed
+  in
+  let rec scan best bad = function
+    | [] -> best
+    | m :: rest ->
+      if
+        m.Types.voter
+        && (mode <> Single_region_dynamic || String.equal m.Types.region leader_region)
+      then begin
+        let n = min (ack m.Types.id) upto in
+        if n <= best || n >= bad then scan best bad rest
+        else if quorum_at n then scan n bad rest
+        else scan best n rest
+      end
+      else scan best bad rest
+  in
+  scan above max_int members
+
 (* The regions in which a candidate must obtain an in-region majority for
    its election to intersect all possible past data quorums.  [None]
    means the rule is not region-based (plain majority).

@@ -31,6 +31,21 @@ val majority_of_region_majorities : Types.config -> Types.node_id list -> bool
 val data_quorum_satisfied :
   mode -> Types.config -> leader_region:string -> acks:Types.node_id list -> bool
 
+(** [commit_point mode config ~leader_region ~ack ~above ~upto]: the
+    highest index in [(above, upto]] acknowledged by a data quorum, or
+    [above] when none is.  [ack id] is the highest index member [id] has
+    acknowledged (acks cover prefixes; 0 for none).  Because the acking
+    set shrinks as the index grows, only the members' ack values are
+    candidates; acks are counted in place, without building lists. *)
+val commit_point :
+  mode ->
+  Types.config ->
+  leader_region:string ->
+  ack:(Types.node_id -> int) ->
+  above:int ->
+  upto:int ->
+  int
+
 (** The regions in which a candidate must win an in-region majority;
     [None] means the rule is not region-based.
 

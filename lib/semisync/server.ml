@@ -142,8 +142,7 @@ let submit_write t ~table ~ops ~reply =
                let seq = ref 0 in
                Myraft.Pipeline.submit t.pipeline
                  {
-                   Myraft.Pipeline.label = Binlog.Gtid.to_string gtid;
-                   flush =
+                   Myraft.Pipeline.flush =
                      (fun () ->
                        let index = last_seq t + 1 in
                        let entry =

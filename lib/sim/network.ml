@@ -28,6 +28,30 @@ type fault_spec = {
 let no_faults =
   { drop = 0.0; duplicate = 0.0; reorder = 0.0; reorder_delay = 0.0; extra_latency = 0.0 }
 
+(* Links carry ordered streams (TCP): a message never overtakes an
+   earlier one on the same directed link, however the jittered latency
+   samples land; only explicit reorder/duplicate faults may escape the
+   stream.  [at] is the latest in-order delivery scheduled on the link.
+   An all-float record, so advancing it stores the float unboxed. *)
+type clock = { mutable at : float }
+
+(* Everything a send or a delivery needs to know about one directed
+   link, created on its first send: both regions (a node's region never
+   changes), the unordered region pair partitions are keyed by, the
+   link's stats row and its region pair's row, the FIFO clock, and the
+   latency override. *)
+type link = {
+  src : Topology.node_id;
+  dst : Topology.node_id;
+  src_region : Topology.region;
+  dst_region : Topology.region;
+  cut_key : Topology.region * Topology.region;
+  stats : stats;
+  region_stats : stats;
+  fifo : clock;
+  mutable override : float option;
+}
+
 type 'msg t = {
   engine : Engine.t;
   topology : Topology.t;
@@ -38,16 +62,16 @@ type 'msg t = {
   (* Partitions are sets of unordered region pairs plus isolated nodes. *)
   cut_region_pairs : (Topology.region * Topology.region, unit) Hashtbl.t;
   isolated : (Topology.node_id, unit) Hashtbl.t;
-  link_stats : (Topology.node_id * Topology.node_id, stats) Hashtbl.t;
+  (* Directed links by source, then destination: two string lookups and
+     no key allocated per message. *)
+  links : (Topology.node_id, (Topology.node_id, link) Hashtbl.t) Hashtbl.t;
+  (* Per region pair; each link's record shares its pair's row.  Rows
+     survive [reset_stats] zeroed, and a zero row is reported as absent. *)
   region_stats : (Topology.region * Topology.region, stats) Hashtbl.t;
   (* Per-node-pair one-way latency overrides (e.g. a client colocated
-     with the primary, or a client pinned at 10 ms from it). *)
+     with the primary, or a client pinned at 10 ms from it), copied into
+     each link record when the link first carries traffic. *)
   link_latency : (Topology.node_id * Topology.node_id, float) Hashtbl.t;
-  (* Links carry ordered streams (TCP): a message never overtakes an
-     earlier one on the same directed link, however the jittered latency
-     samples land.  Tracks the latest scheduled delivery per link; only
-     explicit reorder/duplicate faults may escape the stream. *)
-  link_fifo_at : (Topology.node_id * Topology.node_id, float) Hashtbl.t;
   (* Optional per-node egress capacity (bytes/µs): when set, sends from
      that node serialize through its NIC — the leader-hotspot effect
      proxying exists to relieve (§4.2). *)
@@ -76,10 +100,9 @@ let create engine topology ?(latency = Latency.default) () =
     down = Hashtbl.create 8;
     cut_region_pairs = Hashtbl.create 4;
     isolated = Hashtbl.create 4;
-    link_stats = Hashtbl.create 64;
+    links = Hashtbl.create 32;
     region_stats = Hashtbl.create 16;
     link_latency = Hashtbl.create 8;
-    link_fifo_at = Hashtbl.create 64;
     egress_rate = Hashtbl.create 4;
     egress_free_at = Hashtbl.create 4;
     egress_queue_delay = Hashtbl.create 4;
@@ -92,10 +115,58 @@ let create engine topology ?(latency = Latency.default) () =
     reordered = 0;
   }
 
+let ordered_pair a b = if a <= b then (a, b) else (b, a)
+
+let find_link t ~src ~dst =
+  match Hashtbl.find t.links src with
+  | out -> Hashtbl.find_opt out dst
+  | exception Not_found -> None
+
+(* The record for [src -> dst], created on the link's first send. *)
+let link t ~src ~dst =
+  let out =
+    match Hashtbl.find t.links src with
+    | out -> out
+    | exception Not_found ->
+      let out = Hashtbl.create 16 in
+      Hashtbl.replace t.links src out;
+      out
+  in
+  match Hashtbl.find out dst with
+  | l -> l
+  | exception Not_found ->
+    let src_region = Topology.region_of t.topology src in
+    let dst_region = Topology.region_of t.topology dst in
+    let region_stats =
+      match Hashtbl.find_opt t.region_stats (src_region, dst_region) with
+      | Some st -> st
+      | None ->
+        let st = { messages = 0; bytes = 0 } in
+        Hashtbl.replace t.region_stats (src_region, dst_region) st;
+        st
+    in
+    let l =
+      {
+        src;
+        dst;
+        src_region;
+        dst_region;
+        cut_key = ordered_pair src_region dst_region;
+        stats = { messages = 0; bytes = 0 };
+        region_stats;
+        fifo = { at = 0.0 };
+        override = Hashtbl.find_opt t.link_latency (src, dst);
+      }
+    in
+    Hashtbl.replace out dst l;
+    l
+
 (* Fix the one-way latency between two nodes (both directions). *)
 let set_link_latency t ~a ~b ~latency =
   Hashtbl.replace t.link_latency (a, b) latency;
-  Hashtbl.replace t.link_latency (b, a) latency
+  Hashtbl.replace t.link_latency (b, a) latency;
+  Option.iter (fun l -> l.override <- Some latency) (find_link t ~src:a ~dst:b);
+  Option.iter (fun l -> l.override <- Some latency) (find_link t ~src:b ~dst:a)
 
 (* Cap a node's egress bandwidth; messages it sends serialize through
    the NIC and queue behind each other. *)
@@ -108,18 +179,20 @@ let egress_queue_delay t node =
 
 (* NIC serialization + queueing delay for sending [size] bytes now. *)
 let egress_delay t ~src ~size =
-  match Hashtbl.find_opt t.egress_rate src with
-  | None -> 0.0
-  | Some rate ->
-    let now = Engine.now t.engine in
-    let start = max now (Option.value (Hashtbl.find_opt t.egress_free_at src) ~default:now) in
-    let serialization = float_of_int size /. rate in
-    Hashtbl.replace t.egress_free_at src (start +. serialization);
-    let queued = start -. now in
-    (match Hashtbl.find_opt t.egress_queue_delay src with
-    | Some r -> r := !r +. queued
-    | None -> Hashtbl.replace t.egress_queue_delay src (ref queued));
-    queued +. serialization
+  if Hashtbl.length t.egress_rate = 0 then 0.0
+  else
+    match Hashtbl.find_opt t.egress_rate src with
+    | None -> 0.0
+    | Some rate ->
+      let now = Engine.now t.engine in
+      let start = max now (Option.value (Hashtbl.find_opt t.egress_free_at src) ~default:now) in
+      let serialization = float_of_int size /. rate in
+      Hashtbl.replace t.egress_free_at src (start +. serialization);
+      let queued = start -. now in
+      (match Hashtbl.find_opt t.egress_queue_delay src with
+      | Some r -> r := !r +. queued
+      | None -> Hashtbl.replace t.egress_queue_delay src (ref queued));
+      queued +. serialization
 
 let topology t = t.topology
 
@@ -132,8 +205,6 @@ let set_down t node = Hashtbl.replace t.down node ()
 let set_up t node = Hashtbl.remove t.down node
 
 let is_up t node = not (Hashtbl.mem t.down node)
-
-let ordered_pair a b = if a <= b then (a, b) else (b, a)
 
 let cut_regions t r1 r2 = Hashtbl.replace t.cut_region_pairs (ordered_pair r1 r2) ()
 
@@ -178,52 +249,48 @@ let heal_all t =
   Hashtbl.reset t.node_faults;
   Hashtbl.reset t.link_faults
 
-let partitioned t src dst =
-  Hashtbl.mem t.isolated src || Hashtbl.mem t.isolated dst
-  ||
-  let rs = Topology.region_of t.topology src
-  and rd = Topology.region_of t.topology dst in
-  Hashtbl.mem t.cut_region_pairs (ordered_pair rs rd)
+(* Each check first asks whether its table is empty, as it is in every
+   healthy run. *)
+let is_down t node = Hashtbl.length t.down > 0 && Hashtbl.mem t.down node
 
-let bump table key ~bytes =
-  let st =
-    match Hashtbl.find_opt table key with
-    | Some st -> st
-    | None ->
-      let st = { messages = 0; bytes = 0 } in
-      Hashtbl.replace table key st;
-      st
-  in
+let partitioned t l =
+  (Hashtbl.length t.isolated > 0
+  && (Hashtbl.mem t.isolated l.src || Hashtbl.mem t.isolated l.dst))
+  || (Hashtbl.length t.cut_region_pairs > 0 && Hashtbl.mem t.cut_region_pairs l.cut_key)
+
+let bump st ~bytes =
   st.messages <- st.messages + 1;
   st.bytes <- st.bytes + bytes
 
 (* The fault specs covering a (src, dst) delivery: the directed link plus
    both endpoints.  Usually empty — chaos runs install a handful. *)
 let specs_for t ~src ~dst =
-  let add acc = function Some s -> s :: acc | None -> acc in
-  add
-    (add (add [] (Hashtbl.find_opt t.link_faults (src, dst))) (Hashtbl.find_opt t.node_faults src))
-    (Hashtbl.find_opt t.node_faults dst)
+  if Hashtbl.length t.link_faults = 0 && Hashtbl.length t.node_faults = 0 then []
+  else
+    let add acc = function Some s -> s :: acc | None -> acc in
+    add
+      (add
+         (add [] (Hashtbl.find_opt t.link_faults (src, dst)))
+         (Hashtbl.find_opt t.node_faults src))
+      (Hashtbl.find_opt t.node_faults dst)
 
-let schedule_delivery t ~src ~dst ~delay msg =
+let schedule_delivery t l ~delay msg =
   ignore
     (Engine.schedule t.engine ~delay (fun () ->
-         if Hashtbl.mem t.down dst || partitioned t src dst then
-           t.dropped <- t.dropped + 1
+         if is_down t l.dst || partitioned t l then t.dropped <- t.dropped + 1
          else
-           match Hashtbl.find_opt t.handlers dst with
-           | Some handler -> handler ~src msg
-           | None -> t.dropped <- t.dropped + 1))
+           match Hashtbl.find t.handlers l.dst with
+           | handler -> handler ~src:l.src msg
+           | exception Not_found -> t.dropped <- t.dropped + 1))
 
 (* Send a message.  [size] is the wire size in bytes and is accounted even
    for messages that are later dropped at delivery (the sender spent the
    bandwidth either way). *)
 let send t ~src ~dst ~size msg =
-  let src_region = Topology.region_of t.topology src in
-  let dst_region = Topology.region_of t.topology dst in
-  bump t.link_stats (src, dst) ~bytes:size;
-  bump t.region_stats (src_region, dst_region) ~bytes:size;
-  if Hashtbl.mem t.down src || partitioned t src dst then t.dropped <- t.dropped + 1
+  let l = link t ~src ~dst in
+  bump l.stats ~bytes:size;
+  bump l.region_stats ~bytes:size;
+  if is_down t src || partitioned t l then t.dropped <- t.dropped + 1
   else begin
     let specs = specs_for t ~src ~dst in
     let lost =
@@ -237,9 +304,11 @@ let send t ~src ~dst ~size msg =
     else begin
       let base_delay =
         egress_delay t ~src ~size
-        +. (match Hashtbl.find_opt t.link_latency (src, dst) with
+        +. (match l.override with
            | Some fixed -> fixed
-           | None -> Latency.one_way t.latency ~src_region ~dst_region t.rng)
+           | None ->
+             Latency.one_way t.latency ~src_region:l.src_region ~dst_region:l.dst_region
+               t.rng)
         +. List.fold_left (fun acc s -> acc +. s.extra_latency) 0.0 specs
       in
       (* FIFO stream semantics: clamp the delivery behind the link's
@@ -248,8 +317,8 @@ let send t ~src ~dst ~size msg =
          just as real implementations depend on TCP ordering). *)
       let now = Engine.now t.engine in
       let fifo_at =
-        max (now +. base_delay)
-          (Option.value (Hashtbl.find_opt t.link_fifo_at (src, dst)) ~default:0.0)
+        let at = now +. base_delay in
+        if at >= l.fifo.at then at else l.fifo.at
       in
       let reorder_extra =
         List.fold_left
@@ -265,10 +334,10 @@ let send t ~src ~dst ~size msg =
         (* The reorder fault ejects this message from the stream: it is
            delayed past its slot and deliberately does NOT hold the fifo
            clock back, so later messages overtake it. *)
-        schedule_delivery t ~src ~dst ~delay:(fifo_at -. now +. reorder_extra) msg
+        schedule_delivery t l ~delay:(fifo_at -. now +. reorder_extra) msg
       else begin
-        Hashtbl.replace t.link_fifo_at (src, dst) fifo_at;
-        schedule_delivery t ~src ~dst ~delay:(fifo_at -. now) msg
+        l.fifo.at <- fifo_at;
+        schedule_delivery t l ~delay:(fifo_at -. now) msg
       end;
       (* Duplication: a second copy arrives after an extra random delay,
          outside the stream, so the two copies may arrive out of order. *)
@@ -277,7 +346,7 @@ let send t ~src ~dst ~size msg =
           if s.duplicate > 0.0 && Rng.float (fault_rng t) < s.duplicate then begin
             t.duplicated <- t.duplicated + 1;
             let extra = Rng.uniform (fault_rng t) ~lo:0.0 ~hi:(max s.reorder_delay 1.0) in
-            schedule_delivery t ~src ~dst ~delay:(fifo_at -. now +. extra) msg
+            schedule_delivery t l ~delay:(fifo_at -. now +. extra) msg
           end)
         specs
     end
@@ -292,10 +361,10 @@ let duplicated t = t.duplicated
 let reordered t = t.reordered
 
 let link_bytes t ~src ~dst =
-  match Hashtbl.find_opt t.link_stats (src, dst) with Some st -> st.bytes | None -> 0
+  match find_link t ~src ~dst with Some l -> l.stats.bytes | None -> 0
 
 let link_messages t ~src ~dst =
-  match Hashtbl.find_opt t.link_stats (src, dst) with Some st -> st.messages | None -> 0
+  match find_link t ~src ~dst with Some l -> l.stats.messages | None -> 0
 
 let region_pair_bytes t ~src ~dst =
   match Hashtbl.find_opt t.region_stats (src, dst) with Some st -> st.bytes | None -> 0
@@ -312,22 +381,34 @@ let total_messages t = Hashtbl.fold (fun _ st acc -> acc + st.messages) t.region
 
 (* Per-directed-link (src, dst, messages, bytes) rows, sorted, for
    metric exports (Obs cannot be depended on from sim — the caller
-   builds its registry from these). *)
+   builds its registry from these).  Links idle since the last
+   [reset_stats] have no row. *)
 let link_stat_rows t =
   Hashtbl.fold
-    (fun (src, dst) st acc -> (src, dst, st.messages, st.bytes) :: acc)
-    t.link_stats []
+    (fun _ out acc ->
+      Hashtbl.fold
+        (fun _ l acc ->
+          if l.stats.messages = 0 then acc
+          else (l.src, l.dst, l.stats.messages, l.stats.bytes) :: acc)
+        out acc)
+    t.links []
   |> List.sort compare
 
 let region_stat_rows t =
   Hashtbl.fold
-    (fun (rs, rd) st acc -> (rs, rd, st.messages, st.bytes) :: acc)
+    (fun (rs, rd) st acc -> if st.messages = 0 then acc else (rs, rd, st.messages, st.bytes) :: acc)
     t.region_stats []
   |> List.sort compare
 
+(* Zero every counter in place: the link records, and with them the FIFO
+   clocks and latency overrides, live on. *)
 let reset_stats t =
-  Hashtbl.reset t.link_stats;
-  Hashtbl.reset t.region_stats;
+  let zero st =
+    st.messages <- 0;
+    st.bytes <- 0
+  in
+  Hashtbl.iter (fun _ out -> Hashtbl.iter (fun _ l -> zero l.stats) out) t.links;
+  Hashtbl.iter (fun _ st -> zero st) t.region_stats;
   t.dropped <- 0;
   t.fault_dropped <- 0;
   t.duplicated <- 0;

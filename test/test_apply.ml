@@ -291,8 +291,7 @@ let test_lock_conflict_retries_and_preserves_order () =
           | () ->
             Myraft.Pipeline.submit pipeline
               {
-                Myraft.Pipeline.label = Binlog.Gtid.to_string gtid;
-                flush = (fun () -> Ok (Binlog.Entry.index entry));
+                Myraft.Pipeline.flush = (fun () -> Ok (Binlog.Entry.index entry));
                 finish =
                   (fun ~ok ->
                     if ok then begin

@@ -126,6 +126,31 @@ let test_crc32_known_value () =
   (* CRC-32 of "123456789" is 0xCBF43926 (IEEE). *)
   Alcotest.(check int32) "crc32 vector" 0xCBF43926l (Binlog.Checksum.string "123456789")
 
+(* Bit-at-a-time CRC-32 straight from the polynomial: the reference the
+   sliced table implementation must match. *)
+let reference_crc32 s =
+  let crc = ref 0xFFFFFFFF in
+  String.iter
+    (fun ch ->
+      crc := !crc lxor Char.code ch;
+      for _ = 0 to 7 do
+        crc := if !crc land 1 <> 0 then 0xEDB88320 lxor (!crc lsr 1) else !crc lsr 1
+      done)
+    s;
+  Int32.of_int (!crc lxor 0xFFFFFFFF)
+
+let prop_sliced_crc_matches_bytewise =
+  QCheck.Test.make ~name:"sliced feed_string equals the bytewise CRC at any split"
+    ~count:1000
+    QCheck.(pair (string_of_size Gen.(0 -- 100)) small_nat)
+    (fun (s, cut) ->
+      let n = String.length s in
+      let k = cut mod (n + 1) in
+      let open Binlog.Checksum in
+      let st = feed_string (feed_string init (String.sub s 0 k)) (String.sub s k (n - k)) in
+      let expected = reference_crc32 s in
+      Int32.equal (finalize st) expected && Int32.equal (string s) expected)
+
 let test_entry_checksum_roundtrip () =
   let e = entry ~term:1 ~index:1 () in
   Alcotest.(check bool) "verifies" true (Binlog.Entry.verify e)
@@ -184,32 +209,100 @@ let test_corruption_detected_every_event_variant () =
         (Binlog.Entry.verify (Binlog.Entry.corrupt e Binlog.Entry.Header)))
     (all_event_bodies ())
 
-(* Serialized bytes are memoized at make time: repeated reads return the
-   SAME physical string (the hot path never re-marshals), the memo is the
-   marshalled payload, and re-stamping the OpId shares it. *)
-let test_payload_bytes_memoized () =
-  let payload =
-    Binlog.Entry.Transaction
-      {
-        gtid = gtid "srv1" 3;
-        events =
-          [
-            Binlog.Event.make
-              (Binlog.Event.Write_rows
-                 { table = "t"; ops = [ Binlog.Event.Insert { key = "k"; value = "v" } ] });
-          ];
-      }
+(* The entry checksum covers every field of every payload constructor:
+   changing any single one — including moving bytes across a string
+   boundary or a list boundary — changes the CRC, so an entry whose
+   stored payload was mutated under its stamped checksum fails
+   [verify]. *)
+let test_every_field_mutation_detected () =
+  let open Binlog in
+  let g = gtid "srv1" 7 in
+  let ev body = Event.make body in
+  let rows ops = ev (Event.Write_rows { table = "t"; ops }) in
+  let ins key value = Event.Insert { key; value } in
+  let upd key before after = Event.Update { key; before; after } in
+  let del key before = Event.Delete { key; before } in
+  let i0 = ins "ab" "c" and u0 = upd "k" "v" "w" and d0 = del "k" "w" in
+  let set = Gtid_set.add Gtid_set.empty g in
+  let events =
+    [
+      ev Event.Format_description;
+      ev (Event.Previous_gtids set);
+      ev (Event.Gtid_event g);
+      ev (Event.Table_map { table = "t" });
+      rows [ i0; u0; d0 ];
+      ev (Event.Query { sql = "UPDATE t SET v = 1" });
+      ev (Event.Xid { xid = 42L });
+      ev (Event.Rotate { next_file = "binlog.000002" });
+    ]
   in
-  let e = Binlog.Entry.make ~opid:(Binlog.Opid.make ~term:1 ~index:1) payload in
-  let b1 = Binlog.Entry.payload_bytes e in
-  let b2 = Binlog.Entry.payload_bytes e in
-  Alcotest.(check bool) "physically equal across reads" true (b1 == b2);
-  Alcotest.(check string) "memo is the marshalled payload" (Marshal.to_string payload []) b1;
-  let restamped = Binlog.Entry.with_opid e ~opid:(Binlog.Opid.make ~term:2 ~index:9) in
-  Alcotest.(check bool)
-    "re-stamping shares the memo" true
-    (Binlog.Entry.payload_bytes restamped == b1);
-  Alcotest.(check bool) "restamped still verifies" true (Binlog.Entry.verify restamped)
+  let txn ?(source = g) events = Entry.Transaction { gtid = source; events } in
+  let event i e = txn (List.mapi (fun j x -> if j = i then e else x) events) in
+  let row_ops ops = event 4 (rows ops) in
+  let xid xid = event 6 (ev (Event.Xid { xid })) in
+  let config description encoded = Entry.Config_change { description; encoded } in
+  let rotate next_file = Entry.Rotate_marker { next_file } in
+  let cases =
+    [
+      ( txn events,
+        [
+          ("gtid source", txn ~source:(gtid "srv2" 7) events);
+          ("gtid gno", txn ~source:(gtid "srv1" 8) events);
+          ("event dropped", txn (List.tl events));
+          ("event appended", txn (events @ [ ev Event.Format_description ]));
+          ("event kind", event 0 (ev (Event.Table_map { table = "" })));
+          ( "previous gtids",
+            event 1 (ev (Event.Previous_gtids (Gtid_set.add set (gtid "srv1" 9)))) );
+          ("gtid event source", event 2 (ev (Event.Gtid_event (gtid "srv3" 7))));
+          ("gtid event gno", event 2 (ev (Event.Gtid_event (gtid "srv1" 6))));
+          ("table map", event 3 (ev (Event.Table_map { table = "u" })));
+          ("rows table", event 4 (ev (Event.Write_rows { table = "u"; ops = [ i0; u0; d0 ] })));
+          ("row dropped", row_ops [ i0; u0 ]);
+          ( "row moved across events",
+            txn
+              (List.concat
+                 (List.mapi
+                    (fun j e -> if j = 4 then [ rows [ i0 ]; rows [ u0; d0 ] ] else [ e ])
+                    events)) );
+          ("insert key/value boundary", row_ops [ ins "a" "bc"; u0; d0 ]);
+          ("insert value", row_ops [ ins "ab" "d"; u0; d0 ]);
+          ("update key", row_ops [ i0; upd "j" "v" "w"; d0 ]);
+          ("update before", row_ops [ i0; upd "k" "x" "w"; d0 ]);
+          ("update after", row_ops [ i0; upd "k" "v" "x"; d0 ]);
+          ("delete key", row_ops [ i0; u0; del "j" "w" ]);
+          ("delete before", row_ops [ i0; u0; del "k" "x" ]);
+          ("op kind", row_ops [ i0; u0; ins "k" "w" ]);
+          ("query", event 5 (ev (Event.Query { sql = "UPDATE t SET v = 2" })));
+          ("xid low word", xid 43L);
+          ("xid high word", xid (Int64.add 42L (Int64.shift_left 1L 40)));
+          ("xid sign bit", xid (Int64.logor 42L Int64.min_int));
+          ("rotate event", event 7 (ev (Event.Rotate { next_file = "binlog.000009" })));
+        ] );
+      (Entry.Noop, [ ("kind", rotate "") ]);
+      ( config "add my9" "+my9",
+        [
+          ("description", config "add my8" "+my9");
+          ("encoded", config "add my9" "+my8");
+          ("field boundary", config "add my9+" "my9");
+        ] );
+      (rotate "binlog.000003", [ ("next file", rotate "binlog.000004") ]);
+    ]
+  in
+  let opid = Opid.make ~term:1 ~index:1 in
+  List.iter
+    (fun (base, mutations) ->
+      let stamped = Entry.make ~opid base in
+      let name = Entry.describe stamped in
+      Alcotest.(check bool) (name ^ " verifies") true (Entry.verify stamped);
+      List.iter
+        (fun (field, mutated) ->
+          Alcotest.(check bool)
+            (name ^ ": " ^ field ^ " changes the checksum")
+            false
+            (Int32.equal (Entry.checksum stamped)
+               (Entry.checksum (Entry.make ~opid mutated))))
+        mutations)
+    cases
 
 let test_corruption_detected_non_txn_payloads () =
   List.iter
@@ -240,7 +333,7 @@ let prop_single_bit_flip_detected =
         (string_of_size Gen.(0 -- 40))
         small_nat)
     (fun ((gno, key), value, bitpos) ->
-      let payload =
+      let payload key value =
         Binlog.Entry.Transaction
           {
             gtid = gtid "srv1" (gno + 1);
@@ -253,15 +346,20 @@ let prop_single_bit_flip_detected =
               ];
           }
       in
-      let e = Binlog.Entry.make ~opid:(Binlog.Opid.make ~term:1 ~index:1) payload in
-      (* the byte image [Entry.make] checksummed, as stored on disk *)
-      let bytes = Bytes.of_string (Marshal.to_string (Binlog.Entry.payload e) []) in
+      let opid = Binlog.Opid.make ~term:1 ~index:1 in
+      let e = Binlog.Entry.make ~opid (payload key value) in
+      (* flip one bit of the row image (key then value), as stored on disk *)
+      let bytes = Bytes.of_string (key ^ value) in
       let bit = bitpos mod (8 * Bytes.length bytes) in
       let i = bit / 8 in
       Bytes.set bytes i (Char.chr (Char.code (Bytes.get bytes i) lxor (1 lsl (bit mod 8))));
+      let k = String.length key in
+      let rotted =
+        payload (Bytes.sub_string bytes 0 k) (Bytes.sub_string bytes k (String.length value))
+      in
       not
         (Int32.equal
-           (Binlog.Checksum.string (Bytes.to_string bytes))
+           (Binlog.Entry.checksum (Binlog.Entry.make ~opid rotted))
            (Binlog.Entry.checksum e)))
 
 let test_event_sizes () =
@@ -540,7 +638,9 @@ let suites =
         Alcotest.test_case "checksum roundtrip" `Quick test_entry_checksum_roundtrip;
         Alcotest.test_case "entry size" `Quick test_entry_size_positive;
         Alcotest.test_case "event sizes" `Quick test_event_sizes;
-        Alcotest.test_case "payload bytes memoized" `Quick test_payload_bytes_memoized;
+        QCheck_alcotest.to_alcotest prop_sliced_crc_matches_bytewise;
+        Alcotest.test_case "every field mutation detected" `Quick
+          test_every_field_mutation_detected;
         Alcotest.test_case "corruption detected per event variant" `Quick
           test_corruption_detected_every_event_variant;
         Alcotest.test_case "corruption detected per payload kind" `Quick

@@ -10,8 +10,7 @@ let make_pipeline ?(engine = Sim.Engine.create ()) () =
 
 let item ~index ~on_finish =
   {
-    Myraft.Pipeline.label = Printf.sprintf "txn%d" index;
-    flush = (fun () -> Ok index);
+    Myraft.Pipeline.flush = (fun () -> Ok index);
     finish = on_finish;
   }
 
@@ -98,8 +97,7 @@ let test_flush_error_fails_item () =
   let outcome = ref None in
   Myraft.Pipeline.submit p
     {
-      Myraft.Pipeline.label = "bad";
-      flush = (fun () -> Error "not the leader");
+      Myraft.Pipeline.flush = (fun () -> Error "not the leader");
       finish = (fun ~ok -> outcome := Some ok);
     };
   Sim.Engine.run_for engine (10.0 *. ms);

@@ -5,7 +5,8 @@
      file-range partitioning).
    - Quorum: FlexiRaft intersection — any satisfied election quorum
      shares a voter with any satisfiable data quorum of the last
-     leader's region. *)
+     leader's region; the threshold commit point equals the per-index
+     scan it replaced. *)
 
 (* ----- log store ----- *)
 
@@ -216,6 +217,91 @@ let prop_pessimistic_election_intersects_all_regions =
       let data_ok = Raft.Quorum.data_quorum_satisfied mode cfg ~leader_region ~acks in
       (not (election_ok && data_ok)) || List.exists (fun v -> List.mem v acks) votes)
 
+(* ----- commit point ----- *)
+
+(* A leader and its acks over a random voter/learner/region layout: the
+   leader's durable index may trail its last index, some peers are
+   missing from its table, match indexes may run past the last index,
+   and a stray non-member keeps acking. *)
+let commit_case_gen =
+  QCheck.Gen.(
+    let* layout = list_size (1 -- 4) (pair (0 -- 4) (0 -- 2)) in
+    let member ~voter r kind i =
+      {
+        Raft.Types.id = Printf.sprintf "%s%d_%d" kind r i;
+        region = Printf.sprintf "r%d" r;
+        voter;
+        kind = Raft.Types.Mysql_server;
+      }
+    in
+    let members =
+      List.concat
+        (List.mapi
+           (fun r (voters, learners) ->
+             List.init voters (member ~voter:true r "v")
+             @ List.init learners (member ~voter:false r "l"))
+           layout)
+    in
+    let members = if members = [] then [ member ~voter:true 0 "v" 0 ] else members in
+    let* mode =
+      oneofl Raft.Quorum.[ Majority; Single_region_dynamic; Region_majorities ]
+    in
+    let* leader = oneofl members in
+    let* upto = 0 -- 12 in
+    let* self_durable = 0 -- upto in
+    let* above = 0 -- upto in
+    let* acks = list_repeat (List.length members) (opt (0 -- (upto + 2))) in
+    let* stray = 0 -- (upto + 2) in
+    let peers =
+      ("stray", stray)
+      :: List.filter_map
+           (fun (m, a) ->
+             match a with
+             | Some a when m.Raft.Types.id <> leader.Raft.Types.id -> Some (m.Raft.Types.id, a)
+             | _ -> None)
+           (List.combine members acks)
+    in
+    return (mode, { Raft.Types.members }, leader, upto, self_durable, above, peers))
+
+let commit_arb =
+  QCheck.make
+    ~print:(fun (mode, cfg, leader, upto, durable, above, peers) ->
+      Printf.sprintf "%s cfg=[%s] leader=%s last=%d durable=%d commit=%d peers=[%s]"
+        (Raft.Quorum.mode_to_string mode) (Raft.Types.describe_config cfg)
+        leader.Raft.Types.id upto durable above
+        (String.concat "," (List.map (fun (p, m) -> Printf.sprintf "%s:%d" p m) peers)))
+    commit_case_gen
+
+(* The per-index scan [Node.advance_commit] ran before the threshold
+   search: walk up from [above + 1] rebuilding the ack list at every
+   index until the data quorum fails. *)
+let reference_commit_point mode cfg ~leader ~self_durable ~peers ~above ~upto =
+  let rec scan n best =
+    if n > upto then best
+    else
+      let acks =
+        (if self_durable >= n then [ leader.Raft.Types.id ] else [])
+        @ List.filter_map (fun (pid, m) -> if m >= n then Some pid else None) peers
+      in
+      if
+        Raft.Quorum.data_quorum_satisfied mode cfg ~leader_region:leader.Raft.Types.region
+          ~acks
+      then scan (n + 1) n
+      else best
+  in
+  scan (above + 1) above
+
+let prop_commit_point_matches_scan =
+  QCheck.Test.make ~name:"commit_point equals the per-index scan" ~count:2000 commit_arb
+    (fun (mode, cfg, leader, upto, self_durable, above, peers) ->
+      let ack id =
+        if id = leader.Raft.Types.id then self_durable
+        else Option.value (List.assoc_opt id peers) ~default:0
+      in
+      Raft.Quorum.commit_point mode cfg ~leader_region:leader.Raft.Types.region ~ack ~above
+        ~upto
+      = reference_commit_point mode cfg ~leader ~self_durable ~peers ~above ~upto)
+
 (* ----- log cache: sliced reads ----- *)
 
 (* The ring-backed [read_slice] must return byte-for-byte what the
@@ -301,9 +387,7 @@ let prop_cache_slice_equals_copying_read =
       in
       Array.length got = List.length expected
       && List.for_all2
-           (fun e g ->
-             Binlog.Entry.opid e = Binlog.Entry.opid g
-             && String.equal (Binlog.Entry.payload_bytes e) (Binlog.Entry.payload_bytes g))
+           (fun e g -> e == g && Binlog.Entry.verify g)
            expected (Array.to_list got))
 
 (* A slice handed to the transport must survive the cache evicting (or
@@ -443,6 +527,7 @@ let suites =
         QCheck_alcotest.to_alcotest prop_flexiraft_quorum_intersection;
         QCheck_alcotest.to_alcotest prop_majority_quorums_intersect;
         QCheck_alcotest.to_alcotest prop_pessimistic_election_intersects_all_regions;
+        QCheck_alcotest.to_alcotest prop_commit_point_matches_scan;
       ] );
     ( "properties.log_cache",
       [

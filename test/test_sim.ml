@@ -258,7 +258,50 @@ let test_link_latency_override () =
   Sim.Network.set_link_latency net ~a:"a" ~b:"c" ~latency:42.0;
   Sim.Network.send net ~src:"a" ~dst:"c" ~size:10 "x";
   Sim.Engine.run_until e 100_000.0;
-  Alcotest.(check (float 0.001)) "override applied" 42.0 !at
+  Alcotest.(check (float 0.001)) "override applied" 42.0 !at;
+  (* an override installed after both directions of a link carried
+     traffic takes effect on the very next message *)
+  let back = ref 0.0 in
+  Sim.Network.register net "b" (fun ~src:_ _ -> back := Sim.Engine.now e);
+  Sim.Network.send net ~src:"b" ~dst:"c" ~size:10 "y";
+  Sim.Network.send net ~src:"c" ~dst:"b" ~size:10 "z";
+  Sim.Engine.run_until e 200_000.0;
+  Alcotest.(check (float 0.001)) "region model before the override" 110_000.0 !back;
+  Sim.Network.set_link_latency net ~a:"b" ~b:"c" ~latency:7.0;
+  Sim.Network.send net ~src:"b" ~dst:"c" ~size:10 "y";
+  Sim.Network.send net ~src:"c" ~dst:"b" ~size:10 "z";
+  Sim.Engine.run_until e 300_000.0;
+  Alcotest.(check (float 0.001)) "late override, forward" 200_007.0 !at;
+  Alcotest.(check (float 0.001)) "late override, reverse" 200_007.0 !back
+
+(* [reset_stats] forgets the counters but not the stream: a message sent
+   after the reset on a now-faster link still lands behind the one sent
+   before it, and only post-reset traffic shows in the rows. *)
+let test_reset_stats_keeps_fifo () =
+  let e, net = make_net () in
+  let got = ref [] in
+  Sim.Network.register net "b" (fun ~src:_ msg -> got := (msg, Sim.Engine.now e) :: !got);
+  Sim.Network.set_link_latency net ~a:"a" ~b:"b" ~latency:5_000.0;
+  Sim.Network.send net ~src:"a" ~dst:"b" ~size:100 "m1";
+  Sim.Network.send net ~src:"a" ~dst:"c" ~size:100 "lost";
+  Sim.Network.reset_stats net;
+  Alcotest.(check int) "link rows cleared" 0 (List.length (Sim.Network.link_stat_rows net));
+  Alcotest.(check int) "region rows cleared" 0 (List.length (Sim.Network.region_stat_rows net));
+  Alcotest.(check int) "link bytes cleared" 0 (Sim.Network.link_bytes net ~src:"a" ~dst:"b");
+  Sim.Network.set_link_latency net ~a:"a" ~b:"b" ~latency:10.0;
+  Sim.Network.send net ~src:"a" ~dst:"b" ~size:30 "m2";
+  Sim.Engine.run_until e 100_000.0;
+  Alcotest.(check (list (pair string (float 0.001))))
+    "m2 waits behind m1" [ ("m1", 5_000.0); ("m2", 5_000.0) ] (List.rev !got);
+  Alcotest.(check (list (pair (pair string string) (pair int int))))
+    "only post-reset traffic"
+    [ (("a", "b"), (1, 30)) ]
+    (List.map (fun (s, d, m, b) -> ((s, d), (m, b))) (Sim.Network.link_stat_rows net));
+  Alcotest.(check (list (pair (pair string string) (pair int int))))
+    "region rows follow"
+    [ (("r1", "r1"), (1, 30)) ]
+    (List.map (fun (s, d, m, b) -> ((s, d), (m, b))) (Sim.Network.region_stat_rows net));
+  Alcotest.(check int) "cross-region bytes reset" 0 (Sim.Network.cross_region_bytes net)
 
 let test_egress_capacity_serializes () =
   let e, net = make_net () in
@@ -351,6 +394,7 @@ let suites =
         Alcotest.test_case "heal_all clears faults" `Quick test_network_heal_all_clears_faults;
         Alcotest.test_case "byte accounting" `Quick test_network_byte_accounting;
         Alcotest.test_case "link latency override" `Quick test_link_latency_override;
+        Alcotest.test_case "reset_stats keeps fifo" `Quick test_reset_stats_keeps_fifo;
       ] );
     ( "sim.egress",
       [
