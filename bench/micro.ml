@@ -1,7 +1,8 @@
 (* M1 — Bechamel micro-benchmarks (real wall-clock time) of the hot data
    structures: GTID-set operations, log append, CRC-32 checksumming,
-   entry stamping, quorum evaluation and the commit point, and histogram
-   recording. *)
+   entry stamping, quorum evaluation, the commit point and the lease
+   threshold, the log cache, the trace ring, the event heap, and
+   histogram recording. *)
 
 open Bechamel
 open Toolkit
@@ -119,6 +120,81 @@ let commit_point =
          Raft.Quorum.commit_point Raft.Quorum.Single_region_dynamic cfg_18 ~leader_region:"r1"
            ~ack ~above:990 ~upto:1_000))
 
+(* The same leader's lease search: every peer's acked send, stamped a
+   few hundred microseconds apart, looked up by node id. *)
+let lease_point =
+  let sends = Hashtbl.create 32 in
+  List.iteri
+    (fun i m ->
+      let local = 1_000_000.0 -. (float_of_int i *. 250.0) in
+      Hashtbl.replace sends m.Raft.Types.id (local, local +. 3.0))
+    (List.tl cfg_18.Raft.Types.members);
+  Test.make ~name:"quorum.lease_point (18 voters)"
+    (Staged.stage (fun () ->
+         Raft.Quorum.lease_point Raft.Quorum.Single_region_dynamic cfg_18 ~leader_region:"r1"
+           ~self:"nr11" ~now:1_000_500.0 ~now_global:1_000_503.0 ~sends ~local:fst
+           ~global:snd))
+
+(* One consensus-commit event into a full (wrapping) trace ring. *)
+let tracebuf_record =
+  let tb = Obs.Tracebuf.create () in
+  let index = ref 0 in
+  Test.make ~name:"tracebuf.record"
+    (Staged.stage (fun () ->
+         incr index;
+         Obs.Tracebuf.record tb ~time:1_000.0 ~node:"mysql1" ~stage:"consensus-commit" ~term:3
+           ~index:!index ()))
+
+(* Leader cache turnover: 64 sysbench-sized entries put at the tail, then
+   read back as one AppendEntries slice. *)
+let log_cache_put_slice =
+  let entries =
+    Array.init 64 (fun i ->
+        Binlog.Entry.make
+          ~opid:(Binlog.Opid.make ~term:1 ~index:(i + 1))
+          (Binlog.Entry.Transaction
+             {
+               gtid = Binlog.Gtid.make ~source:"srv" ~gno:(i + 1);
+               events =
+                 [
+                   Binlog.Event.make
+                     (Binlog.Event.Write_rows
+                        {
+                          table = "sbtest";
+                          ops =
+                            [ Binlog.Event.Insert { key = "k"; value = String.make 300 'd' } ];
+                        });
+                 ];
+             }))
+  in
+  let cache = Raft.Log_cache.create ~max_bytes:(4 * 1024 * 1024) () in
+  Test.make ~name:"log_cache.put + read_slice (64 entries)"
+    (Staged.stage (fun () ->
+         Raft.Log_cache.truncate_from cache ~index:1;
+         Array.iter (Raft.Log_cache.put cache) entries;
+         Raft.Log_cache.read_slice cache ~max_bytes:(128 * 1024) ~from_index:1 ~max_count:64
+           ~read_log:(fun _ -> None) ()))
+
+(* The event queue at a steady depth: each run schedules one event a
+   pseudo-random distance past the last one popped, then pops the
+   earliest, as the engine's loop does. *)
+let heap_push_pop depth =
+  let heap = Sim.Heap.create () in
+  let seq = ref 0 and now = ref 0.0 in
+  let next_key () =
+    incr seq;
+    !now +. float_of_int ((!seq * 7919) mod 5_000)
+  in
+  for _ = 1 to depth do
+    Sim.Heap.push heap ~key:(next_key ()) ~seq:!seq ()
+  done;
+  Test.make
+    ~name:(Printf.sprintf "sim.heap push+pop (depth %dk)" (depth / 1000))
+    (Staged.stage (fun () ->
+         Sim.Heap.push heap ~key:(next_key ()) ~seq:!seq ();
+         now := Sim.Heap.min_key heap;
+         Sim.Heap.pop_min heap))
+
 let pipeline_group_drain =
   (* submit → flush group → consensus release → engine commit for 100
      txns; exercises the preallocated group accumulator end to end *)
@@ -162,6 +238,11 @@ let run () =
       entry_make;
       quorum_check;
       commit_point;
+      lease_point;
+      tracebuf_record;
+      log_cache_put_slice;
+      heap_push_pop 1_000;
+      heap_push_pop 300_000;
       pipeline_group_drain;
       histogram_record;
     ]

@@ -23,7 +23,9 @@
      (the pre-hot-path-pass baseline times [gate_speedup_2ms]);
    - allocation: minor-heap words per committed txn in the 2 ms window-8
      cell must not regress more than 10% over the budget recorded in the
-     committed BENCH_PIPELINE.json. *)
+     committed BENCH_PIPELINE.json, and neither may the words promoted to
+     the major heap per committed txn (bookkeeping that outlives a minor
+     GC). *)
 
 open Common
 
@@ -53,8 +55,9 @@ let gate_speedup_2ms = 1.3
 
 let gate_floor_tps_2ms = baseline_tps_2ms *. gate_speedup_2ms
 
-(* Allocation regression budget: >10% growth of minor-heap words per
-   committed txn over the recorded value fails the gate. *)
+(* Allocation regression budgets: >10% growth of minor-heap words, or of
+   promoted words, per committed txn over the recorded value fails the
+   gate. *)
 let alloc_slack = 1.10
 
 type cell = {
@@ -68,6 +71,7 @@ type cell = {
   c_nacks : int;
   c_alloc : Common.alloc_stats;
   c_words_per_txn : float;
+  c_promoted_per_txn : float;
 }
 
 let run_cell ~window ~rtt_ms ~seed =
@@ -121,6 +125,9 @@ let run_cell ~window ~rtt_ms ~seed =
     c_nacks = Obs.Metrics.counter_of snap "raft.nacks";
     c_alloc = alloc;
     c_words_per_txn = Common.words_per_txn alloc ~txns:committed;
+    c_promoted_per_txn =
+      (if committed <= 0 then 0.0
+       else alloc.Common.al_promoted_words /. float_of_int committed);
   }
 
 let json_of_cell c =
@@ -131,15 +138,15 @@ let json_of_cell c =
     c.c_nacks
     (Common.alloc_json c.c_alloc ~txns:c.c_committed)
 
-(* The alloc budget previously recorded in BENCH_PIPELINE.json (the
-   committed file, i.e. the state of the world before this run).  None
-   when the file or field is missing — first run, no gate. *)
-let recorded_alloc_budget ~path =
+(* An alloc budget ([field]) previously recorded in BENCH_PIPELINE.json
+   (the committed file, i.e. the state of the world before this run).
+   None when the file or field is missing — first run, no gate. *)
+let recorded_budget ~path ~field =
   match In_channel.with_open_text path In_channel.input_all with
   | exception _ -> None
   | body ->
     (* substring scan; the file is machine-written by this bench *)
-    let key = "\"words_per_txn_budget\": " in
+    let key = Printf.sprintf "\"%s\": " field in
     let rec find i =
       if i + String.length key > String.length body then None
       else if String.sub body i (String.length key) = key then begin
@@ -157,7 +164,12 @@ let recorded_alloc_budget ~path =
     in
     find 0
 
-let write_json ~path ~quick ~cells ~gate_pass ~w1 ~w8 ~hot ~alloc_budget =
+(* The budget a run records: the recorded one, ratcheted down to this
+   run's figure when it improved. *)
+let ratchet budget figure =
+  match budget with Some b -> Float.min b figure | None -> figure
+
+let write_json ~path ~quick ~cells ~gate_pass ~w1 ~w8 ~hot ~alloc_budget ~promoted_budget =
   let oc = open_out path in
   Printf.fprintf oc "{\n";
   Printf.fprintf oc "  \"experiment\": \"pipeline\",\n";
@@ -173,11 +185,14 @@ let write_json ~path ~quick ~cells ~gate_pass ~w1 ~w8 ~hot ~alloc_budget =
   Printf.fprintf oc
     "  \"hot_path_gate\": {\"rtt_ms\": 2, \"window\": 8, \"tps\": %.1f, \
      \"baseline_tps\": %g, \"speedup\": %.2f, \"min_speedup\": %g, \
-     \"words_per_txn\": %.1f, \"words_per_txn_budget\": %.1f}\n"
+     \"words_per_txn\": %.1f, \"words_per_txn_budget\": %.1f, \
+     \"promoted_words_per_txn\": %.1f, \"promoted_words_per_txn_budget\": %.1f}\n"
     hot.c_tps baseline_tps_2ms
     (hot.c_tps /. baseline_tps_2ms)
     gate_speedup_2ms hot.c_words_per_txn
-    (match alloc_budget with Some b -> Float.min b hot.c_words_per_txn | None -> hot.c_words_per_txn);
+    (ratchet alloc_budget hot.c_words_per_txn)
+    hot.c_promoted_per_txn
+    (ratchet promoted_budget hot.c_promoted_per_txn);
   Printf.fprintf oc "}\n";
   close_out oc;
   Printf.printf "results written to %s\n%!" path
@@ -190,7 +205,8 @@ let run () =
   let windows = if quick then [ 1; 8 ] else [ 1; 2; 8; 32 ] in
   let rtts = if quick then [ 2.0; 10.0 ] else [ 2.0; 10.0; 30.0 ] in
   let path = "BENCH_PIPELINE.json" in
-  let alloc_budget = recorded_alloc_budget ~path in
+  let alloc_budget = recorded_budget ~path ~field:"words_per_txn_budget" in
+  let promoted_budget = recorded_budget ~path ~field:"promoted_words_per_txn_budget" in
   Printf.printf "  closed loop, %d client threads, %.0f s measured per cell\n\n%!"
     threads (measure /. s);
   Printf.printf "  %-8s %-8s %10s %10s %10s %10s %6s %6s %10s\n" "window" "rtt_ms"
@@ -215,31 +231,35 @@ let run () =
   let hot = find 8 2.0 in
   let ratio = w8.c_tps /. Float.max w1.c_tps 1e-9 in
   let gate_pass = ratio >= gate_ratio && w8.c_tps >= gate_floor_tps in
-  write_json ~path ~quick ~cells ~gate_pass ~w1 ~w8 ~hot ~alloc_budget;
+  write_json ~path ~quick ~cells ~gate_pass ~w1 ~w8 ~hot ~alloc_budget ~promoted_budget;
   Printf.printf
     "\n  gate @ %.0f ms RTT: window 8 = %.0f tps, window 1 = %.0f tps (%.2fx, need \
      >= %.1fx and >= %.0f tps)\n%!"
     gate_rtt_ms w8.c_tps w1.c_tps ratio gate_ratio gate_floor_tps;
+  let budget_note = function
+    | Some b -> Printf.sprintf " (budget %.0f, +10%% slack)" b
+    | None -> " (no recorded budget; first run)"
+  in
   Printf.printf
     "  hot-path gate @ 2 ms RTT: window 8 = %.0f tps (%.2fx baseline %.0f, need >= \
-     %.1fx); %.0f minor words/txn%s\n%!"
+     %.1fx); %.0f minor words/txn%s; %.0f promoted words/txn%s\n%!"
     hot.c_tps
     (hot.c_tps /. baseline_tps_2ms)
-    baseline_tps_2ms gate_speedup_2ms hot.c_words_per_txn
-    (match alloc_budget with
-    | Some b -> Printf.sprintf " (budget %.0f, +10%% slack)" b
-    | None -> " (no recorded budget; first run)");
+    baseline_tps_2ms gate_speedup_2ms hot.c_words_per_txn (budget_note alloc_budget)
+    hot.c_promoted_per_txn (budget_note promoted_budget);
   let hot_pass = hot.c_tps >= gate_floor_tps_2ms in
-  let alloc_pass =
-    match alloc_budget with
-    | Some b -> hot.c_words_per_txn <= b *. alloc_slack
-    | None -> true
+  let within budget figure =
+    match budget with Some b -> figure <= b *. alloc_slack | None -> true
   in
-  if gate_pass && hot_pass && alloc_pass then Printf.printf "  pipeline gate: PASS\n%!"
+  let alloc_pass = within alloc_budget hot.c_words_per_txn in
+  let promoted_pass = within promoted_budget hot.c_promoted_per_txn in
+  if gate_pass && hot_pass && alloc_pass && promoted_pass then
+    Printf.printf "  pipeline gate: PASS\n%!"
   else begin
-    Printf.printf "  pipeline gate: FAIL%s%s%s\n%!"
+    Printf.printf "  pipeline gate: FAIL%s%s%s%s\n%!"
       (if gate_pass then "" else " [window ratio]")
       (if hot_pass then "" else " [hot-path tps]")
-      (if alloc_pass then "" else " [alloc regression]");
+      (if alloc_pass then "" else " [alloc regression]")
+      (if promoted_pass then "" else " [promotion regression]");
     exit 1
   end

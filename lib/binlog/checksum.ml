@@ -93,6 +93,8 @@ let feed_int crc n = step (Lazy.force tables) crc (n land 0xFFFFFFFF) (n lsr 32)
 
 let feed_int32 crc v = feed_int crc (Int32.to_int v land 0xFFFFFFFF)
 
-let finalize crc = Int32.of_int (crc lxor 0xFFFFFFFF)
+let finalize_int crc = crc lxor 0xFFFFFFFF
+
+let finalize crc = Int32.of_int (finalize_int crc)
 
 let string s = finalize (feed_string init s)

@@ -25,3 +25,8 @@ val feed_int : state -> int -> state
 val feed_int32 : state -> int32 -> state
 
 val finalize : state -> int32
+
+(** The same CRC as an unboxed, non-negative int below 2{^32}:
+    [Int32.of_int] of it is [finalize], and [feed_int] of it feeds what
+    [feed_int32] of [finalize] does. *)
+val finalize_int : state -> int

@@ -27,6 +27,7 @@ type file = {
 type t = {
   mutable mode : mode;
   mutable files : file list; (* oldest first; last is the open file *)
+  mutable current : file; (* last of [files], kept by [set_files] *)
   entries : Entry.t option Vec.t; (* slot per index; None once purged *)
   mutable purged_below : int; (* entries with index < this may be purged *)
   mutable next_file_seq : int;
@@ -64,12 +65,26 @@ let fresh_file t =
   t.next_file_seq <- t.next_file_seq + 1;
   { file_name = name; previous_gtids = t.gtids; first = 0; last = -1; closed = false }
 
+(* Every change to the file list goes through here, so appends find the
+   open file without walking the list. *)
+let set_files t files =
+  t.files <- files;
+  t.current <- List.nth files (List.length files - 1)
+
 let create ?metrics ?(mode = Binlog) () =
   let m = match metrics with Some m -> m | None -> Obs.Metrics.create () in
   let t =
     {
       mode;
       files = [];
+      current =
+        {
+          file_name = "";
+          previous_gtids = Gtid_set.empty;
+          first = 0;
+          last = -1;
+          closed = false;
+        };
       entries = Vec.create ~dummy:None;
       purged_below = 1;
       next_file_seq = 1;
@@ -93,7 +108,7 @@ let create ?metrics ?(mode = Binlog) () =
     }
   in
   Vec.push t.entries None (* sentinel slot 0 *);
-  t.files <- [ fresh_file t ];
+  set_files t [ fresh_file t ];
   t
 
 let mode t = t.mode
@@ -117,23 +132,25 @@ let term_at t index =
       if index = Opid.index t.purge_boundary then Some (Opid.term t.purge_boundary)
       else None
 
-let current_file t =
-  match List.rev t.files with
-  | f :: _ -> f
-  | [] -> assert false
+(* [term_at] without the option, for the per-entry callers: -1 when
+   unknown or purged. *)
+let term_of t index =
+  if index = 0 then 0
+  else
+    match entry_at t index with
+    | Some e -> Entry.term e
+    | None -> if index = Opid.index t.purge_boundary then Opid.term t.purge_boundary else -1
 
 let append t entry =
   let index = Entry.index entry in
   if index <> last_index t + 1 then
     invalid_arg
       (Printf.sprintf "Log_store.append: index %d but log ends at %d" index (last_index t));
-  (match term_at t (last_index t) with
-  | Some prev_term when Entry.term entry < prev_term ->
-    invalid_arg "Log_store.append: term regression"
-  | _ -> ());
+  if Entry.term entry < term_of t (last_index t) then
+    invalid_arg "Log_store.append: term regression";
   Vec.push t.entries (Some entry);
   t.last_cached <- Entry.opid entry;
-  let f = current_file t in
+  let f = t.current in
   if f.first = 0 then f.first <- index;
   f.last <- index;
   Obs.Metrics.incr t.m_appends;
@@ -194,8 +211,8 @@ let truncate_from t ~from_index =
           end)
         t.files
     in
-    t.files <- (if keep = [] then [ fresh_file t ] else keep);
-    (match List.rev t.files with f :: _ -> f.closed <- false | [] -> ());
+    set_files t (if keep = [] then [ fresh_file t ] else keep);
+    t.current.closed <- false;
     t.synced_index <- min t.synced_index (from_index - 1);
     Obs.Metrics.incr t.m_truncations;
     Obs.Metrics.add t.m_entries_truncated (List.length removed);
@@ -206,10 +223,9 @@ let truncate_from t ~from_index =
    rotate entry itself is replicated through Raft by the caller; this
    call only performs the local file switch. *)
 let rotate t =
-  let f = current_file t in
-  f.closed <- true;
+  t.current.closed <- true;
   Obs.Metrics.incr t.m_rotations;
-  t.files <- t.files @ [ fresh_file t ]
+  set_files t (t.files @ [ fresh_file t ])
 
 (* SHOW BINARY LOGS view: (file name, size in bytes, entry count). *)
 let file_list t =
@@ -252,7 +268,7 @@ let purge_to t ~file =
       drop rest
     | rest -> rest
   in
-  t.files <- drop t.files
+  set_files t (drop t.files)
 
 let purged_below t = t.purged_below
 
@@ -288,7 +304,7 @@ let install_snapshot t ~last ~gtids =
           end)
         t.files
     in
-    t.files <- (if keep = [] then [ fresh_file t ] else keep);
+    set_files t (if keep = [] then [ fresh_file t ] else keep);
     t.purged_below <- max t.purged_below (b + 1);
     if b >= Opid.index t.purge_boundary then t.purge_boundary <- last;
     if last_index t <= b then t.last_cached <- last;
@@ -310,7 +326,7 @@ let install_snapshot t ~last ~gtids =
     t.last_cached <- last;
     t.synced_index <- b (* the snapshot itself is durable *);
     t.gtids <- gtids;
-    t.files <- [ fresh_file t ];
+    set_files t [ fresh_file t ];
     removed
   end
 
@@ -442,10 +458,10 @@ let scan_for_corruption t =
 let switch_mode t new_mode =
   if t.mode <> new_mode then begin
     t.mode <- new_mode;
-    let f = current_file t in
-    if f.first = 0 then
+    if t.current.first = 0 then
       (* current file is empty: replace it so its name matches the mode *)
-      t.files <- List.filteri (fun i _ -> i < List.length t.files - 1) t.files @ [ fresh_file t ]
+      set_files t
+        (List.filteri (fun i _ -> i < List.length t.files - 1) t.files @ [ fresh_file t ])
     else rotate t
   end
 

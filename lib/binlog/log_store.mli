@@ -30,6 +30,10 @@ val entry_at : t -> int -> Entry.t option
 (** Term at an index; [Some 0] at index 0, [None] when unknown/purged. *)
 val term_at : t -> int -> int option
 
+(** [term_at] without the option, for per-entry callers: [-1] when
+    unknown or purged. *)
+val term_of : t -> int -> int
+
 (** Append the next entry.  Raises [Invalid_argument] on index gaps or
     term regressions. *)
 val append : t -> Entry.t -> unit

@@ -24,6 +24,7 @@ type log_ops = {
   entry_at : int -> Binlog.Entry.t option;
   last_opid : unit -> Binlog.Opid.t;
   term_at : int -> int option;
+  term_of : int -> int; (* [term_at] without the option: -1 when unknown *)
   truncate_from : int -> Binlog.Entry.t list;
   durable_index : unit -> int;
       (* Highest index the log has fsynced.  Raft only acknowledges
@@ -51,6 +52,7 @@ let log_ops_of_store (store : Binlog.Log_store.t) =
     entry_at = (fun i -> Binlog.Log_store.entry_at store i);
     last_opid = (fun () -> Binlog.Log_store.last_opid store);
     term_at = (fun i -> Binlog.Log_store.term_at store i);
+    term_of = Binlog.Log_store.term_of store;
     truncate_from = (fun i -> Binlog.Log_store.truncate_from store ~from_index:i);
     durable_index = (fun () -> Binlog.Log_store.synced_index store);
     run_batched = (fun f -> Binlog.Log_store.with_batched_fsync store f);
@@ -316,6 +318,11 @@ type peer_state = {
      current config in the current term). *)
 }
 
+(* Accessors handed to [Quorum.lease_point]. *)
+let acked_send_local p = p.acked_send_time
+
+let acked_send_global p = p.acked_send_global
+
 type election = {
   phase : Message.vote_phase;
   election_term : int;
@@ -489,9 +496,12 @@ type t = {
   metrics : Obs.Metrics.t;
   meters : meters;
   tracebuf : Obs.Tracebuf.t option;
-  (* local append time per index, consumed (and removed) when the index
-     commits — feeds raft.commit_latency_us *)
-  append_times : (int, float) Hashtbl.t;
+  append_stamps : Append_stamps.t;
+  (* local append time per index, read when the index commits — feeds
+     raft.commit_latency_us *)
+  commit_ack : node_id -> int;
+  (* The highest index each member acknowledges (the leader's own
+     durable index for itself), for [Quorum.commit_point]; built once. *)
   mutable election_started_at : float; (* neg_infinity when no election *)
   (* --- consistency-tiered read path --- *)
   mutable lease_until : float; (* leader lease expiry, local clock; neg_infinity = none *)
@@ -554,6 +564,12 @@ type t = {
   (* Local time of the last transport-driven election-timer reset;
      rate-limits note_transport_liveness so a busy mux link does not
      re-arm the timer on every delivered packet. *)
+  mutable last_leader_rpc : float;
+  (* Local time of the last group-level message (AppendEntries or
+     InstallSnapshot) from the leader.  Transport liveness stands in for
+     suppressed heartbeats only while this is recent: a shared process
+     that is alive but no longer leads this group keeps sending frames
+     for its other groups. *)
 }
 
 let id t = t.id
@@ -590,9 +606,10 @@ let cache t = t.cache
 
 let metrics t = t.metrics
 
-(* Stamp the local-append time of an entry; consumed when it commits. *)
+(* Stamp the local-append time of an entry; read when it commits. *)
 let note_append t entry =
-  Hashtbl.replace t.append_times (Binlog.Entry.index entry) (Sim.Clock.now t.clock);
+  Append_stamps.stamp t.append_stamps ~commit_index:t.commit_index
+    (Binlog.Entry.index entry) (Sim.Clock.now t.clock);
   (* Corruption-recovery vote floor: once the log regains an entry at
      least as up-to-date as what was truncated, normal voting resumes. *)
   match t.vote_floor with
@@ -608,14 +625,12 @@ let note_commit t ~from_index ~to_index =
   let now = Sim.Clock.now t.clock in
   Obs.Metrics.incr t.meters.m_commit_advances;
   for idx = from_index to to_index do
-    (match Hashtbl.find_opt t.append_times idx with
-    | Some appended_at ->
-      Hashtbl.remove t.append_times idx;
-      Obs.Metrics.record t.meters.m_commit_latency (now -. appended_at)
-    | None -> ());
+    let appended_at = Append_stamps.find t.append_stamps idx in
+    if not (Float.is_nan appended_at) then
+      Obs.Metrics.record t.meters.m_commit_latency (now -. appended_at);
     match t.tracebuf with
     | Some tb ->
-      let term = Option.value (t.log.term_at idx) ~default:0 in
+      let term = max 0 (t.log.term_of idx) in
       Obs.Tracebuf.record tb ~time:now ~node:t.id ~stage:"consensus-commit" ~term
         ~index:idx ()
     | None -> ()
@@ -1029,21 +1044,14 @@ and replicate_all t ~allow_empty =
 
 and advance_commit t =
   if t.role = Types.Leader then begin
-    let self_durable = t.log.durable_index () in
-    (* The leader's own ack counts only once its log has fsynced the
-       entry — symmetrical with followers reporting their durable index. *)
-    let ack id =
-      if String.equal id t.id then self_durable
-      else match Hashtbl.find t.peers id with p -> p.match_index | exception Not_found -> 0
-    in
     let n =
-      Quorum.commit_point t.params.quorum_mode (config t) ~leader_region:t.region ~ack
-        ~above:t.commit_index ~upto:(last_index t)
+      Quorum.commit_point t.params.quorum_mode (config t) ~leader_region:t.region
+        ~ack:t.commit_ack ~above:t.commit_index ~upto:(last_index t)
     in
     if
       n > t.commit_index
       (* Raft safety: only commit entries from the current term directly. *)
-      && match t.log.term_at n with Some term -> term = t.durable.current_term | None -> false
+      && t.log.term_of n = t.durable.current_term
     then begin
       let prev_commit = t.commit_index in
       t.commit_index <- n;
@@ -1096,31 +1104,16 @@ and extend_lease t =
     t.role = Types.Leader && t.params.use_leader_lease && (not t.lease_blocked)
     && lease_duration t > 0.0
   then begin
-    (* Candidate thresholds are (local, global) stamp pairs of the same
-       send events; quorum selection runs entirely on the local stamps
+    (* T and its global twin are the (local, global) stamps of the same
+       send event; quorum selection runs entirely on the local stamps
        (the only ones a real node has), the global partner just keeps
        the oracle pointed at the same event. *)
-    let candidates =
-      (local_now t, Sim.Engine.now t.engine)
-      :: Hashtbl.fold
-           (fun _ p acc ->
-             if p.acked_send_time > neg_infinity then
-               (p.acked_send_time, p.acked_send_global) :: acc
-             else acc)
-           t.peers []
-    in
-    let cfg = config t in
-    let quorum_at (threshold, _) =
-      let acks =
-        t.id
-        :: Hashtbl.fold
-             (fun pid p acc -> if p.acked_send_time >= threshold then pid :: acc else acc)
-             t.peers []
-      in
-      Quorum.data_quorum_satisfied t.params.quorum_mode cfg ~leader_region:t.region ~acks
-    in
-    let sorted = List.sort_uniq (fun a b -> compare b a) candidates in
-    match List.find_opt quorum_at sorted with
+    let now = local_now t in
+    match
+      Quorum.lease_point t.params.quorum_mode (config t) ~leader_region:t.region ~self:t.id
+        ~now ~now_global:(Sim.Engine.now t.engine) ~sends:t.peers ~local:acked_send_local
+        ~global:acked_send_global
+    with
     | Some (threshold, threshold_global) ->
       let until = threshold +. lease_duration t in
       if until > t.lease_until then begin
@@ -1767,6 +1760,7 @@ and handle_append_entries t ~src:_ (ae : Message.append_entries) =
       step_down t ~term:ae.term ~new_leader:(Some ae.leader_id);
     t.leader_id <- Some ae.leader_id;
     t.last_leader_contact <- local_now t;
+    t.last_leader_rpc <- t.last_leader_contact;
     (match t.durable.last_known_leader with
     | Some (term, _) when term >= ae.term -> ()
     | _ -> t.durable.last_known_leader <- Some (ae.term, ae.leader_region));
@@ -2248,6 +2242,7 @@ and handle_install_snapshot t (is : Message.install_snapshot) =
       step_down t ~term:is.term ~new_leader:(Some is.leader_id);
     t.leader_id <- Some is.leader_id;
     t.last_leader_contact <- local_now t;
+    t.last_leader_rpc <- t.last_leader_contact;
     reset_election_timer t;
     let last = is.meta.Snapshot.last in
     let boundary = Binlog.Opid.index last in
@@ -2807,7 +2802,7 @@ let create ?metrics ?tracebuf ?clock ?(group = 0) ~engine ~id ~region ~send ~log
     | Some (cid, c) -> (cid, c)
     | None -> (Types.cfg_id_zero, initial_config)
   in
-  let t =
+  let rec t =
     {
       engine;
       clock;
@@ -2840,7 +2835,17 @@ let create ?metrics ?tracebuf ?clock ?(group = 0) ~engine ~id ~region ~send ~log
       metrics;
       meters = make_meters metrics;
       tracebuf;
-      append_times = Hashtbl.create 256;
+      append_stamps = Append_stamps.create ();
+      commit_ack =
+        (fun id ->
+          (* The leader's own ack counts only once its log has fsynced
+             the entry — symmetrical with followers reporting their
+             durable index. *)
+          if String.equal id t.id then t.log.durable_index ()
+          else
+            match Hashtbl.find t.peers id with
+            | p -> p.match_index
+            | exception Not_found -> 0);
       election_started_at = neg_infinity;
       lease_until = neg_infinity;
       lease_until_global = neg_infinity;
@@ -2859,6 +2864,7 @@ let create ?metrics ?tracebuf ?clock ?(group = 0) ~engine ~id ~region ~send ~log
       vote_floor = None;
       transport_carrier = None;
       last_transport_reset = neg_infinity;
+      last_leader_rpc = neg_infinity;
     }
   in
   reset_election_timer t;
@@ -2899,11 +2905,25 @@ let set_transport_carrier t f = t.transport_carrier <- Some f
    failover clock iff [from] is the leader we are currently following —
    frames from anyone else say nothing about our leader.  Rate-limited
    to half a heartbeat interval so a busy link does not re-arm the timer
-   on every packet. *)
+   on every packet.
+
+   A live process is not a live leader: after a crash and restart the
+   leader's node keeps framing its other groups' traffic while its
+   instance of this group is a fresh follower.  A leader that suppresses
+   heartbeats still sends a real one every [hb_suppress_limit + 1]
+   intervals, so liveness counts only while real group-level contact is
+   that recent; past it the election timer runs out as it would without
+   a shared transport. *)
 let note_transport_liveness t ~from =
   if (not t.stopped) && t.role = Types.Follower && t.leader_id = Some from then begin
     let lnow = local_now t in
-    if lnow -. t.last_transport_reset >= 0.5 *. t.params.heartbeat_interval then begin
+    let contact_window =
+      float_of_int (t.params.hb_suppress_limit + 1) *. t.params.heartbeat_interval
+    in
+    if
+      lnow -. t.last_leader_rpc < contact_window
+      && lnow -. t.last_transport_reset >= 0.5 *. t.params.heartbeat_interval
+    then begin
       t.last_transport_reset <- lnow;
       t.last_leader_contact <- lnow;
       Obs.Metrics.incr t.meters.m_transport_resets;

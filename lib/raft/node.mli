@@ -28,6 +28,9 @@ type log_ops = {
   entry_at : int -> Binlog.Entry.t option;
   last_opid : unit -> Binlog.Opid.t;
   term_at : int -> int option;
+  term_of : int -> int;
+      (** [term_at] without the option, for per-entry callers: [-1] when
+          unknown. *)
   truncate_from : int -> Binlog.Entry.t list;
   durable_index : unit -> int;
       (** Highest index the log has fsynced.  Raft only acknowledges

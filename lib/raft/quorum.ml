@@ -56,59 +56,130 @@ let data_quorum_satisfied mode config ~leader_region ~acks =
   | Single_region_dynamic -> region_majority config ~region:leader_region acks
   | Region_majorities -> majority_of_region_majorities config acks
 
-(* Do the voters in [region] ([None]: all voters) whose ack reaches [n]
-   form a majority of them?  Counts in place, building no ack list. *)
-let majority_acked members ~region ~ack n =
-  let rec go total got = function
-    | [] -> got >= majority_of total
-    | m :: rest ->
-      if
-        m.Types.voter
-        && match region with None -> true | Some r -> String.equal m.Types.region r
-      then go (total + 1) (if ack m.Types.id >= n then got + 1 else got) rest
-      else go total got rest
-  in
-  go 0 0 members
+(* Is [m] a voter of [region] ([""]: of any region)? *)
+let voter_in m region = m.Types.voter && (region = "" || String.equal m.Types.region region)
 
-(* The highest index in (above, upto] that a data quorum has acked, where
-   [ack id] is the highest index member [id] acknowledges (acks cover
-   prefixes, 0 for none); [above] when no index qualifies.
+(* Do the voters of [region] whose stamp reaches [n] form a majority of
+   them?  Counts in place over [members], building no ack list. *)
+let rec majority_reached ~stamp ~geq ~region n total got = function
+  | [] -> got >= majority_of total
+  | m :: rest ->
+    if voter_in m region then
+      majority_reached ~stamp ~geq ~region n (total + 1)
+        (if geq (stamp m.Types.id) n then got + 1 else got)
+        rest
+    else majority_reached ~stamp ~geq ~region n total got rest
 
-   An acking set only shrinks as the index grows, so the quorum predicate
-   is monotone: true up to the answer, false past it.  The acking set is
-   constant between consecutive ack values, so the answer is one of them
+(* Does a voter of [m]'s region precede [m] in [members]?  Lets regions
+   be counted once each without building the region list. *)
+let rec region_seen_before m = function
+  | [] -> false
+  | m' :: rest ->
+    m' != m
+    && ((m'.Types.voter && String.equal m'.Types.region m.Types.region)
+       || region_seen_before m rest)
+
+(* Region majorities: do the voters reaching [n] form a majority in a
+   majority of the regions that have voters? *)
+let rec region_majorities ~stamp ~geq ~members n regions got = function
+  | [] -> got >= majority_of regions
+  | m :: rest ->
+    if m.Types.voter && not (region_seen_before m members) then
+      let ok = majority_reached ~stamp ~geq ~region:m.Types.region n 0 0 members in
+      region_majorities ~stamp ~geq ~members n (regions + 1)
+        (if ok then got + 1 else got)
+        rest
+    else region_majorities ~stamp ~geq ~members n regions got rest
+
+(* The data quorum at [n]: a majority of [region]'s voters ([""]: of all
+   voters), or with [per_region] a majority of region majorities. *)
+let quorum_at ~members ~region ~per_region ~stamp ~geq n =
+  if per_region then region_majorities ~stamp ~geq ~members n 0 0 members
+  else majority_reached ~stamp ~geq ~region n 0 0 members
+
+(* Scan the candidates — the stamps of [region]'s voters, clamped to
+   [upto] — between the highest known-good [best] and the lowest
+   known-bad [bad] ([has_bad] false: none yet). *)
+let rec scan ~members ~region ~per_region ~stamp ~geq ~upto best bad has_bad = function
+  | [] -> best
+  | m :: rest ->
+    (* written out, not partially applied: a call allocates nothing *)
+    if not (voter_in m region) then
+      scan ~members ~region ~per_region ~stamp ~geq ~upto best bad has_bad rest
+    else begin
+      let s = stamp m.Types.id in
+      let n = if geq s upto then upto else s in
+      if geq best n || (has_bad && geq n bad) then
+        scan ~members ~region ~per_region ~stamp ~geq ~upto best bad has_bad rest
+      else if quorum_at ~members ~region ~per_region ~stamp ~geq n then
+        scan ~members ~region ~per_region ~stamp ~geq ~upto n bad has_bad rest
+      else scan ~members ~region ~per_region ~stamp ~geq ~upto best n true rest
+    end
+
+(* The greatest stamp value in (above, upto] whose reachers form a data
+   quorum; [above] when none does.
+
+   A member's stamp is how far it has acknowledged along an ordered
+   axis — a log index, or a send time — and acknowledging a point
+   acknowledges everything before it.  So the reaching set only shrinks
+   as the value grows and the quorum predicate is monotone: true up to
+   the answer, false past it.  The reaching set is constant between
+   consecutive stamps, so the answer is one of the voters' stamps
    (clamped to [upto]): only those candidates are evaluated, each between
-   the highest known-good and the lowest known-bad index. *)
-let commit_point mode config ~leader_region ~ack ~above ~upto =
+   the highest known-good and the lowest known-bad value, and reachers
+   are counted in place. *)
+let threshold mode config ~leader_region ~stamp ~geq ~above ~upto =
+  let region =
+    match mode with Single_region_dynamic -> leader_region | Majority | Region_majorities -> ""
+  in
+  let per_region =
+    match mode with Region_majorities -> true | Majority | Single_region_dynamic -> false
+  in
   let members = config.Types.members in
-  let quorum_at =
-    match mode with
-    | Majority -> majority_acked members ~region:None ~ack
-    | Single_region_dynamic -> majority_acked members ~region:(Some leader_region) ~ack
-    | Region_majorities ->
-      let regions = Types.regions_with_voters config in
-      let needed = majority_of (List.length regions) in
-      fun n ->
-        List.fold_left
-          (fun got r -> if majority_acked members ~region:(Some r) ~ack n then got + 1 else got)
-          0 regions
-        >= needed
+  scan ~members ~region ~per_region ~stamp ~geq ~upto above above false members
+
+let int_geq (a : int) b = a >= b
+
+let float_geq (a : float) b = a >= b
+
+let commit_point mode config ~leader_region ~ack ~above ~upto =
+  threshold mode config ~leader_region ~stamp:ack ~geq:int_geq ~above ~upto
+
+(* The leader lease threshold (LeaseGuard): the latest local send stamp
+   T such that the leader plus every peer whose acked send is stamped
+   >= T form a data quorum, paired with the global stamp of that send.
+   Candidates are the leader's own send at [now] and every peer's acked
+   send ([local p] is a peer's acked-send stamp, [neg_infinity] for
+   none).  Only voters' stamps decide the quorum, so one [threshold]
+   search over them finds T, with the leader stamped at [infinity]: it
+   always acks its own sends.  Should the leader alone be a data quorum,
+   every candidate qualifies and the latest wins.  Sends sharing the
+   winning local stamp may differ in global stamp; the largest is
+   taken. *)
+let lease_point mode config ~leader_region ~self ~now ~now_global ~sends ~local ~global =
+  let stamp id =
+    if String.equal id self then infinity
+    else match Hashtbl.find sends id with p -> local p | exception Not_found -> neg_infinity
   in
-  let rec scan best bad = function
-    | [] -> best
-    | m :: rest ->
-      if
-        m.Types.voter
-        && (mode <> Single_region_dynamic || String.equal m.Types.region leader_region)
-      then begin
-        let n = min (ack m.Types.id) upto in
-        if n <= best || n >= bad then scan best bad rest
-        else if quorum_at n then scan n bad rest
-        else scan best n rest
-      end
-      else scan best bad rest
+  let t =
+    threshold mode config ~leader_region ~stamp ~geq:float_geq ~above:neg_infinity
+      ~upto:infinity
   in
-  scan above max_int members
+  if t = neg_infinity then None
+  else begin
+    let t =
+      if t < infinity then t
+      else
+        Hashtbl.fold (fun _ p latest -> if local p > latest then local p else latest) sends now
+    in
+    let twin =
+      Hashtbl.fold
+        (fun _ p g -> if local p = t && global p > g then global p else g)
+        sends
+        (if now = t then now_global else neg_infinity)
+    in
+    Some (t, twin)
+  end
 
 (* The regions in which a candidate must obtain an in-region majority for
    its election to intersect all possible past data quorums.  [None]

@@ -31,12 +31,29 @@ val majority_of_region_majorities : Types.config -> Types.node_id list -> bool
 val data_quorum_satisfied :
   mode -> Types.config -> leader_region:string -> acks:Types.node_id list -> bool
 
+(** [threshold mode config ~leader_region ~stamp ~geq ~above ~upto]: the
+    greatest value in [(above, upto]] such that the voters whose
+    [stamp id] reaches it ([geq]) satisfy the data quorum, or [above]
+    when none does.  A stamp is how far a member has acknowledged along
+    an ordered axis (a log index, a send time) and covers everything
+    before it, so the quorum predicate is monotone and only the voters'
+    stamps (clamped to [upto]) are candidates; reachers are counted in
+    place, without building lists. *)
+val threshold :
+  mode ->
+  Types.config ->
+  leader_region:string ->
+  stamp:(Types.node_id -> 'a) ->
+  geq:('a -> 'a -> bool) ->
+  above:'a ->
+  upto:'a ->
+  'a
+
 (** [commit_point mode config ~leader_region ~ack ~above ~upto]: the
     highest index in [(above, upto]] acknowledged by a data quorum, or
-    [above] when none is.  [ack id] is the highest index member [id] has
-    acknowledged (acks cover prefixes; 0 for none).  Because the acking
-    set shrinks as the index grows, only the members' ack values are
-    candidates; acks are counted in place, without building lists. *)
+    [above] when none is; [ack id] is the highest index member [id] has
+    acknowledged (0 for none).  The {!threshold} search over log
+    indexes. *)
 val commit_point :
   mode ->
   Types.config ->
@@ -45,6 +62,27 @@ val commit_point :
   above:int ->
   upto:int ->
   int
+
+(** [lease_point mode config ~leader_region ~self ~now ~now_global ~sends
+    ~local ~global]: the leader lease threshold (LeaseGuard) as a
+    [(local, global)] stamp pair of one send, or [None].  The local stamp
+    is the latest T among the leader's own send at [now] and the peers'
+    acked sends ([local p], [neg_infinity] for none) such that [self]
+    plus every peer whose acked send is stamped >= T form a data quorum
+    — the {!threshold} search over the voters' send stamps.  The global
+    stamp is the largest among the sends stamped T ([now_global] for the
+    leader's own). *)
+val lease_point :
+  mode ->
+  Types.config ->
+  leader_region:string ->
+  self:Types.node_id ->
+  now:float ->
+  now_global:float ->
+  sends:(Types.node_id, 'p) Hashtbl.t ->
+  local:('p -> float) ->
+  global:('p -> float) ->
+  (float * float) option
 
 (** The regions in which a candidate must win an in-region majority;
     [None] means the rule is not region-based.

@@ -28,12 +28,19 @@ let rng t = t.rng
 
 let executed_events t = t.executed
 
-let schedule t ~delay fn =
-  assert (delay >= 0.0);
+let push t ~key fn =
   let handle = { cancelled = false } in
   t.seq <- t.seq + 1;
-  Heap.push t.queue ~key:(t.now +. delay) ~seq:t.seq (handle, fn);
+  Heap.push t.queue ~key ~seq:t.seq (handle, fn);
   handle
+
+let schedule t ~delay fn =
+  assert (delay >= 0.0);
+  push t ~key:(t.now +. delay) fn
+
+let schedule_key t ~key fn =
+  assert (key >= t.now);
+  push t ~key fn
 
 let schedule_at t ~time fn =
   let delay = max 0.0 (time -. t.now) in

@@ -35,6 +35,13 @@ val schedule : t -> delay:float -> (unit -> unit) -> handle
 (** Schedule at an absolute virtual time (clamped to now). *)
 val schedule_at : t -> time:float -> (unit -> unit) -> handle
 
+(** [schedule_key t ~key fn] runs [fn] at exactly virtual time [key]
+    ([>= now t]).  Unlike {!schedule_at} the key is used as given rather
+    than re-derived through a delay, so a deadline computed as
+    [sent_at +. timeout] fires where a [schedule ~delay:timeout] made at
+    [sent_at] would have. *)
+val schedule_key : t -> key:float -> (unit -> unit) -> handle
+
 val cancel : handle -> unit
 
 val cancelled : handle -> bool

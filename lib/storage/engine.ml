@@ -34,11 +34,15 @@ type t = {
   mutable committed_count : int;
   mutable rolled_back_count : int;
   (* Cumulative digest chain: slot i-1 holds the digest of the first i
-     commits, in commit order.  Lets consistency checks compare a lagging
-     replica's whole history against the same-length prefix of a
-     reference replica (§5.1 checksum comparisons). *)
-  commit_digests : int32 Vec.t;
-  commit_log : (Binlog.Gtid.t * Binlog.Opid.t) Vec.t; (* commit order *)
+     commits, in commit order, as an unsigned 32-bit int (an unboxed
+     column; [checksum_at] hands out the [int32]).  Lets consistency
+     checks compare a lagging replica's whole history against the
+     same-length prefix of a reference replica (§5.1 checksum
+     comparisons). *)
+  commit_digests : int Vec.t;
+  (* Commit order as two columns, GTID and OpId: no tuple per commit. *)
+  commit_gtids : Binlog.Gtid.t Vec.t;
+  commit_opids : Binlog.Opid.t Vec.t;
   mutable commit_listeners : (Binlog.Gtid.t -> Binlog.Opid.t -> unit) list;
   (* fired (in subscription order) after each commit_prepared has fully
      applied: gtid_executed and last_committed_opid already reflect the
@@ -54,8 +58,9 @@ let create () =
     last_committed_opid = Binlog.Opid.zero;
     committed_count = 0;
     rolled_back_count = 0;
-    commit_digests = Vec.create ~dummy:0l;
-    commit_log = Vec.create ~dummy:(Binlog.Gtid.make ~source:"none" ~gno:1, Binlog.Opid.zero);
+    commit_digests = Vec.create ~dummy:0;
+    commit_gtids = Vec.create ~dummy:(Binlog.Gtid.make ~source:"none" ~gno:1);
+    commit_opids = Vec.create ~dummy:Binlog.Opid.zero;
     commit_listeners = [];
   }
 
@@ -101,7 +106,7 @@ let release_locks t p = List.iter (fun k -> Hashtbl.remove t.locks k) p.locked_k
    folded fields are exactly the replicated transaction identity. *)
 let commit_digest ~prev ~gtid ~opid writes =
   let open Binlog.Checksum in
-  let st = feed_int32 init prev in
+  let st = feed_int init prev in
   let st = feed_string st (Binlog.Gtid.source gtid) in
   let st = feed_int st (Binlog.Gtid.gno gtid) in
   let st = feed_int st (Binlog.Opid.term opid) in
@@ -119,7 +124,7 @@ let commit_digest ~prev ~gtid ~opid writes =
           feed_string (feed_string (feed_int st 3) key) before)
       st writes
   in
-  finalize st
+  finalize_int st
 
 let apply_op t gtid (tbl_name, op) =
   let tbl = table t tbl_name in
@@ -140,9 +145,11 @@ let commit_prepared t ~gtid ~opid =
     if Binlog.Opid.compare opid t.last_committed_opid > 0 then
       t.last_committed_opid <- opid;
     t.committed_count <- t.committed_count + 1;
-    let prev = match Vec.last_opt t.commit_digests with Some d -> d | None -> 0l in
+    let n = Vec.length t.commit_digests in
+    let prev = if n = 0 then 0 else Vec.get t.commit_digests (n - 1) in
     Vec.push t.commit_digests (commit_digest ~prev ~gtid ~opid p.writes);
-    Vec.push t.commit_log (gtid, opid);
+    Vec.push t.commit_gtids gtid;
+    Vec.push t.commit_opids opid;
     List.iter (fun f -> f gtid opid) t.commit_listeners
 
 let rollback_prepared t ~gtid =
@@ -197,10 +204,12 @@ let checksum_at t ~count =
   if count < 0 || count > t.committed_count then
     invalid_arg
       (Printf.sprintf "Engine.checksum_at: count %d outside [0, %d]" count t.committed_count);
-  if count = 0 then 0l else Vec.get t.commit_digests (count - 1)
+  if count = 0 then 0l else Int32.of_int (Vec.get t.commit_digests (count - 1))
 
 (* The [n]th committed transaction (0-based, commit order). *)
-let nth_commit t n = Vec.get_opt t.commit_log n
+let nth_commit t n =
+  if n < 0 || n >= Vec.length t.commit_gtids then None
+  else Some (Vec.get t.commit_gtids n, Vec.get t.commit_opids n)
 
 (* ----- engine-checkpoint snapshots (log compaction / InstallSnapshot) ----- *)
 
@@ -233,8 +242,8 @@ let checkpoint t =
     ck_gtid_executed = t.gtid_executed;
     ck_last_committed_opid = t.last_committed_opid;
     ck_committed_count = t.committed_count;
-    ck_digests = Vec.to_list t.commit_digests;
-    ck_commit_log = Vec.to_list t.commit_log;
+    ck_digests = List.map Int32.of_int (Vec.to_list t.commit_digests);
+    ck_commit_log = List.combine (Vec.to_list t.commit_gtids) (Vec.to_list t.commit_opids);
   }
 
 (* Reseat the engine from a checkpoint.  Prepared-but-uncommitted
@@ -255,9 +264,16 @@ let restore t ck =
   t.last_committed_opid <- ck.ck_last_committed_opid;
   t.committed_count <- ck.ck_committed_count;
   ignore (Vec.truncate_to t.commit_digests 0);
-  List.iter (Vec.push t.commit_digests) ck.ck_digests;
-  ignore (Vec.truncate_to t.commit_log 0);
-  List.iter (Vec.push t.commit_log) ck.ck_commit_log
+  List.iter
+    (fun d -> Vec.push t.commit_digests (Int32.to_int d land 0xFFFFFFFF))
+    ck.ck_digests;
+  ignore (Vec.truncate_to t.commit_gtids 0);
+  ignore (Vec.truncate_to t.commit_opids 0);
+  List.iter
+    (fun (gtid, opid) ->
+      Vec.push t.commit_gtids gtid;
+      Vec.push t.commit_opids opid)
+    ck.ck_commit_log
 
 let encode_checkpoint ck = Marshal.to_string ck []
 

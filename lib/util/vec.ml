@@ -30,8 +30,6 @@ let push t v =
   t.data.(t.size) <- v;
   t.size <- t.size + 1
 
-let last_opt t = if t.size = 0 then None else Some t.data.(t.size - 1)
-
 (* Shrink to [n] elements, returning the removed tail (front-to-back order). *)
 let truncate_to t n =
   if n < 0 || n > t.size then invalid_arg "Vec.truncate_to";

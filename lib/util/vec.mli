@@ -18,8 +18,6 @@ val set : 'a t -> int -> 'a -> unit
 
 val push : 'a t -> 'a -> unit
 
-val last_opt : 'a t -> 'a option
-
 (** Shrink to [n] elements, returning the removed tail in order. *)
 val truncate_to : 'a t -> int -> 'a list
 

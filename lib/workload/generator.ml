@@ -53,18 +53,27 @@ type key_dist =
   | Zipf of float
   | Hot_spot of { hot_fraction : float; hot_keys : int }
 
+(* One kind of request (writes or reads) in flight.  Ids are issued in
+   order and the timeout is constant, so deadlines rise with the id: a
+   single armed timer, at the oldest outstanding id's deadline, covers
+   every request.  When it fires it times out each due id and re-arms at
+   the next outstanding one, advancing [oldest] past settled ids. *)
+type 'k lane = {
+  pending : (int, float * 'k option) Hashtbl.t; (* id -> (send time, continuation) *)
+  timeout : float;
+  mutable next : int; (* id of the next request *)
+  mutable oldest : int; (* no id below this is outstanding *)
+  mutable armed : bool; (* a timer is queued; false iff none is outstanding *)
+  expired : 'k option -> unit; (* count a timeout and settle its continuation *)
+}
+
 type t = {
   backend : Backend.t;
   client_id : string;
   rng : Sim.Rng.t;
   stats : stats;
-  write_timeout : float;
-  read_timeout : float;
-  outstanding : (int, float * (bool -> unit) option) Hashtbl.t;
-    (* write id -> (send time, continuation) *)
-  outstanding_reads : (int, float * (Backend.read_outcome -> unit) option) Hashtbl.t;
-  mutable next_id : int;
-  mutable next_read_id : int;
+  writes : (bool -> unit) lane;
+  reads : (Backend.read_outcome -> unit) lane;
   mutable running : bool;
   key_space : int;
   key_dist : key_dist;
@@ -79,6 +88,58 @@ type t = {
 }
 
 let stats t = t.stats
+
+let lane ~timeout ~expired =
+  { pending = Hashtbl.create 256; timeout; next = 1; oldest = 1; armed = false; expired }
+
+(* Take the next request id, recording its send time. *)
+let open_request lane ~now k =
+  let id = lane.next in
+  lane.next <- id + 1;
+  Hashtbl.replace lane.pending id (now, k);
+  id
+
+(* Settle request [id]: its (send time, continuation) if outstanding. *)
+let settle lane id =
+  let entry = Hashtbl.find_opt lane.pending id in
+  if Option.is_some entry then Hashtbl.remove lane.pending id;
+  entry
+
+let rec arm engine lane =
+  while lane.oldest < lane.next && not (Hashtbl.mem lane.pending lane.oldest) do
+    lane.oldest <- lane.oldest + 1
+  done;
+  lane.armed <- lane.oldest < lane.next;
+  if lane.armed then begin
+    let sent_at, _ = Hashtbl.find lane.pending lane.oldest in
+    ignore
+      (Sim.Engine.schedule_key engine ~key:(sent_at +. lane.timeout) (fun () ->
+           expire engine lane))
+  end
+
+(* The timer fired: time out every due request, oldest first, then re-arm.
+   [armed] stays set meanwhile, so requests issued from a continuation
+   leave the re-arming to this call. *)
+and expire engine lane =
+  let now = Sim.Engine.now engine in
+  let rec due () =
+    if lane.oldest < lane.next then
+      match Hashtbl.find_opt lane.pending lane.oldest with
+      | Some (sent_at, k) when sent_at +. lane.timeout <= now ->
+        Hashtbl.remove lane.pending lane.oldest;
+        lane.oldest <- lane.oldest + 1;
+        lane.expired k;
+        due ()
+      | Some _ -> ()
+      | None ->
+        lane.oldest <- lane.oldest + 1;
+        due ()
+  in
+  due ();
+  arm engine lane
+
+(* A request was sent: make sure a timer covers it. *)
+let cover engine lane = if not lane.armed then arm engine lane
 
 let last_gtid t = t.last_gtid
 
@@ -106,18 +167,24 @@ let create ~backend ~client_id ~region ?client_latency ?(write_timeout = 5.0 *. 
     | Zipf theta -> zipf_cdf_table ~n:key_space ~theta
     | Uniform | Hot_spot _ -> [||]
   in
+  let stats = make_stats ~bucket_width in
   let t =
     {
       backend;
       client_id;
       rng = Sim.Rng.split (Sim.Engine.rng backend.Backend.engine);
-      stats = make_stats ~bucket_width;
-      write_timeout;
-      read_timeout;
-      outstanding = Hashtbl.create 256;
-      outstanding_reads = Hashtbl.create 256;
-      next_id = 1;
-      next_read_id = 1;
+      stats;
+      writes =
+        lane ~timeout:write_timeout ~expired:(fun k ->
+            stats.timed_out <- stats.timed_out + 1;
+            match k with Some k -> k false | None -> ());
+      reads =
+        lane ~timeout:read_timeout ~expired:(fun k ->
+            stats.reads_timed_out <- stats.reads_timed_out + 1;
+            match k with
+            | Some k ->
+              k (Backend.Read_rejected { reason = "read timed out"; retry_after = None })
+            | None -> ());
       running = true;
       key_space;
       key_dist;
@@ -133,10 +200,9 @@ let create ~backend ~client_id ~region ?client_latency ?(write_timeout = 5.0 *. 
   in
   backend.Backend.register_client ~id:client_id ~region
     ~on_reply:(fun ~write_id ~ok ~gtid ->
-      match Hashtbl.find_opt t.outstanding write_id with
+      match settle t.writes write_id with
       | None -> ()
       | Some (sent_at, k) ->
-        Hashtbl.remove t.outstanding write_id;
         let now = Sim.Engine.now backend.Backend.engine in
         if ok then begin
           t.stats.committed <- t.stats.committed + 1;
@@ -147,10 +213,9 @@ let create ~backend ~client_id ~region ?client_latency ?(write_timeout = 5.0 *. 
         else t.stats.rejected <- t.stats.rejected + 1;
         match k with Some k -> k ok | None -> ())
     ~on_read_reply:(fun ~read_id ~outcome ->
-      match Hashtbl.find_opt t.outstanding_reads read_id with
+      match settle t.reads read_id with
       | None -> ()
       | Some (sent_at, k) ->
-        Hashtbl.remove t.outstanding_reads read_id;
         let now = Sim.Engine.now backend.Backend.engine in
         (match outcome with
         | Backend.Read_ok _ ->
@@ -169,26 +234,16 @@ let create ~backend ~client_id ~region ?client_latency ?(write_timeout = 5.0 *. 
    timeout).  Used directly by trace replay (Shadow). *)
 let issue_op ?k t ~table ~key ~value_size =
   let engine = t.backend.Backend.engine in
-  let write_id = t.next_id in
-  t.next_id <- t.next_id + 1;
   t.stats.issued <- t.stats.issued + 1;
   let ops = [ Binlog.Event.Insert { key; value = String.make value_size 'd' } ] in
-  Hashtbl.replace t.outstanding write_id (Sim.Engine.now engine, k);
+  let write_id = open_request t.writes ~now:(Sim.Engine.now engine) k in
   let sent = t.backend.Backend.send_write ~client:t.client_id ~write_id ~table ~ops in
   if not sent then begin
-    Hashtbl.remove t.outstanding write_id;
+    Hashtbl.remove t.writes.pending write_id;
     t.stats.rejected <- t.stats.rejected + 1;
     match k with Some k -> k false | None -> ()
   end
-  else
-    ignore
-      (Sim.Engine.schedule engine ~delay:t.write_timeout (fun () ->
-           match Hashtbl.find_opt t.outstanding write_id with
-           | None -> () (* already settled *)
-           | Some (_, k) ->
-             Hashtbl.remove t.outstanding write_id;
-             t.stats.timed_out <- t.stats.timed_out + 1;
-             (match k with Some k -> k false | None -> ())))
+  else cover engine t.writes
 
 (* Issue one read at [level] (defaults to the generator's configured
    level, with the session's last GTID attached for RYW). *)
@@ -200,33 +255,20 @@ let issue_read ?k ?level ?target t ~table ~key =
     | l -> l
   in
   let target = match target with Some _ as x -> x | None -> t.read_target in
-  let read_id = t.next_read_id in
-  t.next_read_id <- t.next_read_id + 1;
   t.stats.reads_issued <- t.stats.reads_issued + 1;
-  Hashtbl.replace t.outstanding_reads read_id (Sim.Engine.now engine, k);
+  let read_id = open_request t.reads ~now:(Sim.Engine.now engine) k in
   let sent =
     t.backend.Backend.send_read ~client:t.client_id ~read_id ~level ~table ~key ~target
   in
   if not sent then begin
-    Hashtbl.remove t.outstanding_reads read_id;
+    Hashtbl.remove t.reads.pending read_id;
     t.stats.reads_rejected <- t.stats.reads_rejected + 1;
     match k with
     | Some k ->
       k (Backend.Read_rejected { reason = "no read target"; retry_after = None })
     | None -> ()
   end
-  else
-    ignore
-      (Sim.Engine.schedule engine ~delay:t.read_timeout (fun () ->
-           match Hashtbl.find_opt t.outstanding_reads read_id with
-           | None -> () (* already settled *)
-           | Some (_, k) ->
-             Hashtbl.remove t.outstanding_reads read_id;
-             t.stats.reads_timed_out <- t.stats.reads_timed_out + 1;
-             (match k with
-             | Some k ->
-               k (Backend.Read_rejected { reason = "read timed out"; retry_after = None })
-             | None -> ())))
+  else cover engine t.reads
 
 (* Smallest rank whose cumulative weight covers [u] (inverse CDF). *)
 let zipf_rank cdf u =

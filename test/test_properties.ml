@@ -223,7 +223,7 @@ let prop_pessimistic_election_intersects_all_regions =
    leader's durable index may trail its last index, some peers are
    missing from its table, match indexes may run past the last index,
    and a stray non-member keeps acking. *)
-let commit_case_gen =
+let members_gen =
   QCheck.Gen.(
     let* layout = list_size (1 -- 4) (pair (0 -- 4) (0 -- 2)) in
     let member ~voter r kind i =
@@ -242,7 +242,11 @@ let commit_case_gen =
              @ List.init learners (member ~voter:false r "l"))
            layout)
     in
-    let members = if members = [] then [ member ~voter:true 0 "v" 0 ] else members in
+    return (if members = [] then [ member ~voter:true 0 "v" 0 ] else members))
+
+let commit_case_gen =
+  QCheck.Gen.(
+    let* members = members_gen in
     let* mode =
       oneofl Raft.Quorum.[ Majority; Single_region_dynamic; Region_majorities ]
     in
@@ -301,6 +305,240 @@ let prop_commit_point_matches_scan =
       Raft.Quorum.commit_point mode cfg ~leader_region:leader.Raft.Types.region ~ack ~above
         ~upto
       = reference_commit_point mode cfg ~leader ~self_durable ~peers ~above ~upto)
+
+(* ----- lease threshold ----- *)
+
+(* A leader and its peers' acked sends over a random layout, on a coarse
+   time grid so stamps tie: a peer may be missing from the table, have no
+   acked send yet ([neg_infinity]), share a local stamp with another send
+   under a different global stamp, or carry a stamp past the leader's
+   [now] (a clock that stepped back); a stray non-member keeps acking. *)
+let lease_case_gen =
+  QCheck.Gen.(
+    let* members = members_gen in
+    let* mode =
+      oneofl Raft.Quorum.[ Majority; Single_region_dynamic; Region_majorities ]
+    in
+    let* leader = oneofl members in
+    let send =
+      let* local = frequency [ (1, return neg_infinity); (6, map float_of_int (0 -- 8)) ] in
+      let* skew = 0 -- 2 in
+      return (local, local +. float_of_int skew)
+    in
+    let* now = map float_of_int (0 -- 8) in
+    let* now_skew = 0 -- 2 in
+    let* sends = list_repeat (List.length members) (opt send) in
+    let* stray = send in
+    let peers =
+      ("stray", stray)
+      :: List.filter_map
+           (fun (m, a) ->
+             match a with
+             | Some a when m.Raft.Types.id <> leader.Raft.Types.id -> Some (m.Raft.Types.id, a)
+             | _ -> None)
+           (List.combine members sends)
+    in
+    return (mode, { Raft.Types.members }, leader, (now, now +. float_of_int now_skew), peers))
+
+let lease_arb =
+  QCheck.make
+    ~print:(fun (mode, cfg, leader, (now, now_global), peers) ->
+      Printf.sprintf "%s cfg=[%s] leader=%s now=%g/%g sends=[%s]"
+        (Raft.Quorum.mode_to_string mode) (Raft.Types.describe_config cfg)
+        leader.Raft.Types.id now now_global
+        (String.concat ","
+           (List.map (fun (p, (l, g)) -> Printf.sprintf "%s:%g/%g" p l g) peers)))
+    lease_case_gen
+
+(* The list-building search [Node.extend_lease] ran before the threshold
+   search: every (local, global) send pair is a candidate, tried latest
+   first, each against a freshly built ack list. *)
+let reference_lease_point mode cfg ~leader ~now ~now_global ~peers =
+  let candidates =
+    (now, now_global)
+    :: List.filter_map
+         (fun (_, (l, g)) -> if l > neg_infinity then Some (l, g) else None)
+         peers
+  in
+  let quorum_at (threshold, _) =
+    let acks =
+      leader.Raft.Types.id
+      :: List.filter_map
+           (fun (pid, (l, _)) -> if l >= threshold then Some pid else None)
+           peers
+    in
+    Raft.Quorum.data_quorum_satisfied mode cfg ~leader_region:leader.Raft.Types.region ~acks
+  in
+  List.find_opt quorum_at (List.sort_uniq (fun a b -> compare b a) candidates)
+
+let prop_lease_point_matches_list_search =
+  QCheck.Test.make ~name:"lease_point equals the list-building search" ~count:3000 lease_arb
+    (fun (mode, cfg, leader, (now, now_global), peers) ->
+      let sends = Hashtbl.create 8 in
+      List.iter (fun (pid, send) -> Hashtbl.replace sends pid send) peers;
+      Raft.Quorum.lease_point mode cfg ~leader_region:leader.Raft.Types.region
+        ~self:leader.Raft.Types.id ~now ~now_global ~sends ~local:fst ~global:snd
+      = reference_lease_point mode cfg ~leader ~now ~now_global ~peers)
+
+(* ----- append stamps ----- *)
+
+type stamp_op = Append of int | Truncate of int | Commit of int
+
+(* Long append runs against short commit steps, so the commit lag
+   outgrows the initial ring; truncations may cut below the commit index
+   (crash recovery) and re-appends overwrite earlier stamps. *)
+let stamp_ops_gen =
+  QCheck.Gen.(
+    list_size (0 -- 40)
+      (frequency
+         [
+           (4, map (fun n -> Append n) (0 -- 120));
+           (1, map (fun n -> Truncate n) (0 -- 60));
+           (3, map (fun n -> Commit n) (0 -- 90));
+         ]))
+
+let stamp_ops_arb =
+  QCheck.make
+    ~print:(fun ops ->
+      String.concat ";"
+        (List.map
+           (function
+             | Append n -> Printf.sprintf "A%d" n
+             | Truncate n -> Printf.sprintf "T%d" n
+             | Commit n -> Printf.sprintf "C%d" n)
+           ops))
+    stamp_ops_gen
+
+(* Drive the stamp ring and the Hashtbl [Node] kept before it through the
+   same appends, truncations and commits; the commit-latency samples (one
+   per committed index that has a stamp) must agree. *)
+let stamp_samples ops =
+  let ring = Raft.Append_stamps.create () in
+  let table = Hashtbl.create 256 in
+  let last = ref 0 and commit = ref 0 and clock = ref 0.0 in
+  let ring_samples = ref [] and table_samples = ref [] in
+  List.iter
+    (function
+      | Append n ->
+        for _ = 1 to n do
+          incr last;
+          clock := !clock +. 0.5;
+          Raft.Append_stamps.stamp ring ~commit_index:!commit !last !clock;
+          Hashtbl.replace table !last !clock
+        done
+      | Truncate n -> last := max 0 (!last - n)
+      | Commit n ->
+        let target = min !last (!commit + n) in
+        clock := !clock +. 0.25;
+        for idx = !commit + 1 to target do
+          let at = Raft.Append_stamps.find ring idx in
+          if not (Float.is_nan at) then
+            ring_samples := (idx, !clock -. at) :: !ring_samples;
+          match Hashtbl.find_opt table idx with
+          | Some at ->
+            Hashtbl.remove table idx;
+            table_samples := (idx, !clock -. at) :: !table_samples
+          | None -> ()
+        done;
+        commit := max !commit target)
+    ops;
+  (ring, List.rev !ring_samples, List.rev !table_samples)
+
+let prop_append_stamps_match_table =
+  QCheck.Test.make ~name:"stamp ring yields the Hashtbl's commit samples" ~count:500
+    stamp_ops_arb (fun ops ->
+      let _, ring, table = stamp_samples ops in
+      ring = table)
+
+let test_append_stamps_outgrow_ring () =
+  let ring, samples, reference =
+    stamp_samples [ Append 1000; Truncate 300; Append 400; Commit 1100 ]
+  in
+  Alcotest.(check int) "every committed index sampled" 1100 (List.length samples);
+  Alcotest.(check bool) "samples equal the Hashtbl's" true (samples = reference);
+  Alcotest.(check bool) "ring doubled past the lag" true
+    (Raft.Append_stamps.capacity ring >= 1024)
+
+(* ----- trace ring ----- *)
+
+(* The record-per-slot ring [Obs.Tracebuf] was before it went columnar. *)
+module Record_ring = struct
+  type t = { buf : Obs.Tracebuf.event option array; cap : int; mutable total : int }
+
+  let create capacity = { buf = Array.make capacity None; cap = capacity; total = 0 }
+
+  let record t ~time ~node ~stage ~term ~index ~detail =
+    t.buf.(t.total mod t.cap) <-
+      Some
+        {
+          Obs.Tracebuf.ev_seq = t.total;
+          ev_time = time;
+          ev_node = node;
+          ev_stage = stage;
+          ev_term = term;
+          ev_index = index;
+          ev_detail = detail;
+        };
+    t.total <- t.total + 1
+
+  let events t =
+    let n = min t.total t.cap in
+    let first = t.total - n in
+    List.init n (fun i -> Option.get t.buf.((first + i) mod t.cap))
+
+  let render ?(last = max_int) t =
+    let evs = events t in
+    let n = List.length evs in
+    let evs = if n > last then List.filteri (fun i _ -> i >= n - last) evs else evs in
+    String.concat "\n" (List.map Obs.Tracebuf.event_to_string evs)
+end
+
+let trace_arb =
+  QCheck.make
+    ~print:(fun (cap, evs) -> Printf.sprintf "capacity=%d events=%d" cap (List.length evs))
+    QCheck.Gen.(
+      (* small rings wrap often; large ones grow their columns first *)
+      pair
+        (oneof [ 1 -- 6; 60 -- 200 ])
+        (list_size (0 -- 400)
+           (tup5 (oneofl [ "p"; "r" ])
+              (oneofl [ "flush"; "consensus-commit"; "engine-commit" ])
+              (0 -- 2) (0 -- 3)
+              (opt (oneofl [ ""; "x"; "gtid=s:1" ])))))
+
+let prop_tracebuf_matches_record_ring =
+  QCheck.Test.make ~name:"columnar Tracebuf equals the record ring" ~count:500 trace_arb
+    (fun (cap, evs) ->
+      let tb = Obs.Tracebuf.create ~capacity:cap () in
+      let rr = Record_ring.create cap in
+      List.iteri
+        (fun i (node, stage, term, index, detail) ->
+          let time = float_of_int i *. 1.5 in
+          Obs.Tracebuf.record tb ~time ~node ~stage ~term ~index ?detail ();
+          Record_ring.record rr ~time ~node ~stage ~term ~index
+            ~detail:(Option.value detail ~default:""))
+        evs;
+      let all = Record_ring.events rr in
+      Obs.Tracebuf.events tb = all
+      && Obs.Tracebuf.total tb = rr.Record_ring.total
+      && Obs.Tracebuf.length tb = List.length all
+      && Obs.Tracebuf.dropped tb = max 0 (rr.Record_ring.total - cap)
+      && List.for_all
+           (fun (term, index) ->
+             Obs.Tracebuf.for_opid tb ~term ~index
+             = List.filter
+                 (fun e -> e.Obs.Tracebuf.ev_term = term && e.Obs.Tracebuf.ev_index = index)
+                 all)
+           [ (0, 0); (1, 2); (2, 3) ]
+      && List.for_all
+           (fun stage ->
+             Obs.Tracebuf.for_stage tb ~stage
+             = List.filter (fun e -> e.Obs.Tracebuf.ev_stage = stage) all)
+           [ "flush"; "engine-commit"; "absent" ]
+      && List.for_all
+           (fun last -> Obs.Tracebuf.render ~last tb = Record_ring.render ~last rr)
+           [ 0; 1; 3; 100 ]
+      && Obs.Tracebuf.render tb = Record_ring.render rr)
 
 (* ----- log cache: sliced reads ----- *)
 
@@ -528,7 +766,16 @@ let suites =
         QCheck_alcotest.to_alcotest prop_majority_quorums_intersect;
         QCheck_alcotest.to_alcotest prop_pessimistic_election_intersects_all_regions;
         QCheck_alcotest.to_alcotest prop_commit_point_matches_scan;
+        QCheck_alcotest.to_alcotest prop_lease_point_matches_list_search;
       ] );
+    ( "properties.stamp_ring",
+      [
+        QCheck_alcotest.to_alcotest prop_append_stamps_match_table;
+        Alcotest.test_case "commit lag outgrows the ring" `Quick
+          test_append_stamps_outgrow_ring;
+      ] );
+    ( "properties.tracebuf",
+      [ QCheck_alcotest.to_alcotest prop_tracebuf_matches_record_ring ] );
     ( "properties.log_cache",
       [
         QCheck_alcotest.to_alcotest prop_cache_slice_equals_copying_read;

@@ -369,103 +369,119 @@ let eq_arb =
    content, even when a node (hosting some shard's leader) crashes or is
    isolated mid-stream.  Retried writes are content-idempotent, so
    reject-and-retry during failover cannot skew the comparison. *)
+let sharded_equals_independent (seed, fault, raw_ops) =
+  let groups = 3 in
+  let members = Myraft.Cluster.small_members () in
+  let multi = Shard.Multi.create ~seed ~members ~groups () in
+  Shard.Multi.bootstrap multi;
+  (* distinct keys; the value encodes the op so content mismatches
+     are attributable *)
+  let ops =
+    List.mapi
+      (fun i (tbl, k) ->
+        ( Printf.sprintf "t%d" tbl,
+          Printf.sprintf "row-%d-%d" k i,
+          Printf.sprintf "v%d" i ))
+      raw_ops
+  in
+  let half = List.length ops / 2 in
+  let routed = ref [] in
+  List.iteri
+    (fun i (table, key, value) ->
+      if i = half then begin
+        match fault with
+        | No_fault -> ()
+        | Crash_follower -> Shard.Multi.crash_node multi "mysql2"
+        | Isolate_node -> Shard.Multi.isolate_node multi "mysql3"
+      end;
+      match multi_write multi ~table ~key ~value with
+      | Ok g -> routed := (g, (table, key, value)) :: !routed
+      | Error (g, e) ->
+        Alcotest.failf "sharded write %s/%s (shard %d): %s" table key g e)
+    ops;
+  (match fault with
+  | No_fault -> ()
+  | Crash_follower -> Shard.Multi.restart_node multi "mysql2"
+  | Isolate_node -> Shard.Multi.heal_node multi "mysql3");
+  if
+    not
+      (Shard.Multi.run_until multi ~timeout:(60.0 *. s) (fun () ->
+           List.for_all group_settled (Shard.Multi.clusters multi)))
+  then Alcotest.fail "sharded deployment did not settle after heal";
+  let routed = List.rev !routed in
+  (* reference: one fault-free standalone cluster per shard, fed that
+     shard's op subsequence in order *)
+  List.iteri
+    (fun g c ->
+      let my_ops = List.filter_map (fun (g', op) -> if g' = g then Some op else None) routed in
+      let reference =
+        Myraft.Cluster.create ~seed:(seed + 7919) ~replicaset:"ref" ~members ()
+      in
+      Myraft.Cluster.bootstrap reference ~leader_id:"mysql1";
+      List.iter
+        (fun (table, key, value) ->
+          Helpers.check_ok
+            (Printf.sprintf "reference write %s/%s" table key)
+            (Helpers.direct_write reference ~table ~key ~value))
+        my_ops;
+      ignore
+        (Myraft.Cluster.run_until reference ~timeout:(30.0 *. s) (fun () ->
+             group_settled reference));
+      let ref_sum =
+        match Myraft.Cluster.primary reference with
+        | Some srv -> Storage.Engine.checksum (Myraft.Server.storage srv)
+        | None -> Alcotest.fail "reference lost its primary"
+      in
+      (* every member of the shard converged to the reference content *)
+      List.iter
+        (fun srv ->
+          Alcotest.(check int32)
+            (Printf.sprintf "shard%d engine ≡ independent cluster (%s)" g
+               (Myraft.Server.id srv))
+            ref_sum
+            (Storage.Engine.checksum (Myraft.Server.storage srv)))
+        (Myraft.Cluster.servers c);
+      (* each acked write lives in its shard and nowhere else *)
+      List.iter
+        (fun (table, key, value) ->
+          List.iteri
+            (fun g' c' ->
+              match Myraft.Cluster.primary c' with
+              | None -> ()
+              | Some srv ->
+                let got =
+                  Storage.Engine.get (Myraft.Server.storage srv) ~table ~key
+                in
+                if g' = g then
+                  Alcotest.(check (option string))
+                    (Printf.sprintf "%s/%s in shard%d" table key g)
+                    (Some value) got
+                else
+                  Alcotest.(check (option string))
+                    (Printf.sprintf "%s/%s absent from shard%d" table key g')
+                    None got)
+            (Shard.Multi.clusters multi))
+        my_ops)
+    (Shard.Multi.clusters multi);
+  true
+
 let prop_sharded_equals_independent =
   QCheck.Test.make ~name:"M shards + mux ≡ M independent clusters" ~count:6 eq_arb
-    (fun (seed, fault, raw_ops) ->
-      let groups = 3 in
-      let members = Myraft.Cluster.small_members () in
-      let multi = Shard.Multi.create ~seed ~members ~groups () in
-      Shard.Multi.bootstrap multi;
-      (* distinct keys; the value encodes the op so content mismatches
-         are attributable *)
-      let ops =
-        List.mapi
-          (fun i (tbl, k) ->
-            ( Printf.sprintf "t%d" tbl,
-              Printf.sprintf "row-%d-%d" k i,
-              Printf.sprintf "v%d" i ))
-          raw_ops
-      in
-      let half = List.length ops / 2 in
-      let routed = ref [] in
-      List.iteri
-        (fun i (table, key, value) ->
-          if i = half then begin
-            match fault with
-            | No_fault -> ()
-            | Crash_follower -> Shard.Multi.crash_node multi "mysql2"
-            | Isolate_node -> Shard.Multi.isolate_node multi "mysql3"
-          end;
-          match multi_write multi ~table ~key ~value with
-          | Ok g -> routed := (g, (table, key, value)) :: !routed
-          | Error (g, e) ->
-            Alcotest.failf "sharded write %s/%s (shard %d): %s" table key g e)
-        ops;
-      (match fault with
-      | No_fault -> ()
-      | Crash_follower -> Shard.Multi.restart_node multi "mysql2"
-      | Isolate_node -> Shard.Multi.heal_node multi "mysql3");
-      if
-        not
-          (Shard.Multi.run_until multi ~timeout:(60.0 *. s) (fun () ->
-               List.for_all group_settled (Shard.Multi.clusters multi)))
-      then Alcotest.fail "sharded deployment did not settle after heal";
-      let routed = List.rev !routed in
-      (* reference: one fault-free standalone cluster per shard, fed that
-         shard's op subsequence in order *)
-      List.iteri
-        (fun g c ->
-          let my_ops = List.filter_map (fun (g', op) -> if g' = g then Some op else None) routed in
-          let reference =
-            Myraft.Cluster.create ~seed:(seed + 7919) ~replicaset:"ref" ~members ()
-          in
-          Myraft.Cluster.bootstrap reference ~leader_id:"mysql1";
-          List.iter
-            (fun (table, key, value) ->
-              Helpers.check_ok
-                (Printf.sprintf "reference write %s/%s" table key)
-                (Helpers.direct_write reference ~table ~key ~value))
-            my_ops;
-          ignore
-            (Myraft.Cluster.run_until reference ~timeout:(30.0 *. s) (fun () ->
-                 group_settled reference));
-          let ref_sum =
-            match Myraft.Cluster.primary reference with
-            | Some srv -> Storage.Engine.checksum (Myraft.Server.storage srv)
-            | None -> Alcotest.fail "reference lost its primary"
-          in
-          (* every member of the shard converged to the reference content *)
-          List.iter
-            (fun srv ->
-              Alcotest.(check int32)
-                (Printf.sprintf "shard%d engine ≡ independent cluster (%s)" g
-                   (Myraft.Server.id srv))
-                ref_sum
-                (Storage.Engine.checksum (Myraft.Server.storage srv)))
-            (Myraft.Cluster.servers c);
-          (* each acked write lives in its shard and nowhere else *)
-          List.iter
-            (fun (table, key, value) ->
-              List.iteri
-                (fun g' c' ->
-                  match Myraft.Cluster.primary c' with
-                  | None -> ()
-                  | Some srv ->
-                    let got =
-                      Storage.Engine.get (Myraft.Server.storage srv) ~table ~key
-                    in
-                    if g' = g then
-                      Alcotest.(check (option string))
-                        (Printf.sprintf "%s/%s in shard%d" table key g)
-                        (Some value) got
-                    else
-                      Alcotest.(check (option string))
-                        (Printf.sprintf "%s/%s absent from shard%d" table key g')
-                        None got)
-                (Shard.Multi.clusters multi))
-            my_ops)
-        (Shard.Multi.clusters multi);
-      true)
+    sharded_equals_independent
+
+(* Pinned schedule (seed 313, crash): mysql2 leads group 1 when it
+   crashes and restarts.  Its process then frames only groups 0 and 2,
+   yet the mux liveness tap credited those frames to group 1's followers
+   as their leader's heartbeat, so group 1 sat leaderless at term 1 and
+   never settled.  Liveness now counts only while real group-level
+   contact from the leader is recent. *)
+let test_restarted_leader_process_does_not_fake_liveness () =
+  let ops =
+    [ (0, 39); (0, 12); (0, 5); (1, 32); (0, 1); (0, 19); (1, 45); (0, 23); (1, 37);
+      (1, 39); (0, 24); (0, 12); (1, 13) ]
+  in
+  Alcotest.(check bool) "settles and matches" true
+    (sharded_equals_independent (313, Crash_follower, ops))
 
 (* Satellite of the logless-reconfig work: the router's cached leader
    for a group must be dropped the moment a config change removes the
@@ -556,5 +572,9 @@ let suites =
           test_multi_config_change_invalidates_router;
       ] );
     ( "shard.equivalence",
-      [ QCheck_alcotest.to_alcotest prop_sharded_equals_independent ] );
+      [
+        QCheck_alcotest.to_alcotest prop_sharded_equals_independent;
+        Alcotest.test_case "seed 313: restarted leader process is not liveness" `Quick
+          test_restarted_leader_process_does_not_fake_liveness;
+      ] );
   ]

@@ -101,6 +101,55 @@ let test_duplicate_prepare_rejected () =
   Alcotest.check_raises "duplicate" (Invalid_argument "Engine.prepare: duplicate gtid")
     (fun () -> Storage.Engine.prepare e ~gtid:(gtid 1) ~writes:[ ("t", insert "b" "2") ])
 
+(* The commit history (digest chain and GTID/OpId log) rides the
+   checkpoint: a restored engine answers checksum_at and nth_commit
+   exactly as its source did, for every prefix. *)
+let test_checkpoint_round_trip_keeps_history () =
+  let src = Storage.Engine.create () in
+  for i = 1 to 40 do
+    Storage.Engine.prepare src ~gtid:(gtid i)
+      ~writes:[ ("t", insert (Printf.sprintf "k%d" (i mod 7)) (string_of_int i)) ];
+    Storage.Engine.commit_prepared src ~gtid:(gtid i) ~opid:(Binlog.Opid.make ~term:(1 + (i / 10)) ~index:i)
+  done;
+  let ck =
+    Storage.Engine.decode_checkpoint
+      (Storage.Engine.encode_checkpoint (Storage.Engine.checkpoint src))
+  in
+  let dst = Storage.Engine.create () in
+  Storage.Engine.prepare dst ~gtid:(gtid 99) ~writes:[ ("t", insert "junk" "x") ];
+  Storage.Engine.commit_prepared dst ~gtid:(gtid 99) ~opid:(opid 99);
+  Storage.Engine.restore dst ck;
+  Alcotest.(check int) "committed count" 40 (Storage.Engine.committed_count dst);
+  for count = 0 to 40 do
+    Alcotest.(check int32)
+      (Printf.sprintf "checksum_at %d" count)
+      (Storage.Engine.checksum_at src ~count)
+      (Storage.Engine.checksum_at dst ~count)
+  done;
+  let show = function
+    | None -> "none"
+    | Some (g, o) -> Binlog.Gtid.to_string g ^ "@" ^ Binlog.Opid.to_string o
+  in
+  for n = -1 to 41 do
+    Alcotest.(check string)
+      (Printf.sprintf "nth_commit %d" n)
+      (show (Storage.Engine.nth_commit src n))
+      (show (Storage.Engine.nth_commit dst n))
+  done;
+  (* the chain keeps extending identically after the restore *)
+  List.iter
+    (fun e ->
+      Storage.Engine.prepare e ~gtid:(gtid 41) ~writes:[ ("t", insert "k41" "41") ];
+      Storage.Engine.commit_prepared e ~gtid:(gtid 41) ~opid:(opid 41))
+    [ src; dst ];
+  Alcotest.(check int32) "next digest"
+    (Storage.Engine.checksum_at src ~count:41)
+    (Storage.Engine.checksum_at dst ~count:41);
+  Alcotest.(check bool) "digests differ per prefix" false
+    (Int32.equal
+       (Storage.Engine.checksum_at dst ~count:40)
+       (Storage.Engine.checksum_at dst ~count:41))
+
 let suites =
   [
     ( "storage.engine",
@@ -113,5 +162,7 @@ let suites =
         Alcotest.test_case "update/delete" `Quick test_update_delete_ops;
         Alcotest.test_case "content checksums" `Quick test_checksum_equality;
         Alcotest.test_case "duplicate prepare rejected" `Quick test_duplicate_prepare_rejected;
+        Alcotest.test_case "checkpoint round trip keeps history" `Quick
+          test_checkpoint_round_trip_keeps_history;
       ] );
   ]

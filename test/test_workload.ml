@@ -206,6 +206,84 @@ let test_key_dist_shapes () =
     (hot > 17_000 && hot < 19_500);
   Alcotest.(check bool) "cold tail still sampled" true (Array.exists (fun c -> c > 0) (Array.sub h 5 95))
 
+(* A backend that records what the generator sends and answers only when
+   the test says so. *)
+let manual_backend engine =
+  let on_write = ref (fun ~write_id:_ ~ok:_ ~gtid:_ -> ()) in
+  let on_read = ref (fun ~read_id:_ ~outcome:_ -> ()) in
+  let backend =
+    {
+      Workload.Backend.engine;
+      label = "manual";
+      register_client =
+        (fun ~id:_ ~region:_ ~on_reply ~on_read_reply ->
+          on_write := on_reply;
+          on_read := on_read_reply);
+      send_write = (fun ~client:_ ~write_id:_ ~table:_ ~ops:_ -> true);
+      send_read = (fun ~client:_ ~read_id:_ ~level:_ ~table:_ ~key:_ ~target:_ -> true);
+      read_targets = (fun () -> []);
+      set_client_latency = (fun ~client:_ ~latency:_ -> ());
+      member_ids = (fun () -> []);
+    }
+  in
+  (backend, on_write, on_read)
+
+(* Requests go out at irregular instants; every third one is never
+   answered, the rest are answered shortly after.  Each stuck request
+   must settle as a timeout at exactly its send time plus the timeout
+   (not a rounding of it), and no answered one may time out — however
+   the answered and stuck ids interleave. *)
+let test_generator_times_out_exactly () =
+  let engine = Sim.Engine.create ~seed:5 () in
+  let backend, on_write, on_read = manual_backend engine in
+  let write_timeout = 5.0 *. s and read_timeout = 0.3 *. s in
+  let gen =
+    Workload.Generator.create ~backend ~client_id:"c" ~region:"r1" ~write_timeout
+      ~read_timeout ()
+  in
+  let n = 60 in
+  let writes = Array.make (n + 1) [] and reads = Array.make (n + 1) [] in
+  let sent_w = Array.make (n + 1) nan and sent_r = Array.make (n + 1) nan in
+  for id = 1 to n do
+    (* 0.1 and 0.7 are not representable: sums of them round *)
+    ignore
+      (Sim.Engine.schedule engine ~delay:(float_of_int id *. 0.1 *. ms) (fun () ->
+           sent_w.(id) <- Sim.Engine.now engine;
+           Workload.Generator.issue_op gen ~table:"t" ~key:"k" ~value_size:16 ~k:(fun ok ->
+               writes.(id) <- (ok, Sim.Engine.now engine) :: writes.(id));
+           sent_r.(id) <- Sim.Engine.now engine;
+           Workload.Generator.issue_read gen ~table:"t" ~key:"k" ~k:(fun outcome ->
+               let ok = match outcome with Workload.Backend.Read_ok _ -> true | _ -> false in
+               reads.(id) <- (ok, Sim.Engine.now engine) :: reads.(id));
+           if id mod 3 <> 0 then
+             ignore
+               (Sim.Engine.schedule engine ~delay:(0.7 *. ms) (fun () ->
+                    !on_write ~write_id:id ~ok:true ~gtid:None;
+                    !on_read ~read_id:id ~outcome:(Workload.Backend.Read_ok None)))))
+  done;
+  Sim.Engine.run_until engine (20.0 *. s);
+  let check kind settled sent timeout =
+    for id = 1 to n do
+      match settled.(id) with
+      | [ (ok, at) ] ->
+        if id mod 3 = 0 then begin
+          Alcotest.(check bool) (Printf.sprintf "%s %d timed out" kind id) false ok;
+          Alcotest.(check bool)
+            (Printf.sprintf "%s %d at sent_at + timeout" kind id)
+            true
+            (at = sent.(id) +. timeout)
+        end
+        else Alcotest.(check bool) (Printf.sprintf "%s %d answered" kind id) true ok
+      | l -> Alcotest.failf "%s %d settled %d times" kind id (List.length l)
+    done
+  in
+  check "write" writes sent_w write_timeout;
+  check "read" reads sent_r read_timeout;
+  let st = Workload.Generator.stats gen in
+  Alcotest.(check int) "write timeouts" (n / 3) st.Workload.Generator.timed_out;
+  Alcotest.(check int) "read timeouts" (n / 3) st.Workload.Generator.reads_timed_out;
+  Alcotest.(check int) "no timer left behind" 0 (Sim.Engine.pending engine)
+
 let suites =
   [
     ( "workload.shadow",
@@ -225,5 +303,7 @@ let suites =
         Alcotest.test_case "failure injection keeps consistency" `Quick
           test_failure_injection_preserves_consistency;
         Alcotest.test_case "key distribution shapes" `Quick test_key_dist_shapes;
+        Alcotest.test_case "timeouts fire exactly, settled ids never" `Quick
+          test_generator_times_out_exactly;
       ] );
   ]
