@@ -173,7 +173,7 @@ let log_cache_put_slice =
          Raft.Log_cache.truncate_from cache ~index:1;
          Array.iter (Raft.Log_cache.put cache) entries;
          Raft.Log_cache.read_slice cache ~max_bytes:(128 * 1024) ~from_index:1 ~max_count:64
-           ~read_log:(fun _ -> None) ()))
+           ~read_log:(fun _ -> Binlog.Log_store.absent) ()))
 
 (* The event queue at a steady depth: each run schedules one event a
    pseudo-random distance past the last one popped, then pops the
@@ -218,6 +218,63 @@ let pipeline_group_drain =
          assert (!done_count = 100);
          !done_count))
 
+(* Vec growth and random access at a million elements: the chunked
+   directory against the one-level index it replaced. *)
+let vec_push =
+  Test.make ~name:"vec push (1M)"
+    (Staged.stage (fun () ->
+         let v = Vec.create ~dummy:0 in
+         for i = 1 to 1_000_000 do
+           Vec.push v i
+         done;
+         v))
+
+let vec_get_random =
+  let n = 1 lsl 20 in
+  let v = Vec.create ~dummy:0 in
+  for i = 1 to n do
+    Vec.push v i
+  done;
+  Test.make ~name:"vec get random (1M)"
+    (Staged.stage (fun () ->
+         let i = ref 7 and sum = ref 0 in
+         for _ = 1 to 1_000_000 do
+           i := ((!i * 1_103_515_245) + 12_345) land (n - 1);
+           sum := !sum + Vec.get v !i
+         done;
+         !sum))
+
+(* 10k one-row transactions appended to a fresh log, then each read back
+   by index, as replication reads a cold log. *)
+let log_store_append_read =
+  let n = 10_000 in
+  let entries =
+    Array.init n (fun i ->
+        Binlog.Entry.make
+          ~opid:(Binlog.Opid.make ~term:1 ~index:(i + 1))
+          (Binlog.Entry.Transaction
+             {
+               gtid = Binlog.Gtid.make ~source:"srv" ~gno:(i + 1);
+               events =
+                 [
+                   Binlog.Event.make
+                     (Binlog.Event.Write_rows
+                        { table = "t"; ops = [ Binlog.Event.Insert { key = "k"; value = "v" } ] });
+                 ];
+             }))
+  in
+  Test.make ~name:"log_store append + entry_at (10k)"
+    (Staged.stage (fun () ->
+         let log = Binlog.Log_store.create () in
+         Array.iter (Binlog.Log_store.append log) entries;
+         let bytes = ref 0 in
+         for i = 1 to n do
+           match Binlog.Log_store.entry_at log i with
+           | Some e -> bytes := !bytes + Binlog.Entry.size e
+           | None -> ()
+         done;
+         !bytes))
+
 let histogram_record =
   Test.make ~name:"histogram.record (1k samples)"
     (Staged.stage (fun () ->
@@ -245,6 +302,9 @@ let run () =
       heap_push_pop 300_000;
       pipeline_group_drain;
       histogram_record;
+      vec_push;
+      vec_get_random;
+      log_store_append_read;
     ]
   in
   let instances = Instance.[ monotonic_clock ] in

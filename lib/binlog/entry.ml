@@ -20,12 +20,17 @@ type payload =
    header metadata stamped by the primary, not client payload. *)
 type deps = { last_committed : int; sequence_number : int }
 
+(* Flat: the CRC is kept as an unsigned 32-bit int ([Int32.of_int] of it
+   is the stamped checksum) and the dependency interval as two int fields,
+   [last_committed = -1] until stamped, so a retained entry owns no
+   [int32] box, no option and no deps record. *)
 type t = {
   opid : Opid.t;
   payload : payload;
-  checksum : int32;
+  checksum : int;
   size : int;
-  mutable deps : deps option;
+  mutable last_committed : int;
+  mutable sequence_number : int;
 }
 
 let payload_size payload =
@@ -77,7 +82,7 @@ let payload_checksum payload =
       feed_str (feed_str (feed_int init 3) description) encoded
     | Rotate_marker { next_file } -> feed_str (feed_int init 4) next_file
   in
-  finalize st
+  finalize_int st
 
 let make ~opid payload =
   {
@@ -85,7 +90,8 @@ let make ~opid payload =
     payload;
     checksum = payload_checksum payload;
     size = payload_size payload + 16 (* opid + checksum framing *);
-    deps = None;
+    last_committed = -1;
+    sequence_number = 0;
   }
 
 let opid t = t.opid
@@ -98,14 +104,20 @@ let payload t = t.payload
 
 let size t = t.size
 
-let checksum t = t.checksum
+let checksum t = Int32.of_int t.checksum
 
-let verify t = Int32.equal (payload_checksum t.payload) t.checksum
+let verify t = payload_checksum t.payload = t.checksum
 
-let deps t = t.deps
+let deps t =
+  if t.last_committed < 0 then None
+  else Some { last_committed = t.last_committed; sequence_number = t.sequence_number }
+
+let last_committed t = t.last_committed
 
 let set_deps t ~last_committed ~sequence_number =
-  t.deps <- Some { last_committed; sequence_number }
+  if last_committed < 0 then invalid_arg "Entry.set_deps: negative last_committed";
+  t.last_committed <- last_committed;
+  t.sequence_number <- sequence_number
 
 let gtid t = match t.payload with Transaction { gtid; _ } -> Some gtid | _ -> None
 
@@ -128,7 +140,7 @@ type corruption = Header | Body
    CRC can catch.  Entries whose payload has no distinguishable body
    bytes fall back to the header flavour. *)
 let corrupt t flavor =
-  let flip_header () = { t with checksum = Int32.logxor t.checksum 0x00010000l } in
+  let flip_header () = { t with checksum = t.checksum lxor 0x00010000 } in
   match flavor with
   | Header -> flip_header ()
   | Body ->

@@ -41,6 +41,11 @@ val verify : t -> bool
 
 val deps : t -> deps option
 
+(** {!deps} without the option, for per-entry readers: the stamped
+    [last_committed], or [-1] before {!set_deps}. *)
+val last_committed : t -> int
+
+(** Raises [Invalid_argument] on a negative [last_committed]. *)
 val set_deps : t -> last_committed:int -> sequence_number:int -> unit
 
 (** The transaction's GTID, if this entry is a transaction. *)

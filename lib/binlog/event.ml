@@ -21,11 +21,13 @@ type body =
   | Xid of { xid : int64 }
   | Rotate of { next_file : string }
 
-type t = { body : body }
+(* An event is its body: a retained log keeps four events per
+   transaction, so a one-field wrapper record would cost 2 words each. *)
+type t = body
 
-let make body = { body }
+let make body = body
 
-let body t = t.body
+let body t = t
 
 let row_op_key = function
   | Insert { key; _ } | Update { key; _ } | Delete { key; _ } -> key
@@ -42,7 +44,7 @@ let row_op_size = function
 let size t =
   let header = 19 in
   let body_size =
-    match t.body with
+    match t with
     | Format_description -> 84
     | Previous_gtids set -> 8 + (16 * List.length (Gtid_set.sources set))
     | Gtid_event _ -> 42
@@ -56,7 +58,7 @@ let size t =
   header + body_size
 
 let describe t =
-  match t.body with
+  match t with
   | Format_description -> "FORMAT_DESCRIPTION"
   | Previous_gtids set -> "PREVIOUS_GTIDS(" ^ Gtid_set.to_string set ^ ")"
   | Gtid_event g -> "GTID(" ^ Gtid.to_string g ^ ")"

@@ -9,8 +9,13 @@
    last] ranges over that vector, so rotation and purge are pure metadata
    operations, exactly like MySQL's index file manipulation.
 
+   Slots hold entries directly: an empty slot (slot 0, a purged entry, a
+   gap under a snapshot boundary) holds the one shared [absent] entry,
+   recognised by physical equality, so a retained slot costs one word and
+   no option box.
+
    Invariants:
-   - entry at vector slot i (i >= 1) has Raft index i; slot 0 is a sentinel
+   - entry at vector slot i (i >= 1) has Raft index i; slot 0 is [absent]
    - file ranges partition [purged+1, last_index]
    - terms are non-decreasing along the log. *)
 
@@ -28,7 +33,7 @@ type t = {
   mutable mode : mode;
   mutable files : file list; (* oldest first; last is the open file *)
   mutable current : file; (* last of [files], kept by [set_files] *)
-  entries : Entry.t option Vec.t; (* slot per index; None once purged *)
+  entries : Entry.t Vec.t; (* slot per index; [absent] once purged *)
   mutable purged_below : int; (* entries with index < this may be purged *)
   mutable next_file_seq : int;
   mutable gtids : Gtid_set.t; (* all GTIDs currently present in the log *)
@@ -58,6 +63,10 @@ type t = {
   m_corruption_truncated : Obs.Metrics.counter;
 }
 
+(* The filler of every empty slot.  Never appended, so [==] on it is an
+   exact emptiness test. *)
+let absent = Entry.make ~opid:Opid.zero Entry.Noop
+
 let mode_prefix = function Binlog -> "binlog" | Relay -> "relaylog"
 
 let fresh_file t =
@@ -85,7 +94,7 @@ let create ?metrics ?(mode = Binlog) () =
           last = -1;
           closed = false;
         };
-      entries = Vec.create ~dummy:None;
+      entries = Vec.create ~dummy:absent;
       purged_below = 1;
       next_file_seq = 1;
       gtids = Gtid_set.empty;
@@ -107,7 +116,7 @@ let create ?metrics ?(mode = Binlog) () =
       m_corruption_truncated = Obs.Metrics.counter m "binlog.corruption_truncated";
     }
   in
-  Vec.push t.entries None (* sentinel slot 0 *);
+  Vec.push t.entries absent (* sentinel slot 0 *);
   set_files t [ fresh_file t ];
   t
 
@@ -117,29 +126,27 @@ let last_index t = Vec.length t.entries - 1
 
 let last_opid t = t.last_cached
 
-let entry_at t index =
-  if index <= 0 || index > last_index t then None else Vec.get t.entries index
+let slot t index = if index <= 0 || index > last_index t then absent else Vec.get t.entries index
 
-(* The purge boundary acts like Raft's (last_included_index, term)
-   snapshot marker: its term stays answerable so replication whose
-   prev-entry sits exactly at the boundary keeps working after PURGE. *)
-let term_at t index =
-  if index = 0 then Some 0
-  else
-    match entry_at t index with
-    | Some e -> Some (Entry.term e)
-    | None ->
-      if index = Opid.index t.purge_boundary then Some (Opid.term t.purge_boundary)
-      else None
+let entry_at t index =
+  let e = slot t index in
+  if e == absent then None else Some e
 
 (* [term_at] without the option, for the per-entry callers: -1 when
-   unknown or purged. *)
+   unknown or purged.  The purge boundary acts like Raft's
+   (last_included_index, term) snapshot marker: its term stays answerable
+   so replication whose prev-entry sits exactly at the boundary keeps
+   working after PURGE. *)
 let term_of t index =
   if index = 0 then 0
   else
-    match entry_at t index with
-    | Some e -> Entry.term e
-    | None -> if index = Opid.index t.purge_boundary then Opid.term t.purge_boundary else -1
+    let e = slot t index in
+    if e != absent then Entry.term e
+    else if index = Opid.index t.purge_boundary then Opid.term t.purge_boundary
+    else -1
+
+let term_at t index =
+  match term_of t index with -1 -> None | term -> Some term
 
 let append t entry =
   let index = Entry.index entry in
@@ -148,7 +155,7 @@ let append t entry =
       (Printf.sprintf "Log_store.append: index %d but log ends at %d" index (last_index t));
   if Entry.term entry < term_of t (last_index t) then
     invalid_arg "Log_store.append: term regression";
-  Vec.push t.entries (Some entry);
+  Vec.push t.entries entry;
   t.last_cached <- Entry.opid entry;
   let f = t.current in
   if f.first = 0 then f.first <- index;
@@ -171,9 +178,8 @@ let entries_from t ~from_index ~max_count =
   let rec collect idx n acc =
     if n = 0 || idx > last_index t then List.rev acc
     else
-      match Vec.get t.entries idx with
-      | Some e -> collect (idx + 1) (n - 1) (e :: acc)
-      | None -> List.rev acc
+      let e = Vec.get t.entries idx in
+      if e == absent then List.rev acc else collect (idx + 1) (n - 1) (e :: acc)
   in
   collect (max 1 from_index) max_count []
 
@@ -183,13 +189,11 @@ let truncate_from t ~from_index =
   if from_index <= t.purged_below - 1 then invalid_arg "Log_store.truncate_from: purged range";
   if from_index > last_index t then []
   else begin
-    let removed = Vec.truncate_to t.entries from_index in
-    let removed = List.filter_map (fun e -> e) removed in
+    let removed = List.filter (fun e -> e != absent) (Vec.truncate_to t.entries from_index) in
     (t.last_cached <-
-       (match Vec.get_opt t.entries (from_index - 1) with
-       | Some (Some e) -> Entry.opid e
-       | Some None -> t.purge_boundary (* tail now ends inside the purged range *)
-       | None -> Opid.zero));
+       let e = slot t (from_index - 1) in
+       (* an absent slot: the tail now ends inside the purged range *)
+       if e != absent then Entry.opid e else t.purge_boundary);
     List.iter
       (fun e ->
         match Entry.gtid e with
@@ -235,7 +239,8 @@ let file_list t =
       let size =
         List.fold_left
           (fun acc i ->
-            match Vec.get t.entries i with Some e -> acc + Entry.size e | None -> acc)
+            let e = Vec.get t.entries i in
+            if e == absent then acc else acc + Entry.size e)
           0 indices
       in
       (f.file_name, size, List.length indices))
@@ -257,11 +262,10 @@ let purge_to t ~file =
   let rec drop = function
     | f :: rest when f.file_name <> file ->
       if f.first > 0 then begin
-        (match Vec.get t.entries f.last with
-        | Some e -> t.purge_boundary <- Entry.opid e
-        | None -> ());
+        let e = Vec.get t.entries f.last in
+        if e != absent then t.purge_boundary <- Entry.opid e;
         for i = f.first to f.last do
-          Vec.set t.entries i None
+          Vec.set t.entries i absent
         done;
         t.purged_below <- max t.purged_below (f.last + 1)
       end;
@@ -292,7 +296,7 @@ let install_snapshot t ~last ~gtids =
   else if term_at t b = Some (Opid.term last) then begin
     (* retain: purge [purged_below, b] in place *)
     for i = t.purged_below to min b (last_index t) do
-      Vec.set t.entries i None
+      Vec.set t.entries i absent
     done;
     let keep =
       List.filter_map
@@ -319,7 +323,7 @@ let install_snapshot t ~last ~gtids =
       else []
     in
     while last_index t < b do
-      Vec.push t.entries None
+      Vec.push t.entries absent
     done;
     t.purged_below <- b + 1;
     t.purge_boundary <- last;
@@ -406,12 +410,13 @@ let crash_recover_log t =
    any in-flight copy): a later [scan_for_corruption] must find it.
    False when the slot is absent (purged / beyond the tail). *)
 let corrupt_entry t ~index ~flavor =
-  match entry_at t index with
-  | None -> false
-  | Some e ->
-    Vec.set t.entries index (Some (Entry.corrupt e flavor));
+  let e = slot t index in
+  if e == absent then false
+  else begin
+    Vec.set t.entries index (Entry.corrupt e flavor);
     Obs.Metrics.incr t.m_corruption_injected;
     true
+  end
 
 type corruption_report = {
   cr_first_corrupt : int; (* index the scan truncated from *)
@@ -432,9 +437,8 @@ let scan_for_corruption t =
   let rec find i =
     if i > last_index t then None
     else
-      match Vec.get t.entries i with
-      | Some e when not (Entry.verify e) -> Some i
-      | _ -> find (i + 1)
+      let e = Vec.get t.entries i in
+      if e != absent && not (Entry.verify e) then Some i else find (i + 1)
   in
   match find 1 with
   | None -> None
@@ -465,8 +469,7 @@ let switch_mode t new_mode =
     else rotate t
   end
 
-let all_entries t =
-  List.filter_map (fun e -> e) (Vec.to_list t.entries)
+let all_entries t = List.filter (fun e -> e != absent) (Vec.to_list t.entries)
 
 let describe t =
   Printf.sprintf "%s log: %d files, last=%s, gtids=%s"

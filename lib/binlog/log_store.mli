@@ -27,6 +27,14 @@ val last_opid : t -> Opid.t
 (** [None] for out-of-range or purged indexes. *)
 val entry_at : t -> int -> Entry.t option
 
+(** The entry every empty slot holds.  Compare with [==]: it is never
+    appended, so no stored entry is physically equal to it. *)
+val absent : Entry.t
+
+(** {!entry_at} without the option, for per-entry readers: {!absent} for
+    out-of-range or purged indexes.  Allocates nothing. *)
+val slot : t -> int -> Entry.t
+
 (** Term at an index; [Some 0] at index 0, [None] when unknown/purged. *)
 val term_at : t -> int -> int option
 

@@ -138,10 +138,9 @@ let note_commit_index t ci =
 let dep_ok t entry =
   let barrier () = Binlog.Entry.index entry = t.next_to_submit in
   match Binlog.Entry.payload entry with
-  | Binlog.Entry.Transaction _ -> (
-    match Binlog.Entry.deps entry with
-    | Some d -> d.Binlog.Entry.last_committed <= t.applied_index
-    | None -> barrier ())
+  | Binlog.Entry.Transaction _ ->
+    let last_committed = Binlog.Entry.last_committed entry in
+    if last_committed >= 0 then last_committed <= t.applied_index else barrier ()
   | _ -> barrier ()
 
 let record_done t index entry =

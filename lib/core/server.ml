@@ -59,6 +59,7 @@ type t = {
   mutable truncated_gtids : Binlog.Gtid.t list;
   (* observability *)
   metrics : Obs.Metrics.t;
+  m_writes_committed : Obs.Metrics.counter; (* resolved once: bumped per commit *)
   tracebuf : Obs.Tracebuf.t option;
   (* read path *)
   mutable exec_index : int;
@@ -656,8 +657,8 @@ let submit_write t ~table ~ops ~reply =
                             The entry was only just appended; Raft sends it
                             by reference on future network events, so the
                             stamp replicates with it. *)
-                         (match Binlog.Log_store.entry_at t.log index with
-                         | Some entry ->
+                         let entry = Binlog.Log_store.slot t.log index in
+                         if entry != Binlog.Log_store.absent then begin
                            let keys =
                              List.map
                                (fun op -> (table, Binlog.Event.row_op_key op))
@@ -667,7 +668,7 @@ let submit_write t ~table ~ops ~reply =
                              ~last_committed:
                                (Binlog.Writeset.stamp t.writeset ~index ~keys)
                              ~sequence_number:index
-                         | None -> ());
+                         end;
                          trace_event t ~stage:"flush" ~term:(Binlog.Opid.term assigned)
                            ~index;
                          Ok index
@@ -677,7 +678,7 @@ let submit_write t ~table ~ops ~reply =
                        if ok && Storage.Engine.is_prepared t.storage gtid then begin
                          Storage.Engine.commit_prepared t.storage ~gtid ~opid:!opid;
                          t.writes_committed <- t.writes_committed + 1;
-                         Obs.Metrics.bump t.metrics "server.writes_committed";
+                         Obs.Metrics.incr t.m_writes_committed;
                          trace_event t ~stage:"engine-commit"
                            ~term:(Binlog.Opid.term !opid) ~index:(Binlog.Opid.index !opid);
                          reply (Wire.Committed { gtid })
@@ -945,6 +946,7 @@ let create ?metrics ?tracebuf ?clock ?(group = 0) ~engine ~id ~region ~replicase
       writes_rejected = 0;
       truncated_gtids = [];
       metrics;
+      m_writes_committed = Obs.Metrics.counter metrics "server.writes_committed";
       tracebuf;
       exec_index = 0;
       apply_waiters = [];

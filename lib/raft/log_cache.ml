@@ -22,10 +22,13 @@
    the entries themselves, which are immutable, so they stay valid
    however the cache evicts afterwards. *)
 
+(* Fills unused ring and scratch slots, so they retain nothing live; also
+   what [read_log] returns for an index the log does not hold. *)
+let absent = Binlog.Log_store.absent
+
 type t = {
   mutable ring : Binlog.Entry.t array; (* slot for index i = i land (cap-1) *)
   mutable cap : int; (* power of two, = Array.length ring *)
-  dummy : Binlog.Entry.t; (* fills unused slots so they retain nothing live *)
   mutable first_cached : int; (* lowest index still cached; 0 when empty *)
   mutable last_cached : int;
   mutable bytes : int;
@@ -42,16 +45,14 @@ let create ?metrics ?(max_bytes = 4 * 1024 * 1024) () =
   (* Absent a registry, handles resolve against a throwaway one so the
      hot path never branches on an option. *)
   let m = match metrics with Some m -> m | None -> Obs.Metrics.create () in
-  let dummy = Binlog.Entry.make ~opid:Binlog.Opid.zero Binlog.Entry.Noop in
   {
-    ring = Array.make 1024 dummy;
+    ring = Array.make 1024 absent;
     cap = 1024;
-    dummy;
     first_cached = 0;
     last_cached = 0;
     bytes = 0;
     max_bytes;
-    scratch = Array.make 64 dummy;
+    scratch = Array.make 64 absent;
     disk_reads = 0;
     hits = 0;
     m_hits = Obs.Metrics.counter m "raft.log_cache.hits";
@@ -63,18 +64,13 @@ let is_empty t = t.first_cached = 0
 
 let[@inline] slot t index = index land (t.cap - 1)
 
-let[@inline] get_cached t index =
-  if (not (is_empty t)) && index >= t.first_cached && index <= t.last_cached then
-    Some t.ring.(slot t index)
-  else None
-
 let contains t ~index =
   (not (is_empty t)) && index >= t.first_cached && index <= t.last_cached
 
 let evict_oldest t =
   let i = slot t t.first_cached in
   t.bytes <- t.bytes - Binlog.Entry.size t.ring.(i);
-  t.ring.(i) <- t.dummy;
+  t.ring.(i) <- absent;
   t.first_cached <- t.first_cached + 1
 
 (* Double the ring until [count] entries fit, re-seating live slots. *)
@@ -83,7 +79,7 @@ let grow t count =
   while count > !cap do
     cap := !cap * 2
   done;
-  let ring = Array.make !cap t.dummy in
+  let ring = Array.make !cap absent in
   for i = t.first_cached to t.last_cached do
     ring.(i land (!cap - 1)) <- t.ring.(slot t i)
   done;
@@ -101,13 +97,13 @@ let put t entry =
        the budget tracks what the ring actually holds. *)
     let i = slot t index in
     t.bytes <- t.bytes - Binlog.Entry.size t.ring.(i);
-    t.ring.(i) <- t.dummy
+    t.ring.(i) <- absent
   end
   else if index <> t.last_cached + 1 then begin
     (* Non-contiguous with the cached range (cannot happen on a Raft log,
        which appends at the tail; kept for safety): restart the cache at
        this entry. *)
-    Array.fill t.ring 0 t.cap t.dummy;
+    Array.fill t.ring 0 t.cap absent;
     t.bytes <- 0;
     t.first_cached <- index;
     t.last_cached <- index - 1
@@ -130,7 +126,7 @@ let truncate_from t ~index =
     for i = max index t.first_cached to t.last_cached do
       let s = slot t i in
       t.bytes <- t.bytes - Binlog.Entry.size t.ring.(s);
-      t.ring.(s) <- t.dummy
+      t.ring.(s) <- absent
     done;
     if t.last_cached >= index then t.last_cached <- index - 1;
     if t.first_cached > t.last_cached then begin
@@ -143,26 +139,24 @@ let truncate_from t ~index =
 
 (* Read [from_index, from_index+max_count) preferring the cache, falling
    back to [read_log] for the cold prefix, into the scratch buffer.
+   Neither source boxes what it returns: a miss on both is the
+   [Log_store.absent] sentinel.
    [max_bytes] additionally bounds the batch: collection stops before the
    entry that would exceed the budget, except that the first entry always
    ships so an oversized transaction still makes progress one-per-AE.
    Returns the number of entries filled. *)
 let read_scratch t ~max_bytes ~from_index ~max_count ~read_log =
   if max_count > Array.length t.scratch then
-    t.scratch <- Array.make (max max_count (2 * Array.length t.scratch)) t.dummy;
+    t.scratch <- Array.make (max max_count (2 * Array.length t.scratch)) absent;
   let n = ref 0 in
   let bytes = ref 0 in
   let stop = ref false in
   while (not !stop) && !n < max_count do
     let idx = from_index + !n in
-    let entry, from_cache =
-      match get_cached t idx with
-      | Some e -> (Some e, true)
-      | None -> (read_log idx, false)
-    in
-    match entry with
-    | None -> stop := true
-    | Some e ->
+    let from_cache = contains t ~index:idx in
+    let e = if from_cache then t.ring.(slot t idx) else read_log idx in
+    if e == absent then stop := true
+    else begin
       let sz = Binlog.Entry.size e in
       if !n > 0 && !bytes + sz > max_bytes then stop := true
       else begin
@@ -178,6 +172,7 @@ let read_scratch t ~max_bytes ~from_index ~max_count ~read_log =
         incr n;
         bytes := !bytes + sz
       end
+    end
   done;
   !n
 
@@ -185,7 +180,7 @@ let read_slice t ?(max_bytes = max_int) ~from_index ~max_count ~read_log () =
   let n = read_scratch t ~max_bytes ~from_index ~max_count ~read_log in
   let out = Array.sub t.scratch 0 n in
   (* don't let the scratch keep evicted entries alive between batches *)
-  Array.fill t.scratch 0 n t.dummy;
+  Array.fill t.scratch 0 n absent;
   out
 
 let read t ?(max_bytes = max_int) ~from_index ~max_count ~read_log () =

@@ -18,7 +18,8 @@ val put : t -> Binlog.Entry.t -> unit
 val truncate_from : t -> index:int -> unit
 
 (** Read a range preferring the cache, calling [read_log] for cold
-    indexes; stops at the first missing entry.  [max_bytes] bounds the
+    indexes; stops at the first missing entry, which [read_log] reports
+    as {!Binlog.Log_store.absent} (so a cold read allocates nothing).  [max_bytes] bounds the
     total payload: collection stops before exceeding the budget, but the
     first entry always ships so oversized transactions still progress.
 
@@ -27,13 +28,13 @@ val truncate_from : t -> index:int -> unit
     stays valid however the cache evicts afterwards. *)
 val read_slice :
   t -> ?max_bytes:int -> from_index:int -> max_count:int ->
-  read_log:(int -> Binlog.Entry.t option) -> unit ->
+  read_log:(int -> Binlog.Entry.t) -> unit ->
   Binlog.Entry.t array
 
 (** [read_slice] as a list, for callers off the hot path. *)
 val read :
   t -> ?max_bytes:int -> from_index:int -> max_count:int ->
-  read_log:(int -> Binlog.Entry.t option) -> unit ->
+  read_log:(int -> Binlog.Entry.t) -> unit ->
   Binlog.Entry.t list
 
 val contains : t -> index:int -> bool

@@ -21,7 +21,7 @@ type node_id = Types.node_id
    the embedder.  The MySQL plugin backs it with binlog/relay-log files. *)
 type log_ops = {
   append : Binlog.Entry.t -> unit;
-  entry_at : int -> Binlog.Entry.t option;
+  entry_at : int -> Binlog.Entry.t; (* [Log_store.absent] when not held *)
   last_opid : unit -> Binlog.Opid.t;
   term_at : int -> int option;
   term_of : int -> int; (* [term_at] without the option: -1 when unknown *)
@@ -49,7 +49,7 @@ type log_ops = {
 let log_ops_of_store (store : Binlog.Log_store.t) =
   {
     append = Binlog.Log_store.append store;
-    entry_at = (fun i -> Binlog.Log_store.entry_at store i);
+    entry_at = Binlog.Log_store.slot store;
     last_opid = (fun () -> Binlog.Log_store.last_opid store);
     term_at = (fun i -> Binlog.Log_store.term_at store i);
     term_of = Binlog.Log_store.term_of store;
@@ -2695,9 +2695,8 @@ let deliver_reconstituted t ~dst (ae : Message.append_entries) ~first_index ~las
   let rec gather idx acc =
     if idx > last then Some (Array.of_list (List.rev acc))
     else
-      match t.log.entry_at idx with
-      | Some e -> gather (idx + 1) (e :: acc)
-      | None -> None
+      let e = t.log.entry_at idx in
+      if e == Binlog.Log_store.absent then None else gather (idx + 1) (e :: acc)
   in
   let entries =
     if t.log.term_at last = Some expected_last_term then gather first_index [] else None

@@ -25,7 +25,9 @@ type node_id = Types.node_id
     plugin backs it with binlog/relay-log files. *)
 type log_ops = {
   append : Binlog.Entry.t -> unit;
-  entry_at : int -> Binlog.Entry.t option;
+  entry_at : int -> Binlog.Entry.t;
+      (** The entry at an index, or {!Binlog.Log_store.absent} when the
+          log does not hold it (allocation-free: read per shipped entry). *)
   last_opid : unit -> Binlog.Opid.t;
   term_at : int -> int option;
   term_of : int -> int;

@@ -15,7 +15,12 @@
    writes queue behind the prepared transaction holding the lock, which
    is what makes group-commit stalls visible in latency. *)
 
-type row = { value : string; mutable last_writer : Binlog.Gtid.t option }
+(* [last_writer] is [no_writer] (compared with [==]) for a row restored
+   from a checkpoint that recorded none: a retained row owns no option
+   box.  The checkpoint record keeps the option. *)
+type row = { value : string; last_writer : Binlog.Gtid.t }
+
+let no_writer = Binlog.Gtid.make ~source:"" ~gno:1
 
 type prepared = {
   gtid : Binlog.Gtid.t;
@@ -130,7 +135,7 @@ let apply_op t gtid (tbl_name, op) =
   let tbl = table t tbl_name in
   match op with
   | Binlog.Event.Insert { key; value } | Update { key; after = value; _ } ->
-    Hashtbl.replace tbl key { value; last_writer = Some gtid }
+    Hashtbl.replace tbl key { value; last_writer = gtid }
   | Delete { key; _ } -> Hashtbl.remove tbl key
 
 (* Durably commit a prepared transaction, stamping the Raft OpId. *)
@@ -232,7 +237,11 @@ let checkpoint t =
     Hashtbl.fold
       (fun tbl_name tbl acc ->
         let rows =
-          Hashtbl.fold (fun key r acc -> (key, r.value, r.last_writer) :: acc) tbl []
+          Hashtbl.fold
+            (fun key r acc ->
+              let last_writer = if r.last_writer == no_writer then None else Some r.last_writer in
+              (key, r.value, last_writer) :: acc)
+            tbl []
         in
         (tbl_name, rows) :: acc)
       t.tables []
@@ -257,7 +266,9 @@ let restore t ck =
     (fun (tbl_name, rows) ->
       let tbl = table t tbl_name in
       List.iter
-        (fun (key, value, last_writer) -> Hashtbl.replace tbl key { value; last_writer })
+        (fun (key, value, last_writer) ->
+          let last_writer = Option.value last_writer ~default:no_writer in
+          Hashtbl.replace tbl key { value; last_writer })
         rows)
     ck.ck_rows;
   t.gtid_executed <- ck.ck_gtid_executed;

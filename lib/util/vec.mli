@@ -1,5 +1,6 @@
 (** Growable array (OCaml 5.1 predates Stdlib.Dynarray): O(1) push and
-    random access; log entry storage maps Raft indexes to slots. *)
+    random access; log entry storage maps Raft indexes to slots.  Grows
+    by fixed 4096-slot chunks, so no filled slot is ever copied. *)
 
 type 'a t
 

@@ -321,6 +321,107 @@ let test_corruption_detected_non_txn_payloads () =
       ("rotate-marker", Binlog.Entry.Rotate_marker { next_file = "binlog.000003" });
     ]
 
+(* The CRC byte stream is pinned: these values were stamped by the
+   layout that kept the checksum as an [int32] and each event in a
+   wrapper record, so storing the CRC as an unboxed int and an event as
+   its body changed no checksum. *)
+let test_golden_checksums () =
+  let opid = Binlog.Opid.make ~term:1 ~index:1 in
+  let g = gtid "srv1" 7 in
+  let stamp payload = Binlog.Entry.checksum (Binlog.Entry.make ~opid payload) in
+  let per_event =
+    List.map
+      (fun (name, body) ->
+        ( name,
+          stamp
+            (Binlog.Entry.Transaction
+               {
+                 gtid = g;
+                 events =
+                   [ Binlog.Event.make body; Binlog.Event.make (Binlog.Event.Xid { xid = 9L }) ];
+               }) ))
+      (all_event_bodies ())
+  in
+  let per_payload =
+    [
+      ("noop", stamp Binlog.Entry.Noop);
+      ( "config-change",
+        stamp (Binlog.Entry.Config_change { description = "add my9"; encoded = "+my9" }) );
+      ("rotate-marker", stamp (Binlog.Entry.Rotate_marker { next_file = "binlog.000003" }));
+      ("empty-transaction", stamp (Binlog.Entry.Transaction { gtid = g; events = [] }));
+    ]
+  in
+  List.iter2
+    (fun (name, expected) (name', got) ->
+      Alcotest.(check string) "case order" name name';
+      Alcotest.(check int32) name expected got)
+    [
+      ("format-description", -835621898l);
+      ("previous-gtids", 1366673508l);
+      ("gtid-event", -1893732000l);
+      ("table-map", 1666788063l);
+      ("write-rows", 809095135l);
+      ("query", 737508176l);
+      ("xid", 606474048l);
+      ("rotate", 1673515319l);
+      ("noop", 654825492l);
+      ("config-change", -133776241l);
+      ("rotate-marker", 826087681l);
+      ("empty-transaction", 297374589l);
+    ]
+    (per_event @ per_payload)
+
+(* A transaction as [Server.submit_write] builds it (GTID, table map, one
+   ~300 B insert, XID) with its WRITESET deps stamped, as the log retains
+   it.  Apart from the row's key and value strings it is 50 words: the
+   entry record (7), opid (3), payload (3), GTID and its source (5), four
+   list cells (12), four event bodies (11, the XID's [int64] included),
+   the table string (2), the row-op list cell and record (6).  An option,
+   a boxed [int32] or a wrapper record per entry or event shows up
+   here. *)
+let test_entry_layout_words () =
+  let key = "row-12345" and value = String.make 300 'd' in
+  let g = gtid "mysql1" 12_345 and table = "sbtest" in
+  let e =
+    Binlog.Entry.make
+      ~opid:(Binlog.Opid.make ~term:3 ~index:12_345)
+      (Binlog.Entry.Transaction
+         {
+           gtid = g;
+           events =
+             [
+               Binlog.Event.make (Binlog.Event.Gtid_event g);
+               Binlog.Event.make (Binlog.Event.Table_map { table });
+               Binlog.Event.make
+                 (Binlog.Event.Write_rows
+                    { table; ops = [ Binlog.Event.Insert { key; value } ] });
+               Binlog.Event.make (Binlog.Event.Xid { xid = 12_345L });
+             ];
+         })
+  in
+  Binlog.Entry.set_deps e ~last_committed:12_000 ~sequence_number:12_345;
+  let words x = Obj.reachable_words (Obj.repr x) in
+  let own = words e - words key - words value in
+  Alcotest.(check bool) (Printf.sprintf "%d words <= 50" own) true (own <= 50)
+
+let test_entry_verify_and_deps () =
+  let e = entry ~term:2 ~index:9 () in
+  Alcotest.(check bool) "clean verifies" true (Binlog.Entry.verify e);
+  Alcotest.(check bool) "header rot fails" false
+    (Binlog.Entry.verify (Binlog.Entry.corrupt e Binlog.Entry.Header));
+  Alcotest.(check bool) "body rot fails" false
+    (Binlog.Entry.verify (Binlog.Entry.corrupt e Binlog.Entry.Body));
+  Alcotest.(check bool) "no deps before stamping" true (Binlog.Entry.deps e = None);
+  Alcotest.(check int) "last_committed unset" (-1) (Binlog.Entry.last_committed e);
+  Binlog.Entry.set_deps e ~last_committed:0 ~sequence_number:9;
+  Alcotest.(check bool) "deps stamped" true
+    (Binlog.Entry.deps e = Some { Binlog.Entry.last_committed = 0; sequence_number = 9 });
+  Alcotest.(check int) "last_committed stamped" 0 (Binlog.Entry.last_committed e);
+  Alcotest.(check bool) "stamp is outside the checksum" true (Binlog.Entry.verify e);
+  let moved = Binlog.Entry.with_opid e ~opid:(Binlog.Opid.make ~term:3 ~index:9) in
+  Alcotest.(check bool) "re-stamping keeps deps" true
+    (Binlog.Entry.deps moved = Binlog.Entry.deps e)
+
 (* CRC-32 guarantee the recovery scan leans on: ANY single-bit flip in
    an entry's stored payload bytes changes the checksum, so corruption
    of one bit can never slip through [verify] on re-read. *)
@@ -470,6 +571,48 @@ let test_log_purge () =
   Alcotest.(check bool) "kept entry present" true (Binlog.Log_store.entry_at log 7 <> None);
   Alcotest.(check int) "last index unchanged" 8
     (Binlog.Opid.index (Binlog.Log_store.last_opid log))
+
+(* Purge to a file boundary inside the second 4096-slot storage chunk:
+   the emptied slots read as absent through every accessor, the boundary
+   term stays answerable, and the recovery scan skips them. *)
+let test_log_purge_across_chunks () =
+  let log = Binlog.Log_store.create () in
+  for i = 1 to 5_000 do
+    Binlog.Log_store.append log (entry ~term:(1 + (i / 1_000)) ~index:i ());
+    if i = 1_000 || i = 4_500 then Binlog.Log_store.rotate log
+  done;
+  let third_file =
+    match Binlog.Log_store.file_names log with
+    | [ _; _; f3 ] -> f3
+    | _ -> Alcotest.fail "three files"
+  in
+  Binlog.Log_store.purge_to log ~file:third_file;
+  Alcotest.(check int) "purged below" 4_501 (Binlog.Log_store.purged_below log);
+  List.iter
+    (fun i ->
+      Alcotest.(check bool) (Printf.sprintf "entry_at %d absent" i) true
+        (Binlog.Log_store.entry_at log i = None);
+      Alcotest.(check bool) (Printf.sprintf "slot %d absent" i) true
+        (Binlog.Log_store.slot log i == Binlog.Log_store.absent))
+    [ 1; 1_000; 4_095; 4_096; 4_097; 4_499; 4_500 ];
+  Alcotest.(check (option int)) "purged term unknown" None (Binlog.Log_store.term_at log 4_499);
+  Alcotest.(check int) "purged term_of" (-1) (Binlog.Log_store.term_of log 4_096);
+  Alcotest.(check (option int)) "boundary term kept" (Some 5) (Binlog.Log_store.term_at log 4_500);
+  Alcotest.(check (option int)) "first kept term" (Some 5) (Binlog.Log_store.term_at log 4_501);
+  Alcotest.(check bool) "kept entry present" true
+    (Option.map Binlog.Entry.index (Binlog.Log_store.entry_at log 4_501) = Some 4_501);
+  Alcotest.(check int) "kept entries" 500 (List.length (Binlog.Log_store.all_entries log));
+  Alcotest.(check bool) "clean scan" true (Binlog.Log_store.scan_for_corruption log = None);
+  Alcotest.(check bool) "purged slot cannot rot" false
+    (Binlog.Log_store.corrupt_entry log ~index:4_200 ~flavor:Binlog.Entry.Header);
+  Alcotest.(check bool) "kept slot rots" true
+    (Binlog.Log_store.corrupt_entry log ~index:4_800 ~flavor:Binlog.Entry.Body);
+  match Binlog.Log_store.scan_for_corruption log with
+  | None -> Alcotest.fail "corruption missed"
+  | Some r ->
+    Alcotest.(check int) "truncated at the rot" 4_800 r.Binlog.Log_store.cr_first_corrupt;
+    Alcotest.(check int) "dropped the suffix" 201 (List.length r.Binlog.Log_store.cr_dropped);
+    Alcotest.(check int) "last index" 4_799 (Binlog.Log_store.last_index log)
 
 let test_log_switch_mode_rewires_names () =
   let log = Binlog.Log_store.create ~mode:Binlog.Log_store.Relay () in
@@ -646,6 +789,9 @@ let suites =
         Alcotest.test_case "corruption detected per payload kind" `Quick
           test_corruption_detected_non_txn_payloads;
         QCheck_alcotest.to_alcotest prop_single_bit_flip_detected;
+        Alcotest.test_case "golden checksums" `Quick test_golden_checksums;
+        Alcotest.test_case "retained layout words" `Quick test_entry_layout_words;
+        Alcotest.test_case "verify and deps" `Quick test_entry_verify_and_deps;
       ] );
     ( "binlog.log_store",
       [
@@ -656,6 +802,7 @@ let suites =
         Alcotest.test_case "truncate" `Quick test_log_truncate;
         Alcotest.test_case "rotation and SHOW BINARY LOGS" `Quick test_log_rotation_and_file_list;
         Alcotest.test_case "purge" `Quick test_log_purge;
+        Alcotest.test_case "purge inside chunk 1" `Quick test_log_purge_across_chunks;
         Alcotest.test_case "binlog/relay rewiring" `Quick test_log_switch_mode_rewires_names;
         Alcotest.test_case "term regression rejected" `Quick test_log_term_regression_rejected;
         Alcotest.test_case "install snapshot retains tail" `Quick

@@ -621,7 +621,9 @@ let prop_cache_slice_equals_copying_read =
       in
       let got =
         Raft.Log_cache.read_slice cache ~max_bytes:byte_budget ~from_index ~max_count
-          ~read_log ()
+          ~read_log:(fun idx ->
+            match read_log idx with Some e -> e | None -> Binlog.Log_store.absent)
+          ()
       in
       Array.length got = List.length expected
       && List.for_all2
@@ -633,7 +635,7 @@ let prop_cache_slice_equals_copying_read =
    slots. *)
 let test_slice_survives_eviction () =
   let cache = Raft.Log_cache.create ~max_bytes:4_000 () in
-  let no_log _ = None in
+  let no_log _ = Binlog.Log_store.absent in
   for i = 1 to 10 do
     Raft.Log_cache.put cache (cache_entry ~index:i ~size:100)
   done;

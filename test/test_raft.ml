@@ -853,7 +853,7 @@ let test_log_cache_eviction_and_fallback () =
      files" (§3.1) and still returns everything in order *)
   let entries =
     Raft.Log_cache.read cache ~from_index:1 ~max_count:50
-      ~read_log:(Binlog.Log_store.entry_at store) ()
+      ~read_log:(Binlog.Log_store.slot store) ()
   in
   Alcotest.(check int) "all entries read" 50 (List.length entries);
   Alcotest.(check bool) "disk reads happened" true (Raft.Log_cache.disk_reads cache > 0);
@@ -932,7 +932,7 @@ let test_log_cache_byte_budget () =
   for i = 1 to 10 do
     Raft.Log_cache.put cache (mk i)
   done;
-  let no_log _ = None in
+  let no_log _ = Binlog.Log_store.absent in
   let per_entry = Binlog.Entry.size (mk 1) in
   let read ~max_bytes =
     Raft.Log_cache.read cache ~max_bytes ~from_index:1 ~max_count:10 ~read_log:no_log ()

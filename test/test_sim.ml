@@ -358,6 +358,94 @@ let test_vec_basics () =
     removed;
   Alcotest.(check (list int)) "slice" [ 1; 2; 3 ] (Vec.slice v ~lo:0 ~hi:3)
 
+(* Chunked [Vec] against a plain array model.  Pushes come in bursts so
+   lengths reach ~10k: past chunk 0's doubling, across the 4096 and 8192
+   chunk boundaries, and back across them on truncation, after which the
+   vector must reuse its emptied chunks. *)
+type vec_op =
+  | Push of int (* push this many fresh values *)
+  | Set of int * int (* index (mod length), value *)
+  | Truncate of int (* to this (mod length + 1) *)
+  | Truncate_near of int * int (* to chunk boundary k * 4096 plus an offset *)
+
+let vec_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, map (fun n -> Push n) (int_range 1 3_000));
+        (2, map2 (fun i v -> Set (i, v)) nat nat);
+        (1, map (fun n -> Truncate n) nat);
+        (2, map2 (fun k d -> Truncate_near (k, d)) (int_range 0 2) (int_range (-3) 3));
+      ])
+
+let print_vec_op = function
+  | Push n -> Printf.sprintf "Push %d" n
+  | Set (i, v) -> Printf.sprintf "Set (%d, %d)" i v
+  | Truncate n -> Printf.sprintf "Truncate %d" n
+  | Truncate_near (k, d) -> Printf.sprintf "Truncate_near (%d, %d)" k d
+
+let prop_vec_matches_array =
+  QCheck.Test.make ~name:"chunked vec equals an array model" ~count:60
+    QCheck.(make ~print:(Print.list print_vec_op) Gen.(list_size (int_range 1 25) vec_op_gen))
+    (fun ops ->
+      let cap = 12_000 in
+      let model = Array.make cap 0 and len = ref 0 and next = ref 0 in
+      let v = Vec.create ~dummy:(-1) in
+      let truncate_model n =
+        let removed = Array.to_list (Array.sub model n (!len - n)) in
+        len := n;
+        removed
+      in
+      let same () =
+        let n = !len in
+        let slice_ok lo hi =
+          Vec.slice v ~lo ~hi
+          = Array.to_list (Array.sub model (max 0 lo) (max 0 (min n hi - max 0 lo)))
+        in
+        Vec.length v = n
+        && Vec.is_empty v = (n = 0)
+        && Vec.get_opt v n = None
+        && Vec.get_opt v (-1) = None
+        && (n = 0 || (Vec.get v 0 = model.(0) && Vec.get v (n - 1) = model.(n - 1)))
+        && (n = 0 || Vec.get_opt v (n / 2) = Some model.(n / 2))
+        && slice_ok (n - 5000) (n - 4000)
+        && slice_ok 4090 4100
+        && slice_ok (-3) 3
+        && Vec.to_list v = Array.to_list (Array.sub model 0 n)
+        && Vec.fold v ~init:0 (fun acc x -> (acc * 31) + x)
+           = Array.fold_left (fun acc x -> (acc * 31) + x) 0 (Array.sub model 0 n)
+        &&
+        let sum = ref 0 and ok = ref true in
+        Vec.iter v (fun x -> sum := !sum + x);
+        Vec.iteri v (fun i x -> if model.(i) <> x then ok := false);
+        !ok && !sum = Array.fold_left ( + ) 0 (Array.sub model 0 n)
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Push k ->
+            for _ = 1 to min k (cap - !len) do
+              incr next;
+              model.(!len) <- !next;
+              incr len;
+              Vec.push v !next
+            done;
+            true
+          | Set (i, x) ->
+            if !len > 0 then begin
+              model.(i mod !len) <- x;
+              Vec.set v (i mod !len) x
+            end;
+            true
+          | Truncate n ->
+            let n = n mod (!len + 1) in
+            Vec.truncate_to v n = truncate_model n
+          | Truncate_near (k, d) ->
+            let n = max 0 (min !len ((k * 4096) + d)) in
+            Vec.truncate_to v n = truncate_model n)
+          && same ())
+        ops)
+
 let suites =
   [
     ( "sim.rng",
@@ -403,5 +491,9 @@ let suites =
       ] );
     ( "sim.topology",
       [ Alcotest.test_case "queries" `Quick test_topology_queries ] );
-    ("util.vec", [ Alcotest.test_case "basics" `Quick test_vec_basics ]);
+    ( "util.vec",
+      [
+        Alcotest.test_case "basics" `Quick test_vec_basics;
+        QCheck_alcotest.to_alcotest prop_vec_matches_array;
+      ] );
   ]
