@@ -16,7 +16,11 @@
    Writes BENCH_APPLY.json and, for CI, gates on the uniform-skew
    default-cost cells: 4 lanes must apply at least [gate_ratio] times
    the serial rate, and parallel lag must stay bounded where serial lag
-   diverges. *)
+   diverges.  The 4-lane cell also records the whole cluster's minor-heap
+   words per txn the follower applied in the window; that figure must
+   not regress more than 10% over the budget recorded in the committed
+   BENCH_APPLY.json, and a run that improves on it ratchets the budget
+   down. *)
 
 open Common
 
@@ -56,6 +60,7 @@ type cell = {
   c_applied_tps : float;
   c_lag_end : int; (* leader commit_index - follower applied_through *)
   c_dep_stalls : int;
+  c_words_per_applied : float; (* minor words per applied txn, whole cluster *)
 }
 
 let run_cell ~workers ~skew ~cost_us ~seed =
@@ -104,7 +109,7 @@ let run_cell ~workers ~skew ~cost_us ~seed =
   let stats = Workload.Generator.stats gen in
   let committed0 = stats.Workload.Generator.committed in
   let applied0 = Myraft.Applier.applied_txns applier in
-  Myraft.Cluster.run_for cluster measure;
+  let (), alloc = with_alloc_stats (fun () -> Myraft.Cluster.run_for cluster measure) in
   let committed = stats.Workload.Generator.committed - committed0 in
   let applied = Myraft.Applier.applied_txns applier - applied0 in
   Workload.Generator.stop gen;
@@ -122,6 +127,7 @@ let run_cell ~workers ~skew ~cost_us ~seed =
     c_applied_tps = float_of_int applied /. (measure /. s);
     c_lag_end = leader_commit - Myraft.Server.applied_through follower;
     c_dep_stalls = Myraft.Applier.dep_stalls applier;
+    c_words_per_applied = words_per_txn alloc ~txns:applied;
   }
 
 let json_of_cell c =
@@ -131,7 +137,7 @@ let json_of_cell c =
     c.c_workers (skew_name c.c_skew) c.c_cost_us c.c_committed c.c_applied
     c.c_applied_tps c.c_lag_end c.c_dep_stalls
 
-let write_json ~path ~quick ~cells ~gate_pass ~w1 ~w4 =
+let write_json ~path ~quick ~cells ~gate_pass ~w1 ~w4 ~alloc_budget =
   let oc = open_out path in
   Printf.fprintf oc "{\n";
   Printf.fprintf oc "  \"experiment\": \"apply\",\n";
@@ -140,10 +146,12 @@ let write_json ~path ~quick ~cells ~gate_pass ~w1 ~w4 =
     (String.concat ",\n" (List.map json_of_cell cells));
   Printf.fprintf oc
     "  \"gate\": {\"w1_tps\": %.1f, \"w4_tps\": %.1f, \"ratio\": %.2f, \"min_ratio\": \
-     %g, \"w1_lag\": %d, \"w4_lag\": %d, \"lag_bound\": %d, \"pass\": %b}\n"
+     %g, \"w1_lag\": %d, \"w4_lag\": %d, \"lag_bound\": %d, \"pass\": %b, \
+     \"w4_words_per_applied_txn\": %.1f, \"w4_words_per_applied_txn_budget\": %.1f}\n"
     w1.c_applied_tps w4.c_applied_tps
     (w4.c_applied_tps /. Float.max w1.c_applied_tps 1e-9)
-    gate_ratio w1.c_lag_end w4.c_lag_end gate_lag_bound gate_pass;
+    gate_ratio w1.c_lag_end w4.c_lag_end gate_lag_bound gate_pass w4.c_words_per_applied
+    (ratchet alloc_budget w4.c_words_per_applied);
   Printf.fprintf oc "}\n";
   close_out oc;
   Printf.printf "results written to %s\n%!" path
@@ -153,6 +161,8 @@ let run () =
   header
     (if quick then "Apply — parallel replica apply, CI cells (uniform, default cost)"
      else "Apply — parallel replica apply: workers x key-skew x apply-cost sweep");
+  let path = "BENCH_APPLY.json" in
+  let alloc_budget = recorded_budget ~path ~field:"w4_words_per_applied_txn_budget" in
   let worker_counts = if quick then [ 1; 4 ] else [ 1; 2; 4; 8 ] in
   let skews = if quick then [ Sk_uniform ] else [ Sk_uniform; Sk_zipf ] in
   let costs = if quick then [ 60.0 ] else [ 60.0; 240.0 ] in
@@ -188,14 +198,19 @@ let run () =
   let gate_pass =
     ratio >= gate_ratio && w4.c_lag_end <= gate_lag_bound && w1.c_lag_end > gate_lag_bound
   in
-  write_json ~path:"BENCH_APPLY.json" ~quick ~cells ~gate_pass ~w1 ~w4;
+  write_json ~path ~quick ~cells ~gate_pass ~w1 ~w4 ~alloc_budget;
   Printf.printf
     "\n  gate @ uniform/60us: 4 lanes = %.0f tps (lag %d), serial = %.0f tps (lag %d) \
      — %.2fx, need >= %.1fx, parallel lag <= %d, serial lag > %d\n%!"
     w4.c_applied_tps w4.c_lag_end w1.c_applied_tps w1.c_lag_end ratio gate_ratio
     gate_lag_bound gate_lag_bound;
-  if gate_pass then Printf.printf "  apply gate: PASS\n%!"
+  Printf.printf "  alloc gate @ 4 lanes: %.0f minor words per applied txn%s\n%!"
+    w4.c_words_per_applied (budget_note alloc_budget);
+  let alloc_pass = within_budget alloc_budget w4.c_words_per_applied in
+  if gate_pass && alloc_pass then Printf.printf "  apply gate: PASS\n%!"
   else begin
-    Printf.printf "  apply gate: FAIL\n%!";
+    Printf.printf "  apply gate: FAIL%s%s\n%!"
+      (if gate_pass then "" else " [apply rate or lag]")
+      (if alloc_pass then "" else " [alloc regression]");
     exit 1
   end

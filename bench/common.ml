@@ -128,6 +128,48 @@ let alloc_json st ~txns =
     st.al_minor_words st.al_promoted_words st.al_major_words st.al_minor_collections
     st.al_major_collections (words_per_txn st ~txns)
 
+(* An alloc budget ([field]) previously recorded in a bench's JSON file
+   [path] (the committed file, i.e. the state of the world before this run).
+   None when the file or field is missing — first run, no gate. *)
+let recorded_budget ~path ~field =
+  match In_channel.with_open_text path In_channel.input_all with
+  | exception _ -> None
+  | body ->
+    (* substring scan; the file is machine-written by this bench *)
+    let key = Printf.sprintf "\"%s\": " field in
+    let rec find i =
+      if i + String.length key > String.length body then None
+      else if String.sub body i (String.length key) = key then begin
+        let j = i + String.length key in
+        let k = ref j in
+        while
+          !k < String.length body
+          && (match body.[!k] with '0' .. '9' | '.' | '-' | 'e' -> true | _ -> false)
+        do
+          incr k
+        done;
+        float_of_string_opt (String.sub body j (!k - j))
+      end
+      else find (i + 1)
+    in
+    find 0
+
+(* The budget a run records: the recorded one, ratcheted down to this
+   run's figure when it improved. *)
+let ratchet budget figure =
+  match budget with Some b -> Float.min b figure | None -> figure
+
+(* Allocation regression budgets: a figure more than 10% over its
+   recorded budget fails the gate. *)
+let alloc_slack = 1.10
+
+let within_budget budget figure =
+  match budget with Some b -> figure <= b *. alloc_slack | None -> true
+
+let budget_note = function
+  | Some b -> Printf.sprintf " (budget %.0f, +10%% slack)" b
+  | None -> " (no recorded budget; first run)"
+
 let pct h p = Stats.Histogram.percentile h p
 
 let dist_row ~label h =

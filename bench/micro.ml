@@ -1,8 +1,8 @@
 (* M1 — Bechamel micro-benchmarks (real wall-clock time) of the hot data
    structures: GTID-set operations, log append, CRC-32 checksumming,
    entry stamping, quorum evaluation, the commit point and the lease
-   threshold, the log cache, the trace ring, the event heap, and
-   histogram recording. *)
+   threshold, the log cache, the trace ring, the event heap, the replica
+   applier and engine prepare, and histogram recording. *)
 
 open Bechamel
 open Toolkit
@@ -218,6 +218,65 @@ let pipeline_group_drain =
          assert (!done_count = 100);
          !done_count))
 
+(* A replica draining 1k independent relay-log transactions through 4
+   lanes while every engine commit waits on consensus: the in-flight
+   table grows to all 1k entries before the first commit, as on a
+   replica whose pipeline waits on the leader's commit marker. *)
+let applier_drain =
+  let n = 1_000 in
+  let params = { Myraft.Params.default with Myraft.Params.applier_workers = 4 } in
+  let entries =
+    List.init n (fun i ->
+        let index = i + 1 in
+        let e =
+          Binlog.Entry.make
+            ~opid:(Binlog.Opid.make ~term:1 ~index)
+            (Binlog.Entry.Transaction
+               {
+                 gtid = Binlog.Gtid.make ~source:"srv" ~gno:index;
+                 events =
+                   [
+                     Binlog.Event.make
+                       (Binlog.Event.Write_rows
+                          { table = "t"; ops = [ Binlog.Event.Insert { key = "k"; value = "v" } ] });
+                   ];
+               })
+        in
+        Binlog.Entry.set_deps e ~last_committed:0 ~sequence_number:index;
+        e)
+  in
+  Test.make ~name:"applier 1k entries / 4 lanes"
+    (Staged.stage (fun () ->
+         let engine = Sim.Engine.create () in
+         let pending = Queue.create () in
+         let a =
+           Myraft.Applier.create ~engine ~params ()
+             ~process:(fun _ tk ->
+               Queue.push tk pending;
+               Myraft.Applier.submitted tk)
+         in
+         Myraft.Applier.start a ~from_index:1 ~backlog:entries;
+         Sim.Engine.run_for engine (1.0 *. Sim.Engine.s);
+         Queue.iter (fun tk -> Myraft.Applier.finished tk ~ok:true) pending;
+         assert (Myraft.Applier.applied_index a = n);
+         a))
+
+(* One single-row write staged and committed in the engine: the lock
+   check, the lock take, the row apply and the digest chain. *)
+let engine_prepare_commit =
+  let storage = Storage.Engine.create () in
+  let writes =
+    [ ("sbtest", Binlog.Event.Insert { key = "row-1"; value = String.make 300 'd' }) ]
+  in
+  let opid = Binlog.Opid.make ~term:1 ~index:1 in
+  let gno = ref 0 in
+  Test.make ~name:"engine prepare+commit (1 row)"
+    (Staged.stage (fun () ->
+         incr gno;
+         let gtid = Binlog.Gtid.make ~source:"srv" ~gno:!gno in
+         Storage.Engine.prepare storage ~gtid ~writes;
+         Storage.Engine.commit_prepared storage ~gtid ~opid))
+
 (* Vec growth and random access at a million elements: the chunked
    directory against the one-level index it replaced. *)
 let vec_push =
@@ -301,6 +360,8 @@ let run () =
       heap_push_pop 1_000;
       heap_push_pop 300_000;
       pipeline_group_drain;
+      applier_drain;
+      engine_prepare_commit;
       histogram_record;
       vec_push;
       vec_get_random;

@@ -55,11 +55,6 @@ let gate_speedup_2ms = 1.3
 
 let gate_floor_tps_2ms = baseline_tps_2ms *. gate_speedup_2ms
 
-(* Allocation regression budgets: >10% growth of minor-heap words, or of
-   promoted words, per committed txn over the recorded value fails the
-   gate. *)
-let alloc_slack = 1.10
-
 type cell = {
   c_window : int;
   c_rtt_ms : float;
@@ -138,37 +133,6 @@ let json_of_cell c =
     c.c_nacks
     (Common.alloc_json c.c_alloc ~txns:c.c_committed)
 
-(* An alloc budget ([field]) previously recorded in BENCH_PIPELINE.json
-   (the committed file, i.e. the state of the world before this run).
-   None when the file or field is missing — first run, no gate. *)
-let recorded_budget ~path ~field =
-  match In_channel.with_open_text path In_channel.input_all with
-  | exception _ -> None
-  | body ->
-    (* substring scan; the file is machine-written by this bench *)
-    let key = Printf.sprintf "\"%s\": " field in
-    let rec find i =
-      if i + String.length key > String.length body then None
-      else if String.sub body i (String.length key) = key then begin
-        let j = i + String.length key in
-        let k = ref j in
-        while
-          !k < String.length body
-          && (match body.[!k] with '0' .. '9' | '.' | '-' | 'e' -> true | _ -> false)
-        do
-          incr k
-        done;
-        float_of_string_opt (String.sub body j (!k - j))
-      end
-      else find (i + 1)
-    in
-    find 0
-
-(* The budget a run records: the recorded one, ratcheted down to this
-   run's figure when it improved. *)
-let ratchet budget figure =
-  match budget with Some b -> Float.min b figure | None -> figure
-
 let write_json ~path ~quick ~cells ~gate_pass ~w1 ~w8 ~hot ~alloc_budget ~promoted_budget =
   let oc = open_out path in
   Printf.fprintf oc "{\n";
@@ -190,9 +154,9 @@ let write_json ~path ~quick ~cells ~gate_pass ~w1 ~w8 ~hot ~alloc_budget ~promot
     hot.c_tps baseline_tps_2ms
     (hot.c_tps /. baseline_tps_2ms)
     gate_speedup_2ms hot.c_words_per_txn
-    (ratchet alloc_budget hot.c_words_per_txn)
+    (Common.ratchet alloc_budget hot.c_words_per_txn)
     hot.c_promoted_per_txn
-    (ratchet promoted_budget hot.c_promoted_per_txn);
+    (Common.ratchet promoted_budget hot.c_promoted_per_txn);
   Printf.fprintf oc "}\n";
   close_out oc;
   Printf.printf "results written to %s\n%!" path
@@ -205,8 +169,8 @@ let run () =
   let windows = if quick then [ 1; 8 ] else [ 1; 2; 8; 32 ] in
   let rtts = if quick then [ 2.0; 10.0 ] else [ 2.0; 10.0; 30.0 ] in
   let path = "BENCH_PIPELINE.json" in
-  let alloc_budget = recorded_budget ~path ~field:"words_per_txn_budget" in
-  let promoted_budget = recorded_budget ~path ~field:"promoted_words_per_txn_budget" in
+  let alloc_budget = Common.recorded_budget ~path ~field:"words_per_txn_budget" in
+  let promoted_budget = Common.recorded_budget ~path ~field:"promoted_words_per_txn_budget" in
   Printf.printf "  closed loop, %d client threads, %.0f s measured per cell\n\n%!"
     threads (measure /. s);
   Printf.printf "  %-8s %-8s %10s %10s %10s %10s %6s %6s %10s\n" "window" "rtt_ms"
@@ -236,23 +200,16 @@ let run () =
     "\n  gate @ %.0f ms RTT: window 8 = %.0f tps, window 1 = %.0f tps (%.2fx, need \
      >= %.1fx and >= %.0f tps)\n%!"
     gate_rtt_ms w8.c_tps w1.c_tps ratio gate_ratio gate_floor_tps;
-  let budget_note = function
-    | Some b -> Printf.sprintf " (budget %.0f, +10%% slack)" b
-    | None -> " (no recorded budget; first run)"
-  in
   Printf.printf
     "  hot-path gate @ 2 ms RTT: window 8 = %.0f tps (%.2fx baseline %.0f, need >= \
      %.1fx); %.0f minor words/txn%s; %.0f promoted words/txn%s\n%!"
     hot.c_tps
     (hot.c_tps /. baseline_tps_2ms)
-    baseline_tps_2ms gate_speedup_2ms hot.c_words_per_txn (budget_note alloc_budget)
-    hot.c_promoted_per_txn (budget_note promoted_budget);
+    baseline_tps_2ms gate_speedup_2ms hot.c_words_per_txn (Common.budget_note alloc_budget)
+    hot.c_promoted_per_txn (Common.budget_note promoted_budget);
   let hot_pass = hot.c_tps >= gate_floor_tps_2ms in
-  let within budget figure =
-    match budget with Some b -> figure <= b *. alloc_slack | None -> true
-  in
-  let alloc_pass = within alloc_budget hot.c_words_per_txn in
-  let promoted_pass = within promoted_budget hot.c_promoted_per_txn in
+  let alloc_pass = Common.within_budget alloc_budget hot.c_words_per_txn in
+  let promoted_pass = Common.within_budget promoted_budget hot.c_promoted_per_txn in
   if gate_pass && hot_pass && alloc_pass && promoted_pass then
     Printf.printf "  pipeline gate: PASS\n%!"
   else begin

@@ -15,24 +15,32 @@
 
 type t
 
-(** [process entry ~live ~on_submitted ~on_done] must execute the entry
-    (prepare + pipeline submission).  [live] is the applier's fencing
-    token: any retry loop must consult it and abandon the entry when it
-    turns false (truncation, applier restart).  [on_submitted] must fire
-    exactly once, when the entry's commit order is pinned (it entered
-    the FIFO pipeline, or its outcome is terminal) — the applier keeps
-    later entries out of the pipeline until then.  [on_done] fires after
-    engine commit. *)
+(** One dispatched entry, handed to [process]: the applier's in-flight
+    record for it, through which the entry reports back. *)
+type ticket
+
+(** The fencing token: any retry loop must consult it and abandon the
+    entry when it turns false (truncation, applier restart). *)
+val live : ticket -> bool
+
+(** The entry's commit order is pinned (it entered the FIFO pipeline,
+    or its outcome is terminal): must be reported exactly once — the
+    applier keeps later entries out of the pipeline until then.  Calls
+    on a fenced ticket, and repeats, are no-ops. *)
+val submitted : ticket -> unit
+
+(** The entry's engine commit ([ok = true]) or terminal failure.  May
+    precede {!submitted} (idempotent replay, give-up).  Calls on a
+    fenced ticket, and repeats, are no-ops. *)
+val finished : ticket -> ok:bool -> unit
+
+(** [process entry ticket] must execute the entry (prepare + pipeline
+    submission) and report through {!submitted} and {!finished}. *)
 val create :
   ?metrics:Obs.Metrics.t ->
   engine:Sim.Engine.t ->
   params:Params.t ->
-  process:
-    (Binlog.Entry.t ->
-    live:(unit -> bool) ->
-    on_submitted:(unit -> unit) ->
-    on_done:(ok:bool -> unit) ->
-    unit) ->
+  process:(Binlog.Entry.t -> ticket -> unit) ->
   unit ->
   t
 
@@ -68,7 +76,7 @@ val dep_stalls : t -> int
 
 (** Worker lanes currently owning an entry (executing, parked ready, or
     submitting — a lane is released when its entry enters the
-    pipeline). *)
+    pipeline).  A maintained counter: O(1). *)
 val busy_workers : t -> int
 
 (** Configured lane count (at least 1). *)

@@ -16,12 +16,8 @@ type t = {
   (* Engine-side group-commit widening: when consensus releases several
      flush groups while a commit cycle is running, the next cycle merges
      them and pays [commit_base_us] once, up to [group_commit_max]
-     transactions per merged cycle.  A positive
-     [group_commit_deadline_us] additionally holds an otherwise-idle
-     commit stage open that long before the fsync, trading a little
-     latency for wider groups under light load. *)
+     transactions per merged cycle. *)
   group_commit_max : int;
-  group_commit_deadline_us : float;
   apply_per_txn_us : float; (* applier executing an RBR payload *)
   applier_wakeup_us : float; (* applier thread scheduling delay *)
   applier_workers : int; (* parallel apply worker lanes (1 = serial) *)
@@ -58,7 +54,6 @@ let default =
     commit_base_us = 100.0;
     commit_per_txn_us = 3.0;
     group_commit_max = 512;
-    group_commit_deadline_us = 0.0;
     apply_per_txn_us = 60.0;
     applier_wakeup_us = 20.0;
     applier_workers = 4;

@@ -14,9 +14,6 @@ type t = {
       (** max transactions merged into one engine commit cycle: groups
           released by consensus while a cycle runs share the next cycle's
           [commit_base_us] up to this many transactions *)
-  group_commit_deadline_us : float;
-      (** > 0 holds an otherwise-idle commit stage open this long before
-          the fsync, widening groups under light load at a latency cost *)
   apply_per_txn_us : float;  (** applier executing an RBR payload *)
   applier_wakeup_us : float;
   applier_workers : int;  (** parallel apply worker lanes (1 = serial) *)

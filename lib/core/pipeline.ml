@@ -24,11 +24,13 @@
    mutexes in MySQL.
 
    Memory discipline: the flush stage accumulates submissions into a
-   reusable double-buffered array (no per-submit list cells), each
-   flushed group carries its items as one right-sized array, and an
-   item's Raft index is stored in a mutable field of its pending record
-   rather than a per-item pair.  Steady state allocates one pending
-   record per transaction and one array + group record per group.
+   reusable double-buffered array (no per-submit list cells or options:
+   empty slots hold a shared sentinel), each flushed group carries its
+   items as one right-sized array, and an item's Raft index is stored in
+   a mutable field of its pending record rather than a per-item pair.
+   Steady state allocates one pending record per transaction and one
+   array + group record per group.  The in-flight count is a maintained
+   counter, so a submit costs O(1) however many groups are queued.
 
    Each stage boundary is timestamped so the per-stage latency histograms
    (pipeline.flush_us / consensus_wait_us / engine_commit_us and the
@@ -51,8 +53,16 @@ type group = {
   mutable released_at : float; (* when consensus released it to stage 3 *)
 }
 
-(* Growable array of pendings, reused across flush cycles. *)
-type accum = { mutable buf : pending option array; mutable len : int }
+(* Growable array of pendings, reused across flush cycles; slots at or
+   past [len] hold [no_pending]. *)
+type accum = { mutable buf : pending array; mutable len : int }
+
+let no_pending =
+  {
+    it = { flush = (fun () -> Ok 0); finish = (fun ~ok:_ -> ()) };
+    submitted_at = 0.0;
+    raft_index = 0;
+  }
 
 type meters = {
   m_txns_committed : Obs.Metrics.counter;
@@ -77,7 +87,7 @@ type t = {
   wait_queue : group Queue.t;
   commit_queue : group Queue.t;
   mutable committing : bool;
-  mutable commit_deadline_armed : bool;
+  mutable queued : int; (* items in the wait and commit queues *)
   mutable commit_watermark : int; (* raft commit index *)
   mutable aborted : bool;
   (* Runs the whole flush group's appends as one unit; the embedder
@@ -96,13 +106,13 @@ let create ?metrics ~engine ~params ~is_primary_path () =
   {
     engine;
     params;
-    submit_acc = { buf = Array.make 64 None; len = 0 };
-    flush_acc = { buf = Array.make 64 None; len = 0 };
+    submit_acc = { buf = Array.make 64 no_pending; len = 0 };
+    flush_acc = { buf = Array.make 64 no_pending; len = 0 };
     flushing = false;
     wait_queue = Queue.create ();
     commit_queue = Queue.create ();
     committing = false;
-    commit_deadline_armed = false;
+    queued = 0;
     commit_watermark = 0;
     aborted = false;
     coalesce = (fun f -> f ());
@@ -128,17 +138,15 @@ let create ?metrics ~engine ~params ~is_primary_path () =
 
 let accum_push a p =
   if a.len = Array.length a.buf then begin
-    let bigger = Array.make (2 * Array.length a.buf) None in
+    let bigger = Array.make (2 * Array.length a.buf) no_pending in
     Array.blit a.buf 0 bigger 0 a.len;
     a.buf <- bigger
   end;
-  a.buf.(a.len) <- Some p;
+  a.buf.(a.len) <- p;
   a.len <- a.len + 1
 
-let accum_get a i = match a.buf.(i) with Some p -> p | None -> assert false
-
 let accum_clear a =
-  Array.fill a.buf 0 a.len None;
+  Array.fill a.buf 0 a.len no_pending;
   a.len <- 0
 
 let set_coalesce t f = t.coalesce <- f
@@ -151,14 +159,9 @@ let mean_group_size t =
   if t.groups_formed = 0 then 0.0
   else float_of_int t.flushed_txns /. float_of_int t.groups_formed
 
-let in_flight t =
-  t.submit_acc.len
-  + Queue.fold (fun acc g -> acc + Array.length g.items) 0 t.wait_queue
-  + Queue.fold (fun acc g -> acc + Array.length g.items) 0 t.commit_queue
-  + (if t.flushing then 1 else 0)
+let in_flight t = t.submit_acc.len + t.queued + if t.flushing then 1 else 0
 
-let update_depth t =
-  Obs.Metrics.set_gauge t.meters.m_queue_depth (float_of_int (in_flight t))
+let update_depth t = Obs.Metrics.set_gauge_int t.meters.m_queue_depth (in_flight t)
 
 (* One engine commit cycle over every released group waiting at stage 3,
    merged up to [group_commit_max] transactions: [commit_base_us] (the
@@ -176,6 +179,7 @@ let rec start_commit_cycle t =
       | _ -> (List.rev acc, n)
     in
     let groups, n = take [] 0 in
+    t.queued <- t.queued - n;
     if List.length groups > 1 then Obs.Metrics.incr t.meters.m_groups_merged;
     Obs.Metrics.record t.meters.m_commit_cycle_txns (float_of_int n);
     let cost =
@@ -201,19 +205,6 @@ let rec start_commit_cycle t =
            start_commit_cycle t))
   end
 
-(* With a positive deadline an idle commit stage waits that long before
-   its first fsync so more released groups can pile in. *)
-and arm_commit t =
-  if t.params.Params.group_commit_deadline_us <= 0.0 then start_commit_cycle t
-  else if (not t.committing) && not t.commit_deadline_armed then begin
-    t.commit_deadline_armed <- true;
-    ignore
-      (Sim.Engine.schedule t.engine ~delay:t.params.Params.group_commit_deadline_us
-         (fun () ->
-           t.commit_deadline_armed <- false;
-           start_commit_cycle t))
-  end
-
 (* Move consensus-committed groups from the wait stage to the commit
    stage, preserving order. *)
 let drain_wait t =
@@ -226,7 +217,7 @@ let drain_wait t =
       Obs.Metrics.record t.meters.m_consensus_wait (now -. group.flushed_at);
       Queue.push group t.commit_queue;
       drain ()
-    | _ -> arm_commit t
+    | _ -> start_commit_cycle t
   in
   drain ()
 
@@ -254,7 +245,7 @@ let rec start_flush_cycle t =
       (Sim.Engine.schedule t.engine ~delay:cost (fun () ->
            if t.aborted then begin
              for i = 0 to n - 1 do
-               (accum_get batch i).it.finish ~ok:false
+               batch.buf.(i).it.finish ~ok:false
              done;
              accum_clear batch
            end
@@ -263,19 +254,19 @@ let rec start_flush_cycle t =
              let group_max_index = ref 0 in
              t.coalesce (fun () ->
                  for i = 0 to n - 1 do
-                   let p = accum_get batch i in
+                   let p = batch.buf.(i) in
                    match p.it.flush () with
                    | Ok index ->
                      p.raft_index <- index;
                      if index > !group_max_index then group_max_index := index;
                      (* compact survivors to the front, in order *)
-                     batch.buf.(!flushed) <- Some p;
+                     batch.buf.(!flushed) <- p;
                      incr flushed
                    | Error _ -> p.it.finish ~ok:false
                  done);
              let flushed = !flushed in
              if flushed > 0 then begin
-               let items = Array.init flushed (fun i -> accum_get batch i) in
+               let items = Array.sub batch.buf 0 flushed in
                let now = Sim.Engine.now t.engine in
                Array.iter
                  (fun p -> Obs.Metrics.record t.meters.m_flush (now -. p.submitted_at))
@@ -283,6 +274,7 @@ let rec start_flush_cycle t =
                Obs.Metrics.record t.meters.m_group_size (float_of_int flushed);
                t.flushed_txns <- t.flushed_txns + flushed;
                t.groups_formed <- t.groups_formed + 1;
+               t.queued <- t.queued + flushed;
                Obs.Metrics.incr t.meters.m_groups_formed;
                Queue.push
                  {
@@ -317,7 +309,7 @@ let abort_all t =
   t.aborted <- true;
   let count = ref 0 in
   for i = 0 to t.submit_acc.len - 1 do
-    (accum_get t.submit_acc i).it.finish ~ok:false;
+    t.submit_acc.buf.(i).it.finish ~ok:false;
     incr count
   done;
   accum_clear t.submit_acc;
@@ -332,6 +324,7 @@ let abort_all t =
   Queue.iter abort_group t.commit_queue;
   Queue.clear t.wait_queue;
   Queue.clear t.commit_queue;
+  t.queued <- 0;
   Obs.Metrics.add t.meters.m_txns_aborted !count;
   update_depth t;
   !count
@@ -342,5 +335,4 @@ let reset t =
   t.aborted <- false;
   t.flushing <- false;
   t.committing <- false;
-  t.commit_deadline_armed <- false;
   t.commit_watermark <- 0

@@ -17,8 +17,6 @@ type role = Primary | Replica
 
 let role_to_string = function Primary -> "primary" | Replica -> "replica"
 
-type pending_retry = { mutable attempts : int }
-
 type t = {
   id : string;
   region : string;
@@ -141,26 +139,32 @@ let tracef t fmt = Sim.Trace.record t.trace ~tag:"mysql" fmt
 
 (* ----- applied-through cursor + commit-event waiters (read path) ----- *)
 
+(* The last index of the contiguous run from [i] whose effects the
+   engine already holds.  Top-level and option-free: it runs on every
+   engine commit. *)
+let rec exec_scan t i =
+  let e = Binlog.Log_store.slot t.log i in
+  if e == Binlog.Log_store.absent then i - 1
+  else
+    match Binlog.Entry.payload e with
+    | Binlog.Entry.Transaction { gtid; _ } ->
+      if Storage.Engine.has_committed t.storage gtid then exec_scan t (i + 1) else i - 1
+    | Binlog.Entry.Noop | Binlog.Entry.Config_change _ | Binlog.Entry.Rotate_marker _ ->
+      exec_scan t (i + 1)
+
 (* Advance [exec_index] over contiguous entries whose effects the engine
    already holds, then release apply waiters the advance satisfied. *)
 let advance_exec_cursor t =
-  let rec scan i =
-    match Binlog.Log_store.entry_at t.log i with
-    | None -> i - 1
-    | Some e -> (
-      match Binlog.Entry.gtid e with
-      | Some gtid ->
-        if Storage.Engine.has_committed t.storage gtid then scan (i + 1) else i - 1
-      | None -> scan (i + 1))
-  in
-  let advanced = scan (t.exec_index + 1) in
+  let advanced = exec_scan t (t.exec_index + 1) in
   if advanced > t.exec_index then begin
     t.exec_index <- advanced;
-    let ready, waiting =
-      List.partition (fun (index, _) -> index <= advanced) t.apply_waiters
-    in
-    t.apply_waiters <- waiting;
-    List.iter (fun (_, k) -> k ()) ready
+    if t.apply_waiters <> [] then begin
+      let ready, waiting =
+        List.partition (fun (index, _) -> index <= advanced) t.apply_waiters
+      in
+      t.apply_waiters <- waiting;
+      List.iter (fun (_, k) -> k ()) ready
+    end
   end
 
 (* The engine-applied watermark for reads (recomputed lazily: commits by
@@ -231,92 +235,94 @@ let jittered t nominal = nominal *. Sim.Rng.lognormal t.rng ~mu:0.0 ~sigma:0.35
 
 (* ----- applier wiring (§3.5) ----- *)
 
+(* A transaction's row writes as (table, op) pairs, in event order. *)
+let rec writes_of_events = function
+  | [] -> []
+  | ev :: rest -> (
+    match Binlog.Event.body ev with
+    | Binlog.Event.Write_rows { table; ops } -> table_ops table ops (writes_of_events rest)
+    | _ -> writes_of_events rest)
+
+and table_ops table ops tail =
+  match ops with [] -> tail | op :: rest -> (table, op) :: table_ops table rest tail
+
+(* One prepare attempt for a relay-log transaction.  A top-level
+   function rather than a closure, so the first attempt — nearly every
+   attempt — allocates no retry state.  [tk] is the applier's fencing
+   ticket: a transaction truncated out of the log while its prepare
+   waited on a row lock must not zombie-prepare later. *)
+let rec applier_prepare t entry tk ~gtid ~writes ~attempts =
+  if not (Applier.live tk) then
+    () (* entry truncated / applier restarted while waiting: abandon *)
+  else if Storage.Engine.has_committed t.storage gtid then begin
+    Applier.finished tk ~ok:true;
+    Applier.submitted tk
+  end
+  else if Storage.Engine.is_prepared t.storage gtid then
+    (* An in-flight copy of the same transaction (e.g. submitted by the
+       client path before a role change) is already in the pipeline;
+       wait for it to settle. *)
+    applier_retry t entry tk ~gtid ~writes ~attempts
+  else
+    match Storage.Engine.prepare t.storage ~gtid ~writes with
+    | () ->
+      let index = Binlog.Entry.index entry in
+      let term = Binlog.Entry.term entry in
+      Pipeline.submit t.pipeline
+        {
+          Pipeline.flush =
+            (fun () ->
+              trace_event t ~stage:"flush" ~term ~index;
+              Ok index);
+          finish =
+            (fun ~ok ->
+              (* The prepared copy may have been rolled back by a log
+                 truncation while this item waited for consensus; a
+                 truncated transaction must not commit. *)
+              if ok && Storage.Engine.is_prepared t.storage gtid then begin
+                Storage.Engine.commit_prepared t.storage ~gtid
+                  ~opid:(Binlog.Entry.opid entry);
+                trace_event t ~stage:"engine-commit" ~term ~index;
+                Applier.finished tk ~ok:true
+              end
+              else begin
+                Storage.Engine.rollback_prepared t.storage ~gtid;
+                Applier.finished tk ~ok:false
+              end);
+        };
+      Applier.submitted tk
+    | exception Storage.Engine.Lock_conflict _ ->
+      (* A row lock is held by an in-pipeline transaction; it will be
+         released at its engine commit.  Retry shortly — and do NOT
+         release the applier: letting later entries into the pipeline
+         first would engine-commit them ahead of this one, breaking
+         commit order (slave_preserve_commit_order) and the recovery
+         cursor's prefix assumption. *)
+      applier_retry t entry tk ~gtid ~writes ~attempts
+
+and applier_retry t entry tk ~gtid ~writes ~attempts =
+  let attempts = attempts + 1 in
+  if attempts > 100_000 then begin
+    Applier.finished tk ~ok:false;
+    Applier.submitted tk (* give up; unwedge the applier *)
+  end
+  else
+    ignore
+      (Sim.Engine.schedule t.engine ~delay:(50.0 *. Sim.Engine.us) (fun () ->
+           applier_prepare t entry tk ~gtid ~writes ~attempts))
+
 (* Execute one relay-log entry: prepare the transaction in the engine and
    push it into the commit pipeline, where it awaits the consensus-commit
-   marker before engine commit.  [live] is the applier's fencing token:
-   retry loops consult it so a transaction truncated out of the log while
-   its prepare waited on a row lock cannot zombie-prepare later. *)
-let applier_process t entry ~live ~on_submitted ~on_done =
+   marker before engine commit. *)
+let applier_process t entry tk =
   match Binlog.Entry.payload entry with
   | Binlog.Entry.Transaction { gtid; events } ->
     if Storage.Engine.has_committed t.storage gtid then begin
       (* idempotent replay *)
-      on_done ~ok:true;
-      on_submitted ()
+      Applier.finished tk ~ok:true;
+      Applier.submitted tk
     end
-    else begin
-      let writes =
-        List.filter_map
-          (fun ev ->
-            match Binlog.Event.body ev with
-            | Binlog.Event.Write_rows { table; ops } ->
-              Some (List.map (fun op -> (table, op)) ops)
-            | _ -> None)
-          events
-        |> List.concat
-      in
-      let rec try_prepare (retry : pending_retry) =
-        let retry_later () =
-          retry.attempts <- retry.attempts + 1;
-          if retry.attempts > 100_000 then begin
-            on_done ~ok:false;
-            on_submitted () (* give up; unwedge the applier *)
-          end
-          else
-            ignore
-              (Sim.Engine.schedule t.engine ~delay:(50.0 *. Sim.Engine.us) (fun () ->
-                   try_prepare retry))
-        in
-        if not (live ()) then
-          () (* entry truncated / applier restarted while waiting: abandon *)
-        else if Storage.Engine.has_committed t.storage gtid then begin
-          on_done ~ok:true;
-          on_submitted ()
-        end
-        else if Storage.Engine.is_prepared t.storage gtid then
-          (* An in-flight copy of the same transaction (e.g. submitted by
-             the client path before a role change) is already in the
-             pipeline; wait for it to settle. *)
-          retry_later ()
-        else
-          match Storage.Engine.prepare t.storage ~gtid ~writes with
-          | () ->
-            let index = Binlog.Entry.index entry in
-            let term = Binlog.Entry.term entry in
-            Pipeline.submit t.pipeline
-              {
-                Pipeline.flush =
-                  (fun () ->
-                    trace_event t ~stage:"flush" ~term ~index;
-                    Ok index);
-                finish =
-                  (fun ~ok ->
-                    (* The prepared copy may have been rolled back by a log
-                       truncation while this item waited for consensus; a
-                       truncated transaction must not commit. *)
-                    if ok && Storage.Engine.is_prepared t.storage gtid then begin
-                      Storage.Engine.commit_prepared t.storage ~gtid
-                        ~opid:(Binlog.Entry.opid entry);
-                      trace_event t ~stage:"engine-commit" ~term ~index;
-                      on_done ~ok:true
-                    end
-                    else begin
-                      Storage.Engine.rollback_prepared t.storage ~gtid;
-                      on_done ~ok:false
-                    end);
-              };
-            on_submitted ()
-          | exception Storage.Engine.Lock_conflict _ ->
-            (* A row lock is held by an in-pipeline transaction; it will
-               be released at its engine commit.  Retry shortly — and do
-               NOT release the applier: letting later entries into the
-               pipeline first would engine-commit them ahead of this one,
-               breaking commit order (slave_preserve_commit_order) and
-               the recovery cursor's prefix assumption. *)
-            retry_later ()
-      in
-      try_prepare { attempts = 0 }
-    end
+    else applier_prepare t entry tk ~gtid ~writes:(writes_of_events events) ~attempts:0
   | Binlog.Entry.Rotate_marker _ ->
     (* Replicated rotate event (§A.1): close the current relay-log file
        once the event is consensus committed. *)
@@ -326,18 +332,18 @@ let applier_process t entry ~live ~on_submitted ~on_done =
         finish =
           (fun ~ok ->
             if ok then Binlog.Log_store.rotate t.log;
-            on_done ~ok);
+            Applier.finished tk ~ok);
       };
-    on_submitted ()
+    Applier.submitted tk
   | Binlog.Entry.Noop | Binlog.Entry.Config_change _ ->
     (* Nothing to execute, but order through the pipeline so
        applied_index remains a committed-prefix watermark. *)
     Pipeline.submit t.pipeline
       {
         Pipeline.flush = (fun () -> Ok (Binlog.Entry.index entry));
-        finish = (fun ~ok -> on_done ~ok);
+        finish = (fun ~ok -> Applier.finished tk ~ok);
       };
-    on_submitted ()
+    Applier.submitted tk
 
 (* ----- orchestration: replica -> primary (§3.3) ----- *)
 
@@ -958,10 +964,7 @@ let create ?metrics ?tracebuf ?clock ?(group = 0) ~engine ~id ~region ~replicase
   install_commit_listener t;
   t.applier <-
     Some
-      (Applier.create ~metrics ~engine ~params
-         ~process:(fun entry ~live ~on_submitted ~on_done ->
-           applier_process t entry ~live ~on_submitted ~on_done)
-         ());
+      (Applier.create ~metrics ~engine ~params ~process:(applier_process t) ());
   t.raft <- Some (make_raft t);
   install_coalesce t;
   start_applier_from_recovery_point t;

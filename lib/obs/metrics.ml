@@ -15,7 +15,13 @@
 
 type counter = { c_name : string; mutable c_value : int }
 
-type gauge = { g_name : string; mutable g_value : float }
+(* A gauge's value lives in an all-float record, stored flat: writing
+   an unboxed float into it allocates nothing, so [set_gauge_int]
+   (which converts inside this module) is allocation-free even when the
+   caller sits across an [-opaque] module boundary. *)
+type cell = { mutable v : float }
+
+type gauge = { g_name : string; g_cell : cell }
 
 type histogram = { h_name : string; h_data : Stats.Histogram.t }
 
@@ -60,13 +66,15 @@ let gauge t name =
   match Hashtbl.find_opt t.gauges name with
   | Some g -> g
   | None ->
-    let g = { g_name = name; g_value = 0.0 } in
+    let g = { g_name = name; g_cell = { v = 0.0 } } in
     Hashtbl.replace t.gauges name g;
     g
 
-let set_gauge g v = g.g_value <- v
+let set_gauge g v = g.g_cell.v <- v
 
-let gauge_value g = g.g_value
+let set_gauge_int g n = g.g_cell.v <- float_of_int n
+
+let gauge_value g = g.g_cell.v
 
 let set t name v = set_gauge (gauge t name) v
 
@@ -123,7 +131,7 @@ let snapshot t =
   {
     snap_node = t.node;
     snap_counters = sorted_bindings t.counters (fun c -> c.c_value);
-    snap_gauges = sorted_bindings t.gauges (fun g -> g.g_value);
+    snap_gauges = sorted_bindings t.gauges (fun g -> g.g_cell.v);
     snap_histograms = sorted_bindings t.histograms (fun h -> copy_histogram h.h_data);
   }
 

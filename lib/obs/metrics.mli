@@ -38,6 +38,11 @@ val gauge : t -> string -> gauge
 
 val set_gauge : gauge -> float -> unit
 
+(** [set_gauge_int g n] is [set_gauge g (float_of_int n)] without
+    boxing the float: hot paths that publish counts (queue depths, busy
+    lanes, bytes) use it to allocate nothing per update. *)
+val set_gauge_int : gauge -> int -> unit
+
 val gauge_value : gauge -> float
 
 val set : t -> string -> float -> unit

@@ -117,7 +117,7 @@ let put t entry =
   while t.bytes > t.max_bytes && t.first_cached < t.last_cached do
     evict_oldest t
   done;
-  Obs.Metrics.set_gauge t.m_bytes (float_of_int t.bytes)
+  Obs.Metrics.set_gauge_int t.m_bytes t.bytes
 
 (* Drop cached entries at or above [index] (log truncation on the leader
    is impossible in Raft, but a demoted leader reuses the same cache). *)
@@ -135,7 +135,7 @@ let truncate_from t ~index =
       t.bytes <- 0
     end
   end;
-  Obs.Metrics.set_gauge t.m_bytes (float_of_int t.bytes)
+  Obs.Metrics.set_gauge_int t.m_bytes t.bytes
 
 (* Read [from_index, from_index+max_count) preferring the cache, falling
    back to [read_log] for the cold prefix, into the scratch buffer.

@@ -754,7 +754,7 @@ and designated_proxy t ~region =
 
 and update_window_gauge t =
   let total = Hashtbl.fold (fun _ p acc -> acc + List.length p.inflight) t.peers 0 in
-  Obs.Metrics.set_gauge t.meters.m_window (float_of_int total)
+  Obs.Metrics.set_gauge_int t.meters.m_window total
 
 (* AIMD byte budget: halve on loss/latency signals, grow additively on
    clean acks.  The floor keeps rewind probes small but useful. *)

@@ -82,19 +82,32 @@ let table t name =
 let key_of_op = function
   | Binlog.Event.Insert { key; _ } | Update { key; _ } | Delete { key; _ } -> key
 
+(* [mem] first: an unlocked key, the common case, costs one probe and
+   neither an option nor a raised [Not_found]. *)
+let rec check_locks t gtid = function
+  | [] -> ()
+  | ((tbl, key) as k) :: rest ->
+    if Hashtbl.mem t.locks k then begin
+      let holder = Hashtbl.find t.locks k in
+      if not (Binlog.Gtid.equal holder gtid) then
+        raise (Lock_conflict { table = tbl; key; holder })
+    end;
+    check_locks t gtid rest
+
+let rec take_locks t gtid = function
+  | [] -> ()
+  | k :: rest ->
+    Hashtbl.replace t.locks k gtid;
+    take_locks t gtid rest
+
 (* Stage a transaction.  Raises [Lock_conflict] if another prepared
-   transaction holds a lock on any touched key. *)
+   transaction holds a lock on any touched key.  Checks and takes the
+   locks by direct recursion: no closure and no option per key. *)
 let prepare t ~gtid ~writes =
   if Hashtbl.mem t.prepared gtid then invalid_arg "Engine.prepare: duplicate gtid";
   let locked_keys = List.map (fun (tbl, op) -> (tbl, key_of_op op)) writes in
-  List.iter
-    (fun (tbl, key) ->
-      match Hashtbl.find_opt t.locks (tbl, key) with
-      | Some holder when not (Binlog.Gtid.equal holder gtid) ->
-        raise (Lock_conflict { table = tbl; key; holder })
-      | _ -> ())
-    locked_keys;
-  List.iter (fun k -> Hashtbl.replace t.locks k gtid) locked_keys;
+  check_locks t gtid locked_keys;
+  take_locks t gtid locked_keys;
   Hashtbl.replace t.prepared gtid { gtid; writes; locked_keys }
 
 let is_prepared t gtid = Hashtbl.mem t.prepared gtid

@@ -11,6 +11,9 @@
    - row-lock conflict retry against a real engine + pipeline with
      commit-order preservation
    - primary-side dependency stamping end to end through a cluster
+   - qcheck: the applier's lane and Submitting counters stay exact under
+     retries, replays, held commits, truncations and restarts
+   - a seeded §6.1 cluster run twice in one process ends identical
    - qcheck: workers ∈ {2,4,8} converge to the same engine content as
      workers=1 under drop/partition/leader-crash chaos. *)
 
@@ -93,10 +96,10 @@ let drain_time ~workers ~n =
   let finished_at = ref 0.0 in
   let a =
     Myraft.Applier.create ~engine ~params:(params_with_workers workers) ()
-      ~process:(fun _ ~live:_ ~on_submitted ~on_done ->
+      ~process:(fun _ tk ->
         finished_at := Sim.Engine.now engine;
-        on_done ~ok:true;
-        on_submitted ())
+        Myraft.Applier.finished tk ~ok:true;
+        Myraft.Applier.submitted tk)
   in
   let backlog =
     List.init n (fun i -> txn_entry ~last_committed:0 ~index:(i + 1) ~key:(string_of_int i) ())
@@ -124,10 +127,10 @@ let test_parallel_submission_stays_in_log_order () =
   let submitted = ref [] in
   let a =
     Myraft.Applier.create ~engine ~params:(params_with_workers 8) ()
-      ~process:(fun e ~live:_ ~on_submitted ~on_done ->
+      ~process:(fun e tk ->
         submitted := Binlog.Entry.index e :: !submitted;
-        on_done ~ok:true;
-        on_submitted ())
+        Myraft.Applier.finished tk ~ok:true;
+        Myraft.Applier.submitted tk)
   in
   let backlog =
     List.init 20 (fun i -> txn_entry ~last_committed:0 ~index:(i + 1) ~key:(string_of_int i) ())
@@ -144,14 +147,14 @@ let test_applied_index_is_low_water_mark () =
   let held = ref None in
   let a =
     Myraft.Applier.create ~engine ~params:(params_with_workers 4) ()
-      ~process:(fun e ~live:_ ~on_submitted ~on_done ->
+      ~process:(fun e tk ->
         if Binlog.Entry.index e = 1 then begin
-          held := Some on_done;
-          on_submitted () (* submitted, but engine commit pending *)
+          held := Some tk;
+          Myraft.Applier.submitted tk (* submitted, but engine commit pending *)
         end
         else begin
-          on_done ~ok:true;
-          on_submitted ()
+          Myraft.Applier.finished tk ~ok:true;
+          Myraft.Applier.submitted tk
         end)
   in
   let backlog =
@@ -161,7 +164,9 @@ let test_applied_index_is_low_water_mark () =
   Sim.Engine.run_for engine (100.0 *. ms);
   (* 2 and 3 completed out of order; the mark must hold below the gap *)
   Alcotest.(check int) "gap at 1 pins the mark" 0 (Myraft.Applier.applied_index a);
-  (match !held with Some k -> k ~ok:true | None -> Alcotest.fail "entry 1 never processed");
+  (match !held with
+  | Some tk -> Myraft.Applier.finished tk ~ok:true
+  | None -> Alcotest.fail "entry 1 never processed");
   Alcotest.(check int) "mark jumps over the drained gap" 3 (Myraft.Applier.applied_index a)
 
 let test_dependent_txn_waits_for_mark () =
@@ -170,15 +175,15 @@ let test_dependent_txn_waits_for_mark () =
   let held = ref None in
   let a =
     Myraft.Applier.create ~engine ~params:(params_with_workers 4) ()
-      ~process:(fun e ~live:_ ~on_submitted ~on_done ->
+      ~process:(fun e tk ->
         processed := Binlog.Entry.index e :: !processed;
         if Binlog.Entry.index e = 1 then begin
-          held := Some on_done;
-          on_submitted ()
+          held := Some tk;
+          Myraft.Applier.submitted tk
         end
         else begin
-          on_done ~ok:true;
-          on_submitted ()
+          Myraft.Applier.finished tk ~ok:true;
+          Myraft.Applier.submitted tk
         end)
   in
   (* 2 conflicts with 1 (last_committed = 1): it may not even start
@@ -190,10 +195,212 @@ let test_dependent_txn_waits_for_mark () =
   Sim.Engine.run_for engine (100.0 *. ms);
   Alcotest.(check (list int)) "dependent txn held back" [ 1 ] (List.rev !processed);
   Alcotest.(check bool) "stall counted" true (Myraft.Applier.dep_stalls a >= 1);
-  (match !held with Some k -> k ~ok:true | None -> Alcotest.fail "entry 1 never processed");
+  (match !held with
+  | Some tk -> Myraft.Applier.finished tk ~ok:true
+  | None -> Alcotest.fail "entry 1 never processed");
   Sim.Engine.run_for engine (100.0 *. ms);
   Alcotest.(check (list int)) "released after commit" [ 1; 2 ] (List.rev !processed);
   Alcotest.(check int) "both applied" 2 (Myraft.Applier.applied_index a)
+
+(* The lag gauge follows every rewind of applied_index, not only
+   commits: start and truncation move the mark down. *)
+let test_lag_gauge_tracks_rewinds () =
+  let engine = Sim.Engine.create () in
+  let metrics = Obs.Metrics.create () in
+  let a =
+    Myraft.Applier.create ~metrics ~engine ~params:(params_with_workers 4) ()
+      ~process:(fun _ tk ->
+        Myraft.Applier.finished tk ~ok:true;
+        Myraft.Applier.submitted tk)
+  in
+  let lag () = Obs.Metrics.gauge_value (Obs.Metrics.gauge metrics "applier.lag") in
+  let backlog =
+    List.init 6 (fun i -> txn_entry ~last_committed:0 ~index:(i + 1) ~key:(string_of_int i) ())
+  in
+  Myraft.Applier.start a ~from_index:1 ~backlog;
+  Myraft.Applier.note_commit_index a 10;
+  Sim.Engine.run_for engine (10.0 *. ms);
+  Alcotest.(check int) "applied 6" 6 (Myraft.Applier.applied_index a);
+  Alcotest.(check (float 0.0)) "lag after commits" 4.0 (lag ());
+  Myraft.Applier.handle_truncation a ~from_index:4;
+  Alcotest.(check (float 0.0)) "lag after truncation" 7.0 (lag ());
+  Myraft.Applier.stop a;
+  Myraft.Applier.start a ~from_index:2 ~backlog:[];
+  Alcotest.(check (float 0.0)) "lag after restart" 9.0 (lag ())
+
+(* ----- qcheck: lane and Submitting-window bookkeeping ----- *)
+
+(* A stub [process] over a model engine and FIFO pipeline, drawing at
+   random: row-lock retries, idempotent replays (finished before
+   submitted), and engine commits held back for a while; the driver
+   interleaves relay-log signals, truncations and stop/start.  The stub
+   checks on every call that the lanes held stay within [workers] and
+   that at most one live entry sits in the Submitting window; at
+   quiescence nothing holds a lane, the mark is at the last index, and
+   the model engine committed each final-log entry once, in log
+   order. *)
+let run_bookkeeping ~seed ~workers ~steps =
+  let rng = Random.State.make [| seed |] in
+  let coin p = Random.State.float rng 1.0 < p in
+  let engine = Sim.Engine.create () in
+  let log = Hashtbl.create 64 (* index -> entry of the current stream *) in
+  let last = ref 0 (* last index in the relay log *) in
+  let signaled = ref 0 in
+  let gen = ref 0 in
+  let committed = Hashtbl.create 64 (* index -> entry, model engine *) in
+  let commit_log = ref [] in
+  let fifo = Queue.create () (* submitted (ticket, entry), awaiting commit *) in
+  let hold = ref false in
+  let armed = ref false in
+  let errors = ref [] in
+  let error fmt = Printf.ksprintf (fun m -> errors := m :: !errors) fmt in
+  let submitting = ref [] (* tickets handed out, not yet reported submitted *) in
+  let applier = ref None in
+  let a () = Option.get !applier in
+  let check_lanes where =
+    let busy = Myraft.Applier.busy_workers (a ()) and lanes = Myraft.Applier.workers (a ()) in
+    if busy > lanes then error "%s: %d lanes held, %d workers" where busy lanes;
+    let open_ = List.filter Myraft.Applier.live !submitting in
+    if List.length open_ > 1 then error "%s: %d live entries submitting" where (List.length open_)
+  in
+  let report_submitted tk =
+    submitting := List.filter (fun x -> x != tk) !submitting;
+    Myraft.Applier.submitted tk
+  in
+  let rec commit_head () =
+    if !hold || Queue.is_empty fifo then armed := false
+    else begin
+      let tk, e = Queue.pop fifo in
+      if Myraft.Applier.live tk then begin
+        let i = Binlog.Entry.index e in
+        if Hashtbl.mem committed i then error "index %d committed twice" i;
+        Hashtbl.replace committed i e;
+        commit_log := e :: !commit_log;
+        Myraft.Applier.finished tk ~ok:true
+      end
+      else Myraft.Applier.finished tk ~ok:false;
+      ignore (Sim.Engine.schedule engine ~delay:(float_of_int (Random.State.int rng 40)) commit_head)
+    end
+  in
+  let kick () =
+    if not !armed then begin
+      armed := true;
+      ignore (Sim.Engine.schedule engine ~delay:5.0 commit_head)
+    end
+  in
+  let rec attempt e tk retries =
+    if Myraft.Applier.live tk then begin
+      check_lanes "retry";
+      if retries > 0 then
+        ignore
+          (Sim.Engine.schedule engine ~delay:50.0 (fun () -> attempt e tk (retries - 1)))
+      else begin
+        Queue.push (tk, e) fifo;
+        kick ();
+        report_submitted tk
+      end
+    end
+  in
+  let process e tk =
+    submitting := tk :: !submitting;
+    check_lanes "process";
+    if Myraft.Applier.busy_workers (a ()) < 1 then error "processing entry holds no lane";
+    match Hashtbl.find_opt committed (Binlog.Entry.index e) with
+    | Some c ->
+      if c != e then error "replayed index %d is a different entry" (Binlog.Entry.index e);
+      Myraft.Applier.finished tk ~ok:true;
+      report_submitted tk
+    | None -> attempt e tk (if coin 0.2 then 1 + Random.State.int rng 3 else 0)
+  in
+  applier := Some (Myraft.Applier.create ~engine ~params:(params_with_workers workers) ~process ());
+  let applied () = Myraft.Applier.applied_index (a ()) in
+  let append () =
+    incr last;
+    let i = !last in
+    let e =
+      match Random.State.int rng 6 with
+      | 0 -> Binlog.Entry.make ~opid:(Binlog.Opid.make ~term:1 ~index:i) Binlog.Entry.Noop
+      | 1 -> txn_entry ~index:i ~key:(Printf.sprintf "g%d-%d" !gen i) () (* barrier *)
+      | _ ->
+        let last_committed = max 0 (i - 1 - Random.State.int rng 4) in
+        txn_entry ~last_committed ~index:i ~key:(Printf.sprintf "g%d-%d" !gen i) ()
+    in
+    Hashtbl.replace log i e
+  in
+  let entries_from i = List.init (max 0 (!signaled - i + 1)) (fun k -> Hashtbl.find log (i + k)) in
+  let signal_new () =
+    let from = !signaled + 1 in
+    while !signaled < !last do
+      incr signaled
+    done;
+    Myraft.Applier.signal (a ()) (entries_from from)
+  in
+  let running = ref true in
+  Myraft.Applier.start (a ()) ~from_index:1 ~backlog:[];
+  for _ = 1 to steps do
+    (match Random.State.int rng 10 with
+    | 0 | 1 | 2 ->
+      for _ = 0 to Random.State.int rng 4 do
+        append ()
+      done;
+      if !running then signal_new ()
+    | 3 | 4 | 5 -> ()
+    | 6 ->
+      hold := not !hold;
+      if not !hold then kick ()
+    | 7 ->
+      (* Raft rewinds the uncommitted tail to a point above the mark. *)
+      let lo = Hashtbl.length committed + 1 in
+      if !last >= lo then begin
+        let p = lo + Random.State.int rng (!last - lo + 1) in
+        incr gen;
+        for i = p to !last do
+          Hashtbl.remove log i
+        done;
+        last := p - 1;
+        signaled := min !signaled (p - 1);
+        Myraft.Applier.handle_truncation (a ()) ~from_index:p
+      end
+    | 8 when !running ->
+      Myraft.Applier.stop (a ());
+      running := false
+    | _ ->
+      if not !running then begin
+        (* Restart at or a little below the mark: the overlap replays. *)
+        let from_index = max 1 (applied () + 1 - Random.State.int rng 3) in
+        signaled := !last;
+        Myraft.Applier.start (a ()) ~from_index ~backlog:(entries_from from_index);
+        running := true
+      end);
+    Sim.Engine.run_for engine (float_of_int (Random.State.int rng 300))
+  done;
+  if not !running then begin
+    let from_index = applied () + 1 in
+    signaled := !last;
+    Myraft.Applier.start (a ()) ~from_index ~backlog:(entries_from from_index)
+  end
+  else signal_new ();
+  hold := false;
+  kick ();
+  Sim.Engine.run_for engine (1_000.0 *. ms);
+  let expected = List.init !last (fun k -> Hashtbl.find log (k + 1)) in
+  if Myraft.Applier.busy_workers (a ()) <> 0 then
+    error "quiescent but %d lanes held" (Myraft.Applier.busy_workers (a ()));
+  if applied () <> !last then error "applied_index %d, last index %d" (applied ()) !last;
+  let commits = List.rev !commit_log in
+  if List.length commits <> List.length expected || not (List.for_all2 ( == ) commits expected)
+  then
+    error "commits [%s] are not the log in order"
+      (String.concat ";" (List.map (fun e -> string_of_int (Binlog.Entry.index e)) commits));
+  List.rev !errors
+
+let prop_lane_bookkeeping =
+  QCheck.Test.make ~name:"lane counters stay exact" ~count:300
+    QCheck.(triple (int_range 1 1_000_000) (int_range 1 4) (int_range 10 80))
+    (fun (seed, workers, steps) ->
+      match run_bookkeeping ~seed ~workers ~steps with
+      | [] -> true
+      | errs -> QCheck.Test.fail_report (String.concat "\n" errs))
 
 (* ----- truncation fencing (satellite regression) ----- *)
 
@@ -202,30 +409,30 @@ let test_truncation_fences_inflight_entry () =
   let held = ref None in
   let a =
     Myraft.Applier.create ~engine ~params:(params_with_workers 4) ()
-      ~process:(fun e ~live ~on_submitted ~on_done ->
+      ~process:(fun e tk ->
         if Binlog.Entry.index e = 2 && !held = None then
           (* entry 2 stuck in its prepare retry loop: nothing staged yet *)
-          held := Some (live, on_submitted, on_done)
+          held := Some tk
         else begin
-          on_done ~ok:true;
-          on_submitted ()
+          Myraft.Applier.finished tk ~ok:true;
+          Myraft.Applier.submitted tk
         end)
   in
   Myraft.Applier.start a ~from_index:1
     ~backlog:[ txn_entry ~last_committed:0 ~index:1 ~key:"a" (); txn_entry ~last_committed:0 ~index:2 ~key:"b" () ];
   Sim.Engine.run_for engine (100.0 *. ms);
   Alcotest.(check int) "entry 1 applied" 1 (Myraft.Applier.applied_index a);
-  let live, on_submitted, on_done =
+  let tk =
     match !held with Some x -> x | None -> Alcotest.fail "entry 2 never reached process"
   in
-  Alcotest.(check bool) "in-flight entry live before truncation" true (live ());
+  Alcotest.(check bool) "in-flight entry live before truncation" true (Myraft.Applier.live tk);
   (* Raft truncates entry 2 away (leader change rewound the log). *)
   Myraft.Applier.handle_truncation a ~from_index:2;
-  Alcotest.(check bool) "retry loop fenced" false (live ());
+  Alcotest.(check bool) "retry loop fenced" false (Myraft.Applier.live tk);
   (* The regression: the zombie callbacks fire anyway — they must not
      re-advance applied_index past the rewound cursor. *)
-  on_done ~ok:true;
-  on_submitted ();
+  Myraft.Applier.finished tk ~ok:true;
+  Myraft.Applier.submitted tk;
   Alcotest.(check int) "zombie completion ignored" 1 (Myraft.Applier.applied_index a);
   (* the replacement entry stream applies normally *)
   Myraft.Applier.signal a
@@ -238,10 +445,10 @@ let test_truncation_keeps_submitted_entries_below_point () =
   let held = ref [] in
   let a =
     Myraft.Applier.create ~engine ~params:(params_with_workers 4) ()
-      ~process:(fun e ~live:_ ~on_submitted ~on_done ->
+      ~process:(fun e tk ->
         (* everything submits instantly but engine commit is pending *)
-        held := (Binlog.Entry.index e, on_done) :: !held;
-        on_submitted ())
+        held := (Binlog.Entry.index e, tk) :: !held;
+        Myraft.Applier.submitted tk)
   in
   Myraft.Applier.start a ~from_index:1
     ~backlog:
@@ -255,7 +462,7 @@ let test_truncation_keeps_submitted_entries_below_point () =
   (* truncate 3 away: 1 and 2 are already submitted below the point and
      their commits are real *)
   Myraft.Applier.handle_truncation a ~from_index:3;
-  List.iter (fun (_, k) -> k ~ok:true) (List.rev !held);
+  List.iter (fun (_, tk) -> Myraft.Applier.finished tk ~ok:true) (List.rev !held);
   Alcotest.(check int) "submitted entries below the point still count" 2
     (Myraft.Applier.applied_index a)
 
@@ -272,7 +479,7 @@ let test_lock_conflict_retries_and_preserves_order () =
   let params = params_with_workers 4 in
   let pipeline = Myraft.Pipeline.create ~engine ~params ~is_primary_path:false () in
   let conflicts = ref 0 in
-  let process entry ~live ~on_submitted ~on_done =
+  let process entry tk =
     match Binlog.Entry.payload entry with
     | Binlog.Entry.Transaction { gtid; events } ->
       let writes =
@@ -285,7 +492,7 @@ let test_lock_conflict_retries_and_preserves_order () =
           events
       in
       let rec try_prepare () =
-        if not (live ()) then ()
+        if not (Myraft.Applier.live tk) then ()
         else
           match Storage.Engine.prepare storage ~gtid ~writes with
           | () ->
@@ -297,19 +504,19 @@ let test_lock_conflict_retries_and_preserves_order () =
                     if ok then begin
                       Storage.Engine.commit_prepared storage ~gtid
                         ~opid:(Binlog.Entry.opid entry);
-                      on_done ~ok:true
+                      Myraft.Applier.finished tk ~ok:true
                     end
-                    else on_done ~ok:false);
+                    else Myraft.Applier.finished tk ~ok:false);
               };
-            on_submitted ()
+            Myraft.Applier.submitted tk
           | exception Storage.Engine.Lock_conflict _ ->
             incr conflicts;
             ignore (Sim.Engine.schedule engine ~delay:(50.0 *. Sim.Engine.us) try_prepare)
       in
       try_prepare ()
     | _ ->
-      on_done ~ok:true;
-      on_submitted ()
+      Myraft.Applier.finished tk ~ok:true;
+      Myraft.Applier.submitted tk
   in
   let a = Myraft.Applier.create ~engine ~params ~process () in
   Myraft.Applier.start a ~from_index:1
@@ -371,6 +578,54 @@ let test_primary_stamps_dependency_intervals () =
     Alcotest.(check bool) "replica sees the interval" true
       (Binlog.Entry.deps e = deps_at 3)
   | None -> Alcotest.fail "replica missing entry 3"
+
+(* ----- whole-cluster determinism ----- *)
+
+(* One seeded §6.1 cluster under a closed-loop write load, replicas
+   applying through parallel lanes.  Returns every replica's commit
+   history (count, prefix digest, commit sequence) and the merged metric
+   snapshot, gauges included. *)
+let run_paper_cluster ~seed =
+  let cluster =
+    Myraft.Cluster.create ~seed ~replicaset:"rs-determinism"
+      ~members:(Myraft.Cluster.paper_members ()) ()
+  in
+  Myraft.Cluster.bootstrap cluster ~leader_id:"mysql1";
+  let gen =
+    Workload.Generator.create ~backend:(Workload.Backend.myraft cluster) ~client_id:"det"
+      ~region:"r1" ~client_latency:(100.0 *. Sim.Engine.us) ~key_space:500 ()
+  in
+  Workload.Generator.start_closed_loop gen ~threads:32;
+  Myraft.Cluster.run_for cluster (300.0 *. ms);
+  Workload.Generator.stop gen;
+  Myraft.Cluster.run_for cluster (200.0 *. ms);
+  let histories =
+    List.map
+      (fun srv ->
+        let storage = Myraft.Server.storage srv in
+        let n = Storage.Engine.committed_count storage in
+        ( Myraft.Server.id srv,
+          n,
+          Storage.Engine.checksum_at storage ~count:n,
+          List.init n (fun i -> Option.get (Storage.Engine.nth_commit storage i)) ))
+      (Myraft.Cluster.servers cluster)
+  in
+  (histories, Obs.Metrics.to_json (Myraft.Cluster.metrics_snapshot cluster))
+
+let test_cluster_runs_are_deterministic () =
+  let histories_a, metrics_a = run_paper_cluster ~seed:29 in
+  let histories_b, metrics_b = run_paper_cluster ~seed:29 in
+  let replicas_applied =
+    List.filter (fun (id, n, _, _) -> id <> "mysql1" && n > 0) histories_a
+  in
+  Alcotest.(check bool) "replicas applied commits" true (List.length replicas_applied >= 2);
+  List.iter2
+    (fun (id, n_a, sum_a, seq_a) (_, n_b, sum_b, seq_b) ->
+      Alcotest.(check int) (id ^ ": commit count") n_a n_b;
+      Alcotest.(check int32) (id ^ ": checksum_at") sum_a sum_b;
+      Alcotest.(check bool) (id ^ ": nth_commit sequence") true (seq_a = seq_b))
+    histories_a histories_b;
+  Alcotest.(check string) "merged metric snapshot" metrics_a metrics_b
 
 (* ----- qcheck: chaos equivalence across worker counts ----- *)
 
@@ -532,6 +787,8 @@ let suites =
           test_dependent_txn_waits_for_mark;
         Alcotest.test_case "lock conflict retries, order preserved" `Quick
           test_lock_conflict_retries_and_preserves_order;
+        Alcotest.test_case "lag gauge follows rewinds" `Quick test_lag_gauge_tracks_rewinds;
+        QCheck_alcotest.to_alcotest prop_lane_bookkeeping;
       ] );
     ( "apply.truncation",
       [
@@ -547,4 +804,9 @@ let suites =
       ] );
     ( "apply.equivalence",
       [ QCheck_alcotest.to_alcotest prop_parallel_apply_chaos_equivalence ] );
+    ( "apply.determinism",
+      [
+        Alcotest.test_case "same seed, same history" `Quick
+          test_cluster_runs_are_deterministic;
+      ] );
   ]

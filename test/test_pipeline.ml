@@ -129,10 +129,10 @@ let test_applier_orders_and_dedupes () =
   let processed = ref [] in
   let a =
     Myraft.Applier.create ~engine ~params:Myraft.Params.default ()
-      ~process:(fun e ~live:_ ~on_submitted ~on_done ->
+      ~process:(fun e tk ->
         processed := Binlog.Entry.index e :: !processed;
-        on_done ~ok:true;
-        on_submitted ())
+        Myraft.Applier.finished tk ~ok:true;
+        Myraft.Applier.submitted tk)
   in
   Myraft.Applier.start a ~from_index:1 ~backlog:[ entry 1; entry 2 ];
   Myraft.Applier.signal a [ entry 2 (* duplicate *); entry 3 ];
@@ -144,9 +144,9 @@ let test_applier_truncation_rewinds () =
   let engine = Sim.Engine.create () in
   let a =
     Myraft.Applier.create ~engine ~params:Myraft.Params.default ()
-      ~process:(fun _ ~live:_ ~on_submitted ~on_done ->
-        on_done ~ok:true;
-        on_submitted ())
+      ~process:(fun _ tk ->
+        Myraft.Applier.finished tk ~ok:true;
+        Myraft.Applier.submitted tk)
   in
   Myraft.Applier.start a ~from_index:1 ~backlog:[ entry 1 ];
   Sim.Engine.run_for engine (10.0 *. ms);
@@ -168,12 +168,12 @@ let test_applier_stall_preserves_order () =
   let stalled = ref None in
   let a =
     Myraft.Applier.create ~engine ~params:Myraft.Params.default ()
-      ~process:(fun e ~live:_ ~on_submitted ~on_done ->
+      ~process:(fun e tk ->
         let index = Binlog.Entry.index e in
         let submit () =
           submitted := index :: !submitted;
-          on_done ~ok:true;
-          on_submitted ()
+          Myraft.Applier.finished tk ~ok:true;
+          Myraft.Applier.submitted tk
         in
         if index = 2 && !stalled = None then stalled := Some submit else submit ())
   in
@@ -191,10 +191,10 @@ let test_applier_stop_discards_queue () =
   let count = ref 0 in
   let a =
     Myraft.Applier.create ~engine ~params:Myraft.Params.default ()
-      ~process:(fun _ ~live:_ ~on_submitted ~on_done ->
+      ~process:(fun _ tk ->
         incr count;
-        on_done ~ok:true;
-        on_submitted ())
+        Myraft.Applier.finished tk ~ok:true;
+        Myraft.Applier.submitted tk)
   in
   Myraft.Applier.start a ~from_index:1 ~backlog:[ entry 1; entry 2; entry 3 ];
   Myraft.Applier.stop a;
