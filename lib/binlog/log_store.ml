@@ -37,7 +37,6 @@ type t = {
   mutable purged_below : int; (* entries with index < this may be purged *)
   mutable next_file_seq : int;
   mutable gtids : Gtid_set.t; (* all GTIDs currently present in the log *)
-  mutable fsyncs : int; (* flush count, for introspection *)
   (* The tail OpId is cached: reading the tail slot is wrong once a purge
      has emptied the slots of a freshly-rotated (empty) current file. *)
   mutable last_cached : Opid.t;
@@ -98,7 +97,6 @@ let create ?metrics ?(mode = Binlog) () =
       purged_below = 1;
       next_file_seq = 1;
       gtids = Gtid_set.empty;
-      fsyncs = 0;
       last_cached = Opid.zero;
       purge_boundary = Opid.zero;
       synced_index = 0;
@@ -163,7 +161,6 @@ let append t entry =
   Obs.Metrics.incr t.m_appends;
   Obs.Metrics.add t.m_bytes_appended (Entry.size entry);
   if not t.buffered then begin
-    t.fsyncs <- t.fsyncs + 1;
     t.synced_index <- index;
     Obs.Metrics.incr t.m_fsyncs;
     Obs.Metrics.record t.m_fsync_batch 1.0
@@ -336,8 +333,6 @@ let install_snapshot t ~last ~gtids =
 
 let gtid_set t = t.gtids
 
-let fsync_count t = t.fsyncs
-
 (* ----- durability / crash-recovery fault model ----- *)
 
 let synced_index t = t.synced_index
@@ -350,7 +345,6 @@ let sync t =
   if t.synced_index < last_index t then begin
     let batch = last_index t - t.synced_index in
     t.synced_index <- last_index t;
-    t.fsyncs <- t.fsyncs + 1;
     Obs.Metrics.incr t.m_fsyncs;
     Obs.Metrics.record t.m_fsync_batch (float_of_int batch)
   end

@@ -89,8 +89,6 @@ val install_snapshot : t -> last:Opid.t -> gtids:Gtid_set.t -> Entry.t list
 (** All GTIDs currently present in the log. *)
 val gtid_set : t -> Gtid_set.t
 
-val fsync_count : t -> int
-
 (** {2 Durability / crash-recovery fault model}
 
     Normally every append fsyncs (sync_binlog=1) and {!synced_index}

@@ -59,9 +59,3 @@ let stamp t ~index ~keys =
     t.floor <- index
   end;
   min last_committed (index - 1)
-
-(* Stamp a transaction whose write set cannot be derived (non-RBR
-   statements): serialize it against everything earlier. *)
-let stamp_serial t ~index =
-  t.floor <- max t.floor (index - 1);
-  index - 1

@@ -26,7 +26,3 @@ val clear : t -> unit
     writing [keys] ((table, key) pairs) and returns its
     [last_committed]; always < [index]. *)
 val stamp : t -> index:int -> keys:(string * string) list -> int
-
-(** Stamp a transaction whose write set cannot be derived: serialize it
-    against everything earlier; returns [index - 1]. *)
-val stamp_serial : t -> index:int -> int

@@ -177,7 +177,7 @@ let finish h ~scenario ~seed ~reconfigs ~replacements ~extra_metrics =
 
 (* ----- scenario 1: rolling region evacuation ----- *)
 
-let rolling_evacuation ?(seed = 7) () =
+let rolling_evacuation ~seed =
   let h = classic_harness ~seed in
   Myraft.Cluster.run_for h.h_cluster (2.0 *. s);
   let reconfigs = ref 0 in
@@ -218,7 +218,7 @@ let rolling_evacuation ?(seed = 7) () =
 
 (* ----- scenario 2: replace while partitioned ----- *)
 
-let replace_while_partitioned ?(seed = 7) () =
+let replace_while_partitioned ~seed =
   let h = classic_harness ~seed in
   let cluster = h.h_cluster in
   Myraft.Cluster.run_for cluster (2.0 *. s);
@@ -295,7 +295,7 @@ let cycle_ops cluster n =
     (fun l -> Raft.Node.remove_member l extra);
   ]
 
-let storm_churn ?(seed = 7) ?(steps = 60) () =
+let storm_churn ~seed =
   let h = classic_harness ~seed in
   let cluster = h.h_cluster in
   let nemesis =
@@ -326,7 +326,7 @@ let storm_churn ?(seed = 7) ?(steps = 60) () =
       | [] -> ())
     | _ -> ()
   in
-  for _ = 1 to steps do
+  for _ = 1 to 60 do
     Nemesis.step nemesis;
     churn_step ();
     Myraft.Cluster.run_for cluster (0.25 *. s);
@@ -345,7 +345,8 @@ let storm_churn ?(seed = 7) ?(steps = 60) () =
    others are stable.  Gates: per-group invariants (incl. the config
    oracles), per-group convergence, and every group having committed its
    full quota of changes. *)
-let sharded_churn ?(seed = 7) ?(groups = 3) ?(cycles = 4) () =
+let sharded_churn ~seed =
+  let groups = 3 and cycles = 4 in
   let multi =
     Shard.Multi.create ~seed ~members:(Nemesis.chaos_members ()) ~groups ()
   in
@@ -432,10 +433,10 @@ let sharded_churn ?(seed = 7) ?(groups = 3) ?(cycles = 4) () =
 
 let scenarios =
   [
-    ("evacuation", fun seed -> rolling_evacuation ~seed ());
-    ("replace-partitioned", fun seed -> replace_while_partitioned ~seed ());
-    ("storm-churn", fun seed -> storm_churn ~seed ());
-    ("sharded-churn", fun seed -> sharded_churn ~seed ());
+    ("evacuation", fun seed -> rolling_evacuation ~seed);
+    ("replace-partitioned", fun seed -> replace_while_partitioned ~seed);
+    ("storm-churn", fun seed -> storm_churn ~seed);
+    ("sharded-churn", fun seed -> sharded_churn ~seed);
   ]
 
 let run_scenario ~name ~seed =

@@ -29,19 +29,6 @@ type report = {
 
 val report_summary : report -> string
 
-(** A probe whose [probe_up] also requires membership in the newest
-    installed config — evicted corpses leave the convergence check,
-    provisioned replacements join it (via {!Invariants.add_probe}). *)
-val member_probe : Myraft.Cluster.t -> string -> Invariants.probe
-
-val rolling_evacuation : ?seed:int -> unit -> report
-
-val replace_while_partitioned : ?seed:int -> unit -> report
-
-val storm_churn : ?seed:int -> ?steps:int -> unit -> report
-
-val sharded_churn : ?seed:int -> ?groups:int -> ?cycles:int -> unit -> report
-
 (** CLI names: evacuation, replace-partitioned, storm-churn,
     sharded-churn. *)
 val scenario_names : string list

@@ -33,9 +33,6 @@ type t = {
   inv : Invariants.t;
   rng : Sim.Rng.t;
   client : string;
-  write_gap : float;
-  read_gap : float;
-  timeout : float;
   stats : stats;
   pending_writes : (int, bool -> unit) Hashtbl.t;
   pending_reads : (int, Workload.Backend.read_outcome -> unit) Hashtbl.t;
@@ -47,11 +44,18 @@ type t = {
 
 let table = "linreg"
 
+(* Pause between one write's acknowledgement and the next write, and
+   between one reader's reads (virtual µs). *)
+let write_gap = 15.0 *. Sim.Engine.ms
+
+let read_gap = 5.0 *. Sim.Engine.ms
+
+(* A write or read unanswered after this long is settled as rejected. *)
+let timeout = 2.0 *. Sim.Engine.s
+
 let key = "register"
 
 let stats t = t.stats
-
-let floor_value t = t.floor
 
 let stop t = t.running <- false
 
@@ -79,7 +83,7 @@ let rec write_loop t =
           t.stats.writes_acked <- t.stats.writes_acked + 1;
           if v > t.floor then t.floor <- v
         end;
-        schedule t ~delay:t.write_gap (fun () -> write_loop t)
+        schedule t ~delay:write_gap (fun () -> write_loop t)
       end
     in
     Hashtbl.replace t.pending_writes write_id settle;
@@ -88,7 +92,7 @@ let rec write_loop t =
         ~ops:[ Binlog.Event.Insert { key; value = encode v } ]
     in
     if not sent then settle false
-    else schedule t ~delay:t.timeout (fun () -> settle false)
+    else schedule t ~delay:timeout (fun () -> settle false)
   end
 
 (* ----- readers ----- *)
@@ -129,7 +133,7 @@ let rec read_loop t ~level =
              violation — eventual reads promise nothing *)
           if v < t.floor then t.stats.ev_stale <- t.stats.ev_stale + 1
         | false, _, _ -> ());
-        schedule t ~delay:t.read_gap (fun () -> read_loop t ~level)
+        schedule t ~delay:read_gap (fun () -> read_loop t ~level)
       end
     in
     Hashtbl.replace t.pending_reads read_id settle;
@@ -142,24 +146,19 @@ let rec read_loop t ~level =
     if not sent then
       settle (Workload.Backend.Read_rejected { reason = "no target"; retry_after = None })
     else
-      schedule t ~delay:t.timeout (fun () ->
+      schedule t ~delay:timeout (fun () ->
           settle
             (Workload.Backend.Read_rejected
                { reason = "read timed out"; retry_after = None }))
   end
 
-let start ?(region = "r1") ?(write_gap = 15.0 *. Sim.Engine.ms)
-    ?(read_gap = 5.0 *. Sim.Engine.ms) ?(timeout = 2.0 *. Sim.Engine.s)
-    ?(lin_readers = 2) ?(ev_readers = 1) ~backend ~invariants () =
+let start ~backend ~invariants () =
   let t =
     {
       backend;
       inv = invariants;
       rng = Sim.Rng.split (Sim.Engine.rng backend.Workload.Backend.engine);
       client = "linreg-client";
-      write_gap;
-      read_gap;
-      timeout;
       stats =
         {
           writes_acked = 0;
@@ -179,7 +178,7 @@ let start ?(region = "r1") ?(write_gap = 15.0 *. Sim.Engine.ms)
       running = true;
     }
   in
-  backend.Workload.Backend.register_client ~id:t.client ~region
+  backend.Workload.Backend.register_client ~id:t.client ~region:"r1"
     ~on_reply:(fun ~write_id ~ok ~gtid:_ ->
       match Hashtbl.find_opt t.pending_writes write_id with
       | Some settle -> settle ok
@@ -189,14 +188,13 @@ let start ?(region = "r1") ?(write_gap = 15.0 *. Sim.Engine.ms)
       | Some settle -> settle outcome
       | None -> ());
   write_loop t;
-  for _ = 1 to lin_readers do
+  let start_reader level =
     schedule t ~delay:(Sim.Rng.uniform t.rng ~lo:0.0 ~hi:read_gap) (fun () ->
-        read_loop t ~level:Read.Level.Linearizable)
-  done;
-  for _ = 1 to ev_readers do
-    schedule t ~delay:(Sim.Rng.uniform t.rng ~lo:0.0 ~hi:read_gap) (fun () ->
-        read_loop t ~level:Read.Level.Eventual)
-  done;
+        read_loop t ~level)
+  in
+  start_reader Read.Level.Linearizable;
+  start_reader Read.Level.Linearizable;
+  start_reader Read.Level.Eventual;
   t
 
 let summary t =

@@ -24,16 +24,10 @@ type stats = {
 
 type t
 
-(** Start the writer and reader loops against [backend], reporting
-    violations into [invariants].  Gaps and the per-op [timeout] are in
-    virtual µs. *)
+(** Start the writer, two linearizable readers and one eventual reader
+    against [backend] from region r1, reporting violations into
+    [invariants]. *)
 val start :
-  ?region:string ->
-  ?write_gap:float ->
-  ?read_gap:float ->
-  ?timeout:float ->
-  ?lin_readers:int ->
-  ?ev_readers:int ->
   backend:Workload.Backend.t ->
   invariants:Invariants.t ->
   unit ->
@@ -42,8 +36,5 @@ val start :
 val stop : t -> unit
 
 val stats : t -> stats
-
-(** Largest acknowledged value (the current linearized register value). *)
-val floor_value : t -> int
 
 val summary : t -> string

@@ -570,14 +570,17 @@ let repro_command r =
      else "")
     (if r.r_shards > 1 then Printf.sprintf " --shards %d" r.r_shards else "")
 
+(* Virtual time each schedule step runs before the invariants are checked. *)
+let step_duration = 0.25 *. Sim.Engine.s
+
 (* Run a seeded chaos schedule against a full MyRaft cluster under an
    open-loop workload plus the linearizable-register read checker,
    checking invariants continuously; then heal everything, let the ring
    settle, and require exact convergence.  [lease] toggles the leader
    lease fast path so CI exercises linearizability both ways. *)
 let run ?(spec = Schedule.default) ?(quorum = Raft.Quorum.Single_region_dynamic)
-    ?(lease = true) ?(max_clock_drift = 0.0) ?(step_duration = 0.25 *. Sim.Engine.s)
-    ?(rate_per_s = 150.0) ?(echo = false) ?(auto_purge = false) ~seed ~steps () =
+    ?(lease = true) ?(max_clock_drift = 0.0) ?(rate_per_s = 150.0) ?(echo = false)
+    ?(auto_purge = false) ~seed ~steps () =
   let params =
     { Myraft.Params.default with
       raft =
@@ -802,8 +805,8 @@ let group_settled c =
    one invariant checker per group — safety is per consensus group, and
    every group must also reconverge after the final heal. *)
 let run_sharded ?(spec = Schedule.default) ?(quorum = Raft.Quorum.Single_region_dynamic)
-    ?(lease = true) ?(max_clock_drift = 0.0) ?(step_duration = 0.25 *. Sim.Engine.s)
-    ?(rate_per_s = 150.0) ?(auto_purge = false) ~shards ~seed ~steps () =
+    ?(lease = true) ?(max_clock_drift = 0.0) ?(rate_per_s = 150.0) ?(auto_purge = false)
+    ~shards ~seed ~steps () =
   let params =
     { Myraft.Params.default with
       raft =
@@ -908,14 +911,14 @@ let run_sharded ?(spec = Schedule.default) ?(quorum = Raft.Quorum.Single_region_
 (* Seed sweep for CI smoke: run [seeds] and return the reports; the exit
    gate is simply "no report has violations".  [shards > 1] runs every
    seed against the multi-Raft deployment instead. *)
-let sweep ?spec ?quorum ?lease ?max_clock_drift ?step_duration ?rate_per_s ?auto_purge
+let sweep ?spec ?quorum ?lease ?max_clock_drift ?rate_per_s ?auto_purge
     ?(shards = 1) ~seeds ~steps () =
   List.map
     (fun seed ->
       if shards > 1 then
-        run_sharded ?spec ?quorum ?lease ?max_clock_drift ?step_duration ?rate_per_s
+        run_sharded ?spec ?quorum ?lease ?max_clock_drift ?rate_per_s
           ?auto_purge ~shards ~seed ~steps ()
       else
-        run ?spec ?quorum ?lease ?max_clock_drift ?step_duration ?rate_per_s ?auto_purge
+        run ?spec ?quorum ?lease ?max_clock_drift ?rate_per_s ?auto_purge
           ~seed ~steps ())
     seeds

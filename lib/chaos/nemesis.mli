@@ -56,8 +56,6 @@ val metrics_snapshot : t -> Obs.Metrics.snapshot
 (** Outstanding (un-healed) faults. *)
 val active : t -> int
 
-val total_injections : t -> int
-
 val injections : t -> (Schedule.fault_kind * int) list
 
 (** {2 Adapters for a full MyRaft cluster} *)
@@ -98,9 +96,6 @@ val chaos_members : unit -> Myraft.Cluster.member_spec list
 
 val quorum_name : Raft.Quorum.mode -> string
 
-(** The one-line command that replays a report's run. *)
-val repro_command : report -> string
-
 (** Run a seeded chaos schedule against a full MyRaft cluster under an
     open-loop workload plus the {!Linreg} linearizable-register read
     checker, checking invariants continuously; then heal everything, let
@@ -119,7 +114,6 @@ val run :
   ?quorum:Raft.Quorum.mode ->
   ?lease:bool ->
   ?max_clock_drift:float ->
-  ?step_duration:float ->
   ?rate_per_s:float ->
   ?echo:bool ->
   ?auto_purge:bool ->
@@ -132,12 +126,6 @@ val report_summary : report -> string
 
 (** {2 Multi-Raft (sharded) chaos} *)
 
-(** Physical control surface over a multi-Raft deployment: crash,
-    restart, isolation and clock faults hit a node's instance of every
-    group at once (one process); leader-aimed and disk fault families
-    target group 0 as the representative shard. *)
-val ops_of_multi : Shard.Multi.t -> ops
-
 (** The sharded counterpart of {!run}: the same fault schedule against
     [shards] Raft groups multiplexed on the chaos ring behind the
     coalescing mux, with routed workload traffic and one invariant
@@ -148,7 +136,6 @@ val run_sharded :
   ?quorum:Raft.Quorum.mode ->
   ?lease:bool ->
   ?max_clock_drift:float ->
-  ?step_duration:float ->
   ?rate_per_s:float ->
   ?auto_purge:bool ->
   shards:int ->
@@ -164,7 +151,6 @@ val sweep :
   ?quorum:Raft.Quorum.mode ->
   ?lease:bool ->
   ?max_clock_drift:float ->
-  ?step_duration:float ->
   ?rate_per_s:float ->
   ?auto_purge:bool ->
   ?shards:int ->

@@ -23,19 +23,6 @@ type fault_kind =
 
 val kind_to_string : fault_kind -> string
 
-(** CLI names: crash, leader-crash, transfer, partition, isolate, drop,
-    dup, reorder, spike, torn-tail, fsync-stall, clock-drift,
-    clock-step, corrupt, asym-partition, storm. *)
-val kind_of_string : string -> fault_kind option
-
-(** The original crash/partition/message-fault repertoire — the
-    [default] mix. *)
-val classic_kinds : fault_kind list
-
-(** The adversarial attack families (clock, corruption, asymmetric
-    partition, election storm) — added by [campaign]. *)
-val attack_kinds : fault_kind list
-
 val all_kinds : fault_kind list
 
 type t = {

@@ -1,7 +1,7 @@
 (* Membership automation (§2.2): "membership changes are always initiated
-   by automation" — detect a member that needs replacing, allocate and
-   prepare a new one, and drive AddMember/RemoveMember on the leader one
-   change at a time. *)
+   by automation" — allocate and prepare a member's replacement, then let
+   {!Reconfig.Healer.apply_target} drive the swap on the leader one
+   planned step at a time. *)
 
 type replacement_report = {
   removed : string;
@@ -15,17 +15,6 @@ let leader_raft cluster =
   match Myraft.Cluster.raft_leader cluster with
   | Some id -> Myraft.Cluster.raft_of cluster id
   | None -> None
-
-(* A config change is settled once the change entry is committed (the
-   pending-change latch clears), not merely appended. *)
-let wait_config_settled cluster ~pred =
-  Myraft.Cluster.run_until cluster ~timeout:(30.0 *. s) (fun () ->
-      match leader_raft cluster with
-      | Some r ->
-        Raft.Node.commit_index r > 0
-        && (not (Raft.Node.has_pending_config_change r))
-        && pred (Raft.Node.config r)
-      | None -> false)
 
 (* §A.1's external rotation automation: watch the primary's current
    binlog file size in a monitoring loop and call FLUSH BINARY LOGS when
@@ -71,102 +60,51 @@ let start_binlog_janitor ?(interval = 2.0 *. s) ?(keep_files = 3) cluster =
   j
 
 (* Replace [dead] with a freshly allocated member of the same kind and
-   region, redundancy-first: allocate and prepare the newcomer
-   (optionally seeding it from a backup — required when the history it
-   needs has been purged from the ring), AddMember it as a learner, wait
-   until it has caught up, promote it to the corpse's voter grade, and
-   only then RemoveMember the corpse.  The ring never has fewer healthy
-   copies mid-swap than it started with, and a failure at any step
-   leaves the original membership's redundancy intact. *)
+   region: provision the newcomer (optionally seeding it from a backup —
+   required when the history it needs has been purged from the ring),
+   then hand the swap to the planner-driven executor, which adds it as a
+   learner, promotes it after catch-up when the corpse was a voter, and
+   only then demotes and removes the corpse.  The ring never has fewer
+   voters mid-swap than it started with. *)
 let replace_member ?backup cluster ~dead ~replacement_id =
   let started = Myraft.Cluster.now cluster in
   match leader_raft cluster with
   | None -> Error "no leader to drive the membership change"
   | Some leader -> (
-    match Raft.Types.find_member (Raft.Node.config leader) dead with
+    let current = Raft.Node.config leader in
+    match Raft.Types.find_member current dead with
     | None -> Error (dead ^ " is not a member")
+    | Some _ when Myraft.Cluster.node cluster replacement_id <> None ->
+      Error (replacement_id ^ " already exists")
     | Some old_member -> (
-      (* allocate and prepare the new member (outside the ring) *)
-      let spec =
-        match old_member.Raft.Types.kind with
-        | Raft.Types.Mysql_server ->
-          Myraft.Cluster.mysql ~voter:false replacement_id old_member.Raft.Types.region
-        | Raft.Types.Logtailer ->
-          Myraft.Cluster.logtailer replacement_id old_member.Raft.Types.region
-      in
-      Myraft.Cluster.add_server cluster spec;
-      (match backup with
-      | Some b -> (
-        match
-          (match Myraft.Cluster.server cluster replacement_id with
+      let newcomer = { old_member with Raft.Types.id = replacement_id } in
+      Reconfig.Healer.provision cluster newcomer;
+      let seeded =
+        match backup with
+        | None -> Ok ()
+        | Some b -> (
+          match Myraft.Cluster.server cluster replacement_id with
           | Some srv -> Downstream.Backup.restore_into_server b srv
           | None -> (
             match Myraft.Cluster.tailer cluster replacement_id with
             | Some lt -> Downstream.Backup.restore_into_tailer b lt
             | None -> Error "replacement node vanished"))
-        with
-        | Ok () -> ()
-        | Error e -> failwith ("backup restore: " ^ e))
-      | None -> ());
-      match
-        Raft.Node.add_member leader
+      in
+      match seeded with
+      | Error e -> Error ("backup restore: " ^ e)
+      | Ok () -> (
+        let target =
           {
-            Raft.Types.id = replacement_id;
-            region = old_member.Raft.Types.region;
-            voter = false; (* joins as a learner; promoted after catch-up *)
-            kind = old_member.Raft.Types.kind;
+            Raft.Types.members =
+              List.map
+                (fun m -> if m.Raft.Types.id = dead then newcomer else m)
+                (Raft.Types.config_members current);
           }
-      with
-      | Error e -> Error ("AddMember: " ^ e)
-      | Ok _ ->
-        let caught_up () =
-          match Myraft.Cluster.raft_of cluster replacement_id with
-          | Some r ->
-            Raft.Types.is_member (Raft.Node.config r) replacement_id
-            && Binlog.Opid.index (Raft.Node.last_opid r)
-               >= Raft.Node.commit_index leader
-          | None -> false
         in
-        if
-          not
-            (Myraft.Cluster.run_until cluster ~timeout:(60.0 *. s) (fun () ->
-                 caught_up ()))
-        then Error "replacement did not catch up"
-        else
-          let promote () =
-            if not old_member.Raft.Types.voter then Ok ()
-            else
-              (* the AddMember must have committed before the next change *)
-              if not (wait_config_settled cluster ~pred:(fun c ->
-                          Raft.Types.is_member c replacement_id))
-              then Error "AddMember did not commit"
-              else
-                match Raft.Node.promote_learner leader replacement_id with
-                | Error e -> Error ("Promote: " ^ e)
-                | Ok _ ->
-                  if
-                    wait_config_settled cluster ~pred:(fun c ->
-                        match Raft.Types.find_member c replacement_id with
-                        | Some m -> m.Raft.Types.voter
-                        | None -> false)
-                  then Ok ()
-                  else Error "Promote did not commit"
-          in
-          match promote () with
-          | Error e -> Error e
-          | Ok () -> (
-            match Raft.Node.remove_member leader dead with
-            | Error e -> Error ("RemoveMember: " ^ e)
-            | Ok _ ->
-              if
-                not
-                  (wait_config_settled cluster ~pred:(fun c ->
-                       not (Raft.Types.is_member c dead)))
-              then Error "RemoveMember did not commit"
-              else
-                Ok
-                  {
-                    removed = dead;
-                    added = replacement_id;
-                    duration_us = Myraft.Cluster.now cluster -. started;
-                  })))
+        Reconfig.Healer.apply_target cluster ~target
+        |> Result.map (fun _ ->
+               {
+                 removed = dead;
+                 added = replacement_id;
+                 duration_us = Myraft.Cluster.now cluster -. started;
+               }))))

@@ -1,11 +1,8 @@
 (** Membership automation (§2.2) and the §A.1 binlog janitor.
 
-    "Membership changes are always initiated by automation": detect a
-    member that needs replacing, allocate and prepare a new one, and
-    drive the change on the leader one safe step at a time —
-    add-as-learner, catch up (snapshot-fed if necessary), promote to the
-    corpse's voter grade, then evict the corpse, so redundancy never
-    dips below the starting point mid-swap. *)
+    "Membership changes are always initiated by automation": allocate
+    and prepare a member's replacement, then drive the swap through
+    {!Reconfig.Healer.apply_target}, one planned step at a time. *)
 
 type replacement_report = {
   removed : string;
@@ -30,11 +27,16 @@ val purges : janitor -> int
 
 (** {2 Member replacement} *)
 
-(** Replace [dead] with a freshly allocated member of the same kind and
-    region, redundancy-first: the newcomer joins as a learner, catches
-    up, is promoted to the corpse's voter grade, and only then is the
-    corpse removed.  Pass [backup] to seed the newcomer when the history
-    it needs has been purged from the ring. *)
+(** Replace [dead] with a freshly allocated member of the same kind,
+    region and voter grade.  The target config (the current one with
+    [dead] swapped for [replacement_id]) is handed to
+    {!Reconfig.Healer.apply_target}: the newcomer joins as a learner, is
+    promoted after catch-up when [dead] was a voter, and only then is
+    [dead] demoted and removed, so the voter count never dips below its
+    starting value.  Pass [backup] to seed the newcomer when the history
+    it needs has been purged from the ring.  Never raises: an unknown
+    [dead], an existing [replacement_id], a failed restore or a stuck
+    step is an [Error]. *)
 val replace_member :
   ?backup:Downstream.Backup.t ->
   Myraft.Cluster.t ->

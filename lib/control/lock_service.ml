@@ -4,11 +4,11 @@
 type t = {
   engine : Sim.Engine.t;
   holders : (string, string) Hashtbl.t; (* lock name -> holder *)
-  acquire_delay : float;
 }
 
-let create ?(acquire_delay = 50.0 *. Sim.Engine.ms) engine =
-  { engine; holders = Hashtbl.create 4; acquire_delay }
+let acquire_delay = 50.0 *. Sim.Engine.ms
+
+let create engine = { engine; holders = Hashtbl.create 4 }
 
 let holder t ~name = Hashtbl.find_opt t.holders name
 
@@ -16,7 +16,7 @@ let holder t ~name = Hashtbl.find_opt t.holders name
    acquisition round trip. *)
 let acquire t ~name ~owner k =
   ignore
-    (Sim.Engine.schedule t.engine ~delay:t.acquire_delay (fun () ->
+    (Sim.Engine.schedule t.engine ~delay:acquire_delay (fun () ->
          match Hashtbl.find_opt t.holders name with
          | Some existing when existing <> owner -> k (Error ("lock held by " ^ existing))
          | _ ->

@@ -3,7 +3,7 @@
 
 type t
 
-val create : ?acquire_delay:float -> Sim.Engine.t -> t
+val create : Sim.Engine.t -> t
 
 val holder : t -> name:string -> string option
 

@@ -10,9 +10,8 @@
       trigger an election it can win with its own vote;
    4. once it has been promoted, reset the quorum expectations.
 
-   It runs in a conservative mode by default: it refuses to act when a
-   leader still exists, when the ring looks healthy, or when the longest
-   log cannot be determined.  [force] relaxes those checks. *)
+   It is conservative: it refuses to act when a leader still exists or
+   when no healthy voter can be found. *)
 
 type report = {
   chosen : string;
@@ -41,12 +40,13 @@ let find_longest_log cluster =
   | (opid, id) :: _ -> Some (id, opid, List.length candidates)
   | [] -> None
 
-let run ?(force = false) ?(timeout = 30.0 *. Sim.Engine.s) cluster =
+let run cluster =
+  let timeout = 30.0 *. Sim.Engine.s in
   let started = Myraft.Cluster.now cluster in
   (* Step 1: out-of-band health sweep (one RPC per member). *)
   Myraft.Cluster.run_for cluster
     (float_of_int (List.length (Myraft.Cluster.member_ids cluster)) *. 20.0 *. ms);
-  if (not force) && Myraft.Cluster.raft_leader cluster <> None then
+  if Myraft.Cluster.raft_leader cluster <> None then
     Error "conservative mode: a leader already exists"
   else
     (* Step 2: choose the healthy entity with the longest log. *)

@@ -7,7 +7,7 @@
     (ring-wide, covering the logtailer-to-MySQL handoff), trigger the
     election, then reset the expectations after a successful promotion.
 
-    Conservative by default: refuses to act when a leader exists. *)
+    Conservative: refuses to act when a leader exists. *)
 
 type report = {
   chosen : string;
@@ -16,6 +16,4 @@ type report = {
   duration_us : float;
 }
 
-val find_longest_log : Myraft.Cluster.t -> (string * Binlog.Opid.t * int) option
-
-val run : ?force:bool -> ?timeout:float -> Myraft.Cluster.t -> (report, string) result
+val run : Myraft.Cluster.t -> (report, string) result

@@ -141,8 +141,6 @@ let recount t =
   t.held <- held;
   t.submitting <- submitting
 
-let queue_length t = Queue.length t.queue
-
 let update_gauges t =
   Obs.Metrics.set_gauge_int t.m_queue_depth (Queue.length t.queue);
   Obs.Metrics.set_gauge_int t.m_workers_busy t.held
@@ -309,7 +307,7 @@ let signal t entries =
       entries;
     update_gauges t;
     ignore
-      (Sim.Engine.schedule t.engine ~delay:t.params.Params.applier_wakeup_us (fun () -> pump t))
+      (Sim.Engine.schedule t.engine ~delay:Params.applier_wakeup_us (fun () -> pump t))
   end
 
 (* Truncation (a Raft rewind): everything at/above the truncation point
@@ -353,7 +351,7 @@ let handle_truncation t ~from_index =
   update_lag t;
   if t.running && not (Queue.is_empty t.queue) then
     ignore
-      (Sim.Engine.schedule t.engine ~delay:t.params.Params.applier_wakeup_us (fun () -> pump t))
+      (Sim.Engine.schedule t.engine ~delay:Params.applier_wakeup_us (fun () -> pump t))
 
 let invalidate_all t =
   Hashtbl.iter (fun _ tk -> tk.live <- false) t.inflight;

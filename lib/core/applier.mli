@@ -81,5 +81,3 @@ val busy_workers : t -> int
 
 (** Configured lane count (at least 1). *)
 val workers : t -> int
-
-val queue_length : t -> int

@@ -13,24 +13,8 @@ type t = {
   raft_stamp_us : float; (* MyRaft extra: checksum + compress + OpId (§3.4) *)
   commit_base_us : float; (* engine group commit: fixed cost *)
   commit_per_txn_us : float;
-  (* Engine-side group-commit widening: when consensus releases several
-     flush groups while a commit cycle is running, the next cycle merges
-     them and pays [commit_base_us] once, up to [group_commit_max]
-     transactions per merged cycle. *)
-  group_commit_max : int;
   apply_per_txn_us : float; (* applier executing an RBR payload *)
-  applier_wakeup_us : float; (* applier thread scheduling delay *)
   applier_workers : int; (* parallel apply worker lanes (1 = serial) *)
-  writeset_history_size : int; (* primary-side writeset history capacity *)
-  (* Promotion orchestration step costs (§3.3) *)
-  rewire_logs_us : float;
-  enable_writes_us : float;
-  publish_discovery_us : float;
-  catchup_check_interval_us : float;
-  (* Demotion orchestration step costs *)
-  abort_in_flight_us : float;
-  disable_writes_us : float;
-  applier_start_us : float;
   (* Binlog rotation policy *)
   max_binlog_bytes : int;
   raft : Raft.Node.params;
@@ -53,18 +37,36 @@ let default =
     raft_stamp_us = 1.5;
     commit_base_us = 100.0;
     commit_per_txn_us = 3.0;
-    group_commit_max = 512;
     apply_per_txn_us = 60.0;
-    applier_wakeup_us = 20.0;
     applier_workers = 4;
-    writeset_history_size = 10_000;
-    rewire_logs_us = 15_000.0;
-    enable_writes_us = 5_000.0;
-    publish_discovery_us = 30_000.0;
-    catchup_check_interval_us = 5_000.0;
-    abort_in_flight_us = 10_000.0;
-    disable_writes_us = 3_000.0;
-    applier_start_us = 20_000.0;
     max_binlog_bytes = 64 * 1024 * 1024;
     raft = Raft.Node.default_params;
   }
+
+(* Costs no experiment varies: fixed values, not fields. *)
+
+(* Engine-side group-commit widening: when consensus releases several
+   flush groups while a commit cycle is running, the next cycle merges
+   them and pays [commit_base_us] once, up to this many transactions per
+   merged cycle. *)
+let group_commit_max = 512
+
+let applier_wakeup_us = 20.0 (* applier thread scheduling delay *)
+
+let writeset_history_size = 10_000 (* primary-side writeset history capacity *)
+
+(* Promotion orchestration step costs (§3.3) *)
+let rewire_logs_us = 15_000.0
+
+let enable_writes_us = 5_000.0
+
+let publish_discovery_us = 30_000.0
+
+let catchup_check_interval_us = 5_000.0
+
+(* Demotion orchestration step costs *)
+let abort_in_flight_us = 10_000.0
+
+let disable_writes_us = 3_000.0
+
+let applier_start_us = 20_000.0

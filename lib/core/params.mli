@@ -10,23 +10,41 @@ type t = {
   raft_stamp_us : float;  (** MyRaft extra: checksum + compress + OpId (§3.4) *)
   commit_base_us : float;  (** engine group commit: fixed cost *)
   commit_per_txn_us : float;
-  group_commit_max : int;
-      (** max transactions merged into one engine commit cycle: groups
-          released by consensus while a cycle runs share the next cycle's
-          [commit_base_us] up to this many transactions *)
   apply_per_txn_us : float;  (** applier executing an RBR payload *)
-  applier_wakeup_us : float;
   applier_workers : int;  (** parallel apply worker lanes (1 = serial) *)
-  writeset_history_size : int;  (** primary-side writeset history capacity *)
-  rewire_logs_us : float;  (** §3.3 promotion step costs... *)
-  enable_writes_us : float;
-  publish_discovery_us : float;
-  catchup_check_interval_us : float;
-  abort_in_flight_us : float;  (** ...and demotion step costs *)
-  disable_writes_us : float;
-  applier_start_us : float;
   max_binlog_bytes : int;  (** rotation budget consulted by the janitor *)
   raft : Raft.Node.params;
 }
 
 val default : t
+
+(** {2 Fixed costs}
+
+    Costs no experiment varies, kept as constants beside the fields. *)
+
+(** Max transactions merged into one engine commit cycle: groups
+    released by consensus while a cycle runs share the next cycle's
+    [commit_base_us] up to this many transactions. *)
+val group_commit_max : int
+
+(** Applier thread scheduling delay. *)
+val applier_wakeup_us : float
+
+(** Primary-side writeset history capacity. *)
+val writeset_history_size : int
+
+(** §3.3 promotion step costs... *)
+val rewire_logs_us : float
+
+val enable_writes_us : float
+
+val publish_discovery_us : float
+
+val catchup_check_interval_us : float
+
+(** ...and demotion step costs. *)
+val abort_in_flight_us : float
+
+val disable_writes_us : float
+
+val applier_start_us : float

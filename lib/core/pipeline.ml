@@ -95,7 +95,6 @@ type t = {
      instead of one per transaction) and at Raft's post-sync notifier. *)
   mutable coalesce : (unit -> unit) -> unit;
   mutable flushed_txns : int;
-  mutable committed_txns : int;
   mutable groups_formed : int;
   is_primary_path : bool; (* primaries pay the Raft stamping cost *)
   meters : meters;
@@ -117,7 +116,6 @@ let create ?metrics ~engine ~params ~is_primary_path () =
     aborted = false;
     coalesce = (fun f -> f ());
     flushed_txns = 0;
-    committed_txns = 0;
     groups_formed = 0;
     is_primary_path;
     meters =
@@ -151,8 +149,6 @@ let accum_clear a =
 
 let set_coalesce t f = t.coalesce <- f
 
-let committed_txns t = t.committed_txns
-
 let groups_formed t = t.groups_formed
 
 let mean_group_size t =
@@ -170,7 +166,7 @@ let rec start_commit_cycle t =
   if (not t.committing) && (not (Queue.is_empty t.commit_queue)) && not t.aborted
   then begin
     t.committing <- true;
-    let cap = max 1 t.params.Params.group_commit_max in
+    let cap = Params.group_commit_max in
     let rec take acc n =
       match Queue.peek_opt t.commit_queue with
       | Some g when n = 0 || n + Array.length g.items <= cap ->
@@ -198,7 +194,6 @@ let rec start_commit_cycle t =
                    Obs.Metrics.record t.meters.m_txn_total (now -. p.submitted_at))
                  group.items)
              groups;
-           t.committed_txns <- t.committed_txns + n;
            Obs.Metrics.add t.meters.m_txns_committed n;
            t.committing <- false;
            update_depth t;

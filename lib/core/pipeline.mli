@@ -45,8 +45,6 @@ val reset : t -> unit
 
 val in_flight : t -> int
 
-val committed_txns : t -> int
-
 val groups_formed : t -> int
 
 (** Average flush group size: > 1 under load means group commit works. *)

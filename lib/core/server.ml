@@ -357,7 +357,7 @@ let rec promotion_catchup t ~epoch ~noop_index =
     then promotion_rewire t ~epoch
     else
       ignore
-        (Sim.Engine.schedule t.engine ~delay:t.params.Params.catchup_check_interval_us
+        (Sim.Engine.schedule t.engine ~delay:Params.catchup_check_interval_us
            (fun () -> promotion_catchup t ~epoch ~noop_index))
   end
 
@@ -365,12 +365,12 @@ and promotion_rewire t ~epoch =
   (* Step 3: stop the applier and rewire relay-log -> binlog. *)
   Applier.stop (applier t);
   ignore
-    (Sim.Engine.schedule t.engine ~delay:(jittered t t.params.Params.rewire_logs_us) (fun () ->
+    (Sim.Engine.schedule t.engine ~delay:(jittered t Params.rewire_logs_us) (fun () ->
          if t.orchestration_epoch = epoch && not t.crashed && Raft.Node.is_leader (raft t)
          then begin
            Binlog.Log_store.switch_mode t.log Binlog.Log_store.Binlog;
            ignore
-             (Sim.Engine.schedule t.engine ~delay:(jittered t t.params.Params.enable_writes_us)
+             (Sim.Engine.schedule t.engine ~delay:(jittered t Params.enable_writes_us)
                 (fun () ->
                   if
                     t.orchestration_epoch = epoch && not t.crashed
@@ -394,7 +394,7 @@ and promotion_rewire t ~epoch =
                     (* Step 5: publish the new role to service discovery. *)
                     Service_discovery.publish_primary t.discovery
                       ~replicaset:t.replicaset ~primary:t.id
-                      ~delay:(jittered t t.params.Params.publish_discovery_us)
+                      ~delay:(jittered t Params.publish_discovery_us)
                   end))
          end))
 
@@ -454,14 +454,14 @@ let begin_demotion t =
     aborted_items (List.length pending);
   ignore
     (Sim.Engine.schedule t.engine
-       ~delay:(jittered t (t.params.Params.abort_in_flight_us +. t.params.Params.disable_writes_us))
+       ~delay:(jittered t (Params.abort_in_flight_us +. Params.disable_writes_us))
        (fun () ->
          if t.orchestration_epoch = epoch && not t.crashed then begin
            (* Step 3: rewire binlog -> relay-log. *)
            Binlog.Log_store.switch_mode t.log Binlog.Log_store.Relay;
            ignore
              (Sim.Engine.schedule t.engine
-                ~delay:(jittered t (t.params.Params.rewire_logs_us +. t.params.Params.applier_start_us))
+                ~delay:(jittered t (Params.rewire_logs_us +. Params.applier_start_us))
                 (fun () ->
                   if t.orchestration_epoch = epoch && not t.crashed then begin
                     Pipeline.reset t.pipeline;
@@ -935,7 +935,7 @@ let create ?metrics ?tracebuf ?clock ?(group = 0) ~engine ~id ~region ~replicase
       storage = Storage.Engine.create ();
       log = Binlog.Log_store.create ~metrics ~mode:Binlog.Log_store.Relay ();
       durable = Raft.Node.fresh_durable ();
-      writeset = Binlog.Writeset.create ~capacity:params.Params.writeset_history_size;
+      writeset = Binlog.Writeset.create ~capacity:Params.writeset_history_size;
       raft = None;
       pipeline = Pipeline.create ~metrics ~engine ~params ~is_primary_path:true ();
       applier = None;

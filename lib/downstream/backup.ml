@@ -10,7 +10,6 @@
    service in Meta's deployment). *)
 
 type t = {
-  taken_from : string;
   position : Binlog.Opid.t; (* last entry included *)
   entries : Binlog.Entry.t list; (* ascending, consensus-committed only *)
   gtid_executed : Binlog.Gtid_set.t;
@@ -18,30 +17,9 @@ type t = {
 
 let position t = t.position
 
-let taken_from t = t.taken_from
-
 let entry_count t = List.length t.entries
 
 let gtid_executed t = t.gtid_executed
-
-(* Assemble a backup from an entry list (ascending, contiguous from
-   index 1) — used by migration tooling that already holds the stream. *)
-let of_entries ~taken_from entries =
-  {
-    taken_from;
-    position =
-      (match List.rev entries with
-      | last :: _ -> Binlog.Entry.opid last
-      | [] -> Binlog.Opid.zero);
-    entries;
-    gtid_executed =
-      List.fold_left
-        (fun acc e ->
-          match Binlog.Entry.gtid e with
-          | Some g -> Binlog.Gtid_set.add acc g
-          | None -> acc)
-        Binlog.Gtid_set.empty entries;
-  }
 
 (* Take a backup from a live member: its committed binlog prefix.  Fails
    if the member's history has holes (purged below its own commit point
@@ -75,7 +53,6 @@ let take server =
         in
         Ok
           {
-            taken_from = Myraft.Server.id server;
             position;
             entries;
             gtid_executed =

@@ -11,13 +11,7 @@ type t
     history. *)
 val take : Myraft.Server.t -> (t, string) result
 
-(** Assemble a backup from an ascending entry list starting at index 1
-    (migration tooling that already holds the stream). *)
-val of_entries : taken_from:string -> Binlog.Entry.t list -> t
-
 val position : t -> Binlog.Opid.t
-
-val taken_from : t -> string
 
 val entry_count : t -> int
 

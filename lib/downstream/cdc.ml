@@ -16,14 +16,14 @@ type record = {
   table_ops : (string * Binlog.Event.row_op list) list;
 }
 
+let poll_interval = 50.0 *. Sim.Engine.ms
+
 type t = {
   cluster : Myraft.Cluster.t;
-  poll_interval : float;
   mutable source : string; (* member currently tailed *)
   mutable next_index : int;
   mutable streamed : record list; (* newest first *)
   mutable seen : Binlog.Gtid_set.t;
-  mutable duplicates_skipped : int;
   mutable running : bool;
   mutable reattachments : int;
 }
@@ -34,8 +34,6 @@ let record_count t = List.length t.streamed
 
 let seen_gtids t = t.seen
 
-let duplicates_skipped t = t.duplicates_skipped
-
 let reattachments t = t.reattachments
 
 let source t = t.source
@@ -45,9 +43,7 @@ let stop t = t.running <- false
 let emit t entry =
   match Binlog.Entry.payload entry with
   | Binlog.Entry.Transaction { gtid; events } ->
-    if Binlog.Gtid_set.contains t.seen gtid then
-      t.duplicates_skipped <- t.duplicates_skipped + 1
-    else begin
+    if not (Binlog.Gtid_set.contains t.seen gtid) then begin
       let table_ops =
         List.filter_map
           (fun ev ->
@@ -96,16 +92,14 @@ let find_live_source t =
     (fun srv -> not (Myraft.Server.is_crashed srv))
     (Myraft.Cluster.servers t.cluster)
 
-let start ?(poll_interval = 50.0 *. Sim.Engine.ms) ?(from_index = 1) ~source cluster =
+let start ?(from_index = 1) ~source cluster =
   let t =
     {
       cluster;
-      poll_interval;
       source;
       next_index = from_index;
       streamed = [];
       seen = Binlog.Gtid_set.empty;
-      duplicates_skipped = 0;
       running = true;
       reattachments = 0;
     }
@@ -120,10 +114,10 @@ let start ?(poll_interval = 50.0 *. Sim.Engine.ms) ?(from_index = 1) ~source clu
         | Some srv -> reattach t ~source:(Myraft.Server.id srv)
         | None -> ()));
       poll t;
-      ignore (Sim.Engine.schedule engine ~delay:t.poll_interval tick)
+      ignore (Sim.Engine.schedule engine ~delay:poll_interval tick)
     end
   in
-  ignore (Sim.Engine.schedule engine ~delay:t.poll_interval tick);
+  ignore (Sim.Engine.schedule engine ~delay:poll_interval tick);
   t
 
 (* Validation helper: the stream must be strictly ordered by OpId with

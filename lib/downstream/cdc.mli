@@ -17,7 +17,7 @@ type t
 
 (** Attach to [source]; the tailer re-attaches to any live member if the
     source dies. *)
-val start : ?poll_interval:float -> ?from_index:int -> source:string -> Myraft.Cluster.t -> t
+val start : ?from_index:int -> source:string -> Myraft.Cluster.t -> t
 
 val stop : t -> unit
 
@@ -27,8 +27,6 @@ val records : t -> record list
 val record_count : t -> int
 
 val seen_gtids : t -> Binlog.Gtid_set.t
-
-val duplicates_skipped : t -> int
 
 val reattachments : t -> int
 

@@ -135,8 +135,8 @@ let snapshot t =
     snap_histograms = sorted_bindings t.histograms (fun h -> copy_histogram h.h_data);
   }
 
-let empty_snapshot ?(node = "") () =
-  { snap_node = node; snap_counters = []; snap_gauges = []; snap_histograms = [] }
+let empty_snapshot =
+  { snap_node = ""; snap_counters = []; snap_gauges = []; snap_histograms = [] }
 
 let counter_of snap name =
   Option.value (List.assoc_opt name snap.snap_counters) ~default:0
@@ -173,7 +173,7 @@ let merge a b =
   }
 
 let merge_all ?(node = "") snaps =
-  let merged = List.fold_left merge (empty_snapshot ()) snaps in
+  let merged = List.fold_left merge empty_snapshot snaps in
   { merged with snap_node = (if node = "" then merged.snap_node else node) }
 
 (* ----- rendering ----- *)

@@ -36,11 +36,9 @@ val bump : ?by:int -> t -> string -> unit
 
 val gauge : t -> string -> gauge
 
-val set_gauge : gauge -> float -> unit
-
-(** [set_gauge_int g n] is [set_gauge g (float_of_int n)] without
-    boxing the float: hot paths that publish counts (queue depths, busy
-    lanes, bytes) use it to allocate nothing per update. *)
+(** [set_gauge_int g n] sets the gauge to [n] without boxing a float:
+    hot paths that publish counts (queue depths, busy lanes, bytes) use
+    it to allocate nothing per update. *)
 val set_gauge_int : gauge -> int -> unit
 
 val gauge_value : gauge -> float
@@ -77,8 +75,6 @@ type snapshot = {
 }
 
 val snapshot : t -> snapshot
-
-val empty_snapshot : ?node:string -> unit -> snapshot
 
 val merge : snapshot -> snapshot -> snapshot
 

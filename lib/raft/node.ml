@@ -98,7 +98,6 @@ let default_callbacks () =
 type params = {
   heartbeat_interval : float; (* 500 ms in production (§6.2) *)
   missed_heartbeats : int; (* 3 consecutive misses trigger an election *)
-  election_jitter : float; (* randomized extra timeout *)
   quorum_mode : Quorum.mode;
   proxying : bool;
   max_entries_per_ae : int;
@@ -106,25 +105,6 @@ type params = {
   (* Sliding replication window: how many entry-carrying AppendEntries
      may be outstanding per peer before the leader must wait for an ack.
      1 degenerates to stop-and-wait (one batch per RTT). *)
-  max_bytes_per_ae : int;
-  (* Ceiling of the adaptive per-peer byte budget for one AppendEntries
-     batch; the AIMD controller shrinks it under loss or ack-latency
-     inflation and grows it back on clean acks.  At least one entry
-     always ships, so a single oversized transaction still progresses. *)
-  retransmit_timeout : float;
-  (* Floor before the oldest unacknowledged windowed send is resent; the
-     effective timeout is max(this, 4 x smoothed ack RTT).  This is what
-     lets replication survive a lost AppendEntries *response* without
-     waiting for a leadership change. *)
-  proxy_wait : float; (* wait before degrading a PROXY_OP to heartbeat *)
-  proxy_retry_interval : float;
-  mock_election_timeout : float;
-  (* §4.3 "lagging": a voter in the candidate's region rejects a mock vote
-     when it trails the leader's snapshot by more than this many entries —
-     replication-pipeline distance is fine, an unhealthy logtailer is not. *)
-  mock_lag_allowance : int;
-  transfer_timeout : float;
-  use_pre_elections : bool;
   use_mock_elections : bool;
   (* kuduraft does NOT implement automatic step down (§4.1): an isolated
      leader keeps the role (and its uncommittable tail grows) until it
@@ -133,7 +113,6 @@ type params = {
      failing clients fast instead of letting them block. 0 = disabled
      (the paper's production behaviour). *)
   auto_step_down_after : float;
-  cache_bytes : int;
   use_leader_lease : bool;
   (* Lease fast path for linearizable reads: the leader may serve a read
      at its commit index without a confirmation round while its lease is
@@ -157,12 +136,6 @@ type params = {
   snapshot_chunk_bytes : int;
   (* Payload bytes per InstallSnapshot chunk (stop-and-wait: one chunk
      in flight per transfer). *)
-  snapshot_rate_bytes_per_s : float;
-  (* Pacing for the chunk stream, so a bulk install cannot starve the
-     entry-AE pipeline to the healthy peers.  0 disables pacing. *)
-  snapshot_retransmit_timeout : float;
-  (* Resend the unacked chunk from the last acked offset after this
-     long; what lets a transfer survive a lost chunk or ack. *)
   hb_suppress_limit : int;
   (* Multi-Raft heartbeat coalescing: when a shared transport reports it
      recently carried traffic to a peer's node, an idle leader may skip
@@ -178,30 +151,57 @@ let default_params =
   {
     heartbeat_interval = 500.0 *. Sim.Engine.ms;
     missed_heartbeats = 3;
-    election_jitter = 500.0 *. Sim.Engine.ms;
     quorum_mode = Quorum.Single_region_dynamic;
     proxying = true;
     max_entries_per_ae = 64;
     max_inflight_aes = 8;
-    max_bytes_per_ae = 128 * 1024;
-    retransmit_timeout = 250.0 *. Sim.Engine.ms;
-    proxy_wait = 200.0 *. Sim.Engine.ms;
-    proxy_retry_interval = 20.0 *. Sim.Engine.ms;
-    mock_election_timeout = 300.0 *. Sim.Engine.ms;
-    mock_lag_allowance = 2_000;
-    transfer_timeout = 3.0 *. Sim.Engine.s;
-    use_pre_elections = true;
     use_mock_elections = true;
     auto_step_down_after = 0.0;
-    cache_bytes = 4 * 1024 * 1024;
     use_leader_lease = true;
     lease_drift_margin = 50.0 *. Sim.Engine.ms;
     max_clock_drift = 0.0;
     snapshot_chunk_bytes = 64 * 1024;
-    snapshot_rate_bytes_per_s = 8.0 *. 1024.0 *. 1024.0;
-    snapshot_retransmit_timeout = 500.0 *. Sim.Engine.ms;
     hb_suppress_limit = 0;
   }
+
+(* Protocol constants no deployment varies. *)
+
+let election_jitter = 500.0 *. Sim.Engine.ms (* randomized extra timeout *)
+
+(* Ceiling of the adaptive per-peer byte budget for one AppendEntries
+   batch; the AIMD controller shrinks it under loss or ack-latency
+   inflation and grows it back on clean acks.  At least one entry always
+   ships, so a single oversized transaction still progresses. *)
+let max_bytes_per_ae = 128 * 1024
+
+(* Floor before the oldest unacknowledged windowed send is resent; the
+   effective timeout is max(this, 4 x smoothed ack RTT).  This is what
+   lets replication survive a lost AppendEntries *response* without
+   waiting for a leadership change. *)
+let retransmit_timeout = 250.0 *. Sim.Engine.ms
+
+let proxy_wait = 200.0 *. Sim.Engine.ms (* wait before degrading a PROXY_OP to heartbeat *)
+
+let proxy_retry_interval = 20.0 *. Sim.Engine.ms
+
+let mock_election_timeout = 300.0 *. Sim.Engine.ms
+
+(* §4.3 "lagging": a voter in the candidate's region rejects a mock vote
+   when it trails the leader's snapshot by more than this many entries —
+   replication-pipeline distance is fine, an unhealthy logtailer is not. *)
+let mock_lag_allowance = 2_000
+
+let transfer_timeout = 3.0 *. Sim.Engine.s
+
+let cache_bytes = 4 * 1024 * 1024
+
+(* Pacing for the InstallSnapshot chunk stream, so a bulk install cannot
+   starve the entry-AE pipeline to the healthy peers. *)
+let snapshot_rate_bytes_per_s = 8.0 *. 1024.0 *. 1024.0
+
+(* Resend the unacked chunk from the last acked offset after this long;
+   what lets a transfer survive a lost chunk or ack. *)
+let snapshot_retransmit_timeout = 500.0 *. Sim.Engine.ms
 
 (* Durable per-identity state (survives crashes): the Raft term and vote,
    plus the FlexiRaft constraints — the authoritative last known leader
@@ -492,7 +492,6 @@ type t = {
   mutable stopped : bool;
   mutable last_leader_contact : float;
   mutable elections_started : int;
-  mutable times_elected : int;
   metrics : Obs.Metrics.t;
   meters : meters;
   tracebuf : Obs.Tracebuf.t option;
@@ -600,8 +599,6 @@ let quorum_mode t = t.params.quorum_mode
 
 let elections_started t = t.elections_started
 
-let times_elected t = t.times_elected
-
 let cache t = t.cache
 
 let metrics t = t.metrics
@@ -656,7 +653,7 @@ let cancel_timer = function Some h -> Sim.Engine.cancel h | None -> ()
 
 let election_timeout t =
   (float_of_int t.params.missed_heartbeats *. t.params.heartbeat_interval)
-  +. Sim.Rng.uniform t.rng ~lo:0.0 ~hi:t.params.election_jitter
+  +. Sim.Rng.uniform t.rng ~lo:0.0 ~hi:election_jitter
 
 let rec reset_election_timer t =
   cancel_timer t.election_timer;
@@ -668,8 +665,7 @@ let rec reset_election_timer t =
 
 and on_election_timeout t =
   if (not t.stopped) && t.role <> Types.Leader && is_voter t then begin
-    if t.params.use_pre_elections then begin_election t ~phase:Message.Pre
-    else begin_election t ~phase:Message.Real;
+    begin_election t ~phase:Message.Pre;
     reset_election_timer t
   end
 
@@ -684,7 +680,7 @@ and on_election_timeout t =
 and suspect_clock t ~local_now:lnow ~reason =
   let window =
     (float_of_int t.params.missed_heartbeats *. t.params.heartbeat_interval)
-    +. t.params.election_jitter
+    +. election_jitter
   in
   if lnow +. window > t.clock_suspect_until then begin
     if t.clock_suspect_until <= lnow then begin
@@ -760,9 +756,9 @@ and update_window_gauge t =
    clean acks.  The floor keeps rewind probes small but useful. *)
 and shrink_budget peer = peer.ae_budget <- max 4096 (peer.ae_budget / 2)
 
-and grow_budget t peer =
+and grow_budget peer =
   peer.ae_budget <-
-    min t.params.max_bytes_per_ae (peer.ae_budget + max 1024 (peer.ae_budget / 4))
+    min max_bytes_per_ae (peer.ae_budget + max 1024 (peer.ae_budget / 4))
 
 and cancel_retransmit peer =
   (match peer.retransmit_timer with Some h -> Sim.Engine.cancel h | None -> ());
@@ -792,9 +788,9 @@ and reset_peers t =
     t.peers;
   Hashtbl.reset t.peers
 
-(* Effective retransmission timeout: the configured floor or a smoothed-
+(* Effective retransmission timeout: the fixed floor or a smoothed-
    RTT multiple, so cross-region peers are not spuriously resent. *)
-and retransmit_after t peer = max t.params.retransmit_timeout (4.0 *. peer.srtt)
+and retransmit_after peer = max retransmit_timeout (4.0 *. peer.srtt)
 
 and arm_retransmit t peer ~delay =
   (* Floor of 1 us: a sub-ulp delay at a large virtual time rounds to
@@ -822,7 +818,7 @@ and on_retransmit_timeout t peer =
     | [] -> ()
     | oldest :: _ ->
       let age = local_now t -. oldest.if_sent_at in
-      let timeout = retransmit_after t peer in
+      let timeout = retransmit_after peer in
       if age +. 1e-3 >= timeout then begin
         (* The oldest windowed send (or its response) is presumed lost:
            rewind to its start and resend.  Without this, one lost
@@ -907,7 +903,7 @@ and send_entry_batch t peer =
       peer.sent_commit <- max peer.sent_commit t.commit_index;
       peer.hb_suppressed <- 0;
       if peer.retransmit_timer = None then
-        arm_retransmit t peer ~delay:(retransmit_after t peer);
+        arm_retransmit t peer ~delay:(retransmit_after peer);
       update_window_gauge t;
       Obs.Metrics.incr t.meters.m_ae_sent;
       Obs.Metrics.record t.meters.m_batch_bytes (float_of_int bytes);
@@ -1297,7 +1293,7 @@ and sync_peers t =
               rewind_seq = 0;
               delivered = 0;
               srtt = 0.0;
-              ae_budget = t.params.max_bytes_per_ae;
+              ae_budget = max_bytes_per_ae;
               retransmit_timer = None;
               last_ack = local_now t;
               responded = false;
@@ -1357,7 +1353,6 @@ and become_leader t =
   t.leader_id <- Some t.id;
   t.election <- None;
   t.durable.last_known_leader <- Some (t.durable.current_term, t.region);
-  t.times_elected <- t.times_elected + 1;
   Obs.Metrics.incr t.meters.m_elections_won;
   if t.election_started_at > neg_infinity then begin
     Obs.Metrics.record t.meters.m_election_latency
@@ -1565,7 +1560,7 @@ and begin_mock_election t ~snapshot ~requester =
     cfg.Types.members;
   (* Guard against vote loss: decide "failed" after a timeout. *)
   ignore
-    (Sim.Clock.schedule t.clock ~delay:t.params.mock_election_timeout (fun () ->
+    (Sim.Clock.schedule t.clock ~delay:mock_election_timeout (fun () ->
          match t.election with
          | Some e when e.phase = Message.Mock { snapshot } && not e.decided ->
            e.decided <- true;
@@ -1654,7 +1649,7 @@ and handle_request_vote t (rv : Message.request_vote) =
          quorum.  Ordinary replication-pipeline distance is allowed. *)
       let in_candidate_region = t.region = rv.candidate_region in
       let lagging =
-        Binlog.Opid.index snapshot - Binlog.Opid.index my_last > t.params.mock_lag_allowance
+        Binlog.Opid.index snapshot - Binlog.Opid.index my_last > mock_lag_allowance
       in
       rv.term > t.durable.current_term && not (in_candidate_region && lagging)
     | Message.Real ->
@@ -1969,7 +1964,7 @@ and handle_append_response t (r : Message.append_response) =
           peer.next_index <- max (peer.match_index + 1) first;
           shrink_budget peer
         end
-        else if retired <> [] then grow_budget t peer;
+        else if retired <> [] then grow_budget peer;
         (* Commit-countable ack = durable AND confirmed matching. *)
         let ack = min r.last_log_index peer.delivered in
         if ack > peer.match_index then peer.match_index <- ack;
@@ -2149,7 +2144,7 @@ and send_snapshot_chunk t peer xfer =
     cancel_snap_timer xfer;
     xfer.sx_timer <-
       Some
-        (Sim.Clock.schedule t.clock ~delay:t.params.snapshot_retransmit_timeout
+        (Sim.Clock.schedule t.clock ~delay:snapshot_retransmit_timeout
            (fun () ->
              xfer.sx_timer <- None;
              if snap_live t peer xfer then begin
@@ -2205,10 +2200,8 @@ and handle_install_snapshot_response t (r : Message.install_snapshot_response) =
             (* Pace the stream so a bulk install cannot monopolize the
                link the entry-AE pipeline shares. *)
             let delay =
-              if t.params.snapshot_rate_bytes_per_s <= 0.0 then 1.0
-              else
-                float_of_int t.params.snapshot_chunk_bytes
-                /. t.params.snapshot_rate_bytes_per_s *. Sim.Engine.s
+              float_of_int t.params.snapshot_chunk_bytes
+              /. snapshot_rate_bytes_per_s *. Sim.Engine.s
             in
             cancel_snap_timer xfer;
             xfer.sx_timer <-
@@ -2376,7 +2369,7 @@ let transfer_leadership t ~target =
       if t.transfer <> None then Error "transfer already in progress"
       else begin
         let deadline =
-          Sim.Clock.schedule t.clock ~delay:t.params.transfer_timeout (fun () ->
+          Sim.Clock.schedule t.clock ~delay:transfer_timeout (fun () ->
               abort_transfer t ~reason:"timeout")
         in
         let tr = { transfer_target = target; quiesced = false; transfer_deadline = deadline } in
@@ -2604,11 +2597,6 @@ let safe_purge_index t =
 let match_index_of t ~peer =
   match Hashtbl.find_opt t.peers peer with Some p -> Some p.match_index | None -> None
 
-let window_of t ~peer =
-  match Hashtbl.find_opt t.peers peer with
-  | Some p -> Some (List.length p.inflight)
-  | None -> None
-
 let snapshot_in_flight t ~peer =
   match Hashtbl.find_opt t.peers peer with
   | Some p -> p.snap <> None
@@ -2659,8 +2647,6 @@ let lease_valid t = lease_valid t
 
 let lease_until t = t.lease_until
 
-let lease_until_global t = t.lease_until_global
-
 let lease_blocked t = t.lease_blocked
 
 (* Stale-lease oracle readout: lease fast-path serves issued after the
@@ -2683,8 +2669,6 @@ let set_vote_floor t opid =
 
 let staleness_anchor t =
   if t.role = Types.Leader then (Sim.Clock.now t.clock, t.commit_index) else t.freshness
-
-let committed_in_current_term t = committed_in_current_term t
 
 (* ----- proxy forwarding (§4.2) ----- *)
 
@@ -2723,7 +2707,7 @@ let handle_proxied t ~next_hops ~inner =
       (* We are the final proxy: wait (bounded) for our log to contain the
          referenced entries, then reconstitute. *)
       let expected_last_term = last_term in
-      let deadline = Sim.Clock.now t.clock +. t.params.proxy_wait in
+      let deadline = Sim.Clock.now t.clock +. proxy_wait in
       let rec attempt () =
         if t.stopped then ()
         else if
@@ -2732,7 +2716,7 @@ let handle_proxied t ~next_hops ~inner =
         then
           deliver_reconstituted t ~dst ae ~first_index ~last_index:last ~expected_last_term
         else
-          ignore (Sim.Clock.schedule t.clock ~delay:t.params.proxy_retry_interval attempt)
+          ignore (Sim.Clock.schedule t.clock ~delay:proxy_retry_interval attempt)
       in
       attempt ();
       Some ()
@@ -2815,7 +2799,7 @@ let create ?metrics ?tracebuf ?clock ?(group = 0) ~engine ~id ~region ~send ~log
       trace;
       rng = Sim.Rng.split (Sim.Engine.rng engine);
       callbacks;
-      cache = Log_cache.create ~metrics ~max_bytes:params.cache_bytes ();
+      cache = Log_cache.create ~metrics ~max_bytes:cache_bytes ();
       role = Types.Follower;
       leader_id = None;
       commit_index = 0;
@@ -2830,7 +2814,6 @@ let create ?metrics ?tracebuf ?clock ?(group = 0) ~engine ~id ~region ~send ~log
       stopped = false;
       last_leader_contact = neg_infinity;
       elections_started = 0;
-      times_elected = 0;
       metrics;
       meters = make_meters metrics;
       tracebuf;
@@ -2891,8 +2874,6 @@ let stop t =
       Sim.Engine.cancel timer;
       k (Error "node stopped"))
     remote
-
-let is_stopped t = t.stopped
 
 (* ----- shard-mux transport liveness (multi-Raft) ----- *)
 

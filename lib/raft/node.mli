@@ -81,7 +81,6 @@ val default_callbacks : unit -> callbacks
 type params = {
   heartbeat_interval : float;  (** 500 ms in production (§6.2) *)
   missed_heartbeats : int;  (** consecutive misses before an election *)
-  election_jitter : float;
   quorum_mode : Quorum.mode;
   proxying : bool;
   max_entries_per_ae : int;
@@ -89,27 +88,11 @@ type params = {
       (** sliding replication window: entry-carrying AppendEntries
           outstanding per peer before the leader waits for an ack; 1 is
           stop-and-wait *)
-  max_bytes_per_ae : int;
-      (** ceiling of the adaptive (AIMD) per-peer byte budget for one
-          AppendEntries batch; at least one entry always ships *)
-  retransmit_timeout : float;
-      (** floor before the oldest unacknowledged windowed send is
-          resent; effective timeout is max(this, 4 x smoothed ack RTT) *)
-  proxy_wait : float;  (** wait before degrading a PROXY_OP to heartbeat *)
-  proxy_retry_interval : float;
-  mock_election_timeout : float;
-  mock_lag_allowance : int;
-      (** §4.3 "lagging": an in-candidate-region voter rejects a mock
-          vote when it trails the snapshot by more than this many
-          entries *)
-  transfer_timeout : float;
-  use_pre_elections : bool;
   use_mock_elections : bool;
   auto_step_down_after : float;
       (** optional extension (0 = disabled, the kuduraft behaviour of
           §4.1): an isolated leader with an uncommittable tail abdicates
           after this long without data-quorum contact *)
-  cache_bytes : int;
   use_leader_lease : bool;
       (** lease fast path for linearizable reads: serve at the commit
           index without a confirmation round while the lease (computed
@@ -128,11 +111,6 @@ type params = {
           disables both, preserving the pre-clock-model behaviour. *)
   snapshot_chunk_bytes : int;
       (** payload bytes per InstallSnapshot chunk (stop-and-wait) *)
-  snapshot_rate_bytes_per_s : float;
-      (** pacing of the chunk stream so a bulk install cannot starve the
-          entry pipeline; 0 disables pacing *)
-  snapshot_retransmit_timeout : float;
-      (** resend the unacked chunk from the acked offset after this long *)
   hb_suppress_limit : int;
       (** multi-Raft heartbeat coalescing: maximum consecutive empty
           AppendEntries an idle leader may skip to a peer while the
@@ -183,8 +161,6 @@ val create :
 (** Cancel timers; the node ignores everything afterwards (crash). *)
 val stop : t -> unit
 
-val is_stopped : t -> bool
-
 (** Deliver one RPC (the embedder owns the network). *)
 val handle_message : t -> src:node_id -> Message.t -> unit
 
@@ -199,9 +175,6 @@ val client_append : t -> Binlog.Entry.payload -> (Binlog.Opid.t, string) result
     Errors: not the leader, previous change still uncommitted, the two
     safety preconditions unmet, no voters, duplicate ids, or the leader
     removing/demoting itself (transfer first). *)
-val change_membership :
-  t -> Types.config -> description:string -> (Types.cfg_id, string) result
-
 val add_member : t -> Types.member -> (Types.cfg_id, string) result
 
 val remove_member : t -> node_id -> (Types.cfg_id, string) result
@@ -262,11 +235,6 @@ val lease_valid : t -> bool
     none). *)
 val lease_until : t -> float
 
-(** The same lease's expiry by the engine's global clock — the safety
-    oracle the chaos checker compares serves against; real servers have
-    no analogue of this. *)
-val lease_until_global : t -> float
-
 (** Lease extension is blocked by an unresolved leadership transfer. *)
 val lease_blocked : t -> bool
 
@@ -292,10 +260,6 @@ val set_vote_floor : t -> Binlog.Opid.t -> unit
     or on a follower the anchor propagated on AppendEntries.  Serves
     bounded-staleness reads. *)
 val staleness_anchor : t -> float * int
-
-(** A current-term entry has committed (fresh leaders' commit indexes
-    are not authoritative before this). *)
-val committed_in_current_term : t -> bool
 
 (** {2 Introspection} *)
 
@@ -341,13 +305,8 @@ val last_index : t -> int
 val config : t -> Types.config
 
 (** Identity of the installed config: [(version, term)], bumped by
-    {!change_membership}, term-rewritten on election win. *)
+    every membership change, term-rewritten on election win. *)
 val config_id : t -> Types.cfg_id
-
-(** The installed config has been acknowledged by a data quorum of
-    itself in the current term — the C1 precondition for the next
-    change.  Always false on non-leaders. *)
-val config_committed : t -> bool
 
 val quorum_mode : t -> Quorum.mode
 
@@ -360,8 +319,6 @@ val has_pending_config_change : t -> bool
 
 val elections_started : t -> int
 
-val times_elected : t -> int
-
 val cache : t -> Log_cache.t
 
 (** The registry this node records into. *)
@@ -369,9 +326,6 @@ val metrics : t -> Obs.Metrics.t
 
 (** Leader-side replication progress of one peer. *)
 val match_index_of : t -> peer:node_id -> int option
-
-(** Entry-carrying AppendEntries currently in a peer's sliding window. *)
-val window_of : t -> peer:node_id -> int option
 
 (** A snapshot install to this peer is in progress (entry replication to
     it is paused). *)
@@ -390,10 +344,6 @@ val snapshots_installed : t -> int
 (** Tell Raft the embedder coalesced a group of leader-side appends into
     one fsync: the local durable index advanced, so commit may too. *)
 val notify_log_synced : t -> unit
-
-(** Highest index known to have reached at least one member of a region
-    (purge heuristics, §A.1). *)
-val region_watermark : t -> region:string -> int
 
 (** Highest index safe to purge: shipped to every region and committed. *)
 val safe_purge_index : t -> int

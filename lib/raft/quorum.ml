@@ -38,11 +38,6 @@ let majority_satisfied members acks =
 let region_majority config ~region acks =
   majority_satisfied (Types.voters_in_region config region) acks
 
-let all_region_majorities config acks =
-  List.for_all
-    (fun region -> region_majority config ~region acks)
-    (Types.regions_with_voters config)
-
 let majority_of_region_majorities config acks =
   let regions = Types.regions_with_voters config in
   let satisfied = List.filter (fun r -> region_majority config ~region:r acks) regions in

@@ -15,17 +15,6 @@ type mode = Majority | Single_region_dynamic | Region_majorities
 
 val mode_to_string : mode -> string
 
-val majority_of : int -> int
-
-(** Does [acks] contain a majority of [members]? *)
-val majority_satisfied : Types.member list -> Types.node_id list -> bool
-
-val region_majority : Types.config -> region:string -> Types.node_id list -> bool
-
-val all_region_majorities : Types.config -> Types.node_id list -> bool
-
-val majority_of_region_majorities : Types.config -> Types.node_id list -> bool
-
 (** Has the entry been acknowledged by enough voters, given the leader's
     region? *)
 val data_quorum_satisfied :
@@ -83,22 +72,6 @@ val lease_point :
   local:('p -> float) ->
   global:('p -> float) ->
   (float * float) option
-
-(** The regions in which a candidate must win an in-region majority;
-    [None] means the rule is not region-based.
-
-    [last_leader] is the authoritative last known leader (term, region);
-    [vote_constraint] is the FlexiRaft voting history — the highest-term
-    candidate granted a vote.  A grant can only extend the requirement,
-    never relax it: with no authoritative leader the requirement stays
-    pessimistic (every region). *)
-val required_election_regions :
-  mode ->
-  Types.config ->
-  candidate_region:string ->
-  last_leader:(int * string) option ->
-  vote_constraint:(int * string) option ->
-  string list option
 
 val election_quorum_satisfied :
   mode ->

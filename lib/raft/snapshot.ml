@@ -27,8 +27,7 @@ type meta = {
 
 type t = { meta : meta; data : string }
 
-let make ?dep_epoch ?(cfg_id = Types.cfg_id_zero) ~last ~gtids ~config ~data () =
-  let dep_epoch = Option.value dep_epoch ~default:(Binlog.Opid.index last) in
+let make ?(cfg_id = Types.cfg_id_zero) ~last ~gtids ~config ~data () =
   {
     meta =
       {
@@ -36,7 +35,7 @@ let make ?dep_epoch ?(cfg_id = Types.cfg_id_zero) ~last ~gtids ~config ~data () 
         gtids;
         config;
         cfg_id;
-        dep_epoch;
+        dep_epoch = Binlog.Opid.index last;
         checksum = Binlog.Checksum.string data;
         total_bytes = String.length data;
       };

@@ -21,10 +21,9 @@ type meta = {
 
 type t = { meta : meta; data : string }
 
-(** [dep_epoch] defaults to the boundary index; [cfg_id] to
+(** [dep_epoch] is the boundary index; [cfg_id] defaults to
     {!Types.cfg_id_zero} (never adopted). *)
 val make :
-  ?dep_epoch:int ->
   ?cfg_id:Types.cfg_id ->
   last:Binlog.Opid.t ->
   gtids:Binlog.Gtid_set.t ->

@@ -22,10 +22,6 @@ type member = {
   kind : member_kind;
 }
 
-(* A witness is a voter with no storage engine; a learner is a non-voting
-   MySQL replica. *)
-let is_witness m = m.kind = Logtailer
-
 let is_learner m = (not m.voter) && m.kind = Mysql_server
 
 type config = { members : member list }
@@ -56,12 +52,6 @@ let regions_with_voters c =
     c.members
 
 let member_ids c = List.map (fun m -> m.id) c.members
-
-(* Config changes are carried in the log as opaque strings so the log
-   layer stays independent of Raft. *)
-let encode_config c = Marshal.to_string c []
-
-let decode_config s : config = Marshal.from_string s 0
 
 (* ----- logless dynamic reconfiguration ----- *)
 

@@ -17,10 +17,6 @@ type member = {
   kind : member_kind;
 }
 
-val is_witness : member -> bool
-
-val is_learner : member -> bool
-
 type config = { members : member list }
 
 val config_members : config -> member list
@@ -41,12 +37,6 @@ val voters_in_region : config -> string -> member list
 val regions_with_voters : config -> string list
 
 val member_ids : config -> node_id list
-
-(** Config changes ride the log as opaque strings so the log layer stays
-    independent of Raft. *)
-val encode_config : config -> string
-
-val decode_config : string -> config
 
 (** {2 Logless dynamic reconfiguration}
 

@@ -23,6 +23,9 @@ let s = Sim.Engine.s
 
 let ms = Sim.Engine.ms
 
+(* How long {!apply_target} waits for each step to commit. *)
+let step_timeout = 30.0 *. s
+
 let leader_raft cluster =
   match Myraft.Cluster.raft_leader cluster with
   | Some id -> Myraft.Cluster.raft_of cluster id
@@ -93,7 +96,7 @@ let transfer_target cluster ~leader_id ~current ~target =
   | m :: _, _ | [], m :: _ -> Some m.Raft.Types.id
   | [], [] -> None
 
-let apply_target ?(step_timeout = 30.0 *. s) ?(on_step = fun _ -> ()) cluster ~target =
+let apply_target ?(on_step = fun _ -> ()) cluster ~target =
   match Planner.validate target with
   | Error e -> Error e
   | Ok () ->
@@ -200,8 +203,6 @@ type t = {
   engine : Sim.Engine.t;
   check_interval : float;
   dead_after : float;
-  replacement_region : Raft.Types.member -> string;
-  on_replaced : removed:string -> added:string -> unit;
   metrics : Obs.Metrics.t;
   down_since : (string, float) Hashtbl.t;
   mutable job : job option;
@@ -303,16 +304,15 @@ let step_job t leader job =
         }
       in
       t.completed <- t.completed @ [ r ];
-      bump t "healer.completed";
-      t.on_replaced ~removed:corpse ~added:repl
+      bump t "healer.completed"
 
-let start_job t cfg corpse_m =
+let start_job t corpse_m =
   let corpse = corpse_m.Raft.Types.id in
   let repl = fresh_replacement_id t corpse in
   let member =
     {
       Raft.Types.id = repl;
-      region = t.replacement_region corpse_m;
+      region = corpse_m.Raft.Types.region;
       voter = false; (* joins as a learner; promoted after catch-up *)
       kind = corpse_m.Raft.Types.kind;
     }
@@ -327,8 +327,7 @@ let start_job t cfg corpse_m =
         j_started = Sim.Engine.now t.engine;
         j_provisioned = false;
       };
-  bump t "healer.detected";
-  ignore cfg
+  bump t "healer.detected"
 
 let tick t =
   bump t "healer.ticks";
@@ -343,19 +342,15 @@ let tick t =
       | None -> (
         match dead_members t cfg with
         | [] -> ()
-        | corpse :: _ -> start_job t cfg corpse))
+        | corpse :: _ -> start_job t corpse))
 
-let start ?(check_interval = 500.0 *. ms) ?(dead_after = 10.0 *. s)
-    ?(replacement_region = fun m -> m.Raft.Types.region)
-    ?(on_replaced = fun ~removed:_ ~added:_ -> ()) cluster =
+let start ?(check_interval = 500.0 *. ms) ?(dead_after = 10.0 *. s) cluster =
   let t =
     {
       cluster;
       engine = Myraft.Cluster.engine cluster;
       check_interval;
       dead_after;
-      replacement_region;
-      on_replaced;
       metrics = Obs.Metrics.create ~node:"healer" ();
       down_since = Hashtbl.create 8;
       job = None;

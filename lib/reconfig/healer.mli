@@ -19,11 +19,17 @@
     [None] when every node is down. *)
 val newest_config : Myraft.Cluster.t -> Raft.Types.config option
 
+(** Start a node for [m] (same id, region and kind) outside the ring,
+    unless the cluster already has a node with that id.  An add-learner
+    step does this itself; call it first to seed the node before it
+    joins. *)
+val provision : Myraft.Cluster.t -> Raft.Types.member -> unit
+
 (** Drive the cluster's membership to [target].  Returns the number of
-    committed steps (0 = already there).  [on_step] fires after each
-    committed step — chaos harnesses hang invariant checks on it. *)
+    committed steps (0 = already there); each step must commit within
+    30 s of virtual time.  [on_step] fires after each committed step —
+    chaos harnesses hang invariant checks on it. *)
 val apply_target :
-  ?step_timeout:float ->
   ?on_step:(Planner.step -> unit) ->
   Myraft.Cluster.t ->
   target:Raft.Types.config ->
@@ -37,17 +43,9 @@ type replacement = {
 
 type t
 
-(** Start the reconcile loop on the cluster's engine.
-    [replacement_region] picks where a corpse's replacement lives
-    (default: same region); [on_replaced] fires after each completed
-    swap (leader placement hooks). *)
-val start :
-  ?check_interval:float ->
-  ?dead_after:float ->
-  ?replacement_region:(Raft.Types.member -> string) ->
-  ?on_replaced:(removed:string -> added:string -> unit) ->
-  Myraft.Cluster.t ->
-  t
+(** Start the reconcile loop on the cluster's engine.  A corpse's
+    replacement lives in the corpse's region. *)
+val start : ?check_interval:float -> ?dead_after:float -> Myraft.Cluster.t -> t
 
 val stop : t -> unit
 

@@ -12,7 +12,6 @@ type t = {
   log : Binlog.Log_store.t;
   mutable upstream : string option;
   mutable crashed : bool;
-  mutable acks_sent : int;
 }
 
 let id t = t.id
@@ -20,8 +19,6 @@ let id t = t.id
 let log t = t.log
 
 let is_crashed t = t.crashed
-
-let acks_sent t = t.acks_sent
 
 let last_seq t = Binlog.Opid.index (Binlog.Log_store.last_opid t.log)
 
@@ -35,7 +32,6 @@ let create ~engine ~id ~region ~send ~trace () =
     log = Binlog.Log_store.create ~mode:Binlog.Log_store.Relay ();
     upstream = None;
     crashed = false;
-    acks_sent = 0;
   }
 
 let repoint t ~new_upstream = t.upstream <- Some new_upstream
@@ -63,7 +59,6 @@ let handle_message t ~src msg =
               | _ -> ()
             end)
           entries;
-        t.acks_sent <- t.acks_sent + 1;
         t.send ~dst:src (Wire.Ack { seq = last_seq t; from_acker = true })
       end
     | Wire.Ping { ping_id } -> t.send ~dst:src (Wire.Pong { ping_id })

@@ -20,8 +20,6 @@ val log : t -> Binlog.Log_store.t
 
 val is_crashed : t -> bool
 
-val acks_sent : t -> int
-
 val last_seq : t -> int
 
 val repoint : t -> new_upstream:string -> unit

@@ -13,7 +13,6 @@ type t = {
   discovery : Myraft.Service_discovery.t;
   replicaset : string;
   costs : Myraft.Params.t;
-  ss_params : Params.t;
   nodes : (string, node) Hashtbl.t;
   member_order : string list;
   member_kinds : (string * Raft.Types.member_kind) list;
@@ -63,8 +62,8 @@ let peers_for t primary_id =
 
 let orchestrator_node_id = "orchestrator"
 
-let create ?(seed = 7) ?(costs = Myraft.Params.default) ?(ss_params = Params.default)
-    ?(latency = Sim.Latency.default) ?(echo_trace = false) ~replicaset ~members () =
+let create ?(seed = 7) ?(costs = Myraft.Params.default) ?(latency = Sim.Latency.default)
+    ?(echo_trace = false) ~replicaset ~members () =
   let engine = Sim.Engine.create ~seed () in
   let topology = Sim.Topology.create () in
   List.iter
@@ -85,7 +84,6 @@ let create ?(seed = 7) ?(costs = Myraft.Params.default) ?(ss_params = Params.def
       discovery;
       replicaset;
       costs;
-      ss_params;
       nodes = Hashtbl.create 16;
       member_order = List.map (fun s -> s.Myraft.Cluster.spec_id) members;
       member_kinds =
@@ -103,7 +101,7 @@ let create ?(seed = 7) ?(costs = Myraft.Params.default) ?(ss_params = Params.def
         | Raft.Types.Mysql_server ->
           Mysql_node
             (Server.create ~engine ~id ~region:s.Myraft.Cluster.spec_region ~replicaset
-               ~send:send_from ~discovery ~costs ~params:ss_params ~trace ())
+               ~send:send_from ~discovery ~costs ~trace ())
         | Raft.Types.Logtailer ->
           Acker_node
             (Acker.create ~engine ~id ~region:s.Myraft.Cluster.spec_region ~send:send_from
@@ -121,7 +119,6 @@ let create ?(seed = 7) ?(costs = Myraft.Params.default) ?(ss_params = Params.def
       Orchestrator.engine;
       trace;
       rng = Sim.Rng.split (Sim.Engine.rng engine);
-      params = ss_params;
       discovery;
       replicaset;
       orchestrator_id = orchestrator_node_id;

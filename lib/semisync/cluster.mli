@@ -10,7 +10,6 @@ type t
 val create :
   ?seed:int ->
   ?costs:Myraft.Params.t ->
-  ?ss_params:Params.t ->
   ?latency:Sim.Latency.t ->
   ?echo_trace:bool ->
   replicaset:string ->

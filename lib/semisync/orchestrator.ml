@@ -11,7 +11,6 @@ type ctx = {
   engine : Sim.Engine.t;
   trace : Sim.Trace.t;
   rng : Sim.Rng.t;
-  params : Params.t;
   discovery : Myraft.Service_discovery.t;
   replicaset : string;
   orchestrator_id : string;
@@ -75,7 +74,7 @@ let repoint_everyone t ~new_primary =
 
 let publish t ~new_primary =
   Myraft.Service_discovery.publish_primary t.ctx.discovery ~replicaset:t.ctx.replicaset
-    ~primary:new_primary ~delay:t.ctx.params.Params.publish_delay
+    ~primary:new_primary ~delay:Params.publish_delay
 
 (* ----- dead primary failover ----- *)
 
@@ -86,7 +85,7 @@ let rec failover_catchup_then_promote t ~target ~on_done =
     repoint_everyone t ~new_primary:target;
     (* Sequential CHANGE MASTER TO on every other replica. *)
     let others = List.length (live_replicas t) in
-    let repoint_total = float_of_int others *. t.ctx.params.Params.repoint_delay in
+    let repoint_total = float_of_int others *. Params.repoint_delay in
     ignore
       (Sim.Engine.schedule t.ctx.engine ~delay:repoint_total (fun () ->
            publish t ~new_primary:target;
@@ -99,25 +98,24 @@ let rec failover_catchup_then_promote t ~target ~on_done =
   end
   else
     ignore
-      (Sim.Engine.schedule t.ctx.engine ~delay:t.ctx.params.Params.catchup_poll (fun () ->
+      (Sim.Engine.schedule t.ctx.engine ~delay:Params.catchup_poll (fun () ->
            failover_catchup_then_promote t ~target ~on_done))
 
 let start_failover t ~on_done =
   if not t.in_failover then begin
     t.in_failover <- true;
     tracef t "primary %s declared dead; starting failover" t.current_primary;
-    let p = t.ctx.params in
     (* 1. distributed lock, 2. per-replica position queries, 3. the
        heavy-tailed automation overhead (worker queues, retries). *)
     let lock =
-      Sim.Rng.uniform t.ctx.rng ~lo:p.Params.lock_delay_lo ~hi:p.Params.lock_delay_hi
+      Sim.Rng.uniform t.ctx.rng ~lo:Params.lock_delay_lo ~hi:Params.lock_delay_hi
     in
     let queries =
-      float_of_int (List.length (live_replicas t)) *. p.Params.position_query_delay
+      float_of_int (List.length (live_replicas t)) *. Params.position_query_delay
     in
     let remediation =
-      Sim.Rng.lognormal t.ctx.rng ~mu:p.Params.remediation_mu
-        ~sigma:p.Params.remediation_sigma
+      Sim.Rng.lognormal t.ctx.rng ~mu:Params.remediation_mu
+        ~sigma:Params.remediation_sigma
     in
     ignore
       (Sim.Engine.schedule t.ctx.engine ~delay:(lock +. queries +. remediation) (fun () ->
@@ -156,19 +154,19 @@ let rec monitor_tick t =
       let ping_id = t.next_ping in
       t.next_ping <- t.next_ping + 1;
       let timeout_handle =
-        Sim.Engine.schedule t.ctx.engine ~delay:t.ctx.params.Params.ping_timeout (fun () ->
+        Sim.Engine.schedule t.ctx.engine ~delay:Params.ping_timeout (fun () ->
             Hashtbl.remove t.pending_pings ping_id;
             t.misses <- t.misses + 1;
             tracef t "ping %d to %s timed out (%d/%d)" ping_id t.current_primary t.misses
-              t.ctx.params.Params.confirmations;
-            if t.misses >= t.ctx.params.Params.confirmations then
+              Params.confirmations;
+            if t.misses >= Params.confirmations then
               start_failover t ~on_done:(fun () -> ()))
       in
       Hashtbl.replace t.pending_pings ping_id timeout_handle;
       t.ctx.send ~dst:t.current_primary (Wire.Ping { ping_id })
     end;
     ignore
-      (Sim.Engine.schedule t.ctx.engine ~delay:t.ctx.params.Params.poll_interval (fun () ->
+      (Sim.Engine.schedule t.ctx.engine ~delay:Params.poll_interval (fun () ->
            monitor_tick t))
   end
 
@@ -177,8 +175,6 @@ let start_monitoring t =
     t.monitoring <- true;
     monitor_tick t
   end
-
-let stop_monitoring t = t.monitoring <- false
 
 (* ----- graceful promotion ----- *)
 
@@ -191,14 +187,13 @@ let rec promotion_wait_catchup t ~old_primary ~target ~on_done =
     && Server.last_seq target_server >= Server.last_seq old_server
     && Server.applied_seq target_server >= Server.last_seq old_server
   then begin
-    let p = t.ctx.params in
     let overhead =
-      Sim.Rng.lognormal t.ctx.rng ~mu:p.Params.promotion_overhead_mu
-        ~sigma:p.Params.promotion_overhead_sigma
+      Sim.Rng.lognormal t.ctx.rng ~mu:Params.promotion_overhead_mu
+        ~sigma:Params.promotion_overhead_sigma
     in
     ignore
       (Sim.Engine.schedule t.ctx.engine
-         ~delay:(overhead +. p.Params.promotion_step_delay)
+         ~delay:(overhead +. Params.promotion_step_delay)
          (fun () ->
            Server.demote old_server ~new_upstream:(Some target);
            Server.start_as_primary (server t target) ~peers:(t.ctx.peers_for target);
@@ -211,7 +206,7 @@ let rec promotion_wait_catchup t ~old_primary ~target ~on_done =
   end
   else
     ignore
-      (Sim.Engine.schedule t.ctx.engine ~delay:t.ctx.params.Params.catchup_poll (fun () ->
+      (Sim.Engine.schedule t.ctx.engine ~delay:Params.catchup_poll (fun () ->
            promotion_wait_catchup t ~old_primary ~target ~on_done))
 
 let graceful_promotion t ~target ~on_done =
@@ -223,7 +218,7 @@ let graceful_promotion t ~target ~on_done =
     (* Quiesce the old primary first: client downtime starts here. *)
     Server.disable_writes (server t old_primary);
     ignore
-      (Sim.Engine.schedule t.ctx.engine ~delay:t.ctx.params.Params.promotion_step_delay
+      (Sim.Engine.schedule t.ctx.engine ~delay:Params.promotion_step_delay
          (fun () -> promotion_wait_catchup t ~old_primary ~target ~on_done));
     Ok ()
   end

@@ -8,7 +8,6 @@ type ctx = {
   engine : Sim.Engine.t;
   trace : Sim.Trace.t;
   rng : Sim.Rng.t;
-  params : Params.t;
   discovery : Myraft.Service_discovery.t;
   replicaset : string;
   orchestrator_id : string;
@@ -41,8 +40,6 @@ val promotions : t -> int
 val handle_message : t -> src:string -> Wire.t -> unit
 
 val start_monitoring : t -> unit
-
-val stop_monitoring : t -> unit
 
 (** Operator-initiated promotion: quiesce, wait catch-up, switch roles,
     repoint, publish.  [on_done] fires at completion. *)

@@ -27,7 +27,6 @@ type t = {
   engine : Sim.Engine.t;
   trace : Sim.Trace.t;
   costs : Myraft.Params.t; (* shared MySQL cost model *)
-  params : Params.t;
   send : dst:string -> Wire.t -> unit;
   discovery : Myraft.Service_discovery.t;
   storage : Storage.Engine.t;
@@ -81,7 +80,7 @@ let ship_to t peer =
     let from_seq = peer.acked_seq + 1 in
     let entries =
       Binlog.Log_store.entries_from t.log ~from_index:from_seq
-        ~max_count:t.params.Params.max_entries_per_ship
+        ~max_count:Params.max_entries_per_ship
     in
     if entries <> [] then begin
       peer.ship_inflight <- true;
@@ -100,12 +99,12 @@ let rec ship_tick t =
     let now = Sim.Engine.now t.engine in
     Hashtbl.iter
       (fun _ p ->
-        if now -. p.last_ship > 5.0 *. t.params.Params.ship_interval then
+        if now -. p.last_ship > 5.0 *. Params.ship_interval then
           p.ship_inflight <- false)
       t.peers;
     ship_all t;
     t.ship_timer <-
-      Some (Sim.Engine.schedule t.engine ~delay:t.params.Params.ship_interval (fun () -> ship_tick t))
+      Some (Sim.Engine.schedule t.engine ~delay:Params.ship_interval (fun () -> ship_tick t))
   end
 
 (* ----- client write path ----- *)
@@ -354,7 +353,7 @@ let handle_message t ~src msg =
     | Wire.Ping { ping_id } -> t.send ~dst:src (Wire.Pong { ping_id })
     | Wire.Pong _ -> ()
 
-let create ~engine ~id ~region ~replicaset ~send ~discovery ~costs ~params ~trace () =
+let create ~engine ~id ~region ~replicaset ~send ~discovery ~costs ~trace () =
   {
     id;
     region;
@@ -362,7 +361,6 @@ let create ~engine ~id ~region ~replicaset ~send ~discovery ~costs ~params ~trac
     engine;
     trace;
     costs;
-    params;
     send;
     discovery;
     storage = Storage.Engine.create ();

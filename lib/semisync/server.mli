@@ -16,7 +16,6 @@ val create :
   send:(dst:string -> Wire.t -> unit) ->
   discovery:Myraft.Service_discovery.t ->
   costs:Myraft.Params.t ->
-  params:Params.t ->
   trace:Sim.Trace.t ->
   unit ->
   t

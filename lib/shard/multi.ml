@@ -84,7 +84,7 @@ let install_config_tap t ~group id =
   | None -> ()
 
 let create ?(seed = 7) ?(params = Myraft.Params.default) ?(latency = Sim.Latency.default)
-    ?window ?hb_suppress_limit ?(members = Myraft.Cluster.small_members ()) ~groups () =
+    ?window ?(members = Myraft.Cluster.small_members ()) ~groups () =
   if groups <= 0 then invalid_arg "Shard.Multi.create: groups must be positive";
   (* Coalescing window: scale with the number of co-located groups (more
      groups, more frames worth waiting for) but stay well under the
@@ -96,9 +96,7 @@ let create ?(seed = 7) ?(params = Myraft.Params.default) ?(latency = Sim.Latency
   in
   (* Heartbeat suppression only makes sense when other groups' frames can
      carry liveness; a single group must keep beating for itself. *)
-  let hb_suppress_limit =
-    match hb_suppress_limit with Some l -> l | None -> if groups > 1 then 5 else 0
-  in
+  let hb_suppress_limit = if groups > 1 then 5 else 0 in
   let params =
     { params with Myraft.Params.raft = { params.Myraft.Params.raft with hb_suppress_limit } }
   in

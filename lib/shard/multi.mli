@@ -9,15 +9,15 @@ type t
 (** [members] is the {e physical} topology; every group instantiates a
     server/logtailer on each member.  [window] is the mux coalescing
     window (default scales with [groups], capped well under the
-    in-region one-way latency); [hb_suppress_limit] tunes leader
-    heartbeat suppression (default 5 when [groups > 1], else 0 — a lone
-    group has no carrier to piggyback on). *)
+    in-region one-way latency).  Leader heartbeat suppression
+    ([Raft.Node.params.hb_suppress_limit]) is set to 5 when
+    [groups > 1], else 0 — a lone group has no carrier to piggyback
+    on. *)
 val create :
   ?seed:int ->
   ?params:Myraft.Params.t ->
   ?latency:Sim.Latency.t ->
   ?window:float ->
-  ?hb_suppress_limit:int ->
   ?members:Myraft.Cluster.member_spec list ->
   groups:int ->
   unit ->

@@ -146,10 +146,6 @@ let carried_recently t ~group ~src ~dst ~within =
       (fun g at acc -> acc || (g <> group && now -. at <= within))
       per_group false
 
-(* Drain the coalescing buffers immediately (deterministic endpoints in
-   tests; the armed flush events then no-op). *)
-let flush_now t = Sim.Coalesce.flush_all t.coalesce
-
 (* ----- counters ----- *)
 
 let packets_sent t = t.packets_sent
@@ -157,8 +153,6 @@ let packets_sent t = t.packets_sent
 let frames_sent t = t.frames_sent
 
 let bytes_sent t = t.bytes_sent
-
-let taps_fired t = t.taps_fired
 
 let frames_per_packet t = t.frames_per_packet
 

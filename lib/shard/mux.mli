@@ -10,13 +10,6 @@ type frame = { fr_group : int; fr_payload : Myraft.Wire.t }
 
 type packet = frame list
 
-(** Fixed per-packet / per-frame framing overhead charged on top of the
-    payload wire sizes, so coalescing shows up in net.bytes as
-    amortization. *)
-val packet_header_bytes : int
-
-val frame_tag_bytes : int
-
 val packet_size : frame list -> int
 
 type t
@@ -57,10 +50,6 @@ val send : t -> group:int -> src:string -> dst:string -> Myraft.Wire.t -> unit
 val carried_recently :
   t -> group:int -> src:string -> dst:string -> within:float -> bool
 
-(** Drain the coalescing buffers immediately (deterministic endpoints in
-    tests). *)
-val flush_now : t -> unit
-
 (** {2 Counters} *)
 
 val packets_sent : t -> int
@@ -68,8 +57,6 @@ val packets_sent : t -> int
 val frames_sent : t -> int
 
 val bytes_sent : t -> int
-
-val taps_fired : t -> int
 
 val frames_per_packet : t -> Stats.Histogram.t
 

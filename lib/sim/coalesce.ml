@@ -23,9 +23,7 @@ type 'frame t = {
   window : float;
   flush : src:string -> dst:string -> 'frame list -> unit;
   buffers : (key, 'frame pending) Hashtbl.t;
-  last_flush : (key, float) Hashtbl.t;
   mutable flushes : int;
-  mutable frames_pushed : int;
 }
 
 let create ~engine ~window ~flush () =
@@ -35,9 +33,7 @@ let create ~engine ~window ~flush () =
     window;
     flush;
     buffers = Hashtbl.create 64;
-    last_flush = Hashtbl.create 64;
     flushes = 0;
-    frames_pushed = 0;
   }
 
 let window t = t.window
@@ -50,12 +46,10 @@ let flush_key t key =
     let src, dst = key in
     let frames = List.rev pending.frames in
     t.flushes <- t.flushes + 1;
-    Hashtbl.replace t.last_flush key (Engine.now t.engine);
     t.flush ~src ~dst frames
 
 let push t ~src ~dst frame =
   let key = (src, dst) in
-  t.frames_pushed <- t.frames_pushed + 1;
   match Hashtbl.find_opt t.buffers key with
   | Some pending -> pending.frames <- frame :: pending.frames
   | None ->
@@ -71,14 +65,4 @@ let flush_all t =
   let keys = Hashtbl.fold (fun k _ acc -> k :: acc) t.buffers [] in
   List.iter (flush_key t) keys
 
-let pending_frames t =
-  Hashtbl.fold (fun _ p acc -> acc + List.length p.frames) t.buffers 0
-
-let last_flush_at t ~src ~dst =
-  match Hashtbl.find_opt t.last_flush (src, dst) with
-  | Some time -> time
-  | None -> neg_infinity
-
 let flushes t = t.flushes
-
-let frames_pushed t = t.frames_pushed

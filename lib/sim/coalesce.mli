@@ -32,15 +32,5 @@ val push : 'frame t -> src:string -> dst:string -> 'frame -> unit
     endpoints); the armed events then no-op. *)
 val flush_all : 'frame t -> unit
 
-(** Frames currently buffered across all pairs. *)
-val pending_frames : 'frame t -> int
-
-(** Engine time of the last flush towards (src, dst); [neg_infinity] if
-    the pair never flushed.  This is what the heartbeat-suppression
-    carrier check reads. *)
-val last_flush_at : 'frame t -> src:string -> dst:string -> float
-
-(** Total batches flushed / frames pushed since creation. *)
+(** Total batches flushed since creation. *)
 val flushes : 'frame t -> int
-
-val frames_pushed : 'frame t -> int

@@ -198,8 +198,6 @@ let topology t = t.topology
 
 let register t node handler = Hashtbl.replace t.handlers node handler
 
-let unregister t node = Hashtbl.remove t.handlers node
-
 let set_down t node = Hashtbl.replace t.down node ()
 
 let set_up t node = Hashtbl.remove t.down node
@@ -362,12 +360,6 @@ let reordered t = t.reordered
 
 let link_bytes t ~src ~dst =
   match find_link t ~src ~dst with Some l -> l.stats.bytes | None -> 0
-
-let link_messages t ~src ~dst =
-  match find_link t ~src ~dst with Some l -> l.stats.messages | None -> 0
-
-let region_pair_bytes t ~src ~dst =
-  match Hashtbl.find_opt t.region_stats (src, dst) with Some st -> st.bytes | None -> 0
 
 (* Total bytes that crossed a region boundary, in either direction. *)
 let cross_region_bytes t =

@@ -30,8 +30,6 @@ val topology : 'msg t -> Topology.t
 (** Install the receive handler for a node. *)
 val register : 'msg t -> Topology.node_id -> (src:Topology.node_id -> 'msg -> unit) -> unit
 
-val unregister : 'msg t -> Topology.node_id -> unit
-
 (** Crashed nodes neither send nor receive. *)
 val set_down : 'msg t -> Topology.node_id -> unit
 
@@ -97,10 +95,6 @@ val duplicated : 'msg t -> int
 val reordered : 'msg t -> int
 
 val link_bytes : 'msg t -> src:Topology.node_id -> dst:Topology.node_id -> int
-
-val link_messages : 'msg t -> src:Topology.node_id -> dst:Topology.node_id -> int
-
-val region_pair_bytes : 'msg t -> src:Topology.region -> dst:Topology.region -> int
 
 (** Total bytes that crossed any region boundary. *)
 val cross_region_bytes : 'msg t -> int

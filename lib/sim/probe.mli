@@ -19,9 +19,6 @@ val successes : t -> int
 
 val failures : t -> int
 
-(** Timestamps of successful probes, oldest first. *)
-val success_times : t -> float list
-
 (** Largest gap between consecutive successful commits within the
     window, in microseconds. *)
 val max_downtime : t -> start_time:float -> end_time:float -> float

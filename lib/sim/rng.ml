@@ -60,11 +60,3 @@ let lognormal t ~mu ~sigma = exp (mu +. (sigma *. normal_std t))
 let pick t arr =
   assert (Array.length arr > 0);
   arr.(int t (Array.length arr))
-
-let shuffle t arr =
-  for i = Array.length arr - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = arr.(i) in
-    arr.(i) <- arr.(j);
-    arr.(j) <- tmp
-  done

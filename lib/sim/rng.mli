@@ -32,9 +32,6 @@ val uniform : t -> lo:float -> hi:float -> float
 (** Exponential with the given mean. *)
 val exponential : t -> mean:float -> float
 
-(** Standard normal (Box-Muller). *)
-val normal_std : t -> float
-
 val normal : t -> mean:float -> stddev:float -> float
 
 (** Lognormal parameterised by the underlying normal's [mu]/[sigma]; used
@@ -43,6 +40,3 @@ val lognormal : t -> mu:float -> sigma:float -> float
 
 (** Uniform choice from a non-empty array. *)
 val pick : t -> 'a array -> 'a
-
-(** In-place Fisher-Yates shuffle. *)
-val shuffle : t -> 'a array -> unit

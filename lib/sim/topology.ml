@@ -21,10 +21,6 @@ let add_node t ~id ~region =
   Hashtbl.replace t.by_id id info;
   t.nodes <- t.nodes @ [ info ]
 
-let remove_node t id =
-  Hashtbl.remove t.by_id id;
-  t.nodes <- List.filter (fun n -> n.id <> id) t.nodes
-
 let mem t id = Hashtbl.mem t.by_id id
 
 let region_of t id =

@@ -13,8 +13,6 @@ val create : unit -> t
 (** Raises [Invalid_argument] on duplicate ids. *)
 val add_node : t -> id:node_id -> region:region -> unit
 
-val remove_node : t -> node_id -> unit
-
 val mem : t -> node_id -> bool
 
 (** Raises [Invalid_argument] for unknown nodes. *)

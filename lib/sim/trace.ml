@@ -15,20 +15,18 @@ type t = {
 
 let create ?(echo = false) engine = { entries = []; echo; enabled = true; engine }
 
-let set_echo t echo = t.echo <- echo
-
 let set_enabled t enabled = t.enabled <- enabled
 
+(* A disabled trace consumes the arguments without formatting them. *)
 let record t ~tag fmt =
-  Format.kasprintf
-    (fun message ->
-      if t.enabled then begin
+  if t.enabled then
+    Format.kasprintf
+      (fun message ->
         let time = Engine.now t.engine in
         t.entries <- { time; tag; message } :: t.entries;
-        if t.echo then
-          Format.printf "[%10.0fus] %-12s %s@." time tag message
-      end)
-    fmt
+        if t.echo then Format.printf "[%10.0fus] %-12s %s@." time tag message)
+      fmt
+  else Format.ikfprintf ignore Format.str_formatter fmt
 
 let entries t = List.rev t.entries
 

@@ -111,7 +111,7 @@ let buckets t ~n =
 
 (* Render as an ASCII histogram with one row per bucket, used by the
    figure-reproduction benches. *)
-let render ?(buckets_n = 20) ?(width = 50) ?(unit_label = "us") t =
+let render ?(buckets_n = 20) ?(width = 50) t =
   if t.size = 0 then "  (empty histogram)\n"
   else begin
     let rows = buckets t ~n:buckets_n in
@@ -121,7 +121,7 @@ let render ?(buckets_n = 20) ?(width = 50) ?(unit_label = "us") t =
       (fun (lo, hi, c) ->
         let bar = String.make (c * width / maxc) '#' in
         Buffer.add_string buf
-          (Printf.sprintf "  %10.1f - %10.1f %s | %-6d %s\n" lo hi unit_label c bar))
+          (Printf.sprintf "  %10.1f - %10.1f us | %-6d %s\n" lo hi c bar))
       rows;
     Buffer.contents buf
   end

@@ -30,8 +30,8 @@ val iter : t -> (float -> unit) -> unit
 (** [n] log-spaced buckets between min and max as (lo, hi, count) rows. *)
 val buckets : t -> n:int -> (float * float * int) list
 
-(** ASCII histogram, one row per bucket. *)
-val render : ?buckets_n:int -> ?width:int -> ?unit_label:string -> t -> string
+(** ASCII histogram, one row per bucket, bounds labelled in µs. *)
+val render : ?buckets_n:int -> ?width:int -> t -> string
 
 (** One-line "n/avg/p50/p95/p99/max" summary. *)
 val summary_line : label:string -> t -> string

@@ -1,16 +1,12 @@
 (* Statistical summaries with uncertainty: bootstrap confidence
-   intervals for means and percentiles of small trial sets (the Table 2
-   downtime distributions come from tens of trials per cell, so point
-   estimates deserve error bars). *)
+   intervals for means of small trial sets (the Table 2 downtime
+   distributions come from tens of trials per cell, so point estimates
+   deserve error bars). *)
 
 type ci = { point : float; lo : float; hi : float }
 
-let pp_ci ?(scale = 1.0) fmt ci =
-  Format.fprintf fmt "%.0f [%.0f, %.0f]" (ci.point /. scale) (ci.lo /. scale)
-    (ci.hi /. scale)
-
 let ci_to_string ?(scale = 1.0) ci =
-  Format.asprintf "%a" (pp_ci ~scale) ci
+  Printf.sprintf "%.0f [%.0f, %.0f]" (ci.point /. scale) (ci.lo /. scale) (ci.hi /. scale)
 
 let mean values =
   match Array.length values with
@@ -26,16 +22,17 @@ let percentile values p =
     let rank = int_of_float (ceil (p /. 100.0 *. float_of_int n)) in
     sorted.(max 0 (min (n - 1) (rank - 1)))
 
-(* Percentile-method bootstrap over [resamples] draws. *)
-let bootstrap_ci ?(resamples = 1000) ?(confidence = 0.95) ~rng ~statistic values =
+(* Percentile-method bootstrap of the mean: 1000 resamples, 95%. *)
+let mean_ci ~rng values =
+  let resamples = 1000 and confidence = 0.95 in
   let n = Array.length values in
-  if n = 0 then invalid_arg "Summary.bootstrap_ci: empty";
-  let point = statistic values in
+  if n = 0 then invalid_arg "Summary.mean_ci: empty";
+  let point = mean values in
   if n = 1 then { point; lo = point; hi = point }
   else begin
     let stats =
       Array.init resamples (fun _ ->
-          statistic (Array.init n (fun _ -> values.(Sim.Rng.int rng n))))
+          mean (Array.init n (fun _ -> values.(Sim.Rng.int rng n))))
     in
     Array.sort compare stats;
     let alpha = (1.0 -. confidence) /. 2.0 in
@@ -44,12 +41,6 @@ let bootstrap_ci ?(resamples = 1000) ?(confidence = 0.95) ~rng ~statistic values
     in
     { point; lo = pick alpha; hi = pick (1.0 -. alpha) }
   end
-
-let mean_ci ?resamples ?confidence ~rng values =
-  bootstrap_ci ?resamples ?confidence ~rng ~statistic:mean values
-
-let percentile_ci ?resamples ?confidence ~rng ~p values =
-  bootstrap_ci ?resamples ?confidence ~rng ~statistic:(fun v -> percentile v p) values
 
 let of_histogram h =
   let values = Array.make (Histogram.count h) 0.0 in

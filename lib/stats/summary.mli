@@ -1,10 +1,8 @@
 (** Statistical summaries with uncertainty: bootstrap confidence
-    intervals for means and percentiles of small trial sets (error bars
+    intervals for means of small trial sets (error bars
     for the Table 2 downtime cells). *)
 
 type ci = { point : float; lo : float; hi : float }
-
-val pp_ci : ?scale:float -> Format.formatter -> ci -> unit
 
 val ci_to_string : ?scale:float -> ci -> string
 
@@ -13,19 +11,8 @@ val mean : float array -> float
 (** Nearest-rank percentile, [p] in [0, 100]. *)
 val percentile : float array -> float -> float
 
-(** Percentile-method bootstrap of an arbitrary statistic. *)
-val bootstrap_ci :
-  ?resamples:int ->
-  ?confidence:float ->
-  rng:Sim.Rng.t ->
-  statistic:(float array -> float) ->
-  float array ->
-  ci
-
-val mean_ci : ?resamples:int -> ?confidence:float -> rng:Sim.Rng.t -> float array -> ci
-
-val percentile_ci :
-  ?resamples:int -> ?confidence:float -> rng:Sim.Rng.t -> p:float -> float array -> ci
+(** Percentile-method bootstrap of the mean: 1000 resamples, 95%. *)
+val mean_ci : rng:Sim.Rng.t -> float array -> ci
 
 (** Extract a histogram's samples for bootstrap analysis. *)
 val of_histogram : Histogram.t -> float array

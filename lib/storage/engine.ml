@@ -37,7 +37,6 @@ type t = {
   mutable gtid_executed : Binlog.Gtid_set.t; (* engine-durable *)
   mutable last_committed_opid : Binlog.Opid.t;
   mutable committed_count : int;
-  mutable rolled_back_count : int;
   (* Cumulative digest chain: slot i-1 holds the digest of the first i
      commits, in commit order, as an unsigned 32-bit int (an unboxed
      column; [checksum_at] hands out the [int32]).  Lets consistency
@@ -62,7 +61,6 @@ let create () =
     gtid_executed = Binlog.Gtid_set.empty;
     last_committed_opid = Binlog.Opid.zero;
     committed_count = 0;
-    rolled_back_count = 0;
     commit_digests = Vec.create ~dummy:0;
     commit_gtids = Vec.create ~dummy:(Binlog.Gtid.make ~source:"none" ~gno:1);
     commit_opids = Vec.create ~dummy:Binlog.Opid.zero;
@@ -175,8 +173,7 @@ let rollback_prepared t ~gtid =
   | None -> ()
   | Some p ->
     release_locks t p;
-    Hashtbl.remove t.prepared gtid;
-    t.rolled_back_count <- t.rolled_back_count + 1
+    Hashtbl.remove t.prepared gtid
 
 (* Restart semantics: prepared transactions are rolled back; committed
    state, gtid_executed, and last_committed_opid survive (they live in
@@ -198,8 +195,6 @@ let has_committed t gtid = Binlog.Gtid_set.contains t.gtid_executed gtid
 let last_committed_opid t = t.last_committed_opid
 
 let committed_count t = t.committed_count
-
-let rolled_back_count t = t.rolled_back_count
 
 let row_count t ~table:tbl_name =
   match Hashtbl.find_opt t.tables tbl_name with None -> 0 | Some tbl -> Hashtbl.length tbl

@@ -49,8 +49,6 @@ val last_committed_opid : t -> Binlog.Opid.t
 
 val committed_count : t -> int
 
-val rolled_back_count : t -> int
-
 val row_count : t -> table:string -> int
 
 (** Content digest for the shadow-testing checksum comparisons between

@@ -141,8 +141,6 @@ and expire engine lane =
 (* A request was sent: make sure a timer covers it. *)
 let cover engine lane = if not lane.armed then arm engine lane
 
-let last_gtid t = t.last_gtid
-
 let stop t = t.running <- false
 
 (* Cumulative Zipf(theta) weights over ranks 1..n, normalised to 1. *)

@@ -58,9 +58,6 @@ val create :
 
 val stats : t -> stats
 
-(** The session's last acknowledged write GTID (the RYW token). *)
-val last_gtid : t -> Binlog.Gtid.t option
-
 val stop : t -> unit
 
 (** Issue one specific write (trace replay); [k] runs when it settles
@@ -84,10 +81,6 @@ val issue_read :
   table:string ->
   key:string ->
   unit
-
-(** One generator-drawn op: read with probability [read_ratio], else
-    write. *)
-val issue_mixed : ?k:(bool -> unit) -> t -> unit
 
 (** Poisson arrivals at [rate_per_s]. *)
 val start_open_loop : t -> rate_per_s:float -> unit

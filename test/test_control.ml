@@ -144,6 +144,79 @@ let test_replace_unknown_member_fails () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "replaced a non-member"
 
+let leader_node cluster =
+  Option.get (Myraft.Cluster.raft_of cluster (Option.get (Myraft.Cluster.raft_leader cluster)))
+
+let voter_count cfg = List.length (Raft.Types.voters cfg)
+
+let test_replace_with_existing_id_fails () =
+  let cluster = Helpers.bootstrapped ~members:(two_region_members ()) () in
+  ignore (Helpers.write_n cluster 3);
+  Myraft.Cluster.crash cluster "lt2a";
+  Myraft.Cluster.run_for cluster (2.0 *. s);
+  let leader = leader_node cluster in
+  let before = Raft.Node.config leader and before_id = Raft.Node.config_id leader in
+  (match Control.Automation.replace_member cluster ~dead:"lt2a" ~replacement_id:"lt1b" with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "replaced onto an existing member id");
+  Myraft.Cluster.run_for cluster (1.0 *. s);
+  let after = leader_node cluster in
+  Alcotest.(check bool) "same members" true
+    (Raft.Types.same_members before (Raft.Node.config after));
+  Alcotest.(check bool) "config identity unchanged" true
+    (Raft.Node.config_id after = before_id)
+
+(* A learner corpse is swapped for a learner: the newcomer is never
+   promoted and the voter set never moves. *)
+let test_replace_learner_with_learner () =
+  let members = two_region_members () @ [ Myraft.Cluster.mysql ~voter:false "mysql3" "r2" ] in
+  let cluster = Helpers.bootstrapped ~members () in
+  ignore (Helpers.write_n cluster 5);
+  Myraft.Cluster.crash cluster "mysql3";
+  Myraft.Cluster.run_for cluster (2.0 *. s);
+  let leader = leader_node cluster in
+  let voters_before = List.sort compare (Raft.Types.voter_ids (Raft.Node.config leader)) in
+  let installed = ref [] in
+  Raft.Node.subscribe_config_change leader (fun cfg -> installed := cfg :: !installed);
+  (match Control.Automation.replace_member cluster ~dead:"mysql3" ~replacement_id:"mysql3b" with
+  | Ok r -> Alcotest.(check string) "added" "mysql3b" r.Control.Automation.added
+  | Error e -> Alcotest.failf "replace: %s" e);
+  Alcotest.(check bool) "configs observed" true (!installed <> []);
+  List.iter
+    (fun cfg ->
+      Alcotest.(check (list string)) "voter set never moves" voters_before
+        (List.sort compare (Raft.Types.voter_ids cfg)))
+    !installed;
+  let cfg = Raft.Node.config (leader_node cluster) in
+  (match Raft.Types.find_member cfg "mysql3b" with
+  | Some m -> Alcotest.(check bool) "newcomer is a learner" false m.Raft.Types.voter
+  | None -> Alcotest.fail "newcomer not in config");
+  Alcotest.(check bool) "corpse gone" false (Raft.Types.is_member cfg "mysql3")
+
+(* Redundancy-first: across a voter swap, no config the leader installs
+   has fewer voters than the ring started with. *)
+let test_voter_swap_never_dips () =
+  let cluster = Helpers.bootstrapped ~members:(two_region_members ()) () in
+  ignore (Helpers.write_n cluster 5);
+  Myraft.Cluster.crash cluster "lt2a";
+  Myraft.Cluster.run_for cluster (2.0 *. s);
+  let leader = leader_node cluster in
+  let start = voter_count (Raft.Node.config leader) in
+  let installed = ref [] in
+  Raft.Node.subscribe_config_change leader (fun cfg -> installed := cfg :: !installed);
+  (match Control.Automation.replace_member cluster ~dead:"lt2a" ~replacement_id:"lt2c" with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "replace: %s" e);
+  (* learner add, promote, demote, remove *)
+  Alcotest.(check int) "one config per planned step" 4 (List.length !installed);
+  List.iter
+    (fun cfg ->
+      if voter_count cfg < start then
+        Alcotest.failf "voters dipped to %d (start %d)" (voter_count cfg) start)
+    !installed;
+  Alcotest.(check int) "voter count restored" start
+    (voter_count (Raft.Node.config (leader_node cluster)))
+
 (* ----- shard-leader rebalancer ----- *)
 
 (* A synthetic deployment: leaders live in refs, transfers mutate them
@@ -244,6 +317,10 @@ let suites =
       [
         Alcotest.test_case "replace member" `Quick test_replace_member;
         Alcotest.test_case "unknown member rejected" `Quick test_replace_unknown_member_fails;
+        Alcotest.test_case "existing replacement id rejected" `Quick
+          test_replace_with_existing_id_fails;
+        Alcotest.test_case "learner replaced by learner" `Quick test_replace_learner_with_learner;
+        Alcotest.test_case "voter swap never dips below start" `Quick test_voter_swap_never_dips;
       ] );
     ( "control.rebalance",
       [

@@ -27,7 +27,14 @@ let test_trace_disabled_records_nothing () =
   let trace = Sim.Trace.create e in
   Sim.Trace.set_enabled trace false;
   Sim.Trace.record trace ~tag:"x" "dropped";
-  Alcotest.(check int) "nothing recorded" 0 (List.length (Sim.Trace.entries trace))
+  let printed = ref false in
+  let pp ppf () =
+    printed := true;
+    Format.pp_print_string ppf "costly"
+  in
+  Sim.Trace.record trace ~tag:"x" "dropped %a %d" pp () 7;
+  Alcotest.(check int) "nothing recorded" 0 (List.length (Sim.Trace.entries trace));
+  Alcotest.(check bool) "printer not run" false !printed
 
 (* ----- generic probe ----- *)
 
