@@ -1,8 +1,9 @@
 (* M1 — Bechamel micro-benchmarks (real wall-clock time) of the hot data
    structures: GTID-set operations, log append, CRC-32 checksumming,
    entry stamping, quorum evaluation, the commit point and the lease
-   threshold, the log cache, the trace ring, the event heap, the replica
-   applier and engine prepare, and histogram recording. *)
+   threshold, the log cache, the trace ring, the event heap, timer churn
+   in the engine, the replica applier and engine prepare, and histogram
+   recording. *)
 
 open Bechamel
 open Toolkit
@@ -195,6 +196,36 @@ let heap_push_pop depth =
          now := Sim.Heap.min_key heap;
          Sim.Heap.pop_min heap))
 
+(* Timer churn at a steady live depth, as election timers see it: each
+   run resets one long timer (cancel + schedule) and fires the earliest
+   of [live] self-rearming ticks, one per virtual microsecond.  A
+   cancelled timer would sit 100x the tick period in a flag-only queue,
+   so after the [10 * live] warm-up resets such a queue would hold over
+   10x the live events; the queue length printed after the run shows it
+   does not. *)
+let engine_timer_reset live =
+  let engine = Sim.Engine.create () in
+  let period = float_of_int live in
+  let rec tick () = ignore (Sim.Engine.schedule engine ~delay:period tick) in
+  for i = 1 to live do
+    ignore (Sim.Engine.schedule engine ~delay:(float_of_int i) tick)
+  done;
+  let reset = ref (Sim.Engine.schedule engine ~delay:(100.0 *. period) ignore) in
+  let step () =
+    Sim.Engine.cancel !reset;
+    reset := Sim.Engine.schedule engine ~delay:(100.0 *. period) ignore;
+    Sim.Engine.run_for engine 1.0
+  in
+  for _ = 1 to 10 * live do
+    step ()
+  done;
+  let test =
+    Test.make
+      ~name:(Printf.sprintf "sim.engine timer reset (%dk live)" (live / 1000))
+      (Staged.stage step)
+  in
+  (test, engine)
+
 let pipeline_group_drain =
   (* submit → flush group → consensus release → engine commit for 100
      txns; exercises the preallocated group accumulator end to end *)
@@ -345,6 +376,7 @@ let histogram_record =
 
 let run () =
   Common.header "M1 — micro-benchmarks (Bechamel, real time)";
+  let timer_reset, timer_engine = engine_timer_reset 1_000 in
   let tests =
     [
       gtid_set_add;
@@ -359,6 +391,7 @@ let run () =
       log_cache_put_slice;
       heap_push_pop 1_000;
       heap_push_pop 300_000;
+      timer_reset;
       pipeline_group_drain;
       applier_drain;
       engine_prepare_commit;
@@ -383,4 +416,7 @@ let run () =
           | Some [ est ] -> Printf.printf "  %-42s %12.1f ns/run\n%!" name est
           | _ -> Printf.printf "  %-42s (no estimate)\n%!" name)
         analyzed)
-    tests
+    tests;
+  Printf.printf "  %-42s %12d entries (%d live)\n%!" "sim.engine queue after timer resets"
+    (Sim.Engine.queue_length timer_engine)
+    (Sim.Engine.pending timer_engine)

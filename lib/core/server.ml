@@ -215,18 +215,20 @@ let wait_for_executed_gtid t gtid ~timeout ~k =
 let install_commit_listener t =
   Storage.Engine.subscribe_commit t.storage (fun gtid _opid ->
       advance_exec_cursor t;
-      match Hashtbl.find_opt t.gtid_waiters gtid with
-      | Some ws ->
-        Hashtbl.remove t.gtid_waiters gtid;
-        List.iter
-          (fun w ->
-            if not !(w.gw_done) then begin
-              w.gw_done := true;
-              Sim.Engine.cancel w.gw_timer;
-              w.gw_k true
-            end)
-          ws
-      | None -> ())
+      (* most commits have no reader waiting: skip hashing the GTID *)
+      if Hashtbl.length t.gtid_waiters > 0 then
+        match Hashtbl.find_opt t.gtid_waiters gtid with
+        | Some ws ->
+          Hashtbl.remove t.gtid_waiters gtid;
+          List.iter
+            (fun w ->
+              if not !(w.gw_done) then begin
+                w.gw_done := true;
+                Sim.Engine.cancel w.gw_timer;
+                w.gw_k true
+              end)
+            ws
+        | None -> ())
 
 (* Orchestration steps run over a live fleet; their durations vary run to
    run (I/O, scheduling, service-discovery load).  Scale a nominal step
@@ -714,7 +716,7 @@ let make_read_service t =
          clock: a drifting clock misjudges anchor age exactly as a real
          bounded-staleness implementation would. *)
       Read.Service.now = (fun () -> Sim.Clock.now t.clock);
-      schedule = (fun ~delay f -> ignore (Sim.Clock.schedule t.clock ~delay f));
+      schedule = (fun ~delay f -> Sim.Clock.schedule t.clock ~delay f);
       read_index = (fun k -> Raft.Node.remote_read_index (raft t) k);
       lease_valid = (fun () -> Raft.Node.lease_valid (raft t));
       staleness_anchor = (fun () -> Raft.Node.staleness_anchor (raft t));

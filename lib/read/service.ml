@@ -14,9 +14,13 @@
      replication heartbeat.
    - Eventual: read the local engine as-is.
 
-   Every read carries a service-level deadline: continuations parked on
-   apply/commit waiters die silently when leadership moves or the node
-   crashes, and the deadline converts that into a retryable rejection. *)
+   Every read that parks carries a service-level deadline: continuations
+   parked on apply/commit waiters die silently when leadership moves or
+   the node crashes, and the deadline converts that into a retryable
+   rejection.  A read answered during dispatch (the lease fast path,
+   eventual, bounded) never arms one, and a parked read that settles
+   cancels its own, so the event queue holds no deadline for a read that
+   is no longer waiting. *)
 
 type outcome =
   | Value of string option
@@ -24,7 +28,7 @@ type outcome =
 
 type ops = {
   now : unit -> float;
-  schedule : delay:float -> (unit -> unit) -> unit;
+  schedule : delay:float -> (unit -> unit) -> Sim.Engine.handle;
   read_index : ((int, string) result -> unit) -> unit;
       (* resolve the linearizable read index from any role *)
   lease_valid : unit -> bool; (* metric attribution: fast path vs round *)
@@ -86,11 +90,13 @@ let serve t ~level ~table ~key k =
   let start = ops.now () in
   let tier = List.assoc (Level.label level) t.tiers in
   let finished = ref false in
+  let deadline = ref None in
   (* Single-fire guard: apply/commit waiters have no cancellation, so
      the deadline and the happy path race to finish the read. *)
   let finish outcome =
     if not !finished then begin
       finished := true;
+      (match !deadline with Some h -> Sim.Engine.cancel h | None -> ());
       (match outcome with
       | Value _ ->
         Obs.Metrics.incr tier.tm_served;
@@ -100,17 +106,12 @@ let serve t ~level ~table ~key k =
     end
   in
   let reject reason = finish (Rejected { reason; retry_after = Some t.params.retry_hint }) in
-  ops.schedule ~delay:t.params.read_timeout (fun () ->
-      if not !finished then begin
-        Obs.Metrics.incr t.m_timeouts;
-        reject "read timed out"
-      end);
   let read_local () = finish (Value (ops.get ~table ~key)) in
   let after_applied index =
     if ops.applied_index () >= index then read_local ()
     else ops.wait_applied index (fun () -> if not !finished then read_local ())
   in
-  match level with
+  (match level with
   | Level.Eventual -> read_local ()
   | Level.Read_your_writes None -> read_local ()
   | Level.Read_your_writes (Some gtid) ->
@@ -134,4 +135,12 @@ let serve t ~level ~table ~key k =
           if not !finished then begin
             Obs.Metrics.incr (if via_lease then t.m_lease else t.m_quorum);
             after_applied index
-          end)
+          end));
+  (* Dispatch spends no virtual time, so the deadline of a read that
+     parked lands [read_timeout] after [start], as if armed on entry. *)
+  if not !finished then
+    deadline :=
+      Some
+        (ops.schedule ~delay:t.params.read_timeout (fun () ->
+             Obs.Metrics.incr t.m_timeouts;
+             reject "read timed out"))

@@ -11,7 +11,9 @@ type outcome =
     at any point of the server's lifecycle. *)
 type ops = {
   now : unit -> float;
-  schedule : delay:float -> (unit -> unit) -> unit;
+  schedule : delay:float -> (unit -> unit) -> Sim.Engine.handle;
+      (** arms the deadline of a read that parks; cancelled once the read
+          settles *)
   read_index : ((int, string) result -> unit) -> unit;
       (** resolve the linearizable read index from any role (leader
           locally, follower/learner by forwarding) *)

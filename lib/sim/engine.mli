@@ -42,8 +42,15 @@ val schedule_at : t -> time:float -> (unit -> unit) -> handle
     [sent_at] would have. *)
 val schedule_key : t -> key:float -> (unit -> unit) -> handle
 
+(** [cancel h] drops the event from the live work: it will not fire
+    and no longer counts in {!pending}.  The engine removes cancelled
+    events from its queue once they outnumber the live ones, so the
+    queue stays at most twice the live work plus a small fixed floor.
+    Cancelling an event that already fired, or was already cancelled, is
+    a no-op. *)
 val cancel : handle -> unit
 
+(** True only for an event cancelled before it fired. *)
 val cancelled : handle -> bool
 
 (** Execute due events until virtual time reaches [limit]; time is left
@@ -53,9 +60,12 @@ val run_until : t -> float -> unit
 (** [run_for t d] is [run_until t (now t +. d)]. *)
 val run_for : t -> float -> unit
 
-(** Drain the queue completely; raises once [max_events] have run (guard
-    against non-terminating workloads). *)
-val run : t -> max_events:int -> unit
-
-(** Events currently queued. *)
+(** Live events: scheduled, not yet fired and not cancelled. *)
 val pending : t -> int
+
+(** Entries in the event queue: the live events plus cancelled ones not
+    yet dropped.  Never above [2 * pending t + compaction_floor]. *)
+val queue_length : t -> int
+
+(** Dead entries the queue may hold whatever the live count (64). *)
+val compaction_floor : int

@@ -93,3 +93,33 @@ let pop_min t =
     sift_down t 0
   end;
   top
+
+(* Drop every entry [keep] rejects, in place, then restore the heap
+   property bottom-up: O(length) for the whole pass.  Pop order among the
+   kept entries is unchanged, since (key, seq) is a total order. *)
+let filter t keep =
+  let n = t.size in
+  let kept = ref 0 in
+  for i = 0 to n - 1 do
+    if keep t.values.(i) then begin
+      let j = !kept in
+      t.keys.(j) <- t.keys.(i);
+      t.seqs.(j) <- t.seqs.(i);
+      t.values.(j) <- t.values.(i);
+      kept := j + 1
+    end
+  done;
+  let m = !kept in
+  t.size <- m;
+  if m = 0 then begin
+    (* nothing live to alias the vacated slots to: release them *)
+    t.keys <- [||];
+    t.seqs <- [||];
+    t.values <- [||]
+  end
+  else begin
+    Array.fill t.values m (n - m) t.values.(0);
+    for i = (m / 2) - 1 downto 0 do
+      sift_down t i
+    done
+  end

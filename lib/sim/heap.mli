@@ -21,3 +21,8 @@ val min_key : 'a t -> float
 (** Remove and return the value with the smallest (key, seq).
     Precondition: non-empty. *)
 val pop_min : 'a t -> 'a
+
+(** [filter t keep] removes, in place, every value for which [keep] is
+    false; the rest keep their (key, seq) pop order.  Linear in
+    [length t]. *)
+val filter : 'a t -> ('a -> bool) -> unit

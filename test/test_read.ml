@@ -347,6 +347,86 @@ let test_bounded_rejects_when_stale () =
     (read_sync cluster "mysql1" ~level:(Read.Level.Bounded_staleness (50.0 *. ms)) ~key:"k")
     (Some "v")
 
+(* ----- the service deadline, over a bare engine ----- *)
+
+(* A service whose linearizable reads resolve read index 1 at once and
+   read locally once [applied] reaches it; a read that parks hands its
+   continuation to [parked]. *)
+let bare_service engine ~applied ~parked =
+  let metrics = Obs.Metrics.create () in
+  let ops =
+    {
+      Read.Service.now = (fun () -> Sim.Engine.now engine);
+      schedule = (fun ~delay f -> Sim.Engine.schedule engine ~delay f);
+      read_index = (fun k -> k (Ok 1));
+      lease_valid = (fun () -> true);
+      staleness_anchor = (fun () -> (neg_infinity, 0));
+      applied_index = (fun () -> !applied);
+      wait_applied = (fun _ k -> parked := Some k);
+      wait_gtid = (fun _ ~timeout:_ k -> k false);
+      get = (fun ~table:_ ~key:_ -> Some "v");
+    }
+  in
+  (Read.Service.create ~metrics ~ops (), metrics)
+
+let serve_linearizable svc engine =
+  let result = ref None in
+  Read.Service.serve svc ~level:Read.Level.Linearizable ~table:"t" ~key:"k" (fun o ->
+      result := Some (o, Sim.Engine.now engine));
+  result
+
+(* An apply index that never arrives: the read is rejected exactly at
+   start + read_timeout and counted as a timeout. *)
+let test_parked_read_times_out () =
+  let engine = Sim.Engine.create () in
+  Sim.Engine.run_until engine (3.0 *. ms);
+  let svc, metrics = bare_service engine ~applied:(ref 0) ~parked:(ref None) in
+  let start = Sim.Engine.now engine in
+  let timeout = Read.Service.default_params.Read.Service.read_timeout in
+  let result = serve_linearizable svc engine in
+  Sim.Engine.run_until engine (start +. timeout -. us);
+  Alcotest.(check bool) "still parked just before the deadline" true (!result = None);
+  Sim.Engine.run_until engine (start +. timeout);
+  (match !result with
+  | Some (Read.Service.Rejected { reason; _ }, at) ->
+    Alcotest.(check string) "reason" "read timed out" reason;
+    Alcotest.(check (float 0.0)) "rejected at start + read_timeout" (start +. timeout) at
+  | _ -> Alcotest.fail "parked read must time out");
+  Alcotest.(check int) "read.timeouts" 1
+    (Obs.Metrics.counter_of (Obs.Metrics.snapshot metrics) "read.timeouts")
+
+(* A lease read answered during dispatch schedules nothing. *)
+let test_sync_read_arms_no_deadline () =
+  let engine = Sim.Engine.create () in
+  ignore (Sim.Engine.schedule engine ~delay:s ignore);
+  let svc, _ = bare_service engine ~applied:(ref 1) ~parked:(ref None) in
+  let result = serve_linearizable svc engine in
+  (match !result with
+  | Some (Read.Service.Value v, _) -> Alcotest.(check (option string)) "value" (Some "v") v
+  | _ -> Alcotest.fail "lease read must answer synchronously");
+  Alcotest.(check int) "nothing pending" 1 (Sim.Engine.pending engine);
+  (* armed-then-cancelled would still sit in the queue *)
+  Alcotest.(check int) "no deadline queued" 1 (Sim.Engine.queue_length engine)
+
+(* A parked read that completes cancels its deadline. *)
+let test_settled_read_cancels_deadline () =
+  let engine = Sim.Engine.create () in
+  ignore (Sim.Engine.schedule engine ~delay:s ignore);
+  let applied = ref 0 and parked = ref None in
+  let svc, metrics = bare_service engine ~applied ~parked in
+  let result = serve_linearizable svc engine in
+  Alcotest.(check int) "deadline armed while parked" 2 (Sim.Engine.pending engine);
+  Sim.Engine.run_until engine (10.0 *. ms);
+  applied := 1;
+  (match !parked with Some k -> k () | None -> Alcotest.fail "read did not park");
+  (match !result with
+  | Some (Read.Service.Value _, _) -> ()
+  | _ -> Alcotest.fail "parked read must complete once applied");
+  Alcotest.(check int) "deadline cancelled" 1 (Sim.Engine.pending engine);
+  Sim.Engine.run_until engine (10.0 *. s);
+  Alcotest.(check int) "read.timeouts" 0
+    (Obs.Metrics.counter_of (Obs.Metrics.snapshot metrics) "read.timeouts")
+
 (* ----- chaos property ----- *)
 
 (* Under dropped messages, region partitions and leader crashes, a
@@ -409,6 +489,15 @@ let suites =
           test_ryw_waits_for_session_gtid;
         Alcotest.test_case "bounded staleness rejects a cut-off follower" `Quick
           test_bounded_rejects_when_stale;
+      ] );
+    ( "read.deadline",
+      [
+        Alcotest.test_case "parked read times out at start + read_timeout" `Quick
+          test_parked_read_times_out;
+        Alcotest.test_case "synchronous read arms no deadline" `Quick
+          test_sync_read_arms_no_deadline;
+        Alcotest.test_case "settled read cancels its deadline" `Quick
+          test_settled_read_cancels_deadline;
       ] );
     ( "read.chaos",
       [ QCheck_alcotest.to_alcotest prop_lin_reads_never_stale ] );

@@ -80,11 +80,18 @@ let test_engine_ordering () =
 
 let test_engine_cancel () =
   let e = Sim.Engine.create () in
-  let fired = ref false in
+  let fired = ref false and other = ref false in
   let h = Sim.Engine.schedule e ~delay:5.0 (fun () -> fired := true) in
+  let h2 = Sim.Engine.schedule e ~delay:5.0 (fun () -> other := true) in
   Sim.Engine.cancel h;
+  Alcotest.(check int) "cancelled event is not pending" 1 (Sim.Engine.pending e);
   Sim.Engine.run_until e 10.0;
-  Alcotest.(check bool) "cancelled event did not fire" false !fired
+  Alcotest.(check bool) "cancelled event did not fire" false !fired;
+  Alcotest.(check bool) "live event fired" true !other;
+  Sim.Engine.cancel h2;
+  Alcotest.(check bool) "cancelled before firing" true (Sim.Engine.cancelled h);
+  Alcotest.(check bool) "cancel after firing is a no-op" false (Sim.Engine.cancelled h2);
+  Alcotest.(check int) "nothing pending" 0 (Sim.Engine.pending e)
 
 let test_engine_nested_schedule () =
   let e = Sim.Engine.create () in
@@ -106,6 +113,158 @@ let test_engine_run_until_horizon () =
   Alcotest.(check bool) "future event pending" false !fired;
   Sim.Engine.run_until e 60.0;
   Alcotest.(check bool) "fires after horizon advance" true !fired
+
+(* The engine's queue against a reference that keeps every cancelled
+   event queued and skips it at pop, as a flag-only engine does.  Ops
+   include cancels issued from inside callbacks and cancels of handles
+   that already fired; bursts of cancels push the dead count past the
+   compaction floor.  Both engines run the same ops in lockstep. *)
+type engine_op =
+  | Schedule of int (* delay *)
+  | Schedule_canceller of int * int (* delay; when it fires, cancel this handle *)
+  | Cancel of int (* handle number, modulo handles issued so far *)
+  | Cancel_burst of int * int (* schedule this many, then cancel all but every k-th *)
+  | Advance of int
+
+let engine_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, map (fun d -> Schedule d) (int_range 0 60));
+        (2, map2 (fun d v -> Schedule_canceller (d, v)) (int_range 0 60) nat);
+        (3, map (fun i -> Cancel i) nat);
+        (1, map2 (fun n k -> Cancel_burst (n, k)) (int_range 1 200) (int_range 2 50));
+        (2, map (fun d -> Advance d) (int_range 0 40));
+      ])
+
+let print_engine_op = function
+  | Schedule d -> Printf.sprintf "Schedule %d" d
+  | Schedule_canceller (d, v) -> Printf.sprintf "Schedule_canceller (%d, %d)" d v
+  | Cancel i -> Printf.sprintf "Cancel %d" i
+  | Cancel_burst (n, k) -> Printf.sprintf "Cancel_burst (%d, %d)" n k
+  | Advance d -> Printf.sprintf "Advance %d" d
+
+(* The reference: a list scanned for its (key, seq) minimum. *)
+type ref_event = {
+  r_key : float;
+  r_seq : int;
+  r_fn : unit -> unit;
+  mutable r_dead : bool;
+}
+
+type ref_engine = {
+  mutable r_now : float;
+  mutable r_next : int;
+  mutable r_queue : ref_event list;
+}
+
+let ref_schedule r ~delay fn =
+  r.r_next <- r.r_next + 1;
+  let ev = { r_key = r.r_now +. delay; r_seq = r.r_next; r_fn = fn; r_dead = false } in
+  r.r_queue <- ev :: r.r_queue;
+  ev
+
+let rec ref_run_until r limit =
+  let earlier a b = a.r_key < b.r_key || (a.r_key = b.r_key && a.r_seq < b.r_seq) in
+  match r.r_queue with
+  | [] -> r.r_now <- max r.r_now limit
+  | first :: rest ->
+    let ev = List.fold_left (fun m e -> if earlier e m then e else m) first rest in
+    if ev.r_key > limit then r.r_now <- max r.r_now limit
+    else begin
+      r.r_queue <- List.filter (fun e -> e != ev) r.r_queue;
+      r.r_now <- ev.r_key;
+      if not ev.r_dead then begin
+        ev.r_dead <- true;
+        ev.r_fn ()
+      end;
+      ref_run_until r limit
+    end
+
+(* Interpret [ops] against one engine, given as its schedule, cancel and
+   run functions.  Returns the firing log and [probe ()] taken after
+   every op. *)
+let interpret ops ~schedule ~cancel ~run_until ~now ~probe =
+  let handles = Hashtbl.create 64 and issued = ref 0 in
+  let log = ref [] and probes = ref [] in
+  let cancel_nth i = if !issued > 0 then cancel (Hashtbl.find handles (i mod !issued)) in
+  let schedule_logged ~delay victim =
+    let id = !issued in
+    incr issued;
+    Hashtbl.replace handles id
+      (schedule ~delay:(float_of_int delay) (fun () ->
+           log := id :: !log;
+           Option.iter cancel_nth victim))
+  in
+  List.iter
+    (fun op ->
+      (match op with
+      | Schedule d -> schedule_logged ~delay:d None
+      | Schedule_canceller (d, v) -> schedule_logged ~delay:d (Some v)
+      | Cancel i -> cancel_nth i
+      | Cancel_burst (n, k) ->
+        let first = !issued in
+        for j = 0 to n - 1 do
+          schedule_logged ~delay:(j mod 50) None
+        done;
+        for j = 0 to n - 1 do
+          if j mod k <> 0 then cancel_nth (first + j)
+        done
+      | Advance d -> run_until (now () +. float_of_int d));
+      probes := probe () :: !probes)
+    ops;
+  run_until (now () +. 1_000.0);
+  (List.rev !log, List.rev (probe () :: !probes))
+
+let prop_engine_matches_reference =
+  QCheck.Test.make ~name:"engine queue matches a skip-at-pop reference" ~count:200
+    QCheck.(
+      make ~print:(Print.list print_engine_op)
+        Gen.(list_size (int_range 1 80) engine_op_gen))
+    (fun ops ->
+      let r = { r_now = 0.0; r_next = 0; r_queue = [] } in
+      let expected =
+        interpret ops
+          ~schedule:(fun ~delay fn -> ref_schedule r ~delay fn)
+          ~cancel:(fun ev -> ev.r_dead <- true)
+          ~run_until:(ref_run_until r)
+          ~now:(fun () -> r.r_now)
+          ~probe:(fun () -> List.length (List.filter (fun ev -> not ev.r_dead) r.r_queue))
+      in
+      let e = Sim.Engine.create () in
+      let bounded = ref true in
+      let actual =
+        interpret ops
+          ~schedule:(fun ~delay fn -> Sim.Engine.schedule e ~delay fn)
+          ~cancel:Sim.Engine.cancel
+          ~run_until:(Sim.Engine.run_until e)
+          ~now:(fun () -> Sim.Engine.now e)
+          ~probe:(fun () ->
+            let live = Sim.Engine.pending e in
+            if Sim.Engine.queue_length e > (2 * live) + Sim.Engine.compaction_floor then
+              bounded := false;
+            live)
+      in
+      (* firing order, then pending = live after every op *)
+      fst expected = fst actual && snd expected = snd actual && !bounded)
+
+(* A burst of cancels compacts the queue down to the live events. *)
+let test_engine_compaction () =
+  let e = Sim.Engine.create () in
+  let fired = ref [] in
+  let handles =
+    Array.init 1_000 (fun i ->
+        Sim.Engine.schedule e ~delay:(float_of_int (1_000 - i)) (fun () ->
+            fired := i :: !fired))
+  in
+  Array.iteri (fun i h -> if i mod 100 <> 0 then Sim.Engine.cancel h) handles;
+  Alcotest.(check int) "live events" 10 (Sim.Engine.pending e);
+  let queued = Sim.Engine.queue_length e in
+  if queued > 20 + Sim.Engine.compaction_floor then
+    Alcotest.failf "queue holds %d entries for 10 live events" queued;
+  Sim.Engine.run_until e 2_000.0;
+  Alcotest.(check (list int)) "live events fire in key order"
+    [ 0; 100; 200; 300; 400; 500; 600; 700; 800; 900 ] !fired
 
 let make_net ?(latency = Sim.Latency.fixed ~same:100.0 ~cross:10_000.0) () =
   let e = Sim.Engine.create () in
@@ -467,6 +626,8 @@ let suites =
         Alcotest.test_case "cancellation" `Quick test_engine_cancel;
         Alcotest.test_case "nested scheduling" `Quick test_engine_nested_schedule;
         Alcotest.test_case "run_until horizon" `Quick test_engine_run_until_horizon;
+        Alcotest.test_case "compaction drops cancelled events" `Quick test_engine_compaction;
+        QCheck_alcotest.to_alcotest prop_engine_matches_reference;
       ] );
     ( "sim.network",
       [
