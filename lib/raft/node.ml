@@ -614,6 +614,13 @@ let note_append t entry =
     t.vote_floor <- None
   | _ -> ()
 
+(* Append to the local log: the leader's own entries and a follower's
+   replicated ones take the same path through log, cache and stamps. *)
+let append_local t entry =
+  t.log.append entry;
+  Log_cache.put t.cache entry;
+  note_append t entry
+
 (* Commit-index advanced over (from_index-1, to_index]: count it, observe
    append->commit latency for locally stamped indexes, and emit one
    "consensus-commit" trace event per index so a transaction's consensus
@@ -633,6 +640,17 @@ let note_commit t ~from_index ~to_index =
     | None -> ()
   done
 
+(* Raise the commit index to [n] (no-op unless it moves forward) and tell
+   the state machine; leader quorum, follower AE and snapshot install
+   all commit through here. *)
+let commit_through t n =
+  if n > t.commit_index then begin
+    let prev = t.commit_index in
+    t.commit_index <- n;
+    note_commit t ~from_index:(prev + 1) ~to_index:n;
+    t.callbacks.on_commit_advance ~commit_index:n
+  end
+
 let me t = Types.find_member (config t) t.id
 
 let is_voter t = match me t with Some m -> m.Types.voter | None -> false
@@ -647,13 +665,25 @@ let constraint_term t =
 
 let tracef t tag fmt = Sim.Trace.record t.trace ~tag fmt
 
+(* Do this node (when [self]) and the peers satisfying [acked] form a
+   data quorum of [cfg]? *)
+let data_quorum_of t cfg ~self acked =
+  let acks = Hashtbl.fold (fun pid p acc -> if acked p then pid :: acc else acc) t.peers [] in
+  Quorum.data_quorum_satisfied t.params.quorum_mode cfg ~leader_region:t.region
+    ~acks:(if self then t.id :: acks else acks)
+
 (* ----- timers ----- *)
 
 let cancel_timer = function Some h -> Sim.Engine.cancel h | None -> ()
 
+(* How long a follower goes without leader contact before it may
+   campaign (jitter aside): the unit of every failure-detection timeout,
+   and the window a leader lease must fit inside. *)
+let detection_window t =
+  float_of_int t.params.missed_heartbeats *. t.params.heartbeat_interval
+
 let election_timeout t =
-  (float_of_int t.params.missed_heartbeats *. t.params.heartbeat_interval)
-  +. Sim.Rng.uniform t.rng ~lo:0.0 ~hi:election_jitter
+  detection_window t +. Sim.Rng.uniform t.rng ~lo:0.0 ~hi:election_jitter
 
 let rec reset_election_timer t =
   cancel_timer t.election_timer;
@@ -678,10 +708,7 @@ and on_election_timeout t =
    which is anomaly-proof (it re-confirms leadership through the quorum
    rather than through elapsed time). *)
 and suspect_clock t ~local_now:lnow ~reason =
-  let window =
-    (float_of_int t.params.missed_heartbeats *. t.params.heartbeat_interval)
-    +. election_jitter
-  in
+  let window = detection_window t +. election_jitter in
   if lnow +. window > t.clock_suspect_until then begin
     if t.clock_suspect_until <= lnow then begin
       Obs.Metrics.incr t.meters.m_clock_suspects;
@@ -761,11 +788,11 @@ and grow_budget peer =
     min max_bytes_per_ae (peer.ae_budget + max 1024 (peer.ae_budget / 4))
 
 and cancel_retransmit peer =
-  (match peer.retransmit_timer with Some h -> Sim.Engine.cancel h | None -> ());
+  cancel_timer peer.retransmit_timer;
   peer.retransmit_timer <- None
 
 and cancel_snap_timer xfer =
-  (match xfer.sx_timer with Some h -> Sim.Engine.cancel h | None -> ());
+  cancel_timer xfer.sx_timer;
   xfer.sx_timer <- None
 
 and cancel_snap peer =
@@ -775,17 +802,30 @@ and cancel_snap peer =
     peer.snap <- None
   | None -> ()
 
+(* Empty the peer's window and fence the drained seqs: failure responses
+   to sends from before this point must not rewind a second time. *)
 and drain_window t peer =
   peer.inflight <- [];
+  peer.rewind_seq <- peer.send_seq;
   cancel_retransmit peer;
   update_window_gauge t
 
-and reset_peers t =
+(* Resend from [from] (never below the confirmed prefix) with a smaller
+   batch: the window's sends, or their responses, are presumed lost. *)
+and rewind_window t peer ~from =
+  drain_window t peer;
+  peer.next_index <- max (peer.match_index + 1) from;
+  shrink_budget peer
+
+and cancel_peer_timers t =
   Hashtbl.iter
     (fun _ p ->
       cancel_retransmit p;
       cancel_snap p)
-    t.peers;
+    t.peers
+
+and reset_peers t =
+  cancel_peer_timers t;
   Hashtbl.reset t.peers
 
 (* Effective retransmission timeout: the fixed floor or a smoothed-
@@ -803,17 +843,18 @@ and arm_retransmit t peer ~delay =
              peer.retransmit_timer <- None;
              on_retransmit_timeout t peer))
 
+(* Timers hold a peer record that may be stale: leadership and
+   membership changes reset the table, so they act only while this
+   exact record is still installed on a running leader. *)
+and peer_live t peer =
+  (not t.stopped)
+  && t.role = Types.Leader
+  && (match Hashtbl.find_opt t.peers peer.peer_id with
+     | Some p -> p == peer
+     | None -> false)
+
 and on_retransmit_timeout t peer =
-  (* The peer record may be stale: leadership or membership changes reset
-     the table, so only act when this exact record is still installed. *)
-  let live =
-    (not t.stopped)
-    && t.role = Types.Leader
-    && (match Hashtbl.find_opt t.peers peer.peer_id with
-       | Some p -> p == peer
-       | None -> false)
-  in
-  if live then
+  if peer_live t peer then
     match peer.inflight with
     | [] -> ()
     | oldest :: _ ->
@@ -828,10 +869,7 @@ and on_retransmit_timeout t peer =
         tracef t "raft" "%s: retransmit to %s from index %d (window %d)" t.id
           peer.peer_id oldest.if_first
           (List.length peer.inflight);
-        drain_window t peer;
-        peer.rewind_seq <- peer.send_seq;
-        peer.next_index <- max (peer.match_index + 1) oldest.if_first;
-        shrink_budget peer;
+        rewind_window t peer ~from:oldest.if_first;
         replicate_to t peer ~allow_empty:true
       end
       else arm_retransmit t peer ~delay:(timeout -. age)
@@ -845,6 +883,25 @@ and gossip_body t peer =
     Some t.cfg
   end
   else None
+
+(* The one AppendEntries this leader sends to [peer] under its latest
+   seq; entry batches, heartbeats and wedge probes differ only in the
+   prev anchor, the payload and the proxy route back. *)
+and ae_request t peer ~prev_opid ~leader_time ~reply_route payload =
+  {
+    Message.term = t.durable.current_term;
+    leader_id = t.id;
+    leader_region = t.region;
+    prev_opid;
+    payload;
+    commit_index = t.commit_index;
+    seq = peer.send_seq;
+    reply_route;
+    leader_time;
+    leader_last_index = last_index t;
+    cfg_id = t.cfg_id;
+    cfg = gossip_body t peer;
+  }
 
 (* Ship one byte-budgeted batch from the send frontier; returns false
    when there is nothing sendable (hole at the frontier or purged prev). *)
@@ -870,22 +927,9 @@ and send_entry_batch t peer =
       let last_idx = Binlog.Entry.index last in
       let bytes = Array.fold_left (fun acc e -> acc + Binlog.Entry.size e) 0 entries in
       let sent_local = local_now t in
-      let cfg_body = gossip_body t peer in
       let ae reply_route payload =
-        {
-          Message.term = t.durable.current_term;
-          leader_id = t.id;
-          leader_region = t.region;
-          prev_opid;
-          payload;
-          commit_index = t.commit_index;
-          seq = peer.send_seq;
-          reply_route;
-          leader_time = sent_local;
-          leader_last_index = last_index t;
-          cfg_id = t.cfg_id;
-          cfg = cfg_body;
-        }
+        Message.Append_entries
+          (ae_request t peer ~prev_opid ~leader_time:sent_local ~reply_route payload)
       in
       peer.inflight <-
         peer.inflight
@@ -934,10 +978,8 @@ and send_entry_batch t peer =
               last_term = Binlog.Entry.term last;
             }
         in
-        send_routed t ~hops:[ proxy_id ] ~final:peer.peer_id
-          (Message.Append_entries (ae [ proxy_id ] refs))
-      | None ->
-        t.send ~dst:peer.peer_id (Message.Append_entries (ae [] (Message.Entries entries))));
+        send_routed t ~hops:[ proxy_id ] ~final:peer.peer_id (ae [ proxy_id ] refs)
+      | None -> t.send ~dst:peer.peer_id (ae [] (Message.Entries entries)));
       true
   end
 
@@ -955,32 +997,24 @@ and send_heartbeat t peer =
       prev_index;
     note_purge_wedge t peer
   | Some prev_term ->
-    peer.send_seq <- peer.send_seq + 1;
-    let now = local_now t in
-    (* Remember the send time (bounded) so the ack can feed the lease. *)
-    let keep = (2 * t.params.max_inflight_aes) + 8 in
-    peer.hb_sent <-
-      (peer.send_seq, now, Sim.Engine.now t.engine)
-      :: List.filteri (fun i _ -> i < keep) peer.hb_sent;
-    Obs.Metrics.incr t.meters.m_heartbeats_sent;
     peer.sent_commit <- max peer.sent_commit t.commit_index;
     peer.hb_suppressed <- 0;
-    t.send ~dst:peer.peer_id
-      (Message.Append_entries
-         {
-           Message.term = t.durable.current_term;
-           leader_id = t.id;
-           leader_region = t.region;
-           prev_opid = Binlog.Opid.make ~term:prev_term ~index:prev_index;
-           payload = Message.Entries [||];
-           commit_index = t.commit_index;
-           seq = peer.send_seq;
-           reply_route = [];
-           leader_time = now;
-           leader_last_index = last_index t;
-           cfg_id = t.cfg_id;
-           cfg = gossip_body t peer;
-         })
+    send_empty t peer (Binlog.Opid.make ~term:prev_term ~index:prev_index)
+
+(* The empty-AE send shared by heartbeats and wedge probes.  Its send
+   time is remembered (bounded) so the ack can feed the lease. *)
+and send_empty t peer prev_opid =
+  peer.send_seq <- peer.send_seq + 1;
+  let now = local_now t in
+  let keep = (2 * t.params.max_inflight_aes) + 8 in
+  peer.hb_sent <-
+    (peer.send_seq, now, Sim.Engine.now t.engine)
+    :: List.filteri (fun i _ -> i < keep) peer.hb_sent;
+  Obs.Metrics.incr t.meters.m_heartbeats_sent;
+  t.send ~dst:peer.peer_id
+    (Message.Append_entries
+       (ae_request t peer ~prev_opid ~leader_time:now ~reply_route:[]
+          (Message.Entries [||])))
 
 (* Multi-Raft heartbeat coalescing: may the empty AE to [peer] be
    skipped this tick?  Only when this group is fully idle towards the
@@ -1049,10 +1083,7 @@ and advance_commit t =
       (* Raft safety: only commit entries from the current term directly. *)
       && t.log.term_of n = t.durable.current_term
     then begin
-      let prev_commit = t.commit_index in
-      t.commit_index <- n;
-      note_commit t ~from_index:(prev_commit + 1) ~to_index:n;
-      t.callbacks.on_commit_advance ~commit_index:n;
+      commit_through t n;
       (* Reads queued behind "no current-term commit yet" can start
          their confirmation round now. *)
       maybe_start_read_round t
@@ -1077,16 +1108,13 @@ and lease_duration t =
        (window * (1 - drift) - margin) / (1 - drift) < window - margin
      true microseconds — strictly inside any correct voter's election
      timeout. *)
-  (float_of_int t.params.missed_heartbeats *. t.params.heartbeat_interval
-  *. (1.0 -. t.params.max_clock_drift))
+  (detection_window t *. (1.0 -. t.params.max_clock_drift))
   -. t.params.lease_drift_margin
 
 (* The same interval on the engine's true clock: the bound a correct
    voter's election timeout actually guarantees.  Feeds the oracle only —
    no node decision may read it. *)
-and lease_duration_global t =
-  (float_of_int t.params.missed_heartbeats *. t.params.heartbeat_interval)
-  -. t.params.lease_drift_margin
+and lease_duration_global t = detection_window t -. t.params.lease_drift_margin
 
 (* Extend the lease from quorum-acked send times: find the latest T such
    that {self} and every peer whose [acked_send_time] >= T satisfy the
@@ -1136,7 +1164,7 @@ and fail_reads t ~reason =
   let round_waiters =
     match t.read_round with
     | Some round ->
-      (match round.rr_deadline with Some h -> Sim.Engine.cancel h | None -> ());
+      cancel_timer round.rr_deadline;
       t.read_round <- None;
       round.rr_waiters
     | None -> []
@@ -1164,12 +1192,9 @@ and maybe_start_read_round t =
     t.read_round <- Some round;
     Obs.Metrics.incr t.meters.m_readindex_rounds;
     Obs.Metrics.record t.meters.m_readindex_batch (float_of_int (List.length waiters));
-    let deadline =
-      float_of_int t.params.missed_heartbeats *. t.params.heartbeat_interval
-    in
     round.rr_deadline <-
       Some
-        (Sim.Clock.schedule t.clock ~delay:deadline (fun () ->
+        (Sim.Clock.schedule t.clock ~delay:(detection_window t) (fun () ->
              match t.read_round with
              | Some r when r == round ->
                t.read_round <- None;
@@ -1190,7 +1215,7 @@ and check_read_round t round =
       Quorum.data_quorum_satisfied t.params.quorum_mode (config t)
         ~leader_region:t.region ~acks
     then begin
-      (match round.rr_deadline with Some h -> Sim.Engine.cancel h | None -> ());
+      cancel_timer round.rr_deadline;
       t.read_round <- None;
       List.iter (fun k -> k (Ok round.rr_index)) round.rr_waiters;
       maybe_start_read_round t
@@ -1327,11 +1352,7 @@ and step_down t ~term ~new_leader =
   t.role <- Types.Follower;
   t.leader_id <- new_leader;
   t.election <- None;
-  (match t.transfer with
-  | Some tr ->
-    Sim.Engine.cancel tr.transfer_deadline;
-    t.transfer <- None
-  | None -> ());
+  end_transfer t;
   cancel_timer t.heartbeat_timer;
   t.heartbeat_timer <- None;
   t.last_hb_tick_local <- neg_infinity;
@@ -1391,9 +1412,7 @@ and become_leader t =
       ~opid:(Binlog.Opid.make ~term:t.durable.current_term ~index:noop_index)
       Binlog.Entry.Noop
   in
-  t.log.append entry;
-  Log_cache.put t.cache entry;
-  note_append t entry;
+  append_local t entry;
   tracef t "raft" "%s: elected leader at term %d (noop %d)" t.id t.durable.current_term
     noop_index;
   start_heartbeats t;
@@ -1405,15 +1424,8 @@ and become_leader t =
    acknowledged this leader within the configured window? *)
 and quorum_contact_recent t =
   let now = local_now t in
-  let acks =
-    t.id
-    :: Hashtbl.fold
-         (fun pid p acc ->
-           if now -. p.last_ack <= t.params.auto_step_down_after then pid :: acc else acc)
-         t.peers []
-  in
-  Quorum.data_quorum_satisfied t.params.quorum_mode (config t) ~leader_region:t.region
-    ~acks
+  data_quorum_of t (config t) ~self:true (fun p ->
+      now -. p.last_ack <= t.params.auto_step_down_after)
 
 and start_heartbeats t =
   cancel_timer t.heartbeat_timer;
@@ -1463,8 +1475,41 @@ and start_heartbeats t =
 
 (* ----- elections ----- *)
 
+(* Record a new election and ask every other voter for its vote.  Real,
+   pre- and mock elections differ only in phase, term and who hears a
+   mock verdict. *)
+and open_election t ~phase ~election_term ~mock_requester ~transfer =
+  let election =
+    {
+      phase;
+      election_term;
+      votes = [ t.id ];
+      auth_hint = t.durable.last_known_leader;
+      vote_hint = t.durable.vote_constraint;
+      mock_requester;
+      decided = false;
+    }
+  in
+  t.election <- Some election;
+  let request =
+    Message.Request_vote
+      {
+        term = election_term;
+        candidate = t.id;
+        candidate_region = t.region;
+        last_opid = last_opid t;
+        phase;
+        candidate_constraint_term = constraint_term t;
+        transfer;
+        cfg_id = t.cfg_id;
+      }
+  in
+  List.iter
+    (fun m -> if m.Types.id <> t.id && m.Types.voter then t.send ~dst:m.Types.id request)
+    (config t).Types.members;
+  election
+
 and begin_election ?(transfer = false) t ~phase =
-  let cfg = config t in
   if vote_floor_blocks t (last_opid t) then
     (* Corruption recovery truncated entries this node may once have
        acked: until replication restores a log at least as up-to-date as
@@ -1490,74 +1535,21 @@ and begin_election ?(transfer = false) t ~phase =
       if t.election_started_at = neg_infinity then
         t.election_started_at <- Sim.Engine.now t.engine
     | _ -> ());
-    let election =
-      {
-        phase;
-        election_term;
-        votes = [ t.id ];
-        auth_hint = t.durable.last_known_leader;
-        vote_hint = t.durable.vote_constraint;
-        mock_requester = None;
-        decided = false;
-      }
-    in
-    t.election <- Some election;
     tracef t "raft" "%s: starting %s election for term %d" t.id
       (Message.phase_to_string phase) election_term;
-    let request =
-      Message.Request_vote
-        {
-          term = election_term;
-          candidate = t.id;
-          candidate_region = t.region;
-          last_opid = last_opid t;
-          phase;
-          candidate_constraint_term = constraint_term t;
-          transfer;
-          cfg_id = t.cfg_id;
-        }
-    in
-    List.iter
-      (fun m ->
-        if m.Types.id <> t.id && m.Types.voter then t.send ~dst:m.Types.id request)
-      cfg.Types.members;
     (* A single-voter ring elects itself instantly. *)
-    check_election_quorum t election
+    check_election_quorum t
+      (open_election t ~phase ~election_term ~mock_requester:None ~transfer)
   end
 
 and begin_mock_election t ~snapshot ~requester =
-  let cfg = config t in
-  let election_term = t.durable.current_term + 1 in
-  let election =
-    {
-      phase = Message.Mock { snapshot };
-      election_term;
-      votes = [ t.id ];
-      auth_hint = t.durable.last_known_leader;
-      vote_hint = t.durable.vote_constraint;
-      mock_requester = Some requester;
-      decided = false;
-    }
-  in
-  t.election <- Some election;
   tracef t "raft" "%s: running mock election (snapshot %s)" t.id
     (Binlog.Opid.to_string snapshot);
-  let request =
-    Message.Request_vote
-      {
-        term = election_term;
-        candidate = t.id;
-        candidate_region = t.region;
-        last_opid = last_opid t;
-        phase = Message.Mock { snapshot };
-        candidate_constraint_term = constraint_term t;
-        transfer = false;
-        cfg_id = t.cfg_id;
-      }
+  let election =
+    open_election t ~phase:(Message.Mock { snapshot })
+      ~election_term:(t.durable.current_term + 1) ~mock_requester:(Some requester)
+      ~transfer:false
   in
-  List.iter
-    (fun m -> if m.Types.id <> t.id && m.Types.voter then t.send ~dst:m.Types.id request)
-    cfg.Types.members;
   (* Guard against vote loss: decide "failed" after a timeout. *)
   ignore
     (Sim.Clock.schedule t.clock ~delay:mock_election_timeout (fun () ->
@@ -1565,11 +1557,14 @@ and begin_mock_election t ~snapshot ~requester =
          | Some e when e.phase = Message.Mock { snapshot } && not e.decided ->
            e.decided <- true;
            t.election <- None;
-           t.send ~dst:requester
-             (Message.Mock_election_result
-                { ok = false; target = t.id; votes = List.length e.votes })
+           report_mock t e ~requester ~ok:false
          | _ -> ()));
   check_election_quorum t election
+
+(* Tell the leader that asked for a mock election how it went (§4.3). *)
+and report_mock t election ~requester ~ok =
+  t.send ~dst:requester
+    (Message.Mock_election_result { ok; target = t.id; votes = List.length election.votes })
 
 and best_hint a b =
   match (a, b) with
@@ -1589,21 +1584,12 @@ and check_election_quorum t election =
     in
     if satisfied then begin
       election.decided <- true;
-      match election.phase with
-      | Message.Real ->
-        t.election <- None;
-        become_leader t
-      | Message.Pre ->
-        t.election <- None;
-        begin_election t ~phase:Message.Real
-      | Message.Mock _ ->
-        t.election <- None;
-        (match election.mock_requester with
-        | Some requester ->
-          t.send ~dst:requester
-            (Message.Mock_election_result
-               { ok = true; target = t.id; votes = List.length election.votes })
-        | None -> ())
+      t.election <- None;
+      match (election.phase, election.mock_requester) with
+      | Message.Real, _ -> become_leader t
+      | Message.Pre, _ -> begin_election t ~phase:Message.Real
+      | Message.Mock _, Some requester -> report_mock t election ~requester ~ok:true
+      | Message.Mock _, None -> ()
     end
   end
 
@@ -1621,8 +1607,7 @@ and handle_request_vote t (rv : Message.request_vote) =
   let now = local_now t in
   let heard_from_leader_recently =
     t.leader_id <> None
-    && now -. t.last_leader_contact
-       < float_of_int t.params.missed_heartbeats *. t.params.heartbeat_interval
+    && now -. t.last_leader_contact < detection_window t
   in
   (* FlexiRaft voting history (§4.1): never vote for a candidate whose
      constraint knowledge is staler than ours — its election quorum might
@@ -1730,36 +1715,41 @@ and handle_vote_response t (vr : Message.vote_response) =
 
 (* ----- append entries (follower side) ----- *)
 
+(* The sender is this term's live leader: follow it and hold elections
+   off.  AppendEntries and InstallSnapshot share these authority rules. *)
+and adopt_leader t ~term ~leader =
+  if term > t.durable.current_term || t.role <> Types.Follower then
+    step_down t ~term ~new_leader:(Some leader);
+  t.leader_id <- Some leader;
+  t.last_leader_contact <- local_now t;
+  t.last_leader_rpc <- t.last_leader_contact;
+  reset_election_timer t
+
 and handle_append_entries t ~src:_ (ae : Message.append_entries) =
   (* Responses retrace the proxy route back to the leader (§4.2.1). *)
-  let reply response =
+  let reply ~success ~last_log_index ~last_appended_index =
     send_routed t ~hops:ae.reply_route ~final:ae.leader_id
-      (Message.Append_entries_response response)
+      (Message.Append_entries_response
+         {
+           term = t.durable.current_term;
+           from = t.id;
+           success;
+           last_log_index;
+           last_appended_index;
+           request_seq = ae.seq;
+           cfg_id = t.cfg_id;
+           follower_time = local_now t;
+         })
   in
   if ae.term < t.durable.current_term then begin
     Obs.Metrics.incr t.meters.m_ae_rejected;
-    reply
-      {
-        Message.term = t.durable.current_term;
-        from = t.id;
-        success = false;
-        last_log_index = last_index t;
-        last_appended_index = last_index t;
-        request_seq = ae.seq;
-        cfg_id = t.cfg_id;
-        follower_time = local_now t;
-      }
+    reply ~success:false ~last_log_index:(last_index t) ~last_appended_index:(last_index t)
   end
   else begin
-    if ae.term > t.durable.current_term || t.role <> Types.Follower then
-      step_down t ~term:ae.term ~new_leader:(Some ae.leader_id);
-    t.leader_id <- Some ae.leader_id;
-    t.last_leader_contact <- local_now t;
-    t.last_leader_rpc <- t.last_leader_contact;
+    adopt_leader t ~term:ae.term ~leader:ae.leader_id;
     (match t.durable.last_known_leader with
     | Some (term, _) when term >= ae.term -> ()
     | _ -> t.durable.last_known_leader <- Some (ae.term, ae.leader_region));
-    reset_election_timer t;
     (* Logless config gossip: adopt a strictly newer config before the
        prev check — membership is orthogonal to log matching, and the
        reply's [cfg_id] echo must reflect what we now hold either way. *)
@@ -1776,17 +1766,8 @@ and handle_append_entries t ~src:_ (ae : Message.append_entries) =
     if not ok_prev then begin
       Obs.Metrics.incr t.meters.m_ae_rejected;
       let hint = if prev_index > last_index t then last_index t else prev_index - 1 in
-      reply
-        {
-          Message.term = t.durable.current_term;
-          from = t.id;
-          success = false;
-          last_log_index = max 0 hint;
-          last_appended_index = last_index t;
-          request_seq = ae.seq;
-          cfg_id = t.cfg_id;
-          follower_time = local_now t;
-        }
+      reply ~success:false ~last_log_index:(max 0 hint)
+        ~last_appended_index:(last_index t)
     end
     else begin
       let entries =
@@ -1812,15 +1793,11 @@ and handle_append_entries t ~src:_ (ae : Message.append_entries) =
               let removed = t.log.truncate_from idx in
               Log_cache.truncate_from t.cache ~index:idx;
               if removed <> [] then t.callbacks.on_truncated removed;
-              t.log.append entry;
-              Log_cache.put t.cache entry;
-              note_append t entry;
+              append_local t entry;
               appended := entry :: !appended
             | None ->
               if idx = last_index t + 1 then begin
-                t.log.append entry;
-                Log_cache.put t.cache entry;
-                note_append t entry;
+                append_local t entry;
                 appended := entry :: !appended
               end)
           entries
@@ -1845,29 +1822,14 @@ and handle_append_entries t ~src:_ (ae : Message.append_entries) =
          engine catches up to [commit_index] to actually serve it. *)
       if confirmed >= ae.leader_last_index && ae.leader_time > fst t.freshness then
         t.freshness <- (ae.leader_time, ae.commit_index);
-      let new_commit = min ae.commit_index confirmed in
-      if new_commit > t.commit_index then begin
-        let prev_commit = t.commit_index in
-        t.commit_index <- new_commit;
-        note_commit t ~from_index:(prev_commit + 1) ~to_index:new_commit;
-        t.callbacks.on_commit_advance ~commit_index:new_commit
-      end;
-      reply
-        {
-          Message.term = t.durable.current_term;
-          from = t.id;
-          success = true;
-          (* Ack only the durable prefix: an fsync-stalled follower must
-             not let the leader commit on entries a crash could tear off. *)
-          last_log_index = t.log.durable_index ();
-          (* Deliberately [confirmed], never the raw log tail — a
-             leftover stale-term suffix beyond what the request covered
-             must not look like an ack. *)
-          last_appended_index = confirmed;
-          request_seq = ae.seq;
-          cfg_id = t.cfg_id;
-          follower_time = local_now t;
-        }
+      commit_through t (min ae.commit_index confirmed);
+      (* Ack only the durable prefix: an fsync-stalled follower must not
+         let the leader commit on entries a crash could tear off.  And
+         deliberately [confirmed], never the raw log tail — a leftover
+         stale-term suffix beyond what the request covered must not look
+         like an ack. *)
+      reply ~success:true ~last_log_index:(t.log.durable_index ())
+        ~last_appended_index:confirmed
     end
   end
 
@@ -1906,25 +1868,20 @@ and handle_append_response t (r : Message.append_response) =
         peer.offset_sample <- Some (r.follower_time, now)
       end;
       if r.success then begin
-        (* RTT sample when the answered send is still in the window. *)
+        (* Look the acked send up once, in the window and else among the
+           remembered empty AEs: its send time feeds the lease.  The
+           local and global stamps of the same send event travel in
+           lockstep: the local one feeds the lease, the global twin
+           feeds the stale-by-global-time oracle. *)
         (match List.find_opt (fun f -> f.if_seq = r.request_seq) peer.inflight with
         | Some f ->
+          (* RTT sample when the answered send is still in the window. *)
           let rtt = now -. f.if_sent_at in
           if peer.srtt <= 0.0 then peer.srtt <- rtt
           else peer.srtt <- (0.8 *. peer.srtt) +. (0.2 *. rtt);
           (* Ack latency inflating well past the smoothed RTT means the
              peer (or path) is congested: back the batch size off. *)
-          if rtt > 4.0 *. peer.srtt then shrink_budget peer
-        | None -> ());
-        (* Recover the acked send's send time (windowed entry AE or
-           remembered heartbeat) for the lease computation.  The local and
-           global stamps of the same send event travel in lockstep: the
-           local one feeds the lease, the global twin feeds the
-           stale-by-global-time oracle. *)
-        (match
-           List.find_opt (fun f -> f.if_seq = r.request_seq) peer.inflight
-         with
-        | Some f ->
+          if rtt > 4.0 *. peer.srtt then shrink_budget peer;
           if f.if_sent_at > peer.acked_send_time then begin
             peer.acked_send_time <- f.if_sent_at;
             peer.acked_send_global <- f.if_sent_global
@@ -1953,17 +1910,13 @@ and handle_append_response t (r : Message.append_response) =
         peer.inflight <- still;
         if still = [] then cancel_retransmit peer;
         update_window_gauge t;
-        if List.exists (fun f -> f.if_seq = r.request_seq) still then begin
+        if List.exists (fun f -> f.if_seq = r.request_seq) still then
           (* Success that leaves its own send outstanding: the payload
              never arrived (PROXY_OP degraded to a heartbeat en route).
              Replay the window from its start now rather than waiting out
              the retransmit timer. *)
-          let first = List.fold_left (fun acc f -> min acc f.if_first) max_int still in
-          drain_window t peer;
-          peer.rewind_seq <- peer.send_seq;
-          peer.next_index <- max (peer.match_index + 1) first;
-          shrink_budget peer
-        end
+          rewind_window t peer
+            ~from:(List.fold_left (fun acc f -> min acc f.if_first) max_int still)
         else if retired <> [] then grow_budget peer;
         (* Commit-countable ack = durable AND confirmed matching. *)
         let ack = min r.last_log_index peer.delivered in
@@ -1978,8 +1931,6 @@ and handle_append_response t (r : Message.append_response) =
            divergence produces for every in-flight AE must rewind only
            once — then step back and re-probe. *)
         Obs.Metrics.incr t.meters.m_nacks;
-        drain_window t peer;
-        peer.rewind_seq <- peer.send_seq;
         (* A follower whose advertised log end sits below its recorded
            match has REGRESSED: crash recovery truncated entries this
            leader had already confirmed matching (torn tail, or the
@@ -1998,28 +1949,24 @@ and handle_append_response t (r : Message.append_response) =
           peer.match_index <- r.last_log_index;
           peer.delivered <- min peer.delivered r.last_log_index
         end;
-        peer.next_index <-
-          max (peer.match_index + 1)
-            (max 1 (min (peer.next_index - 1) (r.last_log_index + 1)));
-        shrink_budget peer;
+        rewind_window t peer
+          ~from:(max 1 (min (peer.next_index - 1) (r.last_log_index + 1)));
         replicate_to t peer ~allow_empty:true
       end
 
 (* ----- snapshot shipping (InstallSnapshot) ----- *)
+
+(* The liveness notion of the safe-purge floor and the snapshot rescue:
+   a peer that acked within twice the failure-detection window is
+   assumed reachable.  [now] is a {!local_now} reading: each reading of a
+   clock that stepped back counts the step again. *)
+and peer_recently_acked t ~now peer = now -. peer.last_ack <= 2.0 *. detection_window t
 
 (* The purged-hole wedge: binlog purge removed the prefix this peer still
    needs, so no AppendEntries prev anchor below the boundary can be
    constructed and ordinary replication is stuck forever — the bug this
    subsystem exists to fix.  Count the episode once and try to rescue
    with an engine-checkpoint install. *)
-(* Same liveness notion as the safe-purge floor: a peer that acked
-   within twice the failure-detection window is assumed reachable. *)
-and peer_recently_acked t peer =
-  let grace =
-    2.0 *. float_of_int t.params.missed_heartbeats *. t.params.heartbeat_interval
-  in
-  local_now t -. peer.last_ack <= grace
-
 and note_purge_wedge t peer =
   if t.role = Types.Leader && peer.next_index < t.log.purged_below () then begin
     if not peer.wedged then begin
@@ -2036,7 +1983,7 @@ and note_purge_wedge t peer =
        stale image forces it to replay everything committed since.
        Probing instead means the rescue starts on the peer's first
        contact, with a checkpoint taken at that moment. *)
-    if peer_recently_acked t peer then maybe_install_snapshot t peer;
+    if peer_recently_acked t ~now:(local_now t) peer then maybe_install_snapshot t peer;
     (* If no transfer is running (peer presumed down, or no checkpoint
        source), keep contact: a wedged peer gets neither entries nor
        ordinary heartbeats (no prev anchor exists below the boundary),
@@ -2053,30 +2000,7 @@ and probe_wedged_peer t peer =
   let boundary = t.log.purged_below () - 1 in
   match t.log.term_at boundary with
   | None -> ()
-  | Some prev_term ->
-    peer.send_seq <- peer.send_seq + 1;
-    let now = local_now t in
-    let keep = (2 * t.params.max_inflight_aes) + 8 in
-    peer.hb_sent <-
-      (peer.send_seq, now, Sim.Engine.now t.engine)
-      :: List.filteri (fun i _ -> i < keep) peer.hb_sent;
-    Obs.Metrics.incr t.meters.m_heartbeats_sent;
-    t.send ~dst:peer.peer_id
-      (Message.Append_entries
-         {
-           Message.term = t.durable.current_term;
-           leader_id = t.id;
-           leader_region = t.region;
-           prev_opid = Binlog.Opid.make ~term:prev_term ~index:boundary;
-           payload = Message.Entries [||];
-           commit_index = t.commit_index;
-           seq = peer.send_seq;
-           reply_route = [];
-           leader_time = now;
-           leader_last_index = last_index t;
-           cfg_id = t.cfg_id;
-           cfg = gossip_body t peer;
-         })
+  | Some prev_term -> send_empty t peer (Binlog.Opid.make ~term:prev_term ~index:boundary)
 
 and maybe_install_snapshot t peer =
   if t.role = Types.Leader && (not t.stopped) && peer.snap = None then begin
@@ -2101,7 +2025,6 @@ and maybe_install_snapshot t peer =
       (* Entry replication to this peer pauses: drain its window so a
          late ack cannot move the frontier mid-install. *)
       drain_window t peer;
-      peer.rewind_seq <- peer.send_seq;
       peer.snap <- Some xfer;
       tracef t "raft" "%s: installing %s on %s (#%d)" t.id
         (Snapshot.describe snapshot)
@@ -2109,16 +2032,9 @@ and maybe_install_snapshot t peer =
       send_snapshot_chunk t peer xfer
   end
 
-(* Is this exact transfer still the live one for this exact peer record?
-   Leadership and membership changes reset the peer table, so timers must
-   re-validate both identities before acting. *)
+(* Is this exact transfer still the live one for this exact peer record? *)
 and snap_live t peer xfer =
-  (not t.stopped)
-  && t.role = Types.Leader
-  && (match Hashtbl.find_opt t.peers peer.peer_id with
-     | Some p -> p == peer
-     | None -> false)
-  && (match peer.snap with Some x -> x == xfer | None -> false)
+  peer_live t peer && match peer.snap with Some x -> x == xfer | None -> false
 
 and send_snapshot_chunk t peer xfer =
   if snap_live t peer xfer then begin
@@ -2141,17 +2057,21 @@ and send_snapshot_chunk t peer xfer =
          });
     (* Stop-and-wait: one chunk outstanding per transfer.  A lost chunk
        or ack is resent from the acked offset after the timeout. *)
-    cancel_snap_timer xfer;
-    xfer.sx_timer <-
-      Some
-        (Sim.Clock.schedule t.clock ~delay:snapshot_retransmit_timeout
-           (fun () ->
-             xfer.sx_timer <- None;
-             if snap_live t peer xfer then begin
-               Obs.Metrics.incr t.meters.m_snapshot_retransmits;
-               send_snapshot_chunk t peer xfer
-             end))
+    arm_snap_timer t xfer ~delay:snapshot_retransmit_timeout (fun () ->
+        if snap_live t peer xfer then begin
+          Obs.Metrics.incr t.meters.m_snapshot_retransmits;
+          send_snapshot_chunk t peer xfer
+        end)
   end
+
+(* A transfer has one timer: chunk pacing or the chunk's resend. *)
+and arm_snap_timer t xfer ~delay f =
+  cancel_snap_timer xfer;
+  xfer.sx_timer <-
+    Some
+      (Sim.Clock.schedule t.clock ~delay (fun () ->
+           xfer.sx_timer <- None;
+           f ()))
 
 and handle_install_snapshot_response t (r : Message.install_snapshot_response) =
   if r.term > t.durable.current_term then step_down t ~term:r.term ~new_leader:None
@@ -2168,8 +2088,7 @@ and handle_install_snapshot_response t (r : Message.install_snapshot_response) =
              is still wedged, the next replication attempt starts a fresh
              one from a fresh checkpoint. *)
           Obs.Metrics.incr t.meters.m_snapshot_aborts;
-          cancel_snap_timer xfer;
-          peer.snap <- None;
+          cancel_snap peer;
           tracef t "raft" "%s: snapshot #%d to %s aborted by follower" t.id xfer.sx_id
             r.from
         end
@@ -2181,8 +2100,7 @@ and handle_install_snapshot_response t (r : Message.install_snapshot_response) =
                ordinary replication from just above it.  The boundary
                counts toward commit — the checkpoint covers applied,
                committed state, now durably on the follower. *)
-            cancel_snap_timer xfer;
-            peer.snap <- None;
+            cancel_snap peer;
             peer.wedged <- false;
             let b = Binlog.Opid.index (Snapshot.last xfer.sx_snapshot) in
             peer.next_index <- b + 1;
@@ -2203,12 +2121,7 @@ and handle_install_snapshot_response t (r : Message.install_snapshot_response) =
               float_of_int t.params.snapshot_chunk_bytes
               /. snapshot_rate_bytes_per_s *. Sim.Engine.s
             in
-            cancel_snap_timer xfer;
-            xfer.sx_timer <-
-              Some
-                (Sim.Clock.schedule t.clock ~delay (fun () ->
-                     xfer.sx_timer <- None;
-                     send_snapshot_chunk t peer xfer))
+            arm_snap_timer t xfer ~delay (fun () -> send_snapshot_chunk t peer xfer)
           end
         end
       | _ -> ())
@@ -2229,14 +2142,7 @@ and handle_install_snapshot t (is : Message.install_snapshot) =
   in
   if is.term < t.durable.current_term then reply false 0
   else begin
-    (* Same authority rules as AppendEntries: the sender is this term's
-       live leader, so adopt it and hold elections off. *)
-    if is.term > t.durable.current_term || t.role <> Types.Follower then
-      step_down t ~term:is.term ~new_leader:(Some is.leader_id);
-    t.leader_id <- Some is.leader_id;
-    t.last_leader_contact <- local_now t;
-    t.last_leader_rpc <- t.last_leader_contact;
-    reset_election_timer t;
+    adopt_leader t ~term:is.term ~leader:is.leader_id;
     let last = is.meta.Snapshot.last in
     let boundary = Binlog.Opid.index last in
     if t.log.term_at boundary = Some (Binlog.Opid.term last) then
@@ -2308,12 +2214,7 @@ and finish_install t ~meta ~data =
   t.callbacks.install_snapshot ~snapshot:{ Snapshot.meta; data };
   Obs.Metrics.incr t.meters.m_snapshots_installed;
   (* Everything the checkpoint covers is committed by definition. *)
-  if b > t.commit_index then begin
-    let prev = t.commit_index in
-    t.commit_index <- b;
-    note_commit t ~from_index:(prev + 1) ~to_index:b;
-    t.callbacks.on_commit_advance ~commit_index:b
-  end;
+  commit_through t b;
   (* The restored state is at least as up-to-date as anything this node
      ever acked below the boundary: a post-corruption vote floor at or
      below the tail is satisfied. *)
@@ -2324,12 +2225,19 @@ and finish_install t ~meta ~data =
 
 (* ----- leadership transfer (§2.2 promotion + §4.3 mock elections) ----- *)
 
+(* Disarm the deadline and forget the transfer, however it ended. *)
+and end_transfer t =
+  match t.transfer with
+  | Some tr ->
+    Sim.Engine.cancel tr.transfer_deadline;
+    t.transfer <- None
+  | None -> ()
+
 and abort_transfer t ~reason =
   match t.transfer with
   | None -> ()
   | Some tr ->
-    Sim.Engine.cancel tr.transfer_deadline;
-    t.transfer <- None;
+    end_transfer t;
     (* The transfer died before TimeoutNow went out: no election was
        enabled to bypass a timeout, so lease extensions may resume. *)
     t.lease_blocked <- false;
@@ -2353,8 +2261,7 @@ and check_transfer_progress t =
     | Some peer when peer.match_index >= last_index t ->
       tracef t "raft" "%s: target %s caught up; sending TimeoutNow" t.id tr.transfer_target;
       t.send ~dst:tr.transfer_target (Message.Timeout_now { term = t.durable.current_term });
-      Sim.Engine.cancel tr.transfer_deadline;
-      t.transfer <- None
+      end_transfer t
     | _ -> ())
   | _ -> ()
 
@@ -2406,10 +2313,7 @@ let client_append t payload =
     let opid =
       Binlog.Opid.make ~term:t.durable.current_term ~index:(last_index t + 1)
     in
-    let entry = Binlog.Entry.make ~opid payload in
-    t.log.append entry;
-    Log_cache.put t.cache entry;
-    note_append t entry;
+    append_local t (Binlog.Entry.make ~opid payload);
     replicate_all t ~allow_empty:false;
     advance_commit t;
     Ok opid
@@ -2422,15 +2326,7 @@ let client_append t payload =
 let config_committed t =
   t.role = Types.Leader
   && t.cfg_id.Types.cfg_term = t.durable.current_term
-  &&
-  let acks =
-    t.id
-    :: Hashtbl.fold
-         (fun pid p acc ->
-           if Types.cfg_id_at_least p.cfg_acked t.cfg_id then pid :: acc else acc)
-         t.peers []
-  in
-  Quorum.data_quorum_satisfied t.params.quorum_mode t.cfg ~leader_region:t.region ~acks
+  && data_quorum_of t t.cfg ~self:true (fun p -> Types.cfg_id_at_least p.cfg_acked t.cfg_id)
 
 (* C2 (oplog commitment overlap): everything committed in the current
    term is already replicated to a data quorum of the NEW config, so no
@@ -2439,14 +2335,7 @@ let oplog_covers t new_config =
   committed_in_current_term t
   &&
   let n = t.commit_index in
-  let acks =
-    (if t.log.durable_index () >= n then [ t.id ] else [])
-    @ Hashtbl.fold
-        (fun pid p acc -> if p.match_index >= n then pid :: acc else acc)
-        t.peers []
-  in
-  Quorum.data_quorum_satisfied t.params.quorum_mode new_config ~leader_region:t.region
-    ~acks
+  data_quorum_of t new_config ~self:(t.log.durable_index () >= n) (fun p -> p.match_index >= n)
 
 let change_membership t new_config ~description =
   let ids = Types.member_ids new_config in
@@ -2496,31 +2385,25 @@ let remove_member t member_id =
       { Types.members = List.filter (fun m -> m.Types.id <> member_id) cfg.Types.members }
       ~description:("remove " ^ member_id)
 
-let promote_learner t member_id =
+(* Promotion and demotion are one change: flip a member's voter flag. *)
+let set_voter t member_id ~voter =
   let cfg = config t in
   match Types.find_member cfg member_id with
   | None -> Error "not a member"
-  | Some m when m.Types.voter -> Error "already a voter"
+  | Some m when m.Types.voter = voter ->
+    Error (if voter then "already a voter" else "already a learner")
   | Some m ->
     let members =
       List.map
-        (fun x -> if x.Types.id = member_id then { m with Types.voter = true } else x)
+        (fun x -> if x.Types.id = member_id then { m with Types.voter } else x)
         cfg.Types.members
     in
-    change_membership t { Types.members } ~description:("promote " ^ member_id)
+    change_membership t { Types.members }
+      ~description:((if voter then "promote " else "demote ") ^ member_id)
 
-let demote_voter t member_id =
-  let cfg = config t in
-  match Types.find_member cfg member_id with
-  | None -> Error "not a member"
-  | Some m when not m.Types.voter -> Error "already a learner"
-  | Some m ->
-    let members =
-      List.map
-        (fun x -> if x.Types.id = member_id then { m with Types.voter = false } else x)
-        cfg.Types.members
-    in
-    change_membership t { Types.members } ~description:("demote " ^ member_id)
+let promote_learner t member_id = set_voter t member_id ~voter:true
+
+let demote_voter t member_id = set_voter t member_id ~voter:false
 
 (* Chain an additional observer behind whatever the embedder already
    wired: config events fan out to the state machine first, then to
@@ -2573,9 +2456,6 @@ let safe_purge_index t =
        snapshot rescue covers it when it returns).  An in-flight snapshot
        install fences the floor at its boundary so the tail the install
        resumes into stays intact. *)
-    let grace =
-      2.0 *. float_of_int t.params.missed_heartbeats *. t.params.heartbeat_interval
-    in
     let now = local_now t in
     let peer_floor =
       Hashtbl.fold
@@ -2583,7 +2463,7 @@ let safe_purge_index t =
           match p.snap with
           | Some xfer -> min acc (Binlog.Opid.index (Snapshot.last xfer.sx_snapshot))
           | None ->
-            if now -. p.last_ack <= grace then
+            if peer_recently_acked t ~now p then
               min acc
                 (List.fold_left
                    (fun m f -> min m (f.if_first - 1))
@@ -2629,11 +2509,8 @@ let remote_read_index t k =
     | Some leader ->
       let rid = t.next_read_rid in
       t.next_read_rid <- rid + 1;
-      let timeout =
-        float_of_int t.params.missed_heartbeats *. t.params.heartbeat_interval
-      in
       let timer =
-        Sim.Clock.schedule t.clock ~delay:timeout (fun () ->
+        Sim.Clock.schedule t.clock ~delay:(detection_window t) (fun () ->
             match Hashtbl.find_opt t.pending_remote_reads rid with
             | Some (k, _) ->
               Hashtbl.remove t.pending_remote_reads rid;
@@ -2745,17 +2622,15 @@ let rec handle_message t ~src msg =
       begin_mock_election t ~snapshot ~requester
     | Message.Mock_election_result { ok; target; _ } -> handle_mock_result t (ok, target)
     | Message.Read_index_request { rid; from } ->
+      let reply result =
+        let index, error = match result with Ok i -> (i, None) | Error e -> (0, Some e) in
+        t.send ~dst:from (Message.Read_index_reply { rid; index; error })
+      in
       if t.role = Types.Leader then begin
         Obs.Metrics.incr t.meters.m_readindex_forwarded;
-        read_index t (fun result ->
-            let index, error =
-              match result with Ok i -> (i, None) | Error e -> (0, Some e)
-            in
-            t.send ~dst:from (Message.Read_index_reply { rid; index; error }))
+        read_index t reply
       end
-      else
-        t.send ~dst:from
-          (Message.Read_index_reply { rid; index = 0; error = Some "not the leader" })
+      else reply (Error "not the leader")
     | Message.Install_snapshot is -> handle_install_snapshot t is
     | Message.Install_snapshot_response r -> handle_install_snapshot_response t r
     | Message.Read_index_reply { rid; index; error } -> (
@@ -2858,11 +2733,8 @@ let stop t =
   cancel_timer t.heartbeat_timer;
   t.election_timer <- None;
   t.heartbeat_timer <- None;
-  Hashtbl.iter
-    (fun _ p ->
-      cancel_retransmit p;
-      cancel_snap p)
-    t.peers;
+  end_transfer t;
+  cancel_peer_timers t;
   t.pending_install <- None;
   t.lease_until <- neg_infinity;
   t.lease_until_global <- neg_infinity;

@@ -15,6 +15,7 @@ type sim_node = {
   mutable leader_terms : int list; (* terms at which this node became leader *)
   mutable truncations : int; (* entries truncated *)
   mutable committed_watermark : int;
+  mutable transfer_aborts : int; (* on_transfer_aborted callbacks *)
   mutable up : bool;
 }
 
@@ -46,6 +47,8 @@ let make_raft h n =
     (fun removed -> n.truncations <- n.truncations + List.length removed);
   callbacks.Raft.Node.on_commit_advance <-
     (fun ~commit_index -> n.committed_watermark <- max n.committed_watermark commit_index);
+  callbacks.Raft.Node.on_transfer_aborted <-
+    (fun ~reason:_ -> n.transfer_aborts <- n.transfer_aborts + 1);
   node
 
 (* members: (id, region, voter, kind) *)
@@ -79,6 +82,7 @@ let make_harness ?(seed = 5) ?(params = Raft.Node.default_params) members =
           leader_terms = [];
           truncations = 0;
           committed_watermark = 0;
+          transfer_aborts = 0;
           up = true;
         }
       in
@@ -506,6 +510,34 @@ let test_mock_election_allows_caught_up_region () =
   let ok = run_until h ~timeout:(10.0 *. s) (fun () -> leaders h = [ "b1" ]) in
   Alcotest.(check bool) "cross-region transfer succeeds" true ok
 
+(* A leader that crashes mid-transfer takes the transfer down with it:
+   the deadline must not fire later on the stopped node, tracing an
+   abort and calling back into an embedder that has moved on. *)
+let test_stop_ends_transfer () =
+  let params = { flexi_params with use_mock_elections = false } in
+  let h = make_harness ~params (two_region_members ()) in
+  elect h "a1";
+  Sim.Engine.run_for h.engine s;
+  (* The target misses the next entry, so catch-up holds the transfer
+     open (quiesced) until its deadline. *)
+  Sim.Network.isolate_node h.net "b1";
+  ignore (append h "a1");
+  Sim.Engine.run_for h.engine (100.0 *. ms);
+  (match Raft.Node.transfer_leadership (raft (get h "a1")) ~target:"b1" with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "transfer refused: %s" e);
+  Sim.Engine.run_for h.engine (100.0 *. ms);
+  crash h "a1";
+  Sim.Engine.run_for h.engine (5.0 *. s);
+  let aborts =
+    List.filter
+      (fun (e : Sim.Trace.entry) -> Helpers.contains e.message "aborted")
+      (Sim.Trace.entries_with_tag h.trace "raft")
+  in
+  Alcotest.(check (list string)) "no abort traced" []
+    (List.map (fun (e : Sim.Trace.entry) -> e.message) aborts);
+  Alcotest.(check int) "no abort callback" 0 (get h "a1").transfer_aborts
+
 (* ----- membership changes ----- *)
 
 let test_add_member () =
@@ -524,6 +556,7 @@ let test_add_member () =
       leader_terms = [];
       truncations = 0;
       committed_watermark = 0;
+      transfer_aborts = 0;
       up = true;
     }
   in
@@ -606,6 +639,23 @@ let test_promote_learner () =
         | None -> false)
   in
   Alcotest.(check bool) "learner promoted to voter" true ok
+
+let test_voter_flag_rejects_no_ops () =
+  let members = three_nodes () @ [ ("n4", "r1", false, mysql) ] in
+  let h = make_harness ~params:majority_params members in
+  elect h "n1";
+  let r = raft (get h "n1") in
+  let before = Raft.Types.cfg_id_to_string (Raft.Node.config_id r) in
+  let rejects label expected = function
+    | Ok _ -> Alcotest.failf "%s: accepted" label
+    | Error e -> Alcotest.(check string) label expected e
+  in
+  rejects "promote a voter" "already a voter" (Raft.Node.promote_learner r "n2");
+  rejects "demote a learner" "already a learner" (Raft.Node.demote_voter r "n4");
+  rejects "promote a stranger" "not a member" (Raft.Node.promote_learner r "zz");
+  rejects "demote a stranger" "not a member" (Raft.Node.demote_voter r "zz");
+  Alcotest.(check string) "config id unchanged" before
+    (Raft.Types.cfg_id_to_string (Raft.Node.config_id r))
 
 (* ----- proxying ----- *)
 
@@ -982,6 +1032,7 @@ let suites =
           test_mock_election_blocks_lagging_region;
         Alcotest.test_case "mock election allows healthy region" `Quick
           test_mock_election_allows_caught_up_region;
+        Alcotest.test_case "stop ends a pending transfer" `Quick test_stop_ends_transfer;
       ] );
     ( "raft.membership",
       [
@@ -990,6 +1041,8 @@ let suites =
         Alcotest.test_case "one change at a time" `Quick test_one_change_at_a_time;
         Alcotest.test_case "leader cannot remove self" `Quick test_leader_cannot_remove_self;
         Alcotest.test_case "promote learner" `Quick test_promote_learner;
+        Alcotest.test_case "voter flag rejects no-ops and strangers" `Quick
+          test_voter_flag_rejects_no_ops;
       ] );
     ( "raft.proxy",
       [
