@@ -1,9 +1,9 @@
 (* M1 — Bechamel micro-benchmarks (real wall-clock time) of the hot data
    structures: GTID-set operations, log append, CRC-32 checksumming,
    entry stamping, quorum evaluation, the commit point and the lease
-   threshold, the log cache, the trace ring, the event heap, timer churn
-   in the engine, the replica applier and engine prepare, and histogram
-   recording. *)
+   threshold, a leader settling acks, the log cache, the trace ring, the
+   event heap, timer churn in the engine, the replica applier and engine
+   prepare, and histogram recording. *)
 
 open Bechamel
 open Toolkit
@@ -108,33 +108,123 @@ let quorum_check =
          Raft.Quorum.data_quorum_satisfied Raft.Quorum.Single_region_dynamic cfg_18
            ~leader_region:"r1" ~acks))
 
+(* Config position of each member of [cfg_18]. *)
+let rank_18 id =
+  let rec go i = function
+    | m :: rest -> if m.Raft.Types.id = id then i else go (i + 1) rest
+    | [] -> raise Not_found
+  in
+  go 0 cfg_18.Raft.Types.members
+
 (* A leader in r1 with a pipeline in flight: acks spread over the last
-   few indexes, looked up by node id as the Raft node does. *)
+   few indexes, one stamp per member slot as the Raft node fills them. *)
 let commit_point =
-  let acked = Hashtbl.create 32 in
-  List.iteri
-    (fun i m -> Hashtbl.replace acked m.Raft.Types.id (1_000 - (i * 3)))
-    cfg_18.Raft.Types.members;
-  let ack id = match Hashtbl.find acked id with n -> n | exception Not_found -> 0 in
+  let l =
+    Raft.Quorum.layout Raft.Quorum.Single_region_dynamic cfg_18 ~self:"nr11"
+      ~leader_region:"r1"
+  in
+  Array.iteri
+    (fun i id -> (Raft.Quorum.stamps l).(i) <- float_of_int (1_000 - (rank_18 id * 3)))
+    (Raft.Quorum.slots l);
   Test.make ~name:"quorum.commit_point (18 voters)"
     (Staged.stage (fun () ->
-         Raft.Quorum.commit_point Raft.Quorum.Single_region_dynamic cfg_18 ~leader_region:"r1"
-           ~ack ~above:990 ~upto:1_000))
+         Raft.Quorum.commit_point l ~self:1_000 ~above:990 ~upto:1_000))
 
 (* The same leader's lease search: every peer's acked send, stamped a
-   few hundred microseconds apart, looked up by node id. *)
+   few hundred microseconds apart. *)
 let lease_point =
-  let sends = Hashtbl.create 32 in
-  List.iteri
-    (fun i m ->
-      let local = 1_000_000.0 -. (float_of_int i *. 250.0) in
-      Hashtbl.replace sends m.Raft.Types.id (local, local +. 3.0))
-    (List.tl cfg_18.Raft.Types.members);
+  let l =
+    Raft.Quorum.layout Raft.Quorum.Single_region_dynamic cfg_18 ~self:"nr11"
+      ~leader_region:"r1"
+  in
+  Array.iteri
+    (fun i id ->
+      let local = 1_000_000.0 -. (float_of_int (rank_18 id - 1) *. 250.0) in
+      (Raft.Quorum.stamps l).(i) <- local;
+      (Raft.Quorum.globals l).(i) <- local +. 3.0)
+    (Raft.Quorum.slots l);
   Test.make ~name:"quorum.lease_point (18 voters)"
     (Staged.stage (fun () ->
-         Raft.Quorum.lease_point Raft.Quorum.Single_region_dynamic cfg_18 ~leader_region:"r1"
-           ~self:"nr11" ~now:1_000_500.0 ~now_global:1_000_503.0 ~sends ~local:fst
-           ~global:snd))
+         Raft.Quorum.lease_point l ~now:1_000_500.0 ~now_global:1_000_503.0))
+
+(* A leader of [cfg] (FlexiRaft, proxying on) whose followers keep up:
+   each run appends one entry and answers every peer's AppendEntries for
+   it, the peers played by hand with no network in between.  Returns
+   the test and a probe of the minor words one ack allocates (the
+   answers alone, measured over 1k runs). *)
+let leader_ack cfg =
+  let engine = Sim.Engine.create ~seed:1 () in
+  let sent = Queue.create () in
+  let rec final ~dst = function
+    | Raft.Message.Append_entries ae -> Queue.push (dst, ae) sent
+    | Raft.Message.Proxied { next_hops; inner } ->
+      final ~dst:(List.nth next_hops (List.length next_hops - 1)) inner
+    | _ -> ()
+  in
+  let self = List.hd cfg.Raft.Types.members in
+  let node =
+    Raft.Node.create ~engine ~id:self.Raft.Types.id ~region:self.Raft.Types.region
+      ~send:(fun ~dst msg -> final ~dst msg)
+      ~log:
+        (Raft.Node.log_ops_of_store
+           (Binlog.Log_store.create ~mode:Binlog.Log_store.Relay ()))
+      ~callbacks:(Raft.Node.default_callbacks ())
+      ~params:Raft.Node.default_params ~initial_config:cfg
+      ~durable:(Raft.Node.fresh_durable ()) ~trace:(Sim.Trace.create engine) ()
+  in
+  Raft.Node.set_force_election_quorum node true;
+  Raft.Node.trigger_election node;
+  let acks () =
+    let through = Raft.Node.last_index node in
+    let acks =
+      Queue.fold
+        (fun acc (dst, (ae : Raft.Message.append_entries)) ->
+          ( dst,
+            Raft.Message.Append_entries_response
+              {
+                term = ae.term;
+                from = dst;
+                success = true;
+                last_log_index = through;
+                last_appended_index = through;
+                request_seq = ae.seq;
+                cfg_id = ae.cfg_id;
+                follower_time = 0.0;
+              } )
+          :: acc)
+        [] sent
+    in
+    Queue.clear sent;
+    acks
+  in
+  let settle = List.iter (fun (src, msg) -> Raft.Node.handle_message node ~src msg) in
+  let round () =
+    ignore (Raft.Node.client_append node Binlog.Entry.Noop);
+    settle (acks ())
+  in
+  settle (acks ());
+  let words_per_ack () =
+    let words = ref 0.0 and n = ref 0 in
+    for _ = 1 to 1_000 do
+      ignore (Raft.Node.client_append node Binlog.Entry.Noop);
+      let acks = acks () in
+      let before = Gc.minor_words () in
+      settle acks;
+      words := !words +. (Gc.minor_words () -. before);
+      n := !n + List.length acks
+    done;
+    !words /. float_of_int !n
+  in
+  let voters = List.length (Raft.Types.voters cfg) in
+  let name = Printf.sprintf "raft.leader ack (%d voters)" voters in
+  (Test.make ~name (Staged.stage round), (name, words_per_ack))
+
+(* The nine-member failover ring: three regions of three voters. *)
+let cfg_9 =
+  {
+    Raft.Types.members =
+      List.filter (fun m -> rank_18 m.Raft.Types.id < 9) cfg_18.Raft.Types.members;
+  }
 
 (* One consensus-commit event into a full (wrapping) trace ring. *)
 let tracebuf_record =
@@ -377,6 +467,8 @@ let histogram_record =
 let run () =
   Common.header "M1 — micro-benchmarks (Bechamel, real time)";
   let timer_reset, timer_engine = engine_timer_reset 1_000 in
+  let ack_9, words_9 = leader_ack cfg_9 and ack_18, words_18 = leader_ack cfg_18 in
+  let words = [ words_9; words_18 ] in
   let tests =
     [
       gtid_set_add;
@@ -387,6 +479,8 @@ let run () =
       quorum_check;
       commit_point;
       lease_point;
+      ack_9;
+      ack_18;
       tracebuf_record;
       log_cache_put_slice;
       heap_push_pop 1_000;
@@ -413,7 +507,12 @@ let run () =
       Hashtbl.iter
         (fun name result ->
           match Analyze.OLS.estimates result with
-          | Some [ est ] -> Printf.printf "  %-42s %12.1f ns/run\n%!" name est
+          | Some [ est ] -> (
+            match List.assoc_opt name words with
+            | Some per_ack ->
+              Printf.printf "  %-42s %12.1f ns/run %8.1f words/ack\n%!" name est
+                (per_ack ())
+            | None -> Printf.printf "  %-42s %12.1f ns/run\n%!" name est)
           | _ -> Printf.printf "  %-42s (no estimate)\n%!" name)
         analyzed)
     tests;

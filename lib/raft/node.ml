@@ -203,6 +203,10 @@ let snapshot_rate_bytes_per_s = 8.0 *. 1024.0 *. 1024.0
    what lets a transfer survive a lost chunk or ack. *)
 let snapshot_retransmit_timeout = 500.0 *. Sim.Engine.ms
 
+(* The layout a node holds until it first leads: no slots. *)
+let no_layout =
+  Quorum.layout Quorum.Majority { Types.members = [] } ~self:"" ~leader_region:""
+
 (* Durable per-identity state (survives crashes): the Raft term and vote,
    plus the FlexiRaft constraints — the authoritative last known leader
    and the highest-term candidate granted a vote (voting history, §4.1).
@@ -229,19 +233,49 @@ let fresh_durable () =
     d_config = None;
   }
 
-(* One entry-carrying AppendEntries outstanding in a peer's window.
-   Windows hold contiguous index ranges, oldest first; empty AEs
-   (heartbeats/probes) are never windowed — there is nothing to resend. *)
-type inflight = {
-  if_seq : int; (* the AE's [seq], echoed in its response *)
-  if_first : int; (* first entry index carried *)
-  if_last : int; (* last entry index carried *)
-  if_bytes : int;
-  if_sent_at : float; (* leader's local clock at send *)
-  if_sent_global : float;
+(* A peer's sliding window: the entry-carrying AppendEntries still
+   outstanding, in a ring of [max_inflight_aes] slots.  The sends hold
+   contiguous, ascending index ranges from [w_head] on (only a rewind
+   moves the frontier back, and it empties the window), so acks retire
+   a prefix.  Empty AEs (heartbeats/probes) are never windowed — there
+   is nothing to resend. *)
+type window = {
+  w_seq : int array; (* the AE's [seq], echoed in its response *)
+  w_first : int array; (* first entry index carried *)
+  w_last : int array; (* last entry index carried *)
+  w_sent : float array; (* leader's local clock at send *)
+  w_sent_global : float array;
   (* engine (true) time at the same instant: the partner stamp from
      which the lease's expired-by-global-time oracle is derived *)
+  mutable w_head : int; (* slot of the oldest send *)
+  mutable w_len : int;
 }
+
+let window_create n =
+  {
+    w_seq = Array.make n 0;
+    w_first = Array.make n 0;
+    w_last = Array.make n 0;
+    w_sent = Array.make n 0.0;
+    w_sent_global = Array.make n 0.0;
+    w_head = 0;
+    w_len = 0;
+  }
+
+(* Slot of the [i]-th oldest send. *)
+let w_slot w i =
+  let k = w.w_head + i in
+  if k >= Array.length w.w_seq then k - Array.length w.w_seq else k
+
+(* Slot of the send [seq], or -1 when it is not in the window. *)
+let w_find w seq =
+  let found = ref (-1) and i = ref 0 in
+  while !found < 0 && !i < w.w_len do
+    let k = w_slot w !i in
+    if w.w_seq.(k) = seq then found := k;
+    incr i
+  done;
+  !found
 
 (* One in-progress snapshot transfer to a peer: stop-and-wait chunks,
    resent from the acked offset on timeout, paced by the configured byte
@@ -256,9 +290,11 @@ type snap_xfer = {
 
 type peer_state = {
   peer_id : node_id;
+  mutable peer_region : string;
+  mutable slot : int; (* this peer's slot in the leader's [Quorum.layout] *)
   mutable next_index : int; (* send frontier: next index to ship *)
   mutable match_index : int; (* durable AND confirmed-matching prefix *)
-  mutable inflight : inflight list; (* sliding window, oldest first *)
+  window : window;
   mutable send_seq : int; (* seq of the most recent AE to this peer *)
   mutable rewind_seq : int;
   (* Nack fence: failure responses with request_seq <= this answer sends
@@ -317,11 +353,6 @@ type peer_state = {
      reconfig precondition (a quorum of the current config holds the
      current config in the current term). *)
 }
-
-(* Accessors handed to [Quorum.lease_point]. *)
-let acked_send_local p = p.acked_send_time
-
-let acked_send_global p = p.acked_send_global
 
 type election = {
   phase : Message.vote_phase;
@@ -498,9 +529,11 @@ type t = {
   append_stamps : Append_stamps.t;
   (* local append time per index, read when the index commits — feeds
      raft.commit_latency_us *)
-  commit_ack : node_id -> int;
-  (* The highest index each member acknowledges (the leader's own
-     durable index for itself), for [Quorum.commit_point]; built once. *)
+  mutable layout : Quorum.layout;
+  (* The data quorum's slots under this leader, rebuilt with the peer
+     table; [advance_commit] and [extend_lease] fill its stamps. *)
+  mutable peer_array : peer_state array; (* [peers]' records, for scans *)
+  mutable inflight : int; (* entry AEs in flight across all peers' windows *)
   mutable election_started_at : float; (* neg_infinity when no election *)
   (* --- consistency-tiered read path --- *)
   mutable lease_until : float; (* leader lease expiry, local clock; neg_infinity = none *)
@@ -755,29 +788,29 @@ and send_routed t ~hops ~final msg =
 and designated_proxy t ~region =
   let now = local_now t in
   let healthy_cutoff = 3.0 *. t.params.heartbeat_interval in
-  let candidates =
-    Hashtbl.fold
-      (fun pid p acc ->
-        match Types.find_member (config t) pid with
-        | Some m when m.Types.region = region ->
-          (* A proxy must have acknowledged this leader at least once —
-             a node that has never responded may be dead and would
-             blackhole its whole region (§4.2.3 route-around). *)
-          if p.responded && now -. p.last_ack <= healthy_cutoff then
-            (p.match_index, pid) :: acc
-          else acc
-        | _ -> acc)
-      t.peers []
-  in
-  match List.sort (fun a b -> compare b a) candidates with
-  | (_, pid) :: _ -> Some pid
-  | [] -> None
+  (* The greatest (match_index, id) in one pass. *)
+  let best = ref (-1) in
+  for i = 0 to Array.length t.peer_array - 1 do
+    let p = t.peer_array.(i) in
+    (* A proxy must have acknowledged this leader at least once — a node
+       that has never responded may be dead and would blackhole its
+       whole region (§4.2.3 route-around). *)
+    if
+      String.equal p.peer_region region
+      && p.responded
+      && now -. p.last_ack <= healthy_cutoff
+      && (!best < 0
+         ||
+         let b = t.peer_array.(!best) in
+         p.match_index > b.match_index
+         || (p.match_index = b.match_index && String.compare p.peer_id b.peer_id > 0))
+    then best := i
+  done;
+  if !best < 0 then None else Some t.peer_array.(!best).peer_id
 
 (* ----- replication (leader side): windowed pipeline ----- *)
 
-and update_window_gauge t =
-  let total = Hashtbl.fold (fun _ p acc -> acc + List.length p.inflight) t.peers 0 in
-  Obs.Metrics.set_gauge_int t.meters.m_window total
+and update_window_gauge t = Obs.Metrics.set_gauge_int t.meters.m_window t.inflight
 
 (* AIMD byte budget: halve on loss/latency signals, grow additively on
    clean acks.  The floor keeps rewind probes small but useful. *)
@@ -802,10 +835,15 @@ and cancel_snap peer =
     peer.snap <- None
   | None -> ()
 
+(* Empty the peer's window, keeping the running total exact. *)
+and forget_window t peer =
+  t.inflight <- t.inflight - peer.window.w_len;
+  peer.window.w_len <- 0
+
 (* Empty the peer's window and fence the drained seqs: failure responses
    to sends from before this point must not rewind a second time. *)
 and drain_window t peer =
-  peer.inflight <- [];
+  forget_window t peer;
   peer.rewind_seq <- peer.send_seq;
   cancel_retransmit peer;
   update_window_gauge t
@@ -826,7 +864,9 @@ and cancel_peer_timers t =
 
 and reset_peers t =
   cancel_peer_timers t;
-  Hashtbl.reset t.peers
+  Hashtbl.iter (fun _ p -> forget_window t p) t.peers;
+  Hashtbl.reset t.peers;
+  t.peer_array <- [||]
 
 (* Effective retransmission timeout: the fixed floor or a smoothed-
    RTT multiple, so cross-region peers are not spuriously resent. *)
@@ -854,25 +894,24 @@ and peer_live t peer =
      | None -> false)
 
 and on_retransmit_timeout t peer =
-  if peer_live t peer then
-    match peer.inflight with
-    | [] -> ()
-    | oldest :: _ ->
-      let age = local_now t -. oldest.if_sent_at in
-      let timeout = retransmit_after peer in
-      if age +. 1e-3 >= timeout then begin
-        (* The oldest windowed send (or its response) is presumed lost:
-           rewind to its start and resend.  Without this, one lost
-           AppendEntries *response* stalled the peer until a leadership
-           change. *)
-        Obs.Metrics.incr t.meters.m_retransmits;
-        tracef t "raft" "%s: retransmit to %s from index %d (window %d)" t.id
-          peer.peer_id oldest.if_first
-          (List.length peer.inflight);
-        rewind_window t peer ~from:oldest.if_first;
-        replicate_to t peer ~allow_empty:true
-      end
-      else arm_retransmit t peer ~delay:(timeout -. age)
+  let w = peer.window in
+  if peer_live t peer && w.w_len > 0 then begin
+    let age = local_now t -. w.w_sent.(w.w_head) in
+    let timeout = retransmit_after peer in
+    if age +. 1e-3 >= timeout then begin
+      (* The oldest windowed send (or its response) is presumed lost:
+         rewind to its start and resend.  Without this, one lost
+         AppendEntries *response* stalled the peer until a leadership
+         change. *)
+      let first = w.w_first.(w.w_head) in
+      Obs.Metrics.incr t.meters.m_retransmits;
+      tracef t "raft" "%s: retransmit to %s from index %d (window %d)" t.id peer.peer_id
+        first w.w_len;
+      rewind_window t peer ~from:first;
+      replicate_to t peer ~allow_empty:true
+    end
+    else arm_retransmit t peer ~delay:(timeout -. age)
+  end
 
 (* Attach the membership body only while the peer's acknowledged config
    identity trails ours; after one ack the stream drops back to the bare
@@ -931,18 +970,15 @@ and send_entry_batch t peer =
         Message.Append_entries
           (ae_request t peer ~prev_opid ~leader_time:sent_local ~reply_route payload)
       in
-      peer.inflight <-
-        peer.inflight
-        @ [
-            {
-              if_seq = peer.send_seq;
-              if_first = from_index;
-              if_last = last_idx;
-              if_bytes = bytes;
-              if_sent_at = sent_local;
-              if_sent_global = Sim.Engine.now t.engine;
-            };
-          ];
+      let w = peer.window in
+      let k = w_slot w w.w_len in
+      w.w_seq.(k) <- peer.send_seq;
+      w.w_first.(k) <- from_index;
+      w.w_last.(k) <- last_idx;
+      w.w_sent.(k) <- sent_local;
+      w.w_sent_global.(k) <- Sim.Engine.now t.engine;
+      w.w_len <- w.w_len + 1;
+      t.inflight <- t.inflight + 1;
       peer.next_index <- last_idx + 1;
       peer.sent_commit <- max peer.sent_commit t.commit_index;
       peer.hb_suppressed <- 0;
@@ -951,15 +987,10 @@ and send_entry_batch t peer =
       update_window_gauge t;
       Obs.Metrics.incr t.meters.m_ae_sent;
       Obs.Metrics.record t.meters.m_batch_bytes (float_of_int bytes);
-      let peer_region =
-        match Types.find_member (config t) peer.peer_id with
-        | Some m -> m.Types.region
-        | None -> t.region
-      in
       let proxy =
         match
-          if t.params.proxying && peer_region <> t.region then
-            designated_proxy t ~region:peer_region
+          if t.params.proxying && peer.peer_region <> t.region then
+            designated_proxy t ~region:peer.peer_region
           else None
         with
         | Some p when p <> peer.peer_id -> Some p
@@ -989,7 +1020,7 @@ and send_entry_batch t peer =
    anchor at the frontier and double as a probe. *)
 and send_heartbeat t peer =
   let prev_index =
-    if peer.inflight = [] then peer.next_index - 1 else peer.match_index
+    if peer.window.w_len = 0 then peer.next_index - 1 else peer.match_index
   in
   match t.log.term_at prev_index with
   | None ->
@@ -1027,7 +1058,7 @@ and send_empty t peer prev_opid =
 and hb_suppressible t peer =
   t.params.hb_suppress_limit > 0
   && peer.hb_suppressed < t.params.hb_suppress_limit
-  && peer.inflight = []
+  && peer.window.w_len = 0
   && peer.snap = None
   && peer.responded
   && peer.match_index >= last_index t
@@ -1053,7 +1084,7 @@ and replicate_to t peer ~allow_empty =
       let blocked = ref false in
       while
         (not !blocked)
-        && List.length peer.inflight < t.params.max_inflight_aes
+        && peer.window.w_len < t.params.max_inflight_aes
         && peer.next_index <= last_index t
       do
         if send_entry_batch t peer then sent_entries := true else blocked := true
@@ -1074,9 +1105,17 @@ and replicate_all t ~allow_empty =
 
 and advance_commit t =
   if t.role = Types.Leader then begin
+    let stamps = Quorum.stamps t.layout in
+    for i = 0 to Array.length t.peer_array - 1 do
+      let p = t.peer_array.(i) in
+      stamps.(p.slot) <- float_of_int p.match_index
+    done;
+    (* The leader's own ack counts only once its log has fsynced the
+       entry — symmetrical with followers reporting their durable
+       index. *)
     let n =
-      Quorum.commit_point t.params.quorum_mode (config t) ~leader_region:t.region
-        ~ack:t.commit_ack ~above:t.commit_index ~upto:(last_index t)
+      Quorum.commit_point t.layout ~self:(t.log.durable_index ()) ~above:t.commit_index
+        ~upto:(last_index t)
     in
     if
       n > t.commit_index
@@ -1133,19 +1172,21 @@ and extend_lease t =
        (the only ones a real node has), the global partner just keeps
        the oracle pointed at the same event. *)
     let now = local_now t in
-    match
-      Quorum.lease_point t.params.quorum_mode (config t) ~leader_region:t.region ~self:t.id
-        ~now ~now_global:(Sim.Engine.now t.engine) ~sends:t.peers ~local:acked_send_local
-        ~global:acked_send_global
-    with
-    | Some (threshold, threshold_global) ->
-      let until = threshold +. lease_duration t in
+    let stamps = Quorum.stamps t.layout and globals = Quorum.globals t.layout in
+    for i = 0 to Array.length t.peer_array - 1 do
+      let p = t.peer_array.(i) in
+      stamps.(p.slot) <- p.acked_send_time;
+      globals.(p.slot) <- p.acked_send_global
+    done;
+    if Quorum.lease_point t.layout ~now ~now_global:(Sim.Engine.now t.engine) then begin
+      let threshold = Quorum.lease t.layout in
+      let until = threshold.(0) +. lease_duration t in
       if until > t.lease_until then begin
         t.lease_until <- until;
-        t.lease_until_global <- threshold_global +. lease_duration_global t;
+        t.lease_until_global <- threshold.(1) +. lease_duration_global t;
         Obs.Metrics.incr t.meters.m_lease_extensions
       end
-    | None -> ()
+    end
   end
 
 and revoke_lease t ~reason =
@@ -1311,9 +1352,11 @@ and sync_peers t =
           Hashtbl.replace t.peers m.Types.id
             {
               peer_id = m.Types.id;
+              peer_region = m.Types.region;
+              slot = 0;
               next_index = last_index t + 1;
               match_index = 0;
-              inflight = [];
+              window = window_create t.params.max_inflight_aes;
               send_seq = 0;
               rewind_seq = 0;
               delivered = 0;
@@ -1338,7 +1381,23 @@ and sync_peers t =
         (fun pid _ acc -> if Types.is_member cfg pid then acc else pid :: acc)
         t.peers []
     in
-    List.iter (Hashtbl.remove t.peers) stale
+    List.iter
+      (fun pid ->
+        forget_window t (Hashtbl.find t.peers pid);
+        Hashtbl.remove t.peers pid)
+      stale;
+    (* Lay the quorum out for the new table: each peer learns its slot
+       and region, which sends and acks then read without a lookup. *)
+    t.layout <- Quorum.layout t.params.quorum_mode cfg ~self:t.id ~leader_region:t.region;
+    Array.iteri
+      (fun i id ->
+        match (Hashtbl.find_opt t.peers id, Types.find_member cfg id) with
+        | Some p, Some m ->
+          p.slot <- i;
+          p.peer_region <- m.Types.region
+        | _ -> ())
+      (Quorum.slots t.layout);
+    t.peer_array <- Array.of_seq (Hashtbl.to_seq_values t.peers)
   end
 
 (* ----- role transitions ----- *)
@@ -1873,29 +1932,31 @@ and handle_append_response t (r : Message.append_response) =
            local and global stamps of the same send event travel in
            lockstep: the local one feeds the lease, the global twin
            feeds the stale-by-global-time oracle. *)
-        (match List.find_opt (fun f -> f.if_seq = r.request_seq) peer.inflight with
-        | Some f ->
-          (* RTT sample when the answered send is still in the window. *)
-          let rtt = now -. f.if_sent_at in
-          if peer.srtt <= 0.0 then peer.srtt <- rtt
-          else peer.srtt <- (0.8 *. peer.srtt) +. (0.2 *. rtt);
-          (* Ack latency inflating well past the smoothed RTT means the
-             peer (or path) is congested: back the batch size off. *)
-          if rtt > 4.0 *. peer.srtt then shrink_budget peer;
-          if f.if_sent_at > peer.acked_send_time then begin
-            peer.acked_send_time <- f.if_sent_at;
-            peer.acked_send_global <- f.if_sent_global
-          end
-        | None -> (
-          match List.find_opt (fun (seq, _, _) -> seq = r.request_seq) peer.hb_sent with
-          | Some (_, sent_local, sent_global) ->
-            if sent_local > peer.acked_send_time then begin
-              peer.acked_send_time <- sent_local;
-              peer.acked_send_global <- sent_global
-            end;
-            peer.hb_sent <-
-              List.filter (fun (seq, _, _) -> seq > r.request_seq) peer.hb_sent
-          | None -> ()));
+        let w = peer.window in
+        let k = w_find w r.request_seq in
+        (if k >= 0 then begin
+           (* RTT sample when the answered send is still in the window. *)
+           let rtt = now -. w.w_sent.(k) in
+           if peer.srtt <= 0.0 then peer.srtt <- rtt
+           else peer.srtt <- (0.8 *. peer.srtt) +. (0.2 *. rtt);
+           (* Ack latency inflating well past the smoothed RTT means the
+              peer (or path) is congested: back the batch size off. *)
+           if rtt > 4.0 *. peer.srtt then shrink_budget peer;
+           if w.w_sent.(k) > peer.acked_send_time then begin
+             peer.acked_send_time <- w.w_sent.(k);
+             peer.acked_send_global <- w.w_sent_global.(k)
+           end
+         end
+         else
+           match List.find_opt (fun (seq, _, _) -> seq = r.request_seq) peer.hb_sent with
+           | Some (_, sent_local, sent_global) ->
+             if sent_local > peer.acked_send_time then begin
+               peer.acked_send_time <- sent_local;
+               peer.acked_send_global <- sent_global
+             end;
+             peer.hb_sent <-
+               List.filter (fun (seq, _, _) -> seq > r.request_seq) peer.hb_sent
+           | None -> ());
         extend_lease t;
         note_read_ack t ~from:r.from ~request_seq:r.request_seq;
         (* [last_appended_index] says how far this response confirmed the
@@ -1904,20 +1965,24 @@ and handle_append_response t (r : Message.append_response) =
            duplication and reordering. *)
         if r.last_appended_index > peer.delivered then
           peer.delivered <- r.last_appended_index;
-        let retired, still =
-          List.partition (fun f -> f.if_last <= peer.delivered) peer.inflight
-        in
-        peer.inflight <- still;
-        if still = [] then cancel_retransmit peer;
+        (* Ranges ascend through the window: the covered sends are a
+           prefix. *)
+        let retired = ref 0 in
+        while w.w_len > 0 && w.w_last.(w.w_head) <= peer.delivered do
+          w.w_head <- w_slot w 1;
+          w.w_len <- w.w_len - 1;
+          incr retired
+        done;
+        t.inflight <- t.inflight - !retired;
+        if w.w_len = 0 then cancel_retransmit peer;
         update_window_gauge t;
-        if List.exists (fun f -> f.if_seq = r.request_seq) still then
+        if w_find w r.request_seq >= 0 then
           (* Success that leaves its own send outstanding: the payload
              never arrived (PROXY_OP degraded to a heartbeat en route).
              Replay the window from its start now rather than waiting out
              the retransmit timer. *)
-          rewind_window t peer
-            ~from:(List.fold_left (fun acc f -> min acc f.if_first) max_int still)
-        else if retired <> [] then grow_budget peer;
+          rewind_window t peer ~from:w.w_first.(w.w_head)
+        else if !retired > 0 then grow_budget peer;
         (* Commit-countable ack = durable AND confirmed matching. *)
         let ack = min r.last_log_index peer.delivered in
         if ack > peer.match_index then peer.match_index <- ack;
@@ -2430,10 +2495,7 @@ let region_watermark t ~region:r =
   if t.role <> Types.Leader then 0
   else
     Hashtbl.fold
-      (fun pid p acc ->
-        match Types.find_member (config t) pid with
-        | Some m when m.Types.region = r -> max acc p.match_index
-        | _ -> acc)
+      (fun _ p acc -> if p.peer_region = r then max acc p.match_index else acc)
       t.peers
       (if t.region = r then last_index t else 0)
 
@@ -2463,11 +2525,12 @@ let safe_purge_index t =
           match p.snap with
           | Some xfer -> min acc (Binlog.Opid.index (Snapshot.last xfer.sx_snapshot))
           | None ->
-            if peer_recently_acked t ~now p then
+            if peer_recently_acked t ~now p then begin
+              let w = p.window in
               min acc
-                (List.fold_left
-                   (fun m f -> min m (f.if_first - 1))
-                   p.match_index p.inflight)
+                (if w.w_len = 0 then p.match_index
+                 else min p.match_index (w.w_first.(w.w_head) - 1))
+            end
             else acc)
         t.peers max_int
     in
@@ -2660,7 +2723,7 @@ let create ?metrics ?tracebuf ?clock ?(group = 0) ~engine ~id ~region ~send ~log
     | Some (cid, c) -> (cid, c)
     | None -> (Types.cfg_id_zero, initial_config)
   in
-  let rec t =
+  let t =
     {
       engine;
       clock;
@@ -2693,16 +2756,9 @@ let create ?metrics ?tracebuf ?clock ?(group = 0) ~engine ~id ~region ~send ~log
       meters = make_meters metrics;
       tracebuf;
       append_stamps = Append_stamps.create ();
-      commit_ack =
-        (fun id ->
-          (* The leader's own ack counts only once its log has fsynced
-             the entry — symmetrical with followers reporting their
-             durable index. *)
-          if String.equal id t.id then t.log.durable_index ()
-          else
-            match Hashtbl.find t.peers id with
-            | p -> p.match_index
-            | exception Not_found -> 0);
+      layout = no_layout;
+      peer_array = [||];
+      inflight = 0;
       election_started_at = neg_infinity;
       lease_until = neg_infinity;
       lease_until_global = neg_infinity;

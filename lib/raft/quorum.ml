@@ -16,7 +16,8 @@
      regions, each satisfied by an in-region majority (grid-style);
      offered for applications choosing consistency over latency.
 
-   All functions are pure; the node supplies the vote/ack sets. *)
+   Set-based checks are pure; the node supplies the vote/ack sets.  The
+   commit point and lease select over a [layout]'s stamps, in place. *)
 
 type mode = Majority | Single_region_dynamic | Region_majorities
 
@@ -51,130 +52,128 @@ let data_quorum_satisfied mode config ~leader_region ~acks =
   | Single_region_dynamic -> region_majority config ~region:leader_region acks
   | Region_majorities -> majority_of_region_majorities config acks
 
-(* Is [m] a voter of [region] ([""]: of any region)? *)
-let voter_in m region = m.Types.voter && (region = "" || String.equal m.Types.region region)
+(* A data quorum laid out for selection, once per (config, mode, leader
+   region).  Every member owns a slot; the counted voters come first, in
+   groups — all voters, the leader region's, or one per region — each
+   satisfied by a majority of itself, the quorum by [groups_needed]. *)
+type layout = {
+  slots : Types.node_id array;
+  self : int; (* the leader's slot; -1 when it is not a member *)
+  bounds : int array; (* group g spans slots [bounds.(g), bounds.(g + 1)) *)
+  groups_needed : int;
+  stamps : float array; (* per slot, written by the caller *)
+  globals : float array; (* the send stamps' global partners *)
+  scratch : float array; (* the grouped stamps, reordered by selection *)
+  tops : float array; (* per group: the highest stamp a majority reaches *)
+  lease : float array; (* [| local; global |] of the last lease point *)
+}
 
-(* Do the voters of [region] whose stamp reaches [n] form a majority of
-   them?  Counts in place over [members], building no ack list. *)
-let rec majority_reached ~stamp ~geq ~region n total got = function
-  | [] -> got >= majority_of total
-  | m :: rest ->
-    if voter_in m region then
-      majority_reached ~stamp ~geq ~region n (total + 1)
-        (if geq (stamp m.Types.id) n then got + 1 else got)
-        rest
-    else majority_reached ~stamp ~geq ~region n total got rest
+let layout mode config ~self ~leader_region =
+  let groups =
+    List.filter (( <> ) [])
+      (match mode with
+      | Majority -> [ Types.voters config ]
+      | Single_region_dynamic -> [ Types.voters_in_region config leader_region ]
+      | Region_majorities ->
+        List.map (Types.voters_in_region config) (Types.regions_with_voters config))
+  in
+  let grouped = List.concat groups in
+  let rest = List.filter (fun m -> not (List.memq m grouped)) config.Types.members in
+  let slots = Array.of_list (List.map (fun m -> m.Types.id) (grouped @ rest)) in
+  let n = Array.length slots and ngroups = List.length groups in
+  let bounds = Array.make (ngroups + 1) 0 in
+  List.iteri (fun g m -> bounds.(g + 1) <- bounds.(g) + List.length m) groups;
+  let rec find i = if i = n then -1 else if slots.(i) = self then i else find (i + 1) in
+  {
+    slots;
+    self = find 0;
+    bounds;
+    groups_needed = (if mode = Region_majorities then majority_of ngroups else 1);
+    stamps = Array.make n 0.0;
+    globals = Array.make n 0.0;
+    scratch = Array.make (List.length grouped) 0.0;
+    tops = Array.make ngroups 0.0;
+    lease = Array.make 2 0.0;
+  }
 
-(* Does a voter of [m]'s region precede [m] in [members]?  Lets regions
-   be counted once each without building the region list. *)
-let rec region_seen_before m = function
-  | [] -> false
-  | m' :: rest ->
-    m' != m
-    && ((m'.Types.voter && String.equal m'.Types.region m.Types.region)
-       || region_seen_before m rest)
+let slots l = l.slots
 
-(* Region majorities: do the voters reaching [n] form a majority in a
-   majority of the regions that have voters? *)
-let rec region_majorities ~stamp ~geq ~members n regions got = function
-  | [] -> got >= majority_of regions
-  | m :: rest ->
-    if m.Types.voter && not (region_seen_before m members) then
-      let ok = majority_reached ~stamp ~geq ~region:m.Types.region n 0 0 members in
-      region_majorities ~stamp ~geq ~members n (regions + 1)
-        (if ok then got + 1 else got)
-        rest
-    else region_majorities ~stamp ~geq ~members n regions got rest
+let stamps l = l.stamps
 
-(* The data quorum at [n]: a majority of [region]'s voters ([""]: of all
-   voters), or with [per_region] a majority of region majorities. *)
-let quorum_at ~members ~region ~per_region ~stamp ~geq n =
-  if per_region then region_majorities ~stamp ~geq ~members n 0 0 members
-  else majority_reached ~stamp ~geq ~region n 0 0 members
+let globals l = l.globals
 
-(* Scan the candidates — the stamps of [region]'s voters, clamped to
-   [upto] — between the highest known-good [best] and the lowest
-   known-bad [bad] ([has_bad] false: none yet). *)
-let rec scan ~members ~region ~per_region ~stamp ~geq ~upto best bad has_bad = function
-  | [] -> best
-  | m :: rest ->
-    (* written out, not partially applied: a call allocates nothing *)
-    if not (voter_in m region) then
-      scan ~members ~region ~per_region ~stamp ~geq ~upto best bad has_bad rest
-    else begin
-      let s = stamp m.Types.id in
-      let n = if geq s upto then upto else s in
-      if geq best n || (has_bad && geq n bad) then
-        scan ~members ~region ~per_region ~stamp ~geq ~upto best bad has_bad rest
-      else if quorum_at ~members ~region ~per_region ~stamp ~geq n then
-        scan ~members ~region ~per_region ~stamp ~geq ~upto n bad has_bad rest
-      else scan ~members ~region ~per_region ~stamp ~geq ~upto best n true rest
+let lease l = l.lease
+
+(* The position of the [k]-th largest of [a.(lo .. hi - 1)]
+   (1 <= k <= hi - lo) once quickselect has reordered the range into
+   [lo, above) > pivot = [above, below) > [below, hi); equal stamps, the
+   common case, settle in one pass.  A position: no float is boxed. *)
+let rec select (a : float array) lo hi k =
+  let pivot = a.((lo + hi) / 2) and above = ref lo and i = ref lo and below = ref hi in
+  while !i < !below do
+    let x = a.(!i) in
+    if x > pivot then begin
+      a.(!i) <- a.(!above);
+      a.(!above) <- x;
+      incr above;
+      incr i
     end
+    else if x < pivot then begin
+      decr below;
+      a.(!i) <- a.(!below);
+      a.(!below) <- x
+    end
+    else incr i
+  done;
+  if k <= !above - lo then select a lo !above k
+  else if k > !below - lo then select a !below hi (k - (!below - lo))
+  else !above
 
-(* The greatest stamp value in (above, upto] whose reachers form a data
-   quorum; [above] when none does.
+(* The greatest v whose reachers form a data quorum, as a position in
+   [l.tops] (-1: none).  A stamp covers everything before it, so a
+   group's majority reaches v while v <= its majority-th largest stamp,
+   and the quorum while v <= the [groups_needed]-th largest of those. *)
+let threshold l =
+  Array.blit l.stamps 0 l.scratch 0 (Array.length l.scratch);
+  let groups = Array.length l.tops in
+  for g = 0 to groups - 1 do
+    let lo = l.bounds.(g) and hi = l.bounds.(g + 1) in
+    l.tops.(g) <- l.scratch.(select l.scratch lo hi (majority_of (hi - lo)))
+  done;
+  if l.groups_needed > groups then -1 else select l.tops 0 groups l.groups_needed
 
-   A member's stamp is how far it has acknowledged along an ordered
-   axis — a log index, or a send time — and acknowledging a point
-   acknowledges everything before it.  So the reaching set only shrinks
-   as the value grows and the quorum predicate is monotone: true up to
-   the answer, false past it.  The reaching set is constant between
-   consecutive stamps, so the answer is one of the voters' stamps
-   (clamped to [upto]): only those candidates are evaluated, each between
-   the highest known-good and the lowest known-bad value, and reachers
-   are counted in place. *)
-let threshold mode config ~leader_region ~stamp ~geq ~above ~upto =
-  let region =
-    match mode with Single_region_dynamic -> leader_region | Majority | Region_majorities -> ""
-  in
-  let per_region =
-    match mode with Region_majorities -> true | Majority | Single_region_dynamic -> false
-  in
-  let members = config.Types.members in
-  scan ~members ~region ~per_region ~stamp ~geq ~upto above above false members
+let commit_point l ~self ~above ~upto =
+  if l.self >= 0 then l.stamps.(l.self) <- float_of_int self;
+  let i = threshold l in
+  if i < 0 || l.tops.(i) <= float_of_int above then above
+  else if l.tops.(i) >= float_of_int upto then max upto above
+  else int_of_float l.tops.(i)
 
-let int_geq (a : int) b = a >= b
-
-let float_geq (a : float) b = a >= b
-
-let commit_point mode config ~leader_region ~ack ~above ~upto =
-  threshold mode config ~leader_region ~stamp:ack ~geq:int_geq ~above ~upto
-
-(* The leader lease threshold (LeaseGuard): the latest local send stamp
-   T such that the leader plus every peer whose acked send is stamped
-   >= T form a data quorum, paired with the global stamp of that send.
-   Candidates are the leader's own send at [now] and every peer's acked
-   send ([local p] is a peer's acked-send stamp, [neg_infinity] for
-   none).  Only voters' stamps decide the quorum, so one [threshold]
-   search over them finds T, with the leader stamped at [infinity]: it
-   always acks its own sends.  Should the leader alone be a data quorum,
-   every candidate qualifies and the latest wins.  Sends sharing the
-   winning local stamp may differ in global stamp; the largest is
-   taken. *)
-let lease_point mode config ~leader_region ~self ~now ~now_global ~sends ~local ~global =
-  let stamp id =
-    if String.equal id self then infinity
-    else match Hashtbl.find sends id with p -> local p | exception Not_found -> neg_infinity
-  in
-  let t =
-    threshold mode config ~leader_region ~stamp ~geq:float_geq ~above:neg_infinity
-      ~upto:infinity
-  in
-  if t = neg_infinity then None
-  else begin
-    let t =
-      if t < infinity then t
-      else
-        Hashtbl.fold (fun _ p latest -> if local p > latest then local p else latest) sends now
-    in
-    let twin =
-      Hashtbl.fold
-        (fun _ p g -> if local p = t && global p > g then global p else g)
-        sends
-        (if now = t then now_global else neg_infinity)
-    in
-    Some (t, twin)
-  end
+(* LeaseGuard: the leader (at [infinity]: it acks its own sends) and the
+   members whose acked send reaches T form a data quorum.  When the
+   leader alone is one, every send qualifies and the latest wins. *)
+let lease_point l ~now ~now_global =
+  if l.self >= 0 then l.stamps.(l.self) <- infinity;
+  let i = threshold l in
+  i >= 0
+  && l.tops.(i) > neg_infinity
+  &&
+  let n = Array.length l.slots and t = ref l.tops.(i) in
+  if !t = infinity then begin
+    t := now;
+    for s = 0 to n - 1 do
+      if s <> l.self && l.stamps.(s) > !t then t := l.stamps.(s)
+    done
+  end;
+  (* sends sharing the winning local stamp: the latest global one *)
+  let twin = ref (if now = !t then now_global else neg_infinity) in
+  for s = 0 to n - 1 do
+    if s <> l.self && l.stamps.(s) = !t && l.globals.(s) > !twin then
+      twin := l.globals.(s)
+  done;
+  l.lease.(0) <- !t;
+  l.lease.(1) <- !twin;
+  true
 
 (* The regions in which a candidate must obtain an in-region majority for
    its election to intersect all possible past data quorums.  [None]

@@ -295,15 +295,30 @@ let reference_commit_point mode cfg ~leader ~self_durable ~peers ~above ~upto =
   in
   scan (above + 1) above
 
+(* The layout of [cfg] under [leader], each member's slot stamped with
+   [stamp id] as the node stamps its peers' records.  A layout has no
+   slot for a non-member: the stray's acks cannot count. *)
+let layout_of mode cfg ~leader ~stamp =
+  let l =
+    Raft.Quorum.layout mode cfg ~self:leader.Raft.Types.id
+      ~leader_region:leader.Raft.Types.region
+  in
+  Array.iteri
+    (fun i id ->
+      let local, global = stamp id in
+      (Raft.Quorum.stamps l).(i) <- local;
+      (Raft.Quorum.globals l).(i) <- global)
+    (Raft.Quorum.slots l);
+  l
+
 let prop_commit_point_matches_scan =
   QCheck.Test.make ~name:"commit_point equals the per-index scan" ~count:2000 commit_arb
     (fun (mode, cfg, leader, upto, self_durable, above, peers) ->
-      let ack id =
-        if id = leader.Raft.Types.id then self_durable
-        else Option.value (List.assoc_opt id peers) ~default:0
+      let stamp id =
+        (float_of_int (Option.value (List.assoc_opt id peers) ~default:0), 0.0)
       in
-      Raft.Quorum.commit_point mode cfg ~leader_region:leader.Raft.Types.region ~ack ~above
-        ~upto
+      Raft.Quorum.commit_point (layout_of mode cfg ~leader ~stamp) ~self:self_durable
+        ~above ~upto
       = reference_commit_point mode cfg ~leader ~self_durable ~peers ~above ~upto)
 
 (* ----- lease threshold ----- *)
@@ -371,14 +386,21 @@ let reference_lease_point mode cfg ~leader ~now ~now_global ~peers =
   in
   List.find_opt quorum_at (List.sort_uniq (fun a b -> compare b a) candidates)
 
+(* A peer missing from the table has no acked send.  A layout has no
+   slot for the stray, so it is dropped on both sides: a leader's peer
+   table holds exactly its config's other members. *)
 let prop_lease_point_matches_list_search =
   QCheck.Test.make ~name:"lease_point equals the list-building search" ~count:3000 lease_arb
     (fun (mode, cfg, leader, (now, now_global), peers) ->
-      let sends = Hashtbl.create 8 in
-      List.iter (fun (pid, send) -> Hashtbl.replace sends pid send) peers;
-      Raft.Quorum.lease_point mode cfg ~leader_region:leader.Raft.Types.region
-        ~self:leader.Raft.Types.id ~now ~now_global ~sends ~local:fst ~global:snd
-      = reference_lease_point mode cfg ~leader ~now ~now_global ~peers)
+      let stamp id =
+        Option.value (List.assoc_opt id peers) ~default:(neg_infinity, neg_infinity)
+      in
+      let l = layout_of mode cfg ~leader ~stamp in
+      let members = List.filter (fun (pid, _) -> Raft.Types.is_member cfg pid) peers in
+      (if Raft.Quorum.lease_point l ~now ~now_global then
+         Some ((Raft.Quorum.lease l).(0), (Raft.Quorum.lease l).(1))
+       else None)
+      = reference_lease_point mode cfg ~leader ~now ~now_global ~peers:members)
 
 (* ----- append stamps ----- *)
 
@@ -754,6 +776,413 @@ let prop_window_equivalence =
       && committed1 = List.init txns (fun i -> i + 1)
       && committed8 = committed1)
 
+(* ----- the leader's ring window against the list it replaced ----- *)
+
+(* One windowed send as the list window held it. *)
+type model_send = { m_seq : int; m_first : int; m_last : int; m_sent : float }
+
+(* The leader's bookkeeping for one peer, kept the way [Node] kept it
+   before the ring: the window as a list appended at the end, retired by
+   [List.partition], searched with [List.find_opt]. *)
+type model_peer = {
+  mutable win : model_send list; (* oldest first *)
+  mutable hb : (int * float) list; (* recent empty AEs, newest first *)
+  mutable seqs : int list; (* every seq sent, newest first *)
+  mutable next : int;
+  mutable matched : int;
+  mutable delivered : int;
+  mutable send_seq : int;
+  mutable rewind_seq : int;
+  mutable acked_send : float;
+}
+
+type window_op =
+  | W_append of int
+  | W_ack of int * int * int (* peer, which seq, how far *)
+  | W_degraded of int * int (* peer, which outstanding send *)
+  | W_nack of int * int * int (* peer, which seq, log-end hint *)
+  | W_retransmit
+
+let window_ops_gen =
+  QCheck.Gen.(
+    pair (1 -- 8)
+      (list_size (1 -- 40)
+         (frequency
+            [
+              (3, map (fun k -> W_append k) (1 -- 3));
+              (6, map3 (fun p i r -> W_ack (p, i, r)) (0 -- 2) nat nat);
+              (1, map2 (fun p i -> W_degraded (p, i)) (0 -- 2) nat);
+              (1, map3 (fun p i h -> W_nack (p, i, h)) (0 -- 2) nat nat);
+              (1, return W_retransmit);
+            ])))
+
+let window_op_to_string = function
+  | W_append k -> Printf.sprintf "append%d" k
+  | W_ack (p, i, r) -> Printf.sprintf "ack(%d,%d,%d)" p i r
+  | W_degraded (p, i) -> Printf.sprintf "degraded(%d,%d)" p i
+  | W_nack (p, i, h) -> Printf.sprintf "nack(%d,%d,%d)" p i h
+  | W_retransmit -> "retransmit"
+
+let window_ops_arb =
+  QCheck.make
+    ~print:(fun (window, ops) ->
+      Printf.sprintf "window=%d [%s]" window
+        (String.concat ";" (List.map window_op_to_string ops)))
+    window_ops_gen
+
+let nth_mod l i = List.nth l (i mod List.length l)
+
+(* Drive a leader with three voter peers (so the lease waits on two of
+   them) through sends, cumulative acks, degraded-proxy successes, nack
+   rewinds and retransmits, mirroring every step in the list model:
+   - every entry AE the leader sends starts where the model's frontier
+     says (the same rewind point after a nack, degraded success or
+     retransmit);
+   - a retransmit resends from the oldest send the model holds, with the
+     same window length;
+   - after every step [raft.window_inflight] equals the sum of the model
+     windows (the same sends retired), and the lease equals the one the
+     model's acked sends give (the same send sampled for the RTT). *)
+let prop_ring_window_matches_list =
+  QCheck.Test.make ~name:"ring window matches the list window" ~count:300 window_ops_arb
+    (fun (window, ops) ->
+      let params =
+        {
+          Raft.Node.default_params with
+          Raft.Node.max_inflight_aes = window;
+          heartbeat_interval = 3600.0 *. Sim.Engine.s;
+        }
+      in
+      let ids = [ "p0"; "p1"; "p2" ] in
+      let h =
+        Helpers.make_leader ~params
+          (("L", "r1", true) :: List.map (fun id -> (id, "r1", true)) ids)
+      in
+      let model =
+        List.map
+          (fun id ->
+            ( id,
+              {
+                win = [];
+                hb = [];
+                seqs = [];
+                next = 1;
+                matched = 0;
+                delivered = 0;
+                send_seq = 0;
+                rewind_seq = 0;
+                acked_send = neg_infinity;
+              } ))
+          ids
+      in
+      let peer id = List.assoc id model in
+      let check what b = if not b then QCheck.Test.fail_reportf "%s" what in
+      let rewind m ~from =
+        m.win <- [];
+        m.rewind_seq <- m.send_seq;
+        m.next <- max (m.matched + 1) from
+      in
+      let keep = (2 * window) + 8 in
+      (* Feed the captured sends into the model, in send order. *)
+      let take_sends () =
+        Queue.iter
+          (fun (dst, (ae : Raft.Message.append_entries)) ->
+            let m = peer dst in
+            m.send_seq <- ae.seq;
+            m.seqs <- ae.seq :: m.seqs;
+            match ae.payload with
+            | Raft.Message.Entries [||] ->
+              m.hb <- (ae.seq, ae.leader_time) :: List.filteri (fun i _ -> i < keep) m.hb
+            | Raft.Message.Entries es ->
+              let first = Binlog.Entry.index es.(0) in
+              let last = Binlog.Entry.index es.(Array.length es - 1) in
+              check (Printf.sprintf "%s: send from %d, frontier %d" dst first m.next)
+                (first = m.next);
+              let send =
+                {
+                  m_seq = ae.seq;
+                  m_first = first;
+                  m_last = last;
+                  m_sent = ae.leader_time;
+                }
+              in
+              m.win <- m.win @ [ send ];
+              check (dst ^ ": window overflow") (List.length m.win <= window);
+              m.next <- last + 1
+            | Raft.Message.Refs _ -> check "no proxying in one region" false)
+          h.Helpers.sent;
+        Queue.clear h.Helpers.sent
+      in
+      (* Retransmits fire on the leader's timers; the trace says when,
+         from where and over how many sends. *)
+      let traced = ref 0 in
+      let advance dt =
+        Sim.Engine.run_for h.Helpers.engine dt;
+        let entries = Sim.Trace.entries_with_tag h.Helpers.trace "raft" in
+        let fresh = List.filteri (fun i _ -> i >= !traced) entries in
+        traced := List.length entries;
+        let retransmits =
+          List.filter_map
+            (fun e ->
+              try
+                Some
+                  (Scanf.sscanf e.Sim.Trace.message
+                     "%_s@: retransmit to %s from index %d (window %d)"
+                     (fun id from len -> (e.Sim.Trace.time, id, from, len)))
+              with Scanf.Scan_failure _ | End_of_file -> None)
+            fresh
+        in
+        (* Each peer's resends follow its own retransmit, at its time. *)
+        let sends = List.of_seq (Queue.to_seq h.Helpers.sent) in
+        Queue.clear h.Helpers.sent;
+        List.iter
+          (fun (time, id, from, len) ->
+            let m = peer id in
+            (match m.win with
+            | oldest :: _ ->
+              check
+                (Printf.sprintf "%s: retransmit from %d, model %d" id from oldest.m_first)
+                (from = oldest.m_first);
+              check
+                (Printf.sprintf "%s: retransmit window %d, model %d" id len
+                   (List.length m.win))
+                (len = List.length m.win)
+            | [] -> check (id ^ ": retransmit of an empty window") false);
+            rewind m ~from;
+            List.iter
+              (fun ((dst, (ae : Raft.Message.append_entries)) as x) ->
+                if dst = id && ae.leader_time = time then Queue.push x h.Helpers.sent)
+              sends;
+            take_sends ())
+          retransmits;
+        check "only retransmits send on a timer"
+          (List.for_all
+             (fun (dst, (ae : Raft.Message.append_entries)) ->
+               List.exists
+                 (fun (time, id, _, _) -> id = dst && ae.leader_time = time)
+                 retransmits)
+             sends)
+      in
+      let lease_duration =
+        (float_of_int params.missed_heartbeats *. params.heartbeat_interval
+         *. (1.0 -. params.max_clock_drift))
+        -. params.lease_drift_margin
+      in
+      let lease = ref neg_infinity in
+      (* The lease threshold of four voters with the leader at infinity:
+         the second latest of the peers' acked sends. *)
+      let extend_lease () =
+        let acked = List.map (fun (_, m) -> m.acked_send) model in
+        match List.sort (fun a b -> compare b a) acked with
+        | _ :: second :: _ when second > neg_infinity ->
+          lease := max !lease (second +. lease_duration)
+        | _ -> ()
+      in
+      let success id m ~seq ~durable ~appended =
+        (match List.find_opt (fun s -> s.m_seq = seq) m.win with
+        | Some s -> if s.m_sent > m.acked_send then m.acked_send <- s.m_sent
+        | None -> (
+          match List.assoc_opt seq m.hb with
+          | Some sent ->
+            if sent > m.acked_send then m.acked_send <- sent;
+            m.hb <- List.filter (fun (s, _) -> s > seq) m.hb
+          | None -> ()));
+        extend_lease ();
+        if appended > m.delivered then m.delivered <- appended;
+        let _, still = List.partition (fun s -> s.m_last <= m.delivered) m.win in
+        m.win <- still;
+        if List.exists (fun s -> s.m_seq = seq) still then
+          rewind m ~from:(List.fold_left (fun acc s -> min acc s.m_first) max_int still);
+        let ack = min durable m.delivered in
+        if ack > m.matched then m.matched <- ack;
+        Helpers.respond h ~peer:id ~success:true ~seq ~durable ~appended;
+        take_sends ()
+      in
+      take_sends ();
+      List.iter
+        (fun op ->
+          advance (if op = W_retransmit then 251.0 *. Sim.Engine.ms else Sim.Engine.ms);
+          (match op with
+          | W_append k ->
+            for _ = 1 to k do
+              ignore (Raft.Node.client_append h.Helpers.node Binlog.Entry.Noop)
+            done;
+            take_sends ()
+          | W_ack (p, i, r) ->
+            let id = List.nth ids p in
+            let m = peer id in
+            if m.seqs <> [] then begin
+              (* cumulative: how far the follower's log matches, up to
+                 the leader's frontier for it *)
+              let through = r mod (m.next + 1) in
+              success id m ~seq:(nth_mod m.seqs i) ~durable:through ~appended:through
+            end
+          | W_degraded (p, i) ->
+            let id = List.nth ids p in
+            let m = peer id in
+            if m.win <> [] then begin
+              (* the payload was dropped en route: the follower matched
+                 only the send's prev anchor *)
+              let s = nth_mod m.win i in
+              let through = max m.delivered (s.m_first - 1) in
+              success id m ~seq:s.m_seq ~durable:through ~appended:through
+            end
+          | W_nack (p, i, hint) ->
+            let id = List.nth ids p in
+            let m = peer id in
+            if m.seqs <> [] then begin
+              let seq = nth_mod m.seqs i in
+              let log_end = hint mod (m.next + 1) in
+              if seq > m.rewind_seq then begin
+                if log_end < m.matched then begin
+                  m.matched <- log_end;
+                  m.delivered <- min m.delivered log_end
+                end;
+                rewind m ~from:(max 1 (min (m.next - 1) (log_end + 1)))
+              end;
+              Helpers.respond h ~peer:id ~success:false ~seq ~durable:log_end
+                ~appended:log_end;
+              take_sends ()
+            end
+          | W_retransmit -> ());
+          let total =
+            List.fold_left (fun acc (_, m) -> acc + List.length m.win) 0 model
+          in
+          check
+            (Printf.sprintf "after %s: raft.window_inflight %g, model %d"
+               (window_op_to_string op) (Helpers.window_gauge h) total)
+            (Helpers.window_gauge h = float_of_int total);
+          check
+            (Printf.sprintf "after %s: lease until %g, model %g" (window_op_to_string op)
+               (Raft.Node.lease_until h.Helpers.node) !lease)
+            (Raft.Node.lease_until h.Helpers.node = !lease))
+        ops;
+      true)
+
+(* ----- the designated proxy ----- *)
+
+(* A remote region's members as the leader sees them: each has acked
+   late, acked early, or never; acked peers match through 0-2, so the
+   pick often breaks a tie.  With [gap], more than the health cutoff
+   separates the early acks from the pick (they are stale); without it
+   a peer that never acked is still within the cutoff of the leader's
+   start, so only its silence excludes it. *)
+type proxy_peer = {
+  pp_id : string;
+  pp_voter : bool;
+  pp_ack : [ `Late | `Early | `Never ];
+  pp_match : int;
+}
+
+let proxy_table_gen =
+  QCheck.Gen.(
+    let* n = 1 -- 5 in
+    let* peers =
+      list_repeat n
+        (let* voter = bool in
+         let* ack =
+           frequency [ (3, return `Late); (1, return `Early); (1, return `Never) ]
+         in
+         let* m = 0 -- 2 in
+         return (voter, ack, m))
+    in
+    (* ids out of config order, so the tie-break is by id, not position *)
+    let* ids = shuffle_l (List.init n (fun i -> Printf.sprintf "q%d" i)) in
+    let* gap = bool in
+    return
+      ( gap,
+        List.map2
+          (fun pp_id (pp_voter, pp_ack, pp_match) ->
+            { pp_id; pp_voter; pp_ack; pp_match })
+          ids peers ))
+
+let proxy_table_arb =
+  QCheck.make
+    ~print:(fun (gap, peers) ->
+      Printf.sprintf "gap=%b %s" gap
+        (String.concat ","
+           (List.map
+              (fun p ->
+                Printf.sprintf "%s%s:%s:%d" p.pp_id
+                  (if p.pp_voter then "" else "(learner)")
+                  (match p.pp_ack with
+                  | `Late -> "late"
+                  | `Early -> "early"
+                  | `Never -> "never")
+                  p.pp_match)
+              peers)))
+    proxy_table_gen
+
+(* The pick [Node] made before the one-pass scan: the healthy members of
+   the region as (match_index, id) pairs, sorted, largest first. *)
+let reference_proxy ~gap peers =
+  let healthy p = p.pp_ack = `Late || (p.pp_ack = `Early && not gap) in
+  match
+    List.sort
+      (fun a b -> compare b a)
+      (List.filter_map
+         (fun p -> if healthy p then Some (p.pp_match, p.pp_id) else None)
+         peers)
+  with
+  | (_, id) :: _ -> Some id
+  | [] -> None
+
+(* A leader in r1 (with a region-mate, whose acks must not make it a
+   candidate) replicates to region r2.  Early peers ack, time passes,
+   late peers ack; the next entry's AE to each r2 member then goes
+   through the reference's pick — straight to the member when it is the
+   pick itself or nobody is healthy. *)
+let prop_proxy_pick_matches_sort =
+  QCheck.Test.make ~name:"one-pass proxy pick equals the sorted pick" ~count:300
+    proxy_table_arb (fun (gap, peers) ->
+      let h =
+        Helpers.make_leader
+          (("L", "r1", true) :: ("M", "r1", true)
+          :: List.map (fun p -> (p.pp_id, "r2", p.pp_voter)) peers)
+      in
+      let node = h.Helpers.node in
+      for _ = 1 to 2 do
+        ignore (Raft.Node.client_append node Binlog.Entry.Noop)
+      done;
+      let last_seq = Hashtbl.create 8 in
+      let take () =
+        Queue.iter
+          (fun (dst, (ae : Raft.Message.append_entries)) ->
+            Hashtbl.replace last_seq dst ae.seq)
+          h.Helpers.sent;
+        Queue.clear h.Helpers.sent;
+        Queue.clear h.Helpers.hops
+      in
+      let ack_all kind =
+        take ();
+        List.iter
+          (fun p ->
+            if p.pp_ack = kind then
+              Helpers.respond h ~peer:p.pp_id ~success:true
+                ~seq:(Hashtbl.find last_seq p.pp_id) ~durable:p.pp_match
+                ~appended:p.pp_match)
+          peers
+      in
+      ack_all `Early;
+      Sim.Engine.run_for h.Helpers.engine ((if gap then 2.0 else 0.5) *. Sim.Engine.s);
+      ack_all `Late;
+      take ();
+      Helpers.respond h ~peer:"M" ~success:true ~seq:(Hashtbl.find last_seq "M")
+        ~durable:3 ~appended:3;
+      take ();
+      ignore (Raft.Node.client_append node Binlog.Entry.Noop);
+      let expected = reference_proxy ~gap peers in
+      List.for_all
+        (fun p ->
+          let via =
+            List.filter_map
+              (fun (hop, dst) -> if dst = p.pp_id then Some hop else None)
+              (List.of_seq (Queue.to_seq h.Helpers.hops))
+          in
+          let hop = match expected with Some id when id <> p.pp_id -> id | _ -> p.pp_id in
+          via <> [] && List.for_all (String.equal hop) via)
+        peers)
+
 let suites =
   [
     ( "properties.log_store",
@@ -784,5 +1213,9 @@ let suites =
         Alcotest.test_case "slice survives eviction" `Quick test_slice_survives_eviction;
       ] );
     ( "properties.window",
-      [ QCheck_alcotest.to_alcotest prop_window_equivalence ] );
+      [
+        QCheck_alcotest.to_alcotest prop_window_equivalence;
+        QCheck_alcotest.to_alcotest prop_ring_window_matches_list;
+      ] );
+    ("properties.proxy", [ QCheck_alcotest.to_alcotest prop_proxy_pick_matches_sort ]);
   ]

@@ -996,6 +996,175 @@ let test_log_cache_byte_budget () =
   Alcotest.(check int) "unlimited budget honours max_count" 10
     (List.length (read ~max_bytes:max_int))
 
+(* ----- the leader's quorum layout follows membership ----- *)
+
+(* A leader in r1 with one voter (A) and one learner (B) beside it: B's
+   acks start counting toward the commit point and the lease the moment
+   it is promoted, and stop the moment it is demoted. *)
+let test_layout_follows_membership () =
+  let h =
+    Helpers.make_leader [ ("L", "r1", true); ("A", "r1", true); ("B", "r1", false) ]
+  in
+  let node = h.Helpers.node in
+  let last_seq = Hashtbl.create 4 in
+  let take () =
+    Queue.iter
+      (fun (dst, (ae : Raft.Message.append_entries)) ->
+        Hashtbl.replace last_seq dst ae.seq)
+      h.Helpers.sent;
+    Queue.clear h.Helpers.sent
+  in
+  let ack peer through =
+    take ();
+    Sim.Engine.run_for h.Helpers.engine (10.0 *. ms);
+    Helpers.respond h ~peer ~success:true ~seq:(Hashtbl.find last_seq peer)
+      ~durable:through ~appended:through;
+    take ()
+  in
+  let append () =
+    match Raft.Node.client_append node Binlog.Entry.Noop with
+    | Ok opid -> Binlog.Opid.index opid
+    | Error e -> Alcotest.fail e
+  in
+  let lease = Raft.Node.lease_until in
+  ack "A" 1;
+  Alcotest.(check int) "noop commits with A" 1 (Raft.Node.commit_index node);
+  let i2 = append () in
+  let before = lease node in
+  ack "B" i2;
+  Alcotest.(check int) "a learner's ack does not commit" 1 (Raft.Node.commit_index node);
+  Alcotest.(check (float 0.)) "nor extend the lease" before (lease node);
+  (match Raft.Node.promote_learner node "B" with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e);
+  let i3 = append () in
+  ack "B" i3;
+  Alcotest.(check int)
+    "the promoted voter's ack commits" i3 (Raft.Node.commit_index node);
+  Alcotest.(check bool) "and extends the lease" true (lease node > before);
+  ack "A" i3;
+  (match Raft.Node.demote_voter node "B" with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e);
+  let i4 = append () in
+  let before = lease node in
+  ack "B" i4;
+  Alcotest.(check int) "the demoted learner's ack does not commit" i3
+    (Raft.Node.commit_index node);
+  Alcotest.(check (float 0.)) "nor extend the lease" before (lease node);
+  ack "A" i4;
+  Alcotest.(check int) "the voter's ack does" i4 (Raft.Node.commit_index node)
+
+(* ----- allocation on the leader's ack path ----- *)
+
+let minor_words f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+(* The §6.1 ring's quorum, six regions of three voters, evaluated as the
+   leader does on every ack: selection over preallocated stamps. *)
+let test_quorum_points_allocate_nothing () =
+  let cfg =
+    {
+      Raft.Types.members =
+        List.concat_map
+          (fun r ->
+            List.init 3 (fun i ->
+                {
+                  Raft.Types.id = Printf.sprintf "n%d%d" r i;
+                  region = Printf.sprintf "r%d" r;
+                  voter = true;
+                  kind = Raft.Types.Mysql_server;
+                }))
+          [ 1; 2; 3; 4; 5; 6 ];
+    }
+  in
+  List.iter
+    (fun mode ->
+      let l = Raft.Quorum.layout mode cfg ~self:"n10" ~leader_region:"r1" in
+      Array.iteri
+        (fun i _ ->
+          (Raft.Quorum.stamps l).(i) <- float_of_int (1_000 - (i * 7 mod 30));
+          (Raft.Quorum.globals l).(i) <- float_of_int i)
+        (Raft.Quorum.slots l);
+      let now = 2_000.0 and now_global = 2_001.0 in
+      let sink = ref 0 in
+      let words =
+        minor_words (fun () ->
+            for _ = 1 to 1_000 do
+              sink :=
+                !sink + Raft.Quorum.commit_point l ~self:1_000 ~above:900 ~upto:1_000;
+              if Raft.Quorum.lease_point l ~now ~now_global then incr sink
+            done)
+      in
+      Alcotest.(check (float 0.))
+        (Raft.Quorum.mode_to_string mode ^ ": words per 1k evaluations")
+        0.0 words)
+    Raft.Quorum.[ Majority; Single_region_dynamic; Region_majorities ]
+
+(* A leader of a nine-member ring over three regions (proxying on)
+   settling one round of acks per appended entry.  Per ack it allocates
+   the response's own bookkeeping — boxed clock readings, the lease and
+   commit stamps it stores — but no list, option or closure.  Measured
+   at 19.9 words; a rebuilt window list or a hashed quorum
+   lookup per ack pushes it past the bound. *)
+let leader_ack_words = 20
+
+let test_leader_ack_words () =
+  let members =
+    List.concat_map
+      (fun r ->
+        List.init 3 (fun i -> (Printf.sprintf "n%d%d" r i, Printf.sprintf "r%d" r, true)))
+      [ 1; 2; 3 ]
+  in
+  let h = Helpers.make_leader members in
+  let node = h.Helpers.node in
+  let round () =
+    ignore (Raft.Node.client_append node Binlog.Entry.Noop);
+    let acks =
+      List.map
+        (fun (dst, (ae : Raft.Message.append_entries)) ->
+          let through = Raft.Node.last_index node in
+          ( dst,
+            Raft.Message.Append_entries_response
+              {
+                term = ae.term;
+                from = dst;
+                success = true;
+                last_log_index = through;
+                last_appended_index = through;
+                request_seq = ae.seq;
+                cfg_id = ae.cfg_id;
+                follower_time = 0.0;
+              } ))
+        (List.of_seq (Queue.to_seq h.Helpers.sent))
+    in
+    Queue.clear h.Helpers.sent;
+    Queue.clear h.Helpers.hops;
+    Sim.Engine.run_for h.Helpers.engine ms;
+    let words =
+      minor_words (fun () ->
+          List.iter (fun (src, msg) -> Raft.Node.handle_message node ~src msg) acks)
+    in
+    (words, List.length acks)
+  in
+  for _ = 1 to 50 do
+    ignore (round ())
+  done;
+  let words = ref 0.0 and acks = ref 0 in
+  for _ = 1 to 200 do
+    let w, n = round () in
+    words := !words +. w;
+    acks := !acks + n
+  done;
+  Alcotest.(check int) "every peer acked every round" (200 * 8) !acks;
+  let per_ack = !words /. float_of_int !acks in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f words per ack <= %d" per_ack leader_ack_words)
+    true
+    (per_ack <= float_of_int leader_ack_words)
+
 let suites =
   [
     ( "raft.election",
@@ -1043,6 +1212,14 @@ let suites =
         Alcotest.test_case "promote learner" `Quick test_promote_learner;
         Alcotest.test_case "voter flag rejects no-ops and strangers" `Quick
           test_voter_flag_rejects_no_ops;
+        Alcotest.test_case "quorum layout follows membership" `Quick
+          test_layout_follows_membership;
+      ] );
+    ( "raft.alloc",
+      [
+        Alcotest.test_case "quorum points allocate nothing (18 voters)" `Quick
+          test_quorum_points_allocate_nothing;
+        Alcotest.test_case "leader ack words (9 members)" `Quick test_leader_ack_words;
       ] );
     ( "raft.proxy",
       [
