@@ -382,21 +382,62 @@ let applier_drain =
          assert (Myraft.Applier.applied_index a = n);
          a))
 
-(* One single-row write staged and committed in the engine: the lock
-   check, the lock take, the row apply and the digest chain. *)
+(* Premade GTIDs of one source with rising gnos, so a measured run does
+   not count making them. *)
+type gtid_supply = { mutable gtids : Binlog.Gtid.t array; mutable next : int }
+
+let supply_size = 1 lsl 16
+
+let renew s =
+  let base = Binlog.Gtid.gno s.gtids.(Array.length s.gtids - 1) in
+  s.gtids <- Array.init supply_size (fun i -> Binlog.Gtid.make ~source:"srv" ~gno:(base + i + 1));
+  s.next <- 0
+
+let gtid_supply () =
+  let s = { gtids = [| Binlog.Gtid.make ~source:"srv" ~gno:1 |]; next = 1 } in
+  renew s;
+  s
+
+let take s =
+  if s.next = Array.length s.gtids then renew s;
+  let g = s.gtids.(s.next) in
+  s.next <- s.next + 1;
+  g
+
+(* Minor words per call of [run], over 10k calls drawing on [s]. *)
+let words_per_op s run () =
+  let n = 10_000 in
+  if s.next + n > Array.length s.gtids then renew s;
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    run ()
+  done;
+  (Gc.minor_words () -. before) /. float_of_int n
+
+(* One single-row write staged and committed in the engine: the slot
+   probe and lock, the row apply through the handle and the digest
+   chain. *)
 let engine_prepare_commit =
   let storage = Storage.Engine.create () in
   let writes =
     [ ("sbtest", Binlog.Event.Insert { key = "row-1"; value = String.make 300 'd' }) ]
   in
   let opid = Binlog.Opid.make ~term:1 ~index:1 in
-  let gno = ref 0 in
-  Test.make ~name:"engine prepare+commit (1 row)"
-    (Staged.stage (fun () ->
-         incr gno;
-         let gtid = Binlog.Gtid.make ~source:"srv" ~gno:!gno in
-         Storage.Engine.prepare storage ~gtid ~writes;
-         Storage.Engine.commit_prepared storage ~gtid ~opid))
+  let s = gtid_supply () in
+  let run () =
+    let p = Storage.Engine.prepare storage ~gtid:(take s) ~writes in
+    Storage.Engine.commit_prepared storage p ~opid
+  in
+  let name = "storage.engine prepare+commit (1 row)" in
+  (Test.make ~name (Staged.stage run), (name, words_per_op s run))
+
+(* A binlog's GTID set growing by the next gno of its open tip. *)
+let gtid_set_tip_add =
+  let acc = Binlog.Gtid_set.Acc.create () in
+  let s = gtid_supply () in
+  let run () = Binlog.Gtid_set.Acc.add acc (take s) in
+  let name = "gtid_set tip add" in
+  (Test.make ~name (Staged.stage run), (name, words_per_op s run))
 
 (* Vec growth and random access at a million elements: the chunked
    directory against the one-level index it replaced. *)
@@ -468,7 +509,17 @@ let run () =
   Common.header "M1 — micro-benchmarks (Bechamel, real time)";
   let timer_reset, timer_engine = engine_timer_reset 1_000 in
   let ack_9, words_9 = leader_ack cfg_9 and ack_18, words_18 = leader_ack cfg_18 in
-  let words = [ words_9; words_18 ] in
+  let engine_commit, words_commit = engine_prepare_commit
+  and tip_add, words_tip = gtid_set_tip_add in
+  let per unit (name, f) = (name, (unit, f)) in
+  let words =
+    [
+      per "ack" words_9;
+      per "ack" words_18;
+      per "op" words_commit;
+      per "op" words_tip;
+    ]
+  in
   let tests =
     [
       gtid_set_add;
@@ -488,7 +539,8 @@ let run () =
       timer_reset;
       pipeline_group_drain;
       applier_drain;
-      engine_prepare_commit;
+      engine_commit;
+      tip_add;
       histogram_record;
       vec_push;
       vec_get_random;
@@ -509,9 +561,9 @@ let run () =
           match Analyze.OLS.estimates result with
           | Some [ est ] -> (
             match List.assoc_opt name words with
-            | Some per_ack ->
-              Printf.printf "  %-42s %12.1f ns/run %8.1f words/ack\n%!" name est
-                (per_ack ())
+            | Some (unit, words) ->
+              Printf.printf "  %-42s %12.1f ns/run %8.1f words/%s\n%!" name est (words ())
+                unit
             | None -> Printf.printf "  %-42s %12.1f ns/run\n%!" name est)
           | _ -> Printf.printf "  %-42s (no estimate)\n%!" name)
         analyzed)

@@ -71,12 +71,17 @@ let remove t gtid =
     let remaining = normalize_desc (List.fold_left split [] intervals) in
     if remaining = [] then Source_map.remove source t else Source_map.add source remaining t
 
+(* Descending and disjoint: once [g] is above an interval it is above
+   every later one too. *)
+let rec mem_desc g = function
+  | [] -> false
+  | iv :: rest -> if g > iv.hi then false else g >= iv.lo || mem_desc g rest
+
+(* No option and no closure: the read path asks this on every commit. *)
 let contains t gtid =
-  match Source_map.find_opt (Gtid.source gtid) t with
-  | None -> false
-  | Some intervals ->
-    let g = Gtid.gno gtid in
-    List.exists (fun iv -> iv.lo <= g && g <= iv.hi) intervals
+  match Source_map.find (Gtid.source gtid) t with
+  | intervals -> mem_desc (Gtid.gno gtid) intervals
+  | exception Not_found -> false
 
 let union a b =
   Source_map.union (fun _ ia ib -> Some (normalize_desc (ia @ ib))) a b
@@ -138,3 +143,68 @@ let to_string t =
     |> String.concat ","
 
 let pp fmt t = Format.pp_print_string fmt (to_string t)
+
+(* ----- owner-side accumulator ----- *)
+
+module Acc = struct
+  type set = t
+
+  (* The set is [base] plus the open tip [lo, hi] of [source], not yet
+     folded into [base]; [hi < lo] while no tip is open.  [source] is
+     physically the source string of the tip's last GTID, the key the
+     chain of [add]s would have left in the map. *)
+  type t = {
+    mutable base : set;
+    mutable source : string;
+    mutable lo : int;
+    mutable hi : int;
+  }
+
+  let create () = { base = empty; source = ""; lo = 1; hi = 0 }
+
+  let fold a =
+    if a.hi >= a.lo then begin
+      a.base <- add_interval a.base ~source:a.source ~lo:a.lo ~hi:a.hi;
+      a.lo <- 1;
+      a.hi <- 0
+    end
+
+  let get a =
+    fold a;
+    a.base
+
+  let set a s =
+    a.base <- s;
+    a.lo <- 1;
+    a.hi <- 0
+
+  let add a gtid =
+    let source = Gtid.source gtid and g = Gtid.gno gtid in
+    if g = a.hi + 1 && a.hi >= a.lo && String.equal source a.source then begin
+      a.hi <- g;
+      if source != a.source then a.source <- source
+    end
+    else begin
+      fold a;
+      if Source_map.mem source a.base then begin
+        a.source <- source;
+        a.lo <- g;
+        a.hi <- g
+      end
+      else (* a source's first GTID keeps the map's insertion order *)
+        a.base <- add a.base gtid
+    end
+
+  let contains a gtid =
+    let g = Gtid.gno gtid in
+    (g >= a.lo && g <= a.hi && String.equal (Gtid.source gtid) a.source)
+    || contains a.base gtid
+
+  let remove a gtid =
+    fold a;
+    a.base <- remove a.base gtid
+
+  let union a s =
+    fold a;
+    a.base <- union a.base s
+end

@@ -42,3 +42,37 @@ val fold_gtids : t -> init:'a -> ('a -> Gtid.t -> 'a) -> 'a
 val to_string : t -> string
 
 val pp : Format.formatter -> t -> unit
+
+(** {2 Owner-side accumulator}
+
+    A mutable cell around a set for an owner that adds one GTID per
+    transaction: a binlog's GTID set, an engine's [gtid_executed].  It
+    keeps an open tip interval beside the persistent set, so the next
+    gno of the tip's source only bumps an int.  {!Acc.get} folds the tip
+    in with {!add_interval} and returns the same set, map shape and
+    [Marshal] bytes included, that the chain of {!add} calls would have
+    built.  A source's first GTID still goes through {!add}. *)
+module Acc : sig
+  type set := t
+
+  type t
+
+  (** An empty set. *)
+  val create : unit -> t
+
+  (** Allocates nothing when [gtid] extends the open tip. *)
+  val add : t -> Gtid.t -> unit
+
+  (** Checks the tip first; allocates nothing. *)
+  val contains : t -> Gtid.t -> bool
+
+  (** The whole set, tip folded in. *)
+  val get : t -> set
+
+  (** Replace the whole set (the tip is dropped). *)
+  val set : t -> set -> unit
+
+  val remove : t -> Gtid.t -> unit
+
+  val union : t -> set -> unit
+end

@@ -36,7 +36,7 @@ type t = {
   entries : Entry.t Vec.t; (* slot per index; [absent] once purged *)
   mutable purged_below : int; (* entries with index < this may be purged *)
   mutable next_file_seq : int;
-  mutable gtids : Gtid_set.t; (* all GTIDs currently present in the log *)
+  gtids : Gtid_set.Acc.t; (* all GTIDs currently present in the log *)
   (* The tail OpId is cached: reading the tail slot is wrong once a purge
      has emptied the slots of a freshly-rotated (empty) current file. *)
   mutable last_cached : Opid.t;
@@ -71,7 +71,13 @@ let mode_prefix = function Binlog -> "binlog" | Relay -> "relaylog"
 let fresh_file t =
   let name = Printf.sprintf "%s.%06d" (mode_prefix t.mode) t.next_file_seq in
   t.next_file_seq <- t.next_file_seq + 1;
-  { file_name = name; previous_gtids = t.gtids; first = 0; last = -1; closed = false }
+  {
+    file_name = name;
+    previous_gtids = Gtid_set.Acc.get t.gtids;
+    first = 0;
+    last = -1;
+    closed = false;
+  }
 
 (* Every change to the file list goes through here, so appends find the
    open file without walking the list. *)
@@ -96,7 +102,7 @@ let create ?metrics ?(mode = Binlog) () =
       entries = Vec.create ~dummy:absent;
       purged_below = 1;
       next_file_seq = 1;
-      gtids = Gtid_set.empty;
+      gtids = Gtid_set.Acc.create ();
       last_cached = Opid.zero;
       purge_boundary = Opid.zero;
       synced_index = 0;
@@ -165,9 +171,9 @@ let append t entry =
     Obs.Metrics.incr t.m_fsyncs;
     Obs.Metrics.record t.m_fsync_batch 1.0
   end;
-  (match Entry.gtid entry with
-  | Some g -> t.gtids <- Gtid_set.add t.gtids g
-  | None -> ())
+  match Entry.payload entry with
+  | Entry.Transaction { gtid; _ } -> Gtid_set.Acc.add t.gtids gtid
+  | Entry.Noop | Entry.Config_change _ | Entry.Rotate_marker _ -> ()
 
 (* Entries in [from_index, from_index + max_count) that are still present.
    Stops early at a purged hole. *)
@@ -194,7 +200,7 @@ let truncate_from t ~from_index =
     List.iter
       (fun e ->
         match Entry.gtid e with
-        | Some g -> t.gtids <- Gtid_set.remove t.gtids g
+        | Some g -> Gtid_set.Acc.remove t.gtids g
         | None -> ())
       removed;
     (* Rewind file ranges; drop files that became entirely empty except a
@@ -310,7 +316,7 @@ let install_snapshot t ~last ~gtids =
     if b >= Opid.index t.purge_boundary then t.purge_boundary <- last;
     if last_index t <= b then t.last_cached <- last;
     t.synced_index <- max t.synced_index b;
-    t.gtids <- Gtid_set.union t.gtids gtids;
+    Gtid_set.Acc.union t.gtids gtids;
     []
   end
   else begin
@@ -326,12 +332,12 @@ let install_snapshot t ~last ~gtids =
     t.purge_boundary <- last;
     t.last_cached <- last;
     t.synced_index <- b (* the snapshot itself is durable *);
-    t.gtids <- gtids;
+    Gtid_set.Acc.set t.gtids gtids;
     set_files t [ fresh_file t ];
     removed
   end
 
-let gtid_set t = t.gtids
+let gtid_set t = Gtid_set.Acc.get t.gtids
 
 (* ----- durability / crash-recovery fault model ----- *)
 
@@ -469,4 +475,4 @@ let describe t =
   Printf.sprintf "%s log: %d files, last=%s, gtids=%s"
     (mode_prefix t.mode) (List.length t.files)
     (Opid.to_string (last_opid t))
-    (Gtid_set.to_string t.gtids)
+    (Gtid_set.to_string (gtid_set t))

@@ -42,8 +42,9 @@ let seed_server_from_entries server entries =
               | _ -> [])
             events
         in
-        Storage.Engine.prepare storage ~gtid ~writes;
-        Storage.Engine.commit_prepared storage ~gtid ~opid:(Binlog.Entry.opid entry)
+        Storage.Engine.commit_prepared storage
+          (Storage.Engine.prepare storage ~gtid ~writes)
+          ~opid:(Binlog.Entry.opid entry)
       | _ -> ())
     entries
 

@@ -68,6 +68,7 @@ type t = {
      [Applier.applied_index] this cursor also works on the primary
      (whose applier is stopped) and across role changes. *)
   mutable apply_waiters : (int * (unit -> unit)) list;
+  mutable min_apply_waiter : int; (* smallest index in [apply_waiters]; max_int if none *)
   gtid_waiters : (Binlog.Gtid.t, gtid_waiter list) Hashtbl.t;
   mutable read_service : Read.Service.t option;
   (* At-most-once session layer for client writes: highest write_id
@@ -152,19 +153,29 @@ let rec exec_scan t i =
     | Binlog.Entry.Noop | Binlog.Entry.Config_change _ | Binlog.Entry.Rotate_marker _ ->
       exec_scan t (i + 1)
 
+let rec min_waiting_index acc = function
+  | [] -> acc
+  | (index, _) :: rest -> min_waiting_index (min acc index) rest
+
+(* Release the apply waiters at or below [exec_index], in list order.
+   Most cursor moves release none: the smallest waiting index says so
+   without a walk. *)
+let release_apply_waiters t =
+  if t.min_apply_waiter <= t.exec_index then begin
+    let through = t.exec_index in
+    let ready, waiting = List.partition (fun (index, _) -> index <= through) t.apply_waiters in
+    t.apply_waiters <- waiting;
+    t.min_apply_waiter <- min_waiting_index max_int waiting;
+    List.iter (fun (_, k) -> k ()) ready
+  end
+
 (* Advance [exec_index] over contiguous entries whose effects the engine
    already holds, then release apply waiters the advance satisfied. *)
 let advance_exec_cursor t =
   let advanced = exec_scan t (t.exec_index + 1) in
   if advanced > t.exec_index then begin
     t.exec_index <- advanced;
-    if t.apply_waiters <> [] then begin
-      let ready, waiting =
-        List.partition (fun (index, _) -> index <= advanced) t.apply_waiters
-      in
-      t.apply_waiters <- waiting;
-      List.iter (fun (_, k) -> k ()) ready
-    end
+    release_apply_waiters t
   end
 
 (* The engine-applied watermark for reads (recomputed lazily: commits by
@@ -176,7 +187,10 @@ let applied_through t =
 let wait_applied t index k =
   advance_exec_cursor t;
   if t.exec_index >= index then k ()
-  else t.apply_waiters <- (index, k) :: t.apply_waiters
+  else begin
+    t.apply_waiters <- (index, k) :: t.apply_waiters;
+    t.min_apply_waiter <- min t.min_apply_waiter index
+  end
 
 (* WAIT_FOR_EXECUTED_GTID_SET: block until the transaction is in the
    local engine — the MySQL primitive behind read-your-writes on a
@@ -267,7 +281,7 @@ let rec applier_prepare t entry tk ~gtid ~writes ~attempts =
     applier_retry t entry tk ~gtid ~writes ~attempts
   else
     match Storage.Engine.prepare t.storage ~gtid ~writes with
-    | () ->
+    | p ->
       let index = Binlog.Entry.index entry in
       let term = Binlog.Entry.term entry in
       Pipeline.submit t.pipeline
@@ -281,14 +295,13 @@ let rec applier_prepare t entry tk ~gtid ~writes ~attempts =
               (* The prepared copy may have been rolled back by a log
                  truncation while this item waited for consensus; a
                  truncated transaction must not commit. *)
-              if ok && Storage.Engine.is_prepared t.storage gtid then begin
-                Storage.Engine.commit_prepared t.storage ~gtid
-                  ~opid:(Binlog.Entry.opid entry);
+              if ok && Storage.Engine.live p then begin
+                Storage.Engine.commit_prepared t.storage p ~opid:(Binlog.Entry.opid entry);
                 trace_event t ~stage:"engine-commit" ~term ~index;
                 Applier.finished tk ~ok:true
               end
               else begin
-                Storage.Engine.rollback_prepared t.storage ~gtid;
+                Storage.Engine.rollback_prepared t.storage p;
                 Applier.finished tk ~ok:false
               end);
         };
@@ -444,7 +457,7 @@ let begin_demotion t =
      are prepared in the engine, so roll them back online. *)
   let aborted_items = Pipeline.abort_all t.pipeline in
   let pending = Storage.Engine.prepared_gtids t.storage in
-  List.iter (fun gtid -> Storage.Engine.rollback_prepared t.storage ~gtid) pending;
+  List.iter (Storage.Engine.rollback_gtid t.storage) pending;
   (* Step 2: disable client writes. *)
   t.writes_enabled <- false;
   if t.role = Primary then begin
@@ -514,9 +527,7 @@ let install_snapshot t ~snapshot =
      submissions until reset, but post-install tailing resumes through
      the same pipeline on a replica. *)
   Pipeline.reset t.pipeline;
-  List.iter
-    (fun gtid -> Storage.Engine.rollback_prepared t.storage ~gtid)
-    (Storage.Engine.prepared_gtids t.storage);
+  List.iter (Storage.Engine.rollback_gtid t.storage) (Storage.Engine.prepared_gtids t.storage);
   if Binlog.Opid.index (Storage.Engine.last_committed_opid t.storage) < b then begin
     let ck = Storage.Engine.decode_checkpoint (Raft.Snapshot.data snapshot) in
     Storage.Engine.restore t.storage ck;
@@ -531,11 +542,7 @@ let install_snapshot t ~snapshot =
       (Binlog.Opid.to_string meta.Raft.Snapshot.last);
   (* Everything through the boundary is applied by construction. *)
   t.exec_index <- max t.exec_index b;
-  let ready, waiting =
-    List.partition (fun (index, _) -> index <= t.exec_index) t.apply_waiters
-  in
-  t.apply_waiters <- waiting;
-  List.iter (fun (_, k) -> k ()) ready;
+  release_apply_waiters t;
   advance_exec_cursor t;
   if t.role = Replica && not t.crashed then begin
     Applier.stop (applier t);
@@ -571,7 +578,7 @@ let make_callbacks t =
         (fun e ->
           match Binlog.Entry.gtid e with
           | Some gtid ->
-            Storage.Engine.rollback_prepared t.storage ~gtid;
+            Storage.Engine.rollback_gtid t.storage gtid;
             t.truncated_gtids <- gtid :: t.truncated_gtids
           | None -> ())
         removed;
@@ -633,7 +640,7 @@ let submit_write t ~table ~ops ~reply =
              match Storage.Engine.prepare t.storage ~gtid ~writes with
              | exception Storage.Engine.Lock_conflict _ ->
                reject t ~reason:"lock wait conflict" ~reply
-             | () ->
+             | p ->
                (* Claim the gno only once the prepare sticks: burning it
                   on a lock-conflict reject would leave a permanent hole
                   in every gtid_executed set, fragmenting the interval
@@ -683,8 +690,8 @@ let submit_write t ~table ~ops ~reply =
                        | Error e -> Error e);
                    finish =
                      (fun ~ok ->
-                       if ok && Storage.Engine.is_prepared t.storage gtid then begin
-                         Storage.Engine.commit_prepared t.storage ~gtid ~opid:!opid;
+                       if ok && Storage.Engine.live p then begin
+                         Storage.Engine.commit_prepared t.storage p ~opid:!opid;
                          t.writes_committed <- t.writes_committed + 1;
                          Obs.Metrics.incr t.m_writes_committed;
                          trace_event t ~stage:"engine-commit"
@@ -692,7 +699,7 @@ let submit_write t ~table ~ops ~reply =
                          reply (Wire.Committed { gtid })
                        end
                        else begin
-                         Storage.Engine.rollback_prepared t.storage ~gtid;
+                         Storage.Engine.rollback_prepared t.storage p;
                          reject t ~reason:"aborted (role change)" ~reply
                        end);
                  }
@@ -808,6 +815,7 @@ let crash t =
     ignore (Pipeline.abort_all t.pipeline);
     (* Fail parked readers: their sessions died with the server. *)
     t.apply_waiters <- [];
+    t.min_apply_waiter <- max_int;
     Hashtbl.iter
       (fun _ ws ->
         List.iter
@@ -958,6 +966,7 @@ let create ?metrics ?tracebuf ?clock ?(group = 0) ~engine ~id ~region ~replicase
       tracebuf;
       exec_index = 0;
       apply_waiters = [];
+      min_apply_waiter = max_int;
       gtid_waiters = Hashtbl.create 32;
       read_service = None;
       client_write_floor = Hashtbl.create 16;

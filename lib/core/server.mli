@@ -99,6 +99,11 @@ val wait_for_executed_gtid : t -> Binlog.Gtid.t -> timeout:float -> k:(bool -> u
     on any role, including the primary. *)
 val applied_through : t -> int
 
+(** Run [k] once {!applied_through} reaches [index]: at once if it
+    already has, else at the cursor move that passes it.  Waiters a move
+    releases run newest first.  A crash drops them. *)
+val wait_applied : t -> int -> (unit -> unit) -> unit
+
 (** {2 Log maintenance (§A.1)} *)
 
 (** FLUSH BINARY LOGS: replicate a rotate event through Raft, switch

@@ -86,8 +86,9 @@ let restore_into_server backup server =
                 | _ -> [])
               events
           in
-          Storage.Engine.prepare storage ~gtid ~writes;
-          Storage.Engine.commit_prepared storage ~gtid ~opid:(Binlog.Entry.opid entry)
+          Storage.Engine.commit_prepared storage
+            (Storage.Engine.prepare storage ~gtid ~writes)
+            ~opid:(Binlog.Entry.opid entry)
         | _ -> ())
       backup.entries;
     (* The applier was started on an empty server; its cursor must move

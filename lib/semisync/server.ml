@@ -127,7 +127,7 @@ let submit_write t ~table ~ops ~reply =
              let writes = List.map (fun op -> (table, op)) ops in
              match Storage.Engine.prepare t.storage ~gtid ~writes with
              | exception Storage.Engine.Lock_conflict _ -> reject t ~reply
-             | () ->
+             | p ->
                let xid = t.next_xid in
                t.next_xid <- Int64.add t.next_xid 1L;
                let events =
@@ -155,14 +155,14 @@ let submit_write t ~table ~ops ~reply =
                        Ok index);
                    finish =
                      (fun ~ok ->
-                       if ok && Storage.Engine.is_prepared t.storage gtid then begin
-                         Storage.Engine.commit_prepared t.storage ~gtid
+                       if ok && Storage.Engine.live p then begin
+                         Storage.Engine.commit_prepared t.storage p
                            ~opid:(Binlog.Opid.make ~term:1 ~index:!seq);
                          t.writes_committed <- t.writes_committed + 1;
                          reply (Some gtid)
                        end
                        else begin
-                         Storage.Engine.rollback_prepared t.storage ~gtid;
+                         Storage.Engine.rollback_prepared t.storage p;
                          reject t ~reply
                        end);
                  }
@@ -216,10 +216,9 @@ let rec apply_loop t =
                      events
                  in
                  match Storage.Engine.prepare t.storage ~gtid ~writes with
-                 | () ->
+                 | p ->
                    (* Async apply: no consensus gate in the prior setup. *)
-                   Storage.Engine.commit_prepared t.storage ~gtid
-                     ~opid:(Binlog.Entry.opid entry)
+                   Storage.Engine.commit_prepared t.storage p ~opid:(Binlog.Entry.opid entry)
                  | exception Storage.Engine.Lock_conflict _ -> ()
                end
              | Binlog.Entry.Rotate_marker _ -> Binlog.Log_store.rotate t.log
@@ -284,9 +283,7 @@ let promote t ~peers:peer_list =
 let demote t ~new_upstream =
   if t.role = Primary then begin
     ignore (Myraft.Pipeline.abort_all t.pipeline);
-    List.iter
-      (fun gtid -> Storage.Engine.rollback_prepared t.storage ~gtid)
-      (Storage.Engine.prepared_gtids t.storage)
+    List.iter (Storage.Engine.rollback_gtid t.storage) (Storage.Engine.prepared_gtids t.storage)
   end;
   t.role <- Replica;
   t.writes_enabled <- false;

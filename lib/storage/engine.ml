@@ -15,26 +15,75 @@
    writes queue behind the prepared transaction holding the lock, which
    is what makes group-commit stalls visible in latency. *)
 
-(* [last_writer] is [no_writer] (compared with [==]) for a row restored
-   from a checkpoint that recorded none: a retained row owns no option
-   box.  The checkpoint record keeps the option. *)
-type row = { value : string; last_writer : Binlog.Gtid.t }
+(* String and GTID keys hash with [Hashtbl.hash], the generic tables'
+   function, so every table iterates in the generic order: checkpoint
+   bytes depend on it. *)
+module Keys = Hashtbl.Make (struct
+  type t = string
 
-let no_writer = Binlog.Gtid.make ~source:"" ~gno:1
+  let equal = String.equal
 
+  let hash = Hashtbl.hash
+end)
+
+module By_gtid = Hashtbl.Make (struct
+  type t = Binlog.Gtid.t
+
+  let equal = Binlog.Gtid.equal
+
+  let hash = Hashtbl.hash
+end)
+
+(* One row slot per key, mutated in place: the value, the last writer
+   and the lock holder.  Its [value] is one of the two sentinels below
+   (compared with [==]) while it holds no row:
+   - [parked]: the key is locked but absent, and the slot sits in its
+     table's [parked_rows], invisible to every read;
+   - [dead]: the slot is in no map (its row was deleted, or its parked
+     lock was released).
+   Otherwise the slot is in its table's [rows].  [last_writer] is
+   [nobody] for a row restored from a checkpoint that recorded none,
+   and [holder] is [nobody] while the row is unlocked; neither owns an
+   option box. *)
+type slot = {
+  mutable value : string;
+  mutable last_writer : Binlog.Gtid.t;
+  mutable holder : Binlog.Gtid.t;
+}
+
+let parked = String.make 1 'p'
+
+let dead = String.make 1 'd'
+
+let nobody = Binlog.Gtid.make ~source:"" ~gno:1
+
+type table = {
+  rows : slot Keys.t; (* live rows only *)
+  parked_rows : slot Keys.t; (* keys locked while absent *)
+}
+
+(* A prepared transaction: its writes and, per write, the slot it
+   locked (a key written twice appears twice).  The handle is what
+   commit and rollback work through. *)
 type prepared = {
   gtid : Binlog.Gtid.t;
   writes : (string * Binlog.Event.row_op) list; (* (table, op) *)
-  locked_keys : (string * string) list; (* (table, key) *)
+  slots : slot array;
+  mutable live : bool; (* neither committed nor rolled back *)
 }
 
 exception Lock_conflict of { table : string; key : string; holder : Binlog.Gtid.t }
 
 type t = {
-  tables : (string, (string, row) Hashtbl.t) Hashtbl.t;
-  prepared : (Binlog.Gtid.t, prepared) Hashtbl.t;
-  locks : (string * string, Binlog.Gtid.t) Hashtbl.t;
-  mutable gtid_executed : Binlog.Gtid_set.t; (* engine-durable *)
+  (* Tables a commit has touched, each added at the first such commit;
+     [staged] holds tables only prepares have touched so far, so an
+     aborted prepare leaves no empty table in a checkpoint. *)
+  tables : table Keys.t;
+  staged : table Keys.t;
+  (* Prepared transactions by GTID: only for the duplicate check, the
+     applier's in-flight check, and rolling back by GTID. *)
+  prepared : prepared By_gtid.t;
+  gtid_executed : Binlog.Gtid_set.Acc.t; (* engine-durable *)
   mutable last_committed_opid : Binlog.Opid.t;
   mutable committed_count : int;
   (* Cumulative digest chain: slot i-1 holds the digest of the first i
@@ -55,10 +104,10 @@ type t = {
 
 let create () =
   {
-    tables = Hashtbl.create 8;
-    prepared = Hashtbl.create 64;
-    locks = Hashtbl.create 64;
-    gtid_executed = Binlog.Gtid_set.empty;
+    tables = Keys.create 8;
+    staged = Keys.create 8;
+    prepared = By_gtid.create 64;
+    gtid_executed = Binlog.Gtid_set.Acc.create ();
     last_committed_opid = Binlog.Opid.zero;
     committed_count = 0;
     commit_digests = Vec.create ~dummy:0;
@@ -69,50 +118,108 @@ let create () =
 
 let subscribe_commit t f = t.commit_listeners <- t.commit_listeners @ [ f ]
 
-let table t name =
-  match Hashtbl.find_opt t.tables name with
-  | Some tbl -> tbl
-  | None ->
-    let tbl = Hashtbl.create 64 in
-    Hashtbl.replace t.tables name tbl;
+let new_table () = { rows = Keys.create 64; parked_rows = Keys.create 8 }
+
+(* A listed or staged table; [Not_found] if no prepare touched it. *)
+let find_table t name =
+  match Keys.find t.tables name with
+  | tbl -> tbl
+  | exception Not_found -> Keys.find t.staged name
+
+(* The table a prepare locks rows in: listed, staged, or a new staged
+   one. *)
+let table_for_prepare t name =
+  match find_table t name with
+  | tbl -> tbl
+  | exception Not_found ->
+    let tbl = new_table () in
+    Keys.add t.staged name tbl;
+    tbl
+
+(* The table a commit writes into; the first commit lists it. *)
+let table_for_commit t name =
+  match Keys.find t.tables name with
+  | tbl -> tbl
+  | exception Not_found ->
+    let tbl =
+      match Keys.find t.staged name with
+      | tbl ->
+        Keys.remove t.staged name;
+        tbl
+      | exception Not_found -> new_table ()
+    in
+    Keys.add t.tables name tbl;
     tbl
 
 let key_of_op = function
   | Binlog.Event.Insert { key; _ } | Update { key; _ } | Delete { key; _ } -> key
 
-(* [mem] first: an unlocked key, the common case, costs one probe and
-   neither an option nor a raised [Not_found]. *)
-let rec check_locks t gtid = function
-  | [] -> ()
-  | ((tbl, key) as k) :: rest ->
-    if Hashtbl.mem t.locks k then begin
-      let holder = Hashtbl.find t.locks k in
-      if not (Binlog.Gtid.equal holder gtid) then
-        raise (Lock_conflict { table = tbl; key; holder })
-    end;
-    check_locks t gtid rest
+let dummy_slot = { value = dead; last_writer = nobody; holder = nobody }
 
-let rec take_locks t gtid = function
+(* The slot for [key]: its row, its parked lock, or a new parked one.
+   A present key costs one probe. *)
+let find_slot tbl key =
+  match Keys.find tbl.rows key with
+  | slot -> slot
+  | exception Not_found -> (
+    match Keys.find tbl.parked_rows key with
+    | slot -> slot
+    | exception Not_found ->
+      let slot = { value = parked; last_writer = nobody; holder = nobody } in
+      Keys.add tbl.parked_rows key slot;
+      slot)
+
+(* Unlock the slots of writes [i ..] (the first [n] of them), once each
+   (a key written twice holds one slot twice).  A parked lock leaves
+   its table and the slot dies. *)
+let rec release t p writes i n =
+  if i < n then
+    match writes with
+    | [] -> ()
+    | (tbl_name, op) :: rest ->
+      let slot = p.slots.(i) in
+      if slot.holder != nobody then begin
+        slot.holder <- nobody;
+        if slot.value == parked then begin
+          Keys.remove (find_table t tbl_name).parked_rows (key_of_op op);
+          slot.value <- dead
+        end
+      end;
+      release t p rest (i + 1) n
+
+(* Find, check and take each write's lock in one pass.  On a conflict
+   the locks already taken are released and nothing stays changed. *)
+let rec lock_rows t p writes i =
+  match writes with
   | [] -> ()
-  | k :: rest ->
-    Hashtbl.replace t.locks k gtid;
-    take_locks t gtid rest
+  | (tbl_name, op) :: rest ->
+    let key = key_of_op op in
+    let slot = find_slot (table_for_prepare t tbl_name) key in
+    let holder = slot.holder in
+    if holder != nobody && not (Binlog.Gtid.equal holder p.gtid) then begin
+      release t p p.writes 0 i;
+      raise (Lock_conflict { table = tbl_name; key; holder })
+    end;
+    slot.holder <- p.gtid;
+    p.slots.(i) <- slot;
+    lock_rows t p rest (i + 1)
 
 (* Stage a transaction.  Raises [Lock_conflict] if another prepared
-   transaction holds a lock on any touched key.  Checks and takes the
-   locks by direct recursion: no closure and no option per key. *)
+   transaction holds a lock on any touched key. *)
 let prepare t ~gtid ~writes =
-  if Hashtbl.mem t.prepared gtid then invalid_arg "Engine.prepare: duplicate gtid";
-  let locked_keys = List.map (fun (tbl, op) -> (tbl, key_of_op op)) writes in
-  check_locks t gtid locked_keys;
-  take_locks t gtid locked_keys;
-  Hashtbl.replace t.prepared gtid { gtid; writes; locked_keys }
+  if By_gtid.mem t.prepared gtid then invalid_arg "Engine.prepare: duplicate gtid";
+  let p =
+    { gtid; writes; slots = Array.make (List.length writes) dummy_slot; live = true }
+  in
+  lock_rows t p writes 0;
+  By_gtid.add t.prepared gtid p;
+  p
 
-let is_prepared t gtid = Hashtbl.mem t.prepared gtid
+let live p = p.live
 
-let prepared_gtids t = Hashtbl.fold (fun g _ acc -> g :: acc) t.prepared []
+let is_prepared t gtid = By_gtid.mem t.prepared gtid
 
-let release_locks t p = List.iter (fun k -> Hashtbl.remove t.locks k) p.locked_keys
+let prepared_gtids t = By_gtid.fold (fun g _ acc -> g :: acc) t.prepared []
 
 (* Fold one commit's identity into the digest chain: previous digest,
    GTID, OpId, then each write's table/op-tag/fields.  Streaming the
@@ -142,70 +249,102 @@ let commit_digest ~prev ~gtid ~opid writes =
   in
   finalize_int st
 
-let apply_op t gtid (tbl_name, op) =
-  let tbl = table t tbl_name in
-  match op with
-  | Binlog.Event.Insert { key; value } | Update { key; after = value; _ } ->
-    Hashtbl.replace tbl key { value; last_writer = gtid }
-  | Delete { key; _ } -> Hashtbl.remove tbl key
+(* Apply write [i] through its slot.  Only a row that appears or
+   disappears touches a table. *)
+let rec apply_writes t p writes i =
+  match writes with
+  | [] -> ()
+  | (tbl_name, op) :: rest ->
+    let slot = p.slots.(i) in
+    (match op with
+    | Binlog.Event.Insert { key; value } | Update { key; after = value; _ } ->
+      if slot.value == parked || slot.value == dead then begin
+        let tbl = table_for_commit t tbl_name in
+        if slot.value == parked then Keys.remove tbl.parked_rows key;
+        Keys.add tbl.rows key slot
+      end;
+      slot.value <- value;
+      slot.last_writer <- p.gtid
+    | Delete { key; _ } ->
+      let tbl = table_for_commit t tbl_name in
+      if slot.value != parked && slot.value != dead then begin
+        Keys.remove tbl.rows key;
+        slot.value <- dead
+      end);
+    apply_writes t p rest (i + 1)
+
+let rec notify listeners gtid opid =
+  match listeners with
+  | [] -> ()
+  | f :: rest ->
+    f gtid opid;
+    notify rest gtid opid
+
+let finish t p =
+  p.live <- false;
+  By_gtid.remove t.prepared p.gtid;
+  release t p p.writes 0 (Array.length p.slots)
 
 (* Durably commit a prepared transaction, stamping the Raft OpId. *)
-let commit_prepared t ~gtid ~opid =
-  match Hashtbl.find_opt t.prepared gtid with
-  | None -> invalid_arg ("Engine.commit_prepared: not prepared: " ^ Binlog.Gtid.to_string gtid)
-  | Some p ->
-    List.iter (apply_op t gtid) p.writes;
-    release_locks t p;
-    Hashtbl.remove t.prepared gtid;
-    t.gtid_executed <- Binlog.Gtid_set.add t.gtid_executed gtid;
-    if Binlog.Opid.compare opid t.last_committed_opid > 0 then
-      t.last_committed_opid <- opid;
-    t.committed_count <- t.committed_count + 1;
-    let n = Vec.length t.commit_digests in
-    let prev = if n = 0 then 0 else Vec.get t.commit_digests (n - 1) in
-    Vec.push t.commit_digests (commit_digest ~prev ~gtid ~opid p.writes);
-    Vec.push t.commit_gtids gtid;
-    Vec.push t.commit_opids opid;
-    List.iter (fun f -> f gtid opid) t.commit_listeners
+let commit_prepared t p ~opid =
+  if not p.live then
+    invalid_arg ("Engine.commit_prepared: not prepared: " ^ Binlog.Gtid.to_string p.gtid);
+  let gtid = p.gtid in
+  apply_writes t p p.writes 0;
+  finish t p;
+  Binlog.Gtid_set.Acc.add t.gtid_executed gtid;
+  if Binlog.Opid.compare opid t.last_committed_opid > 0 then t.last_committed_opid <- opid;
+  t.committed_count <- t.committed_count + 1;
+  let n = Vec.length t.commit_digests in
+  let prev = if n = 0 then 0 else Vec.get t.commit_digests (n - 1) in
+  Vec.push t.commit_digests (commit_digest ~prev ~gtid ~opid p.writes);
+  Vec.push t.commit_gtids gtid;
+  Vec.push t.commit_opids opid;
+  notify t.commit_listeners gtid opid
 
-let rollback_prepared t ~gtid =
-  match Hashtbl.find_opt t.prepared gtid with
-  | None -> ()
-  | Some p ->
-    release_locks t p;
-    Hashtbl.remove t.prepared gtid
+let rollback_prepared t p = if p.live then finish t p
+
+let rollback_gtid t gtid =
+  match By_gtid.find t.prepared gtid with
+  | p -> finish t p
+  | exception Not_found -> ()
 
 (* Restart semantics: prepared transactions are rolled back; committed
    state, gtid_executed, and last_committed_opid survive (they live in
    the engine's WAL). *)
 let crash_recover t =
   let pending = prepared_gtids t in
-  List.iter (fun gtid -> rollback_prepared t ~gtid) pending;
+  List.iter (rollback_gtid t) pending;
   List.length pending
 
 let get t ~table:tbl_name ~key =
-  match Hashtbl.find_opt t.tables tbl_name with
-  | None -> None
-  | Some tbl -> Option.map (fun r -> r.value) (Hashtbl.find_opt tbl key)
+  match Keys.find t.tables tbl_name with
+  | exception Not_found -> None
+  | tbl -> (
+    match Keys.find tbl.rows key with
+    | slot -> Some slot.value
+    | exception Not_found -> None)
 
-let gtid_executed t = t.gtid_executed
+let gtid_executed t = Binlog.Gtid_set.Acc.get t.gtid_executed
 
-let has_committed t gtid = Binlog.Gtid_set.contains t.gtid_executed gtid
+let has_committed t gtid = Binlog.Gtid_set.Acc.contains t.gtid_executed gtid
 
 let last_committed_opid t = t.last_committed_opid
 
 let committed_count t = t.committed_count
 
 let row_count t ~table:tbl_name =
-  match Hashtbl.find_opt t.tables tbl_name with None -> 0 | Some tbl -> Hashtbl.length tbl
+  match Keys.find t.tables tbl_name with
+  | tbl -> Keys.length tbl.rows
+  | exception Not_found -> 0
 
 (* Content digest used by the shadow-testing checksum comparisons between
    leader and followers (§5.1). *)
 let checksum t =
   let rows = ref [] in
-  Hashtbl.iter
+  Keys.iter
     (fun tbl_name tbl ->
-      Hashtbl.iter (fun key r -> rows := (tbl_name, key, r.value) :: !rows) tbl)
+      Keys.iter (fun key slot -> rows := (tbl_name, key, slot.value) :: !rows) tbl.rows)
     t.tables;
   let sorted = List.sort compare !rows in
   Binlog.Checksum.string (Marshal.to_string sorted [])
@@ -242,21 +381,23 @@ type checkpoint = {
 
 let checkpoint t =
   let rows =
-    Hashtbl.fold
+    Keys.fold
       (fun tbl_name tbl acc ->
         let rows =
-          Hashtbl.fold
-            (fun key r acc ->
-              let last_writer = if r.last_writer == no_writer then None else Some r.last_writer in
-              (key, r.value, last_writer) :: acc)
-            tbl []
+          Keys.fold
+            (fun key slot acc ->
+              let last_writer =
+                if slot.last_writer == nobody then None else Some slot.last_writer
+              in
+              (key, slot.value, last_writer) :: acc)
+            tbl.rows []
         in
         (tbl_name, rows) :: acc)
       t.tables []
   in
   {
     ck_rows = rows;
-    ck_gtid_executed = t.gtid_executed;
+    ck_gtid_executed = gtid_executed t;
     ck_last_committed_opid = t.last_committed_opid;
     ck_committed_count = t.committed_count;
     ck_digests = List.map Int32.of_int (Vec.to_list t.commit_digests);
@@ -268,18 +409,18 @@ let checkpoint t =
    do — they belong to the server wiring, not the replicated state. *)
 let restore t ck =
   ignore (crash_recover t);
-  Hashtbl.reset t.tables;
-  Hashtbl.reset t.locks;
+  Keys.reset t.tables;
+  Keys.reset t.staged;
   List.iter
     (fun (tbl_name, rows) ->
-      let tbl = table t tbl_name in
+      let tbl = table_for_commit t tbl_name in
       List.iter
         (fun (key, value, last_writer) ->
-          let last_writer = Option.value last_writer ~default:no_writer in
-          Hashtbl.replace tbl key { value; last_writer })
+          let last_writer = Option.value last_writer ~default:nobody in
+          Keys.replace tbl.rows key { value; last_writer; holder = nobody })
         rows)
     ck.ck_rows;
-  t.gtid_executed <- ck.ck_gtid_executed;
+  Binlog.Gtid_set.Acc.set t.gtid_executed ck.ck_gtid_executed;
   t.last_committed_opid <- ck.ck_last_committed_opid;
   t.committed_count <- ck.ck_committed_count;
   ignore (Vec.truncate_to t.commit_digests 0);

@@ -9,18 +9,42 @@ exception Lock_conflict of { table : string; key : string; holder : Binlog.Gtid.
 
 val create : unit -> t
 
+(** {2 Row slots and prepared handles}
+
+    Each table maps a key to one mutable row slot holding the value,
+    the last writer and the lock holder.  {!prepare} finds or creates
+    each written key's slot once (one hash probe for a present key),
+    checks and takes its lock, and returns a {!prepared} handle that
+    holds the slots.  {!commit_prepared} and {!rollback_prepared} work
+    through the handle alone: no lookup by GTID, no lock table, no row
+    record per commit.  A key locked while absent has a slot too, but it
+    stays invisible to {!get}, {!row_count}, {!checksum} and
+    {!checkpoint} until its insert commits.
+
+    The engine still indexes prepared transactions by GTID, for the
+    duplicate check, {!is_prepared}, {!rollback_gtid} and
+    {!crash_recover}. *)
+
+type prepared
+
 (** Stage a transaction, acquiring row locks.  Raises {!Lock_conflict}
-    if another prepared transaction holds a touched key, and
+    (for the first conflicting write, and leaving nothing locked) if
+    another prepared transaction holds a touched key, and
     [Invalid_argument] on duplicate gtids. *)
-val prepare : t -> gtid:Binlog.Gtid.t -> writes:(string * Binlog.Event.row_op) list -> unit
+val prepare : t -> gtid:Binlog.Gtid.t -> writes:(string * Binlog.Event.row_op) list -> prepared
+
+(** The handle is still prepared: neither committed nor rolled back (by
+    itself, {!rollback_gtid}, {!crash_recover} or {!restore}). *)
+val live : prepared -> bool
 
 val is_prepared : t -> Binlog.Gtid.t -> bool
 
 val prepared_gtids : t -> Binlog.Gtid.t list
 
 (** Durably apply a prepared transaction, stamping the Raft OpId and
-    releasing its locks. *)
-val commit_prepared : t -> gtid:Binlog.Gtid.t -> opid:Binlog.Opid.t -> unit
+    releasing its locks.  [Invalid_argument] if the handle is no longer
+    {!live}. *)
+val commit_prepared : t -> prepared -> opid:Binlog.Opid.t -> unit
 
 (** Register a commit listener, fired after every {!commit_prepared}
     once the transaction is fully applied ([gtid_executed] and
@@ -29,8 +53,11 @@ val commit_prepared : t -> gtid:Binlog.Gtid.t -> opid:Binlog.Opid.t -> unit
     read path's applied-index cursor. *)
 val subscribe_commit : t -> (Binlog.Gtid.t -> Binlog.Opid.t -> unit) -> unit
 
-(** Discard a prepared transaction (no-op if not prepared). *)
-val rollback_prepared : t -> gtid:Binlog.Gtid.t -> unit
+(** Discard a prepared transaction (no-op if no longer {!live}). *)
+val rollback_prepared : t -> prepared -> unit
+
+(** Discard the transaction prepared under a GTID (no-op if none). *)
+val rollback_gtid : t -> Binlog.Gtid.t -> unit
 
 (** Restart semantics: roll back every prepared transaction; committed
     state survives.  Returns how many were rolled back. *)

@@ -495,14 +495,14 @@ let test_lock_conflict_retries_and_preserves_order () =
         if not (Myraft.Applier.live tk) then ()
         else
           match Storage.Engine.prepare storage ~gtid ~writes with
-          | () ->
+          | p ->
             Myraft.Pipeline.submit pipeline
               {
                 Myraft.Pipeline.flush = (fun () -> Ok (Binlog.Entry.index entry));
                 finish =
                   (fun ~ok ->
                     if ok then begin
-                      Storage.Engine.commit_prepared storage ~gtid
+                      Storage.Engine.commit_prepared storage p
                         ~opid:(Binlog.Entry.opid entry);
                       Myraft.Applier.finished tk ~ok:true
                     end

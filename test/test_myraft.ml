@@ -244,9 +244,10 @@ let test_recovery_case1_prepared_rolled_back () =
   let cluster = small () in
   ignore (Helpers.write_n cluster 2);
   let mysql1 = Option.get (Myraft.Cluster.server cluster "mysql1") in
-  Storage.Engine.prepare (Myraft.Server.storage mysql1)
-    ~gtid:(Binlog.Gtid.make ~source:"mysql1" ~gno:99)
-    ~writes:[ ("t", Binlog.Event.Insert { key = "ghost"; value = "boo" }) ];
+  ignore
+    (Storage.Engine.prepare (Myraft.Server.storage mysql1)
+       ~gtid:(Binlog.Gtid.make ~source:"mysql1" ~gno:99)
+       ~writes:[ ("t", Binlog.Event.Insert { key = "ghost"; value = "boo" }) ]);
   Myraft.Cluster.crash cluster "mysql1";
   Myraft.Cluster.restart cluster "mysql1";
   Myraft.Cluster.run_for cluster s;

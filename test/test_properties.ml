@@ -1183,6 +1183,480 @@ let prop_proxy_pick_matches_sort =
           via <> [] && List.for_all (String.equal hop) via)
         peers)
 
+(* ----- storage engine: row slots against the list-and-map engine ----- *)
+
+(* Two tables of four keys, three values and two GTID sources, all
+   fixed strings: a row key or value is then the same object in the
+   engine and in the reference, so their checksums (a CRC of marshalled
+   rows) must agree byte for byte. *)
+let e_tables = [| "t1"; "t2" |]
+
+let e_keys = [| "a"; "b"; "c"; "d" |]
+
+let e_values = [| "x"; "y"; "z" |]
+
+let e_sources = [| "s1"; "s2" |]
+
+(* kind 0 = Insert, 1 = Update, 2 = Delete *)
+type e_write = { w_table : int; w_key : int; w_kind : int; w_value : int }
+
+type e_op =
+  | E_prepare of { source : int; skip : bool; reuse : int option; writes : e_write list }
+  | E_commit of int
+  | E_rollback of int
+  | E_rollback_gtid of int
+  | E_crash
+  | E_checkpoint
+  | E_restore
+
+let e_write_of w =
+  let key = e_keys.(w.w_key) and value = e_values.(w.w_value) in
+  ( e_tables.(w.w_table),
+    match w.w_kind with
+    | 0 -> Binlog.Event.Insert { key; value }
+    | 1 -> Binlog.Event.Update { key; before = "?"; after = value }
+    | _ -> Binlog.Event.Delete { key; before = "?" } )
+
+let e_op_gen =
+  QCheck.Gen.(
+    let write =
+      map
+        (fun (w_table, w_key, w_kind, w_value) -> { w_table; w_key; w_kind; w_value })
+        (quad (0 -- 1) (0 -- 3) (0 -- 2) (0 -- 2))
+    in
+    frequency
+      [
+        ( 6,
+          map
+            (fun ((source, skip), reuse, writes) -> E_prepare { source; skip; reuse; writes })
+            (triple
+               (pair (0 -- 1) (frequency [ (5, return false); (1, return true) ]))
+               (opt ~ratio:0.15 (0 -- 20))
+               (list_size (1 -- 3) write)) );
+        (4, map (fun i -> E_commit i) (0 -- 10));
+        (2, map (fun i -> E_rollback i) (0 -- 10));
+        (1, map (fun i -> E_rollback_gtid i) (0 -- 20));
+        (1, return E_crash);
+        (1, return E_checkpoint);
+        (1, return E_restore);
+      ])
+
+let e_op_to_string = function
+  | E_prepare { source; skip; reuse; writes } ->
+    Printf.sprintf "P(s%d%s%s:%s)" (source + 1) (if skip then ",gap" else "")
+      (match reuse with Some i -> Printf.sprintf ",reuse %d" i | None -> "")
+      (String.concat ","
+         (List.map
+            (fun w ->
+              Printf.sprintf "%s.%s%s" e_tables.(w.w_table) e_keys.(w.w_key)
+                (match w.w_kind with
+                | 0 -> "=I" ^ e_values.(w.w_value)
+                | 1 -> "=U" ^ e_values.(w.w_value)
+                | _ -> "=D"))
+            writes))
+  | E_commit i -> Printf.sprintf "C%d" i
+  | E_rollback i -> Printf.sprintf "R%d" i
+  | E_rollback_gtid i -> Printf.sprintf "RG%d" i
+  | E_crash -> "CRASH"
+  | E_checkpoint -> "CK"
+  | E_restore -> "RESTORE"
+
+let e_ops_arb =
+  QCheck.make
+    ~print:(fun ops -> String.concat " " (List.map e_op_to_string ops))
+    QCheck.Gen.(list_size (1 -- 60) e_op_gen)
+
+(* A reference engine with the same semantics and the plainest state:
+   rows and locks as association lists keyed by (table, key), prepared
+   transactions as a list, the executed set grown by [Gtid_set.add]. *)
+module Ref_engine = struct
+  type txn = { id : int; gtid : Binlog.Gtid.t; writes : (string * Binlog.Event.row_op) list }
+
+  type committed = {
+    rows : ((string * string) * string) list;
+    gtids : Binlog.Gtid_set.t;
+    last_opid : Binlog.Opid.t;
+    digests : int list; (* newest first *)
+    history : (Binlog.Gtid.t * Binlog.Opid.t) list; (* newest first *)
+  }
+
+  type t = {
+    mutable c : committed;
+    mutable prepared : txn list;
+    mutable locks : ((string * string) * Binlog.Gtid.t) list;
+  }
+
+  let create () =
+    {
+      c =
+        {
+          rows = [];
+          gtids = Binlog.Gtid_set.empty;
+          last_opid = Binlog.Opid.zero;
+          digests = [];
+          history = [];
+        };
+      prepared = [];
+      locks = [];
+    }
+
+  let key_of = function
+    | Binlog.Event.Insert { key; _ } | Update { key; _ } | Delete { key; _ } -> key
+
+  type outcome = Prepared | Conflict of string * string * Binlog.Gtid.t | Duplicate
+
+  let prepare t ~id ~gtid ~writes =
+    if List.exists (fun p -> Binlog.Gtid.equal p.gtid gtid) t.prepared then Duplicate
+    else
+      let keys = List.map (fun (tbl, op) -> (tbl, key_of op)) writes in
+      match
+        List.find_opt
+          (fun k ->
+            match List.assoc_opt k t.locks with
+            | Some holder -> not (Binlog.Gtid.equal holder gtid)
+            | None -> false)
+          keys
+      with
+      | Some ((tbl, key) as k) -> Conflict (tbl, key, List.assoc k t.locks)
+      | None ->
+        List.iter (fun k -> t.locks <- (k, gtid) :: List.remove_assoc k t.locks) keys;
+        t.prepared <- { id; gtid; writes } :: t.prepared;
+        Prepared
+
+  let release t p =
+    List.iter (fun (tbl, op) -> t.locks <- List.remove_assoc (tbl, key_of op) t.locks) p.writes;
+    t.prepared <- List.filter (fun q -> q.id <> p.id) t.prepared
+
+  (* The commit digest chain, field for field. *)
+  let digest ~prev ~gtid ~opid writes =
+    let open Binlog.Checksum in
+    let st = feed_int init prev in
+    let st = feed_string st (Binlog.Gtid.source gtid) in
+    let st = feed_int st (Binlog.Gtid.gno gtid) in
+    let st = feed_int st (Binlog.Opid.term opid) in
+    let st = feed_int st (Binlog.Opid.index opid) in
+    let st =
+      List.fold_left
+        (fun st (tbl, op) ->
+          let st = feed_string st tbl in
+          match op with
+          | Binlog.Event.Insert { key; value } ->
+            feed_string (feed_string (feed_int st 1) key) value
+          | Binlog.Event.Update { key; before; after } ->
+            feed_string (feed_string (feed_string (feed_int st 2) key) before) after
+          | Binlog.Event.Delete { key; before } ->
+            feed_string (feed_string (feed_int st 3) key) before)
+        st writes
+    in
+    finalize_int st
+
+  let commit t p ~opid =
+    release t p;
+    let rows =
+      List.fold_left
+        (fun rows (tbl, op) ->
+          match op with
+          | Binlog.Event.Insert { key; value } | Update { key; after = value; _ } ->
+            ((tbl, key), value) :: List.remove_assoc (tbl, key) rows
+          | Delete { key; _ } -> List.remove_assoc (tbl, key) rows)
+        t.c.rows p.writes
+    in
+    let prev = match t.c.digests with d :: _ -> d | [] -> 0 in
+    t.c <-
+      {
+        rows;
+        gtids = Binlog.Gtid_set.add t.c.gtids p.gtid;
+        last_opid =
+          (if Binlog.Opid.compare opid t.c.last_opid > 0 then opid else t.c.last_opid);
+        digests = digest ~prev ~gtid:p.gtid ~opid p.writes :: t.c.digests;
+        history = (p.gtid, opid) :: t.c.history;
+      }
+
+  let crash_recover t =
+    let n = List.length t.prepared in
+    t.prepared <- [];
+    t.locks <- [];
+    n
+
+  let checksum t =
+    let rows = List.map (fun ((tbl, key), value) -> (tbl, key, value)) t.c.rows in
+    Binlog.Checksum.string (Marshal.to_string (List.sort compare rows) [])
+end
+
+let e_fail fmt = QCheck.Test.fail_reportf fmt
+
+(* Every read the engine offers, against the reference. *)
+let e_agree e (m : Ref_engine.t) ~used ~handles =
+  Array.iter
+    (fun table ->
+      Array.iter
+        (fun key ->
+          let want = List.assoc_opt (table, key) m.c.rows in
+          if Storage.Engine.get e ~table ~key <> want then e_fail "get %s.%s" table key)
+        e_keys;
+      let want = List.length (List.filter (fun ((t, _), _) -> t = table) m.c.rows) in
+      if Storage.Engine.row_count e ~table <> want then
+        e_fail "row_count %s: %d, want %d" table (Storage.Engine.row_count e ~table) want)
+    e_tables;
+  if Storage.Engine.checksum e <> Ref_engine.checksum m then e_fail "checksum";
+  let n = List.length m.c.history in
+  if Storage.Engine.committed_count e <> n then e_fail "committed_count";
+  let digests = Array.of_list (List.rev m.c.digests) in
+  for count = 0 to n do
+    let want = if count = 0 then 0l else Int32.of_int digests.(count - 1) in
+    if Storage.Engine.checksum_at e ~count <> want then e_fail "checksum_at %d" count
+  done;
+  let history = Array.of_list (List.rev m.c.history) in
+  for i = -1 to n do
+    let same =
+      match (Storage.Engine.nth_commit e i, i >= 0 && i < n) with
+      | None, false -> true
+      | Some (g, o), true ->
+        let g', o' = history.(i) in
+        Binlog.Gtid.equal g g' && Binlog.Opid.equal o o'
+      | _ -> false
+    in
+    if not same then e_fail "nth_commit %d" i
+  done;
+  let executed = Storage.Engine.gtid_executed e in
+  if not (Binlog.Gtid_set.equal executed m.c.gtids) then
+    e_fail "gtid_executed %s, want %s"
+      (Binlog.Gtid_set.to_string executed)
+      (Binlog.Gtid_set.to_string m.c.gtids);
+  if Marshal.to_string executed [] <> Marshal.to_string m.c.gtids [] then
+    e_fail "gtid_executed marshals differently";
+  if not (Binlog.Opid.equal (Storage.Engine.last_committed_opid e) m.c.last_opid) then
+    e_fail "last_committed_opid";
+  List.iter
+    (fun g ->
+      if Storage.Engine.has_committed e g <> Binlog.Gtid_set.contains m.c.gtids g then
+        e_fail "has_committed %s" (Binlog.Gtid.to_string g);
+      let prepared = List.exists (fun p -> Binlog.Gtid.equal p.Ref_engine.gtid g) m.prepared in
+      if Storage.Engine.is_prepared e g <> prepared then
+        e_fail "is_prepared %s" (Binlog.Gtid.to_string g))
+    used;
+  let sorted l = List.sort Binlog.Gtid.compare l in
+  if
+    List.map Binlog.Gtid.to_string (sorted (Storage.Engine.prepared_gtids e))
+    <> List.map
+         (fun p -> Binlog.Gtid.to_string p.Ref_engine.gtid)
+         (List.sort (fun a b -> Binlog.Gtid.compare a.Ref_engine.gtid b.Ref_engine.gtid) m.prepared)
+  then e_fail "prepared_gtids";
+  List.iter
+    (fun (id, h) ->
+      if Storage.Engine.live h <> List.exists (fun p -> p.Ref_engine.id = id) m.prepared then
+        e_fail "handle %d liveness" id)
+    handles
+
+let run_engine_ops ops =
+  let e = Storage.Engine.create () and m = Ref_engine.create () in
+  let next_gno = Array.make (Array.length e_sources) 1 in
+  let used = ref [] (* every GTID ever prepared, newest first *)
+  and handles = ref [] (* (txn id, handle), newest first *)
+  and next_id = ref 0
+  and next_index = ref 1
+  and saved = ref None in
+  let nth l i = List.nth l (i mod List.length l) in
+  let step = function
+    | E_prepare { source; skip; reuse; writes } ->
+      let gtid =
+        match reuse with
+        | Some i when !used <> [] -> nth !used i
+        | _ ->
+          if skip then next_gno.(source) <- next_gno.(source) + 1;
+          let g = Binlog.Gtid.make ~source:e_sources.(source) ~gno:next_gno.(source) in
+          next_gno.(source) <- next_gno.(source) + 1;
+          g
+      in
+      if not (List.exists (Binlog.Gtid.equal gtid) !used) then used := gtid :: !used;
+      let writes = List.map e_write_of writes in
+      let id = !next_id in
+      incr next_id;
+      let got =
+        match Storage.Engine.prepare e ~gtid ~writes with
+        | h ->
+          handles := (id, h) :: !handles;
+          Ref_engine.Prepared
+        | exception Storage.Engine.Lock_conflict { table; key; holder } ->
+          Ref_engine.Conflict (table, key, holder)
+        | exception Invalid_argument _ -> Ref_engine.Duplicate
+      in
+      let same =
+        match (got, Ref_engine.prepare m ~id ~gtid ~writes) with
+        | Prepared, Prepared | Duplicate, Duplicate -> true
+        | Conflict (t, k, h), Conflict (t', k', h') ->
+          t = t' && k = k' && Binlog.Gtid.equal h h'
+        | _ -> false
+      in
+      if not same then e_fail "prepare %s: outcomes differ" (Binlog.Gtid.to_string gtid)
+    | E_commit i -> (
+      match m.prepared with
+      | [] -> (
+        (* only dead handles: committing one must refuse *)
+        match !handles with
+        | [] -> ()
+        | hs -> (
+          let _, h = nth hs i in
+          match Storage.Engine.commit_prepared e h ~opid:Binlog.Opid.zero with
+          | () -> e_fail "committed a dead handle"
+          | exception Invalid_argument _ -> ()))
+      | ps ->
+        let p = nth ps i in
+        let opid = Binlog.Opid.make ~term:(1 + (!next_index / 7)) ~index:!next_index in
+        incr next_index;
+        Storage.Engine.commit_prepared e (List.assoc p.Ref_engine.id !handles) ~opid;
+        Ref_engine.commit m p ~opid)
+    | E_rollback i -> (
+      match !handles with
+      | [] -> ()
+      | hs ->
+        let id, h = nth hs i in
+        Storage.Engine.rollback_prepared e h;
+        List.iter
+          (fun p -> if p.Ref_engine.id = id then Ref_engine.release m p)
+          m.prepared)
+    | E_rollback_gtid i -> (
+      match !used with
+      | [] -> ()
+      | gs ->
+        let g = nth gs i in
+        Storage.Engine.rollback_gtid e g;
+        List.iter
+          (fun p -> if Binlog.Gtid.equal p.Ref_engine.gtid g then Ref_engine.release m p)
+          m.prepared)
+    | E_crash ->
+      let n = Storage.Engine.crash_recover e in
+      if n <> Ref_engine.crash_recover m then e_fail "crash_recover count"
+    | E_checkpoint -> saved := Some (Storage.Engine.checkpoint e, m.c)
+    | E_restore -> (
+      match !saved with
+      | None -> ()
+      | Some (ck, c) ->
+        Storage.Engine.restore e ck;
+        ignore (Ref_engine.crash_recover m);
+        m.c <- c)
+  in
+  List.iter
+    (fun op ->
+      step op;
+      e_agree e m ~used:!used ~handles:!handles)
+    ops;
+  true
+
+let prop_engine_matches_reference =
+  QCheck.Test.make ~name:"row slots behave as the list-and-map engine" ~count:500
+    e_ops_arb run_engine_ops
+
+(* ----- GTID accumulator against the persistent set ----- *)
+
+let g_sources = [| "a"; "b"; "c" |]
+
+type g_op =
+  | G_tip (* the next gno of the last added source *)
+  | G_gap of int (* the last added source, leaving a gap *)
+  | G_other of int * int (* any source, any gno *)
+  | G_dup of int (* a GTID already in the set *)
+  | G_remove of int * int
+  | G_union of (int * int) list
+  | G_replace of (int * int) list
+  | G_read
+
+let g_pair = QCheck.Gen.(pair (0 -- 2) (1 -- 30))
+
+let g_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (12, return G_tip);
+        (2, map (fun k -> G_gap k) (1 -- 3));
+        (3, map (fun (s, g) -> G_other (s, g)) g_pair);
+        (2, map (fun i -> G_dup i) (0 -- 50));
+        (2, map (fun (s, g) -> G_remove (s, g)) g_pair);
+        (1, map (fun l -> G_union l) (list_size (0 -- 4) g_pair));
+        (1, map (fun l -> G_replace l) (list_size (0 -- 4) g_pair));
+        (3, return G_read);
+      ])
+
+let g_op_to_string = function
+  | G_tip -> "T"
+  | G_gap k -> Printf.sprintf "G%d" k
+  | G_other (s, g) -> Printf.sprintf "O%s:%d" g_sources.(s) g
+  | G_dup i -> Printf.sprintf "D%d" i
+  | G_remove (s, g) -> Printf.sprintf "X%s:%d" g_sources.(s) g
+  | G_union l -> Printf.sprintf "U%d" (List.length l)
+  | G_replace l -> Printf.sprintf "S%d" (List.length l)
+  | G_read -> "R"
+
+let g_ops_arb =
+  QCheck.make
+    ~print:(fun ops -> String.concat " " (List.map g_op_to_string ops))
+    QCheck.Gen.(list_size (1 -- 80) g_op_gen)
+
+let g_set_of l =
+  List.fold_left
+    (fun acc (s, g) -> Binlog.Gtid_set.add acc (Binlog.Gtid.make ~source:g_sources.(s) ~gno:g))
+    Binlog.Gtid_set.empty l
+
+let run_gtid_acc_ops ops =
+  let acc = Binlog.Gtid_set.Acc.create () in
+  let reference = ref Binlog.Gtid_set.empty and last = ref 0 in
+  let add s g =
+    let gtid = Binlog.Gtid.make ~source:g_sources.(s) ~gno:g in
+    Binlog.Gtid_set.Acc.add acc gtid;
+    reference := Binlog.Gtid_set.add !reference gtid;
+    last := s
+  in
+  let read () =
+    let got = Binlog.Gtid_set.Acc.get acc in
+    if not (Binlog.Gtid_set.equal got !reference) then
+      e_fail "read %s, want %s" (Binlog.Gtid_set.to_string got)
+        (Binlog.Gtid_set.to_string !reference);
+    if Marshal.to_string got [] <> Marshal.to_string !reference [] then
+      e_fail "read %s marshals differently" (Binlog.Gtid_set.to_string got)
+  in
+  let next s = Binlog.Gtid_set.max_gno !reference ~source:g_sources.(s) + 1 in
+  List.iter
+    (fun op ->
+      (match op with
+      | G_tip -> add !last (next !last)
+      | G_gap k -> add !last (next !last + k)
+      | G_other (s, g) -> add s g
+      | G_dup i -> (
+        match Binlog.Gtid_set.fold_gtids !reference ~init:[] (fun l g -> g :: l) with
+        | [] -> ()
+        | gs ->
+          let g = List.nth gs (i mod List.length gs) in
+          Binlog.Gtid_set.Acc.add acc g;
+          reference := Binlog.Gtid_set.add !reference g)
+      | G_remove (s, g) ->
+        let gtid = Binlog.Gtid.make ~source:g_sources.(s) ~gno:g in
+        Binlog.Gtid_set.Acc.remove acc gtid;
+        reference := Binlog.Gtid_set.remove !reference gtid
+      | G_union l ->
+        let u = g_set_of l in
+        Binlog.Gtid_set.Acc.union acc u;
+        reference := Binlog.Gtid_set.union !reference u
+      | G_replace l ->
+        let u = g_set_of l in
+        Binlog.Gtid_set.Acc.set acc u;
+        reference := u
+      | G_read -> read ());
+      Array.iter
+        (fun source ->
+          for gno = 1 to Binlog.Gtid_set.max_gno !reference ~source + 3 do
+            let g = Binlog.Gtid.make ~source ~gno in
+            if Binlog.Gtid_set.Acc.contains acc g <> Binlog.Gtid_set.contains !reference g then
+              e_fail "contains %s" (Binlog.Gtid.to_string g)
+          done)
+        g_sources)
+    ops;
+  read ();
+  true
+
+let prop_gtid_acc_matches_set =
+  QCheck.Test.make ~name:"open-tip accumulator reads as the add chain" ~count:1000 g_ops_arb
+    run_gtid_acc_ops
+
 let suites =
   [
     ( "properties.log_store",
@@ -1218,4 +1692,6 @@ let suites =
         QCheck_alcotest.to_alcotest prop_ring_window_matches_list;
       ] );
     ("properties.proxy", [ QCheck_alcotest.to_alcotest prop_proxy_pick_matches_sort ]);
+    ("properties.engine", [ QCheck_alcotest.to_alcotest prop_engine_matches_reference ]);
+    ("properties.gtid_acc", [ QCheck_alcotest.to_alcotest prop_gtid_acc_matches_set ]);
   ]

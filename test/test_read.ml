@@ -256,6 +256,75 @@ let test_gtid_wait_already_committed () =
   (* no engine run: the answer must be synchronous *)
   Alcotest.(check (option bool)) "synchronous true" (Some true) !fired
 
+(* ----- applied-through waiters ----- *)
+
+(* Waiters parked at mixed indexes on a follower wake exactly once, no
+   earlier than their index, and in the order the waiter list always
+   had: of two waiters, the later-registered one wakes first unless its
+   index is higher (newest first within a release). *)
+let test_apply_waiters_wake_in_list_order () =
+  let cluster = bootstrapped ~members:(two_region_members ()) () in
+  Myraft.Cluster.run_for cluster (1.0 *. s);
+  let follower = Option.get (Myraft.Cluster.server cluster "mysql2") in
+  let woken = ref [] (* (id, index), newest first *) and registered = ref [] in
+  let register index =
+    let id = List.length !registered in
+    registered := !registered @ [ (id, index) ];
+    Myraft.Server.wait_applied follower index (fun () -> woken := (id, index) :: !woken)
+  in
+  let base = Myraft.Server.applied_through follower in
+  List.iter register [ base + 3; base + 1; base + 3; base + 2; base + 1; base + 100_000 ];
+  Alcotest.(check int) "nothing wakes before the cursor moves" 0 (List.length !woken);
+  register base;
+  Alcotest.(check (list int)) "an index already applied wakes at once" [ 6 ]
+    (List.map fst !woken);
+  register (base + 2);
+  for i = 1 to 4 do
+    check_ok "write" (direct_write cluster ~key:(Printf.sprintf "w%d" i) ~value:"v")
+  done;
+  Myraft.Cluster.run_for cluster (1.0 *. s);
+  let mid = Myraft.Server.applied_through follower in
+  List.iter register [ mid + 2; mid + 1; mid + 2 ];
+  for i = 5 to 8 do
+    check_ok "write" (direct_write cluster ~key:(Printf.sprintf "w%d" i) ~value:"v")
+  done;
+  Myraft.Cluster.run_for cluster (1.0 *. s);
+  (* a lone waiter below the far one still wakes *)
+  register (Myraft.Server.applied_through follower + 3);
+  for i = 9 to 12 do
+    check_ok "write" (direct_write cluster ~key:(Printf.sprintf "w%d" i) ~value:"v")
+  done;
+  Myraft.Cluster.run_for cluster (1.0 *. s);
+  let final = Myraft.Server.applied_through follower in
+  let order = List.rev !woken in
+  List.iter
+    (fun (id, index) ->
+      let times = List.length (List.filter (fun (w, _) -> w = id) order) in
+      Alcotest.(check int)
+        (Printf.sprintf "waiter %d (index %d) wakes %s" id index
+           (if index <= final then "once" else "never"))
+        (if index <= final then 1 else 0)
+        times)
+    !registered;
+  let position id =
+    let rec go i = function
+      | [] -> max_int
+      | (w, _) :: rest -> if w = id then i else go (i + 1) rest
+    in
+    go 0 order
+  in
+  List.iter
+    (fun (a, ia) ->
+      List.iter
+        (fun (b, ib) ->
+          if a < b && ia >= ib && ia <= final && a <> 6 then
+            Alcotest.(check bool)
+              (Printf.sprintf "waiter %d wakes before waiter %d" b a)
+              true
+              (position b < position a))
+        !registered)
+    !registered
+
 (* ----- the four tiers end-to-end ----- *)
 
 let test_eventual_serves_locally () =
@@ -472,6 +541,11 @@ let suites =
         Alcotest.test_case "timeout fires at the deadline" `Quick test_gtid_wait_timeout;
         Alcotest.test_case "already-committed answers synchronously" `Quick
           test_gtid_wait_already_committed;
+      ] );
+    ( "read.apply_wait",
+      [
+        Alcotest.test_case "waiters wake once, in list order" `Quick
+          test_apply_waiters_wake_in_list_order;
       ] );
     ( "read.tiers",
       [

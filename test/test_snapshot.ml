@@ -289,9 +289,9 @@ let test_engine_checkpoint_roundtrip () =
   let opid index = Binlog.Opid.make ~term:1 ~index in
   let e = Storage.Engine.create () in
   for i = 1 to 3 do
-    Storage.Engine.prepare e ~gtid:(gtid i)
-      ~writes:[ ("t", Binlog.Event.Insert { key = Printf.sprintf "k%d" i; value = "v" }) ];
-    Storage.Engine.commit_prepared e ~gtid:(gtid i) ~opid:(opid i)
+    let p = Storage.Engine.prepare e ~gtid:(gtid i)
+      ~writes:[ ("t", Binlog.Event.Insert { key = Printf.sprintf "k%d" i; value = "v" }) ] in
+    Storage.Engine.commit_prepared e p ~opid:(opid i)
   done;
   let blob = Storage.Engine.encode_checkpoint (Storage.Engine.checkpoint e) in
   let fresh = Storage.Engine.create () in

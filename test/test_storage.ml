@@ -8,10 +8,10 @@ let insert key value = Binlog.Event.Insert { key; value }
 
 let test_prepare_commit_visible () =
   let e = Storage.Engine.create () in
-  Storage.Engine.prepare e ~gtid:(gtid 1) ~writes:[ ("t", insert "k" "v") ];
+  let p = Storage.Engine.prepare e ~gtid:(gtid 1) ~writes:[ ("t", insert "k" "v") ] in
   Alcotest.(check (option string)) "invisible while prepared" None
     (Storage.Engine.get e ~table:"t" ~key:"k");
-  Storage.Engine.commit_prepared e ~gtid:(gtid 1) ~opid:(opid 1);
+  Storage.Engine.commit_prepared e p ~opid:(opid 1);
   Alcotest.(check (option string)) "visible after commit" (Some "v")
     (Storage.Engine.get e ~table:"t" ~key:"k");
   Alcotest.(check bool) "gtid executed" true (Storage.Engine.has_committed e (gtid 1));
@@ -19,41 +19,41 @@ let test_prepare_commit_visible () =
 
 let test_rollback_discards () =
   let e = Storage.Engine.create () in
-  Storage.Engine.prepare e ~gtid:(gtid 1) ~writes:[ ("t", insert "k" "v") ];
-  Storage.Engine.rollback_prepared e ~gtid:(gtid 1);
+  let p = Storage.Engine.prepare e ~gtid:(gtid 1) ~writes:[ ("t", insert "k" "v") ] in
+  Storage.Engine.rollback_prepared e p;
   Alcotest.(check (option string)) "no data" None (Storage.Engine.get e ~table:"t" ~key:"k");
   Alcotest.(check bool) "gtid not executed" false (Storage.Engine.has_committed e (gtid 1));
   (* the same gtid can be prepared again (reapply after rollback, §A.2) *)
-  Storage.Engine.prepare e ~gtid:(gtid 1) ~writes:[ ("t", insert "k" "v2") ];
-  Storage.Engine.commit_prepared e ~gtid:(gtid 1) ~opid:(opid 1);
+  let p = Storage.Engine.prepare e ~gtid:(gtid 1) ~writes:[ ("t", insert "k" "v2") ] in
+  Storage.Engine.commit_prepared e p ~opid:(opid 1);
   Alcotest.(check (option string)) "reapplied" (Some "v2")
     (Storage.Engine.get e ~table:"t" ~key:"k")
 
 let test_lock_conflict () =
   let e = Storage.Engine.create () in
-  Storage.Engine.prepare e ~gtid:(gtid 1) ~writes:[ ("t", insert "k" "v") ];
+  let p = Storage.Engine.prepare e ~gtid:(gtid 1) ~writes:[ ("t", insert "k" "v") ] in
   (match Storage.Engine.prepare e ~gtid:(gtid 2) ~writes:[ ("t", insert "k" "w") ] with
-  | () -> Alcotest.fail "expected lock conflict"
+  | _ -> Alcotest.fail "expected lock conflict"
   | exception Storage.Engine.Lock_conflict { holder; _ } ->
     Alcotest.(check bool) "held by txn 1" true (Binlog.Gtid.equal holder (gtid 1)));
-  Storage.Engine.commit_prepared e ~gtid:(gtid 1) ~opid:(opid 1);
+  Storage.Engine.commit_prepared e p ~opid:(opid 1);
   (* lock released at engine commit *)
-  Storage.Engine.prepare e ~gtid:(gtid 2) ~writes:[ ("t", insert "k" "w") ];
-  Storage.Engine.commit_prepared e ~gtid:(gtid 2) ~opid:(opid 2);
+  let p = Storage.Engine.prepare e ~gtid:(gtid 2) ~writes:[ ("t", insert "k" "w") ] in
+  Storage.Engine.commit_prepared e p ~opid:(opid 2);
   Alcotest.(check (option string)) "second write wins" (Some "w")
     (Storage.Engine.get e ~table:"t" ~key:"k")
 
 let test_no_conflict_disjoint_keys () =
   let e = Storage.Engine.create () in
-  Storage.Engine.prepare e ~gtid:(gtid 1) ~writes:[ ("t", insert "a" "1") ];
-  Storage.Engine.prepare e ~gtid:(gtid 2) ~writes:[ ("t", insert "b" "2") ];
+  ignore (Storage.Engine.prepare e ~gtid:(gtid 1) ~writes:[ ("t", insert "a" "1") ]);
+  ignore (Storage.Engine.prepare e ~gtid:(gtid 2) ~writes:[ ("t", insert "b" "2") ]);
   Alcotest.(check int) "two prepared" 2 (List.length (Storage.Engine.prepared_gtids e))
 
 let test_crash_recovery_rolls_back_prepared () =
   let e = Storage.Engine.create () in
-  Storage.Engine.prepare e ~gtid:(gtid 1) ~writes:[ ("t", insert "a" "1") ];
-  Storage.Engine.commit_prepared e ~gtid:(gtid 1) ~opid:(opid 1);
-  Storage.Engine.prepare e ~gtid:(gtid 2) ~writes:[ ("t", insert "b" "2") ];
+  let p = Storage.Engine.prepare e ~gtid:(gtid 1) ~writes:[ ("t", insert "a" "1") ] in
+  Storage.Engine.commit_prepared e p ~opid:(opid 1);
+  ignore (Storage.Engine.prepare e ~gtid:(gtid 2) ~writes:[ ("t", insert "b" "2") ]);
   let rolled = Storage.Engine.crash_recover e in
   Alcotest.(check int) "one rolled back" 1 rolled;
   Alcotest.(check (option string)) "committed survives" (Some "1")
@@ -65,41 +65,41 @@ let test_crash_recovery_rolls_back_prepared () =
 
 let test_update_delete_ops () =
   let e = Storage.Engine.create () in
-  Storage.Engine.prepare e ~gtid:(gtid 1) ~writes:[ ("t", insert "k" "v1") ];
-  Storage.Engine.commit_prepared e ~gtid:(gtid 1) ~opid:(opid 1);
-  Storage.Engine.prepare e ~gtid:(gtid 2)
-    ~writes:[ ("t", Binlog.Event.Update { key = "k"; before = "v1"; after = "v2" }) ];
-  Storage.Engine.commit_prepared e ~gtid:(gtid 2) ~opid:(opid 2);
+  let p = Storage.Engine.prepare e ~gtid:(gtid 1) ~writes:[ ("t", insert "k" "v1") ] in
+  Storage.Engine.commit_prepared e p ~opid:(opid 1);
+  let p = Storage.Engine.prepare e ~gtid:(gtid 2)
+    ~writes:[ ("t", Binlog.Event.Update { key = "k"; before = "v1"; after = "v2" }) ] in
+  Storage.Engine.commit_prepared e p ~opid:(opid 2);
   Alcotest.(check (option string)) "updated" (Some "v2")
     (Storage.Engine.get e ~table:"t" ~key:"k");
-  Storage.Engine.prepare e ~gtid:(gtid 3)
-    ~writes:[ ("t", Binlog.Event.Delete { key = "k"; before = "v2" }) ];
-  Storage.Engine.commit_prepared e ~gtid:(gtid 3) ~opid:(opid 3);
+  let p = Storage.Engine.prepare e ~gtid:(gtid 3)
+    ~writes:[ ("t", Binlog.Event.Delete { key = "k"; before = "v2" }) ] in
+  Storage.Engine.commit_prepared e p ~opid:(opid 3);
   Alcotest.(check (option string)) "deleted" None (Storage.Engine.get e ~table:"t" ~key:"k");
   Alcotest.(check int) "row count" 0 (Storage.Engine.row_count e ~table:"t")
 
 let test_checksum_equality () =
   let mk () =
     let e = Storage.Engine.create () in
-    Storage.Engine.prepare e ~gtid:(gtid 1) ~writes:[ ("t", insert "a" "1") ];
-    Storage.Engine.commit_prepared e ~gtid:(gtid 1) ~opid:(opid 1);
-    Storage.Engine.prepare e ~gtid:(gtid 2) ~writes:[ ("u", insert "b" "2") ];
-    Storage.Engine.commit_prepared e ~gtid:(gtid 2) ~opid:(opid 2);
+    let p = Storage.Engine.prepare e ~gtid:(gtid 1) ~writes:[ ("t", insert "a" "1") ] in
+    Storage.Engine.commit_prepared e p ~opid:(opid 1);
+    let p = Storage.Engine.prepare e ~gtid:(gtid 2) ~writes:[ ("u", insert "b" "2") ] in
+    Storage.Engine.commit_prepared e p ~opid:(opid 2);
     e
   in
   let a = mk () and b = mk () in
   Alcotest.(check int32) "identical content, identical checksum"
     (Storage.Engine.checksum a) (Storage.Engine.checksum b);
-  Storage.Engine.prepare b ~gtid:(gtid 3) ~writes:[ ("t", insert "c" "3") ];
-  Storage.Engine.commit_prepared b ~gtid:(gtid 3) ~opid:(opid 3);
+  let p = Storage.Engine.prepare b ~gtid:(gtid 3) ~writes:[ ("t", insert "c" "3") ] in
+  Storage.Engine.commit_prepared b p ~opid:(opid 3);
   Alcotest.(check bool) "diverged content, different checksum" false
     (Int32.equal (Storage.Engine.checksum a) (Storage.Engine.checksum b))
 
 let test_duplicate_prepare_rejected () =
   let e = Storage.Engine.create () in
-  Storage.Engine.prepare e ~gtid:(gtid 1) ~writes:[ ("t", insert "a" "1") ];
+  ignore (Storage.Engine.prepare e ~gtid:(gtid 1) ~writes:[ ("t", insert "a" "1") ]);
   Alcotest.check_raises "duplicate" (Invalid_argument "Engine.prepare: duplicate gtid")
-    (fun () -> Storage.Engine.prepare e ~gtid:(gtid 1) ~writes:[ ("t", insert "b" "2") ])
+    (fun () -> ignore (Storage.Engine.prepare e ~gtid:(gtid 1) ~writes:[ ("t", insert "b" "2") ]))
 
 (* The commit history (digest chain and GTID/OpId log) rides the
    checkpoint: a restored engine answers checksum_at and nth_commit
@@ -107,17 +107,17 @@ let test_duplicate_prepare_rejected () =
 let test_checkpoint_round_trip_keeps_history () =
   let src = Storage.Engine.create () in
   for i = 1 to 40 do
-    Storage.Engine.prepare src ~gtid:(gtid i)
-      ~writes:[ ("t", insert (Printf.sprintf "k%d" (i mod 7)) (string_of_int i)) ];
-    Storage.Engine.commit_prepared src ~gtid:(gtid i) ~opid:(Binlog.Opid.make ~term:(1 + (i / 10)) ~index:i)
+    let p = Storage.Engine.prepare src ~gtid:(gtid i)
+      ~writes:[ ("t", insert (Printf.sprintf "k%d" (i mod 7)) (string_of_int i)) ] in
+    Storage.Engine.commit_prepared src p ~opid:(Binlog.Opid.make ~term:(1 + (i / 10)) ~index:i)
   done;
   let ck =
     Storage.Engine.decode_checkpoint
       (Storage.Engine.encode_checkpoint (Storage.Engine.checkpoint src))
   in
   let dst = Storage.Engine.create () in
-  Storage.Engine.prepare dst ~gtid:(gtid 99) ~writes:[ ("t", insert "junk" "x") ];
-  Storage.Engine.commit_prepared dst ~gtid:(gtid 99) ~opid:(opid 99);
+  let p = Storage.Engine.prepare dst ~gtid:(gtid 99) ~writes:[ ("t", insert "junk" "x") ] in
+  Storage.Engine.commit_prepared dst p ~opid:(opid 99);
   Storage.Engine.restore dst ck;
   Alcotest.(check int) "committed count" 40 (Storage.Engine.committed_count dst);
   for count = 0 to 40 do
@@ -139,8 +139,8 @@ let test_checkpoint_round_trip_keeps_history () =
   (* the chain keeps extending identically after the restore *)
   List.iter
     (fun e ->
-      Storage.Engine.prepare e ~gtid:(gtid 41) ~writes:[ ("t", insert "k41" "41") ];
-      Storage.Engine.commit_prepared e ~gtid:(gtid 41) ~opid:(opid 41))
+      let p = Storage.Engine.prepare e ~gtid:(gtid 41) ~writes:[ ("t", insert "k41" "41") ] in
+      Storage.Engine.commit_prepared e p ~opid:(opid 41))
     [ src; dst ];
   Alcotest.(check int32) "next digest"
     (Storage.Engine.checksum_at src ~count:41)
@@ -149,6 +149,78 @@ let test_checkpoint_round_trip_keeps_history () =
     (Int32.equal
        (Storage.Engine.checksum_at dst ~count:40)
        (Storage.Engine.checksum_at dst ~count:41))
+
+(* ----- allocation on the commit path ----- *)
+
+let minor_words f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+(* The next gno of the open tip only bumps an int, and membership
+   checks (tip, folded intervals, misses) build no option or closure. *)
+let test_tip_add_and_has_committed_allocate_nothing () =
+  let gtids = Array.init 2_000 (fun i -> Binlog.Gtid.make ~source:"srv1" ~gno:(i + 1)) in
+  let acc = Binlog.Gtid_set.Acc.create () in
+  Binlog.Gtid_set.Acc.add acc gtids.(0);
+  Binlog.Gtid_set.Acc.add acc gtids.(1);
+  let words =
+    minor_words (fun () ->
+        for i = 2 to 999 do
+          Binlog.Gtid_set.Acc.add acc gtids.(i)
+        done)
+  in
+  Alcotest.(check (float 0.)) "words per 1k tip adds" 0.0 words;
+  let e = Storage.Engine.create () in
+  for i = 0 to 99 do
+    let p =
+      Storage.Engine.prepare e ~gtid:gtids.(i) ~writes:[ ("t", insert "k" (string_of_int i)) ]
+    in
+    Storage.Engine.commit_prepared e p ~opid:(opid (i + 1))
+  done;
+  (* fold the tip so later lookups also walk the persistent set *)
+  ignore (Storage.Engine.gtid_executed e);
+  let p = Storage.Engine.prepare e ~gtid:gtids.(100) ~writes:[ ("t", insert "k" "x") ] in
+  Storage.Engine.commit_prepared e p ~opid:(opid 101);
+  let other = Binlog.Gtid.make ~source:"srv2" ~gno:1 in
+  let hits = ref 0 in
+  let words =
+    minor_words (fun () ->
+        for i = 0 to 999 do
+          if Storage.Engine.has_committed e gtids.(i) then incr hits;
+          if Storage.Engine.has_committed e other then incr hits
+        done)
+  in
+  Alcotest.(check int) "committed gtids found" 101 !hits;
+  Alcotest.(check (float 0.)) "words per 2k has_committed" 0.0 words
+
+(* A steady-state one-row update: the handle, its slot array and the
+   by-GTID entry are all it allocates (the digest and commit-order
+   columns grow by chunks).  Measured at 11.2 words; a row record, a
+   lock-table key or a Gtid_set.add per commit pushes it past the
+   bound. *)
+let prepare_commit_words = 12
+
+let test_prepare_commit_words () =
+  let e = Storage.Engine.create () in
+  let n = 10_000 in
+  let gtids = Array.init (n + 1) (fun i -> Binlog.Gtid.make ~source:"srv1" ~gno:(i + 1)) in
+  let opids = Array.init (n + 1) (fun i -> opid (i + 1)) in
+  let writes = [ ("sbtest", insert "row-1" "v") ] in
+  let p = Storage.Engine.prepare e ~gtid:gtids.(0) ~writes in
+  Storage.Engine.commit_prepared e p ~opid:opids.(0);
+  let words =
+    minor_words (fun () ->
+        for i = 1 to n do
+          let p = Storage.Engine.prepare e ~gtid:gtids.(i) ~writes in
+          Storage.Engine.commit_prepared e p ~opid:opids.(i)
+        done)
+  in
+  let per_txn = words /. float_of_int n in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f words per prepare+commit <= %d" per_txn prepare_commit_words)
+    true
+    (per_txn <= float_of_int prepare_commit_words)
 
 let suites =
   [
@@ -164,5 +236,11 @@ let suites =
         Alcotest.test_case "duplicate prepare rejected" `Quick test_duplicate_prepare_rejected;
         Alcotest.test_case "checkpoint round trip keeps history" `Quick
           test_checkpoint_round_trip_keeps_history;
+      ] );
+    ( "storage.alloc",
+      [
+        Alcotest.test_case "tip add and has_committed allocate nothing" `Quick
+          test_tip_add_and_has_committed_allocate_nothing;
+        Alcotest.test_case "1-row prepare+commit words" `Quick test_prepare_commit_words;
       ] );
   ]
