@@ -316,6 +316,45 @@ let engine_timer_reset live =
   in
   (test, engine)
 
+(* One fault-free message from a to b, sent and run to its delivery,
+   over the default latency model.  Words are counted over batches of
+   1,000 sends and one engine run each, so they are the message's own:
+   its call event, the boxed delay, key and latency sample (and, across
+   regions, the latency model's region-pair hash). *)
+let network_send_deliver ~cross =
+  let engine = Sim.Engine.create () in
+  let topo = Sim.Topology.create () in
+  Sim.Topology.add_node topo ~id:"a" ~region:"r1";
+  Sim.Topology.add_node topo ~id:"b" ~region:(if cross then "r2" else "r1");
+  let net = Sim.Network.create engine topo () in
+  Sim.Network.register net "b" (fun ~src:_ (_ : int) -> ());
+  let send () = Sim.Network.send net ~src:"a" ~dst:"b" ~size:100 1 in
+  let run () =
+    send ();
+    Sim.Engine.run_for engine 100_000.0
+  in
+  let batch = 1_000 in
+  let send_batch () =
+    for _ = 1 to batch do
+      send ()
+    done;
+    Sim.Engine.run_for engine 100_000.0
+  in
+  let words_per_msg () =
+    let batches = 10 in
+    (* grow the event queue to a batch's depth first *)
+    send_batch ();
+    let before = Gc.minor_words () in
+    for _ = 1 to batches do
+      send_batch ()
+    done;
+    (Gc.minor_words () -. before) /. float_of_int (batch * batches)
+  in
+  let name =
+    Printf.sprintf "sim.network send+deliver (%s region)" (if cross then "cross" else "same")
+  in
+  (Test.make ~name (Staged.stage run), (name, words_per_msg))
+
 let pipeline_group_drain =
   (* submit → flush group → consensus release → engine commit for 100
      txns; exercises the preallocated group accumulator end to end *)
@@ -511,6 +550,8 @@ let run () =
   let ack_9, words_9 = leader_ack cfg_9 and ack_18, words_18 = leader_ack cfg_18 in
   let engine_commit, words_commit = engine_prepare_commit
   and tip_add, words_tip = gtid_set_tip_add in
+  let send_same, words_same = network_send_deliver ~cross:false
+  and send_cross, words_cross = network_send_deliver ~cross:true in
   let per unit (name, f) = (name, (unit, f)) in
   let words =
     [
@@ -518,6 +559,8 @@ let run () =
       per "ack" words_18;
       per "op" words_commit;
       per "op" words_tip;
+      per "msg" words_same;
+      per "msg" words_cross;
     ]
   in
   let tests =
@@ -537,6 +580,8 @@ let run () =
       heap_push_pop 1_000;
       heap_push_pop 300_000;
       timer_reset;
+      send_same;
+      send_cross;
       pipeline_group_drain;
       applier_drain;
       engine_commit;

@@ -2,18 +2,23 @@
 
    Virtual time is a float measured in MICROSECONDS, matching the unit the
    paper reports commit latencies in.  The engine owns a single event
-   queue; [schedule] registers a thunk to run after a delay, [run_until]
-   advances virtual time executing due events in (time, seq) order.
+   queue; [schedule] registers a thunk to run after a delay,
+   [schedule_call] a two-argument function and its arguments, and
+   [run_until] advances virtual time executing due events in (time, seq)
+   order.
 
    The queue holds only live work.  Each scheduled event is one record,
-   stored in the heap as is and handed back as its handle.  Its [owner]
-   field doubles as its state: the scheduling engine while queued, one of
-   two sentinel engines once cancelled or fired.  So [cancel] reaches the
-   engine's live count without a second field, and an event costs three
-   words.  A cancelled event stays in the heap until it reaches the top or
-   until dead events outnumber live ones (above [compaction_floor]); then
-   [Heap.filter] drops them all in one linear pass.  Firing order is the
-   (key, seq) total order, so compaction cannot reorder live events. *)
+   stored in the heap as is and handed back as its handle: a thunk (three
+   words) or a call that carries its function and both arguments (five
+   words), so a caller with a top-level function and two values to hand
+   it builds no closure.  An event's [owner] field doubles as its state:
+   the scheduling engine while queued, one of two sentinel engines once
+   cancelled or fired.  So [cancel] reaches the engine's live count
+   without a second field.  A cancelled event stays in the heap until it
+   reaches the top or until dead events outnumber live ones (above
+   [compaction_floor]); then [Heap.filter] drops them all in one linear
+   pass.  Firing order is the (key, seq) total order, so compaction
+   cannot reorder live events. *)
 
 type t = {
   mutable now : float;
@@ -24,7 +29,9 @@ type t = {
   mutable live : int; (* queued and not cancelled *)
 }
 
-and handle = { mutable owner : t; fn : unit -> unit }
+and handle =
+  | Thunk of { mutable owner : t; fn : unit -> unit }
+  | Call : { mutable owner : t; call : 'a -> 'b -> unit; a : 'a; b : 'b } -> handle
 
 let us = 1.0
 let ms = 1_000.0
@@ -55,8 +62,14 @@ let rng t = t.rng
 
 let executed_events t = t.executed
 
-let push t ~key fn =
-  let ev = { owner = t; fn } in
+let owner = function Thunk ev -> ev.owner | Call ev -> ev.owner
+
+let set_owner ev owner =
+  match ev with Thunk ev -> ev.owner <- owner | Call ev -> ev.owner <- owner
+
+let fire = function Thunk ev -> ev.fn () | Call ev -> ev.call ev.a ev.b
+
+let push t ~key ev =
   t.seq <- t.seq + 1;
   t.live <- t.live + 1;
   Heap.push t.queue ~key ~seq:t.seq ev;
@@ -64,11 +77,15 @@ let push t ~key fn =
 
 let schedule t ~delay fn =
   assert (delay >= 0.0);
-  push t ~key:(t.now +. delay) fn
+  push t ~key:(t.now +. delay) (Thunk { owner = t; fn })
+
+let schedule_call t ~delay call a b =
+  assert (delay >= 0.0);
+  push t ~key:(t.now +. delay) (Call { owner = t; call; a; b })
 
 let schedule_key t ~key fn =
   assert (key >= t.now);
-  push t ~key fn
+  push t ~key (Thunk { owner = t; fn })
 
 let schedule_at t ~time fn =
   let delay = max 0.0 (time -. t.now) in
@@ -79,39 +96,41 @@ let schedule_at t ~time fn =
 let compact_if_sparse t =
   let dead = Heap.length t.queue - t.live in
   if dead > t.live && dead > compaction_floor then
-    Heap.filter t.queue (fun ev -> ev.owner == t)
+    Heap.filter t.queue (fun ev -> owner ev == t)
 
 let cancel ev =
-  let t = ev.owner in
+  let t = owner ev in
   if t != cancelled_mark && t != fired_mark then begin
-    ev.owner <- cancelled_mark;
+    set_owner ev cancelled_mark;
     t.live <- t.live - 1;
     compact_if_sparse t
   end
 
-let cancelled ev = ev.owner == cancelled_mark
+let cancelled ev = owner ev == cancelled_mark
 
 (* Run events until the queue is exhausted or virtual time would exceed
    [limit].  Time is left at [limit] when the horizon is reached, so
-   consecutive [run_until] calls compose. *)
-let run_until t limit =
-  let rec loop () =
-    if (not (Heap.is_empty t.queue)) && Heap.min_key t.queue <= limit then begin
-      let key = Heap.min_key t.queue in
+   consecutive [run_until] calls compose.  Each fired event reads the
+   queue's minimum key once; [now] takes that key's box as it is, so
+   reading the clock allocates nothing. *)
+let rec run_until t limit =
+  if Heap.is_empty t.queue then (if limit > t.now then t.now <- limit)
+  else begin
+    let key = Heap.min_key t.queue in
+    if key <= limit then begin
       let ev = Heap.pop_min t.queue in
-      if ev.owner == t then begin
-        ev.owner <- fired_mark;
+      if owner ev == t then begin
+        set_owner ev fired_mark;
         t.live <- t.live - 1;
         compact_if_sparse t;
-        t.now <- max t.now key;
+        if key > t.now then t.now <- key;
         t.executed <- t.executed + 1;
-        ev.fn ()
+        fire ev
       end;
-      loop ()
+      run_until t limit
     end
-    else t.now <- max t.now limit
-  in
-  loop ()
+    else if limit > t.now then t.now <- limit
+  end
 
 let run_for t duration = run_until t (t.now +. duration)
 

@@ -32,6 +32,14 @@ val executed_events : t -> int
     virtual time.  Returns a handle usable with {!cancel}. *)
 val schedule : t -> delay:float -> (unit -> unit) -> handle
 
+(** [schedule_call t ~delay f a b] runs [f a b] after [delay]
+    microseconds of virtual time, exactly as [schedule t ~delay (fun () ->
+    f a b)] would, in the same (time, seq) order, but without building
+    that closure: the event itself carries [f], [a] and [b] (five words,
+    against three for a thunk plus the closure).  Pass a top-level [f] so
+    nothing else is allocated.  Returns a handle usable with {!cancel}. *)
+val schedule_call : t -> delay:float -> ('a -> 'b -> unit) -> 'a -> 'b -> handle
+
 (** Schedule at an absolute virtual time (clamped to now). *)
 val schedule_at : t -> time:float -> (unit -> unit) -> handle
 

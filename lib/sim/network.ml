@@ -35,23 +35,6 @@ let no_faults =
    An all-float record, so advancing it stores the float unboxed. *)
 type clock = { mutable at : float }
 
-(* Everything a send or a delivery needs to know about one directed
-   link, created on its first send: both regions (a node's region never
-   changes), the unordered region pair partitions are keyed by, the
-   link's stats row and its region pair's row, the FIFO clock, and the
-   latency override. *)
-type link = {
-  src : Topology.node_id;
-  dst : Topology.node_id;
-  src_region : Topology.region;
-  dst_region : Topology.region;
-  cut_key : Topology.region * Topology.region;
-  stats : stats;
-  region_stats : stats;
-  fifo : clock;
-  mutable override : float option;
-}
-
 type 'msg t = {
   engine : Engine.t;
   topology : Topology.t;
@@ -64,7 +47,7 @@ type 'msg t = {
   isolated : (Topology.node_id, unit) Hashtbl.t;
   (* Directed links by source, then destination: two string lookups and
      no key allocated per message. *)
-  links : (Topology.node_id, (Topology.node_id, link) Hashtbl.t) Hashtbl.t;
+  links : (Topology.node_id, (Topology.node_id, 'msg link) Hashtbl.t) Hashtbl.t;
   (* Per region pair; each link's record shares its pair's row.  Rows
      survive [reset_stats] zeroed, and a zero row is reported as absent. *)
   region_stats : (Topology.region * Topology.region, stats) Hashtbl.t;
@@ -88,6 +71,25 @@ type 'msg t = {
   mutable fault_dropped : int;
   mutable duplicated : int;
   mutable reordered : int;
+}
+
+(* Everything a send or a delivery needs to know about one directed
+   link, created on its first send: its network, both regions (a node's
+   region never changes), the unordered region pair partitions are keyed
+   by, the link's stats row and its region pair's row, the FIFO clock,
+   and the latency override.  A delivery event carries the link and the
+   message, so it needs no closure. *)
+and 'msg link = {
+  net : 'msg t;
+  src : Topology.node_id;
+  dst : Topology.node_id;
+  src_region : Topology.region;
+  dst_region : Topology.region;
+  cut_key : Topology.region * Topology.region;
+  stats : stats;
+  pair_stats : stats;
+  fifo : clock;
+  mutable override : float option;
 }
 
 let create engine topology ?(latency = Latency.default) () =
@@ -137,7 +139,7 @@ let link t ~src ~dst =
   | exception Not_found ->
     let src_region = Topology.region_of t.topology src in
     let dst_region = Topology.region_of t.topology dst in
-    let region_stats =
+    let pair_stats =
       match Hashtbl.find_opt t.region_stats (src_region, dst_region) with
       | Some st -> st
       | None ->
@@ -147,13 +149,14 @@ let link t ~src ~dst =
     in
     let l =
       {
+        net = t;
         src;
         dst;
         src_region;
         dst_region;
         cut_key = ordered_pair src_region dst_region;
         stats = { messages = 0; bytes = 0 };
-        region_stats;
+        pair_stats;
         fifo = { at = 0.0 };
         override = Hashtbl.find_opt t.link_latency (src, dst);
       }
@@ -272,14 +275,52 @@ let specs_for t ~src ~dst =
          (Hashtbl.find_opt t.node_faults src))
       (Hashtbl.find_opt t.node_faults dst)
 
-let schedule_delivery t l ~delay msg =
-  ignore
-    (Engine.schedule t.engine ~delay (fun () ->
-         if is_down t l.dst || partitioned t l then t.dropped <- t.dropped + 1
-         else
-           match Hashtbl.find t.handlers l.dst with
-           | handler -> handler ~src:l.src msg
-           | exception Not_found -> t.dropped <- t.dropped + 1))
+(* The one delivery function: every delivery event is [deliver link msg]. *)
+let deliver l msg =
+  let t = l.net in
+  if is_down t l.dst || partitioned t l then t.dropped <- t.dropped + 1
+  else
+    match Hashtbl.find t.handlers l.dst with
+    | handler -> handler ~src:l.src msg
+    | exception Not_found -> t.dropped <- t.dropped + 1
+
+let deliver_after l ~delay msg = ignore (Engine.schedule_call l.net.engine ~delay deliver l msg)
+
+(* The fault steps of a send, each a walk over the covering specs in
+   order (link, source, destination).  On a healthy link the list is
+   empty and each returns at once, building nothing.  The drop roll stops
+   at the first spec that loses the message. *)
+let rec lost t = function
+  | [] -> false
+  | s :: specs -> (s.drop > 0.0 && Rng.float (fault_rng t) < s.drop) || lost t specs
+
+let rec extra_latency acc = function
+  | [] -> acc
+  | s :: specs -> extra_latency (acc +. s.extra_latency) specs
+
+let rec reorder_extra t acc = function
+  | [] -> acc
+  | s :: specs ->
+    let acc =
+      if s.reorder > 0.0 && Rng.float (fault_rng t) < s.reorder then begin
+        t.reordered <- t.reordered + 1;
+        acc +. Rng.uniform (fault_rng t) ~lo:0.0 ~hi:s.reorder_delay
+      end
+      else acc
+    in
+    reorder_extra t acc specs
+
+(* Duplication: a second copy arrives after an extra random delay,
+   outside the stream, so the two copies may arrive out of order. *)
+let rec duplicate t l ~delay msg = function
+  | [] -> ()
+  | s :: specs ->
+    if s.duplicate > 0.0 && Rng.float (fault_rng t) < s.duplicate then begin
+      t.duplicated <- t.duplicated + 1;
+      let extra = Rng.uniform (fault_rng t) ~lo:0.0 ~hi:(max s.reorder_delay 1.0) in
+      deliver_after l ~delay:(delay +. extra) msg
+    end;
+    duplicate t l ~delay msg specs
 
 (* Send a message.  [size] is the wire size in bytes and is accounted even
    for messages that are later dropped at delivery (the sender spent the
@@ -287,15 +328,11 @@ let schedule_delivery t l ~delay msg =
 let send t ~src ~dst ~size msg =
   let l = link t ~src ~dst in
   bump l.stats ~bytes:size;
-  bump l.region_stats ~bytes:size;
+  bump l.pair_stats ~bytes:size;
   if is_down t src || partitioned t l then t.dropped <- t.dropped + 1
   else begin
     let specs = specs_for t ~src ~dst in
-    let lost =
-      specs <> []
-      && List.exists (fun s -> s.drop > 0.0 && Rng.float (fault_rng t) < s.drop) specs
-    in
-    if lost then begin
+    if lost t specs then begin
       t.dropped <- t.dropped + 1;
       t.fault_dropped <- t.fault_dropped + 1
     end
@@ -307,7 +344,7 @@ let send t ~src ~dst ~size msg =
            | None ->
              Latency.one_way t.latency ~src_region:l.src_region ~dst_region:l.dst_region
                t.rng)
-        +. List.fold_left (fun acc s -> acc +. s.extra_latency) 0.0 specs
+        +. extra_latency 0.0 specs
       in
       (* FIFO stream semantics: clamp the delivery behind the link's
          latest in-order delivery, so jittered latency samples cannot
@@ -318,35 +355,20 @@ let send t ~src ~dst ~size msg =
         let at = now +. base_delay in
         if at >= l.fifo.at then at else l.fifo.at
       in
-      let reorder_extra =
-        List.fold_left
-          (fun d s ->
-            if s.reorder > 0.0 && Rng.float (fault_rng t) < s.reorder then begin
-              t.reordered <- t.reordered + 1;
-              d +. Rng.uniform (fault_rng t) ~lo:0.0 ~hi:s.reorder_delay
-            end
-            else d)
-          0.0 specs
-      in
+      let delay = fifo_at -. now in
+      let reorder_extra = reorder_extra t 0.0 specs in
       if reorder_extra > 0.0 then
         (* The reorder fault ejects this message from the stream: it is
            delayed past its slot and deliberately does NOT hold the fifo
            clock back, so later messages overtake it. *)
-        schedule_delivery t l ~delay:(fifo_at -. now +. reorder_extra) msg
+        deliver_after l ~delay:(delay +. reorder_extra) msg
       else begin
         l.fifo.at <- fifo_at;
-        schedule_delivery t l ~delay:(fifo_at -. now) msg
+        deliver_after l ~delay msg
       end;
-      (* Duplication: a second copy arrives after an extra random delay,
-         outside the stream, so the two copies may arrive out of order. *)
-      List.iter
-        (fun s ->
-          if s.duplicate > 0.0 && Rng.float (fault_rng t) < s.duplicate then begin
-            t.duplicated <- t.duplicated + 1;
-            let extra = Rng.uniform (fault_rng t) ~lo:0.0 ~hi:(max s.reorder_delay 1.0) in
-            schedule_delivery t l ~delay:(fifo_at -. now +. extra) msg
-          end)
-        specs
+      (* matched here so that a healthy send does not box [delay] for a
+         call that would return at once *)
+      match specs with [] -> () | specs -> duplicate t l ~delay msg specs
     end
   end
 

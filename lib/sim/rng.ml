@@ -5,36 +5,45 @@
    derives an independent stream, which lets each node own a private
    generator whose draws do not perturb its peers'. *)
 
-type t = { mutable state : int64 }
+(* The 64-bit state lives unboxed in 8 bytes: a mutable [int64] field
+   would be a pointer to a fresh box after every draw.  [next] is inlined
+   into each draw, so its intermediate values stay unboxed too and a draw
+   allocates only the result it hands across the module boundary. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = seed }
+let create seed =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 seed;
+  t
 
 let of_int seed = create (Int64.of_int seed)
 
-let next_int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  let z = t.state in
+let[@inline] next t =
+  let z = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let split t = create (next_int64 t)
+let next_int64 t = next t
+
+let split t = create (next t)
 
 (* Uniform float in [0, 1): use the top 53 bits. *)
-let float t =
-  let bits = Int64.shift_right_logical (next_int64 t) 11 in
+let[@inline] float t =
+  let bits = Int64.shift_right_logical (next t) 11 in
   Int64.to_float bits /. 9007199254740992.0
 
 (* Uniform int in [0, bound). *)
 let int t bound =
   assert (bound > 0);
   (* mask to 62 bits so the value fits OCaml's native int non-negatively *)
-  let r = Int64.to_int (Int64.logand (next_int64 t) 0x3FFF_FFFF_FFFF_FFFFL) in
+  let r = Int64.to_int (Int64.logand (next t) 0x3FFF_FFFF_FFFF_FFFFL) in
   r mod bound
 
-let bool t = Int64.logand (next_int64 t) 1L = 1L
+let bool t = Int64.logand (next t) 1L = 1L
 
 (* Uniform float in [lo, hi). *)
 let uniform t ~lo ~hi = lo +. ((hi -. lo) *. float t)

@@ -17,6 +17,24 @@ let test_rng_split_independent () =
   let child2 = Sim.Rng.split parent2 in
   Alcotest.(check int64) "split deterministic" v1 (Sim.Rng.next_int64 child2)
 
+(* Fixed draws of the SplitMix64 streams.  Every seeded run depends on
+   them, so a change to the generator's representation must leave each
+   draw bit-identical. *)
+let test_rng_known_answers () =
+  let r = Sim.Rng.of_int 42 in
+  List.iter
+    (fun v -> Alcotest.(check int64) "next_int64" v (Sim.Rng.next_int64 r))
+    [ -4767286540954276203L; 2949826092126892291L; 5139283748462763858L; 6349198060258255764L ];
+  Alcotest.(check (float 0.)) "float" 0x1.378b0b448904p-5 (Sim.Rng.float r);
+  Alcotest.(check int) "int 1000" 350 (Sim.Rng.int r 1000);
+  Alcotest.(check (float 0.)) "uniform 90..180" 0x1.b6a038ffc155fp+6
+    (Sim.Rng.uniform r ~lo:90. ~hi:180.);
+  Alcotest.(check (float 0.)) "exponential mean 500" 0x1.bcb541bd9bffcp+6
+    (Sim.Rng.exponential r ~mean:500.);
+  let child = Sim.Rng.split r in
+  Alcotest.(check int64) "split child, first" 883429976846387302L (Sim.Rng.next_int64 child);
+  Alcotest.(check int64) "split child, second" 4526355970653638925L (Sim.Rng.next_int64 child)
+
 let test_rng_float_range () =
   let rng = Sim.Rng.of_int 1 in
   for _ = 1 to 10_000 do
@@ -93,6 +111,22 @@ let test_engine_cancel () =
   Alcotest.(check bool) "cancel after firing is a no-op" false (Sim.Engine.cancelled h2);
   Alcotest.(check int) "nothing pending" 0 (Sim.Engine.pending e)
 
+let test_engine_call_event () =
+  let e = Sim.Engine.create () in
+  let got = ref [] in
+  let record name n = got := (name, n, Sim.Engine.now e) :: !got in
+  ignore (Sim.Engine.schedule_call e ~delay:7.0 record "seven" 7);
+  let h = Sim.Engine.schedule_call e ~delay:3.0 record "cancelled" 3 in
+  ignore (Sim.Engine.schedule_call e ~delay:2.0 record "two" 2);
+  Sim.Engine.cancel h;
+  Alcotest.(check bool) "call handle cancelled" true (Sim.Engine.cancelled h);
+  Alcotest.(check int) "two live" 2 (Sim.Engine.pending e);
+  Sim.Engine.run_until e 10.0;
+  Alcotest.(check (list (triple string int (float 0.))))
+    "each call gets its two arguments, at its time"
+    [ ("two", 2, 2.0); ("seven", 7, 7.0) ]
+    (List.rev !got)
+
 let test_engine_nested_schedule () =
   let e = Sim.Engine.create () in
   let times = ref [] in
@@ -118,10 +152,12 @@ let test_engine_run_until_horizon () =
    event queued and skips it at pop, as a flag-only engine does.  Ops
    include cancels issued from inside callbacks and cancels of handles
    that already fired; bursts of cancels push the dead count past the
-   compaction floor.  Both engines run the same ops in lockstep. *)
+   compaction floor.  Each schedule is a thunk or a call event ([call]),
+   so same-instant ties, cancels and compactions mix the two kinds.  Both
+   engines run the same ops in lockstep. *)
 type engine_op =
-  | Schedule of int (* delay *)
-  | Schedule_canceller of int * int (* delay; when it fires, cancel this handle *)
+  | Schedule of bool * int (* call; delay *)
+  | Schedule_canceller of bool * int * int (* call; delay; when it fires, cancel this handle *)
   | Cancel of int (* handle number, modulo handles issued so far *)
   | Cancel_burst of int * int (* schedule this many, then cancel all but every k-th *)
   | Advance of int
@@ -130,16 +166,16 @@ let engine_op_gen =
   QCheck.Gen.(
     frequency
       [
-        (4, map (fun d -> Schedule d) (int_range 0 60));
-        (2, map2 (fun d v -> Schedule_canceller (d, v)) (int_range 0 60) nat);
+        (4, map2 (fun c d -> Schedule (c, d)) bool (int_range 0 60));
+        (2, map3 (fun c d v -> Schedule_canceller (c, d, v)) bool (int_range 0 60) nat);
         (3, map (fun i -> Cancel i) nat);
         (1, map2 (fun n k -> Cancel_burst (n, k)) (int_range 1 200) (int_range 2 50));
         (2, map (fun d -> Advance d) (int_range 0 40));
       ])
 
 let print_engine_op = function
-  | Schedule d -> Printf.sprintf "Schedule %d" d
-  | Schedule_canceller (d, v) -> Printf.sprintf "Schedule_canceller (%d, %d)" d v
+  | Schedule (c, d) -> Printf.sprintf "Schedule (%b, %d)" c d
+  | Schedule_canceller (c, d, v) -> Printf.sprintf "Schedule_canceller (%b, %d, %d)" c d v
   | Cancel i -> Printf.sprintf "Cancel %d" i
   | Cancel_burst (n, k) -> Printf.sprintf "Cancel_burst (%d, %d)" n k
   | Advance d -> Printf.sprintf "Advance %d" d
@@ -182,30 +218,32 @@ let rec ref_run_until r limit =
     end
 
 (* Interpret [ops] against one engine, given as its schedule, cancel and
-   run functions.  Returns the firing log and [probe ()] taken after
-   every op. *)
+   run functions; [schedule ~call ~delay f id victim] queues [f id
+   victim].  Returns the firing log and [probe ()] taken after every
+   op. *)
 let interpret ops ~schedule ~cancel ~run_until ~now ~probe =
   let handles = Hashtbl.create 64 and issued = ref 0 in
   let log = ref [] and probes = ref [] in
   let cancel_nth i = if !issued > 0 then cancel (Hashtbl.find handles (i mod !issued)) in
-  let schedule_logged ~delay victim =
+  let fired id victim =
+    log := id :: !log;
+    Option.iter cancel_nth victim
+  in
+  let schedule_logged ~call ~delay victim =
     let id = !issued in
     incr issued;
-    Hashtbl.replace handles id
-      (schedule ~delay:(float_of_int delay) (fun () ->
-           log := id :: !log;
-           Option.iter cancel_nth victim))
+    Hashtbl.replace handles id (schedule ~call ~delay:(float_of_int delay) fired id victim)
   in
   List.iter
     (fun op ->
       (match op with
-      | Schedule d -> schedule_logged ~delay:d None
-      | Schedule_canceller (d, v) -> schedule_logged ~delay:d (Some v)
+      | Schedule (call, d) -> schedule_logged ~call ~delay:d None
+      | Schedule_canceller (call, d, v) -> schedule_logged ~call ~delay:d (Some v)
       | Cancel i -> cancel_nth i
       | Cancel_burst (n, k) ->
         let first = !issued in
         for j = 0 to n - 1 do
-          schedule_logged ~delay:(j mod 50) None
+          schedule_logged ~call:(j mod 2 = 1) ~delay:(j mod 50) None
         done;
         for j = 0 to n - 1 do
           if j mod k <> 0 then cancel_nth (first + j)
@@ -225,7 +263,7 @@ let prop_engine_matches_reference =
       let r = { r_now = 0.0; r_next = 0; r_queue = [] } in
       let expected =
         interpret ops
-          ~schedule:(fun ~delay fn -> ref_schedule r ~delay fn)
+          ~schedule:(fun ~call:_ ~delay f a b -> ref_schedule r ~delay (fun () -> f a b))
           ~cancel:(fun ev -> ev.r_dead <- true)
           ~run_until:(ref_run_until r)
           ~now:(fun () -> r.r_now)
@@ -235,7 +273,9 @@ let prop_engine_matches_reference =
       let bounded = ref true in
       let actual =
         interpret ops
-          ~schedule:(fun ~delay fn -> Sim.Engine.schedule e ~delay fn)
+          ~schedule:(fun ~call ~delay f a b ->
+            if call then Sim.Engine.schedule_call e ~delay f a b
+            else Sim.Engine.schedule e ~delay (fun () -> f a b))
           ~cancel:Sim.Engine.cancel
           ~run_until:(Sim.Engine.run_until e)
           ~now:(fun () -> Sim.Engine.now e)
@@ -378,6 +418,116 @@ let test_network_fault_determinism () =
   Alcotest.(check int) "same reorders" r1 r2;
   if d1 = 0 && dup1 = 0 && r1 = 0 then Alcotest.fail "faults never fired; test proves nothing"
 
+(* A reorder fault ejects its message from the link's stream: the next
+   message, sent at the same instant, keeps its in-order slot and
+   overtakes it, so the FIFO clock was not held back. *)
+let test_network_reorder_ejects_from_stream () =
+  let e, net = make_net () in
+  let got = ref [] in
+  Sim.Network.register net "b" (fun ~src:_ msg -> got := (msg, Sim.Engine.now e) :: !got);
+  Sim.Network.set_link_faults net ~src:"a" ~dst:"b"
+    { Sim.Network.no_faults with reorder = 1.0; reorder_delay = 1_000.0 };
+  Sim.Network.send net ~src:"a" ~dst:"b" ~size:10 "ejected";
+  Sim.Network.clear_link_faults net ~src:"a" ~dst:"b";
+  Sim.Network.send net ~src:"a" ~dst:"b" ~size:10 "next";
+  Sim.Engine.run_until e 100_000.0;
+  Alcotest.(check int) "reordered counter" 1 (Sim.Network.reordered net);
+  match List.rev !got with
+  | [ ("next", t_next); ("ejected", t_ejected) ] ->
+    Alcotest.(check (float 0.)) "next keeps its slot" 100.0 t_next;
+    if not (t_ejected > 100.0 && t_ejected < 1_100.0) then
+      Alcotest.failf "ejected message at %f, outside its extra delay" t_ejected
+  | l -> Alcotest.failf "expected the later message first, got %d deliveries" (List.length l)
+
+(* [extra_latency] adds exactly its value, summed over the specs that
+   cover the message, and draws nothing. *)
+let test_network_extra_latency_exact () =
+  let e, net = make_net () in
+  let at = ref [] in
+  Sim.Network.register net "b" (fun ~src:_ _ -> at := Sim.Engine.now e :: !at);
+  Sim.Network.set_node_faults net "a" { Sim.Network.no_faults with extra_latency = 250.0 };
+  Sim.Network.send net ~src:"a" ~dst:"b" ~size:10 "x";
+  Sim.Engine.run_until e 1_000.0;
+  Sim.Network.set_link_faults net ~src:"a" ~dst:"b"
+    { Sim.Network.no_faults with extra_latency = 40.0 };
+  Sim.Network.send net ~src:"a" ~dst:"b" ~size:10 "y";
+  Sim.Engine.run_until e 2_000.0;
+  Alcotest.(check (list (float 0.))) "latency plus each spec's spike"
+    [ 350.0; 1_000.0 +. 390.0 ] (List.rev !at);
+  Alcotest.(check (list int)) "no other fault fired" [ 0; 0; 0 ]
+    [ Sim.Network.fault_dropped net; Sim.Network.duplicated net; Sim.Network.reordered net ]
+
+(* A seeded run over 3 nodes in 2 regions, the default latency model
+   and drop, duplicate, reorder and extra latency all installed on links
+   and nodes.  The (time, src, dst, msg) rows are fixed: a change to the
+   send path that moves a draw, a delay or an event's sequence number
+   moves a row. *)
+let test_network_fault_delivery_log () =
+  let e = Sim.Engine.create ~seed:11 () in
+  let topo = Sim.Topology.create () in
+  Sim.Topology.add_node topo ~id:"a" ~region:"r1";
+  Sim.Topology.add_node topo ~id:"b" ~region:"r1";
+  Sim.Topology.add_node topo ~id:"c" ~region:"r2";
+  let net = Sim.Network.create e topo () in
+  let log = ref [] in
+  List.iter
+    (fun n ->
+      Sim.Network.register net n (fun ~src msg -> log := (Sim.Engine.now e, src, n, msg) :: !log))
+    [ "a"; "b"; "c" ];
+  Sim.Network.set_node_faults net "a"
+    { Sim.Network.drop = 0.15; duplicate = 0.2; reorder = 0.25; reorder_delay = 400.0;
+      extra_latency = 0.0 };
+  Sim.Network.set_node_faults net "c"
+    { Sim.Network.drop = 0.1; duplicate = 0.15; reorder = 0.0; reorder_delay = 0.0;
+      extra_latency = 1_500.0 };
+  Sim.Network.set_link_faults net ~src:"b" ~dst:"a"
+    { Sim.Network.drop = 0.0; duplicate = 0.3; reorder = 0.3; reorder_delay = 250.0;
+      extra_latency = 60.0 };
+  let nodes = [| "a"; "b"; "c" |] in
+  for i = 0 to 23 do
+    let src = nodes.(i mod 3) and dst = nodes.((i + 1 + ((i / 3) mod 2)) mod 3) in
+    Sim.Network.send net ~src ~dst ~size:100 i;
+    if i mod 4 = 3 then Sim.Engine.run_for e 120.0
+  done;
+  Sim.Engine.run_until e 1_000_000.0;
+  let expected =
+    [
+      (0x1.c800d5f824877p+6, "a", "b", 0);
+      (0x1.a849ea577b691p+7, "a", "b", 6);
+      (0x1.3da768bc53f27p+8, "a", "b", 0);
+      (0x1.bcbea01eb784cp+8, "b", "a", 4);
+      (0x1.dc9044e7b9583p+8, "b", "a", 10);
+      (0x1.f3d1b6b45a853p+8, "b", "a", 4);
+      (0x1.07bbb919ee49ap+9, "a", "b", 12);
+      (0x1.279dc908f37fp+9, "a", "b", 18);
+      (0x1.3ba086e7e00f4p+9, "b", "a", 10);
+      (0x1.5511a1b3a07efp+9, "b", "a", 16);
+      (0x1.92800992cd58ap+9, "b", "a", 22);
+      (0x1.06338b77bae13p+15, "c", "b", 5);
+      (0x1.072bc5e48e5c8p+15, "b", "c", 1);
+      (0x1.081acd505237ap+15, "a", "c", 15);
+      (0x1.09e794e263af9p+15, "b", "c", 7);
+      (0x1.0b8f17ccb885cp+15, "c", "b", 11);
+      (0x1.0d1935508f0f7p+15, "a", "c", 9);
+      (0x1.0e596a8d1cf2p+15, "c", "a", 8);
+      (0x1.0fad07b89db32p+15, "c", "a", 2);
+      (0x1.10d2bf810ff1dp+15, "b", "c", 13);
+      (0x1.114160e2ac8eep+15, "c", "a", 14);
+      (0x1.114160e2ac8eep+15, "c", "a", 20);
+      (0x1.122d4dd768588p+15, "c", "a", 20);
+      (0x1.12be1690615f9p+15, "c", "b", 17);
+      (0x1.12be1690615f9p+15, "c", "b", 23);
+      (0x1.12be9417b2243p+15, "c", "b", 17);
+      (0x1.1307cf6ce9c45p+15, "b", "c", 19)
+    ]
+  in
+  Alcotest.(check (list (pair (float 0.) (triple string string int))))
+    "delivery rows" (List.map (fun (t, s, d, m) -> (t, (s, d, m))) expected)
+    (List.rev_map (fun (t, s, d, m) -> (t, (s, d, m))) !log);
+  Alcotest.(check (list int)) "dropped, fault-dropped, duplicated, reordered" [ 2; 2; 5; 4 ]
+    [ Sim.Network.dropped net; Sim.Network.fault_dropped net; Sim.Network.duplicated net;
+      Sim.Network.reordered net ]
+
 let test_network_heal_all_clears_faults () =
   let e, net = make_net () in
   let got = ref 0 in
@@ -492,6 +642,55 @@ let test_egress_uncapped_nodes_unaffected () =
   (* c->b is cross-region (10ms): only the latency model applies, no
      serialization despite the 100KB size *)
   Alcotest.(check (float 1.0)) "no serialization on uncapped sender" 10_000.0 !at
+
+(* ----- allocation on the message path ----- *)
+
+(* Minor words [f] allocates, with [f] run [rounds] times. *)
+let minor_words rounds f =
+  let before = Gc.minor_words () in
+  for _ = 1 to rounds do
+    f ()
+  done;
+  Gc.minor_words () -. before
+
+(* A fault-free message costs only the engine event that delivers it:
+   the 5-word call event, the delay and its key boxed into [Engine] and
+   [Heap], the key boxed back out at pop, and (unless the link is pinned)
+   the latency sample.  A closure per send or per delivery, or a boxed
+   RNG state, pushes a case past its bound.  Each round sends a batch and
+   runs the engine once, and the run's horizon (2 words) is counted
+   apart. *)
+let same_region_send_deliver_words = 13
+
+let pinned_send_deliver_words = 11
+
+let check_send_deliver_words ~name ~bound ~pin () =
+  let e, net = make_net ~latency:Sim.Latency.default () in
+  let got = ref 0 in
+  Sim.Network.register net "b" (fun ~src:_ (_ : int) -> incr got);
+  if pin then Sim.Network.set_link_latency net ~a:"a" ~b:"b" ~latency:100.0;
+  let batch = 100 and rounds = 200 in
+  let round () =
+    for i = 1 to batch do
+      Sim.Network.send net ~src:"a" ~dst:"b" ~size:100 i
+    done;
+    Sim.Engine.run_for e 1_000.0
+  in
+  round ();
+  let words = minor_words rounds round in
+  Alcotest.(check int) "every message delivered" ((rounds + 1) * batch) !got;
+  let per_msg = (words -. (2.0 *. float_of_int rounds)) /. float_of_int (rounds * batch) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: %.2f words per send+deliver <= %d" name per_msg bound)
+    true
+    (per_msg <= float_of_int bound)
+
+let test_rng_float_words () =
+  let rng = Sim.Rng.of_int 5 in
+  let sum = ref 0.0 in
+  let words = minor_words 1_000 (fun () -> sum := Sim.Rng.float rng) in
+  Alcotest.(check (float 0.)) "words per Rng.float (the returned box only)" 2.0
+    (words /. 1_000.0)
 
 let test_topology_queries () =
   let topo = Sim.Topology.create () in
@@ -614,6 +813,7 @@ let suites =
         Alcotest.test_case "float in [0,1)" `Quick test_rng_float_range;
         Alcotest.test_case "int bound" `Quick test_rng_int_bound;
         Alcotest.test_case "exponential mean" `Quick test_rng_exponential_mean;
+        Alcotest.test_case "known answers" `Quick test_rng_known_answers;
       ] );
     ( "sim.heap",
       [
@@ -624,6 +824,7 @@ let suites =
       [
         Alcotest.test_case "event ordering" `Quick test_engine_ordering;
         Alcotest.test_case "cancellation" `Quick test_engine_cancel;
+        Alcotest.test_case "call event gets its arguments" `Quick test_engine_call_event;
         Alcotest.test_case "nested scheduling" `Quick test_engine_nested_schedule;
         Alcotest.test_case "run_until horizon" `Quick test_engine_run_until_horizon;
         Alcotest.test_case "compaction drops cancelled events" `Quick test_engine_compaction;
@@ -640,6 +841,10 @@ let suites =
         Alcotest.test_case "fault duplicate delivers twice" `Quick
           test_network_fault_duplicate_delivers_twice;
         Alcotest.test_case "fault determinism under seed" `Quick test_network_fault_determinism;
+        Alcotest.test_case "reorder ejects from the stream" `Quick
+          test_network_reorder_ejects_from_stream;
+        Alcotest.test_case "extra latency is exact" `Quick test_network_extra_latency_exact;
+        Alcotest.test_case "seeded fault delivery log" `Quick test_network_fault_delivery_log;
         Alcotest.test_case "heal_all clears faults" `Quick test_network_heal_all_clears_faults;
         Alcotest.test_case "byte accounting" `Quick test_network_byte_accounting;
         Alcotest.test_case "link latency override" `Quick test_link_latency_override;
@@ -649,6 +854,16 @@ let suites =
       [
         Alcotest.test_case "capacity serializes sends" `Quick test_egress_capacity_serializes;
         Alcotest.test_case "uncapped unaffected" `Quick test_egress_uncapped_nodes_unaffected;
+      ] );
+    ( "sim.alloc",
+      [
+        Alcotest.test_case "same-region send+deliver words" `Quick
+          (check_send_deliver_words ~name:"same region" ~bound:same_region_send_deliver_words
+             ~pin:false);
+        Alcotest.test_case "pinned-link send+deliver words" `Quick
+          (check_send_deliver_words ~name:"pinned link" ~bound:pinned_send_deliver_words
+             ~pin:true);
+        Alcotest.test_case "Rng.float words" `Quick test_rng_float_words;
       ] );
     ( "sim.topology",
       [ Alcotest.test_case "queries" `Quick test_topology_queries ] );
