@@ -97,20 +97,20 @@ let run_cell ~groups ~skew ~seed =
   in
   let threads = threads_for groups in
   Workload.Generator.start_closed_loop gen ~threads;
-  Shard.Multi.run_for multi warmup;
+  Sim.Engine.run_for (Shard.Multi.engine multi) warmup;
   let stats = Workload.Generator.stats gen in
   let committed0 = stats.Workload.Generator.committed in
   let mux = Shard.Multi.mux multi in
   let packets0 = Shard.Mux.packets_sent mux in
   let frames0 = Shard.Mux.frames_sent mux in
-  Shard.Multi.run_for multi measure;
+  Sim.Engine.run_for (Shard.Multi.engine multi) measure;
   let committed = stats.Workload.Generator.committed - committed0 in
   let packets = Shard.Mux.packets_sent mux - packets0 in
   let frames = Shard.Mux.frames_sent mux - frames0 in
   Workload.Generator.stop gen;
-  Shard.Multi.run_for multi idle_drain;
+  Sim.Engine.run_for (Shard.Multi.engine multi) idle_drain;
   let idle_packets0 = Shard.Mux.packets_sent mux in
-  Shard.Multi.run_for multi idle_measure;
+  Sim.Engine.run_for (Shard.Multi.engine multi) idle_measure;
   let idle_packets = Shard.Mux.packets_sent mux - idle_packets0 in
   let n_nodes = List.length (Shard.Multi.member_ids multi) in
   let span_s = measure /. s in

@@ -306,12 +306,8 @@ let chaos seed echo steps faults quorum seeds metrics_json no_lease campaign
     List.map
       (fun seed ->
         let r =
-          if shards > 1 then
-            Chaos.Nemesis.run_sharded ~spec ~quorum ~lease:(not no_lease)
-              ~max_clock_drift ~auto_purge ~shards ~seed ~steps ()
-          else
-            Chaos.Nemesis.run ~spec ~quorum ~lease:(not no_lease) ~max_clock_drift ~echo
-              ~auto_purge ~seed ~steps ()
+          Chaos.Nemesis.run ~spec ~quorum ~lease:(not no_lease) ~max_clock_drift
+            ~echo:(echo && shards = 1) ~auto_purge ~shards ~seed ~steps ()
         in
         Printf.printf "%s\n%!" (Chaos.Nemesis.report_summary r);
         r)

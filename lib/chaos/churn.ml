@@ -15,10 +15,10 @@
    - {!sharded_churn}: per-group membership churn on a multi-Raft
      deployment, every group checked by its own invariant set.
 
-   Churn needs dynamic probes: replacements are brand-new nodes, and
-   evicted members must leave the convergence check.  Each probe's
-   [probe_up] therefore also requires membership in the newest installed
-   config across live nodes. *)
+   Every scenario runs on the chaos runner's harness ({!Nemesis.start},
+   {!Nemesis.check}, {!Nemesis.settle}), whose probes are
+   membership-aware: replacements are brand-new nodes and gain a probe
+   at the next check, and evicted members leave the convergence check. *)
 
 let s = Sim.Engine.s
 
@@ -47,142 +47,43 @@ let report_summary r =
     r.c_committed r.c_workload_committed r.c_converged
     (List.length r.c_violations)
 
-(* ----- membership-aware probes ----- *)
-
-let member_probe cluster id =
-  {
-    Invariants.probe_id = id;
-    probe_up =
-      (fun () ->
-        (not (Myraft.Cluster.is_crashed cluster id))
-        &&
-        match Reconfig.Healer.newest_config cluster with
-        | Some cfg -> Raft.Types.is_member cfg id
-        | None -> true);
-    probe_raft = (fun () -> Myraft.Cluster.raft_of cluster id);
-    probe_store =
-      (fun () ->
-        match Myraft.Cluster.node cluster id with
-        | Some (Myraft.Cluster.Mysql_node sv) -> Some (Myraft.Server.log sv)
-        | Some (Myraft.Cluster.Tailer_node l) -> Some (Myraft.Logtailer.log l)
-        | None -> None);
-    probe_engine =
-      (fun () ->
-        match Myraft.Cluster.node cluster id with
-        | Some (Myraft.Cluster.Mysql_node sv) -> Some (Myraft.Server.storage sv)
-        | _ -> None);
-  }
-
-(* Idempotent: newly provisioned nodes gain a probe, existing ids are
-   left alone. *)
-let sync_probes inv cluster =
-  List.iter
-    (fun id -> Invariants.add_probe inv (member_probe cluster id))
-    (Myraft.Cluster.member_ids cluster)
-
-(* ----- settling: current members only ----- *)
-
-(* Full convergence over the *current* membership: equal commit indexes
-   and log tails, drained appliers, and one agreed config identity.
-   Evicted nodes (and permanently dead corpses) are out of scope — the
-   membership-aware probes exclude them from [check_converged] too. *)
-let members_settled cluster =
-  match (Myraft.Cluster.raft_leader cluster, Reconfig.Healer.newest_config cluster) with
-  | None, _ | _, None -> false
-  | Some _, Some cfg -> (
-    let ids =
-      List.filter
-        (fun id -> not (Myraft.Cluster.is_crashed cluster id))
-        (Raft.Types.member_ids cfg)
-    in
-    let rafts = List.filter_map (Myraft.Cluster.raft_of cluster) ids in
-    match rafts with
-    | [] -> false
-    | r0 :: rest ->
-      let i = Raft.Node.commit_index r0 in
-      let tl = Binlog.Opid.index (Raft.Node.last_opid r0) in
-      let cid = Raft.Node.config_id r0 in
-      i > 0
-      && List.for_all (fun r -> Raft.Node.commit_index r = i) rest
-      && List.for_all (fun r -> Binlog.Opid.index (Raft.Node.last_opid r) = tl) rest
-      && List.for_all (fun r -> Raft.Node.config_id r = cid) rest
-      && List.for_all
-           (fun id ->
-             match Myraft.Cluster.server cluster id with
-             | Some srv -> Myraft.Server.applied_through srv >= i
-             | None -> true)
-           ids)
-
 (* ----- the classic-cluster harness ----- *)
 
-type harness = {
-  h_cluster : Myraft.Cluster.t;
-  h_gen : Workload.Generator.t;
-  h_inv : Invariants.t;
-}
-
 let classic_harness ~seed =
-  let params =
-    {
-      Myraft.Params.default with
-      raft =
-        {
-          Myraft.Params.default.Myraft.Params.raft with
-          Raft.Node.quorum_mode = Raft.Quorum.Single_region_dynamic;
-        };
-    }
-  in
   let cluster =
-    Myraft.Cluster.create ~seed ~params ~replicaset:"churn"
-      ~members:(Nemesis.chaos_members ()) ()
+    Myraft.Cluster.create ~seed ~replicaset:"churn" ~members:(Nemesis.chaos_members ()) ()
   in
   Myraft.Cluster.bootstrap cluster ~leader_id:"my1";
-  let backend = Workload.Backend.myraft cluster in
-  let gen =
-    Workload.Generator.create ~backend ~client_id:"churn-client" ~region:"r1" ()
-  in
-  Workload.Generator.start_open_loop gen ~rate_per_s:100.0;
-  let inv =
-    Invariants.create
-      ~snapshot:(fun () -> Myraft.Cluster.metrics_snapshot cluster)
-      ~now:(fun () -> Myraft.Cluster.now cluster)
-      ~probes:[] ()
-  in
-  sync_probes inv cluster;
-  { h_cluster = cluster; h_gen = gen; h_inv = inv }
+  Nemesis.start (Nemesis.of_cluster cluster) ~client_id:"churn-client" ~rate_per_s:100.0
+
+(* The first group's cluster and checker (a classic harness has one). *)
+let cluster_of (h : Nemesis.harness) = List.hd h.dep.groups
+
+let inv_of (h : Nemesis.harness) = List.hd h.invs
 
 let finish h ~scenario ~seed ~reconfigs ~replacements ~extra_metrics =
-  Workload.Generator.stop h.h_gen;
-  sync_probes h.h_inv h.h_cluster;
-  let settled =
-    Myraft.Cluster.run_until h.h_cluster ~timeout:(60.0 *. s) (fun () ->
-        members_settled h.h_cluster)
-  in
-  Invariants.check h.h_inv;
-  if settled then Invariants.check_converged h.h_inv;
+  let converged = Nemesis.settle h in
   {
     c_scenario = scenario;
     c_seed = seed;
     c_reconfigs = reconfigs;
     c_replacements = replacements;
-    c_committed = Invariants.max_committed h.h_inv;
-    c_workload_committed =
-      (Workload.Generator.stats h.h_gen).Workload.Generator.committed;
-    c_converged = settled;
-    c_violations = Invariants.violations h.h_inv;
-    c_metrics =
-      Obs.Metrics.merge_all ~node:"churn"
-        (Myraft.Cluster.metrics_snapshot h.h_cluster :: extra_metrics);
+    c_committed = Nemesis.max_committed h;
+    c_workload_committed = Nemesis.client_commits h;
+    c_converged = converged;
+    c_violations = Nemesis.violations h;
+    c_metrics = Obs.Metrics.merge_all ~node:"churn" (h.dep.metrics () :: extra_metrics);
   }
 
 (* ----- scenario 1: rolling region evacuation ----- *)
 
 let rolling_evacuation ~seed =
   let h = classic_harness ~seed in
-  Myraft.Cluster.run_for h.h_cluster (2.0 *. s);
+  let cluster = cluster_of h in
+  Myraft.Cluster.run_for cluster (2.0 *. s);
   let reconfigs = ref 0 in
-  (match leader_raft h.h_cluster with
-  | None -> Invariants.report h.h_inv ~invariant:"evacuation" ~detail:"no leader"
+  (match leader_raft cluster with
+  | None -> Invariants.report (inv_of h) ~invariant:"evacuation" ~detail:"no leader"
   | Some leader ->
     (* Target: every r3 member replaced by a fresh same-kind node in the
        brand-new region r4, voter grades preserved. *)
@@ -198,19 +99,19 @@ let rolling_evacuation ~seed =
       }
     in
     match
-      Reconfig.Healer.apply_target h.h_cluster ~target ~on_step:(fun _ ->
+      Reconfig.Healer.apply_target cluster ~target ~on_step:(fun _ ->
           incr reconfigs;
-          sync_probes h.h_inv h.h_cluster;
-          Invariants.check h.h_inv)
+          Nemesis.check h)
     with
     | Ok _ -> ()
     | Error e ->
-      Invariants.report h.h_inv ~invariant:"evacuation" ~detail:("did not complete: " ^ e));
+      Invariants.report (inv_of h) ~invariant:"evacuation"
+        ~detail:("did not complete: " ^ e));
   (* The evacuated region must be fully gone from the membership. *)
-  (match Reconfig.Healer.newest_config h.h_cluster with
+  (match Reconfig.Healer.newest_config cluster with
   | Some cfg when List.exists (fun m -> m.Raft.Types.region = "r3") (Raft.Types.config_members cfg)
     ->
-    Invariants.report h.h_inv ~invariant:"evacuation"
+    Invariants.report (inv_of h) ~invariant:"evacuation"
       ~detail:"r3 members remain after evacuation"
   | _ -> ());
   finish h ~scenario:"evacuation" ~seed ~reconfigs:!reconfigs ~replacements:[]
@@ -220,7 +121,7 @@ let rolling_evacuation ~seed =
 
 let replace_while_partitioned ~seed =
   let h = classic_harness ~seed in
-  let cluster = h.h_cluster in
+  let cluster = cluster_of h in
   Myraft.Cluster.run_for cluster (2.0 *. s);
   let net = Myraft.Cluster.network cluster in
   (* r2 loses contact with the rest of the world... *)
@@ -237,11 +138,10 @@ let replace_while_partitioned ~seed =
     && Myraft.Cluster.now cluster < deadline
   do
     Myraft.Cluster.run_for cluster (0.25 *. s);
-    sync_probes h.h_inv cluster;
-    Invariants.check h.h_inv
+    Nemesis.check h
   done;
   if Reconfig.Healer.replacements healer = [] then
-    Invariants.report h.h_inv ~invariant:"self-healing"
+    Invariants.report (inv_of h) ~invariant:"self-healing"
       ~detail:"replacement did not complete while partitioned";
   Reconfig.Healer.stop healer;
   Sim.Network.heal_regions net "r1" "r2";
@@ -297,14 +197,14 @@ let cycle_ops cluster n =
 
 let storm_churn ~seed =
   let h = classic_harness ~seed in
-  let cluster = h.h_cluster in
+  let cluster = cluster_of h in
   let nemesis =
     Nemesis.create
       ~engine:(Myraft.Cluster.engine cluster)
       ~trace:(Myraft.Cluster.trace cluster)
       ~rng:(Sim.Rng.of_int (seed lxor 0x6368726e))
       ~spec:storm_spec
-      ~ops:(Nemesis.ops_of_cluster cluster)
+      ~ops:h.dep.ops
   in
   let queue = ref [] in
   let cycle = ref 0 in
@@ -330,8 +230,7 @@ let storm_churn ~seed =
     Nemesis.step nemesis;
     churn_step ();
     Myraft.Cluster.run_for cluster (0.25 *. s);
-    sync_probes h.h_inv cluster;
-    Invariants.check h.h_inv
+    Nemesis.check h
   done;
   Nemesis.heal_now nemesis;
   finish h ~scenario:"storm-churn" ~seed ~reconfigs:!applied ~replacements:[]
@@ -351,21 +250,9 @@ let sharded_churn ~seed =
     Shard.Multi.create ~seed ~members:(Nemesis.chaos_members ()) ~groups ()
   in
   Shard.Multi.bootstrap multi;
-  let backend = Shard.Multi.backend multi in
-  let gen =
-    Workload.Generator.create ~backend ~client_id:"churn-client" ~region:"r1" ()
+  let h =
+    Nemesis.start (Nemesis.of_multi multi) ~client_id:"churn-client" ~rate_per_s:100.0
   in
-  Workload.Generator.start_open_loop gen ~rate_per_s:100.0;
-  let invs =
-    List.map
-      (fun c ->
-        Invariants.create
-          ~snapshot:(fun () -> Myraft.Cluster.metrics_snapshot c)
-          ~now:(fun () -> Myraft.Cluster.now c)
-          ~probes:(Nemesis.probes_of_cluster c) ())
-      (Shard.Multi.clusters multi)
-  in
-  let check_all () = List.iter Invariants.check invs in
   (* group g toggles lt2b or lt3b depending on parity, voters first *)
   let victims = [| "lt2b"; "lt3b" |] in
   let wanted = 2 * cycles in
@@ -377,11 +264,7 @@ let sharded_churn ~seed =
     List.iteri
       (fun g c ->
         if applied.(g) < wanted then
-          match
-            match Myraft.Cluster.raft_leader c with
-            | Some id -> Myraft.Cluster.raft_of c id
-            | None -> None
-          with
+          match leader_raft c with
           | Some leader when not (Raft.Node.has_pending_config_change leader) ->
             let victim = victims.((g + (applied.(g) / 2)) mod 2) in
             let result =
@@ -392,42 +275,18 @@ let sharded_churn ~seed =
             | Ok _ -> applied.(g) <- applied.(g) + 1
             | Error _ -> ())
           | _ -> ())
-      (Shard.Multi.clusters multi);
-    Shard.Multi.run_for multi (0.25 *. s);
-    check_all ()
+      h.dep.groups;
+    Myraft.Cluster.run_for (cluster_of h) (0.25 *. s);
+    Nemesis.check h
   done;
-  Workload.Generator.stop gen;
-  let settled =
-    Shard.Multi.run_until multi ~timeout:(60.0 *. s) (fun () ->
-        List.for_all members_settled (Shard.Multi.clusters multi))
-  in
-  check_all ();
-  if settled then List.iter Invariants.check_converged invs;
-  let total_applied = Array.fold_left ( + ) 0 applied in
-  let violations = List.concat_map Invariants.violations invs in
-  let violations =
-    if Array.exists (fun a -> a < wanted) applied then
-      {
-        Invariants.v_time = Shard.Multi.now multi;
-        v_invariant = "sharded-churn";
-        v_detail = "some group did not complete its churn quota";
-        v_metrics = None;
-      }
-      :: violations
-    else violations
-  in
-  {
-    c_scenario = Printf.sprintf "sharded-churn[%d groups]" groups;
-    c_seed = seed;
-    c_reconfigs = total_applied;
-    c_replacements = [];
-    c_committed =
-      List.fold_left (fun acc inv -> max acc (Invariants.max_committed inv)) 0 invs;
-    c_workload_committed = (Workload.Generator.stats gen).Workload.Generator.committed;
-    c_converged = settled;
-    c_violations = violations;
-    c_metrics = Shard.Multi.metrics_snapshot multi;
-  }
+  if Array.exists (fun a -> a < wanted) applied then
+    Invariants.report (inv_of h) ~invariant:"sharded-churn"
+      ~detail:"some group did not complete its churn quota";
+  finish h
+    ~scenario:(Printf.sprintf "sharded-churn[%d groups]" groups)
+    ~seed
+    ~reconfigs:(Array.fold_left ( + ) 0 applied)
+    ~replacements:[] ~extra_metrics:[]
 
 (* ----- the CI sweep ----- *)
 

@@ -450,64 +450,182 @@ let injections t =
     (fun k -> Option.map (fun n -> (k, n)) (Hashtbl.find_opt t.injected k))
     Schedule.all_kinds
 
-(* ----- adapters ----- *)
+(* ----- deployments ----- *)
 
-let ops_of_cluster c =
-  let net = Myraft.Cluster.network c in
-  let store_of id =
-    match Myraft.Cluster.node c id with
-    | Some (Myraft.Cluster.Mysql_node s) -> Some (Myraft.Server.log s)
-    | Some (Myraft.Cluster.Tailer_node l) -> Some (Myraft.Logtailer.log l)
-    | None -> None
-  in
+(* The fault surface of a deployment whose groups share [net].  Store,
+   clock, transfer and forced-election faults act on group 0 (a
+   multi-Raft deployment's representative shard, whose checker must
+   catch any damage); crash, restart, isolate and heal come from the
+   caller, because a physical fault hits a node's instance of every
+   group. *)
+let deployment_ops net g0 ~crash ~restart ~isolate ~heal_node =
   {
-    node_ids = Myraft.Cluster.member_ids c;
-    region_of = (fun id -> Sim.Topology.region_of (Sim.Network.topology net) id);
-    is_up = (fun id -> not (Myraft.Cluster.is_crashed c id));
-    leader = (fun () -> Myraft.Cluster.raft_leader c);
-    crash = Myraft.Cluster.crash c;
-    restart = Myraft.Cluster.restart c;
-    isolate = Myraft.Cluster.isolate c;
-    heal_node = Myraft.Cluster.heal c;
-    cut_regions = (fun r1 r2 -> Sim.Network.cut_regions net r1 r2);
-    heal_regions = (fun r1 r2 -> Sim.Network.heal_regions net r1 r2);
+    node_ids = Myraft.Cluster.member_ids g0;
+    region_of = Sim.Topology.region_of (Sim.Network.topology net);
+    is_up = (fun id -> not (Myraft.Cluster.is_crashed g0 id));
+    leader = (fun () -> Myraft.Cluster.raft_leader g0);
+    crash;
+    restart;
+    isolate;
+    heal_node;
+    cut_regions = Sim.Network.cut_regions net;
+    heal_regions = Sim.Network.heal_regions net;
     set_node_faults = Sim.Network.set_node_faults net;
     clear_node_faults = Sim.Network.clear_node_faults net;
     heal_all_network = (fun () -> Sim.Network.heal_all net);
-    store_of;
-    transfer = (fun ~target -> Myraft.Cluster.transfer_leadership c ~target);
-    clock_of = (fun id -> Myraft.Cluster.clock_of c id);
-    set_link_faults = (fun ~src ~dst spec -> Sim.Network.set_link_faults net ~src ~dst spec);
-    clear_link_faults = (fun ~src ~dst -> Sim.Network.clear_link_faults net ~src ~dst);
+    store_of = Myraft.Cluster.log_of g0;
+    transfer = (fun ~target -> Myraft.Cluster.transfer_leadership g0 ~target);
+    clock_of = Myraft.Cluster.clock_of g0;
+    set_link_faults = Sim.Network.set_link_faults net;
+    clear_link_faults = Sim.Network.clear_link_faults net;
     force_election =
-      (fun id ->
-        match Myraft.Cluster.raft_of c id with
-        | Some r -> Raft.Node.trigger_election r
-        | None -> ());
+      (fun id -> Option.iter Raft.Node.trigger_election (Myraft.Cluster.raft_of g0 id));
   }
 
-let probes_of_cluster c =
-  List.map
-    (fun id ->
-      {
-        Invariants.probe_id = id;
-        probe_up = (fun () -> not (Myraft.Cluster.is_crashed c id));
-        probe_raft = (fun () -> Myraft.Cluster.raft_of c id);
-        probe_store =
-          (fun () ->
-            match Myraft.Cluster.node c id with
-            | Some (Myraft.Cluster.Mysql_node s) -> Some (Myraft.Server.log s)
-            | Some (Myraft.Cluster.Tailer_node l) -> Some (Myraft.Logtailer.log l)
-            | None -> None);
-        probe_engine =
-          (fun () ->
-            match Myraft.Cluster.node c id with
-            | Some (Myraft.Cluster.Mysql_node s) -> Some (Myraft.Server.storage s)
-            | _ -> None);
-      })
-    (Myraft.Cluster.member_ids c)
+let ops_of_cluster c =
+  deployment_ops (Myraft.Cluster.network c) c ~crash:(Myraft.Cluster.crash c)
+    ~restart:(Myraft.Cluster.restart c) ~isolate:(Myraft.Cluster.isolate c)
+    ~heal_node:(Myraft.Cluster.heal c)
 
-(* ----- the full-cluster chaos runner ----- *)
+type deployment = {
+  groups : Myraft.Cluster.t list;
+  backend : Workload.Backend.t;
+  ops : ops;
+  metrics : unit -> Obs.Metrics.snapshot;
+}
+
+let of_cluster c =
+  {
+    groups = [ c ];
+    backend = Workload.Backend.myraft c;
+    ops = ops_of_cluster c;
+    metrics = (fun () -> Myraft.Cluster.metrics_snapshot c);
+  }
+
+let of_multi m =
+  {
+    groups = Shard.Multi.clusters m;
+    backend = Shard.Multi.backend m;
+    ops =
+      deployment_ops
+        (Shard.Mux.network (Shard.Multi.mux m))
+        (Shard.Multi.cluster m 0) ~crash:(Shard.Multi.crash_node m)
+        ~restart:(Shard.Multi.restart_node m) ~isolate:(Shard.Multi.isolate_node m)
+        ~heal_node:(Shard.Multi.heal_node m);
+    metrics = (fun () -> Shard.Multi.metrics_snapshot m);
+  }
+
+(* ----- the harness: client, checkers, settle ----- *)
+
+(* A member's probe.  [probe_up] also requires membership in the newest
+   installed config across live nodes, so an evicted member leaves the
+   checks; while the config is fixed that part always holds. *)
+let member_probe cluster id =
+  {
+    Invariants.probe_id = id;
+    probe_up =
+      (fun () ->
+        (not (Myraft.Cluster.is_crashed cluster id))
+        &&
+        match Reconfig.Healer.newest_config cluster with
+        | Some cfg -> Raft.Types.is_member cfg id
+        | None -> true);
+    probe_raft = (fun () -> Myraft.Cluster.raft_of cluster id);
+    probe_store = (fun () -> Myraft.Cluster.log_of cluster id);
+    probe_engine =
+      (fun () -> Option.map Myraft.Server.storage (Myraft.Cluster.server cluster id));
+  }
+
+let probes_of_cluster c = List.map (member_probe c) (Myraft.Cluster.member_ids c)
+
+type harness = {
+  dep : deployment;
+  gen : Workload.Generator.t;
+  invs : Invariants.t list;
+}
+
+let start dep ~client_id ~rate_per_s =
+  let gen =
+    Workload.Generator.create ~backend:dep.backend ~client_id ~region:"r1" ()
+  in
+  Workload.Generator.start_open_loop gen ~rate_per_s;
+  let invs =
+    List.map
+      (fun c ->
+        Invariants.create
+          ~snapshot:(fun () -> Myraft.Cluster.metrics_snapshot c)
+          ~now:(fun () -> Myraft.Cluster.now c)
+          ~probes:(probes_of_cluster c) ())
+      dep.groups
+  in
+  { dep; gen; invs }
+
+(* Newly provisioned members gain a probe (idempotent), then every
+   group's invariants run once. *)
+let check h =
+  List.iter2
+    (fun c inv ->
+      List.iter
+        (fun id -> Invariants.add_probe inv (member_probe c id))
+        (Myraft.Cluster.member_ids c);
+      Invariants.check inv)
+    h.dep.groups h.invs
+
+(* One group's full convergence over its *current* membership: equal
+   commit indexes and log tails, drained appliers, and one agreed config
+   identity.  Commit agreement alone can precede full log propagation
+   (a long uncommitted suffix built up while the leader was
+   ack-starved), hence the tails; appliers must drain before engine
+   content can be compared.  Evicted and crashed nodes are out of scope,
+   as the membership-aware probes leave them out of [check_converged]. *)
+let members_settled cluster =
+  match (Myraft.Cluster.raft_leader cluster, Reconfig.Healer.newest_config cluster) with
+  | None, _ | _, None -> false
+  | Some _, Some cfg -> (
+    let ids =
+      List.filter
+        (fun id -> not (Myraft.Cluster.is_crashed cluster id))
+        (Raft.Types.member_ids cfg)
+    in
+    match List.filter_map (Myraft.Cluster.raft_of cluster) ids with
+    | [] -> false
+    | r0 :: rest ->
+      let i = Raft.Node.commit_index r0 in
+      let tl = Binlog.Opid.index (Raft.Node.last_opid r0) in
+      let cid = Raft.Node.config_id r0 in
+      i > 0
+      && List.for_all (fun r -> Raft.Node.commit_index r = i) rest
+      && List.for_all (fun r -> Binlog.Opid.index (Raft.Node.last_opid r) = tl) rest
+      && List.for_all (fun r -> Raft.Node.config_id r = cid) rest
+      && List.for_all
+           (fun id ->
+             match Myraft.Cluster.server cluster id with
+             | Some srv -> Myraft.Server.applied_through srv >= i
+             | None -> true)
+           ids)
+
+let settle_timeout = 60.0 *. Sim.Engine.s
+
+(* Stop the client, let every group settle, check once more, and if
+   they settled require exact convergence.  Returns whether they did. *)
+let settle h =
+  Workload.Generator.stop h.gen;
+  let settled =
+    Myraft.Cluster.run_until (List.hd h.dep.groups) ~timeout:settle_timeout (fun () ->
+        List.for_all members_settled h.dep.groups)
+  in
+  check h;
+  if settled then List.iter Invariants.check_converged h.invs;
+  settled
+
+let max_committed h =
+  List.fold_left (fun acc inv -> max acc (Invariants.max_committed inv)) 0 h.invs
+
+let client_commits h = (Workload.Generator.stats h.gen).Workload.Generator.committed
+
+let violations h = List.concat_map Invariants.violations h.invs
+
+(* ----- the chaos runner ----- *)
 
 type report = {
   r_seed : int;
@@ -570,17 +688,39 @@ let repro_command r =
      else "")
     (if r.r_shards > 1 then Printf.sprintf " --shards %d" r.r_shards else "")
 
+(* On violations: each one, the trace tail and the repro command, to
+   stderr. *)
+let report_violations trace r =
+  if r.r_violations <> [] then begin
+    let entries = Sim.Trace.entries trace in
+    let n = List.length entries in
+    Printf.eprintf "=== INVARIANT VIOLATIONS (seed %d%s) ===\n" r.r_seed
+      (if r.r_shards > 1 then Printf.sprintf ", %d shards" r.r_shards else "");
+    List.iter
+      (fun v -> Printf.eprintf "  %s\n" (Invariants.violation_to_string v))
+      r.r_violations;
+    Printf.eprintf "--- trace tail ---\n";
+    List.iteri
+      (fun i (e : Sim.Trace.entry) ->
+        if i >= n - 40 then
+          Printf.eprintf "  [%10.0fus] %-12s %s\n" e.time e.tag e.message)
+      entries;
+    Printf.eprintf "repro: %s\n%!" (repro_command r)
+  end
+
 (* Virtual time each schedule step runs before the invariants are checked. *)
 let step_duration = 0.25 *. Sim.Engine.s
 
-(* Run a seeded chaos schedule against a full MyRaft cluster under an
-   open-loop workload plus the linearizable-register read checker,
-   checking invariants continuously; then heal everything, let the ring
-   settle, and require exact convergence.  [lease] toggles the leader
-   lease fast path so CI exercises linearizability both ways. *)
+(* Run a seeded chaos schedule under an open-loop workload plus the
+   linearizable-register read checker, checking every group's invariants
+   continuously; then heal everything, let the deployment settle, and
+   require exact convergence.  [shards = 1] is a classic cluster; more
+   multiplexes that many Raft groups on the same ring behind the
+   coalescing mux, one checker per group. *)
 let run ?(spec = Schedule.default) ?(quorum = Raft.Quorum.Single_region_dynamic)
     ?(lease = true) ?(max_clock_drift = 0.0) ?(rate_per_s = 150.0) ?(echo = false)
-    ?(auto_purge = false) ~seed ~steps () =
+    ?(auto_purge = false) ?(shards = 1) ~seed ~steps () =
+  if echo && shards > 1 then invalid_arg "Nemesis.run: no trace echo in multi-Raft mode";
   let params =
     { Myraft.Params.default with
       raft =
@@ -591,131 +731,87 @@ let run ?(spec = Schedule.default) ?(quorum = Raft.Quorum.Single_region_dynamic)
         }
     }
   in
-  let cluster =
-    Myraft.Cluster.create ~seed ~params ~echo_trace:echo ~replicaset:"chaos"
-      ~members:(chaos_members ()) ()
+  let dep =
+    if shards = 1 then begin
+      let c =
+        Myraft.Cluster.create ~seed ~params ~echo_trace:echo ~replicaset:"chaos"
+          ~members:(chaos_members ()) ()
+      in
+      Myraft.Cluster.bootstrap c ~leader_id:"my1";
+      of_cluster c
+    end
+    else begin
+      let m =
+        Shard.Multi.create ~seed ~params ~members:(chaos_members ()) ~groups:shards ()
+      in
+      Shard.Multi.bootstrap m;
+      of_multi m
+    end
   in
-  Myraft.Cluster.bootstrap cluster ~leader_id:"my1";
-  let backend = Workload.Backend.myraft cluster in
-  let gen =
-    Workload.Generator.create ~backend ~client_id:"chaos-client" ~region:"r1" ()
-  in
-  Workload.Generator.start_open_loop gen ~rate_per_s;
-  let engine = Myraft.Cluster.engine cluster in
-  let trace = Myraft.Cluster.trace cluster in
+  let h = start dep ~client_id:"chaos-client" ~rate_per_s in
+  let g0 = List.hd dep.groups in
+  let trace = Myraft.Cluster.trace g0 in
   let nemesis =
-    create ~engine ~trace ~rng:(Sim.Rng.of_int (seed lxor 0x6e656d65)) ~spec
-      ~ops:(ops_of_cluster cluster)
+    create ~engine:(Myraft.Cluster.engine g0) ~trace
+      ~rng:(Sim.Rng.of_int (seed lxor 0x6e656d65)) ~spec ~ops:dep.ops
   in
-  let inv =
-    Invariants.create
-      ~snapshot:(fun () -> Myraft.Cluster.metrics_snapshot cluster)
-      ~now:(fun () -> Sim.Engine.now engine)
-      ~probes:(probes_of_cluster cluster)
-      ()
-  in
-  let linreg = Linreg.start ~backend ~invariants:inv () in
-  (* Aggressive log maintenance under fire: rotate then purge on the
-     current primary so crashed/partitioned peers come back to find
+  let linreg = Linreg.start ~backend:dep.backend ~invariants:(List.hd h.invs) () in
+  (* Aggressive log maintenance under fire: rotate then purge on each
+     group's primary so crashed/partitioned peers come back to find
      their tail gone — the InstallSnapshot rescue path must keep the
      ring convergent.  Purge only drops closed files, hence the flush
      (rotate) first. *)
   let maybe_purge i =
     if auto_purge && i mod 3 = 0 then
-      match Myraft.Cluster.primary cluster with
-      | Some srv when not (Myraft.Server.is_crashed srv) ->
-        ignore (Myraft.Server.flush_binary_logs srv);
-        let purged = Myraft.Server.purge_binary_logs srv in
-        if purged > 0 then
-          Sim.Trace.record trace ~tag:"nemesis" "auto-purge: %d binlog files dropped on %s"
-            purged (Myraft.Server.id srv)
-      | _ -> ()
+      List.iter
+        (fun c ->
+          match Myraft.Cluster.primary c with
+          | Some srv when not (Myraft.Server.is_crashed srv) ->
+            ignore (Myraft.Server.flush_binary_logs srv);
+            let purged = Myraft.Server.purge_binary_logs srv in
+            if purged > 0 then
+              Sim.Trace.record trace ~tag:"nemesis"
+                "auto-purge: %d binlog files dropped on %s" purged (Myraft.Server.id srv)
+          | _ -> ())
+        dep.groups
   in
   for i = 1 to steps do
     step nemesis;
-    Myraft.Cluster.run_for cluster step_duration;
+    Myraft.Cluster.run_for g0 step_duration;
     maybe_purge i;
-    Invariants.check inv
+    check h
   done;
-  (* Heal, stop traffic, let the ring settle, then require convergence. *)
-  Workload.Generator.stop gen;
   Linreg.stop linreg;
   heal_now nemesis;
-  let settled =
-    Myraft.Cluster.run_until cluster ~timeout:(60.0 *. Sim.Engine.s) (fun () ->
-        match Myraft.Cluster.raft_leader cluster with
-        | None -> false
-        | Some _ ->
-          let raft_of id = Myraft.Cluster.raft_of cluster id in
-          let ids = Myraft.Cluster.member_ids cluster in
-          let indexes = List.filter_map (fun id -> Option.map Raft.Node.commit_index (raft_of id)) ids in
-          let tails =
-            List.filter_map
-              (fun id -> Option.map (fun r -> Binlog.Opid.index (Raft.Node.last_opid r)) (raft_of id))
-              ids
-          in
-          (match (indexes, tails) with
-          | i :: rest, tl :: more ->
-            List.for_all (fun j -> j = i) rest
-            (* commit agreement alone can precede full log propagation
-               (e.g. a long uncommitted suffix built up while the leader
-               was ack-starved): the tails must equalize too, and the
-               appliers must drain before checksums can be compared *)
-            && List.for_all (fun j -> j = tl) more
-            && List.for_all
-                 (fun srv -> Myraft.Server.applied_through srv >= i)
-                 (Myraft.Cluster.servers cluster)
-          | _ -> false))
-  in
-  Invariants.check inv;
-  if settled then Invariants.check_converged inv
-  else
+  if not (settle h) then
     Sim.Trace.record trace ~tag:"nemesis" "WARNING: ring did not reconverge within timeout";
-  let net = Myraft.Cluster.network cluster in
+  let snap = dep.metrics () in
+  let lin = Linreg.stats linreg in
   let report =
     {
       r_seed = seed;
       r_steps = steps;
-      r_shards = 1;
+      r_shards = shards;
       r_quorum = quorum;
       r_lease = lease;
       r_max_clock_drift = max_clock_drift;
       r_faults = Schedule.fault_names spec;
       r_injections = injections nemesis;
       r_total_injections = total_injections nemesis;
-      r_committed = Invariants.max_committed inv;
-      r_workload_committed = (Workload.Generator.stats gen).Workload.Generator.committed;
-      r_lin_reads_ok = (Linreg.stats linreg).Linreg.lin_ok;
-      r_lin_violations = (Linreg.stats linreg).Linreg.lin_violations;
-      r_stale_eventual = (Linreg.stats linreg).Linreg.ev_stale;
-      r_violations = Invariants.violations inv;
+      r_committed = max_committed h;
+      r_workload_committed = client_commits h;
+      r_lin_reads_ok = lin.Linreg.lin_ok;
+      r_lin_violations = lin.Linreg.lin_violations;
+      r_stale_eventual = lin.Linreg.ev_stale;
+      r_violations = violations h;
       r_trace_digest = digest_trace trace;
-      r_fault_dropped = Sim.Network.fault_dropped net;
-      r_duplicated = Sim.Network.duplicated net;
-      r_reordered = Sim.Network.reordered net;
-      r_metrics =
-        Obs.Metrics.merge
-          (Myraft.Cluster.metrics_snapshot cluster)
-          (metrics_snapshot nemesis);
+      r_fault_dropped = Obs.Metrics.counter_of snap "net.fault_dropped";
+      r_duplicated = Obs.Metrics.counter_of snap "net.duplicated";
+      r_reordered = Obs.Metrics.counter_of snap "net.reordered";
+      r_metrics = Obs.Metrics.merge snap (metrics_snapshot nemesis);
     }
   in
-  if report.r_violations <> [] then begin
-    let entries = Sim.Trace.entries trace in
-    let tail =
-      let n = List.length entries in
-      List.filteri (fun i _ -> i >= n - 40) entries
-    in
-    Printf.eprintf "=== INVARIANT VIOLATIONS (seed %d) ===\n" seed;
-    List.iter
-      (fun v -> Printf.eprintf "  %s\n" (Invariants.violation_to_string v))
-      report.r_violations;
-    Printf.eprintf "--- trace tail ---\n";
-    List.iter
-      (fun (e : Sim.Trace.entry) ->
-        Printf.eprintf "  [%10.0fus] %-12s %s\n" e.time e.tag e.message)
-      tail;
-    Printf.eprintf "repro: %s\n%!" (repro_command report)
-  end;
+  report_violations trace report;
   report
 
 let report_summary r =
@@ -734,191 +830,12 @@ let report_summary r =
     r.r_stale_eventual r.r_fault_dropped r.r_duplicated r.r_reordered
     (List.length r.r_violations) r.r_trace_digest
 
-(* ----- multi-Raft (sharded) chaos ----- *)
-
-(* Physical control surface over a multi-Raft deployment: crash/restart/
-   isolate hit a node's instance of every group at once (one process),
-   clocks are per physical node, while the leader-aimed and disk fault
-   families target group 0 as the representative shard — its invariant
-   checker is the one that must catch any damage. *)
-let ops_of_multi m =
-  let net = Shard.Mux.network (Shard.Multi.mux m) in
-  let g0 = Shard.Multi.cluster m 0 in
-  let store_of id =
-    match Myraft.Cluster.node g0 id with
-    | Some (Myraft.Cluster.Mysql_node s) -> Some (Myraft.Server.log s)
-    | Some (Myraft.Cluster.Tailer_node l) -> Some (Myraft.Logtailer.log l)
-    | None -> None
-  in
-  {
-    node_ids = Shard.Multi.member_ids m;
-    region_of = (fun id -> Option.value (Shard.Multi.region_of m id) ~default:"?");
-    is_up = (fun id -> not (Shard.Multi.is_crashed m id));
-    leader = (fun () -> Myraft.Cluster.raft_leader g0);
-    crash = Shard.Multi.crash_node m;
-    restart = Shard.Multi.restart_node m;
-    isolate = Shard.Multi.isolate_node m;
-    heal_node = Shard.Multi.heal_node m;
-    cut_regions = (fun r1 r2 -> Sim.Network.cut_regions net r1 r2);
-    heal_regions = (fun r1 r2 -> Sim.Network.heal_regions net r1 r2);
-    set_node_faults = Sim.Network.set_node_faults net;
-    clear_node_faults = Sim.Network.clear_node_faults net;
-    heal_all_network = (fun () -> Sim.Network.heal_all net);
-    store_of;
-    transfer = (fun ~target -> Myraft.Cluster.transfer_leadership g0 ~target);
-    clock_of = (fun id -> Shard.Multi.clock_of m id);
-    set_link_faults = (fun ~src ~dst spec -> Sim.Network.set_link_faults net ~src ~dst spec);
-    clear_link_faults = (fun ~src ~dst -> Sim.Network.clear_link_faults net ~src ~dst);
-    force_election =
-      (fun id ->
-        match Myraft.Cluster.raft_of g0 id with
-        | Some r -> Raft.Node.trigger_election r
-        | None -> ());
-  }
-
-(* One group's full convergence: commit indexes and log tails equal on
-   every member, appliers drained. *)
-let group_settled c =
-  match Myraft.Cluster.raft_leader c with
-  | None -> false
-  | Some _ ->
-    let raft_of id = Myraft.Cluster.raft_of c id in
-    let ids = Myraft.Cluster.member_ids c in
-    let indexes = List.filter_map (fun id -> Option.map Raft.Node.commit_index (raft_of id)) ids in
-    let tails =
-      List.filter_map
-        (fun id -> Option.map (fun r -> Binlog.Opid.index (Raft.Node.last_opid r)) (raft_of id))
-        ids
-    in
-    (match (indexes, tails) with
-    | i :: rest, tl :: more ->
-      List.for_all (fun j -> j = i) rest
-      && List.for_all (fun j -> j = tl) more
-      && List.for_all
-           (fun srv -> Myraft.Server.applied_through srv >= i)
-           (Myraft.Cluster.servers c)
-    | _ -> false)
-
-(* The sharded counterpart of {!run}: the same fault schedule against a
-   multi-Raft deployment (every chaos member hosts [shards] groups behind
-   the coalescing mux), routed workload traffic across all shards, and
-   one invariant checker per group — safety is per consensus group, and
-   every group must also reconverge after the final heal. *)
-let run_sharded ?(spec = Schedule.default) ?(quorum = Raft.Quorum.Single_region_dynamic)
-    ?(lease = true) ?(max_clock_drift = 0.0) ?(rate_per_s = 150.0) ?(auto_purge = false)
-    ~shards ~seed ~steps () =
-  let params =
-    { Myraft.Params.default with
-      raft =
-        { Myraft.Params.default.Myraft.Params.raft with
-          Raft.Node.quorum_mode = quorum;
-          use_leader_lease = lease;
-          max_clock_drift
-        }
-    }
-  in
-  let multi =
-    Shard.Multi.create ~seed ~params ~members:(chaos_members ()) ~groups:shards ()
-  in
-  Shard.Multi.bootstrap multi;
-  let backend = Shard.Multi.backend multi in
-  let gen =
-    Workload.Generator.create ~backend ~client_id:"chaos-client" ~region:"r1" ()
-  in
-  Workload.Generator.start_open_loop gen ~rate_per_s;
-  let engine = Shard.Multi.engine multi in
-  let trace = Sim.Trace.create ~echo:false engine in
-  let nemesis =
-    create ~engine ~trace ~rng:(Sim.Rng.of_int (seed lxor 0x6e656d65)) ~spec
-      ~ops:(ops_of_multi multi)
-  in
-  let invs =
-    List.map
-      (fun c ->
-        Invariants.create
-          ~snapshot:(fun () -> Myraft.Cluster.metrics_snapshot c)
-          ~now:(fun () -> Sim.Engine.now engine)
-          ~probes:(probes_of_cluster c) ())
-      (Shard.Multi.clusters multi)
-  in
-  let check_all () = List.iter Invariants.check invs in
-  let linreg = Linreg.start ~backend ~invariants:(List.hd invs) () in
-  let maybe_purge i =
-    if auto_purge && i mod 3 = 0 then
-      List.iter
-        (fun c ->
-          match Myraft.Cluster.primary c with
-          | Some srv when not (Myraft.Server.is_crashed srv) ->
-            ignore (Myraft.Server.flush_binary_logs srv);
-            ignore (Myraft.Server.purge_binary_logs srv)
-          | _ -> ())
-        (Shard.Multi.clusters multi)
-  in
-  for i = 1 to steps do
-    step nemesis;
-    Shard.Multi.run_for multi step_duration;
-    maybe_purge i;
-    check_all ()
-  done;
-  Workload.Generator.stop gen;
-  Linreg.stop linreg;
-  heal_now nemesis;
-  let settled =
-    Shard.Multi.run_until multi ~timeout:(90.0 *. Sim.Engine.s) (fun () ->
-        List.for_all group_settled (Shard.Multi.clusters multi))
-  in
-  check_all ();
-  if settled then List.iter Invariants.check_converged invs
-  else
-    Sim.Trace.record trace ~tag:"nemesis"
-      "WARNING: some shard did not reconverge within timeout";
-  let net = Shard.Mux.network (Shard.Multi.mux multi) in
-  let report =
-    {
-      r_seed = seed;
-      r_steps = steps;
-      r_shards = shards;
-      r_quorum = quorum;
-      r_lease = lease;
-      r_max_clock_drift = max_clock_drift;
-      r_faults = Schedule.fault_names spec;
-      r_injections = injections nemesis;
-      r_total_injections = total_injections nemesis;
-      r_committed =
-        List.fold_left (fun acc inv -> max acc (Invariants.max_committed inv)) 0 invs;
-      r_workload_committed = (Workload.Generator.stats gen).Workload.Generator.committed;
-      r_lin_reads_ok = (Linreg.stats linreg).Linreg.lin_ok;
-      r_lin_violations = (Linreg.stats linreg).Linreg.lin_violations;
-      r_stale_eventual = (Linreg.stats linreg).Linreg.ev_stale;
-      r_violations = List.concat_map Invariants.violations invs;
-      r_trace_digest = digest_trace trace;
-      r_fault_dropped = Sim.Network.fault_dropped net;
-      r_duplicated = Sim.Network.duplicated net;
-      r_reordered = Sim.Network.reordered net;
-      r_metrics =
-        Obs.Metrics.merge (Shard.Multi.metrics_snapshot multi) (metrics_snapshot nemesis);
-    }
-  in
-  if report.r_violations <> [] then begin
-    Printf.eprintf "=== INVARIANT VIOLATIONS (seed %d, %d shards) ===\n" seed shards;
-    List.iter
-      (fun v -> Printf.eprintf "  %s\n" (Invariants.violation_to_string v))
-      report.r_violations;
-    Printf.eprintf "repro: %s\n%!" (repro_command report)
-  end;
-  report
-
 (* Seed sweep for CI smoke: run [seeds] and return the reports; the exit
-   gate is simply "no report has violations".  [shards > 1] runs every
-   seed against the multi-Raft deployment instead. *)
-let sweep ?spec ?quorum ?lease ?max_clock_drift ?rate_per_s ?auto_purge
-    ?(shards = 1) ~seeds ~steps () =
+   gate is simply "no report has violations". *)
+let sweep ?spec ?quorum ?lease ?max_clock_drift ?rate_per_s ?auto_purge ?shards ~seeds
+    ~steps () =
   List.map
     (fun seed ->
-      if shards > 1 then
-        run_sharded ?spec ?quorum ?lease ?max_clock_drift ?rate_per_s
-          ?auto_purge ~shards ~seed ~steps ()
-      else
-        run ?spec ?quorum ?lease ?max_clock_drift ?rate_per_s ?auto_purge
-          ~seed ~steps ())
+      run ?spec ?quorum ?lease ?max_clock_drift ?rate_per_s ?auto_purge ?shards ~seed
+        ~steps ())
     seeds

@@ -58,13 +58,66 @@ val active : t -> int
 
 val injections : t -> (Schedule.fault_kind * int) list
 
-(** {2 Adapters for a full MyRaft cluster} *)
+(** {2 Deployments} *)
 
+(** The fault surface of a classic cluster. *)
 val ops_of_cluster : Myraft.Cluster.t -> ops
 
+(** What a chaos run drives: a classic cluster or a multi-Raft
+    deployment.  Engine and trace come from the first group (shared by
+    every group in multi-Raft mode).  Store, clock, transfer and
+    forced-election faults aim at group 0; crash, restart, isolate and
+    heal hit a node's instance of every group. *)
+type deployment = {
+  groups : Myraft.Cluster.t list;  (** one element for a classic cluster *)
+  backend : Workload.Backend.t;  (** the client front door *)
+  ops : ops;
+  metrics : unit -> Obs.Metrics.snapshot;  (** deployment-wide snapshot *)
+}
+
+val of_cluster : Myraft.Cluster.t -> deployment
+
+val of_multi : Shard.Multi.t -> deployment
+
+(** {2 The harness: client, checkers, settle} *)
+
+(** One probe per member.  [probe_up] also requires membership in the
+    newest installed config across live nodes, so evicted members leave
+    the checks. *)
 val probes_of_cluster : Myraft.Cluster.t -> Invariants.probe list
 
-(** {2 The full-cluster chaos runner} *)
+(** A deployment under an open-loop client, with one invariant checker
+    per group (same order as [dep.groups]). *)
+type harness = {
+  dep : deployment;
+  gen : Workload.Generator.t;
+  invs : Invariants.t list;
+}
+
+(** Start the open-loop client (in r1) and the checkers. *)
+val start : deployment -> client_id:string -> rate_per_s:float -> harness
+
+(** Give newly provisioned members a probe, then run every group's
+    invariants once. *)
+val check : harness -> unit
+
+(** Stop the client and run until every group settles over its current
+    membership (one leader, equal commit indexes, log tails and config
+    identity, drained appliers) or 60 s pass; check once more and, if
+    it settled, require exact convergence.  Returns whether it
+    settled. *)
+val settle : harness -> bool
+
+(** Highest Raft index any group's checker saw committed. *)
+val max_committed : harness -> int
+
+(** Client writes acknowledged committed. *)
+val client_commits : harness -> int
+
+(** Every group's violations, group by group. *)
+val violations : harness -> Invariants.violation list
+
+(** {2 The chaos runner} *)
 
 type report = {
   r_seed : int;
@@ -87,7 +140,7 @@ type report = {
   r_fault_dropped : int;
   r_duplicated : int;
   r_reordered : int;
-  r_metrics : Obs.Metrics.snapshot;  (** end-of-run cluster-wide metrics *)
+  r_metrics : Obs.Metrics.snapshot;  (** end-of-run deployment-wide metrics *)
 }
 
 (** The canonical chaos topology: three regions, each a MySQL server
@@ -96,19 +149,23 @@ val chaos_members : unit -> Myraft.Cluster.member_spec list
 
 val quorum_name : Raft.Quorum.mode -> string
 
-(** Run a seeded chaos schedule against a full MyRaft cluster under an
-    open-loop workload plus the {!Linreg} linearizable-register read
-    checker, checking invariants continuously; then heal everything, let
-    the ring settle, and require exact convergence.  [lease] (default
-    true) toggles the leader-lease read fast path; [max_clock_drift]
-    (default 0.0) is handed to the Raft layer as the clock-drift margin
-    its leases must absorb — run the clock-attack families with it at or
-    above the schedule's [drift_rate].  [auto_purge] (default false)
-    rotates and purges the primary's binlog every few steps, so peers
-    that fall behind a fault find their tail compacted away and must be
-    rescued by an engine-checkpoint InstallSnapshot — the
-    purged-log-replication stress mode.  On violations, dumps the trace
-    tail and the repro command to stderr. *)
+(** Run a seeded chaos schedule under an open-loop workload plus the
+    {!Linreg} linearizable-register read checker, checking every
+    group's invariants continuously; then heal everything, {!settle},
+    and require exact convergence.  [shards] (default 1, a classic
+    cluster) multiplexes that many Raft groups on the chaos ring behind
+    the coalescing mux.  [lease] (default true) toggles the leader-lease
+    read fast path; [max_clock_drift] (default 0.0) is handed to the
+    Raft layer as the clock-drift margin its leases must absorb — run
+    the clock-attack families with it at or above the schedule's
+    [drift_rate].  [auto_purge] (default false) rotates and purges each
+    group's primary binlog every few steps, so peers that fall behind a
+    fault find their tail compacted away and must be rescued by an
+    engine-checkpoint InstallSnapshot — the purged-log-replication
+    stress mode.  [echo] prints the trace as it is recorded (classic
+    cluster only: @raise Invalid_argument with [shards > 1]).  On
+    violations, dumps them, the trace tail and the repro command to
+    stderr. *)
 val run :
   ?spec:Schedule.t ->
   ?quorum:Raft.Quorum.mode ->
@@ -117,6 +174,7 @@ val run :
   ?rate_per_s:float ->
   ?echo:bool ->
   ?auto_purge:bool ->
+  ?shards:int ->
   seed:int ->
   steps:int ->
   unit ->
@@ -124,28 +182,7 @@ val run :
 
 val report_summary : report -> string
 
-(** {2 Multi-Raft (sharded) chaos} *)
-
-(** The sharded counterpart of {!run}: the same fault schedule against
-    [shards] Raft groups multiplexed on the chaos ring behind the
-    coalescing mux, with routed workload traffic and one invariant
-    checker per group — safety holds per consensus group, and every
-    group must reconverge after the final heal. *)
-val run_sharded :
-  ?spec:Schedule.t ->
-  ?quorum:Raft.Quorum.mode ->
-  ?lease:bool ->
-  ?max_clock_drift:float ->
-  ?rate_per_s:float ->
-  ?auto_purge:bool ->
-  shards:int ->
-  seed:int ->
-  steps:int ->
-  unit ->
-  report
-
-(** Seed sweep for CI smoke: the gate is "no report has violations".
-    [shards > 1] runs every seed via {!run_sharded}. *)
+(** Seed sweep for CI smoke: the gate is "no report has violations". *)
 val sweep :
   ?spec:Schedule.t ->
   ?quorum:Raft.Quorum.mode ->

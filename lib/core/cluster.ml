@@ -121,6 +121,14 @@ let raft_of t id =
   | Some (Tailer_node l) -> Some (Logtailer.raft l)
   | None -> None
 
+(* The node's binlog (MySQL) or relay log (logtailer): the store the
+   Raft layer replicates, and the chaos disk-fault injection point. *)
+let log_of t id =
+  match node t id with
+  | Some (Mysql_node s) -> Some (Server.log s)
+  | Some (Tailer_node l) -> Some (Logtailer.log l)
+  | None -> None
+
 (* The node's local clock (fault-injection point): owned by the
    server/logtailer object, so it survives crash/restart cycles — bit
    like the host's oscillator surviving a process restart. *)

@@ -117,6 +117,9 @@ val tailers : t -> Logtailer.t list
 
 val raft_of : t -> string -> Raft.Node.t option
 
+(** The node's binlog (MySQL) or relay log (logtailer) store. *)
+val log_of : t -> string -> Binlog.Log_store.t option
+
 (** The node's local clock (chaos fault-injection point); owned by the
     server/logtailer object, so it survives crash/restart cycles. *)
 val clock_of : t -> string -> Sim.Clock.t option

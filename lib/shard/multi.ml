@@ -182,24 +182,6 @@ let create ?(seed = 7) ?(params = Myraft.Params.default) ?(latency = Sim.Latency
     members;
   t
 
-(* ----- time control ----- *)
-
-let run_for t duration = Sim.Engine.run_for t.engine duration
-
-let now t = Sim.Engine.now t.engine
-
-let run_until t ?(step = 10.0 *. Sim.Engine.ms) ~timeout pred =
-  let deadline = Sim.Engine.now t.engine +. timeout in
-  let rec loop () =
-    if pred () then true
-    else if Sim.Engine.now t.engine >= deadline then false
-    else begin
-      Sim.Engine.run_for t.engine step;
-      loop ()
-    end
-  in
-  loop ()
-
 (* ----- leader placement ----- *)
 
 let rebalance_groups t =
@@ -255,7 +237,8 @@ let bootstrap t =
            = Some node)
       placement
   in
-  if not (run_until t ~timeout:(60.0 *. Sim.Engine.s) settled) then
+  if not (Myraft.Cluster.run_until t.clusters.(0) ~timeout:(60.0 *. Sim.Engine.s) settled)
+  then
     failwith "Shard.Multi.bootstrap: groups did not elect their placed leaders"
 
 let rebalance_leaders t = Control.Rebalance.rebalance ~groups:(rebalance_groups t)

@@ -32,6 +32,8 @@ val cluster : t -> int -> Myraft.Cluster.t
 
 val clusters : t -> Myraft.Cluster.t list
 
+(** The one engine every group runs on: drive time through it, or through
+    any group's [Myraft.Cluster.run_for] / [run_until]. *)
 val engine : t -> Sim.Engine.t
 
 val mux : t -> Mux.t
@@ -51,14 +53,6 @@ val region_of : t -> string -> string option
 val clock_of : t -> string -> Sim.Clock.t option
 
 val replicaset_of_group : int -> string
-
-(** {2 Time control} *)
-
-val run_for : t -> float -> unit
-
-val now : t -> float
-
-val run_until : t -> ?step:float -> timeout:float -> (unit -> bool) -> bool
 
 (** {2 Leader placement} *)
 

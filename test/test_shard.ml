@@ -6,6 +6,11 @@ let ms = Sim.Engine.ms
 let s = Sim.Engine.s
 let us = Sim.Engine.us
 
+(* Every group runs on the deployment's one engine. *)
+let run_for multi = Sim.Engine.run_for (Shard.Multi.engine multi)
+
+let run_until multi = Myraft.Cluster.run_until (Shard.Multi.cluster multi 0)
+
 (* ----- router ----- *)
 
 (* Independent FNV-1a reference over the same byte stream the router
@@ -154,7 +159,7 @@ let multi_write ?(timeout = 20.0 *. s) ?(attempts = 6) multi ~table ~key ~value 
   let rec go n =
     if n = 0 then Error (g, "retries exhausted")
     else begin
-      ignore (Shard.Multi.run_until multi ~timeout (fun () -> discovered () <> None));
+      ignore (run_until multi ~timeout (fun () -> discovered () <> None));
       match discovered () with
       | None -> Error (g, "no discovered primary")
       | Some server ->
@@ -163,7 +168,7 @@ let multi_write ?(timeout = 20.0 *. s) ?(attempts = 6) multi ~table ~key ~value 
           ~ops:[ Binlog.Event.Insert { key; value } ]
           ~reply:(fun outcome -> result := Some outcome);
         ignore
-          (Shard.Multi.run_until multi ~step:ms ~timeout (fun () -> !result <> None));
+          (run_until multi ~step:ms ~timeout (fun () -> !result <> None));
         match !result with
         | Some (Myraft.Wire.Committed _) -> Ok g
         | Some (Myraft.Wire.Rejected _) | None -> go (n - 1)
@@ -192,7 +197,7 @@ let group_settled c =
 let settle multi =
   Alcotest.(check bool)
     "all groups settle" true
-    (Shard.Multi.run_until multi ~timeout:(60.0 *. s) (fun () ->
+    (run_until multi ~timeout:(60.0 *. s) (fun () ->
          List.for_all group_settled (Shard.Multi.clusters multi)))
 
 let test_multi_bootstrap_spreads_leaders () =
@@ -216,9 +221,9 @@ let test_multi_routed_traffic_reaches_every_shard () =
       ~tables:[ "t0"; "t1" ] ~key_space:500 ()
   in
   Workload.Generator.start_closed_loop gen ~threads:8;
-  Shard.Multi.run_for multi (2.0 *. s);
+  run_for multi (2.0 *. s);
   Workload.Generator.stop gen;
-  Shard.Multi.run_for multi s;
+  run_for multi s;
   let stats = Workload.Generator.stats gen in
   if stats.Workload.Generator.committed < 100 then
     Alcotest.failf "only %d commits through the routed backend"
@@ -254,7 +259,7 @@ let test_multi_idle_heartbeats_coalesce () =
   in
   Shard.Multi.bootstrap multi;
   let before = Shard.Multi.leader_placement multi in
-  Shard.Multi.run_for multi (20.0 *. s);
+  run_for multi (20.0 *. s);
   let after = Shard.Multi.leader_placement multi in
   Alcotest.(check bool) "no leader moved while idle" true (before = after);
   let snap = Shard.Multi.metrics_snapshot multi in
@@ -269,7 +274,7 @@ let test_single_group_never_suppresses () =
     Shard.Multi.create ~seed:34 ~members:(three_region_members ()) ~groups:1 ()
   in
   Shard.Multi.bootstrap multi;
-  Shard.Multi.run_for multi (20.0 *. s);
+  run_for multi (20.0 *. s);
   let snap = Shard.Multi.metrics_snapshot multi in
   Alcotest.(check int) "lone group keeps beating" 0
     (Obs.Metrics.counter_of snap "raft.heartbeats_suppressed");
@@ -292,7 +297,7 @@ let test_multi_rebalance_respreads_leaders () =
         Alcotest.(check bool)
           (Printf.sprintf "shard%d moved to mysql1" g)
           true
-          (Shard.Multi.run_until multi ~timeout:(30.0 *. s) (fun () ->
+          (run_until multi ~timeout:(30.0 *. s) (fun () ->
                Myraft.Cluster.raft_leader c = Some "mysql1"))
       end)
     (Shard.Multi.clusters multi);
@@ -300,7 +305,7 @@ let test_multi_rebalance_respreads_leaders () =
   Alcotest.(check (list (pair int string))) "no transfer errors" [] errors;
   Alcotest.(check bool) "balancer saw the pile-up" false plan.Control.Rebalance.balanced;
   Alcotest.(check bool) "leaders respread" true
-    (Shard.Multi.run_until multi ~timeout:(60.0 *. s) (fun () ->
+    (run_until multi ~timeout:(60.0 *. s) (fun () ->
          let leaders = List.filter_map snd (Shard.Multi.leader_placement multi) in
          List.length leaders = 4 && List.length (List.sort_uniq compare leaders) = 3))
 
@@ -323,7 +328,7 @@ let test_multi_physical_crash_fails_over_all_groups () =
   Shard.Multi.bootstrap multi;
   Shard.Multi.crash_node multi "mysql1";
   Alcotest.(check bool) "every group re-elects off mysql1" true
-    (Shard.Multi.run_until multi ~timeout:(60.0 *. s) (fun () ->
+    (run_until multi ~timeout:(60.0 *. s) (fun () ->
          List.for_all
            (fun c ->
              match Myraft.Cluster.raft_leader c with
@@ -405,7 +410,7 @@ let sharded_equals_independent (seed, fault, raw_ops) =
   | Isolate_node -> Shard.Multi.heal_node multi "mysql3");
   if
     not
-      (Shard.Multi.run_until multi ~timeout:(60.0 *. s) (fun () ->
+      (run_until multi ~timeout:(60.0 *. s) (fun () ->
            List.for_all group_settled (Shard.Multi.clusters multi)))
   then Alcotest.fail "sharded deployment did not settle after heal";
   let routed = List.rev !routed in
