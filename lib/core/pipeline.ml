@@ -47,8 +47,8 @@ type item = {
 type pending = { it : item; submitted_at : float; mutable raft_index : int }
 
 type group = {
-  items : pending array;
-  group_max_index : int;
+  mutable items : pending array; (* only a log truncation shrinks it *)
+  mutable group_max_index : int;
   flushed_at : float;
   mutable released_at : float; (* when consensus released it to stage 3 *)
 }
@@ -207,10 +207,13 @@ let drain_wait t =
     match Queue.peek_opt t.wait_queue with
     | Some group when group.group_max_index <= t.commit_watermark ->
       ignore (Queue.pop t.wait_queue);
-      let now = Sim.Engine.now t.engine in
-      group.released_at <- now;
-      Obs.Metrics.record t.meters.m_consensus_wait (now -. group.flushed_at);
-      Queue.push group t.commit_queue;
+      (* a group a truncation emptied has nothing left to commit *)
+      if Array.length group.items > 0 then begin
+        let now = Sim.Engine.now t.engine in
+        group.released_at <- now;
+        Obs.Metrics.record t.meters.m_consensus_wait (now -. group.flushed_at);
+        Queue.push group t.commit_queue
+      end;
       drain ()
     | _ -> start_commit_cycle t
   in
@@ -323,6 +326,44 @@ let abort_all t =
   Obs.Metrics.add t.meters.m_txns_aborted !count;
   update_depth t;
   !count
+
+(* Raft truncated the log from [from_index]: a follower dropped a suffix
+   that never reached consensus.  Flushed items at or past that point
+   wait on entries that no longer exist, and a group spanning the point
+   would wait on an index the log may never reach again — with the
+   client stopped, or a new leader whose promotion waits on this very
+   applier, forever.  Fail those items, and re-bound each group that
+   held one on the items it keeps, in place; groups wholly below the
+   point are not touched.  Committed groups cannot be truncated. *)
+let truncate t ~from_index =
+  let failed = ref 0 in
+  Queue.iter
+    (fun g ->
+      if g.group_max_index >= from_index then begin
+        let kept = ref 0 in
+        let max_index = ref 0 in
+        Array.iter
+          (fun p ->
+            if p.raft_index >= from_index then begin
+              p.it.finish ~ok:false;
+              incr failed
+            end
+            else begin
+              g.items.(!kept) <- p;
+              incr kept;
+              if p.raft_index > !max_index then max_index := p.raft_index
+            end)
+          g.items;
+        g.items <- Array.sub g.items 0 !kept;
+        g.group_max_index <- !max_index
+      end)
+    t.wait_queue;
+  if !failed > 0 then begin
+    t.queued <- t.queued - !failed;
+    Obs.Metrics.add t.meters.m_txns_aborted !failed;
+    update_depth t;
+    drain_wait t
+  end
 
 (* Re-arm after a role change (the pipeline object survives demote +
    promote cycles). *)

@@ -40,6 +40,12 @@ val notify_commit_index : t -> int -> unit
     Until {!reset}, new submissions fail immediately. *)
 val abort_all : t -> int
 
+(** Raft truncated the log from [from_index]: fail every flushed item
+    at or past it, and let each group that spanned the point wait only
+    on the items it keeps (they commit once the commit index covers
+    them).  Failed items count in pipeline.txns_aborted. *)
+val truncate : t -> from_index:int -> unit
+
 (** Re-arm after a role change. *)
 val reset : t -> unit
 

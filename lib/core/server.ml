@@ -583,6 +583,9 @@ let make_callbacks t =
           | None -> ())
         removed;
       if t.applier <> None then Applier.handle_truncation (applier t) ~from_index;
+      (* flushed items waiting on a removed entry fail; a group that
+         spanned the point waits only on the entries below it *)
+      Pipeline.truncate t.pipeline ~from_index;
       (* the applied-through cursor must not point past the new log end *)
       t.exec_index <- min t.exec_index (from_index - 1);
       tracef t "%s: truncated %d entries from index %d" t.id (List.length removed)

@@ -92,6 +92,30 @@ let test_abort_fails_everything_in_flight () =
   Sim.Engine.run_for engine (10.0 *. ms);
   Alcotest.(check (option bool)) "works after reset" (Some true) !fresh
 
+(* A follower's log is truncated under a flushed group: the items at or
+   past the truncation point fail at once, and the live items below it
+   commit once the commit index covers them, though the log never again
+   reaches the group's old last index. *)
+let test_truncation_rebounds_spanning_group () =
+  let engine, p = make_pipeline () in
+  let outcomes = Array.make 7 None in
+  (* the first flush cycle takes item 1 alone; 2..6 form one group *)
+  for i = 1 to 6 do
+    Myraft.Pipeline.submit p (item ~index:i ~on_finish:(fun ~ok -> outcomes.(i) <- Some ok))
+  done;
+  Sim.Engine.run_for engine (10.0 *. ms);
+  Alcotest.(check int) "two flush groups" 2 (Myraft.Pipeline.groups_formed p);
+  Myraft.Pipeline.truncate p ~from_index:4;
+  Alcotest.(check (list (option bool))) "truncated items fail, the rest wait"
+    [ None; None; None; Some false; Some false; Some false ]
+    (List.tl (Array.to_list outcomes));
+  Myraft.Pipeline.notify_commit_index p 3;
+  Sim.Engine.run_for engine (10.0 *. ms);
+  Alcotest.(check (list (option bool))) "live items below the point commit"
+    [ Some true; Some true; Some true; Some false; Some false; Some false ]
+    (List.tl (Array.to_list outcomes));
+  Alcotest.(check int) "nothing left in flight" 0 (Myraft.Pipeline.in_flight p)
+
 let test_flush_error_fails_item () =
   let engine, p = make_pipeline () in
   let outcome = ref None in
@@ -214,6 +238,8 @@ let suites =
           test_partial_watermark_releases_prefix;
         Alcotest.test_case "abort + reset" `Quick test_abort_fails_everything_in_flight;
         Alcotest.test_case "flush error" `Quick test_flush_error_fails_item;
+        Alcotest.test_case "truncation re-bounds a spanning group" `Quick
+          test_truncation_rebounds_spanning_group;
         Alcotest.test_case "raft stamp accounted" `Quick test_primary_path_pays_raft_stamp;
       ] );
     ( "myraft.applier",
