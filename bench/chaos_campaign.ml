@@ -1,7 +1,8 @@
 (* Chaos campaign: the adversarial attack families (clock drift/step,
    disk corruption, asymmetric partitions, election storms) run first in
    isolation — so a failure names its family — and then combined, each
-   over fixed seeds, for CI to gate on zero invariant violations.
+   over fixed seeds, for CI to gate on zero invariant violations and
+   every run reconverging.
    Clock-attack runs hand the Raft layer the drift margin its leases
    must absorb ([max_clock_drift] at the schedule's [drift_rate]); the
    unmargined variant of that scenario is the regression test in
@@ -47,6 +48,10 @@ let run () =
         (fun r ->
           incr runs;
           total_violations := !total_violations + List.length r.Chaos.Nemesis.r_violations;
+          (if not r.Chaos.Nemesis.r_converged then begin
+             incr total_violations;
+             Printf.printf "  UNCONVERGED seed %d\n" r.Chaos.Nemesis.r_seed
+           end);
           snapshots := r.Chaos.Nemesis.r_metrics :: !snapshots;
           Printf.printf "  %s\n%!" (Chaos.Nemesis.report_summary r))
         reports)

@@ -1,6 +1,6 @@
 (* Chaos smoke: a short nemesis seed sweep over both quorum modes, plus
    a membership-churn leg (classic + sharded scenarios), for CI to gate
-   on zero invariant violations.
+   on zero invariant violations and every run reconverging.
 
      dune exec bench/main.exe -- chaos-smoke *)
 
@@ -28,6 +28,11 @@ let run () =
       (fun r ->
         incr runs;
         total_violations := !total_violations + List.length r.Chaos.Nemesis.r_violations;
+        (if not r.Chaos.Nemesis.r_converged then begin
+           (* non-convergence gates the smoke run like a violation *)
+           incr total_violations;
+           Printf.printf "  UNCONVERGED seed %d\n" r.Chaos.Nemesis.r_seed
+         end);
         snapshots := r.Chaos.Nemesis.r_metrics :: !snapshots;
         Printf.printf "  %s\n%!" (Chaos.Nemesis.report_summary r))
       reports

@@ -325,12 +325,16 @@ let chaos seed echo steps faults quorum seeds metrics_json no_lease campaign
   let violations =
     List.fold_left (fun acc r -> acc + List.length r.Chaos.Nemesis.r_violations) 0 reports
   in
-  if violations = 0 then
+  let unconverged = List.filter (fun r -> not r.Chaos.Nemesis.r_converged) reports in
+  List.iter
+    (fun r -> Printf.printf "  UNCONVERGED seed %d\n" r.Chaos.Nemesis.r_seed)
+    unconverged;
+  if violations = 0 && unconverged = [] then
     Printf.printf "chaos: %d run(s), zero invariant violations\n"
       (List.length reports)
   else begin
-    Printf.printf "chaos: %d invariant violation(s) across %d run(s)\n" violations
-      (List.length reports);
+    Printf.printf "chaos: %d invariant violation(s), %d unconverged across %d run(s)\n"
+      violations (List.length unconverged) (List.length reports);
     exit 1
   end
 

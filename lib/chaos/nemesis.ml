@@ -643,6 +643,7 @@ type report = {
   r_lin_violations : int; (* linearizable reads that saw stale values *)
   r_stale_eventual : int; (* eventual reads that observed staleness *)
   r_violations : Invariants.violation list;
+  r_converged : bool; (* settled and checked for exact convergence after the heal *)
   r_trace_digest : int32;
   r_fault_dropped : int;
   r_duplicated : int;
@@ -783,7 +784,8 @@ let run ?(spec = Schedule.default) ?(quorum = Raft.Quorum.Single_region_dynamic)
   done;
   Linreg.stop linreg;
   heal_now nemesis;
-  if not (settle h) then
+  let converged = settle h in
+  if not converged then
     Sim.Trace.record trace ~tag:"nemesis" "WARNING: ring did not reconverge within timeout";
   let snap = dep.metrics () in
   let lin = Linreg.stats linreg in
@@ -804,6 +806,7 @@ let run ?(spec = Schedule.default) ?(quorum = Raft.Quorum.Single_region_dynamic)
       r_lin_violations = lin.Linreg.lin_violations;
       r_stale_eventual = lin.Linreg.ev_stale;
       r_violations = violations h;
+      r_converged = converged;
       r_trace_digest = digest_trace trace;
       r_fault_dropped = Obs.Metrics.counter_of snap "net.fault_dropped";
       r_duplicated = Obs.Metrics.counter_of snap "net.duplicated";
@@ -831,7 +834,7 @@ let report_summary r =
     (List.length r.r_violations) r.r_trace_digest
 
 (* Seed sweep for CI smoke: run [seeds] and return the reports; the exit
-   gate is simply "no report has violations". *)
+   gate is "every report converged with no violations". *)
 let sweep ?spec ?quorum ?lease ?max_clock_drift ?rate_per_s ?auto_purge ?shards ~seeds
     ~steps () =
   List.map

@@ -136,6 +136,9 @@ type report = {
   r_lin_violations : int;  (** linearizable reads that saw stale values *)
   r_stale_eventual : int;  (** eventual reads that observed staleness *)
   r_violations : Invariants.violation list;
+  r_converged : bool;
+      (** settled within the timeout after the final heal, and checked for
+          exact convergence; a run that did not fails its gate *)
   r_trace_digest : int32;  (** digest of the full trace — seed-replay equality *)
   r_fault_dropped : int;
   r_duplicated : int;
@@ -182,7 +185,8 @@ val run :
 
 val report_summary : report -> string
 
-(** Seed sweep for CI smoke: the gate is "no report has violations". *)
+(** Seed sweep for CI smoke: the gate is "every report converged with
+    no violations". *)
 val sweep :
   ?spec:Schedule.t ->
   ?quorum:Raft.Quorum.mode ->

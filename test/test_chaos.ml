@@ -21,6 +21,9 @@ let check_clean ~what (r : Chaos.Nemesis.report) =
       (List.length r.Chaos.Nemesis.r_violations)
       r.Chaos.Nemesis.r_seed
       (Chaos.Invariants.violation_to_string v));
+  if not r.Chaos.Nemesis.r_converged then
+    Alcotest.failf "%s: did not reconverge after the final heal (seed %d)" what
+      r.Chaos.Nemesis.r_seed;
   if r.Chaos.Nemesis.r_workload_committed < 20 then
     Alcotest.failf "%s: too little progress (%d client commits, seed %d)" what
       r.Chaos.Nemesis.r_workload_committed r.Chaos.Nemesis.r_seed

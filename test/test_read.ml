@@ -517,7 +517,9 @@ let prop_lin_reads_never_stale =
       in
       let lease = seed mod 2 = 0 in
       let r = Chaos.Nemesis.run ~spec ~lease ~seed ~steps:16 () in
-      r.Chaos.Nemesis.r_lin_violations = 0 && r.Chaos.Nemesis.r_violations = [])
+      r.Chaos.Nemesis.r_lin_violations = 0
+      && r.Chaos.Nemesis.r_violations = []
+      && r.Chaos.Nemesis.r_converged)
 
 let suites =
   [
