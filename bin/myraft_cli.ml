@@ -280,6 +280,10 @@ let chaos seed echo steps faults quorum seeds metrics_json no_lease campaign
     Printf.eprintf "chaos: --shards must be >= 1\n%!";
     exit 2
   end;
+  if echo && shards > 1 then begin
+    Printf.eprintf "chaos: --trace echoes a classic cluster only; drop it or --shards\n%!";
+    exit 2
+  end;
   let base = if campaign then Chaos.Schedule.campaign else Chaos.Schedule.default in
   let spec =
     match faults with
@@ -307,7 +311,7 @@ let chaos seed echo steps faults quorum seeds metrics_json no_lease campaign
       (fun seed ->
         let r =
           Chaos.Nemesis.run ~spec ~quorum ~lease:(not no_lease) ~max_clock_drift
-            ~echo:(echo && shards = 1) ~auto_purge ~shards ~seed ~steps ()
+            ~echo ~auto_purge ~shards ~seed ~steps ()
         in
         Printf.printf "%s\n%!" (Chaos.Nemesis.report_summary r);
         r)
@@ -435,7 +439,7 @@ let auto_purge_arg =
     value & flag
     & info [ "auto-purge" ]
         ~doc:
-          "Rotate and purge the primary's binlog every few steps, so peers that fall \
+          "Rotate and purge each group's primary binlog every few steps, so peers that fall \
            behind a fault find their tail compacted away and must be rescued by an \
            engine-checkpoint InstallSnapshot (the purged-log-replication stress mode).")
 
@@ -446,7 +450,8 @@ let shards_arg =
         ~doc:
           "Run the schedule against $(docv) Raft groups multiplexed on the ring \
            (multi-Raft mode with the coalescing mux); invariants are checked per \
-           group.  Default 1 = the classic single-group run.")
+           group.  Default 1 = the classic single-group run.  Cannot be combined \
+           with $(b,--trace) when $(docv) > 1.")
 
 let quorum_arg =
   Arg.(

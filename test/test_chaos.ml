@@ -65,9 +65,10 @@ let test_torn_tail_loses_no_committed_txn () =
 
 (* ----- acceptance run + seed-replay determinism ----- *)
 
-(* The ISSUE's acceptance gate: >=200 steps of drop + dup + reorder +
-   partition + torn-tail, zero violations in both quorum modes, and the
-   same seed must reproduce the identical trace (digest equality). *)
+(* The acceptance gate: >=200 steps of drop + dup + reorder + partition +
+   torn-tail, zero violations in both quorum modes and on a 2-shard
+   multi-Raft deployment, and the same seed must reproduce the identical
+   trace (digest equality). *)
 let test_acceptance_run_and_determinism () =
   let spec =
     spec_with [ "drop"; "dup"; "reorder"; "partition"; "torn-tail" ] Chaos.Schedule.default
@@ -85,7 +86,15 @@ let test_acceptance_run_and_determinism () =
       Alcotest.(check int)
         (name ^ ": same seed, same commit count")
         a.Chaos.Nemesis.r_workload_committed b.Chaos.Nemesis.r_workload_committed)
-    [ Raft.Quorum.Majority; Raft.Quorum.Single_region_dynamic ]
+    [ Raft.Quorum.Majority; Raft.Quorum.Single_region_dynamic ];
+  (* The multi-Raft deployment digests its shared trace, which carries
+     every group's Raft events: the same seed must replay it exactly. *)
+  let run () = Chaos.Nemesis.run ~spec ~shards:2 ~seed:42 ~steps:200 () in
+  let a = run () in
+  check_clean ~what:"acceptance (2 shards)" a;
+  let b = run () in
+  Alcotest.(check int32) "2 shards: same seed, same trace digest"
+    a.Chaos.Nemesis.r_trace_digest b.Chaos.Nemesis.r_trace_digest
 
 (* ----- schedule: zero-weight faults are never sampled ----- *)
 
