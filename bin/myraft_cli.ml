@@ -515,7 +515,8 @@ let () =
           (Cmd.info "chaos"
              ~doc:
                "Seeded nemesis fault schedule under load with continuous Raft invariant \
-                checking; exits non-zero on any violation.")
+                checking; exits non-zero on any violation or a run that does not \
+                reconverge after the final heal.")
           Term.(
             const chaos $ seed_arg $ trace_arg $ steps_arg $ faults_arg $ quorum_arg
             $ seeds_arg $ metrics_json_arg $ no_lease_arg $ campaign_arg

@@ -47,7 +47,7 @@ let report_summary r =
     r.c_committed r.c_workload_committed r.c_converged
     (List.length r.c_violations)
 
-(* ----- the classic-cluster harness ----- *)
+(* ----- the harness ----- *)
 
 let classic_harness ~seed =
   let cluster =

@@ -482,11 +482,6 @@ let deployment_ops net g0 ~crash ~restart ~isolate ~heal_node =
       (fun id -> Option.iter Raft.Node.trigger_election (Myraft.Cluster.raft_of g0 id));
   }
 
-let ops_of_cluster c =
-  deployment_ops (Myraft.Cluster.network c) c ~crash:(Myraft.Cluster.crash c)
-    ~restart:(Myraft.Cluster.restart c) ~isolate:(Myraft.Cluster.isolate c)
-    ~heal_node:(Myraft.Cluster.heal c)
-
 type deployment = {
   groups : Myraft.Cluster.t list;
   backend : Workload.Backend.t;
@@ -498,7 +493,10 @@ let of_cluster c =
   {
     groups = [ c ];
     backend = Workload.Backend.myraft c;
-    ops = ops_of_cluster c;
+    ops =
+      deployment_ops (Myraft.Cluster.network c) c ~crash:(Myraft.Cluster.crash c)
+        ~restart:(Myraft.Cluster.restart c) ~isolate:(Myraft.Cluster.isolate c)
+        ~heal_node:(Myraft.Cluster.heal c);
     metrics = (fun () -> Myraft.Cluster.metrics_snapshot c);
   }
 

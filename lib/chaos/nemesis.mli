@@ -60,9 +60,6 @@ val injections : t -> (Schedule.fault_kind * int) list
 
 (** {2 Deployments} *)
 
-(** The fault surface of a classic cluster. *)
-val ops_of_cluster : Myraft.Cluster.t -> ops
-
 (** What a chaos run drives: a classic cluster or a multi-Raft
     deployment.  Engine and trace come from the first group (shared by
     every group in multi-Raft mode).  Store, clock, transfer and

@@ -22,7 +22,6 @@ type t = {
   trace : Sim.Trace.t;
   discovery : Myraft.Service_discovery.t;
   tracebuf : Obs.Tracebuf.t;
-  clocks : (string, Sim.Clock.t) Hashtbl.t; (* one oscillator per physical node *)
   region_of : (string, string) Hashtbl.t;
   clusters : Myraft.Cluster.t array; (* index = group *)
   router : Router.t;
@@ -52,8 +51,6 @@ let member_ids t = Myraft.Cluster.member_ids t.clusters.(0)
 let mysql_ids t = Myraft.Cluster.mysql_ids t.clusters.(0)
 
 let region_of t id = Hashtbl.find_opt t.region_of id
-
-let clock_of t id = Hashtbl.find_opt t.clocks id
 
 let replicaset_of_group g = Printf.sprintf "shard%d" g
 
@@ -106,7 +103,7 @@ let create ?(seed = 7) ?(params = Myraft.Params.default) ?(latency = Sim.Latency
   let trace = Sim.Trace.create ~echo:false engine in
   let discovery = Myraft.Service_discovery.create engine in
   let tracebuf = Obs.Tracebuf.create () in
-  let clocks = Hashtbl.create 16 in
+  let clocks = Hashtbl.create 16 in (* one oscillator per physical node *)
   let region_of = Hashtbl.create 16 in
   List.iter
     (fun s ->
@@ -149,7 +146,6 @@ let create ?(seed = 7) ?(params = Myraft.Params.default) ?(latency = Sim.Latency
       trace;
       discovery;
       tracebuf;
-      clocks;
       region_of;
       clusters;
       router = Router.create ~groups ();
@@ -266,8 +262,6 @@ let restart_node t id =
 let isolate_node t id = Array.iter (fun c -> Myraft.Cluster.isolate c id) t.clusters
 
 let heal_node t id = Array.iter (fun c -> Myraft.Cluster.heal c id) t.clusters
-
-let is_crashed t id = Myraft.Cluster.is_crashed t.clusters.(0) id
 
 (* ----- the routed client surface ----- *)
 

@@ -46,12 +46,6 @@ val member_ids : t -> string list
 
 val mysql_ids : t -> string list
 
-val region_of : t -> string -> string option
-
-(** The physical node's oscillator, shared by its instance of every
-    group (chaos clock faults hit them all alike). *)
-val clock_of : t -> string -> Sim.Clock.t option
-
 val replicaset_of_group : int -> string
 
 (** {2 Leader placement} *)
@@ -83,7 +77,6 @@ val isolate_node : t -> string -> unit
 
 val heal_node : t -> string -> unit
 
-val is_crashed : t -> string -> bool
 
 (** {2 Clients and observability} *)
 

@@ -652,7 +652,7 @@ let run_apply_chaos ~workers ~seed ~writes =
       ~trace:(Myraft.Cluster.trace cluster)
       ~rng:(Sim.Rng.of_int (seed lxor 0x61707079))
       ~spec:(spec_with [ "drop"; "partition"; "leader-crash" ])
-      ~ops:(Chaos.Nemesis.ops_of_cluster cluster)
+      ~ops:(Chaos.Nemesis.of_cluster cluster).Chaos.Nemesis.ops
   in
   let write_one i =
     Chaos.Nemesis.step nemesis;
