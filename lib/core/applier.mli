@@ -52,9 +52,11 @@ val stop : t -> unit
 
 val is_running : t -> bool
 
-(** Raft signal: new entries are in the relay log (duplicates and gaps
-    are filtered). *)
-val signal : t -> Binlog.Entry.t list -> unit
+(** Raft signal: [signal t entries ~pos ~len] says [entries.(pos)] to
+    [entries.(pos + len - 1)] are new in the relay log (duplicates and
+    gaps are filtered) — the range {!Raft.Node.callbacks}'
+    [on_entries_appended] reports. *)
+val signal : t -> Binlog.Entry.t array -> pos:int -> len:int -> unit
 
 (** Log truncation: fence every lane at/above the point (in-flight
     executes, pipeline callbacks and server-side retry loops all become

@@ -564,8 +564,8 @@ let make_callbacks t =
       (* noop/config entries below the commit index count as applied *)
       advance_exec_cursor t);
   cb.Raft.Node.on_entries_appended <-
-    (fun entries ->
-      if t.role = Replica then Applier.signal (applier t) entries;
+    (fun entries ~pos ~len ->
+      if t.role = Replica then Applier.signal (applier t) entries ~pos ~len;
       advance_exec_cursor t);
   cb.Raft.Node.on_truncated <-
     (fun removed ->

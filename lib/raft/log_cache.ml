@@ -176,7 +176,7 @@ let read_scratch t ~max_bytes ~from_index ~max_count ~read_log =
   done;
   !n
 
-let read_slice t ?(max_bytes = max_int) ~from_index ~max_count ~read_log () =
+let read_slice t ~max_bytes ~from_index ~max_count ~read_log =
   let n = read_scratch t ~max_bytes ~from_index ~max_count ~read_log in
   let out = Array.sub t.scratch 0 n in
   (* don't let the scratch keep evicted entries alive between batches *)
@@ -184,7 +184,7 @@ let read_slice t ?(max_bytes = max_int) ~from_index ~max_count ~read_log () =
   out
 
 let read t ?(max_bytes = max_int) ~from_index ~max_count ~read_log () =
-  Array.to_list (read_slice t ~max_bytes ~from_index ~max_count ~read_log ())
+  Array.to_list (read_slice t ~max_bytes ~from_index ~max_count ~read_log)
 
 let disk_reads t = t.disk_reads
 

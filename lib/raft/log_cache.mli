@@ -21,17 +21,20 @@ val truncate_from : t -> index:int -> unit
     indexes; stops at the first missing entry, which [read_log] reports
     as {!Binlog.Log_store.absent} (so a cold read allocates nothing).  [max_bytes] bounds the
     total payload: collection stops before exceeding the budget, but the
-    first entry always ships so oversized transactions still progress.
+    first entry always ships so oversized transactions still progress
+    ([max_int] for no budget).
 
-    The hot-path shape: one right-sized array per call (no list cells).
-    The array holds the entries themselves, which are immutable, so it
-    stays valid however the cache evicts afterwards. *)
+    The hot-path shape: one right-sized array per call (no list cells,
+    and no optional argument to box).  The array holds the entries
+    themselves, which are immutable, so it stays valid however the cache
+    evicts afterwards. *)
 val read_slice :
-  t -> ?max_bytes:int -> from_index:int -> max_count:int ->
-  read_log:(int -> Binlog.Entry.t) -> unit ->
+  t -> max_bytes:int -> from_index:int -> max_count:int ->
+  read_log:(int -> Binlog.Entry.t) ->
   Binlog.Entry.t array
 
-(** [read_slice] as a list, for callers off the hot path. *)
+(** [read_slice] as a list, for callers off the hot path ([max_bytes]
+    defaults to no budget). *)
 val read :
   t -> ?max_bytes:int -> from_index:int -> max_count:int ->
   read_log:(int -> Binlog.Entry.t) -> unit ->

@@ -29,10 +29,10 @@ type log_ops = {
       (** The entry at an index, or {!Binlog.Log_store.absent} when the
           log does not hold it (allocation-free: read per shipped entry). *)
   last_opid : unit -> Binlog.Opid.t;
-  term_at : int -> int option;
   term_of : int -> int;
-      (** [term_at] without the option, for per-entry callers: [-1] when
-          unknown. *)
+      (** The term of the entry at an index: [0] at index 0, the
+          boundary's term at the purge boundary, [-1] when unknown or
+          purged.  No option, since it is read per shipped entry. *)
   truncate_from : int -> Binlog.Entry.t list;
   durable_index : unit -> int;
       (** Highest index the log has fsynced.  Raft only acknowledges
@@ -61,7 +61,12 @@ type callbacks = {
   mutable on_leader_start : noop_index:int -> unit;
   mutable on_step_down : unit -> unit;
   mutable on_commit_advance : commit_index:int -> unit;
-  mutable on_entries_appended : Binlog.Entry.t list -> unit;
+  mutable on_entries_appended : Binlog.Entry.t array -> pos:int -> len:int -> unit;
+      (** [on_entries_appended entries ~pos ~len]: the follower just
+          appended [entries.(pos)] to [entries.(pos + len - 1)] ([len >
+          0]) from one AppendEntries payload [entries].  The appended
+          entries are always a contiguous suffix of the payload: the
+          entries before [pos] were already held. *)
   mutable on_truncated : Binlog.Entry.t list -> unit;
   mutable on_quiesce : unit -> unit;
   mutable on_transfer_aborted : reason:string -> unit;

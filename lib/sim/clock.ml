@@ -61,7 +61,14 @@ let reset t =
 
 let pristine t = t.rate = 1.0 && skew t = 0.0
 
-(* [delay] is local microseconds; the countdown runs on this oscillator. *)
-let schedule t ~delay fn = Engine.schedule t.engine ~delay:(max 0.0 (delay /. t.rate)) fn
+(* [delay] is local microseconds; the countdown runs on this oscillator.
+   At rate 1.0 a non-negative delay is its own true delay (x /. 1.0 = x),
+   so it is handed on as the caller's box; otherwise the clamp below is
+   [max 0.0 (delay /. t.rate)] without the polymorphic call's box. *)
+let schedule t ~delay fn =
+  if t.rate = 1.0 && delay >= 0.0 then Engine.schedule t.engine ~delay fn
+  else
+    let d = delay /. t.rate in
+    Engine.schedule t.engine ~delay:(if 0.0 >= d then 0.0 else d) fn
 
 let schedule_at t ~time fn = schedule t ~delay:(max 0.0 (time -. now t)) fn

@@ -52,6 +52,10 @@ let cancelled_mark = create ()
 
 let fired_mark = create ()
 
+(* Never queued: cancelling it is a no-op, so a timer field can hold it
+   while disarmed instead of an option. *)
+let none = Thunk { owner = cancelled_mark; fn = ignore }
+
 (* Dead events the queue may hold regardless of the live count, so a
    small queue is not compacted on every other cancel. *)
 let compaction_floor = 64

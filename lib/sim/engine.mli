@@ -58,6 +58,12 @@ val schedule_key : t -> key:float -> (unit -> unit) -> handle
     a no-op. *)
 val cancel : handle -> unit
 
+(** A handle that was never scheduled and is already cancelled: a
+    disarmed timer field holds it instead of [None], so re-arming
+    allocates no option.  {!cancel} on it is a no-op and {!cancelled}
+    is true. *)
+val none : handle
+
 (** True only for an event cancelled before it fired. *)
 val cancelled : handle -> bool
 

@@ -328,12 +328,16 @@ let run_bookkeeping ~seed ~workers ~steps =
     Hashtbl.replace log i e
   in
   let entries_from i = List.init (max 0 (!signaled - i + 1)) (fun k -> Hashtbl.find log (i + k)) in
+  let signal_range entries =
+    let entries = Array.of_list entries in
+    Myraft.Applier.signal (a ()) entries ~pos:0 ~len:(Array.length entries)
+  in
   let signal_new () =
     let from = !signaled + 1 in
     while !signaled < !last do
       incr signaled
     done;
-    Myraft.Applier.signal (a ()) (entries_from from)
+    signal_range (entries_from from)
   in
   let running = ref true in
   Myraft.Applier.start (a ()) ~from_index:1 ~backlog:[];
@@ -436,7 +440,8 @@ let test_truncation_fences_inflight_entry () =
   Alcotest.(check int) "zombie completion ignored" 1 (Myraft.Applier.applied_index a);
   (* the replacement entry stream applies normally *)
   Myraft.Applier.signal a
-    [ txn_entry ~last_committed:0 ~index:2 ~key:"b2" (); txn_entry ~last_committed:0 ~index:3 ~key:"c" () ];
+    [| txn_entry ~last_committed:0 ~index:2 ~key:"b2" (); txn_entry ~last_committed:0 ~index:3 ~key:"c" () |]
+    ~pos:0 ~len:2;
   Sim.Engine.run_for engine (100.0 *. ms);
   Alcotest.(check int) "replacement stream applied" 3 (Myraft.Applier.applied_index a)
 

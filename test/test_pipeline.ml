@@ -159,7 +159,7 @@ let test_applier_orders_and_dedupes () =
         Myraft.Applier.submitted tk)
   in
   Myraft.Applier.start a ~from_index:1 ~backlog:[ entry 1; entry 2 ];
-  Myraft.Applier.signal a [ entry 2 (* duplicate *); entry 3 ];
+  Myraft.Applier.signal a [| entry 2 (* duplicate *); entry 3 |] ~pos:0 ~len:2;
   Sim.Engine.run_for engine (10.0 *. ms);
   Alcotest.(check (list int)) "in order without duplicates" [ 1; 2; 3 ] (List.rev !processed);
   Alcotest.(check int) "applied index" 3 (Myraft.Applier.applied_index a)
@@ -178,7 +178,7 @@ let test_applier_truncation_rewinds () =
   Myraft.Applier.handle_truncation a ~from_index:1;
   Alcotest.(check int) "rewound" 0 (Myraft.Applier.applied_index a);
   (* accepts the replacement entry stream *)
-  Myraft.Applier.signal a [ entry 1; entry 2 ];
+  Myraft.Applier.signal a [| entry 1; entry 2 |] ~pos:0 ~len:2;
   Sim.Engine.run_for engine (10.0 *. ms);
   Alcotest.(check int) "applied replacement" 2 (Myraft.Applier.applied_index a)
 
