@@ -42,6 +42,6 @@ let rec stamp t ~commit_index index time =
     end
   end
 
-let find t index =
+let elapsed t index ~now =
   let slot = index land (Array.length t.owners - 1) in
-  if t.owners.(slot) = index then t.times.(slot) else nan
+  if t.owners.(slot) = index then now -. t.times.(slot) else nan

@@ -6,7 +6,7 @@
     index is dead — the commit index only rises, so it can never be read
     again — and its slot is free.  The ring doubles rather than overwrite
     a live stamp, so no stamp is lost however far commits lag appends.
-    Stamping and reading allocate nothing. *)
+    Stamping allocates nothing; reading boxes only the sample it returns. *)
 
 type t
 
@@ -21,7 +21,8 @@ val capacity : t -> int
     it is never read. *)
 val stamp : t -> commit_index:int -> int -> float -> unit
 
-(** [find t index]: [index]'s latest stamp, or [nan] when it has none.
+(** [elapsed t index ~now]: [now] minus [index]'s latest stamp, or
+    [nan] when it has none (one boxed result, the latency sample itself).
     Valid for indexes above the commit index the ring was last stamped
     under. *)
-val find : t -> int -> float
+val elapsed : t -> int -> now:float -> float
