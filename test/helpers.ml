@@ -126,3 +126,104 @@ let respond h ~peer ~success ~seq ~durable ~appended =
 let window_gauge h =
   Obs.Metrics.gauge_value
     (Obs.Metrics.gauge (Raft.Node.metrics h.node) "raft.window_inflight")
+
+(* ----- a bare Raft follower the test feeds by hand ----- *)
+
+(* A Raft follower with no network: the test hands it scripted
+   AppendEntries, and every response it sends is captured.  What it
+   appends reaches a replica applier as {!Myraft.Server} wires it:
+   [appended] records each [on_entries_appended] range as (first log
+   index, count), and [applied] the indexes the applier processed, in
+   order. *)
+type follower = {
+  f_engine : Sim.Engine.t;
+  f_node : Raft.Node.t;
+  replies : Raft.Message.append_response Queue.t;
+  appended : (int * int) Queue.t;
+  applied : int Queue.t;
+}
+
+(* [members] are (id, region, voter); the follower is the second. *)
+let make_follower members =
+  let engine = Sim.Engine.create ~seed:1 () in
+  let trace = Sim.Trace.create engine in
+  let replies = Queue.create () and appended = Queue.create () and applied = Queue.create () in
+  let config =
+    {
+      Raft.Types.members =
+        List.map
+          (fun (id, region, voter) ->
+            { Raft.Types.id; region; voter; kind = Raft.Types.Mysql_server })
+          members;
+    }
+  in
+  let id, region, _ = List.nth members 1 in
+  let applier =
+    Myraft.Applier.create ~engine ~params:Myraft.Params.default ()
+      ~process:(fun e tk ->
+        Queue.push (Binlog.Entry.index e) applied;
+        Myraft.Applier.submitted tk;
+        Myraft.Applier.finished tk ~ok:true)
+  in
+  Myraft.Applier.start applier ~from_index:1 ~backlog:[];
+  let callbacks = Raft.Node.default_callbacks () in
+  callbacks.Raft.Node.on_entries_appended <-
+    (fun entries ~pos ~len ->
+      Queue.push (Binlog.Entry.index entries.(pos), len) appended;
+      Myraft.Applier.signal applier entries ~pos ~len);
+  callbacks.Raft.Node.on_truncated <-
+    (fun removed ->
+      Myraft.Applier.handle_truncation applier
+        ~from_index:(List.fold_left (fun acc e -> min acc (Binlog.Entry.index e)) max_int removed));
+  let node =
+    Raft.Node.create ~engine ~id ~region
+      ~send:(fun ~dst:_ msg ->
+        match msg with
+        | Raft.Message.Append_entries_response r -> Queue.push r replies
+        | _ -> ())
+      ~log:
+        (Raft.Node.log_ops_of_store
+           (Binlog.Log_store.create ~mode:Binlog.Log_store.Relay ()))
+      ~callbacks ~params:Raft.Node.default_params ~initial_config:config
+      ~durable:(Raft.Node.fresh_durable ()) ~trace ()
+  in
+  { f_engine = engine; f_node = node; replies; appended; applied }
+
+(* An AppendEntries from [leader] at [term]: anchored at [prev] =
+   (term, index), carrying no-op entries with the given (term, index)
+   OpIds. *)
+let append_entries ~leader ~term ~prev:(prev_term, prev_index) ~commit entries =
+  {
+    Raft.Message.term;
+    leader_id = leader;
+    leader_region = "r1";
+    prev_opid = Binlog.Opid.make ~term:prev_term ~index:prev_index;
+    payload =
+      Raft.Message.Entries
+        (Array.of_list
+           (List.map
+              (fun (term, index) ->
+                Binlog.Entry.make ~opid:(Binlog.Opid.make ~term ~index) Binlog.Entry.Noop)
+              entries));
+    commit_index = commit;
+    seq = 0;
+    reply_route = [];
+    leader_time = 0.0;
+    leader_last_index = (match List.rev entries with (_, i) :: _ -> i | [] -> prev_index);
+    cfg_id = Raft.Types.cfg_id_zero;
+    cfg = None;
+  }
+
+(* Feed [ae] to the follower and let its applier run; returns whether it
+   was accepted, the ranges [on_entries_appended] reported and the
+   indexes the applier processed, each since the last feed. *)
+let feed f ~leader ae =
+  Raft.Node.handle_message f.f_node ~src:leader (Raft.Message.Append_entries ae);
+  Sim.Engine.run_for f.f_engine (10.0 *. ms);
+  let drain q =
+    let xs = List.of_seq (Queue.to_seq q) in
+    Queue.clear q;
+    xs
+  in
+  let success = List.for_all (fun (r : Raft.Message.append_response) -> r.success) (drain f.replies) in
+  (success, drain f.appended, drain f.applied)

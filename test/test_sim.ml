@@ -664,17 +664,23 @@ let same_region_send_deliver_words = 13
 
 let pinned_send_deliver_words = 11
 
-let check_send_deliver_words ~name ~bound ~pin () =
+(* Across regions the default model adds its jitter draw and the sum
+   with the pair's base, both boxed; the pair's base and jitter bound
+   come from a cache keyed on the link's region strings, so no
+   region-pair tuple is hashed per send. *)
+let cross_region_send_deliver_words = 15
+
+let check_send_deliver_words ?(dst = "b") ?(horizon = 1_000.0) ~name ~bound ~pin () =
   let e, net = make_net ~latency:Sim.Latency.default () in
   let got = ref 0 in
-  Sim.Network.register net "b" (fun ~src:_ (_ : int) -> incr got);
-  if pin then Sim.Network.set_link_latency net ~a:"a" ~b:"b" ~latency:100.0;
+  Sim.Network.register net dst (fun ~src:_ (_ : int) -> incr got);
+  if pin then Sim.Network.set_link_latency net ~a:"a" ~b:dst ~latency:100.0;
   let batch = 100 and rounds = 200 in
   let round () =
     for i = 1 to batch do
-      Sim.Network.send net ~src:"a" ~dst:"b" ~size:100 i
+      Sim.Network.send net ~src:"a" ~dst ~size:100 i
     done;
-    Sim.Engine.run_for e 1_000.0
+    Sim.Engine.run_for e horizon
   in
   round ();
   let words = minor_words rounds round in
@@ -863,6 +869,9 @@ let suites =
         Alcotest.test_case "pinned-link send+deliver words" `Quick
           (check_send_deliver_words ~name:"pinned link" ~bound:pinned_send_deliver_words
              ~pin:true);
+        Alcotest.test_case "cross-region send+deliver words" `Quick
+          (check_send_deliver_words ~dst:"c" ~horizon:100_000.0 ~name:"cross region"
+             ~bound:cross_region_send_deliver_words ~pin:false);
         Alcotest.test_case "Rng.float words" `Quick test_rng_float_words;
       ] );
     ( "sim.topology",
