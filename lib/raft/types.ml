@@ -65,8 +65,12 @@ type cfg_id = { cfg_version : int; cfg_term : int }
 
 let cfg_id_zero = { cfg_version = 0; cfg_term = 0 }
 
+(* Term first, then version; no tuple is built, since the leader
+   compares identities on every send and every ack. *)
 let cfg_id_compare a b =
-  compare (a.cfg_term, a.cfg_version) (b.cfg_term, b.cfg_version)
+  match Int.compare a.cfg_term b.cfg_term with
+  | 0 -> Int.compare a.cfg_version b.cfg_version
+  | c -> c
 
 let cfg_id_newer a b = cfg_id_compare a b > 0
 
