@@ -75,7 +75,7 @@ let entry_make =
                    table = "sbtest";
                    ops = [ Binlog.Event.Insert { key = "row-12345"; value = String.make 300 'd' } ];
                  });
-            Binlog.Event.make (Binlog.Event.Xid { xid = 12_345L });
+            Binlog.Event.make (Binlog.Event.Xid { xid = 12_345 });
           ];
       }
   in
@@ -466,17 +466,15 @@ let pipeline_group_drain =
   Test.make ~name:"pipeline group drain (100 txns)"
     (Staged.stage (fun () ->
          let engine = Sim.Engine.create () in
+         let done_count = ref 0 in
          let p =
            Myraft.Pipeline.create ~engine ~params:Myraft.Params.default ~is_primary_path:true
+             ~flush:(fun index -> index)
+             ~finish:(fun _ ~ok:_ -> incr done_count)
              ()
          in
-         let done_count = ref 0 in
          for i = 1 to 100 do
-           Myraft.Pipeline.submit p
-             {
-               Myraft.Pipeline.flush = (fun () -> Ok i);
-               finish = (fun ~ok:_ -> incr done_count);
-             }
+           Myraft.Pipeline.submit p i
          done;
          Myraft.Pipeline.notify_commit_index p 100;
          Sim.Engine.run_for engine (0.1 *. Sim.Engine.s);
@@ -563,13 +561,20 @@ let words_per_op s run () =
    chain. *)
 let engine_prepare_commit =
   let storage = Storage.Engine.create () in
-  let writes =
-    [ ("sbtest", Binlog.Event.Insert { key = "row-1"; value = String.make 300 'd' }) ]
+  let events =
+    [
+      Binlog.Event.make
+        (Binlog.Event.Write_rows
+           {
+             table = "sbtest";
+             ops = [ Binlog.Event.Insert { key = "row-1"; value = String.make 300 'd' } ];
+           });
+    ]
   in
   let opid = Binlog.Opid.make ~term:1 ~index:1 in
   let s = gtid_supply () in
   let run () =
-    let p = Storage.Engine.prepare storage ~gtid:(take s) ~writes in
+    let p = Storage.Engine.prepare storage ~gtid:(take s) ~events in
     Storage.Engine.commit_prepared storage p ~opid
   in
   let name = "storage.engine prepare+commit (1 row)" in

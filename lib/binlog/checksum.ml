@@ -91,8 +91,6 @@ let feed_string crc s =
    log indexes, terms and GNOs — all well under 2^63). *)
 let feed_int crc n = step (Lazy.force tables) crc (n land 0xFFFFFFFF) (n lsr 32)
 
-let feed_int32 crc v = feed_int crc (Int32.to_int v land 0xFFFFFFFF)
-
 let finalize_int crc = crc lxor 0xFFFFFFFF
 
 let finalize crc = Int32.of_int (finalize_int crc)

@@ -21,12 +21,8 @@ val feed_string : state -> string -> state
 (** Feed a native int as 8 little-endian bytes. *)
 val feed_int : state -> int -> state
 
-(** Feed the 4 bytes of an [int32] (little-endian). *)
-val feed_int32 : state -> int32 -> state
-
 val finalize : state -> int32
 
 (** The same CRC as an unboxed, non-negative int below 2{^32}:
-    [Int32.of_int] of it is [finalize], and [feed_int] of it feeds what
-    [feed_int32] of [finalize] does. *)
+    [Int32.of_int] of it is [finalize]. *)
 val finalize_int : state -> int

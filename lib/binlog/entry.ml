@@ -65,9 +65,9 @@ let feed_event st e =
     feed_int (List.fold_left feed_row_op (feed_str (feed_int st 5) table) ops) 0
   | Event.Query { sql } -> feed_str (feed_int st 6) sql
   | Event.Xid { xid } ->
-    feed_int32
-      (feed_int32 (feed_int st 7) (Int64.to_int32 xid))
-      (Int64.to_int32 (Int64.shift_right_logical xid 32))
+    (* the two 32-bit halves of the xid as a 64-bit integer, each fed
+       as an int: the bytes the [int64] field fed *)
+    feed_int (feed_int (feed_int st 7) (xid land 0xFFFFFFFF)) ((xid asr 32) land 0xFFFFFFFF)
   | Event.Rotate { next_file } -> feed_str (feed_int st 8) next_file
 
 let payload_checksum payload =

@@ -18,7 +18,7 @@ type body =
   | Table_map of { table : string }
   | Write_rows of { table : string; ops : row_op list }
   | Query of { sql : string }
-  | Xid of { xid : int64 }
+  | Xid of { xid : int }
   | Rotate of { next_file : string }
 
 (* An event is its body: a retained log keeps four events per
@@ -65,5 +65,5 @@ let describe t =
   | Table_map { table } -> "TABLE_MAP(" ^ table ^ ")"
   | Write_rows { table; ops } -> Printf.sprintf "WRITE_ROWS(%s,%d ops)" table (List.length ops)
   | Query { sql } -> "QUERY(" ^ sql ^ ")"
-  | Xid { xid } -> Printf.sprintf "XID(%Ld)" xid
+  | Xid { xid } -> Printf.sprintf "XID(%d)" xid
   | Rotate { next_file } -> "ROTATE(" ^ next_file ^ ")"

@@ -15,7 +15,7 @@ type body =
   | Table_map of { table : string }
   | Write_rows of { table : string; ops : row_op list }
   | Query of { sql : string }
-  | Xid of { xid : int64 }
+  | Xid of { xid : int }
   | Rotate of { next_file : string }
 
 type t

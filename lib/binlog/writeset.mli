@@ -5,7 +5,7 @@
     dependency interval; a replica may execute it in parallel with
     anything later than [last_committed].  Hash collisions only create
     false dependencies (a later last_committed), never missed ones.
-    When the history exceeds its capacity it is reset and the floor
+    When the history exceeds its capacity it is emptied and the floor
     raised, like MySQL's m_writeset_history_size. *)
 
 type t
@@ -22,7 +22,8 @@ val floor : t -> int
     dependency epoch). *)
 val clear : t -> unit
 
-(** [stamp t ~index ~keys] records the transaction at log [index]
-    writing [keys] ((table, key) pairs) and returns its
-    [last_committed]; always < [index]. *)
-val stamp : t -> index:int -> keys:(string * string) list -> int
+(** [stamp t ~index ~table ~ops] records the transaction at log [index]
+    writing [ops]' keys in [table] and returns its [last_committed];
+    always < [index].  It allocates nothing but the history's new
+    entries. *)
+val stamp : t -> index:int -> table:string -> ops:Event.row_op list -> int

@@ -33,17 +33,8 @@ let seed_server_from_entries server entries =
       Binlog.Log_store.append log entry;
       match Binlog.Entry.payload entry with
       | Binlog.Entry.Transaction { gtid; events } ->
-        let writes =
-          List.concat_map
-            (fun ev ->
-              match Binlog.Event.body ev with
-              | Binlog.Event.Write_rows { table; ops } ->
-                List.map (fun op -> (table, op)) ops
-              | _ -> [])
-            events
-        in
         Storage.Engine.commit_prepared storage
-          (Storage.Engine.prepare storage ~gtid ~writes)
+          (Storage.Engine.prepare storage ~gtid ~events)
           ~opid:(Binlog.Entry.opid entry)
       | _ -> ())
     entries

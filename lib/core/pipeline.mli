@@ -3,16 +3,19 @@
     serves both the primary (flush = binlog append through Raft) and
     replicas (the applier feeds it), preserving the paper's symmetry. *)
 
-type item = {
-  flush : unit -> (int, string) result;
-      (** perform the flush work; returns the Raft index to wait on *)
-  finish : ok:bool -> unit;
-      (** runs at engine commit ([ok = true]) or on abort/failure *)
-}
+(** A pipeline whose transactions are values of type ['a]: one record
+    per transaction, of the embedder's own type. *)
+type 'a t
 
-type t
+(** [flush item] performs one transaction's flush work and returns the
+    Raft index it waits on, or a negative number when the flush failed
+    (the item then fails at once).  [finish item ~ok] runs at engine
+    commit ([ok = true]), or when the item fails or is aborted
+    ([ok = false]).  Both are given once here, so a submission
+    builds no closure: they are typically top-level functions applied to
+    the embedder's state.
 
-(** [is_primary_path] selects whether groups pay the MyRaft stamping
+    [is_primary_path] selects whether groups pay the MyRaft stamping
     cost (checksum + compression + OpId, §3.4).  [metrics] receives the
     pipeline.* counters, the queue-depth gauge and the per-stage latency
     histograms (flush_us, consensus_wait_us, engine_commit_us,
@@ -22,36 +25,40 @@ val create :
   engine:Sim.Engine.t ->
   params:Params.t ->
   is_primary_path:bool ->
+  flush:('a -> int) ->
+  finish:('a -> ok:bool -> unit) ->
   unit ->
-  t
+  'a t
 
-val submit : t -> item -> unit
+(** Queue a transaction for the next flush group; while the pipeline is
+    aborted it fails at once. *)
+val submit : 'a t -> 'a -> unit
 
 (** Install the group-commit scope: the flush stage runs each group's
     appends inside [f], so the embedder can coalesce their fsyncs into
     one (and tell Raft the log advanced afterwards).  Default: run
     directly. *)
-val set_coalesce : t -> ((unit -> unit) -> unit) -> unit
+val set_coalesce : 'a t -> ((unit -> unit) -> unit) -> unit
 
 (** Raft's commit marker advanced: release covered groups, in order. *)
-val notify_commit_index : t -> int -> unit
+val notify_commit_index : 'a t -> int -> unit
 
 (** Demotion step 1 (§3.3): fail everything in flight; returns the count.
     Until {!reset}, new submissions fail immediately. *)
-val abort_all : t -> int
+val abort_all : 'a t -> int
 
 (** Raft truncated the log from [from_index]: fail every flushed item
     at or past it, and let each group that spanned the point wait only
     on the items it keeps (they commit once the commit index covers
     them).  Failed items count in pipeline.txns_aborted. *)
-val truncate : t -> from_index:int -> unit
+val truncate : 'a t -> from_index:int -> unit
 
 (** Re-arm after a role change. *)
-val reset : t -> unit
+val reset : 'a t -> unit
 
-val in_flight : t -> int
+val in_flight : 'a t -> int
 
-val groups_formed : t -> int
+val groups_formed : 'a t -> int
 
 (** Average flush group size: > 1 under load means group commit works. *)
-val mean_group_size : t -> float
+val mean_group_size : 'a t -> float

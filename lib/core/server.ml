@@ -17,6 +17,29 @@ type role = Primary | Replica
 
 let role_to_string = function Primary -> "primary" | Replica -> "replica"
 
+(* A transaction in the commit pipeline: the only record the pipeline
+   carries per client write or relay-log entry.  The pipeline's stage
+   functions ([flush_txn], [finish_txn]) dispatch on it, so no stage
+   builds a closure. *)
+type txn =
+  | Client_write of {
+      req : Wire.write_request; (* the session's request, as it arrived *)
+      local : (Wire.write_outcome -> unit) option; (* [submit_write]'s reply *)
+      gtid : Binlog.Gtid.t;
+      events : Binlog.Event.t list; (* its binlog events, as the engine staged them *)
+      prepared : Storage.Engine.prepared;
+      mutable opid : Binlog.Opid.t; (* assigned by Raft at flush *)
+    }
+  | Relay_txn of {
+      entry : Binlog.Entry.t;
+      ticket : Applier.ticket;
+      prepared : Storage.Engine.prepared;
+    }
+  | Relay_marker of { entry : Binlog.Entry.t; ticket : Applier.ticket }
+      (* a no-op, config change or rotate event ordered through the
+         pipeline; a rotate closes the relay-log file at commit *)
+  | Binlog_rotate (* FLUSH BINARY LOGS on the primary *)
+
 type t = {
   id : string;
   region : string;
@@ -39,13 +62,13 @@ type t = {
   durable : Raft.Node.durable;
   (* volatile *)
   mutable raft : Raft.Node.t option;
-  mutable pipeline : Pipeline.t;
+  mutable pipeline : txn Pipeline.t;
   mutable applier : Applier.t option;
   mutable role : role;
   mutable writes_enabled : bool;
   mutable crashed : bool;
   mutable next_gno : int;
-  mutable next_xid : int64;
+  mutable next_xid : int;
   mutable orchestration_epoch : int; (* invalidates in-flight orchestrations *)
   rng : Sim.Rng.t;
   (* counters *)
@@ -58,6 +81,7 @@ type t = {
   (* observability *)
   metrics : Obs.Metrics.t;
   m_writes_committed : Obs.Metrics.counter; (* resolved once: bumped per commit *)
+  m_writes_rejected : Obs.Metrics.counter;
   tracebuf : Obs.Tracebuf.t option;
   (* read path *)
   mutable exec_index : int;
@@ -251,23 +275,12 @@ let jittered t nominal = nominal *. Sim.Rng.lognormal t.rng ~mu:0.0 ~sigma:0.35
 
 (* ----- applier wiring (§3.5) ----- *)
 
-(* A transaction's row writes as (table, op) pairs, in event order. *)
-let rec writes_of_events = function
-  | [] -> []
-  | ev :: rest -> (
-    match Binlog.Event.body ev with
-    | Binlog.Event.Write_rows { table; ops } -> table_ops table ops (writes_of_events rest)
-    | _ -> writes_of_events rest)
-
-and table_ops table ops tail =
-  match ops with [] -> tail | op :: rest -> (table, op) :: table_ops table rest tail
-
 (* One prepare attempt for a relay-log transaction.  A top-level
    function rather than a closure, so the first attempt — nearly every
    attempt — allocates no retry state.  [tk] is the applier's fencing
    ticket: a transaction truncated out of the log while its prepare
    waited on a row lock must not zombie-prepare later. *)
-let rec applier_prepare t entry tk ~gtid ~writes ~attempts =
+let rec applier_prepare t entry tk ~gtid ~events ~attempts =
   if not (Applier.live tk) then
     () (* entry truncated / applier restarted while waiting: abandon *)
   else if Storage.Engine.has_committed t.storage gtid then begin
@@ -278,33 +291,11 @@ let rec applier_prepare t entry tk ~gtid ~writes ~attempts =
     (* An in-flight copy of the same transaction (e.g. submitted by the
        client path before a role change) is already in the pipeline;
        wait for it to settle. *)
-    applier_retry t entry tk ~gtid ~writes ~attempts
+    applier_retry t entry tk ~gtid ~events ~attempts
   else
-    match Storage.Engine.prepare t.storage ~gtid ~writes with
+    match Storage.Engine.prepare t.storage ~gtid ~events with
     | p ->
-      let index = Binlog.Entry.index entry in
-      let term = Binlog.Entry.term entry in
-      Pipeline.submit t.pipeline
-        {
-          Pipeline.flush =
-            (fun () ->
-              trace_event t ~stage:"flush" ~term ~index;
-              Ok index);
-          finish =
-            (fun ~ok ->
-              (* The prepared copy may have been rolled back by a log
-                 truncation while this item waited for consensus; a
-                 truncated transaction must not commit. *)
-              if ok && Storage.Engine.live p then begin
-                Storage.Engine.commit_prepared t.storage p ~opid:(Binlog.Entry.opid entry);
-                trace_event t ~stage:"engine-commit" ~term ~index;
-                Applier.finished tk ~ok:true
-              end
-              else begin
-                Storage.Engine.rollback_prepared t.storage p;
-                Applier.finished tk ~ok:false
-              end);
-        };
+      Pipeline.submit t.pipeline (Relay_txn { entry; ticket = tk; prepared = p });
       Applier.submitted tk
     | exception Storage.Engine.Lock_conflict _ ->
       (* A row lock is held by an in-pipeline transaction; it will be
@@ -313,9 +304,9 @@ let rec applier_prepare t entry tk ~gtid ~writes ~attempts =
          first would engine-commit them ahead of this one, breaking
          commit order (slave_preserve_commit_order) and the recovery
          cursor's prefix assumption. *)
-      applier_retry t entry tk ~gtid ~writes ~attempts
+      applier_retry t entry tk ~gtid ~events ~attempts
 
-and applier_retry t entry tk ~gtid ~writes ~attempts =
+and applier_retry t entry tk ~gtid ~events ~attempts =
   let attempts = attempts + 1 in
   if attempts > 100_000 then begin
     Applier.finished tk ~ok:false;
@@ -324,7 +315,7 @@ and applier_retry t entry tk ~gtid ~writes ~attempts =
   else
     ignore
       (Sim.Engine.schedule t.engine ~delay:(50.0 *. Sim.Engine.us) (fun () ->
-           applier_prepare t entry tk ~gtid ~writes ~attempts))
+           applier_prepare t entry tk ~gtid ~events ~attempts))
 
 (* Execute one relay-log entry: prepare the transaction in the engine and
    push it into the commit pipeline, where it awaits the consensus-commit
@@ -337,27 +328,13 @@ let applier_process t entry tk =
       Applier.finished tk ~ok:true;
       Applier.submitted tk
     end
-    else applier_prepare t entry tk ~gtid ~writes:(writes_of_events events) ~attempts:0
-  | Binlog.Entry.Rotate_marker _ ->
-    (* Replicated rotate event (§A.1): close the current relay-log file
-       once the event is consensus committed. *)
-    Pipeline.submit t.pipeline
-      {
-        Pipeline.flush = (fun () -> Ok (Binlog.Entry.index entry));
-        finish =
-          (fun ~ok ->
-            if ok then Binlog.Log_store.rotate t.log;
-            Applier.finished tk ~ok);
-      };
-    Applier.submitted tk
-  | Binlog.Entry.Noop | Binlog.Entry.Config_change _ ->
+    else applier_prepare t entry tk ~gtid ~events ~attempts:0
+  | Binlog.Entry.Rotate_marker _ | Binlog.Entry.Noop | Binlog.Entry.Config_change _ ->
     (* Nothing to execute, but order through the pipeline so
-       applied_index remains a committed-prefix watermark. *)
-    Pipeline.submit t.pipeline
-      {
-        Pipeline.flush = (fun () -> Ok (Binlog.Entry.index entry));
-        finish = (fun ~ok -> Applier.finished tk ~ok);
-      };
+       applied_index remains a committed-prefix watermark; a replicated
+       rotate event (§A.1) closes the current relay-log file once it is
+       consensus committed. *)
+    Pipeline.submit t.pipeline (Relay_marker { entry; ticket = tk });
     Applier.submitted tk
 
 (* ----- orchestration: replica -> primary (§3.3) ----- *)
@@ -620,94 +597,149 @@ let install_coalesce t =
 
 (* ----- client write path (§3.4) ----- *)
 
-let reject t ~reason ~reply =
+(* A write's outcome goes back to the client session that sent it, or
+   to the reply of a local [submit_write]. *)
+let send_outcome t (req : Wire.write_request) ~local outcome =
+  match local with
+  | None -> t.send ~dst:req.client (Wire.Write_reply { write_id = req.write_id; outcome })
+  | Some reply -> reply outcome
+
+let reject t req ~local reason =
   t.writes_rejected <- t.writes_rejected + 1;
-  Obs.Metrics.bump t.metrics "server.writes_rejected";
-  reply (Wire.Rejected reason)
+  Obs.Metrics.incr t.m_writes_rejected;
+  send_outcome t req ~local (Wire.Rejected reason)
+
+(* Whether a write may start its prepare; a refused one is answered
+   (a crashed server answers nothing: the client times out). *)
+let admit t req ~local =
+  if t.crashed then false
+  else if t.role <> Primary || not t.writes_enabled then begin
+    reject t req ~local "server is read-only";
+    false
+  end
+  else if not (Raft.Node.is_leader (raft t)) then begin
+    reject t req ~local "not the raft leader";
+    false
+  end
+  else true
+
+(* Prepare in the engine on the client connection's thread, then queue
+   the transaction for the pipeline. *)
+let prepare_write t (req : Wire.write_request) local =
+  if t.crashed || t.role <> Primary || not t.writes_enabled then
+    reject t req ~local "demoted during prepare"
+  else begin
+    let gtid = Binlog.Gtid.make ~source:t.id ~gno:t.next_gno and table = req.table in
+    let events =
+      [
+        Binlog.Event.make (Binlog.Event.Gtid_event gtid);
+        Binlog.Event.make (Binlog.Event.Table_map { table });
+        Binlog.Event.make (Binlog.Event.Write_rows { table; ops = req.ops });
+        Binlog.Event.make (Binlog.Event.Xid { xid = t.next_xid });
+      ]
+    in
+    match Storage.Engine.prepare t.storage ~gtid ~events with
+    | exception Storage.Engine.Lock_conflict _ -> reject t req ~local "lock wait conflict"
+    | prepared ->
+      (* Claim the gno and the xid only once the prepare sticks: burning
+         a gno on a lock-conflict reject would leave a permanent hole in
+         every gtid_executed set, fragmenting the interval lists that
+         each binlog append updates. *)
+      t.next_gno <- t.next_gno + 1;
+      t.next_xid <- t.next_xid + 1;
+      Pipeline.submit t.pipeline
+        (Client_write { req; local; gtid; events; prepared; opid = Binlog.Opid.zero })
+  end
+
+(* The prepare event of a session's write: the server and the request
+   are the event's two arguments. *)
+let prepare_request t req = prepare_write t req None
 
 let submit_write t ~table ~ops ~reply =
-  if t.crashed then () (* no response: the client times out *)
-  else if t.role <> Primary || not t.writes_enabled then
-    reject t ~reason:"server is read-only" ~reply
-  else if not (Raft.Node.is_leader (raft t)) then
-    reject t ~reason:"not the raft leader" ~reply
-  else begin
-    (* Prepare in the engine on the client connection's thread. *)
+  let req = { Wire.write_id = 0; table; ops; client = "" } and local = Some reply in
+  if admit t req ~local then
     ignore
       (Sim.Engine.schedule t.engine ~delay:t.params.Params.prepare_us (fun () ->
-           if t.crashed || t.role <> Primary || not t.writes_enabled then
-             reject t ~reason:"demoted during prepare" ~reply
-           else begin
-             let gtid = Binlog.Gtid.make ~source:t.id ~gno:t.next_gno in
-             let writes = List.map (fun op -> (table, op)) ops in
-             match Storage.Engine.prepare t.storage ~gtid ~writes with
-             | exception Storage.Engine.Lock_conflict _ ->
-               reject t ~reason:"lock wait conflict" ~reply
-             | p ->
-               (* Claim the gno only once the prepare sticks: burning it
-                  on a lock-conflict reject would leave a permanent hole
-                  in every gtid_executed set, fragmenting the interval
-                  lists that each binlog append updates. *)
-               t.next_gno <- t.next_gno + 1;
-               let xid = t.next_xid in
-               t.next_xid <- Int64.add t.next_xid 1L;
-               let events =
-                 [
-                   Binlog.Event.make (Binlog.Event.Gtid_event gtid);
-                   Binlog.Event.make (Binlog.Event.Table_map { table });
-                   Binlog.Event.make (Binlog.Event.Write_rows { table; ops });
-                   Binlog.Event.make (Binlog.Event.Xid { xid });
-                 ]
-               in
-               let payload = Binlog.Entry.Transaction { gtid; events } in
-               let opid = ref Binlog.Opid.zero in
-               Pipeline.submit t.pipeline
-                 {
-                   Pipeline.flush =
-                     (fun () ->
-                       match Raft.Node.client_append (raft t) payload with
-                       | Ok assigned ->
-                         opid := assigned;
-                         let index = Binlog.Opid.index assigned in
-                         (* Stamp the WRITESET dependency interval into the
-                            entry's Gtid_event metadata at flush time, like
-                            binlog_transaction_dependency_tracking=WRITESET.
-                            The entry was only just appended; Raft sends it
-                            by reference on future network events, so the
-                            stamp replicates with it. *)
-                         let entry = Binlog.Log_store.slot t.log index in
-                         if entry != Binlog.Log_store.absent then begin
-                           let keys =
-                             List.map
-                               (fun op -> (table, Binlog.Event.row_op_key op))
-                               ops
-                           in
-                           Binlog.Entry.set_deps entry
-                             ~last_committed:
-                               (Binlog.Writeset.stamp t.writeset ~index ~keys)
-                             ~sequence_number:index
-                         end;
-                         trace_event t ~stage:"flush" ~term:(Binlog.Opid.term assigned)
-                           ~index;
-                         Ok index
-                       | Error e -> Error e);
-                   finish =
-                     (fun ~ok ->
-                       if ok && Storage.Engine.live p then begin
-                         Storage.Engine.commit_prepared t.storage p ~opid:!opid;
-                         t.writes_committed <- t.writes_committed + 1;
-                         Obs.Metrics.incr t.m_writes_committed;
-                         trace_event t ~stage:"engine-commit"
-                           ~term:(Binlog.Opid.term !opid) ~index:(Binlog.Opid.index !opid);
-                         reply (Wire.Committed { gtid })
-                       end
-                       else begin
-                         Storage.Engine.rollback_prepared t.storage p;
-                         reject t ~reason:"aborted (role change)" ~reply
-                       end);
-                 }
-           end))
-  end
+           prepare_write t req local))
+
+(* Stage 1 for one transaction: returns the Raft index it waits on, or
+   -1 when the append failed. *)
+let flush_txn t txn =
+  match txn with
+  | Client_write w -> (
+    match
+      Raft.Node.client_append (raft t)
+        (Binlog.Entry.Transaction { gtid = w.gtid; events = w.events })
+    with
+    | Ok opid ->
+      w.opid <- opid;
+      let index = Binlog.Opid.index opid in
+      (* Stamp the WRITESET dependency interval into the entry's
+         Gtid_event metadata at flush time, like
+         binlog_transaction_dependency_tracking=WRITESET.  The entry was
+         only just appended; Raft sends it by reference on future network
+         events, so the stamp replicates with it. *)
+      let entry = Binlog.Log_store.slot t.log index in
+      if entry != Binlog.Log_store.absent then
+        Binlog.Entry.set_deps entry
+          ~last_committed:
+            (Binlog.Writeset.stamp t.writeset ~index ~table:w.req.table ~ops:w.req.ops)
+          ~sequence_number:index;
+      trace_event t ~stage:"flush" ~term:(Binlog.Opid.term opid) ~index;
+      index
+    | Error _ -> -1)
+  | Relay_txn { entry; _ } ->
+    let index = Binlog.Entry.index entry in
+    trace_event t ~stage:"flush" ~term:(Binlog.Entry.term entry) ~index;
+    index
+  | Relay_marker { entry; _ } -> Binlog.Entry.index entry
+  | Binlog_rotate -> (
+    match
+      Raft.Node.client_append (raft t) (Binlog.Entry.Rotate_marker { next_file = "next" })
+    with
+    | Ok opid -> Binlog.Opid.index opid
+    | Error _ -> -1)
+
+(* Stage 3 for one transaction (or its failure). *)
+let finish_txn t txn ~ok =
+  match txn with
+  | Client_write w ->
+    if ok && Storage.Engine.live w.prepared then begin
+      Storage.Engine.commit_prepared t.storage w.prepared ~opid:w.opid;
+      t.writes_committed <- t.writes_committed + 1;
+      Obs.Metrics.incr t.m_writes_committed;
+      trace_event t ~stage:"engine-commit" ~term:(Binlog.Opid.term w.opid)
+        ~index:(Binlog.Opid.index w.opid);
+      send_outcome t w.req ~local:w.local (Wire.Committed { gtid = w.gtid })
+    end
+    else begin
+      Storage.Engine.rollback_prepared t.storage w.prepared;
+      reject t w.req ~local:w.local "aborted (role change)"
+    end
+  | Relay_txn { entry; ticket; prepared } ->
+    (* The prepared copy may have been rolled back by a log truncation
+       while this item waited for consensus; a truncated transaction
+       must not commit. *)
+    if ok && Storage.Engine.live prepared then begin
+      Storage.Engine.commit_prepared t.storage prepared ~opid:(Binlog.Entry.opid entry);
+      trace_event t ~stage:"engine-commit" ~term:(Binlog.Entry.term entry)
+        ~index:(Binlog.Entry.index entry);
+      Applier.finished ticket ~ok:true
+    end
+    else begin
+      Storage.Engine.rollback_prepared t.storage prepared;
+      Applier.finished ticket ~ok:false
+    end
+  | Relay_marker { entry; ticket } ->
+    (match Binlog.Entry.payload entry with
+    | Binlog.Entry.Rotate_marker _ -> if ok then Binlog.Log_store.rotate t.log
+    | Binlog.Entry.Transaction _ | Binlog.Entry.Noop | Binlog.Entry.Config_change _ -> ());
+    Applier.finished ticket ~ok
+  | Binlog_rotate -> if ok then Binlog.Log_store.rotate t.log
+
+let make_pipeline t =
+  Pipeline.create ~metrics:t.metrics ~engine:t.engine ~params:t.params
+    ~is_primary_path:true ~flush:(flush_txn t) ~finish:(finish_txn t) ()
 
 (* ----- read path (consistency tiers, Read.Service) ----- *)
 
@@ -767,18 +799,7 @@ let flush_binary_logs t =
   if t.role <> Primary || not (Raft.Node.is_leader (raft t)) then
     Error "FLUSH BINARY LOGS: not the primary"
   else begin
-    Pipeline.submit t.pipeline
-      {
-        Pipeline.flush =
-          (fun () ->
-            match
-              Raft.Node.client_append (raft t)
-                (Binlog.Entry.Rotate_marker { next_file = "next" })
-            with
-            | Ok opid -> Ok (Binlog.Opid.index opid)
-            | Error e -> Error e);
-        finish = (fun ~ok -> if ok then Binlog.Log_store.rotate t.log);
-      };
+    Pipeline.submit t.pipeline Binlog_rotate;
     Ok ()
   end
 
@@ -865,9 +886,7 @@ let restart t =
         (List.length r.Binlog.Log_store.cr_dropped)
     | None -> ());
     Binlog.Writeset.clear t.writeset;
-    t.pipeline <-
-      Pipeline.create ~metrics:t.metrics ~engine:t.engine ~params:t.params
-        ~is_primary_path:true ();
+    t.pipeline <- make_pipeline t;
     Binlog.Log_store.switch_mode t.log Binlog.Log_store.Relay;
     t.raft <- Some (make_raft t);
     install_coalesce t;
@@ -902,17 +921,23 @@ let handle_message t ~src msg =
   if not t.crashed then
     match msg with
     | Wire.Raft_msg m -> Raft.Node.handle_message (raft t) ~src m
-    | Wire.Write_request { write_id; table; ops; client } ->
-      let floor = Option.value (Hashtbl.find_opt t.client_write_floor client) ~default:0 in
-      if write_id <= floor then
+    | Wire.Write_request req ->
+      let floor =
+        match Hashtbl.find t.client_write_floor req.client with
+        | floor -> floor
+        | exception Not_found -> 0
+      in
+      if req.write_id <= floor then
         (* duplicated (or artifact-reordered) frame: already executed or
            superseded — never re-execute; the client's timeout covers the
            no-reply case *)
         ()
       else begin
-        Hashtbl.replace t.client_write_floor client write_id;
-        submit_write t ~table ~ops ~reply:(fun outcome ->
-            t.send ~dst:client (Wire.Write_reply { write_id; outcome }))
+        Hashtbl.replace t.client_write_floor req.client req.write_id;
+        if admit t req ~local:None then
+          ignore
+            (Sim.Engine.schedule_call t.engine ~delay:t.params.Params.prepare_us
+               prepare_request t req)
       end
     | Wire.Read_request { read_id; level; read_table; key; read_client } ->
       serve_read t ~level ~table:read_table ~key (fun outcome ->
@@ -950,13 +975,18 @@ let create ?metrics ?tracebuf ?clock ?(group = 0) ~engine ~id ~region ~replicase
       durable = Raft.Node.fresh_durable ();
       writeset = Binlog.Writeset.create ~capacity:Params.writeset_history_size;
       raft = None;
-      pipeline = Pipeline.create ~metrics ~engine ~params ~is_primary_path:true ();
+      pipeline =
+        (* replaced below: the pipeline's stage functions need [t] *)
+        Pipeline.create ~engine ~params ~is_primary_path:true
+          ~flush:(fun _ -> -1)
+          ~finish:(fun _ ~ok:_ -> ())
+          ();
       applier = None;
       role = Replica;
       writes_enabled = false;
       crashed = false;
       next_gno = 1;
-      next_xid = 1L;
+      next_xid = 1;
       orchestration_epoch = 0;
       rng = Sim.Rng.split (Sim.Engine.rng engine);
       promotions = 0;
@@ -966,6 +996,7 @@ let create ?metrics ?tracebuf ?clock ?(group = 0) ~engine ~id ~region ~replicase
       truncated_gtids = [];
       metrics;
       m_writes_committed = Obs.Metrics.counter metrics "server.writes_committed";
+      m_writes_rejected = Obs.Metrics.counter metrics "server.writes_rejected";
       tracebuf;
       exec_index = 0;
       apply_waiters = [];
@@ -975,6 +1006,7 @@ let create ?metrics ?tracebuf ?clock ?(group = 0) ~engine ~id ~region ~replicase
       client_write_floor = Hashtbl.create 16;
     }
   in
+  t.pipeline <- make_pipeline t;
   install_commit_listener t;
   t.applier <-
     Some

@@ -55,7 +55,11 @@ val storage : t -> Storage.Engine.t
 
 val log : t -> Binlog.Log_store.t
 
-val pipeline : t -> Pipeline.t
+(** A transaction in the server's commit pipeline: a client write, or a
+    relay-log entry the applier executes. *)
+type txn
+
+val pipeline : t -> txn Pipeline.t
 
 (** Executed GTIDs: the binlog set on a primary, the engine set on a
     replica. *)

@@ -20,6 +20,19 @@ type peer = {
   mutable last_ship : float;
 }
 
+(* A client write in the commit pipeline: the only record the pipeline
+   carries per transaction; its stage functions are [flush_write] and
+   [finish_write]. *)
+type write = {
+  client : string; (* the session's address; "" for a local [submit_write] *)
+  write_id : int;
+  local : (Binlog.Gtid.t option -> unit) option; (* [submit_write]'s reply *)
+  gtid : Binlog.Gtid.t;
+  events : Binlog.Event.t list;
+  prepared : Storage.Engine.prepared;
+  mutable seq : int; (* its binlog index, assigned at flush *)
+}
+
 type t = {
   id : string;
   region : string;
@@ -31,7 +44,7 @@ type t = {
   discovery : Myraft.Service_discovery.t;
   storage : Storage.Engine.t;
   log : Binlog.Log_store.t;
-  mutable pipeline : Myraft.Pipeline.t;
+  mutable pipeline : write Myraft.Pipeline.t;
   mutable role : role;
   mutable writes_enabled : bool;
   mutable crashed : bool;
@@ -39,7 +52,7 @@ type t = {
   peers : (string, peer) Hashtbl.t; (* primary: shipping state *)
   mutable semisync_acked : int; (* highest seq acked by an acker *)
   mutable next_gno : int;
-  mutable next_xid : int64;
+  mutable next_xid : int;
   mutable ship_timer : Sim.Engine.handle option;
   (* replica apply loop *)
   mutable apply_queue : Binlog.Entry.t Queue.t;
@@ -109,64 +122,91 @@ let rec ship_tick t =
 
 (* ----- client write path ----- *)
 
-(* [reply] receives [Some gtid] on commit, [None] on rejection. *)
-let reject t ~reply =
+(* A write's outcome goes back to the client session that sent it, or
+   to the reply of a local [submit_write]: [Some gtid] on commit, [None]
+   on rejection. *)
+let send_outcome t ~client ~write_id ~local gtid =
+  match local with
+  | None -> t.send ~dst:client (Wire.Write_reply { write_id; ok = gtid <> None; gtid })
+  | Some reply -> reply gtid
+
+let reject t ~client ~write_id ~local =
   t.writes_rejected <- t.writes_rejected + 1;
-  reply None
+  send_outcome t ~client ~write_id ~local None
+
+let prepare_write t ~client ~write_id ~local ~table ~ops =
+  if t.crashed || t.role <> Primary || not t.writes_enabled then
+    reject t ~client ~write_id ~local
+  else begin
+    let gtid = Binlog.Gtid.make ~source:t.id ~gno:t.next_gno in
+    t.next_gno <- t.next_gno + 1;
+    let events =
+      [
+        Binlog.Event.make (Binlog.Event.Gtid_event gtid);
+        Binlog.Event.make (Binlog.Event.Table_map { table });
+        Binlog.Event.make (Binlog.Event.Write_rows { table; ops });
+        Binlog.Event.make (Binlog.Event.Xid { xid = t.next_xid });
+      ]
+    in
+    match Storage.Engine.prepare t.storage ~gtid ~events with
+    | exception Storage.Engine.Lock_conflict _ -> reject t ~client ~write_id ~local
+    | prepared ->
+      t.next_xid <- t.next_xid + 1;
+      Myraft.Pipeline.submit t.pipeline
+        { client; write_id; local; gtid; events; prepared; seq = 0 }
+  end
+
+(* The prepare event of a session's write: the request itself is the
+   event's argument. *)
+let prepare_request t = function
+  | Wire.Write_request { write_id; table; ops; client } ->
+    prepare_write t ~client ~write_id ~local:None ~table ~ops
+  | _ -> ()
+
+let admit t ~client ~write_id ~local =
+  if t.crashed then false
+  else if t.role <> Primary || not t.writes_enabled then begin
+    reject t ~client ~write_id ~local;
+    false
+  end
+  else true
 
 let submit_write t ~table ~ops ~reply =
-  if t.crashed then ()
-  else if t.role <> Primary || not t.writes_enabled then reject t ~reply
-  else
+  let local = Some reply in
+  if admit t ~client:"" ~write_id:0 ~local then
     ignore
       (Sim.Engine.schedule t.engine ~delay:t.costs.Myraft.Params.prepare_us (fun () ->
-           if t.crashed || t.role <> Primary || not t.writes_enabled then reject t ~reply
-           else begin
-             let gtid = Binlog.Gtid.make ~source:t.id ~gno:t.next_gno in
-             t.next_gno <- t.next_gno + 1;
-             let writes = List.map (fun op -> (table, op)) ops in
-             match Storage.Engine.prepare t.storage ~gtid ~writes with
-             | exception Storage.Engine.Lock_conflict _ -> reject t ~reply
-             | p ->
-               let xid = t.next_xid in
-               t.next_xid <- Int64.add t.next_xid 1L;
-               let events =
-                 [
-                   Binlog.Event.make (Binlog.Event.Gtid_event gtid);
-                   Binlog.Event.make (Binlog.Event.Table_map { table });
-                   Binlog.Event.make (Binlog.Event.Write_rows { table; ops });
-                   Binlog.Event.make (Binlog.Event.Xid { xid });
-                 ]
-               in
-               let seq = ref 0 in
-               Myraft.Pipeline.submit t.pipeline
-                 {
-                   Myraft.Pipeline.flush =
-                     (fun () ->
-                       let index = last_seq t + 1 in
-                       let entry =
-                         Binlog.Entry.make
-                           ~opid:(Binlog.Opid.make ~term:1 ~index)
-                           (Binlog.Entry.Transaction { gtid; events })
-                       in
-                       Binlog.Log_store.append t.log entry;
-                       seq := index;
-                       ship_all t;
-                       Ok index);
-                   finish =
-                     (fun ~ok ->
-                       if ok && Storage.Engine.live p then begin
-                         Storage.Engine.commit_prepared t.storage p
-                           ~opid:(Binlog.Opid.make ~term:1 ~index:!seq);
-                         t.writes_committed <- t.writes_committed + 1;
-                         reply (Some gtid)
-                       end
-                       else begin
-                         Storage.Engine.rollback_prepared t.storage p;
-                         reject t ~reply
-                       end);
-                 }
-           end))
+           prepare_write t ~client:"" ~write_id:0 ~local ~table ~ops))
+
+(* Stage 1: append to the binlog and ship. *)
+let flush_write t w =
+  let index = last_seq t + 1 in
+  let entry =
+    Binlog.Entry.make
+      ~opid:(Binlog.Opid.make ~term:1 ~index)
+      (Binlog.Entry.Transaction { gtid = w.gtid; events = w.events })
+  in
+  Binlog.Log_store.append t.log entry;
+  w.seq <- index;
+  ship_all t;
+  index
+
+(* Stage 3: engine commit and reply (or rollback and reject). *)
+let finish_write t w ~ok =
+  if ok && Storage.Engine.live w.prepared then begin
+    Storage.Engine.commit_prepared t.storage w.prepared
+      ~opid:(Binlog.Opid.make ~term:1 ~index:w.seq);
+    t.writes_committed <- t.writes_committed + 1;
+    send_outcome t ~client:w.client ~write_id:w.write_id ~local:w.local (Some w.gtid)
+  end
+  else begin
+    Storage.Engine.rollback_prepared t.storage w.prepared;
+    reject t ~client:w.client ~write_id:w.write_id ~local:w.local
+  end
+
+let make_pipeline t =
+  Myraft.Pipeline.create ~engine:t.engine ~params:t.costs ~is_primary_path:false
+    ~flush:(flush_write t) ~finish:(finish_write t) ()
 
 (* ----- read path (prior setup) -----
 
@@ -206,16 +246,7 @@ let rec apply_loop t =
              (match Binlog.Entry.payload entry with
              | Binlog.Entry.Transaction { gtid; events } ->
                if not (Storage.Engine.has_committed t.storage gtid) then begin
-                 let writes =
-                   List.concat_map
-                     (fun ev ->
-                       match Binlog.Event.body ev with
-                       | Binlog.Event.Write_rows { table; ops } ->
-                         List.map (fun op -> (table, op)) ops
-                       | _ -> [])
-                     events
-                 in
-                 match Storage.Engine.prepare t.storage ~gtid ~writes with
+                 match Storage.Engine.prepare t.storage ~gtid ~events with
                  | p ->
                    (* Async apply: no consensus gate in the prior setup. *)
                    Storage.Engine.commit_prepared t.storage p ~opid:(Binlog.Entry.opid entry)
@@ -274,8 +305,7 @@ let promote t ~peers:peer_list =
           { peer_id; is_acker; acked_seq = 0; ship_inflight = false; last_ship = 0.0 })
     peer_list;
   t.semisync_acked <- 0;
-  t.pipeline <-
-    Myraft.Pipeline.create ~engine:t.engine ~params:t.costs ~is_primary_path:false ();
+  t.pipeline <- make_pipeline t;
   t.next_gno <- Binlog.Gtid_set.max_gno (Binlog.Log_store.gtid_set t.log) ~source:t.id + 1;
   t.writes_enabled <- true;
   tracef t "%s: promoted to primary (semisync)" t.id
@@ -318,8 +348,7 @@ let restart t ~upstream =
   if t.crashed then begin
     t.crashed <- false;
     ignore (Storage.Engine.crash_recover t.storage);
-    t.pipeline <-
-      Myraft.Pipeline.create ~engine:t.engine ~params:t.costs ~is_primary_path:false ();
+    t.pipeline <- make_pipeline t;
     t.role <- Replica;
     t.upstream <- upstream;
     Binlog.Log_store.switch_mode t.log Binlog.Log_store.Relay;
@@ -339,10 +368,11 @@ let handle_message t ~src msg =
     match msg with
     | Wire.Replicate { entries } -> handle_replicate t ~src entries
     | Wire.Ack { seq; from_acker } -> handle_ack t ~src ~seq ~from_acker
-    | Wire.Write_request { write_id; table; ops; client } ->
-      submit_write t ~table ~ops ~reply:(fun gtid ->
-          t.send ~dst:client
-            (Wire.Write_reply { write_id; ok = gtid <> None; gtid }))
+    | Wire.Write_request { write_id; client; _ } ->
+      if admit t ~client ~write_id ~local:None then
+        ignore
+          (Sim.Engine.schedule_call t.engine ~delay:t.costs.Myraft.Params.prepare_us
+             prepare_request t msg)
     | Wire.Read_request { read_id; level; table; key; client } ->
       serve_read t ~level ~table ~key (fun value ->
           t.send ~dst:client (Wire.Read_reply { read_id; value }))
@@ -351,30 +381,39 @@ let handle_message t ~src msg =
     | Wire.Pong _ -> ()
 
 let create ~engine ~id ~region ~replicaset ~send ~discovery ~costs ~trace () =
-  {
-    id;
-    region;
-    replicaset;
-    engine;
-    trace;
-    costs;
-    send;
-    discovery;
-    storage = Storage.Engine.create ();
-    log = Binlog.Log_store.create ~mode:Binlog.Log_store.Relay ();
-    pipeline = Myraft.Pipeline.create ~engine ~params:costs ~is_primary_path:false ();
-    role = Replica;
-    writes_enabled = false;
-    crashed = false;
-    upstream = None;
-    peers = Hashtbl.create 16;
-    semisync_acked = 0;
-    next_gno = 1;
-    next_xid = 1L;
-    ship_timer = None;
-    apply_queue = Queue.create ();
-    apply_busy = false;
-    applied_seq = 0;
-    writes_committed = 0;
-    writes_rejected = 0;
-  }
+  let t =
+    {
+      id;
+      region;
+      replicaset;
+      engine;
+      trace;
+      costs;
+      send;
+      discovery;
+      storage = Storage.Engine.create ();
+      log = Binlog.Log_store.create ~mode:Binlog.Log_store.Relay ();
+      pipeline =
+        (* replaced below: the pipeline's stage functions need [t] *)
+        Myraft.Pipeline.create ~engine ~params:costs ~is_primary_path:false
+          ~flush:(fun _ -> -1)
+          ~finish:(fun _ ~ok:_ -> ())
+          ();
+      role = Replica;
+      writes_enabled = false;
+      crashed = false;
+      upstream = None;
+      peers = Hashtbl.create 16;
+      semisync_acked = 0;
+      next_gno = 1;
+      next_xid = 1;
+      ship_timer = None;
+      apply_queue = Queue.create ();
+      apply_busy = false;
+      applied_seq = 0;
+      writes_committed = 0;
+      writes_rejected = 0;
+    }
+  in
+  t.pipeline <- make_pipeline t;
+  t

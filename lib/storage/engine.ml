@@ -62,12 +62,15 @@ type table = {
   parked_rows : slot Keys.t; (* keys locked while absent *)
 }
 
-(* A prepared transaction: its writes and, per write, the slot it
-   locked (a key written twice appears twice).  The handle is what
-   commit and rollback work through. *)
+(* A prepared transaction: its events and, per row write, the slot it
+   locked (a key written twice appears twice).  The writes are the ops
+   of the [Write_rows] events, in event order, each on its event's
+   table; the engine walks the events themselves, so a transaction's
+   writes are never gathered into a list.  The handle is what commit
+   and rollback work through. *)
 type prepared = {
   gtid : Binlog.Gtid.t;
-  writes : (string * Binlog.Event.row_op) list; (* (table, op) *)
+  events : Binlog.Event.t list;
   slots : slot array;
   mutable live : bool; (* neither committed nor rolled back *)
 }
@@ -169,14 +172,34 @@ let find_slot tbl key =
       Keys.add tbl.parked_rows key slot;
       slot)
 
+(* Each walk over a transaction's writes below is a pair of top-level
+   recursions: one over the events, one over a [Write_rows] event's ops,
+   with [i] the write's position among all of them. *)
+
+let rec count_writes n = function
+  | [] -> n
+  | ev :: rest -> (
+    match Binlog.Event.body ev with
+    | Binlog.Event.Write_rows { ops; _ } -> count_writes (n + List.length ops) rest
+    | _ -> count_writes n rest)
+
 (* Unlock the slots of writes [i ..] (the first [n] of them), once each
    (a key written twice holds one slot twice).  A parked lock leaves
    its table and the slot dies. *)
-let rec release t p writes i n =
+let rec release t p events i n =
   if i < n then
-    match writes with
+    match events with
     | [] -> ()
-    | (tbl_name, op) :: rest ->
+    | ev :: rest -> (
+      match Binlog.Event.body ev with
+      | Binlog.Event.Write_rows { table; ops } -> release_ops t p table ops rest i n
+      | _ -> release t p rest i n)
+
+and release_ops t p tbl_name ops rest i n =
+  match ops with
+  | [] -> release t p rest i n
+  | op :: more ->
+    if i < n then begin
       let slot = p.slots.(i) in
       if slot.holder != nobody then begin
         slot.holder <- nobody;
@@ -185,33 +208,42 @@ let rec release t p writes i n =
           slot.value <- dead
         end
       end;
-      release t p rest (i + 1) n
+      release_ops t p tbl_name more rest (i + 1) n
+    end
 
 (* Find, check and take each write's lock in one pass.  On a conflict
    the locks already taken are released and nothing stays changed. *)
-let rec lock_rows t p writes i =
-  match writes with
+let rec lock_rows t p events i =
+  match events with
   | [] -> ()
-  | (tbl_name, op) :: rest ->
+  | ev :: rest -> (
+    match Binlog.Event.body ev with
+    | Binlog.Event.Write_rows { table; ops } -> lock_ops t p table ops rest i
+    | _ -> lock_rows t p rest i)
+
+and lock_ops t p tbl_name ops rest i =
+  match ops with
+  | [] -> lock_rows t p rest i
+  | op :: more ->
     let key = key_of_op op in
     let slot = find_slot (table_for_prepare t tbl_name) key in
     let holder = slot.holder in
     if holder != nobody && not (Binlog.Gtid.equal holder p.gtid) then begin
-      release t p p.writes 0 i;
+      release t p p.events 0 i;
       raise (Lock_conflict { table = tbl_name; key; holder })
     end;
     slot.holder <- p.gtid;
     p.slots.(i) <- slot;
-    lock_rows t p rest (i + 1)
+    lock_ops t p tbl_name more rest (i + 1)
 
 (* Stage a transaction.  Raises [Lock_conflict] if another prepared
    transaction holds a lock on any touched key. *)
-let prepare t ~gtid ~writes =
+let prepare t ~gtid ~events =
   if By_gtid.mem t.prepared gtid then invalid_arg "Engine.prepare: duplicate gtid";
   let p =
-    { gtid; writes; slots = Array.make (List.length writes) dummy_slot; live = true }
+    { gtid; events; slots = Array.make (count_writes 0 events) dummy_slot; live = true }
   in
-  lock_rows t p writes 0;
+  lock_rows t p events 0;
   By_gtid.add t.prepared gtid p;
   p
 
@@ -227,34 +259,53 @@ let prepared_gtids t = By_gtid.fold (fun g _ acc -> g :: acc) t.prepared []
    triple into a throwaway string and concatenated it on every commit on
    every node.  The digest is deterministic across replicas because the
    folded fields are exactly the replicated transaction identity. *)
-let commit_digest ~prev ~gtid ~opid writes =
+let rec digest_writes st = function
+  | [] -> st
+  | ev :: rest -> (
+    match Binlog.Event.body ev with
+    | Binlog.Event.Write_rows { table; ops } -> digest_ops st table ops rest
+    | _ -> digest_writes st rest)
+
+and digest_ops st tbl ops rest =
+  let open Binlog.Checksum in
+  match ops with
+  | [] -> digest_writes st rest
+  | op :: more ->
+    let st = feed_string st tbl in
+    let st =
+      match op with
+      | Binlog.Event.Insert { key; value } ->
+        feed_string (feed_string (feed_int st 1) key) value
+      | Binlog.Event.Update { key; before; after } ->
+        feed_string (feed_string (feed_string (feed_int st 2) key) before) after
+      | Binlog.Event.Delete { key; before } ->
+        feed_string (feed_string (feed_int st 3) key) before
+    in
+    digest_ops st tbl more rest
+
+let commit_digest ~prev ~gtid ~opid events =
   let open Binlog.Checksum in
   let st = feed_int init prev in
   let st = feed_string st (Binlog.Gtid.source gtid) in
   let st = feed_int st (Binlog.Gtid.gno gtid) in
   let st = feed_int st (Binlog.Opid.term opid) in
   let st = feed_int st (Binlog.Opid.index opid) in
-  let st =
-    List.fold_left
-      (fun st (tbl, op) ->
-        let st = feed_string st tbl in
-        match op with
-        | Binlog.Event.Insert { key; value } ->
-          feed_string (feed_string (feed_int st 1) key) value
-        | Binlog.Event.Update { key; before; after } ->
-          feed_string (feed_string (feed_string (feed_int st 2) key) before) after
-        | Binlog.Event.Delete { key; before } ->
-          feed_string (feed_string (feed_int st 3) key) before)
-      st writes
-  in
-  finalize_int st
+  finalize_int (digest_writes st events)
 
-(* Apply write [i] through its slot.  Only a row that appears or
+(* Apply each write through its slot.  Only a row that appears or
    disappears touches a table. *)
-let rec apply_writes t p writes i =
-  match writes with
+let rec apply_writes t p events i =
+  match events with
   | [] -> ()
-  | (tbl_name, op) :: rest ->
+  | ev :: rest -> (
+    match Binlog.Event.body ev with
+    | Binlog.Event.Write_rows { table; ops } -> apply_ops t p table ops rest i
+    | _ -> apply_writes t p rest i)
+
+and apply_ops t p tbl_name ops rest i =
+  match ops with
+  | [] -> apply_writes t p rest i
+  | op :: more ->
     let slot = p.slots.(i) in
     (match op with
     | Binlog.Event.Insert { key; value } | Update { key; after = value; _ } ->
@@ -271,7 +322,7 @@ let rec apply_writes t p writes i =
         Keys.remove tbl.rows key;
         slot.value <- dead
       end);
-    apply_writes t p rest (i + 1)
+    apply_ops t p tbl_name more rest (i + 1)
 
 let rec notify listeners gtid opid =
   match listeners with
@@ -283,21 +334,21 @@ let rec notify listeners gtid opid =
 let finish t p =
   p.live <- false;
   By_gtid.remove t.prepared p.gtid;
-  release t p p.writes 0 (Array.length p.slots)
+  release t p p.events 0 (Array.length p.slots)
 
 (* Durably commit a prepared transaction, stamping the Raft OpId. *)
 let commit_prepared t p ~opid =
   if not p.live then
     invalid_arg ("Engine.commit_prepared: not prepared: " ^ Binlog.Gtid.to_string p.gtid);
   let gtid = p.gtid in
-  apply_writes t p p.writes 0;
+  apply_writes t p p.events 0;
   finish t p;
   Binlog.Gtid_set.Acc.add t.gtid_executed gtid;
   if Binlog.Opid.compare opid t.last_committed_opid > 0 then t.last_committed_opid <- opid;
   t.committed_count <- t.committed_count + 1;
   let n = Vec.length t.commit_digests in
   let prev = if n = 0 then 0 else Vec.get t.commit_digests (n - 1) in
-  Vec.push t.commit_digests (commit_digest ~prev ~gtid ~opid p.writes);
+  Vec.push t.commit_digests (commit_digest ~prev ~gtid ~opid p.events);
   Vec.push t.commit_gtids gtid;
   Vec.push t.commit_opids opid;
   notify t.commit_listeners gtid opid

@@ -22,46 +22,89 @@ let s = Helpers.s
 
 (* ----- writeset ----- *)
 
+let inserts keys = List.map (fun key -> Binlog.Event.Insert { key; value = "v" }) keys
+
 let test_writeset_stamps_last_writer () =
   let ws = Binlog.Writeset.create ~capacity:100 in
   Alcotest.(check int) "fresh key depends on floor" 0
-    (Binlog.Writeset.stamp ws ~index:5 ~keys:[ ("t", "a") ]);
+    (Binlog.Writeset.stamp ws ~index:5 ~table:"t" ~ops:(inserts [ "a" ]));
   Alcotest.(check int) "same key depends on last writer" 5
-    (Binlog.Writeset.stamp ws ~index:9 ~keys:[ ("t", "a") ]);
+    (Binlog.Writeset.stamp ws ~index:9 ~table:"t" ~ops:(inserts [ "a" ]));
   Alcotest.(check int) "multi-key takes the max" 9
-    (Binlog.Writeset.stamp ws ~index:12 ~keys:[ ("t", "a"); ("t", "zzz") ]);
+    (Binlog.Writeset.stamp ws ~index:12 ~table:"t" ~ops:(inserts [ "a"; "zzz" ]));
   Alcotest.(check int) "distinct key still floor" 0
-    (Binlog.Writeset.stamp ws ~index:13 ~keys:[ ("t", "b") ]);
+    (Binlog.Writeset.stamp ws ~index:13 ~table:"t" ~ops:(inserts [ "b" ]));
   Alcotest.(check int) "same key, different table is distinct" 0
-    (Binlog.Writeset.stamp ws ~index:14 ~keys:[ ("u", "a") ])
+    (Binlog.Writeset.stamp ws ~index:14 ~table:"u" ~ops:(inserts [ "a" ]))
 
 let test_writeset_never_self_or_future () =
   let ws = Binlog.Writeset.create ~capacity:100 in
-  ignore (Binlog.Writeset.stamp ws ~index:3 ~keys:[ ("t", "k") ]);
+  ignore (Binlog.Writeset.stamp ws ~index:3 ~table:"t" ~ops:(inserts [ "k" ]));
   (* restamping the same index (e.g. a retried flush) cannot yield
      last_committed >= index *)
   Alcotest.(check int) "self-dependency clamped" 2
-    (Binlog.Writeset.stamp ws ~index:3 ~keys:[ ("t", "k") ])
+    (Binlog.Writeset.stamp ws ~index:3 ~table:"t" ~ops:(inserts [ "k" ]))
 
 let test_writeset_capacity_reset_raises_floor () =
   let ws = Binlog.Writeset.create ~capacity:4 in
   for i = 1 to 5 do
-    ignore (Binlog.Writeset.stamp ws ~index:(10 + i) ~keys:[ ("t", string_of_int i) ])
+    ignore
+      (Binlog.Writeset.stamp ws ~index:(10 + i) ~table:"t" ~ops:(inserts [ string_of_int i ]))
   done;
   (* 5th distinct key overflowed the history: reset + floor raised *)
   Alcotest.(check int) "history reset" 0 (Binlog.Writeset.size ws);
   Alcotest.(check int) "floor raised to reset index" 15 (Binlog.Writeset.floor ws);
   Alcotest.(check int) "post-reset stamp is conservative" 15
-    (Binlog.Writeset.stamp ws ~index:20 ~keys:[ ("t", "fresh") ])
+    (Binlog.Writeset.stamp ws ~index:20 ~table:"t" ~ops:(inserts [ "fresh" ]))
 
 let test_writeset_clear () =
   let ws = Binlog.Writeset.create ~capacity:10 in
-  ignore (Binlog.Writeset.stamp ws ~index:7 ~keys:[ ("t", "k") ]);
+  ignore (Binlog.Writeset.stamp ws ~index:7 ~table:"t" ~ops:(inserts [ "k" ]));
   Binlog.Writeset.clear ws;
   Alcotest.(check int) "empty" 0 (Binlog.Writeset.size ws);
   Alcotest.(check int) "floor back to zero" 0 (Binlog.Writeset.floor ws);
   Alcotest.(check int) "old writer forgotten" 0
-    (Binlog.Writeset.stamp ws ~index:9 ~keys:[ ("t", "k") ])
+    (Binlog.Writeset.stamp ws ~index:9 ~table:"t" ~ops:(inserts [ "k" ]))
+
+(* The stamp rule as a list-based model: the history is an association
+   list from a (table, key) hash to its last writer, emptied with the
+   floor raised once it holds more than [capacity] hashes. *)
+let model_stamp ~capacity (history, floor) ~index ~table ~keys =
+  let hashes = List.map (fun key -> Hashtbl.hash (table, key)) keys in
+  let last =
+    List.fold_left
+      (fun acc h -> match List.assoc_opt h history with Some i -> max acc i | None -> acc)
+      floor hashes
+  in
+  let history =
+    List.fold_left (fun hist h -> (h, index) :: List.remove_assoc h hist) history hashes
+  in
+  let state = if List.length history > capacity then ([], index) else (history, floor) in
+  (min last (index - 1), state)
+
+(* Stamps of multi-key transactions over two tables, across several
+   history overflows, match the model's one for one: emptying the
+   history in place forgets exactly what a fresh table would. *)
+let test_writeset_overflows_match_model () =
+  let capacity = 40 in
+  let ws = Binlog.Writeset.create ~capacity in
+  let rng = Random.State.make [| 31 |] in
+  let model = ref ([], 0) and overflows = ref 0 in
+  for index = 1 to 600 do
+    let table = if Random.State.bool rng then "t" else "u" in
+    let keys =
+      List.init (1 + Random.State.int rng 3) (fun _ ->
+          Printf.sprintf "row-%d" (Random.State.int rng 120))
+    in
+    let want, state = model_stamp ~capacity !model ~index ~table ~keys in
+    if snd state <> snd !model then incr overflows;
+    model := state;
+    let got = Binlog.Writeset.stamp ws ~index ~table ~ops:(inserts keys) in
+    if got <> want then Alcotest.failf "stamp %d: got %d, model %d" index got want;
+    Alcotest.(check int) (Printf.sprintf "floor after %d" index) (snd state)
+      (Binlog.Writeset.floor ws)
+  done;
+  Alcotest.(check bool) (Printf.sprintf "%d overflows >= 2" !overflows) true (!overflows >= 2)
 
 (* ----- applier scheduler (unit level) ----- *)
 
@@ -482,37 +525,28 @@ let test_lock_conflict_retries_and_preserves_order () =
   let engine = Sim.Engine.create () in
   let storage = Storage.Engine.create () in
   let params = params_with_workers 4 in
-  let pipeline = Myraft.Pipeline.create ~engine ~params ~is_primary_path:false () in
+  (* a pipeline item is (entry, ticket, prepared handle) *)
+  let pipeline =
+    Myraft.Pipeline.create ~engine ~params ~is_primary_path:false
+      ~flush:(fun (entry, _, _) -> Binlog.Entry.index entry)
+      ~finish:(fun (entry, tk, p) ~ok ->
+        if ok then begin
+          Storage.Engine.commit_prepared storage p ~opid:(Binlog.Entry.opid entry);
+          Myraft.Applier.finished tk ~ok:true
+        end
+        else Myraft.Applier.finished tk ~ok:false)
+      ()
+  in
   let conflicts = ref 0 in
   let process entry tk =
     match Binlog.Entry.payload entry with
     | Binlog.Entry.Transaction { gtid; events } ->
-      let writes =
-        List.concat_map
-          (fun ev ->
-            match Binlog.Event.body ev with
-            | Binlog.Event.Write_rows { table; ops } ->
-              List.map (fun op -> (table, op)) ops
-            | _ -> [])
-          events
-      in
       let rec try_prepare () =
         if not (Myraft.Applier.live tk) then ()
         else
-          match Storage.Engine.prepare storage ~gtid ~writes with
+          match Storage.Engine.prepare storage ~gtid ~events with
           | p ->
-            Myraft.Pipeline.submit pipeline
-              {
-                Myraft.Pipeline.flush = (fun () -> Ok (Binlog.Entry.index entry));
-                finish =
-                  (fun ~ok ->
-                    if ok then begin
-                      Storage.Engine.commit_prepared storage p
-                        ~opid:(Binlog.Entry.opid entry);
-                      Myraft.Applier.finished tk ~ok:true
-                    end
-                    else Myraft.Applier.finished tk ~ok:false);
-              };
+            Myraft.Pipeline.submit pipeline (entry, tk, p);
             Myraft.Applier.submitted tk
           | exception Storage.Engine.Lock_conflict _ ->
             incr conflicts;
@@ -779,6 +813,8 @@ let suites =
         Alcotest.test_case "capacity reset raises floor" `Quick
           test_writeset_capacity_reset_raises_floor;
         Alcotest.test_case "clear forgets history" `Quick test_writeset_clear;
+        Alcotest.test_case "stamps across overflows match a list model" `Quick
+          test_writeset_overflows_match_model;
       ] );
     ( "apply.scheduler",
       [

@@ -15,7 +15,7 @@ let sample_txn_payload ?(source = "srv1") ?(gno = 1) () =
           Binlog.Event.make
             (Binlog.Event.Write_rows
                { table = "t"; ops = [ Binlog.Event.Insert { key = "k"; value = "v" } ] });
-          Binlog.Event.make (Binlog.Event.Xid { xid = 1L });
+          Binlog.Event.make (Binlog.Event.Xid { xid = 1 });
         ];
     }
 
@@ -185,7 +185,7 @@ let all_event_bodies () =
             ];
         } );
     ("query", Binlog.Event.Query { sql = "UPDATE t SET v = 1" });
-    ("xid", Binlog.Event.Xid { xid = 42L });
+    ("xid", Binlog.Event.Xid { xid = 42 });
     ("rotate", Binlog.Event.Rotate { next_file = "binlog.000002" });
   ]
 
@@ -196,7 +196,7 @@ let test_corruption_detected_every_event_variant () =
         Binlog.Entry.Transaction
           {
             gtid = gtid "srv1" 7;
-            events = [ Binlog.Event.make body; Binlog.Event.make (Binlog.Event.Xid { xid = 9L }) ];
+            events = [ Binlog.Event.make body; Binlog.Event.make (Binlog.Event.Xid { xid = 9 }) ];
           }
       in
       let e = Binlog.Entry.make ~opid:(Binlog.Opid.make ~term:1 ~index:1) payload in
@@ -232,7 +232,7 @@ let test_every_field_mutation_detected () =
       ev (Event.Table_map { table = "t" });
       rows [ i0; u0; d0 ];
       ev (Event.Query { sql = "UPDATE t SET v = 1" });
-      ev (Event.Xid { xid = 42L });
+      ev (Event.Xid { xid = 42 });
       ev (Event.Rotate { next_file = "binlog.000002" });
     ]
   in
@@ -273,9 +273,9 @@ let test_every_field_mutation_detected () =
           ("delete before", row_ops [ i0; u0; del "k" "x" ]);
           ("op kind", row_ops [ i0; u0; ins "k" "w" ]);
           ("query", event 5 (ev (Event.Query { sql = "UPDATE t SET v = 2" })));
-          ("xid low word", xid 43L);
-          ("xid high word", xid (Int64.add 42L (Int64.shift_left 1L 40)));
-          ("xid sign bit", xid (Int64.logor 42L Int64.min_int));
+          ("xid low word", xid 43);
+          ("xid high word", xid (42 + (1 lsl 40)));
+          ("xid sign bit", xid (42 lor min_int));
           ("rotate event", event 7 (ev (Event.Rotate { next_file = "binlog.000009" })));
         ] );
       (Entry.Noop, [ ("kind", rotate "") ]);
@@ -338,7 +338,7 @@ let test_golden_checksums () =
                {
                  gtid = g;
                  events =
-                   [ Binlog.Event.make body; Binlog.Event.make (Binlog.Event.Xid { xid = 9L }) ];
+                   [ Binlog.Event.make body; Binlog.Event.make (Binlog.Event.Xid { xid = 9 }) ];
                }) ))
       (all_event_bodies ())
   in
@@ -371,14 +371,48 @@ let test_golden_checksums () =
     ]
     (per_event @ per_payload)
 
+(* The XID feeds the checksum as the two 32-bit halves of a 64-bit
+   integer.  These values were stamped when the XID was an [int64], so
+   holding it as an int changed no entry checksum: [Entry.verify] of
+   stored entries and chaos digests are as before.  The second and third
+   XIDs need more than 32 bits. *)
+let test_xid_checksums () =
+  let g = gtid "mysql1" 12_345 and table = "sbtest" in
+  let txn xid =
+    Binlog.Entry.Transaction
+      {
+        gtid = g;
+        events =
+          [
+            Binlog.Event.make (Binlog.Event.Gtid_event g);
+            Binlog.Event.make (Binlog.Event.Table_map { table });
+            Binlog.Event.make
+              (Binlog.Event.Write_rows
+                 { table; ops = [ Binlog.Event.Insert { key = "row-12345"; value = "v" } ] });
+            Binlog.Event.make (Binlog.Event.Xid { xid });
+          ];
+      }
+  in
+  let opid = Binlog.Opid.make ~term:3 ~index:12_345 in
+  List.iter
+    (fun (xid, expected) ->
+      let e = Binlog.Entry.make ~opid (txn xid) in
+      Alcotest.(check int32) (Printf.sprintf "xid %d" xid) expected (Binlog.Entry.checksum e);
+      Alcotest.(check bool) (Printf.sprintf "xid %d verifies" xid) true (Binlog.Entry.verify e))
+    [
+      (12_345, 1791455829l);
+      ((1 lsl 32) + 12_345, -995105852l);
+      (0x0123_4567_89AB_CDEF, -970030457l);
+    ]
+
 (* A transaction as [Server.submit_write] builds it (GTID, table map, one
    ~300 B insert, XID) with its WRITESET deps stamped, as the log retains
-   it.  Apart from the row's key and value strings it is 50 words: the
+   it.  Apart from the row's key and value strings it is 47 words: the
    entry record (7), opid (3), payload (3), GTID and its source (5), four
-   list cells (12), four event bodies (11, the XID's [int64] included),
-   the table string (2), the row-op list cell and record (6).  An option,
-   a boxed [int32] or a wrapper record per entry or event shows up
-   here. *)
+   list cells (12), four event bodies (8, the XID an immediate int), the
+   table string (2), the row-op list cell and record (6).  An option, a
+   boxed [int32] or [int64], or a wrapper record per entry or event
+   shows up here. *)
 let test_entry_layout_words () =
   let key = "row-12345" and value = String.make 300 'd' in
   let g = gtid "mysql1" 12_345 and table = "sbtest" in
@@ -395,14 +429,14 @@ let test_entry_layout_words () =
                Binlog.Event.make
                  (Binlog.Event.Write_rows
                     { table; ops = [ Binlog.Event.Insert { key; value } ] });
-               Binlog.Event.make (Binlog.Event.Xid { xid = 12_345L });
+               Binlog.Event.make (Binlog.Event.Xid { xid = 12_345 });
              ];
          })
   in
   Binlog.Entry.set_deps e ~last_committed:12_000 ~sequence_number:12_345;
   let words x = Obj.reachable_words (Obj.repr x) in
   let own = words e - words key - words value in
-  Alcotest.(check bool) (Printf.sprintf "%d words <= 50" own) true (own <= 50)
+  Alcotest.(check bool) (Printf.sprintf "%d words <= 47" own) true (own <= 47)
 
 let test_entry_verify_and_deps () =
   let e = entry ~term:2 ~index:9 () in
@@ -464,7 +498,7 @@ let prop_single_bit_flip_detected =
            (Binlog.Entry.checksum e)))
 
 let test_event_sizes () =
-  let small = Binlog.Event.make (Binlog.Event.Xid { xid = 1L }) in
+  let small = Binlog.Event.make (Binlog.Event.Xid { xid = 1 }) in
   let big =
     Binlog.Event.make
       (Binlog.Event.Write_rows
@@ -790,6 +824,7 @@ let suites =
           test_corruption_detected_non_txn_payloads;
         QCheck_alcotest.to_alcotest prop_single_bit_flip_detected;
         Alcotest.test_case "golden checksums" `Quick test_golden_checksums;
+        Alcotest.test_case "xid checksums as int64" `Quick test_xid_checksums;
         Alcotest.test_case "retained layout words" `Quick test_entry_layout_words;
         Alcotest.test_case "verify and deps" `Quick test_entry_verify_and_deps;
       ] );

@@ -247,7 +247,7 @@ let test_recovery_case1_prepared_rolled_back () =
   ignore
     (Storage.Engine.prepare (Myraft.Server.storage mysql1)
        ~gtid:(Binlog.Gtid.make ~source:"mysql1" ~gno:99)
-       ~writes:[ ("t", Binlog.Event.Insert { key = "ghost"; value = "boo" }) ]);
+       ~events:(Helpers.rows [ ("t", Binlog.Event.Insert { key = "ghost"; value = "boo" }) ]));
   Myraft.Cluster.crash cluster "mysql1";
   Myraft.Cluster.restart cluster "mysql1";
   Myraft.Cluster.run_for cluster s;
@@ -405,6 +405,161 @@ let test_roles_table () =
   Alcotest.(check bool) "mentions semi-sync acker" true
     (Helpers.contains rendered "Semi-Sync Acker")
 
+(* ----- allocation pins: the commit pipeline ----- *)
+
+let minor_words f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+let row_write ~client ~write_id =
+  Myraft.Wire.Write_request
+    {
+      Myraft.Wire.write_id;
+      table = "sbtest";
+      ops = [ Binlog.Event.Insert { key = Printf.sprintf "row-%d" write_id; value = "v" } ];
+      client;
+    }
+
+(* Mean words per committed one-row write on a primary whose data
+   quorum is its two in-region logtailers: everything the simulation
+   allocates from the Write_request's arrival to the Write_reply, the
+   quorum's appends and acks and the network's events included.  One
+   write is in flight at a time, after 200 writes of warm-up. *)
+let primary_write_words () =
+  let cluster =
+    Helpers.bootstrapped
+      ~members:
+        Myraft.Cluster.
+          [ mysql "mysql1" "r1"; logtailer "lt1a" "r1"; logtailer "lt1b" "r1" ]
+      ()
+  in
+  let committed = ref 0 in
+  Myraft.Cluster.register_client cluster ~id:"c1" ~region:"r1" ~handler:(fun ~src:_ msg ->
+      match msg with
+      | Myraft.Wire.Write_reply { outcome = Myraft.Wire.Committed _; _ } -> incr committed
+      | _ -> ());
+  let warmup = 200 and n = 1_000 in
+  let requests = Array.init (warmup + n) (fun i -> row_write ~client:"c1" ~write_id:(i + 1)) in
+  let write i =
+    Myraft.Cluster.send_from_client cluster ~client:"c1" ~dst:"mysql1" requests.(i);
+    while !committed <= i do
+      Myraft.Cluster.run_for cluster (50.0 *. Sim.Engine.us)
+    done
+  in
+  for i = 0 to warmup - 1 do
+    write i
+  done;
+  let words =
+    minor_words (fun () ->
+        for i = warmup to warmup + n - 1 do
+          write i
+        done)
+  in
+  Alcotest.(check int) "every write committed" (warmup + n) !committed;
+  words /. float_of_int n
+
+(* Mean words per relay-log transaction a replica applies: a replica
+   server fed one-row transactions one AppendEntries at a time, each
+   carrying the commit index of the one before, from the AE's arrival
+   through the follower append, the applier, the pipeline and the engine
+   commit.  200 entries of warm-up, then 1,000. *)
+let replica_apply_words () =
+  let engine = Sim.Engine.create ~seed:1 () in
+  let trace = Sim.Trace.create engine in
+  let member id = { Raft.Types.id; region = "r1"; voter = true; kind = Raft.Types.Mysql_server } in
+  let server =
+    Myraft.Server.create ~engine ~id:"mysql2" ~region:"r1" ~replicaset:"rs-alloc"
+      ~send:(fun ~dst:_ _ -> ())
+      ~discovery:(Myraft.Service_discovery.create engine)
+      ~params:Myraft.Params.default
+      ~initial_config:{ Raft.Types.members = [ member "mysql1"; member "mysql2"; member "mysql3" ] }
+      ~trace ()
+  in
+  let warmup = 200 and n = 1_000 in
+  let ae index =
+    let gtid = Binlog.Gtid.make ~source:"mysql1" ~gno:index and table = "sbtest" in
+    let entry =
+      Binlog.Entry.make
+        ~opid:(Binlog.Opid.make ~term:1 ~index)
+        (Binlog.Entry.Transaction
+           {
+             gtid;
+             events =
+               [
+                 Binlog.Event.make (Binlog.Event.Gtid_event gtid);
+                 Binlog.Event.make (Binlog.Event.Table_map { table });
+                 Binlog.Event.make
+                   (Binlog.Event.Write_rows
+                      {
+                        table;
+                        ops =
+                          [
+                            Binlog.Event.Insert
+                              { key = Printf.sprintf "row-%d" index; value = "v" };
+                          ];
+                      });
+                 Binlog.Event.make (Binlog.Event.Xid { xid = index });
+               ];
+           })
+    in
+    Binlog.Entry.set_deps entry ~last_committed:0 ~sequence_number:index;
+    let ae =
+      Helpers.append_entries ~leader:"mysql1" ~term:1
+        ~prev:((if index = 1 then 0 else 1), index - 1)
+        ~commit:(index - 1) []
+    in
+    Myraft.Wire.Raft_msg
+      (Raft.Message.Append_entries
+         { ae with Raft.Message.payload = Raft.Message.Entries [| entry |]; leader_last_index = index })
+  in
+  let aes = Array.init (warmup + n) (fun i -> ae (i + 1)) in
+  let feed i =
+    Myraft.Server.handle_message server ~src:"mysql1" aes.(i);
+    Sim.Engine.run_for engine Sim.Engine.ms
+  in
+  for i = 0 to warmup - 1 do
+    feed i
+  done;
+  let words =
+    minor_words (fun () ->
+        for i = warmup to warmup + n - 1 do
+          feed i
+        done)
+  in
+  Alcotest.(check int) "applied all but the last" (warmup + n - 1)
+    (Storage.Engine.committed_count (Myraft.Server.storage server));
+  words /. float_of_int n
+
+(* A committed write: the request's prepare event, the engine's prepare
+   and commit, the pipeline's record, the log entry and its events, the
+   AppendEntries round trips to both logtailers, the group's stage
+   events and the reply.  Measured at 484.1 words; putting back a
+   per-write closure (a [{flush; finish}] pair, the reply, the prepare
+   thunk) or a per-write list pushes it past the bound. *)
+let primary_write_bound = 485
+
+(* An applied entry: the follower's append and ack, the applier's
+   dispatch, the engine's prepare and commit, the pipeline's record and
+   the group's stage events.  Measured at 186.9 words; a per-entry
+   closure pair in the pipeline or a list of the entry's writes pushes
+   it past the bound. *)
+let replica_apply_bound = 187
+
+let test_primary_write_words () =
+  let words = primary_write_words () in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f words per committed write <= %d" words primary_write_bound)
+    true
+    (words <= float_of_int primary_write_bound)
+
+let test_replica_apply_words () =
+  let words = replica_apply_words () in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f words per applied entry <= %d" words replica_apply_bound)
+    true
+    (words <= float_of_int replica_apply_bound)
+
 let suites =
   [
     ( "myraft.writes",
@@ -455,4 +610,9 @@ let suites =
           test_failover_downtime_measured;
       ] );
     ("myraft.roles", [ Alcotest.test_case "table 1" `Quick test_roles_table ]);
+    ( "myraft.alloc",
+      [
+        Alcotest.test_case "primary words per committed write" `Quick test_primary_write_words;
+        Alcotest.test_case "replica words per applied entry" `Quick test_replica_apply_words;
+      ] );
   ]

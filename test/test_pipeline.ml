@@ -4,15 +4,20 @@
 let us = Sim.Engine.us
 let ms = Sim.Engine.ms
 
-let make_pipeline ?(engine = Sim.Engine.create ()) () =
-  ( engine,
-    Myraft.Pipeline.create ~engine ~params:Myraft.Params.default ~is_primary_path:true () )
+(* A test transaction: the Raft index its flush returns (negative: the
+   flush fails) and what its finish does. *)
+type item = { index : int; on_finish : ok:bool -> unit }
 
-let item ~index ~on_finish =
-  {
-    Myraft.Pipeline.flush = (fun () -> Ok index);
-    finish = on_finish;
-  }
+let create_pipeline ~engine ~is_primary_path =
+  Myraft.Pipeline.create ~engine ~params:Myraft.Params.default ~is_primary_path
+    ~flush:(fun it -> it.index)
+    ~finish:(fun it ~ok -> it.on_finish ~ok)
+    ()
+
+let make_pipeline ?(engine = Sim.Engine.create ()) () =
+  (engine, create_pipeline ~engine ~is_primary_path:true)
+
+let item ~index ~on_finish = { index; on_finish }
 
 let test_single_item_commits_after_watermark () =
   let engine, p = make_pipeline () in
@@ -119,18 +124,15 @@ let test_truncation_rebounds_spanning_group () =
 let test_flush_error_fails_item () =
   let engine, p = make_pipeline () in
   let outcome = ref None in
-  Myraft.Pipeline.submit p
-    {
-      Myraft.Pipeline.flush = (fun () -> Error "not the leader");
-      finish = (fun ~ok -> outcome := Some ok);
-    };
+  (* the flush fails, as an append on a deposed leader does *)
+  Myraft.Pipeline.submit p (item ~index:(-1) ~on_finish:(fun ~ok -> outcome := Some ok));
   Sim.Engine.run_for engine (10.0 *. ms);
   Alcotest.(check (option bool)) "flush error fails item" (Some false) !outcome
 
 let test_primary_path_pays_raft_stamp () =
   let engine = Sim.Engine.create () in
   let run ~is_primary_path =
-    let p = Myraft.Pipeline.create ~engine ~params:Myraft.Params.default ~is_primary_path () in
+    let p = create_pipeline ~engine ~is_primary_path in
     let t0 = Sim.Engine.now engine in
     let finished = ref 0.0 in
     Myraft.Pipeline.submit p (item ~index:1 ~on_finish:(fun ~ok:_ -> ()));

@@ -1472,7 +1472,7 @@ let run_engine_ops ops =
       let id = !next_id in
       incr next_id;
       let got =
-        match Storage.Engine.prepare e ~gtid ~writes with
+        match Storage.Engine.prepare e ~gtid ~events:(Helpers.rows writes) with
         | h ->
           handles := (id, h) :: !handles;
           Ref_engine.Prepared

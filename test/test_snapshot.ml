@@ -290,7 +290,7 @@ let test_engine_checkpoint_roundtrip () =
   let e = Storage.Engine.create () in
   for i = 1 to 3 do
     let p = Storage.Engine.prepare e ~gtid:(gtid i)
-      ~writes:[ ("t", Binlog.Event.Insert { key = Printf.sprintf "k%d" i; value = "v" }) ] in
+      ~events:(Helpers.rows [ ("t", Binlog.Event.Insert { key = Printf.sprintf "k%d" i; value = "v" }) ]) in
     Storage.Engine.commit_prepared e p ~opid:(opid i)
   done;
   let blob = Storage.Engine.encode_checkpoint (Storage.Engine.checkpoint e) in
