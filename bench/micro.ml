@@ -3,7 +3,9 @@
    entry stamping, quorum evaluation, the commit point and the lease
    threshold, a leader settling acks, an AppendEntries round trip, the
    log cache, the trace ring, the event heap, timer churn in the engine,
-   the replica applier and engine prepare, and histogram recording. *)
+   the replica applier and engine prepare, and histogram recording; then
+   the words of a lease read answered at dispatch and of a generator
+   lane, as the read.alloc pins measure them. *)
 
 open Bechamel
 open Toolkit
@@ -726,4 +728,10 @@ let run () =
     tests;
   Printf.printf "  %-42s %12d entries (%d live)\n%!" "sim.engine queue after timer resets"
     (Sim.Engine.queue_length timer_engine)
-    (Sim.Engine.pending timer_engine)
+    (Sim.Engine.pending timer_engine);
+  (* the read path's pinned figures, from the probes the read.alloc
+     tests run *)
+  Printf.printf "  %-42s %12.1f words/read\n%!" "read.lease read at dispatch (leader)"
+    (Probe.Read_alloc.leader_read_words ());
+  Printf.printf "  %-42s %12.1f words/read\n%!" "workload.generator lane open+settle"
+    (Probe.Read_alloc.lane_words ())

@@ -16,7 +16,11 @@
 
    Writes BENCH_READ.json and, for CI, gates the 10 ms-RTT read-mostly
    cells: lease-served linearizable reads must clear [gate_ratio] times
-   the leaseless ReadIndex throughput. *)
+   the leaseless ReadIndex throughput, and the lease cell's minor-heap
+   words per served read (every word of its measured window, its 10%
+   writes included) must not regress more than 10% over the budget
+   recorded in the committed BENCH_READ.json; a run that improves on it
+   ratchets the budget down. *)
 
 open Common
 
@@ -72,6 +76,7 @@ type cell = {
   c_write_tps : float;
   c_lease_served : int;
   c_quorum_served : int;
+  c_words_per_read : float; (* minor words of the measured window per served read *)
 }
 
 let run_cell ~spec ~read_ratio ~region ~target ~rtt_ms ~seed =
@@ -103,7 +108,7 @@ let run_cell ~spec ~read_ratio ~region ~target ~rtt_ms ~seed =
   let stats = Workload.Generator.stats gen in
   let reads0 = stats.Workload.Generator.reads_ok in
   let committed0 = stats.Workload.Generator.committed in
-  Myraft.Cluster.run_for cluster measure;
+  let (), alloc = with_alloc_stats (fun () -> Myraft.Cluster.run_for cluster measure) in
   let reads_ok = stats.Workload.Generator.reads_ok - reads0 in
   let committed = stats.Workload.Generator.committed - committed0 in
   Workload.Generator.stop gen;
@@ -123,6 +128,7 @@ let run_cell ~spec ~read_ratio ~region ~target ~rtt_ms ~seed =
     c_write_tps = float_of_int committed /. (measure /. s);
     c_lease_served = Obs.Metrics.counter_of snap "read.lease_served";
     c_quorum_served = Obs.Metrics.counter_of snap "read.quorum_served";
+    c_words_per_read = words_per_txn alloc ~txns:reads_ok;
   }
 
 let print_cell c =
@@ -144,7 +150,7 @@ let json_of_cell c =
     c.c_name c.c_ratio c.c_region c.c_target c.c_rtt_ms c.c_reads_ok c.c_read_tps
     c.c_rejected c.c_p50_us c.c_p99_us c.c_write_tps c.c_lease_served c.c_quorum_served
 
-let write_json ~path ~quick ~cells ~gate_pass ~lease ~quorum =
+let write_json ~path ~quick ~cells ~gate_pass ~lease ~quorum ~alloc_budget =
   let oc = open_out path in
   Printf.fprintf oc "{\n";
   Printf.fprintf oc "  \"experiment\": \"read\",\n";
@@ -153,16 +159,20 @@ let write_json ~path ~quick ~cells ~gate_pass ~lease ~quorum =
     (String.concat ",\n" (List.map json_of_cell cells));
   Printf.fprintf oc
     "  \"gate\": {\"rtt_ms\": %g, \"read_ratio\": %g, \"lease_tps\": %.1f, \
-     \"quorum_tps\": %.1f, \"ratio\": %.2f, \"min_ratio\": %g, \"pass\": %b}\n"
+     \"quorum_tps\": %.1f, \"ratio\": %.2f, \"min_ratio\": %g, \"pass\": %b, \
+     \"words_per_read\": %.1f, \"words_per_read_budget\": %.1f}\n"
     gate_rtt_ms gate_ratio_read lease.c_read_tps quorum.c_read_tps
     (lease.c_read_tps /. Float.max quorum.c_read_tps 1e-9)
-    gate_ratio gate_pass;
+    gate_ratio gate_pass lease.c_words_per_read
+    (ratchet alloc_budget lease.c_words_per_read);
   Printf.fprintf oc "}\n";
   close_out oc;
   Printf.printf "results written to %s\n%!" path
 
 let run () =
   let quick = !Common.quick in
+  let path = "BENCH_READ.json" in
+  let alloc_budget = recorded_budget ~path ~field:"words_per_read_budget" in
   header
     (if quick then "Read path — lease vs ReadIndex, CI cells (10 ms quorum RTT)"
      else "Read path — consistency level x read-ratio x region x quorum-RTT sweep");
@@ -238,13 +248,18 @@ let run () =
   let lease = List.nth gate_cells 0 and quorum = List.nth gate_cells 1 in
   let ratio = lease.c_read_tps /. Float.max quorum.c_read_tps 1e-9 in
   let gate_pass = ratio >= gate_ratio in
-  write_json ~path:"BENCH_READ.json" ~quick ~cells ~gate_pass ~lease ~quorum;
+  write_json ~path ~quick ~cells ~gate_pass ~lease ~quorum ~alloc_budget;
   Printf.printf
     "\n  gate @ %.0f ms quorum RTT: lease = %.0f reads/s, readindex = %.0f reads/s \
      (%.2fx, need >= %.1fx)\n%!"
     gate_rtt_ms lease.c_read_tps quorum.c_read_tps ratio gate_ratio;
-  if gate_pass then Printf.printf "  read gate: PASS\n%!"
+  Printf.printf "  alloc gate @ lin+lease: %.1f minor words per served read%s\n%!"
+    lease.c_words_per_read (budget_note alloc_budget);
+  let alloc_pass = within_budget alloc_budget lease.c_words_per_read in
+  if gate_pass && alloc_pass then Printf.printf "  read gate: PASS\n%!"
   else begin
-    Printf.printf "  read gate: FAIL\n%!";
+    Printf.printf "  read gate: FAIL%s%s\n%!"
+      (if gate_pass then "" else " [lease vs readindex]")
+      (if alloc_pass then "" else " [alloc regression]");
     exit 1
   end

@@ -144,9 +144,9 @@ let read_demo seed echo =
         let dt = Myraft.Cluster.now cluster -. t0 in
         let shown =
           match !result with
-          | Some (Workload.Backend.Read_ok (Some v)) ->
+          | Some (Workload.Backend.Read_value (Some v)) ->
             Printf.sprintf "value (%d bytes)" (String.length v)
-          | Some (Workload.Backend.Read_ok None) -> "null (no row)"
+          | Some (Workload.Backend.Read_value None) -> "null (no row)"
           | Some (Workload.Backend.Read_rejected { reason; retry_after }) ->
             Printf.sprintf "rejected: %s%s" reason
               (match retry_after with

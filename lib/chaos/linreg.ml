@@ -100,8 +100,8 @@ let rec write_loop t =
 let pick t l = List.nth l (Sim.Rng.int t.rng (List.length l))
 
 let observed_value = function
-  | Workload.Backend.Read_ok (Some s) -> ( try Some (decode s) with _ -> None)
-  | Workload.Backend.Read_ok None -> Some 0 (* register never written *)
+  | Workload.Backend.Read_value (Some s) -> ( try Some (decode s) with _ -> None)
+  | Workload.Backend.Read_value None -> Some 0 (* register never written *)
   | Workload.Backend.Read_rejected _ -> None
 
 let rec read_loop t ~level =
@@ -116,7 +116,7 @@ let rec read_loop t ~level =
       if Hashtbl.mem t.pending_reads read_id then begin
         Hashtbl.remove t.pending_reads read_id;
         (match (is_lin, outcome, observed_value outcome) with
-        | true, Workload.Backend.Read_ok _, Some v ->
+        | true, Workload.Backend.Read_value _, Some v ->
           t.stats.lin_ok <- t.stats.lin_ok + 1;
           if v < floor_at_issue then begin
             t.stats.lin_violations <- t.stats.lin_violations + 1;
@@ -127,7 +127,7 @@ let rec read_loop t ~level =
                    read_id v floor_at_issue)
           end
         | true, _, _ -> t.stats.lin_rejected <- t.stats.lin_rejected + 1
-        | false, Workload.Backend.Read_ok _, Some v ->
+        | false, Workload.Backend.Read_value _, Some v ->
           t.stats.ev_ok <- t.stats.ev_ok + 1;
           (* staleness vs the CURRENT floor: a weaker observation, not a
              violation — eventual reads promise nothing *)

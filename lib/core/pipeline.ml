@@ -297,8 +297,11 @@ let rec start_flush_cycle t =
       (Sim.Engine.schedule t.engine ~delay:cost (fun () -> flush_cycle_done t batch n))
   end
 
+(* [batch] is no longer [flush_acc] when a [reset] came between the
+   abort and this event: the batch belongs to the aborted run, and the
+   pipeline already flushes into another buffer. *)
 and flush_cycle_done t batch n =
-  if t.aborted then begin
+  if t.aborted || batch != t.flush_acc then begin
     for i = 0 to n - 1 do
       t.finish batch.acc_items.(i) ~ok:false
     done;
@@ -419,8 +422,12 @@ let truncate t ~from_index =
   end
 
 (* Re-arm after a role change (the pipeline object survives demote +
-   promote cycles). *)
+   promote cycles).  A flush cycle still pending belongs to the aborted
+   run: it keeps the buffer it holds, and the pipeline flushes into a
+   fresh one, so that event fails its items and cannot touch (or clear)
+   submissions made after the reset. *)
 let reset t =
+  if t.flushing then t.flush_acc <- make_accum ();
   t.aborted <- false;
   t.flushing <- false;
   t.committing <- false;

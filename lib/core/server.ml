@@ -95,6 +95,8 @@ type t = {
   mutable min_apply_waiter : int; (* smallest index in [apply_waiters]; max_int if none *)
   gtid_waiters : (Binlog.Gtid.t, gtid_waiter list) Hashtbl.t;
   mutable read_service : Read.Service.t option;
+  mutable read_reply : Wire.read_request -> Read.Service.outcome -> unit;
+      (* [reply_read t], built once: a client read's reply function *)
   (* At-most-once session layer for client writes: highest write_id
      executed per client.  Client write_ids are monotone per session and
      healthy links are FIFO, so a Write_request at or below the floor can
@@ -760,7 +762,7 @@ let make_read_service t =
       Read.Service.now = (fun () -> Sim.Clock.now t.clock);
       schedule = (fun ~delay f -> Sim.Clock.schedule t.clock ~delay f);
       read_index = (fun k -> Raft.Node.remote_read_index (raft t) k);
-      lease_valid = (fun () -> Raft.Node.lease_valid (raft t));
+      lease_read_index = (fun () -> Raft.Node.lease_read_index (raft t));
       staleness_anchor = (fun () -> Raft.Node.staleness_anchor (raft t));
       applied_index = (fun () -> applied_through t);
       wait_applied = (fun index k -> wait_applied t index k);
@@ -784,11 +786,19 @@ let read_service t =
     t.read_service <- Some s;
     s
 
+let apply k outcome = k outcome
+
 (* Serve one read at the requested consistency level.  [k] fires exactly
    once unless the server is down (then the client times out). *)
 let serve_read t ~level ~table ~key k =
   if t.crashed then ()
-  else Read.Service.serve (read_service t) ~level ~table ~key k
+  else Read.Service.serve (read_service t) ~level ~table ~key apply k
+
+(* The reply to a client's [Read_request]: the request itself is the
+   read's context, so a read answered at dispatch builds no closure. *)
+let reply_read t (req : Wire.read_request) outcome =
+  if not t.crashed then
+    t.send ~dst:req.read_client (Wire.Read_reply { read_id = req.read_id; outcome })
 
 (* ----- log maintenance (§A.1) ----- *)
 
@@ -939,16 +949,9 @@ let handle_message t ~src msg =
             (Sim.Engine.schedule_call t.engine ~delay:t.params.Params.prepare_us
                prepare_request t req)
       end
-    | Wire.Read_request { read_id; level; read_table; key; read_client } ->
-      serve_read t ~level ~table:read_table ~key (fun outcome ->
-          if not t.crashed then
-            let outcome =
-              match outcome with
-              | Read.Service.Value v -> Wire.Read_value v
-              | Read.Service.Rejected { reason; retry_after } ->
-                Wire.Read_rejected { reason; retry_after }
-            in
-            t.send ~dst:read_client (Wire.Read_reply { read_id; outcome }))
+    | Wire.Read_request req ->
+      Read.Service.serve (read_service t) ~level:req.level ~table:req.read_table
+        ~key:req.key t.read_reply req
     | Wire.Write_reply _ | Wire.Read_reply _ -> () (* servers don't issue requests *)
 
 (* ----- construction ----- *)
@@ -1003,10 +1006,12 @@ let create ?metrics ?tracebuf ?clock ?(group = 0) ~engine ~id ~region ~replicase
       min_apply_waiter = max_int;
       gtid_waiters = Hashtbl.create 32;
       read_service = None;
+      read_reply = (fun _ _ -> ());
       client_write_floor = Hashtbl.create 16;
     }
   in
   t.pipeline <- make_pipeline t;
+  t.read_reply <- reply_read t;
   install_commit_listener t;
   t.applier <-
     Some

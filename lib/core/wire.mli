@@ -23,7 +23,7 @@ type read_request = {
   read_client : Sim.Topology.node_id;
 }
 
-type read_outcome =
+type read_outcome = Read.Service.outcome =
   | Read_value of string option
   | Read_rejected of { reason : string; retry_after : float option }
 

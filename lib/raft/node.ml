@@ -1334,22 +1334,25 @@ and read_index t k =
   if t.stopped then k (Error "stopped")
   else if t.role <> Types.Leader then k (Error "not the leader")
   else if lease_valid t then begin
-    (* Safety oracle: the lease just passed the node's *local* check, but
-       was it still live by the engine's global clock?  A serve past
-       [lease.until_global] means the drift margin failed to cover the
-       injected clock fault — the exact violation the chaos campaign
-       hunts.  Counted, never blocked: the checker must see the bug. *)
-    if Sim.Engine.now t.engine > t.lease.until_global then begin
-      t.stale_lease_serves <- t.stale_lease_serves + 1;
-      Obs.Metrics.incr t.meters.m_stale_serves;
-      tracef t "raft" "%s: lease read served %.0f us past global expiry" t.id
-        (Sim.Engine.now t.engine -. t.lease.until_global)
-    end;
+    count_stale_lease_serve t;
     k (Ok t.commit_index)
   end
   else begin
     t.read_queue <- k :: t.read_queue;
     maybe_start_read_round t
+  end
+
+(* Safety oracle: the lease just passed the node's *local* check, but
+   was it still live by the engine's global clock?  A serve past
+   [lease.until_global] means the drift margin failed to cover the
+   injected clock fault — the exact violation the chaos campaign hunts.
+   Counted, never blocked: the checker must see the bug. *)
+and count_stale_lease_serve t =
+  if Sim.Engine.now t.engine > t.lease.until_global then begin
+    t.stale_lease_serves <- t.stale_lease_serves + 1;
+    Obs.Metrics.incr t.meters.m_stale_serves;
+    tracef t "raft" "%s: lease read served %.0f us past global expiry" t.id
+      (Sim.Engine.now t.engine -. t.lease.until_global)
   end
 
 and lease_valid t =
@@ -2678,6 +2681,18 @@ let remote_read_index t k =
       t.send ~dst:leader (Message.Read_index_request { rid; from = t.id })
 
 let lease_valid t = lease_valid t
+
+(* The leader-lease read index: the commit index when the lease is valid
+   (and the node running), else -1.  Same check and the same stale-lease
+   oracle as {!read_index}'s fast path, with no continuation and no
+   [Ok] box: a lease read reads it once at dispatch.  When it answers -1
+   the caller falls back on {!remote_read_index}. *)
+let lease_read_index t =
+  if lease_valid t && not t.stopped then begin
+    count_stale_lease_serve t;
+    t.commit_index
+  end
+  else -1
 
 let lease_until t = t.lease.until
 

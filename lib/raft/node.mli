@@ -236,6 +236,15 @@ val remote_read_index : t -> ((int, string) result -> unit) -> unit
     current-term entry has committed, and the expiry is in the future. *)
 val lease_valid : t -> bool
 
+(** The index a linearizable read may be served at off the leader lease:
+    the commit index when {!lease_valid} holds on a running node, [-1]
+    otherwise.  It is {!read_index}'s fast path as a plain int (no
+    continuation, no [Ok] box), and it runs the same stale-lease oracle:
+    a serve past the lease's global expiry counts in
+    {!lease_stale_serves}.  At [-1] the caller resolves the index with
+    {!remote_read_index}. *)
+val lease_read_index : t -> int
+
 (** Current lease expiry on this node's local clock ([neg_infinity] when
     none). *)
 val lease_until : t -> float

@@ -14,24 +14,28 @@
      replication heartbeat.
    - Eventual: read the local engine as-is.
 
-   Every read that parks carries a service-level deadline: continuations
-   parked on apply/commit waiters die silently when leadership moves or
-   the node crashes, and the deadline converts that into a retryable
-   rejection.  A read answered during dispatch (the lease fast path,
-   eventual, bounded) never arms one, and a parked read that settles
-   cancels its own, so the event queue holds no deadline for a read that
-   is no longer waiting. *)
+   A read that needs no wait is answered at dispatch: a lease read whose
+   engine has applied through the lease index, eventual, read-your-writes
+   without a token, and a bounded read whose bound is met (or is not).
+   It builds nothing but its outcome: no refs, no closures, no deadline.
+   Every other read parks as one [parked] record, driven by top-level
+   functions, and carries a service-level deadline: continuations parked
+   on apply/commit waiters die silently when leadership moves or the
+   node crashes, and the deadline converts that into a retryable
+   rejection.  A parked read that settles cancels its own deadline, so
+   the event queue holds none for a read that is no longer waiting. *)
 
 type outcome =
-  | Value of string option
-  | Rejected of { reason : string; retry_after : float option }
+  | Read_value of string option
+  | Read_rejected of { reason : string; retry_after : float option }
 
 type ops = {
   now : unit -> float;
   schedule : delay:float -> (unit -> unit) -> Sim.Engine.handle;
   read_index : ((int, string) result -> unit) -> unit;
       (* resolve the linearizable read index from any role *)
-  lease_valid : unit -> bool; (* metric attribution: fast path vs round *)
+  lease_read_index : unit -> int;
+      (* the leader-lease read index, -1 without a lease; see Raft.Node *)
   staleness_anchor : unit -> float * int; (* (as_of, index), see Raft.Node *)
   applied_index : unit -> int;
       (* highest log index the local engine has applied through *)
@@ -62,7 +66,11 @@ type t = {
   m_lease : Obs.Metrics.counter; (* linearizable reads off the lease *)
   m_quorum : Obs.Metrics.counter; (* linearizable reads via a round *)
   m_timeouts : Obs.Metrics.counter;
-  tiers : (string * tier_meters) list; (* keyed by Level.label *)
+  linearizable : tier_meters;
+  ryw : tier_meters;
+  bounded : tier_meters;
+  eventual : tier_meters;
+  retry_after : float option; (* [Some retry_hint], boxed once *)
 }
 
 let tier_meters m label =
@@ -73,74 +81,150 @@ let tier_meters m label =
   }
 
 let create ?(params = default_params) ~metrics ~ops () =
+  let linearizable = tier_meters metrics "linearizable" in
+  let ryw = tier_meters metrics "ryw" in
+  let bounded = tier_meters metrics "bounded" in
+  let eventual = tier_meters metrics "eventual" in
+  let m_timeouts = Obs.Metrics.counter metrics "read.timeouts" in
+  let m_quorum = Obs.Metrics.counter metrics "read.quorum_served" in
+  let m_lease = Obs.Metrics.counter metrics "read.lease_served" in
   {
     ops;
     params;
-    m_lease = Obs.Metrics.counter metrics "read.lease_served";
-    m_quorum = Obs.Metrics.counter metrics "read.quorum_served";
-    m_timeouts = Obs.Metrics.counter metrics "read.timeouts";
-    tiers =
-      List.map
-        (fun label -> (label, tier_meters metrics label))
-        [ "linearizable"; "ryw"; "bounded"; "eventual" ];
+    m_lease;
+    m_quorum;
+    m_timeouts;
+    linearizable;
+    ryw;
+    bounded;
+    eventual;
+    retry_after = Some params.retry_hint;
   }
 
-let serve t ~level ~table ~key k =
-  let ops = t.ops in
-  let start = ops.now () in
-  let tier = List.assoc (Level.label level) t.tiers in
-  let finished = ref false in
-  let deadline = ref None in
-  (* Single-fire guard: apply/commit waiters have no cancellation, so
-     the deadline and the happy path race to finish the read. *)
-  let finish outcome =
-    if not !finished then begin
-      finished := true;
-      (match !deadline with Some h -> Sim.Engine.cancel h | None -> ());
-      (match outcome with
-      | Value _ ->
-        Obs.Metrics.incr tier.tm_served;
-        Obs.Metrics.record tier.tm_latency (ops.now () -. start)
-      | Rejected _ -> Obs.Metrics.incr tier.tm_rejected);
-      k outcome
+(* ----- answered at dispatch ----- *)
+
+(* Dispatch spends no virtual time, so a read answered there is recorded
+   at 0 us, the reading it had as [now () - start]. *)
+let answer tier ops ~table ~key reply ctx =
+  let v = ops.get ~table ~key in
+  Obs.Metrics.incr tier.tm_served;
+  Obs.Metrics.record tier.tm_latency 0.0;
+  reply ctx (Read_value v)
+
+let refuse t tier reason reply ctx =
+  Obs.Metrics.incr tier.tm_rejected;
+  reply ctx (Read_rejected { reason; retry_after = t.retry_after })
+
+(* ----- parked ----- *)
+
+(* A read that waits on a read-index round, an apply or a GTID commit.
+   The happy path and the deadline race to settle it; [settled] lets the
+   first one through. *)
+type parked =
+  | Parked : {
+      svc : t;
+      tier : tier_meters;
+      start : float;
+      table : string;
+      key : string;
+      reply : 'c -> outcome -> unit;
+      ctx : 'c;
+      mutable settled : bool;
+      mutable deadline : Sim.Engine.handle; (* [Sim.Engine.none] until armed *)
+    }
+      -> parked
+
+let settle (Parked p) outcome =
+  if not p.settled then begin
+    p.settled <- true;
+    Sim.Engine.cancel p.deadline;
+    (match outcome with
+    | Read_value _ ->
+      Obs.Metrics.incr p.tier.tm_served;
+      Obs.Metrics.record p.tier.tm_latency (p.svc.ops.now () -. p.start)
+    | Read_rejected _ -> Obs.Metrics.incr p.tier.tm_rejected);
+    p.reply p.ctx outcome
+  end
+
+let reject (Parked p as r) reason =
+  settle r (Read_rejected { reason; retry_after = p.svc.retry_after })
+
+let read_local (Parked p as r) = settle r (Read_value (p.svc.ops.get ~table:p.table ~key:p.key))
+
+let on_applied (Parked p as r) () = if not p.settled then read_local r
+
+let after_applied (Parked p as r) index =
+  let ops = p.svc.ops in
+  if ops.applied_index () >= index then read_local r
+  else ops.wait_applied index (on_applied r)
+
+let on_read_index (Parked p as r) = function
+  | Error e -> reject r e
+  | Ok index ->
+    if not p.settled then begin
+      Obs.Metrics.incr p.svc.m_quorum;
+      after_applied r index
     end
-  in
-  let reject reason = finish (Rejected { reason; retry_after = Some t.params.retry_hint }) in
-  let read_local () = finish (Value (ops.get ~table ~key)) in
-  let after_applied index =
-    if ops.applied_index () >= index then read_local ()
-    else ops.wait_applied index (fun () -> if not !finished then read_local ())
-  in
-  (match level with
-  | Level.Eventual -> read_local ()
-  | Level.Read_your_writes None -> read_local ()
-  | Level.Read_your_writes (Some gtid) ->
-    ops.wait_gtid gtid ~timeout:t.params.read_timeout (fun committed ->
-        if committed then read_local ()
-        else reject "read-your-writes: session write not yet applied here")
+
+let on_gtid r committed =
+  if committed then read_local r
+  else reject r "read-your-writes: session write not yet applied here"
+
+let on_deadline (Parked p as r) () =
+  Obs.Metrics.incr p.svc.m_timeouts;
+  reject r "read timed out"
+
+let park t tier ~table ~key reply ctx =
+  Parked
+    {
+      svc = t;
+      tier;
+      start = t.ops.now ();
+      table;
+      key;
+      reply;
+      ctx;
+      settled = false;
+      deadline = Sim.Engine.none;
+    }
+
+(* The deadline of a read still waiting once dispatch returns lands
+   [read_timeout] after [start], as if armed on entry. *)
+let arm_deadline t (Parked p as r) =
+  if not p.settled then
+    p.deadline <- t.ops.schedule ~delay:t.params.read_timeout (on_deadline r)
+
+let serve t ~level ~table ~key reply ctx =
+  let ops = t.ops in
+  match level with
+  | Level.Eventual -> answer t.eventual ops ~table ~key reply ctx
+  | Level.Read_your_writes None -> answer t.ryw ops ~table ~key reply ctx
   | Level.Bounded_staleness bound ->
     let as_of, index = ops.staleness_anchor () in
     let age = ops.now () -. as_of in
     if as_of = neg_infinity || age > bound then
-      reject
+      refuse t t.bounded
         (Printf.sprintf "staleness bound exceeded (%.0fus behind, bound %.0fus)" age bound)
-    else if ops.applied_index () >= index then read_local ()
-    else reject "staleness bound met but engine still applying"
+        reply ctx
+    else if ops.applied_index () >= index then answer t.bounded ops ~table ~key reply ctx
+    else refuse t t.bounded "staleness bound met but engine still applying" reply ctx
   | Level.Linearizable ->
-    let via_lease = ops.lease_valid () in
-    ops.read_index (fun result ->
-        match result with
-        | Error e -> reject e
-        | Ok index ->
-          if not !finished then begin
-            Obs.Metrics.incr (if via_lease then t.m_lease else t.m_quorum);
-            after_applied index
-          end));
-  (* Dispatch spends no virtual time, so the deadline of a read that
-     parked lands [read_timeout] after [start], as if armed on entry. *)
-  if not !finished then
-    deadline :=
-      Some
-        (ops.schedule ~delay:t.params.read_timeout (fun () ->
-             Obs.Metrics.incr t.m_timeouts;
-             reject "read timed out"))
+    let index = ops.lease_read_index () in
+    if index >= 0 then begin
+      Obs.Metrics.incr t.m_lease;
+      if ops.applied_index () >= index then answer t.linearizable ops ~table ~key reply ctx
+      else begin
+        let r = park t t.linearizable ~table ~key reply ctx in
+        ops.wait_applied index (on_applied r);
+        arm_deadline t r
+      end
+    end
+    else begin
+      let r = park t t.linearizable ~table ~key reply ctx in
+      ops.read_index (on_read_index r);
+      arm_deadline t r
+    end
+  | Level.Read_your_writes (Some gtid) ->
+    let r = park t t.ryw ~table ~key reply ctx in
+    ops.wait_gtid gtid ~timeout:t.params.read_timeout (on_gtid r);
+    arm_deadline t r

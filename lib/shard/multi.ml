@@ -299,14 +299,7 @@ let backend t =
                     (* stale route: drop the cached leader, rediscover *)
                     Router.invalidate_leader t.router ~group:g;
                     on_reply ~write_id ~ok:false ~gtid:None)
-                | Myraft.Wire.Read_reply { read_id; outcome } ->
-                  let outcome =
-                    match outcome with
-                    | Myraft.Wire.Read_value v -> Workload.Backend.Read_ok v
-                    | Myraft.Wire.Read_rejected { reason; retry_after } ->
-                      Workload.Backend.Read_rejected { reason; retry_after }
-                  in
-                  on_read_reply ~read_id ~outcome
+                | Myraft.Wire.Read_reply { read_id; outcome } -> on_read_reply ~read_id ~outcome
                 | _ -> ()))
           t.clusters);
     send_write =

@@ -28,17 +28,25 @@ let pair_slots = 64
    draw neither hashes the pair nor boxes its base again.  Region
    strings are immutable, so a physical match is a match by value; a
    miss recomputes into the next slot in turn.  [pair_base] is pure, so
-   every draw is the one it replaces. *)
+   every draw is the one it replaces.
+
+   [default] is shared by every network, so domains may draw from one
+   cache at once.  A slot holds a whole [pair] and a hit checks both of
+   its strings, so a slot another domain overwrites only costs a miss;
+   and [filled] and [next] are written from values already clamped into
+   the array, so a lost update cannot send the scan or the store past
+   its end. *)
 let cached_cross_region ~lo ~hi =
   let slots = Array.make pair_slots { p_src = ""; p_dst = ""; p_base = 0.0; p_jitter = 0.0 } in
   let filled = ref 0 and next = ref 0 in
   let rec find src dst i =
-    if i = !filled then begin
+    if i >= !filled then begin
       let base = pair_base ~lo ~hi src dst in
       let p = { p_src = src; p_dst = dst; p_base = base; p_jitter = base *. 0.05 } in
-      slots.(!next) <- p;
-      next := (!next + 1) mod pair_slots;
-      if !filled < pair_slots then incr filled;
+      let slot = !next in
+      slots.(slot) <- p;
+      next := (slot + 1) mod pair_slots;
+      filled := min pair_slots (!filled + 1);
       p
     end
     else

@@ -2,8 +2,8 @@
    the same generators drive both MyRaft and the semi-sync prior setup —
    the A/B methodology of §6.1, extended to mixed read/write traffic. *)
 
-type read_outcome =
-  | Read_ok of string option
+type read_outcome = Read.Service.outcome =
+  | Read_value of string option
   | Read_rejected of { reason : string; retry_after : float option }
 
 type t = {
@@ -55,14 +55,7 @@ let myraft (cluster : Myraft.Cluster.t) =
               | Myraft.Wire.Committed { gtid } ->
                 on_reply ~write_id ~ok:true ~gtid:(Some gtid)
               | Myraft.Wire.Rejected _ -> on_reply ~write_id ~ok:false ~gtid:None)
-            | Myraft.Wire.Read_reply { read_id; outcome } ->
-              let outcome =
-                match outcome with
-                | Myraft.Wire.Read_value v -> Read_ok v
-                | Myraft.Wire.Read_rejected { reason; retry_after } ->
-                  Read_rejected { reason; retry_after }
-              in
-              on_read_reply ~read_id ~outcome
+            | Myraft.Wire.Read_reply { read_id; outcome } -> on_read_reply ~read_id ~outcome
             | _ -> ()));
     send_write =
       (fun ~client ~write_id ~table ~ops ->
@@ -108,7 +101,7 @@ let semisync (cluster : Semisync.Cluster.t) =
             | Semisync.Wire.Read_reply { read_id; value } ->
               let outcome =
                 match value with
-                | Ok v -> Read_ok v
+                | Ok v -> Read_value v
                 | Error reason -> Read_rejected { reason; retry_after = None }
               in
               on_read_reply ~read_id ~outcome

@@ -2,8 +2,8 @@
     the same generators drive MyRaft and the semi-sync prior setup — the
     A/B methodology of §6.1, extended to mixed read/write traffic. *)
 
-type read_outcome =
-  | Read_ok of string option
+type read_outcome = Read.Service.outcome =
+  | Read_value of string option
   | Read_rejected of { reason : string; retry_after : float option }
 
 type t = {

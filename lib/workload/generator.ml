@@ -57,9 +57,17 @@ type key_dist =
    order and the timeout is constant, so deadlines rise with the id: a
    single armed timer, at the oldest outstanding id's deadline, covers
    every request.  When it fires it times out each due id and re-arms at
-   the next outstanding one, advancing [oldest] past settled ids. *)
+   the next outstanding one, advancing [oldest] past settled ids.
+
+   Ids are dense too, so the pending requests live in a ring indexed by
+   id over [oldest, next): a float array of send times (a settled slot
+   holds [settled]) and an array of continuations.  Opening and settling
+   a request writes two slots and allocates nothing; the ring doubles
+   when the span of ids since the oldest outstanding one fills it. *)
 type 'k lane = {
-  pending : (int, float * 'k option) Hashtbl.t; (* id -> (send time, continuation) *)
+  mutable sent_at : Float.Array.t; (* slot [id land mask]: send time *)
+  mutable conts : 'k option array; (* slot [id land mask]: continuation *)
+  mutable mask : int; (* ring capacity - 1, a power of two minus one *)
   timeout : float;
   mutable next : int; (* id of the next request *)
   mutable oldest : int; (* no id below this is outstanding *)
@@ -89,33 +97,77 @@ type t = {
 
 let stats t = t.stats
 
+(* The send time of a slot whose request is settled (or never opened). *)
+let settled = -1.0
+
 let lane ~timeout ~expired =
-  { pending = Hashtbl.create 256; timeout; next = 1; oldest = 1; armed = false; expired }
+  {
+    sent_at = Float.Array.make 256 settled;
+    conts = Array.make 256 None;
+    mask = 255;
+    timeout;
+    next = 1;
+    oldest = 1;
+    armed = false;
+    expired;
+  }
+
+(* Re-lay the ring at twice its size: every id in [oldest, next) moves to
+   its slot under the wider mask. *)
+let grow lane =
+  let cap = 2 * (lane.mask + 1) in
+  let sent_at = Float.Array.make cap settled and conts = Array.make cap None in
+  for id = lane.oldest to lane.next - 1 do
+    let src = id land lane.mask and dst = id land (cap - 1) in
+    Float.Array.set sent_at dst (Float.Array.get lane.sent_at src);
+    conts.(dst) <- lane.conts.(src)
+  done;
+  lane.sent_at <- sent_at;
+  lane.conts <- conts;
+  lane.mask <- cap - 1
 
 (* Take the next request id, recording its send time. *)
 let open_request lane ~now k =
+  if lane.next - lane.oldest > lane.mask then grow lane;
   let id = lane.next in
   lane.next <- id + 1;
-  Hashtbl.replace lane.pending id (now, k);
+  let slot = id land lane.mask in
+  Float.Array.set lane.sent_at slot now;
+  lane.conts.(slot) <- k;
   id
 
-(* Settle request [id]: its (send time, continuation) if outstanding. *)
+(* Is request [id] outstanding? *)
+let pending lane id =
+  id >= lane.oldest && id < lane.next
+  && Float.Array.get lane.sent_at (id land lane.mask) <> settled
+
+(* Forget request [id]'s slot. *)
+let clear lane id =
+  let slot = id land lane.mask in
+  Float.Array.set lane.sent_at slot settled;
+  lane.conts.(slot) <- None
+
+(* Step [oldest] past settled ids: [arm] and [expire] find the same
+   oldest outstanding id either way, but the ring then spans only the
+   ids since it, not every id sent within one timeout. *)
+let skip_settled lane =
+  while lane.oldest < lane.next && not (pending lane lane.oldest) do
+    lane.oldest <- lane.oldest + 1
+  done
+
+(* Request [id] got its answer (or was never sent). *)
 let settle lane id =
-  let entry = Hashtbl.find_opt lane.pending id in
-  if Option.is_some entry then Hashtbl.remove lane.pending id;
-  entry
+  clear lane id;
+  if id = lane.oldest then skip_settled lane
 
 let rec arm engine lane =
-  while lane.oldest < lane.next && not (Hashtbl.mem lane.pending lane.oldest) do
-    lane.oldest <- lane.oldest + 1
-  done;
+  skip_settled lane;
   lane.armed <- lane.oldest < lane.next;
-  if lane.armed then begin
-    let sent_at, _ = Hashtbl.find lane.pending lane.oldest in
+  if lane.armed then
     ignore
-      (Sim.Engine.schedule_key engine ~key:(sent_at +. lane.timeout) (fun () ->
-           expire engine lane))
-  end
+      (Sim.Engine.schedule_key engine
+         ~key:(Float.Array.get lane.sent_at (lane.oldest land lane.mask) +. lane.timeout)
+         (fun () -> expire engine lane))
 
 (* The timer fired: time out every due request, oldest first, then re-arm.
    [armed] stays set meanwhile, so requests issued from a continuation
@@ -123,17 +175,20 @@ let rec arm engine lane =
 and expire engine lane =
   let now = Sim.Engine.now engine in
   let rec due () =
-    if lane.oldest < lane.next then
-      match Hashtbl.find_opt lane.pending lane.oldest with
-      | Some (sent_at, k) when sent_at +. lane.timeout <= now ->
-        Hashtbl.remove lane.pending lane.oldest;
-        lane.oldest <- lane.oldest + 1;
+    if lane.oldest < lane.next then begin
+      let id = lane.oldest in
+      if not (pending lane id) then begin
+        lane.oldest <- id + 1;
+        due ()
+      end
+      else if Float.Array.get lane.sent_at (id land lane.mask) +. lane.timeout <= now then begin
+        let k = lane.conts.(id land lane.mask) in
+        clear lane id;
+        lane.oldest <- id + 1;
         lane.expired k;
         due ()
-      | Some _ -> ()
-      | None ->
-        lane.oldest <- lane.oldest + 1;
-        due ()
+      end
+    end
   in
   due ();
   arm engine lane
@@ -198,9 +253,11 @@ let create ~backend ~client_id ~region ?client_latency ?(write_timeout = 5.0 *. 
   in
   backend.Backend.register_client ~id:client_id ~region
     ~on_reply:(fun ~write_id ~ok ~gtid ->
-      match settle t.writes write_id with
-      | None -> ()
-      | Some (sent_at, k) ->
+      let lane = t.writes in
+      if pending lane write_id then begin
+        let slot = write_id land lane.mask in
+        let sent_at = Float.Array.get lane.sent_at slot and k = lane.conts.(slot) in
+        settle lane write_id;
         let now = Sim.Engine.now backend.Backend.engine in
         if ok then begin
           t.stats.committed <- t.stats.committed + 1;
@@ -209,18 +266,22 @@ let create ~backend ~client_id ~region ?client_latency ?(write_timeout = 5.0 *. 
           Stats.Timeseries.record t.stats.throughput now
         end
         else t.stats.rejected <- t.stats.rejected + 1;
-        match k with Some k -> k ok | None -> ())
+        match k with Some k -> k ok | None -> ()
+      end)
     ~on_read_reply:(fun ~read_id ~outcome ->
-      match settle t.reads read_id with
-      | None -> ()
-      | Some (sent_at, k) ->
+      let lane = t.reads in
+      if pending lane read_id then begin
+        let slot = read_id land lane.mask in
+        let sent_at = Float.Array.get lane.sent_at slot and k = lane.conts.(slot) in
+        settle lane read_id;
         let now = Sim.Engine.now backend.Backend.engine in
         (match outcome with
-        | Backend.Read_ok _ ->
+        | Backend.Read_value _ ->
           t.stats.reads_ok <- t.stats.reads_ok + 1;
           Stats.Histogram.record t.stats.read_latencies (now -. sent_at)
         | Backend.Read_rejected _ -> t.stats.reads_rejected <- t.stats.reads_rejected + 1);
-        match k with Some k -> k outcome | None -> ());
+        match k with Some k -> k outcome | None -> ()
+      end);
   (* With no explicit override the client's latency to the ring comes
      from the region-pair model. *)
   (match client_latency with
@@ -237,7 +298,7 @@ let issue_op ?k t ~table ~key ~value_size =
   let write_id = open_request t.writes ~now:(Sim.Engine.now engine) k in
   let sent = t.backend.Backend.send_write ~client:t.client_id ~write_id ~table ~ops in
   if not sent then begin
-    Hashtbl.remove t.writes.pending write_id;
+    settle t.writes write_id;
     t.stats.rejected <- t.stats.rejected + 1;
     match k with Some k -> k false | None -> ()
   end
@@ -259,7 +320,7 @@ let issue_read ?k ?level ?target t ~table ~key =
     t.backend.Backend.send_read ~client:t.client_id ~read_id ~level ~table ~key ~target
   in
   if not sent then begin
-    Hashtbl.remove t.reads.pending read_id;
+    settle t.reads read_id;
     t.stats.reads_rejected <- t.stats.reads_rejected + 1;
     match k with
     | Some k ->

@@ -123,6 +123,41 @@ let test_latency_override_scopes_to_pair () =
   let w = Sim.Latency.one_way model ~src_region:"r1" ~dst_region:"r2" rng in
   Alcotest.(check bool) "other pairs untouched" true (w > 1_000.0)
 
+(* Two domains draw cross-region delays from the shared default model
+   at once, over far more region pairs than its pair cache holds.  No
+   draw may raise, and each must be exactly the single-domain draw: the
+   pair's base plus a jitter from the domain's own generator, at most
+   5% of the base. *)
+let test_latency_default_across_domains () =
+  let regions = Array.init 24 (fun i -> Printf.sprintf "region-%d" i) in
+  let n = Array.length regions and draws = 100_000 in
+  let pair d i = (regions.((i + d) mod n), regions.(((i / n) + d + 1 + (i mod (n - 1))) mod n)) in
+  let run d =
+    let rng = Sim.Rng.of_int (d + 1) in
+    Array.init draws (fun i ->
+        let src, dst = pair d i in
+        if src = dst then 0.0
+        else Sim.Latency.one_way Sim.Latency.default ~src_region:src ~dst_region:dst rng)
+  in
+  let other = Domain.spawn (fun () -> run 1) in
+  let mine = run 0 in
+  let theirs = Domain.join other in
+  List.iter
+    (fun (d, got) ->
+      let rng = Sim.Rng.of_int (d + 1) in
+      Array.iteri
+        (fun i v ->
+          let src, dst = pair d i in
+          if src <> dst then begin
+            let base = Sim.Latency.pair_base ~lo:15_000.0 ~hi:40_000.0 src dst in
+            let expected = base +. Sim.Rng.uniform rng ~lo:0.0 ~hi:(base *. 0.05) in
+            if v <> expected || v < base || v > base *. 1.05 then
+              Alcotest.failf "domain %d draw %d (%s -> %s): %f, expected %f" d i src dst v
+                expected
+          end)
+        got)
+    [ (0, mine); (1, theirs) ]
+
 (* ----- raft messages ----- *)
 
 let sample_entry size =
@@ -228,6 +263,8 @@ let suites =
       [
         Alcotest.test_case "pair base stable" `Quick test_latency_pair_base_stable;
         Alcotest.test_case "override scopes to pair" `Quick test_latency_override_scopes_to_pair;
+        Alcotest.test_case "default model shared by two domains" `Quick
+          test_latency_default_across_domains;
       ] );
     ( "raft.message",
       [

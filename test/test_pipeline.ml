@@ -97,6 +97,31 @@ let test_abort_fails_everything_in_flight () =
   Sim.Engine.run_for engine (10.0 *. ms);
   Alcotest.(check (option bool)) "works after reset" (Some true) !fresh
 
+(* Abort then reset while a flush cycle is still pending (as
+   [Server.install_snapshot] does): the pending cycle's item fails once
+   and never commits, and items submitted after the reset flush, commit
+   and drain the pipeline. *)
+let test_reset_during_pending_flush () =
+  let engine, p = make_pipeline () in
+  let log = ref [] in
+  let submit name index =
+    Myraft.Pipeline.submit p
+      (item ~index ~on_finish:(fun ~ok -> log := (name, ok) :: !log))
+  in
+  submit "a" 1;
+  Alcotest.(check int) "a flushing" 1 (Myraft.Pipeline.in_flight p);
+  ignore (Myraft.Pipeline.abort_all p);
+  Myraft.Pipeline.reset p;
+  submit "b" 2;
+  submit "c" 3;
+  Myraft.Pipeline.notify_commit_index p 10;
+  Sim.Engine.run_for engine (100.0 *. ms);
+  let outcomes name = List.filter_map (fun (n, ok) -> if n = name then Some ok else None) !log in
+  Alcotest.(check (list bool)) "a failed once" [ false ] (outcomes "a");
+  Alcotest.(check (list bool)) "b committed" [ true ] (outcomes "b");
+  Alcotest.(check (list bool)) "c committed" [ true ] (outcomes "c");
+  Alcotest.(check int) "nothing in flight" 0 (Myraft.Pipeline.in_flight p)
+
 (* A follower's log is truncated under a flushed group: the items at or
    past the truncation point fail at once, and the live items below it
    commit once the commit index covers them, though the log never again
@@ -239,6 +264,8 @@ let suites =
         Alcotest.test_case "partial watermark releases prefix" `Quick
           test_partial_watermark_releases_prefix;
         Alcotest.test_case "abort + reset" `Quick test_abort_fails_everything_in_flight;
+        Alcotest.test_case "reset during a pending flush" `Quick
+          test_reset_during_pending_flush;
         Alcotest.test_case "flush error" `Quick test_flush_error_fails_item;
         Alcotest.test_case "truncation re-bounds a spanning group" `Quick
           test_truncation_rebounds_spanning_group;

@@ -61,9 +61,9 @@ let read_sync ?(timeout = 10.0 *. s) cluster id ~level ~key =
 
 let expect_value label outcome expected =
   match outcome with
-  | Read.Service.Value v ->
+  | Read.Service.Read_value v ->
     Alcotest.(check (option string)) label expected v
-  | Read.Service.Rejected { reason; _ } ->
+  | Read.Service.Read_rejected { reason; _ } ->
     Alcotest.failf "%s: unexpectedly rejected (%s)" label reason
 
 let counter cluster name =
@@ -406,15 +406,80 @@ let test_bounded_rejects_when_stale () =
   Sim.Network.cut_regions (Myraft.Cluster.network cluster) "r1" "r2";
   Myraft.Cluster.run_for cluster (1.0 *. s);
   (match read_sync cluster "mysql2" ~level:(Read.Level.Bounded_staleness (50.0 *. ms)) ~key:"k" with
-  | Read.Service.Rejected { reason; retry_after } ->
+  | Read.Service.Read_rejected { reason; retry_after } ->
     Alcotest.(check bool) "reason names staleness" true (contains reason "staleness");
     Alcotest.(check bool) "retry hint present" true (retry_after <> None)
-  | Read.Service.Value _ ->
+  | Read.Service.Read_value _ ->
     Alcotest.fail "cut-off follower must not serve a 50 ms bound");
   (* the leader is its own anchor and keeps serving *)
   expect_value "leader bounded"
     (read_sync cluster "mysql1" ~level:(Read.Level.Bounded_staleness (50.0 *. ms)) ~key:"k")
     (Some "v")
+
+(* ----- answered at dispatch vs parked ----- *)
+
+(* Serve one read on [srv] and report whether it was answered before
+   [serve_read] returned, with the ref that receives its outcome. *)
+let serve_now srv ~level ~key =
+  let result = ref None in
+  Myraft.Server.serve_read srv ~level ~table:"t" ~key (fun o -> result := Some o);
+  (!result <> None, result)
+
+let settle cluster result =
+  ignore (Myraft.Cluster.run_until cluster ~step:ms ~timeout:(10.0 *. s) (fun () -> !result <> None));
+  match !result with Some o -> o | None -> Alcotest.fail "read never settled"
+
+(* The lease is valid but the leader's engine has not applied through
+   the commit index yet (a write is between consensus and its engine
+   commit): the lease read parks, answers once the engine applies, and
+   counts once as lease-served and once as a served linearizable read. *)
+let test_lease_read_parks_until_applied () =
+  let cluster = bootstrapped ~members:(two_region_members ()) () in
+  Myraft.Cluster.run_for cluster (2.0 *. s);
+  check_ok "first write" (direct_write cluster ~key:"k" ~value:"v1");
+  let leader = Option.get (Myraft.Cluster.server cluster "mysql1") in
+  let raft = Myraft.Server.raft leader in
+  Myraft.Server.submit_write leader ~table:"t"
+    ~ops:[ Binlog.Event.Insert { key = "k"; value = "v2" } ]
+    ~reply:(fun _ -> ());
+  let before = Raft.Node.last_index raft in
+  ignore
+    (Myraft.Cluster.run_until cluster ~step:(10.0 *. us) ~timeout:(1.0 *. s) (fun () ->
+         Raft.Node.last_index raft > before));
+  let target = Raft.Node.last_index raft in
+  let in_window () =
+    Raft.Node.commit_index raft >= target && Myraft.Server.applied_through leader < target
+  in
+  ignore
+    (Myraft.Cluster.run_until cluster ~step:(10.0 *. us) ~timeout:(1.0 *. s) (fun () ->
+         in_window ()));
+  Alcotest.(check bool) "committed but not applied" true (in_window ());
+  Alcotest.(check bool) "lease valid" true (Raft.Node.lease_valid raft);
+  let lease0 = counter cluster "read.lease_served"
+  and served0 = counter cluster "read.linearizable.served" in
+  let answered, result = serve_now leader ~level:Read.Level.Linearizable ~key:"k" in
+  Alcotest.(check bool) "parked, not answered at dispatch" false answered;
+  expect_value "answers after the apply" (settle cluster result) (Some "v2");
+  Alcotest.(check int) "lease-served once" 1 (counter cluster "read.lease_served" - lease0);
+  Alcotest.(check int) "served once" 1
+    (counter cluster "read.linearizable.served" - served0);
+  Alcotest.(check int) "no round" 0 (counter cluster "read.quorum_served")
+
+(* Without a lease a linearizable read parks on a ReadIndex round and
+   counts as quorum-served, not lease-served. *)
+let test_leaseless_read_parks_on_round () =
+  let params = with_raft_params (fun r -> { r with Raft.Node.use_leader_lease = false }) in
+  let cluster = bootstrapped ~params ~members:(two_region_members ()) () in
+  Myraft.Cluster.run_for cluster (2.0 *. s);
+  check_ok "write" (direct_write cluster ~key:"k" ~value:"v");
+  Myraft.Cluster.run_for cluster (100.0 *. ms);
+  let leader = Option.get (Myraft.Cluster.server cluster "mysql1") in
+  let quorum0 = counter cluster "read.quorum_served" in
+  let answered, result = serve_now leader ~level:Read.Level.Linearizable ~key:"k" in
+  Alcotest.(check bool) "parked on the round" false answered;
+  expect_value "answers after the round" (settle cluster result) (Some "v");
+  Alcotest.(check int) "quorum-served once" 1 (counter cluster "read.quorum_served" - quorum0);
+  Alcotest.(check int) "never lease-served" 0 (counter cluster "read.lease_served")
 
 (* ----- the service deadline, over a bare engine ----- *)
 
@@ -428,7 +493,7 @@ let bare_service engine ~applied ~parked =
       Read.Service.now = (fun () -> Sim.Engine.now engine);
       schedule = (fun ~delay f -> Sim.Engine.schedule engine ~delay f);
       read_index = (fun k -> k (Ok 1));
-      lease_valid = (fun () -> true);
+      lease_read_index = (fun () -> 1);
       staleness_anchor = (fun () -> (neg_infinity, 0));
       applied_index = (fun () -> !applied);
       wait_applied = (fun _ k -> parked := Some k);
@@ -440,8 +505,9 @@ let bare_service engine ~applied ~parked =
 
 let serve_linearizable svc engine =
   let result = ref None in
-  Read.Service.serve svc ~level:Read.Level.Linearizable ~table:"t" ~key:"k" (fun o ->
-      result := Some (o, Sim.Engine.now engine));
+  Read.Service.serve svc ~level:Read.Level.Linearizable ~table:"t" ~key:"k"
+    (fun result o -> result := Some (o, Sim.Engine.now engine))
+    result;
   result
 
 (* An apply index that never arrives: the read is rejected exactly at
@@ -457,7 +523,7 @@ let test_parked_read_times_out () =
   Alcotest.(check bool) "still parked just before the deadline" true (!result = None);
   Sim.Engine.run_until engine (start +. timeout);
   (match !result with
-  | Some (Read.Service.Rejected { reason; _ }, at) ->
+  | Some (Read.Service.Read_rejected { reason; _ }, at) ->
     Alcotest.(check string) "reason" "read timed out" reason;
     Alcotest.(check (float 0.0)) "rejected at start + read_timeout" (start +. timeout) at
   | _ -> Alcotest.fail "parked read must time out");
@@ -471,7 +537,7 @@ let test_sync_read_arms_no_deadline () =
   let svc, _ = bare_service engine ~applied:(ref 1) ~parked:(ref None) in
   let result = serve_linearizable svc engine in
   (match !result with
-  | Some (Read.Service.Value v, _) -> Alcotest.(check (option string)) "value" (Some "v") v
+  | Some (Read.Service.Read_value v, _) -> Alcotest.(check (option string)) "value" (Some "v") v
   | _ -> Alcotest.fail "lease read must answer synchronously");
   Alcotest.(check int) "nothing pending" 1 (Sim.Engine.pending engine);
   (* armed-then-cancelled would still sit in the queue *)
@@ -489,12 +555,64 @@ let test_settled_read_cancels_deadline () =
   applied := 1;
   (match !parked with Some k -> k () | None -> Alcotest.fail "read did not park");
   (match !result with
-  | Some (Read.Service.Value _, _) -> ()
+  | Some (Read.Service.Read_value _, _) -> ()
   | _ -> Alcotest.fail "parked read must complete once applied");
   Alcotest.(check int) "deadline cancelled" 1 (Sim.Engine.pending engine);
   Sim.Engine.run_until engine (10.0 *. s);
   Alcotest.(check int) "read.timeouts" 0
     (Obs.Metrics.counter_of (Obs.Metrics.snapshot metrics) "read.timeouts")
+
+(* ----- allocation pins: the read path ----- *)
+
+(* A linearizable read a lease-holding leader answers at dispatch, from
+   the Read_request's arrival to its Read_reply's send (the network's
+   drop of the reply included, its delivery excluded): the reply
+   message, its outcome and the engine's [Some value].  Measured at 7.0
+   words; a closure per read for the reply, or a service-level [finish]
+   closure, pushes it past the bound. *)
+let leader_read_bound = 7
+
+(* A generator read opened and settled: the latency sample's float box.
+   Measured at 2.0 words; a hashtable lane (bucket, tuple, option)
+   pushes it past the bound. *)
+let lane_bound = 2
+
+let test_leader_read_words () =
+  let words = Probe.Read_alloc.leader_read_words () in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f words per lease read <= %d" words leader_read_bound)
+    true
+    (words <= float_of_int leader_read_bound)
+
+let test_lane_words () =
+  let words = Probe.Read_alloc.lane_words () in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f words per lane open + settle <= %d" words lane_bound)
+    true
+    (words <= float_of_int lane_bound)
+
+(* A parked read whose apply arrives only after its deadline: the
+   deadline rejects it, and the late wake-up answers nothing more. *)
+let test_timed_out_read_rejects_once () =
+  let engine = Sim.Engine.create () in
+  let applied = ref 0 and parked = ref None in
+  let svc, metrics = bare_service engine ~applied ~parked in
+  let replies = ref [] in
+  Read.Service.serve svc ~level:Read.Level.Linearizable ~table:"t" ~key:"k"
+    (fun replies o -> replies := o :: !replies)
+    replies;
+  Alcotest.(check int) "parked" 0 (List.length !replies);
+  Sim.Engine.run_for engine (10.0 *. s);
+  applied := 1;
+  (match !parked with Some k -> k () | None -> Alcotest.fail "read did not park");
+  (match !replies with
+  | [ Read.Service.Read_rejected { reason; _ } ] ->
+    Alcotest.(check string) "reason" "read timed out" reason
+  | _ -> Alcotest.failf "expected one rejection, got %d replies" (List.length !replies));
+  let snap = Obs.Metrics.snapshot metrics in
+  Alcotest.(check int) "rejected once" 1 (Obs.Metrics.counter_of snap "read.linearizable.rejected");
+  Alcotest.(check int) "never served" 0 (Obs.Metrics.counter_of snap "read.linearizable.served");
+  Alcotest.(check int) "one timeout" 1 (Obs.Metrics.counter_of snap "read.timeouts")
 
 (* ----- chaos property ----- *)
 
@@ -523,6 +641,18 @@ let prop_lin_reads_never_stale =
 
 let suites =
   [
+    ( "read.dispatch",
+      [
+        Alcotest.test_case "lease read parks until the engine applies" `Quick
+          test_lease_read_parks_until_applied;
+        Alcotest.test_case "leaseless read parks on a round" `Quick
+          test_leaseless_read_parks_on_round;
+      ] );
+    ( "read.alloc",
+      [
+        Alcotest.test_case "words per lease read at dispatch" `Quick test_leader_read_words;
+        Alcotest.test_case "words per generator lane open + settle" `Quick test_lane_words;
+      ] );
     ( "read.lease",
       [
         Alcotest.test_case "valid on a healthy leader" `Quick
@@ -572,6 +702,8 @@ let suites =
           test_parked_read_times_out;
         Alcotest.test_case "synchronous read arms no deadline" `Quick
           test_sync_read_arms_no_deadline;
+        Alcotest.test_case "timed-out read rejects once" `Quick
+          test_timed_out_read_rejects_once;
         Alcotest.test_case "settled read cancels its deadline" `Quick
           test_settled_read_cancels_deadline;
       ] );

@@ -232,8 +232,9 @@ let manual_backend engine =
    answered, the rest are answered shortly after.  Each stuck request
    must settle as a timeout at exactly its send time plus the timeout
    (not a rounding of it), and no answered one may time out — however
-   the answered and stuck ids interleave. *)
-let test_generator_times_out_exactly () =
+   the answered and stuck ids interleave.  [n] requests go out [gap]
+   apart. *)
+let times_out_exactly ~n ~gap () =
   let engine = Sim.Engine.create ~seed:5 () in
   let backend, on_write, on_read = manual_backend engine in
   let write_timeout = 5.0 *. s and read_timeout = 0.3 *. s in
@@ -241,25 +242,24 @@ let test_generator_times_out_exactly () =
     Workload.Generator.create ~backend ~client_id:"c" ~region:"r1" ~write_timeout
       ~read_timeout ()
   in
-  let n = 60 in
   let writes = Array.make (n + 1) [] and reads = Array.make (n + 1) [] in
   let sent_w = Array.make (n + 1) nan and sent_r = Array.make (n + 1) nan in
   for id = 1 to n do
     (* 0.1 and 0.7 are not representable: sums of them round *)
     ignore
-      (Sim.Engine.schedule engine ~delay:(float_of_int id *. 0.1 *. ms) (fun () ->
+      (Sim.Engine.schedule engine ~delay:(float_of_int id *. gap) (fun () ->
            sent_w.(id) <- Sim.Engine.now engine;
            Workload.Generator.issue_op gen ~table:"t" ~key:"k" ~value_size:16 ~k:(fun ok ->
                writes.(id) <- (ok, Sim.Engine.now engine) :: writes.(id));
            sent_r.(id) <- Sim.Engine.now engine;
            Workload.Generator.issue_read gen ~table:"t" ~key:"k" ~k:(fun outcome ->
-               let ok = match outcome with Workload.Backend.Read_ok _ -> true | _ -> false in
+               let ok = match outcome with Workload.Backend.Read_value _ -> true | _ -> false in
                reads.(id) <- (ok, Sim.Engine.now engine) :: reads.(id));
            if id mod 3 <> 0 then
              ignore
                (Sim.Engine.schedule engine ~delay:(0.7 *. ms) (fun () ->
                     !on_write ~write_id:id ~ok:true ~gtid:None;
-                    !on_read ~read_id:id ~outcome:(Workload.Backend.Read_ok None)))))
+                    !on_read ~read_id:id ~outcome:(Workload.Backend.Read_value None)))))
   done;
   Sim.Engine.run_until engine (20.0 *. s);
   let check kind settled sent timeout =
@@ -284,6 +284,14 @@ let test_generator_times_out_exactly () =
   Alcotest.(check int) "read timeouts" (n / 3) st.Workload.Generator.reads_timed_out;
   Alcotest.(check int) "no timer left behind" 0 (Sim.Engine.pending engine)
 
+let test_generator_times_out_exactly = times_out_exactly ~n:60 ~gap:(0.1 *. ms)
+
+(* Enough requests, spread over more than one read timeout, that the
+   lanes' rings grow while stuck ids hold the oldest slot, and ids wrap
+   around them as timeouts free it. *)
+let test_generator_times_out_across_ring_growth =
+  times_out_exactly ~n:3_000 ~gap:(0.2 *. ms)
+
 let suites =
   [
     ( "workload.shadow",
@@ -305,5 +313,7 @@ let suites =
         Alcotest.test_case "key distribution shapes" `Quick test_key_dist_shapes;
         Alcotest.test_case "timeouts fire exactly, settled ids never" `Quick
           test_generator_times_out_exactly;
+        Alcotest.test_case "timeouts fire exactly across ring growth" `Quick
+          test_generator_times_out_across_ring_growth;
       ] );
   ]
