@@ -20,48 +20,67 @@
    argument of §3.3 step 5 is untouched.
 
    [applied_index] is a true low-water-mark over out-of-order engine
-   commits: completions above a gap are parked in [done_set] and the
-   mark only advances while contiguous.  It remains what promotion
-   step 2 waits on and what positions the cursor after a role change.
+   commits: a completion above a gap leaves its slot marked committed,
+   and the mark only advances while contiguous.  It remains what
+   promotion step 2 waits on and what positions the cursor after a role
+   change.
 
-   Fencing: every dispatched entry's in-flight record carries a liveness
-   flag.  stop/start clear every flag; log truncation clears only those
-   at or above the truncation point (plus unsubmitted entries below it,
-   which are salvaged back onto the queue to re-execute) while entries
-   already submitted to the pipeline below the point stay live — their
-   commits are real and must still advance the mark.  The record itself
-   is the [ticket] handed to [process], so the server can abandon
-   row-lock retry loops whose entry has been truncated away, and report
+   Memory: one growable ring, indexed by log index, spans the relay-log
+   indexes [applied_index+1, next_expected): every entry signalled and
+   not yet behind the mark.  Each slot holds the entry, its lane state
+   and, once dispatched, its ticket.  The undispatched entries are the
+   slots from the dispatch cursor to [next_expected], so the ring is the
+   relay-log queue, the in-flight table and the set of completions above
+   a gap at once.  A dispatched entry allocates only its ticket (which
+   also carries the prepared transaction, so it is the server's pipeline
+   item) and its execute event, a [schedule_call] of [executed].
+
+   Fencing: a ticket is live while its slot holds it.  stop/start clear
+   every slot; log truncation clears those at or above the truncation
+   point and turns unsubmitted entries below it back into undispatched
+   ones (to re-execute, under a new ticket), while entries already
+   submitted to the pipeline below the point keep theirs — their commits
+   are real and must still advance the mark.  A call on a ticket its
+   slot no longer holds is a no-op, so the server can abandon row-lock
+   retry loops whose entry has been truncated away, and report
    submission and completion without a closure per entry.
 
    Cost: lane occupancy and the Submitting window are two exact
    counters kept in step with every state change, so dispatch, gauge
    updates and submission are O(1) in the number of in-flight entries
    (which, with the pipeline's consensus wait, runs to thousands on a
-   loaded replica).  Only the rare paths rebuild them: truncation with
-   one fold over the table, start and stop by emptying it. *)
+   loaded replica).  Truncation walks the ring's span once; stop and
+   start clear it. *)
 
 type lane_state =
+  | Vacant (* no entry here: behind the mark, or cleared by stop, start or truncation *)
+  | Queued (* in the relay log, not yet dispatched *)
   | Executing (* worker lane busy simulating apply_per_txn_us *)
   | Ready (* executed; parked until its turn to submit *)
   | Submitting (* process called; prepare may be retrying a row lock *)
   | Submitted (* in the pipeline; lane released; awaiting engine commit *)
-  | Finished (* done before its submission was reported (idempotent
-                replay, give-up, abort); awaiting [submitted] *)
-  | Retired (* done and submitted: every later callback is a no-op *)
+  | Committed (* done: in the engine, waiting for the mark to pass it *)
+  | Failed (* terminal failure: holds the mark until a restart *)
 
 type t = {
   engine : Sim.Engine.t;
   params : Params.t;
   mutable running : bool;
-  mutable queue : Binlog.Entry.t Queue.t; (* relay-log order, not yet dispatched *)
-  inflight : (int, ticket) Hashtbl.t; (* index -> dispatched, not yet done *)
-  mutable held : int; (* entries in [inflight] holding a lane (not Submitted) *)
-  mutable submitting : int; (* entries in [inflight] in the Submitting window *)
-  done_set : (int, unit) Hashtbl.t; (* committed above the low-water-mark *)
+  (* The ring: slot [index land (capacity - 1)] for every index in
+     [applied_index+1, next_expected); capacities are powers of two. *)
+  mutable entries : Binlog.Entry.t array;
+  mutable states : lane_state array;
+  mutable tickets : ticket array; (* [vacant_ticket] until dispatched *)
+  mutable held : int; (* dispatched entries holding a lane (not Submitted) *)
+  mutable submitting : int; (* entries in the Submitting window *)
   mutable applied_index : int; (* lwm of engine-committed indexes *)
   mutable next_expected : int; (* next log index to enqueue *)
+  mutable next_dispatch : int; (* dispatch cursor: the relay-log head *)
   mutable next_to_submit : int; (* submission cursor (log order) *)
+  (* The entry that finished before its submission was reported (at most
+     one: only the entry at [next_to_submit] can be Submitting); the
+     mark may already have passed its slot. *)
+  mutable finished_early : ticket;
   mutable applied_txns : int;
   mutable commit_index : int; (* last consensus commit index seen, for lag *)
   mutable dep_stalls : int;
@@ -77,15 +96,18 @@ type t = {
   mutable wake : unit -> unit; (* [pump] as a thunk, built once *)
 }
 
-(* One dispatched entry: its lane state, its fencing flag, and the
-   applier it reports back to. *)
+(* One dispatched entry: the applier it reports back to, the entry, and
+   the transaction the server prepared for it. *)
 and ticket = {
   owner : t;
   entry : Binlog.Entry.t;
-  index : int;
-  mutable live : bool;
-  mutable state : lane_state;
+  mutable prepared : Storage.Engine.prepared;
 }
+
+(* The filler of slots without a ticket and of [finished_early] when no
+   entry finished early.  Only ever compared by identity with a real
+   ticket, never read. *)
+let vacant_ticket : ticket = Obj.magic 0
 
 let applied_index t = t.applied_index
 
@@ -97,27 +119,71 @@ let is_running t = t.running
 
 let workers t = max 1 t.params.Params.applier_workers
 
+let entry tk = tk.entry
+
+let prepared tk = tk.prepared
+
+let set_prepared tk p = tk.prepared <- p
+
 (* Lanes are held from dispatch until [submitted] (a worker owns its
    transaction through execution, parking and prepare, like a real MTS
    worker thread); submitted entries wait in the pipeline lane-free. *)
 let busy_workers t = t.held
 
-(* Recount both counters from the table (truncation only). *)
-let recount t =
-  let held, submitting =
-    Hashtbl.fold
-      (fun _ tk (h, s) ->
-        match tk.state with
-        | Executing | Ready -> (h + 1, s)
-        | Submitting -> (h + 1, s + 1)
-        | Submitted | Finished | Retired -> (h, s))
-      t.inflight (0, 0)
-  in
-  t.held <- held;
-  t.submitting <- submitting
+let slot t index = index land (Array.length t.states - 1)
+
+(* The slot of a ticket its ring still holds, or -1 once it is fenced
+   (or its index passed behind the mark). *)
+let slot_of t tk =
+  let index = Binlog.Entry.index tk.entry in
+  if index > t.applied_index && index < t.next_expected then begin
+    let i = slot t index in
+    if t.tickets.(i) == tk then i else -1
+  end
+  else -1
+
+let live tk =
+  let t = tk.owner in
+  slot_of t tk >= 0 || tk == t.finished_early
+
+let clear_slot t i =
+  t.entries.(i) <- Binlog.Log_store.absent;
+  t.states.(i) <- Vacant;
+  t.tickets.(i) <- vacant_ticket
+
+(* Make room for index [upto]: double the ring until its span fits. *)
+let grow t ~upto =
+  let cap = ref (Array.length t.states) in
+  while upto - t.applied_index > !cap do
+    cap := 2 * !cap
+  done;
+  let cap = !cap in
+  if cap > Array.length t.states then begin
+    let entries = Array.make cap Binlog.Log_store.absent in
+    let states = Array.make cap Vacant and tickets = Array.make cap vacant_ticket in
+    for index = t.applied_index + 1 to t.next_expected - 1 do
+      let i = slot t index and j = index land (cap - 1) in
+      entries.(j) <- t.entries.(i);
+      states.(j) <- t.states.(i);
+      tickets.(j) <- t.tickets.(i)
+    done;
+    t.entries <- entries;
+    t.states <- states;
+    t.tickets <- tickets
+  end
+
+(* Indexes of the entries the ring's slots hold, in slot order. *)
+let ring_indexes t =
+  let acc = ref [] in
+  for i = Array.length t.states - 1 downto 0 do
+    if t.states.(i) <> Vacant then acc := Binlog.Entry.index t.entries.(i) :: !acc
+  done;
+  !acc
+
+let next_expected t = t.next_expected
 
 let update_gauges t =
-  Obs.Metrics.set_gauge_int t.m_queue_depth (Queue.length t.queue);
+  Obs.Metrics.set_gauge_int t.m_queue_depth (t.next_expected - t.next_dispatch);
   Obs.Metrics.set_gauge_int t.m_workers_busy t.held
 
 let update_lag t =
@@ -141,24 +207,23 @@ let dep_ok t entry =
     else Binlog.Entry.index entry = t.next_to_submit
   | _ -> Binlog.Entry.index entry = t.next_to_submit
 
-let record_done t index entry =
-  if index > t.applied_index && not (Hashtbl.mem t.done_set index) then begin
-    (* In-order completion, the common case, moves the mark directly;
-       only a completion above a gap is parked in [done_set]. *)
-    if index = t.applied_index + 1 then t.applied_index <- index
-    else Hashtbl.replace t.done_set index ();
-    while Hashtbl.mem t.done_set (t.applied_index + 1) do
-      Hashtbl.remove t.done_set (t.applied_index + 1);
-      t.applied_index <- t.applied_index + 1
-    done;
-    if Binlog.Entry.is_transaction entry then begin
-      t.applied_txns <- t.applied_txns + 1;
-      Obs.Metrics.incr t.m_applied
-    end;
-    update_lag t
-  end
-
-let live tk = tk.live
+(* The entry in slot [i] committed: in-order completion, the common
+   case, moves the mark directly; a completion above a gap stays marked
+   in its slot until the mark reaches it. *)
+let record_done t i entry =
+  t.states.(i) <- Committed;
+  while
+    t.applied_index + 1 < t.next_expected
+    && t.states.(slot t (t.applied_index + 1)) = Committed
+  do
+    clear_slot t (slot t (t.applied_index + 1));
+    t.applied_index <- t.applied_index + 1
+  done;
+  if Binlog.Entry.is_transaction entry then begin
+    t.applied_txns <- t.applied_txns + 1;
+    Obs.Metrics.incr t.m_applied
+  end;
+  update_lag t
 
 (* Submit ready entries to the commit pipeline strictly in log order.
    At most one entry is in the Submitting window at a time: [submitted]
@@ -168,33 +233,37 @@ let live tk = tk.live
    means a retrying prepare head-of-line-blocks submission just like the
    serial applier did. *)
 let rec try_submit t =
-  if t.running && t.submitting = 0 then
-    match Hashtbl.find t.inflight t.next_to_submit with
-    | tk when tk.state = Ready ->
-      tk.state <- Submitting;
+  let index = t.next_to_submit in
+  if t.running && t.submitting = 0 && index > t.applied_index && index < t.next_expected
+  then begin
+    let i = slot t index in
+    if t.states.(i) = Ready then begin
+      t.states.(i) <- Submitting;
       t.submitting <- t.submitting + 1;
-      t.process tk.entry tk
-    | _ -> ()
-    | exception Not_found -> ()
+      t.process t.entries.(i) t.tickets.(i)
+    end
+  end
 
 (* The entry's commit order is pinned: release its lane and let the
    next entry submit.  Fires at most once per ticket. *)
 and submitted tk =
-  if tk.live then
-    match tk.state with
-    | Submitting ->
-      let t = tk.owner in
-      tk.state <- Submitted;
+  let t = tk.owner in
+  if tk == t.finished_early then begin
+    t.finished_early <- vacant_ticket;
+    advance_submission t tk
+  end
+  else begin
+    let i = slot_of t tk in
+    if i >= 0 && t.states.(i) = Submitting then begin
+      t.states.(i) <- Submitted;
       t.held <- t.held - 1;
       t.submitting <- t.submitting - 1;
       advance_submission t tk
-    | Finished ->
-      tk.state <- Retired;
-      advance_submission tk.owner tk
-    | Executing | Ready | Submitted | Retired -> ()
+    end
+  end
 
 and advance_submission t tk =
-  t.next_to_submit <- tk.index + 1;
+  t.next_to_submit <- Binlog.Entry.index tk.entry + 1;
   update_gauges t;
   try_submit t;
   pump t
@@ -203,23 +272,21 @@ and advance_submission t tk =
    idempotent-replay and give-up paths this runs before [submitted], so
    the entry still holds its lane and its Submitting slot. *)
 and finished tk ~ok =
-  if tk.live then begin
-    let t = tk.owner in
+  let t = tk.owner in
+  let i = slot_of t tk in
+  if i >= 0 then begin
     let report =
-      match tk.state with
+      match t.states.(i) with
       | Submitting ->
-        tk.state <- Finished;
         t.held <- t.held - 1;
         t.submitting <- t.submitting - 1;
+        t.finished_early <- tk;
         true
-      | Submitted ->
-        tk.state <- Retired;
-        true
-      | Executing | Ready | Finished | Retired -> false
+      | Submitted -> true
+      | Vacant | Queued | Executing | Ready | Committed | Failed -> false
     in
     if report then begin
-      Hashtbl.remove t.inflight tk.index;
-      if ok then record_done t tk.index tk.entry;
+      if ok then record_done t i tk.entry else t.states.(i) <- Failed;
       pump t
     end
   end
@@ -229,45 +296,45 @@ and finished tk ~ok =
 and pump t =
   if t.running then begin
     let continue = ref true in
-    while !continue do
-      match Queue.peek_opt t.queue with
-      | None -> continue := false
-      | Some entry ->
-        if t.held >= workers t then continue := false
-        else if not (dep_ok t entry) then begin
-          (* A free lane is idle because of a dependency stall: count it
-             once per head entry so the metric reflects distinct stalls,
-             not scheduler wakeups. *)
-          let index = Binlog.Entry.index entry in
-          if t.last_stall_index <> index then begin
-            t.last_stall_index <- index;
-            t.dep_stalls <- t.dep_stalls + 1;
-            Obs.Metrics.incr t.m_dep_stalls
-          end;
-          continue := false
-        end
-        else begin
-          ignore (Queue.pop t.queue);
-          let index = Binlog.Entry.index entry in
-          let tk = { owner = t; entry; index; live = true; state = Executing } in
-          Hashtbl.replace t.inflight index tk;
-          t.held <- t.held + 1;
-          let cost =
-            match Binlog.Entry.payload entry with
-            | Binlog.Entry.Transaction _ -> t.params.Params.apply_per_txn_us
-            | _ -> 1.0 (* noop / rotate / config: nothing to execute *)
-          in
-          ignore (Sim.Engine.schedule t.engine ~delay:cost (fun () -> executed tk))
-        end
+    while !continue && t.next_dispatch < t.next_expected do
+      let index = t.next_dispatch in
+      let i = slot t index in
+      let entry = t.entries.(i) in
+      if t.held >= workers t || t.states.(i) <> Queued then continue := false
+      else if not (dep_ok t entry) then begin
+        (* A free lane is idle because of a dependency stall: count it
+           once per head entry so the metric reflects distinct stalls,
+           not scheduler wakeups. *)
+        if t.last_stall_index <> index then begin
+          t.last_stall_index <- index;
+          t.dep_stalls <- t.dep_stalls + 1;
+          Obs.Metrics.incr t.m_dep_stalls
+        end;
+        continue := false
+      end
+      else begin
+        t.next_dispatch <- index + 1;
+        let tk = { owner = t; entry; prepared = Storage.Engine.unprepared } in
+        t.tickets.(i) <- tk;
+        t.states.(i) <- Executing;
+        t.held <- t.held + 1;
+        let cost =
+          match Binlog.Entry.payload entry with
+          | Binlog.Entry.Transaction _ -> t.params.Params.apply_per_txn_us
+          | _ -> 1.0 (* noop / rotate / config: nothing to execute *)
+        in
+        ignore (Sim.Engine.schedule_call t.engine ~delay:cost executed t tk)
+      end
     done;
     update_gauges t;
     try_submit t
   end
 
-and executed tk =
-  if tk.live then begin
-    tk.state <- Ready;
-    try_submit tk.owner
+and executed t tk =
+  let i = slot_of t tk in
+  if i >= 0 then begin
+    t.states.(i) <- Ready;
+    try_submit t
   end
 
 let create ?metrics ~engine ~params ~process () =
@@ -277,14 +344,16 @@ let create ?metrics ~engine ~params ~process () =
       engine;
       params;
       running = false;
-      queue = Queue.create ();
-      inflight = Hashtbl.create 64;
+      entries = Array.make 16 Binlog.Log_store.absent;
+      states = Array.make 16 Vacant;
+      tickets = Array.make 16 vacant_ticket;
       held = 0;
       submitting = 0;
-      done_set = Hashtbl.create 64;
       applied_index = 0;
       next_expected = 1;
+      next_dispatch = 1;
       next_to_submit = 1;
+      finished_early = vacant_ticket;
       applied_txns = 0;
       commit_index = 0;
       dep_stalls = 0;
@@ -305,11 +374,15 @@ let create ?metrics ~engine ~params ~process () =
    the relay log. *)
 let signal t entries ~pos ~len =
   if t.running then begin
-    for i = pos to pos + len - 1 do
-      let e = entries.(i) in
-      if Binlog.Entry.index e >= t.next_expected then begin
-        Queue.add e t.queue;
-        t.next_expected <- Binlog.Entry.index e + 1
+    for k = pos to pos + len - 1 do
+      let e = entries.(k) in
+      let index = Binlog.Entry.index e in
+      if index >= t.next_expected then begin
+        if index - t.applied_index > Array.length t.states then grow t ~upto:index;
+        let i = slot t index in
+        t.entries.(i) <- e;
+        t.states.(i) <- Queued;
+        t.next_expected <- index + 1
       end
     done;
     update_gauges t;
@@ -317,51 +390,50 @@ let signal t entries ~pos ~len =
   end
 
 (* Truncation (a Raft rewind): everything at/above the truncation point
-   is gone and must be fenced across all lanes — liveness flags are
-   cleared so in-flight execute timers, pipeline callbacks and
-   server-side row-lock retry loops all become no-ops.  Unsubmitted
-   entries *below* the point are still wanted: salvage them back onto
-   the queue (they re-execute, a minor timing cost).  Entries below the
-   point already in the pipeline stay live — their engine commits are
-   real and must still advance the low-water-mark. *)
+   is gone and must be fenced across all lanes — its slots are cleared,
+   so in-flight execute timers, pipeline callbacks and server-side
+   row-lock retry loops all become no-ops.  Unsubmitted entries *below*
+   the point are still wanted: they go back to undispatched (they
+   re-execute under a new ticket, a minor timing cost).  Entries below
+   the point already in the pipeline keep their tickets — their engine
+   commits are real and must still advance the low-water-mark.  Every
+   lane-holding entry is fenced or requeued, so no lane stays held. *)
 let handle_truncation t ~from_index =
-  let salvaged = ref [] in
-  let keep = ref [] in
-  Hashtbl.iter
-    (fun index tk ->
-      if index >= from_index then tk.live <- false
-      else
-        match tk.state with
-        | Executing | Ready | Submitting ->
-          tk.live <- false;
-          salvaged := tk.entry :: !salvaged
-        | Submitted | Finished | Retired -> keep := (index, tk) :: !keep)
-    t.inflight;
-  Hashtbl.reset t.inflight;
-  List.iter (fun (index, tk) -> Hashtbl.replace t.inflight index tk) !keep;
-  recount t;
-  let requeue =
-    List.sort (fun a b -> compare (Binlog.Entry.index a) (Binlog.Entry.index b)) !salvaged
-  in
-  let old_queue = t.queue in
-  t.queue <- Queue.create ();
-  List.iter (fun e -> Queue.add e t.queue) requeue;
-  Queue.iter (fun e -> if Binlog.Entry.index e < from_index then Queue.add e t.queue) old_queue;
-  Hashtbl.iter (fun index () -> if index >= from_index then Hashtbl.remove t.done_set index)
-    (Hashtbl.copy t.done_set);
+  let requeue_from = ref (min t.next_dispatch from_index) in
+  for index = max (t.applied_index + 1) from_index to t.next_expected - 1 do
+    clear_slot t (slot t index)
+  done;
+  for index = t.applied_index + 1 to min from_index t.next_expected - 1 do
+    let i = slot t index in
+    match t.states.(i) with
+    | Executing | Ready | Submitting ->
+      t.states.(i) <- Queued;
+      t.tickets.(i) <- vacant_ticket;
+      if index < !requeue_from then requeue_from := index
+    | Vacant | Queued | Submitted | Committed | Failed -> ()
+  done;
+  let early = t.finished_early in
+  if early != vacant_ticket && Binlog.Entry.index early.entry >= from_index then
+    t.finished_early <- vacant_ticket;
+  t.held <- 0;
+  t.submitting <- 0;
+  t.next_dispatch <- !requeue_from;
   if t.next_expected > from_index then t.next_expected <- from_index;
   if t.applied_index >= from_index then t.applied_index <- from_index - 1;
   if t.next_to_submit > from_index then t.next_to_submit <- from_index;
   t.last_stall_index <- -1;
   update_gauges t;
   update_lag t;
-  if t.running && not (Queue.is_empty t.queue) then
+  if t.running && t.next_dispatch < t.next_expected then
     ignore (Sim.Engine.schedule t.engine ~delay:Params.applier_wakeup_us t.wake)
 
+(* Fence every ticket and empty the ring. *)
 let invalidate_all t =
-  Hashtbl.iter (fun _ tk -> tk.live <- false) t.inflight;
-  Hashtbl.reset t.inflight;
-  Hashtbl.reset t.done_set;
+  for index = t.applied_index + 1 to t.next_expected - 1 do
+    clear_slot t (slot t index)
+  done;
+  t.finished_early <- vacant_ticket;
+  t.next_dispatch <- t.next_expected;
   t.held <- 0;
   t.submitting <- 0
 
@@ -371,9 +443,9 @@ let invalidate_all t =
 let start t ~from_index ~backlog =
   t.running <- true;
   invalidate_all t;
-  Queue.clear t.queue;
   t.applied_index <- from_index - 1;
   t.next_expected <- from_index;
+  t.next_dispatch <- from_index;
   t.next_to_submit <- from_index;
   t.last_stall_index <- -1;
   update_lag t;
@@ -383,5 +455,4 @@ let start t ~from_index ~backlog =
 let stop t =
   t.running <- false;
   invalidate_all t;
-  Queue.clear t.queue;
   update_gauges t

@@ -16,12 +16,22 @@
 type t
 
 (** One dispatched entry, handed to [process]: the applier's in-flight
-    record for it, through which the entry reports back. *)
+    record for it, through which the entry reports back.  It also
+    carries the transaction the server prepared for the entry, so the
+    ticket is the server's pipeline item for it. *)
 type ticket
 
 (** The fencing token: any retry loop must consult it and abandon the
     entry when it turns false (truncation, applier restart). *)
 val live : ticket -> bool
+
+val entry : ticket -> Binlog.Entry.t
+
+(** The handle [set_prepared] stored; {!Storage.Engine.unprepared}
+    before that. *)
+val prepared : ticket -> Storage.Engine.prepared
+
+val set_prepared : ticket -> Storage.Engine.prepared -> unit
 
 (** The entry's commit order is pinned (it entered the FIFO pipeline,
     or its outcome is terminal): must be reported exactly once — the
@@ -60,9 +70,10 @@ val signal : t -> Binlog.Entry.t array -> pos:int -> len:int -> unit
 
 (** Log truncation: fence every lane at/above the point (in-flight
     executes, pipeline callbacks and server-side retry loops all become
-    no-ops), salvage unsubmitted entries below it back onto the queue,
-    and rewind the cursors.  Entries below the point already submitted
-    to the pipeline stay live: their commits still advance the mark. *)
+    no-ops), turn unsubmitted entries below it back into undispatched
+    ones (fencing their tickets), and rewind the cursors.  Entries below
+    the point already submitted to the pipeline stay live: their
+    commits still advance the mark. *)
 val handle_truncation : t -> from_index:int -> unit
 
 (** Consensus commit index as last reported, for the replica-lag gauge. *)
@@ -83,3 +94,12 @@ val busy_workers : t -> int
 
 (** Configured lane count (at least 1). *)
 val workers : t -> int
+
+(** {2 Introspection} *)
+
+(** Next log index {!signal} accepts. *)
+val next_expected : t -> int
+
+(** The log indexes of every entry the applier's ring holds, whatever
+    its state: always inside [[applied_index + 1, next_expected)]. *)
+val ring_indexes : t -> int list

@@ -43,8 +43,10 @@ val set_coalesce : 'a t -> ((unit -> unit) -> unit) -> unit
 (** Raft's commit marker advanced: release covered groups, in order. *)
 val notify_commit_index : 'a t -> int -> unit
 
-(** Demotion step 1 (§3.3): fail everything in flight; returns the count.
-    Until {!reset}, new submissions fail immediately. *)
+(** Demotion step 1 (§3.3): fail everything in flight that has not
+    reached stage 3; returns the count.  A commit cycle already running
+    keeps its groups and commits them.  Until {!reset}, new submissions
+    fail immediately. *)
 val abort_all : 'a t -> int
 
 (** Raft truncated the log from [from_index]: fail every flushed item
@@ -53,7 +55,8 @@ val abort_all : 'a t -> int
     them).  Failed items count in pipeline.txns_aborted. *)
 val truncate : 'a t -> from_index:int -> unit
 
-(** Re-arm after a role change. *)
+(** Re-arm after a role change.  A commit cycle still running stays the
+    only one: groups released after the reset wait for it. *)
 val reset : 'a t -> unit
 
 val in_flight : 'a t -> int

@@ -30,12 +30,10 @@ type txn =
       prepared : Storage.Engine.prepared;
       mutable opid : Binlog.Opid.t; (* assigned by Raft at flush *)
     }
-  | Relay_txn of {
-      entry : Binlog.Entry.t;
-      ticket : Applier.ticket;
-      prepared : Storage.Engine.prepared;
-    }
-  | Relay_marker of { entry : Binlog.Entry.t; ticket : Applier.ticket }
+  | Relay_txn of Applier.ticket
+      (* a relay-log transaction: the ticket holds its entry and the
+         prepared transaction *)
+  | Relay_marker of Applier.ticket
       (* a no-op, config change or rotate event ordered through the
          pipeline; a rotate closes the relay-log file at commit *)
   | Binlog_rotate (* FLUSH BINARY LOGS on the primary *)
@@ -297,7 +295,8 @@ let rec applier_prepare t entry tk ~gtid ~events ~attempts =
   else
     match Storage.Engine.prepare t.storage ~gtid ~events with
     | p ->
-      Pipeline.submit t.pipeline (Relay_txn { entry; ticket = tk; prepared = p });
+      Applier.set_prepared tk p;
+      Pipeline.submit t.pipeline (Relay_txn tk);
       Applier.submitted tk
     | exception Storage.Engine.Lock_conflict _ ->
       (* A row lock is held by an in-pipeline transaction; it will be
@@ -336,7 +335,7 @@ let applier_process t entry tk =
        applied_index remains a committed-prefix watermark; a replicated
        rotate event (§A.1) closes the current relay-log file once it is
        consensus committed. *)
-    Pipeline.submit t.pipeline (Relay_marker { entry; ticket = tk });
+    Pipeline.submit t.pipeline (Relay_marker tk);
     Applier.submitted tk
 
 (* ----- orchestration: replica -> primary (§3.3) ----- *)
@@ -690,11 +689,12 @@ let flush_txn t txn =
       trace_event t ~stage:"flush" ~term:(Binlog.Opid.term opid) ~index;
       index
     | Error _ -> -1)
-  | Relay_txn { entry; _ } ->
+  | Relay_txn tk ->
+    let entry = Applier.entry tk in
     let index = Binlog.Entry.index entry in
     trace_event t ~stage:"flush" ~term:(Binlog.Entry.term entry) ~index;
     index
-  | Relay_marker { entry; _ } -> Binlog.Entry.index entry
+  | Relay_marker tk -> Binlog.Entry.index (Applier.entry tk)
   | Binlog_rotate -> (
     match
       Raft.Node.client_append (raft t) (Binlog.Entry.Rotate_marker { next_file = "next" })
@@ -718,25 +718,26 @@ let finish_txn t txn ~ok =
       Storage.Engine.rollback_prepared t.storage w.prepared;
       reject t w.req ~local:w.local "aborted (role change)"
     end
-  | Relay_txn { entry; ticket; prepared } ->
+  | Relay_txn tk ->
     (* The prepared copy may have been rolled back by a log truncation
        while this item waited for consensus; a truncated transaction
        must not commit. *)
+    let entry = Applier.entry tk and prepared = Applier.prepared tk in
     if ok && Storage.Engine.live prepared then begin
       Storage.Engine.commit_prepared t.storage prepared ~opid:(Binlog.Entry.opid entry);
       trace_event t ~stage:"engine-commit" ~term:(Binlog.Entry.term entry)
         ~index:(Binlog.Entry.index entry);
-      Applier.finished ticket ~ok:true
+      Applier.finished tk ~ok:true
     end
     else begin
       Storage.Engine.rollback_prepared t.storage prepared;
-      Applier.finished ticket ~ok:false
+      Applier.finished tk ~ok:false
     end
-  | Relay_marker { entry; ticket } ->
-    (match Binlog.Entry.payload entry with
+  | Relay_marker tk ->
+    (match Binlog.Entry.payload (Applier.entry tk) with
     | Binlog.Entry.Rotate_marker _ -> if ok then Binlog.Log_store.rotate t.log
     | Binlog.Entry.Transaction _ | Binlog.Entry.Noop | Binlog.Entry.Config_change _ -> ());
-    Applier.finished ticket ~ok
+    Applier.finished tk ~ok
   | Binlog_rotate -> if ok then Binlog.Log_store.rotate t.log
 
 let make_pipeline t =

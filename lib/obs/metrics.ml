@@ -90,6 +90,10 @@ let histogram t name =
 
 let record h v = Stats.Histogram.record h.h_data v
 
+let record_elapsed h now starts i = Stats.Histogram.record_elapsed h.h_data now starts i
+
+let record_int h n = Stats.Histogram.record_int h.h_data n
+
 let observe t name v = record (histogram t name) v
 
 (* ----- GC / allocator observability ----- *)

@@ -52,6 +52,14 @@ val histogram : t -> string -> histogram
 
 val record : histogram -> float -> unit
 
+(** [record_elapsed h now starts i] records [now -. starts.(i)], and
+    {!record_int} an int sample, with no float boxed on the way: a hot
+    path that records one sample per item (stage latencies from a column
+    of start times, group sizes) allocates nothing for it. *)
+val record_elapsed : histogram -> float -> Float.Array.t -> int -> unit
+
+val record_int : histogram -> int -> unit
+
 val observe : t -> string -> float -> unit
 
 (** {2 GC / allocator observability} *)

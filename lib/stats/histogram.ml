@@ -13,13 +13,31 @@ type t = {
 
 let create () = { data = Array.make 64 0.0; size = 0; sorted = true }
 
-let record t v =
+let make_room t =
   if t.size = Array.length t.data then begin
     let data = Array.make (2 * t.size) 0.0 in
     Array.blit t.data 0 data 0 t.size;
     t.data <- data
-  end;
+  end
+
+let record t v =
+  make_room t;
   t.data.(t.size) <- v;
+  t.size <- t.size + 1;
+  t.sorted <- false
+
+(* The two below compute their sample here, where it is stored flat: a
+   float computed by the caller would be boxed to cross the module
+   boundary. *)
+let record_elapsed t now starts i =
+  make_room t;
+  t.data.(t.size) <- now -. Float.Array.get starts i;
+  t.size <- t.size + 1;
+  t.sorted <- false
+
+let record_int t n =
+  make_room t;
+  t.data.(t.size) <- float_of_int n;
   t.size <- t.size + 1;
   t.sorted <- false
 

@@ -7,6 +7,13 @@ val create : unit -> t
 
 val record : t -> float -> unit
 
+(** [record_elapsed t now starts i] records [now -. starts.(i)] without
+    boxing the sample. *)
+val record_elapsed : t -> float -> Float.Array.t -> int -> unit
+
+(** [record_int t n] records [float_of_int n] without boxing it. *)
+val record_int : t -> int -> unit
+
 val count : t -> int
 
 val is_empty : t -> bool

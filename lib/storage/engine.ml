@@ -249,6 +249,9 @@ let prepare t ~gtid ~events =
 
 let live p = p.live
 
+let unprepared =
+  { gtid = Binlog.Gtid.make ~source:"" ~gno:1; events = []; slots = [||]; live = false }
+
 let is_prepared t gtid = By_gtid.mem t.prepared gtid
 
 let prepared_gtids t = By_gtid.fold (fun g _ acc -> g :: acc) t.prepared []

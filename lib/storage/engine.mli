@@ -40,6 +40,10 @@ val prepare : t -> gtid:Binlog.Gtid.t -> events:Binlog.Event.t list -> prepared
     itself, {!rollback_gtid}, {!crash_recover} or {!restore}). *)
 val live : prepared -> bool
 
+(** A handle no {!prepare} returned, for a field that holds one only
+    later: never {!live}, so {!rollback_prepared} ignores it. *)
+val unprepared : prepared
+
 val is_prepared : t -> Binlog.Gtid.t -> bool
 
 val prepared_gtids : t -> Binlog.Gtid.t list

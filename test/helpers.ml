@@ -36,6 +36,16 @@ let rows writes =
     (fun (table, op) -> Binlog.Event.make (Binlog.Event.Write_rows { table; ops = [ op ] }))
     writes
 
+(* Minor words allocated by [f], run [rounds] times (once by default).
+   [Gc.minor_words] counts every word at once; the [Gc.quick_stat]
+   figure the benchmark reads advances only at a minor collection. *)
+let minor_words ?(rounds = 1) f =
+  let before = Gc.minor_words () in
+  for _ = 1 to rounds do
+    f ()
+  done;
+  Gc.minor_words () -. before
+
 (* Substring search (no external deps). *)
 let contains s sub =
   let n = String.length s and m = String.length sub in

@@ -281,7 +281,15 @@ let test_lag_gauge_tracks_rewinds () =
    that at most one live entry sits in the Submitting window; at
    quiescence nothing holds a lane, the mark is at the last index, and
    the model engine committed each final-log entry once, in log
-   order. *)
+   order.  The ring is fenced too: after every step and on every call
+   it holds no index outside [applied_index+1, next_expected), every
+   entry reaching [process] is live and the current log's, and once
+   the log holds a truncated index again, a late [submitted] or
+   [finished] on a ticket the truncation fenced changes nothing (its
+   late execute event fires on its own, and must not make any ticket
+   reach [process] twice).
+   These checks draw no random numbers, so the schedule of every case is
+   what it was without them. *)
 let run_bookkeeping ~seed ~workers ~steps =
   let rng = Random.State.make [| seed |] in
   let coin p = Random.State.float rng 1.0 < p in
@@ -300,11 +308,47 @@ let run_bookkeeping ~seed ~workers ~steps =
   let submitting = ref [] (* tickets handed out, not yet reported submitted *) in
   let applier = ref None in
   let a () = Option.get !applier in
+  let check_ring where =
+    let lo = Myraft.Applier.applied_index (a ()) + 1
+    and hi = Myraft.Applier.next_expected (a ()) in
+    List.iter
+      (fun i ->
+        if i < lo || i >= hi then error "%s: ring holds %d outside [%d, %d)" where i lo hi)
+      (Myraft.Applier.ring_indexes (a ()))
+  in
   let check_lanes where =
     let busy = Myraft.Applier.busy_workers (a ()) and lanes = Myraft.Applier.workers (a ()) in
     if busy > lanes then error "%s: %d lanes held, %d workers" where busy lanes;
     let open_ = List.filter Myraft.Applier.live !submitting in
-    if List.length open_ > 1 then error "%s: %d live entries submitting" where (List.length open_)
+    if List.length open_ > 1 then
+      error "%s: %d live entries submitting" where (List.length open_);
+    check_ring where
+  in
+  (* Every ticket handed to [process], and those a truncation fenced:
+     after every step, each fenced ticket whose index the relay log
+     holds again is called late. *)
+  let handed = ref [] and fenced = ref [] in
+  let fingerprint () =
+    let a = a () in
+    ( Myraft.Applier.applied_index a,
+      Myraft.Applier.applied_txns a,
+      Myraft.Applier.busy_workers a,
+      Myraft.Applier.dep_stalls a,
+      Myraft.Applier.next_expected a,
+      Myraft.Applier.ring_indexes a )
+  in
+  let call_fenced_late () =
+    let before = fingerprint () in
+    List.iter
+      (fun tk ->
+        if Binlog.Entry.index (Myraft.Applier.entry tk) <= !signaled then begin
+          Myraft.Applier.submitted tk;
+          Myraft.Applier.finished tk ~ok:true;
+          Myraft.Applier.submitted tk
+        end)
+      !fenced;
+    if fingerprint () <> before then
+      error "a fenced ticket's late call changed the applier"
   in
   let report_submitted tk =
     submitting := List.filter (fun x -> x != tk) !submitting;
@@ -346,7 +390,13 @@ let run_bookkeeping ~seed ~workers ~steps =
   in
   let process e tk =
     submitting := tk :: !submitting;
+    if List.memq tk !handed then error "a ticket reached process twice";
+    handed := tk :: !handed;
     check_lanes "process";
+    if not (Myraft.Applier.live tk) then error "process got a fenced ticket";
+    (match Hashtbl.find_opt log (Binlog.Entry.index e) with
+    | Some current when current == e -> ()
+    | _ -> error "process got index %d of a truncated log" (Binlog.Entry.index e));
     if Myraft.Applier.busy_workers (a ()) < 1 then error "processing entry holds no lane";
     match Hashtbl.find_opt committed (Binlog.Entry.index e) with
     | Some c ->
@@ -406,7 +456,9 @@ let run_bookkeeping ~seed ~workers ~steps =
         done;
         last := p - 1;
         signaled := min !signaled (p - 1);
-        Myraft.Applier.handle_truncation (a ()) ~from_index:p
+        let was_live = List.filter Myraft.Applier.live !handed in
+        Myraft.Applier.handle_truncation (a ()) ~from_index:p;
+        fenced := List.filter (fun tk -> not (Myraft.Applier.live tk)) was_live @ !fenced
       end
     | 8 when !running ->
       Myraft.Applier.stop (a ());
@@ -419,7 +471,9 @@ let run_bookkeeping ~seed ~workers ~steps =
         Myraft.Applier.start (a ()) ~from_index ~backlog:(entries_from from_index);
         running := true
       end);
-    Sim.Engine.run_for engine (float_of_int (Random.State.int rng 300))
+    Sim.Engine.run_for engine (float_of_int (Random.State.int rng 300));
+    check_ring "step";
+    call_fenced_late ()
   done;
   if not !running then begin
     let from_index = applied () + 1 in

@@ -407,11 +407,6 @@ let test_roles_table () =
 
 (* ----- allocation pins: the commit pipeline ----- *)
 
-let minor_words f =
-  let before = Gc.minor_words () in
-  f ();
-  Gc.minor_words () -. before
-
 let row_write ~client ~write_id =
   Myraft.Wire.Write_request
     {
@@ -451,7 +446,7 @@ let primary_write_words () =
     write i
   done;
   let words =
-    minor_words (fun () ->
+    Helpers.minor_words (fun () ->
         for i = warmup to warmup + n - 1 do
           write i
         done)
@@ -460,11 +455,12 @@ let primary_write_words () =
   words /. float_of_int n
 
 (* Mean words per relay-log transaction a replica applies: a replica
-   server fed one-row transactions one AppendEntries at a time, each
+   server fed one-row transactions [batch] to an AppendEntries, each AE
    carrying the commit index of the one before, from the AE's arrival
    through the follower append, the applier, the pipeline and the engine
-   commit.  200 entries of warm-up, then 1,000. *)
-let replica_apply_words () =
+   commit.  [warmup] AEs, then [n] measured, each given [step] of
+   virtual time. *)
+let replica_apply_words ~batch ~warmup ~n ~step =
   let engine = Sim.Engine.create ~seed:1 () in
   let trace = Sim.Trace.create engine in
   let member id = { Raft.Types.id; region = "r1"; voter = true; kind = Raft.Types.Mysql_server } in
@@ -476,8 +472,7 @@ let replica_apply_words () =
       ~initial_config:{ Raft.Types.members = [ member "mysql1"; member "mysql2"; member "mysql3" ] }
       ~trace ()
   in
-  let warmup = 200 and n = 1_000 in
-  let ae index =
+  let entry index =
     let gtid = Binlog.Gtid.make ~source:"mysql1" ~gno:index and table = "sbtest" in
     let entry =
       Binlog.Entry.make
@@ -504,47 +499,64 @@ let replica_apply_words () =
            })
     in
     Binlog.Entry.set_deps entry ~last_committed:0 ~sequence_number:index;
+    entry
+  in
+  let ae first =
     let ae =
       Helpers.append_entries ~leader:"mysql1" ~term:1
-        ~prev:((if index = 1 then 0 else 1), index - 1)
-        ~commit:(index - 1) []
+        ~prev:((if first = 1 then 0 else 1), first - 1)
+        ~commit:(first - 1) []
     in
     Myraft.Wire.Raft_msg
       (Raft.Message.Append_entries
-         { ae with Raft.Message.payload = Raft.Message.Entries [| entry |]; leader_last_index = index })
+         {
+           ae with
+           Raft.Message.payload =
+             Raft.Message.Entries (Array.init batch (fun k -> entry (first + k)));
+           leader_last_index = first + batch - 1;
+         })
   in
-  let aes = Array.init (warmup + n) (fun i -> ae (i + 1)) in
+  let aes = Array.init (warmup + n) (fun i -> ae ((i * batch) + 1)) in
   let feed i =
     Myraft.Server.handle_message server ~src:"mysql1" aes.(i);
-    Sim.Engine.run_for engine Sim.Engine.ms
+    Sim.Engine.run_for engine step
   in
   for i = 0 to warmup - 1 do
     feed i
   done;
   let words =
-    minor_words (fun () ->
+    Helpers.minor_words (fun () ->
         for i = warmup to warmup + n - 1 do
           feed i
         done)
   in
-  Alcotest.(check int) "applied all but the last" (warmup + n - 1)
+  Alcotest.(check int) "applied all but the last AE's entries"
+    (((warmup + n) * batch) - batch)
     (Storage.Engine.committed_count (Myraft.Server.storage server));
-  words /. float_of_int n
+  words /. float_of_int (n * batch)
 
 (* A committed write: the request's prepare event, the engine's prepare
    and commit, the pipeline's record, the log entry and its events, the
    AppendEntries round trips to both logtailers, the group's stage
-   events and the reply.  Measured at 484.1 words; putting back a
+   events and the reply.  Measured at 422.1 words; putting back a
    per-write closure (a [{flush; finish}] pair, the reply, the prepare
-   thunk) or a per-write list pushes it past the bound. *)
-let primary_write_bound = 485
+   thunk), a per-write list or a per-group copy of the pipeline's
+   columns pushes it past the bound. *)
+let primary_write_bound = 423
 
-(* An applied entry: the follower's append and ack, the applier's
-   dispatch, the engine's prepare and commit, the pipeline's record and
-   the group's stage events.  Measured at 186.9 words; a per-entry
-   closure pair in the pipeline or a list of the entry's writes pushes
-   it past the bound. *)
-let replica_apply_bound = 187
+(* An applied entry, one per AppendEntries: the follower's append and
+   ack, the applier's ticket and execute event, the engine's prepare and
+   commit, the pipeline's relay item and the group's stage events.
+   Measured at 108.9 words; a per-entry closure in the applier or the
+   pipeline, a hashtable or queue cell per entry, or a list of the
+   entry's writes pushes it past the bound. *)
+let replica_apply_bound = 109
+
+(* An applied entry of a 64-entry AppendEntries, the batch shape the
+   workloads send: the follower's append and ack and the pipeline's
+   stage events are shared by the batch, so this is the applier, engine
+   and pipeline's cost per transaction.  Measured at 42.5 words. *)
+let replica_batch_apply_bound = 43
 
 let test_primary_write_words () =
   let words = primary_write_words () in
@@ -553,12 +565,20 @@ let test_primary_write_words () =
     true
     (words <= float_of_int primary_write_bound)
 
-let test_replica_apply_words () =
-  let words = replica_apply_words () in
+let check_replica_words ~batch ~warmup ~n ~step ~bound =
+  let words = replica_apply_words ~batch ~warmup ~n ~step in
   Alcotest.(check bool)
-    (Printf.sprintf "%.1f words per applied entry <= %d" words replica_apply_bound)
+    (Printf.sprintf "%.1f words per applied entry (%d per AE) <= %d" words batch bound)
     true
-    (words <= float_of_int replica_apply_bound)
+    (words <= float_of_int bound)
+
+let test_replica_apply_words () =
+  check_replica_words ~batch:1 ~warmup:200 ~n:1_000 ~step:Sim.Engine.ms
+    ~bound:replica_apply_bound
+
+let test_replica_batch_apply_words () =
+  check_replica_words ~batch:64 ~warmup:8 ~n:32 ~step:(5.0 *. Sim.Engine.ms)
+    ~bound:replica_batch_apply_bound
 
 let suites =
   [
@@ -614,5 +634,7 @@ let suites =
       [
         Alcotest.test_case "primary words per committed write" `Quick test_primary_write_words;
         Alcotest.test_case "replica words per applied entry" `Quick test_replica_apply_words;
+        Alcotest.test_case "replica words per applied entry, 64-entry AEs" `Quick
+          test_replica_batch_apply_words;
       ] );
   ]

@@ -1057,11 +1057,6 @@ let test_layout_follows_membership () =
 
 (* ----- allocation on the leader's ack path ----- *)
 
-let minor_words f =
-  let before = Gc.minor_words () in
-  f ();
-  Gc.minor_words () -. before
-
 (* The §6.1 ring's quorum, six regions of three voters, evaluated as the
    leader does on every ack: selection over preallocated stamps. *)
 let test_quorum_points_allocate_nothing () =
@@ -1091,7 +1086,7 @@ let test_quorum_points_allocate_nothing () =
       let now = 2_000.0 and now_global = 2_001.0 in
       let sink = ref 0 in
       let words =
-        minor_words (fun () ->
+        Helpers.minor_words (fun () ->
             for _ = 1 to 1_000 do
               sink :=
                 !sink + Raft.Quorum.commit_point l ~self:1_000 ~above:900 ~upto:1_000;
@@ -1146,7 +1141,7 @@ let test_leader_ack_words () =
     Queue.clear h.Helpers.hops;
     Sim.Engine.run_for h.Helpers.engine ms;
     let words =
-      minor_words (fun () ->
+      Helpers.minor_words (fun () ->
           List.iter (fun (src, msg) -> Raft.Node.handle_message node ~src msg) acks)
     in
     (words, List.length acks)
@@ -1275,7 +1270,8 @@ let rt_round rt =
   Sim.Engine.run_for rt.rt_engine ms;
   rt_settle rt;
   let send =
-    minor_words (fun () -> ignore (Raft.Node.client_append rt.rt_leader Binlog.Entry.Noop))
+    Helpers.minor_words (fun () ->
+        ignore (Raft.Node.client_append rt.rt_leader Binlog.Entry.Noop))
   in
   let sent = !(rt.rt_sent) in
   let k = ref (-1) in
@@ -1284,9 +1280,13 @@ let rt_round rt =
   done;
   let ae = rt.rt_msgs.(!k) in
   rt.rt_dsts.(!k) <- "";
-  let follower = minor_words (fun () -> Raft.Node.handle_message rt.rt_follower ~src:"n10" ae) in
+  let follower =
+    Helpers.minor_words (fun () -> Raft.Node.handle_message rt.rt_follower ~src:"n10" ae)
+  in
   let reply = !(rt.rt_reply) in
-  let ack = minor_words (fun () -> Raft.Node.handle_message rt.rt_leader ~src:"n11" reply) in
+  let ack =
+    Helpers.minor_words (fun () -> Raft.Node.handle_message rt.rt_leader ~src:"n11" reply)
+  in
   (match reply with
   | Raft.Message.Append_entries_response r -> assert r.success
   | _ -> assert false);

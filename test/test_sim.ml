@@ -645,14 +645,6 @@ let test_egress_uncapped_nodes_unaffected () =
 
 (* ----- allocation on the message path ----- *)
 
-(* Minor words [f] allocates, with [f] run [rounds] times. *)
-let minor_words rounds f =
-  let before = Gc.minor_words () in
-  for _ = 1 to rounds do
-    f ()
-  done;
-  Gc.minor_words () -. before
-
 (* A fault-free message costs only the engine event that delivers it:
    the 5-word call event, the delay and its key boxed into [Engine] and
    [Heap], the key boxed back out at pop, and (unless the link is pinned)
@@ -683,7 +675,7 @@ let check_send_deliver_words ?(dst = "b") ?(horizon = 1_000.0) ~name ~bound ~pin
     Sim.Engine.run_for e horizon
   in
   round ();
-  let words = minor_words rounds round in
+  let words = Helpers.minor_words ~rounds round in
   Alcotest.(check int) "every message delivered" ((rounds + 1) * batch) !got;
   let per_msg = (words -. (2.0 *. float_of_int rounds)) /. float_of_int (rounds * batch) in
   Alcotest.(check bool)
@@ -694,7 +686,7 @@ let check_send_deliver_words ?(dst = "b") ?(horizon = 1_000.0) ~name ~bound ~pin
 let test_rng_float_words () =
   let rng = Sim.Rng.of_int 5 in
   let sum = ref 0.0 in
-  let words = minor_words 1_000 (fun () -> sum := Sim.Rng.float rng) in
+  let words = Helpers.minor_words ~rounds:1_000 (fun () -> sum := Sim.Rng.float rng) in
   Alcotest.(check (float 0.)) "words per Rng.float (the returned box only)" 2.0
     (words /. 1_000.0)
 

@@ -156,11 +156,6 @@ let test_checkpoint_round_trip_keeps_history () =
 
 (* ----- allocation on the commit path ----- *)
 
-let minor_words f =
-  let before = Gc.minor_words () in
-  f ();
-  Gc.minor_words () -. before
-
 (* The next gno of the open tip only bumps an int, and membership
    checks (tip, folded intervals, misses) build no option or closure. *)
 let test_tip_add_and_has_committed_allocate_nothing () =
@@ -169,7 +164,7 @@ let test_tip_add_and_has_committed_allocate_nothing () =
   Binlog.Gtid_set.Acc.add acc gtids.(0);
   Binlog.Gtid_set.Acc.add acc gtids.(1);
   let words =
-    minor_words (fun () ->
+    Helpers.minor_words (fun () ->
         for i = 2 to 999 do
           Binlog.Gtid_set.Acc.add acc gtids.(i)
         done)
@@ -189,7 +184,7 @@ let test_tip_add_and_has_committed_allocate_nothing () =
   let other = Binlog.Gtid.make ~source:"srv2" ~gno:1 in
   let hits = ref 0 in
   let words =
-    minor_words (fun () ->
+    Helpers.minor_words (fun () ->
         for i = 0 to 999 do
           if Storage.Engine.has_committed e gtids.(i) then incr hits;
           if Storage.Engine.has_committed e other then incr hits
@@ -214,7 +209,7 @@ let test_prepare_commit_words () =
   let p = Storage.Engine.prepare e ~gtid:gtids.(0) ~events in
   Storage.Engine.commit_prepared e p ~opid:opids.(0);
   let words =
-    minor_words (fun () ->
+    Helpers.minor_words (fun () ->
         for i = 1 to n do
           let p = Storage.Engine.prepare e ~gtid:gtids.(i) ~events in
           Storage.Engine.commit_prepared e p ~opid:opids.(i)
