@@ -197,11 +197,11 @@ let mock ?(trials = 10) () =
 (* §4.2's second motivation: without proxying the leader replicates every
    payload to every global member directly, making its NIC the fleet's
    hotspot.  Measure the leader's egress under identical committed
-   workloads with and without the hierarchy.  (The simulator's FIFO
-   egress model cannot fairly arbitrate small quorum-critical AEs against
-   bulk catch-up transfers the way per-connection TCP does, so this
-   experiment reports offered NIC load rather than queueing-delay
-   claims.) *)
+   workloads with and without the hierarchy.  (The simulator models no
+   NIC queue: a FIFO egress queue could not fairly arbitrate small
+   quorum-critical AEs against bulk catch-up transfers the way
+   per-connection TCP does, so this experiment reports offered NIC load
+   rather than queueing-delay claims.) *)
 let hotspot_run ~proxying ~seed =
   let params =
     {

@@ -138,23 +138,21 @@ let json_of_cell c =
     c.c_applied_tps c.c_lag_end c.c_dep_stalls
 
 let write_json ~path ~quick ~cells ~gate_pass ~w1 ~w4 ~alloc_budget =
-  let oc = open_out path in
-  Printf.fprintf oc "{\n";
-  Printf.fprintf oc "  \"experiment\": \"apply\",\n";
-  Printf.fprintf oc "  \"quick\": %b,\n" quick;
-  Printf.fprintf oc "  \"cells\": [\n%s\n  ],\n"
-    (String.concat ",\n" (List.map json_of_cell cells));
-  Printf.fprintf oc
-    "  \"gate\": {\"w1_tps\": %.1f, \"w4_tps\": %.1f, \"ratio\": %.2f, \"min_ratio\": \
-     %g, \"w1_lag\": %d, \"w4_lag\": %d, \"lag_bound\": %d, \"pass\": %b, \
-     \"w4_words_per_applied_txn\": %.1f, \"w4_words_per_applied_txn_budget\": %.1f}\n"
-    w1.c_applied_tps w4.c_applied_tps
-    (w4.c_applied_tps /. Float.max w1.c_applied_tps 1e-9)
-    gate_ratio w1.c_lag_end w4.c_lag_end gate_lag_bound gate_pass w4.c_words_per_applied
-    (ratchet alloc_budget w4.c_words_per_applied);
-  Printf.fprintf oc "}\n";
-  close_out oc;
-  Printf.printf "results written to %s\n%!" path
+  write_results path ~experiment:"apply"
+    [
+      ("quick", string_of_bool quick);
+      ("cells", json_rows json_of_cell cells);
+      ( "gate",
+        Printf.sprintf
+          "{\"w1_tps\": %.1f, \"w4_tps\": %.1f, \"ratio\": %.2f, \"min_ratio\": %g, \
+           \"w1_lag\": %d, \"w4_lag\": %d, \"lag_bound\": %d, \"pass\": %b, \
+           \"w4_words_per_applied_txn\": %.1f, \"w4_words_per_applied_txn_budget\": %.1f}"
+          w1.c_applied_tps w4.c_applied_tps
+          (w4.c_applied_tps /. Float.max w1.c_applied_tps 1e-9)
+          gate_ratio w1.c_lag_end w4.c_lag_end gate_lag_bound gate_pass
+          w4.c_words_per_applied
+          (ratchet alloc_budget w4.c_words_per_applied) );
+    ]
 
 let run () =
   let quick = !Common.quick in

@@ -53,17 +53,15 @@ let run () =
       r.Chaos.Churn.c_converged
       (List.length r.Chaos.Churn.c_violations)
   in
-  let oc = open_out "BENCH_CHURN.json" in
-  Printf.fprintf oc "{\n  \"experiment\": \"churn\",\n";
-  Printf.fprintf oc "  \"runs\": [\n%s\n  ],\n"
-    (String.concat ",\n" (List.map json_of_report reports));
-  Printf.fprintf oc
-    "  \"gate\": {\"runs\": %d, \"violations\": %d, \"unconverged\": %d, \"pass\": %b}\n"
-    (List.length reports) (List.length violations) (List.length unconverged)
-    (violations = [] && unconverged = []);
-  Printf.fprintf oc "}\n";
-  close_out oc;
-  Printf.printf "results written to BENCH_CHURN.json\n%!";
+  Common.write_results "BENCH_CHURN.json" ~experiment:"churn"
+    [
+      ("runs", Common.json_rows json_of_report reports);
+      ( "gate",
+        Printf.sprintf
+          "{\"runs\": %d, \"violations\": %d, \"unconverged\": %d, \"pass\": %b}"
+          (List.length reports) (List.length violations) (List.length unconverged)
+          (violations = [] && unconverged = []) );
+    ];
   List.iter
     (fun v -> Printf.printf "  VIOLATION %s\n" (Chaos.Invariants.violation_to_string v))
     violations;

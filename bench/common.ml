@@ -128,6 +128,24 @@ let alloc_json st ~txns =
     st.al_minor_words st.al_promoted_words st.al_major_words st.al_minor_collections
     st.al_major_collections (words_per_txn st ~txns)
 
+(* ----- results files ----- *)
+
+(* Write a bench's results file [path]: one JSON object of its
+   experiment's name and [members], (name, rendered value) pairs, one
+   to a line. *)
+let write_results path ~experiment members =
+  Out_channel.with_open_text path (fun oc ->
+      Printf.fprintf oc "{\n%s\n}\n"
+        (String.concat ",\n"
+           (List.map
+              (fun (name, value) -> Printf.sprintf "  \"%s\": %s" name value)
+              (("experiment", Printf.sprintf "\"%s\"" experiment) :: members))));
+  Printf.printf "results written to %s\n%!" path
+
+(* A member value: rendered rows as a JSON array, one row to a line. *)
+let json_rows to_json rows =
+  Printf.sprintf "[\n%s\n  ]" (String.concat ",\n" (List.map to_json rows))
+
 (* An alloc budget ([field]) previously recorded in a bench's JSON file
    [path] (the committed file, i.e. the state of the world before this run).
    None when the file or field is missing — first run, no gate. *)

@@ -134,32 +134,30 @@ let json_of_cell c =
     (Common.alloc_json c.c_alloc ~txns:c.c_committed)
 
 let write_json ~path ~quick ~cells ~gate_pass ~w1 ~w8 ~hot ~alloc_budget ~promoted_budget =
-  let oc = open_out path in
-  Printf.fprintf oc "{\n";
-  Printf.fprintf oc "  \"experiment\": \"pipeline\",\n";
-  Printf.fprintf oc "  \"quick\": %b,\n" quick;
-  Printf.fprintf oc "  \"cells\": [\n%s\n  ],\n"
-    (String.concat ",\n" (List.map json_of_cell cells));
-  Printf.fprintf oc
-    "  \"gate\": {\"rtt_ms\": %g, \"w1_tps\": %.1f, \"w8_tps\": %.1f, \"ratio\": %.2f, \
-     \"min_ratio\": %g, \"floor_tps\": %g, \"pass\": %b},\n"
-    gate_rtt_ms w1.c_tps w8.c_tps
-    (w8.c_tps /. Float.max w1.c_tps 1e-9)
-    gate_ratio gate_floor_tps gate_pass;
-  Printf.fprintf oc
-    "  \"hot_path_gate\": {\"rtt_ms\": 2, \"window\": 8, \"tps\": %.1f, \
-     \"baseline_tps\": %g, \"speedup\": %.2f, \"min_speedup\": %g, \
-     \"words_per_txn\": %.1f, \"words_per_txn_budget\": %.1f, \
-     \"promoted_words_per_txn\": %.1f, \"promoted_words_per_txn_budget\": %.1f}\n"
-    hot.c_tps baseline_tps_2ms
-    (hot.c_tps /. baseline_tps_2ms)
-    gate_speedup_2ms hot.c_words_per_txn
-    (Common.ratchet alloc_budget hot.c_words_per_txn)
-    hot.c_promoted_per_txn
-    (Common.ratchet promoted_budget hot.c_promoted_per_txn);
-  Printf.fprintf oc "}\n";
-  close_out oc;
-  Printf.printf "results written to %s\n%!" path
+  write_results path ~experiment:"pipeline"
+    [
+      ("quick", string_of_bool quick);
+      ("cells", json_rows json_of_cell cells);
+      ( "gate",
+        Printf.sprintf
+          "{\"rtt_ms\": %g, \"w1_tps\": %.1f, \"w8_tps\": %.1f, \"ratio\": %.2f, \
+           \"min_ratio\": %g, \"floor_tps\": %g, \"pass\": %b}"
+          gate_rtt_ms w1.c_tps w8.c_tps
+          (w8.c_tps /. Float.max w1.c_tps 1e-9)
+          gate_ratio gate_floor_tps gate_pass );
+      ( "hot_path_gate",
+        Printf.sprintf
+          "{\"rtt_ms\": 2, \"window\": 8, \"tps\": %.1f, \"baseline_tps\": %g, \
+           \"speedup\": %.2f, \"min_speedup\": %g, \"words_per_txn\": %.1f, \
+           \"words_per_txn_budget\": %.1f, \"promoted_words_per_txn\": %.1f, \
+           \"promoted_words_per_txn_budget\": %.1f}"
+          hot.c_tps baseline_tps_2ms
+          (hot.c_tps /. baseline_tps_2ms)
+          gate_speedup_2ms hot.c_words_per_txn
+          (Common.ratchet alloc_budget hot.c_words_per_txn)
+          hot.c_promoted_per_txn
+          (Common.ratchet promoted_budget hot.c_promoted_per_txn) );
+    ]
 
 let run () =
   let quick = !Common.quick in

@@ -139,21 +139,18 @@ let json_of_variant v =
     (Common.alloc_json v.v_alloc ~txns:v.v_committed)
 
 let write_json ~path ~quick ~flat ~tree ~saving ~tps_ratio ~pass =
-  let oc = open_out path in
-  Printf.fprintf oc "{\n";
-  Printf.fprintf oc "  \"experiment\": \"proxy-scale\",\n";
-  Printf.fprintf oc "  \"quick\": %b,\n" quick;
-  Printf.fprintf oc "  \"regions\": %d,\n" regions;
-  Printf.fprintf oc "  \"replicas\": %d,\n" (regions * per_region);
-  Printf.fprintf oc "  \"variants\": [\n%s\n  ],\n"
-    (String.concat ",\n" [ json_of_variant flat; json_of_variant tree ]);
-  Printf.fprintf oc
-    "  \"gate\": {\"cross_region_saving\": %.2f, \"min_saving\": %g, \"tps_ratio\": \
-     %.3f, \"min_tps_ratio\": %g, \"pass\": %b}\n"
-    saving gate_min_saving tps_ratio gate_min_tps_ratio pass;
-  Printf.fprintf oc "}\n";
-  close_out oc;
-  Printf.printf "results written to %s\n%!" path
+  write_results path ~experiment:"proxy-scale"
+    [
+      ("quick", string_of_bool quick);
+      ("regions", string_of_int regions);
+      ("replicas", string_of_int (regions * per_region));
+      ("variants", json_rows json_of_variant [ flat; tree ]);
+      ( "gate",
+        Printf.sprintf
+          "{\"cross_region_saving\": %.2f, \"min_saving\": %g, \"tps_ratio\": %.3f, \
+           \"min_tps_ratio\": %g, \"pass\": %b}"
+          saving gate_min_saving tps_ratio gate_min_tps_ratio pass );
+    ]
 
 let run () =
   let quick = !Common.quick in

@@ -151,23 +151,20 @@ let json_of_cell c =
     c.c_rejected c.c_p50_us c.c_p99_us c.c_write_tps c.c_lease_served c.c_quorum_served
 
 let write_json ~path ~quick ~cells ~gate_pass ~lease ~quorum ~alloc_budget =
-  let oc = open_out path in
-  Printf.fprintf oc "{\n";
-  Printf.fprintf oc "  \"experiment\": \"read\",\n";
-  Printf.fprintf oc "  \"quick\": %b,\n" quick;
-  Printf.fprintf oc "  \"cells\": [\n%s\n  ],\n"
-    (String.concat ",\n" (List.map json_of_cell cells));
-  Printf.fprintf oc
-    "  \"gate\": {\"rtt_ms\": %g, \"read_ratio\": %g, \"lease_tps\": %.1f, \
-     \"quorum_tps\": %.1f, \"ratio\": %.2f, \"min_ratio\": %g, \"pass\": %b, \
-     \"words_per_read\": %.1f, \"words_per_read_budget\": %.1f}\n"
-    gate_rtt_ms gate_ratio_read lease.c_read_tps quorum.c_read_tps
-    (lease.c_read_tps /. Float.max quorum.c_read_tps 1e-9)
-    gate_ratio gate_pass lease.c_words_per_read
-    (ratchet alloc_budget lease.c_words_per_read);
-  Printf.fprintf oc "}\n";
-  close_out oc;
-  Printf.printf "results written to %s\n%!" path
+  write_results path ~experiment:"read"
+    [
+      ("quick", string_of_bool quick);
+      ("cells", json_rows json_of_cell cells);
+      ( "gate",
+        Printf.sprintf
+          "{\"rtt_ms\": %g, \"read_ratio\": %g, \"lease_tps\": %.1f, \
+           \"quorum_tps\": %.1f, \"ratio\": %.2f, \"min_ratio\": %g, \"pass\": %b, \
+           \"words_per_read\": %.1f, \"words_per_read_budget\": %.1f}"
+          gate_rtt_ms gate_ratio_read lease.c_read_tps quorum.c_read_tps
+          (lease.c_read_tps /. Float.max quorum.c_read_tps 1e-9)
+          gate_ratio gate_pass lease.c_words_per_read
+          (ratchet alloc_budget lease.c_words_per_read) );
+    ]
 
 let run () =
   let quick = !Common.quick in

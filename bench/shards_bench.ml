@@ -138,25 +138,22 @@ let json_of_cell c =
     c.c_frames_per_packet c.c_node_msgs_per_s c.c_idle_node_msgs_per_s
 
 let write_json ~path ~quick ~cells ~gate_pass ~g1 ~g4 =
-  let oc = open_out path in
-  Printf.fprintf oc "{\n";
-  Printf.fprintf oc "  \"experiment\": \"shards\",\n";
-  Printf.fprintf oc "  \"quick\": %b,\n" quick;
-  Printf.fprintf oc "  \"cells\": [\n%s\n  ],\n"
-    (String.concat ",\n" (List.map json_of_cell cells));
-  Printf.fprintf oc
-    "  \"gate\": {\"g1_tps\": %.1f, \"g4_tps\": %.1f, \"tps_ratio\": %.2f, \
-     \"min_tps_ratio\": %g, \"g1_idle_node_msgs_per_s\": %.1f, \
-     \"g4_idle_node_msgs_per_s\": %.1f, \"idle_msg_ratio\": %.2f, \"max_msg_ratio\": \
-     %g, \"pass\": %b}\n"
-    g1.c_tps g4.c_tps
-    (g4.c_tps /. Float.max g1.c_tps 1e-9)
-    gate_tps_ratio g1.c_idle_node_msgs_per_s g4.c_idle_node_msgs_per_s
-    (g4.c_idle_node_msgs_per_s /. Float.max g1.c_idle_node_msgs_per_s 1e-9)
-    gate_msg_ratio gate_pass;
-  Printf.fprintf oc "}\n";
-  close_out oc;
-  Printf.printf "results written to %s\n%!" path
+  write_results path ~experiment:"shards"
+    [
+      ("quick", string_of_bool quick);
+      ("cells", json_rows json_of_cell cells);
+      ( "gate",
+        Printf.sprintf
+          "{\"g1_tps\": %.1f, \"g4_tps\": %.1f, \"tps_ratio\": %.2f, \
+           \"min_tps_ratio\": %g, \"g1_idle_node_msgs_per_s\": %.1f, \
+           \"g4_idle_node_msgs_per_s\": %.1f, \"idle_msg_ratio\": %.2f, \
+           \"max_msg_ratio\": %g, \"pass\": %b}"
+          g1.c_tps g4.c_tps
+          (g4.c_tps /. Float.max g1.c_tps 1e-9)
+          gate_tps_ratio g1.c_idle_node_msgs_per_s g4.c_idle_node_msgs_per_s
+          (g4.c_idle_node_msgs_per_s /. Float.max g1.c_idle_node_msgs_per_s 1e-9)
+          gate_msg_ratio gate_pass );
+    ]
 
 let run () =
   let quick = !Common.quick in

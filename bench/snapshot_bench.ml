@@ -119,19 +119,16 @@ let json_of_cell c =
     c.c_converged
 
 let write_json ~quick ~cells ~replay ~snap ~ratio ~pass =
-  let oc = open_out "BENCH_SNAPSHOT.json" in
-  Printf.fprintf oc "{\n";
-  Printf.fprintf oc "  \"experiment\": \"snapshot\",\n";
-  Printf.fprintf oc "  \"quick\": %b,\n" quick;
-  Printf.fprintf oc "  \"cells\": [\n%s\n  ],\n"
-    (String.concat ",\n" (List.map json_of_cell cells));
-  Printf.fprintf oc
-    "  \"gate\": {\"entries\": %d, \"replay_s\": %.3f, \"snapshot_s\": %.3f, \"ratio\": \
-     %.2f, \"min_ratio\": %g, \"pass\": %b}\n"
-    replay.c_entries replay.c_rejoin_s snap.c_rejoin_s ratio (gate_ratio ()) pass;
-  Printf.fprintf oc "}\n";
-  close_out oc;
-  Printf.printf "results written to BENCH_SNAPSHOT.json\n%!"
+  write_results "BENCH_SNAPSHOT.json" ~experiment:"snapshot"
+    [
+      ("quick", string_of_bool quick);
+      ("cells", json_rows json_of_cell cells);
+      ( "gate",
+        Printf.sprintf
+          "{\"entries\": %d, \"replay_s\": %.3f, \"snapshot_s\": %.3f, \"ratio\": %.2f, \
+           \"min_ratio\": %g, \"pass\": %b}"
+          replay.c_entries replay.c_rejoin_s snap.c_rejoin_s ratio (gate_ratio ()) pass );
+    ]
 
 let run () =
   let quick = !Common.quick in

@@ -285,7 +285,8 @@ type snap_xfer = {
   sx_id : int; (* leader-unique transfer id *)
   sx_snapshot : Snapshot.t;
   mutable sx_acked : int; (* contiguous bytes the follower confirmed *)
-  mutable sx_timer : Sim.Engine.handle option; (* pacing or retransmit *)
+  mutable sx_timer : Sim.Engine.handle;
+      (* pacing or retransmit; [Sim.Engine.none] when disarmed *)
 }
 
 (* The peer's clock figures an ack recomputes.  An all-float record
@@ -392,7 +393,7 @@ type read_round = {
      prove leadership was held after the capture *)
   mutable rr_acks : node_id list;
   rr_waiters : ((int, string) result -> unit) list;
-  mutable rr_deadline : Sim.Engine.handle option;
+  mutable rr_deadline : Sim.Engine.handle; (* [Sim.Engine.none] when disarmed *)
 }
 
 (* Metric handles resolved once at node creation; hot-path recording is a
@@ -540,7 +541,7 @@ type t = {
   mutable election : election option;
   mutable election_timer : Sim.Engine.handle; (* [Sim.Engine.none] when disarmed *)
   mutable election_fire : unit -> unit; (* its thunk, built once *)
-  mutable heartbeat_timer : Sim.Engine.handle option;
+  mutable heartbeat_timer : Sim.Engine.handle; (* [Sim.Engine.none] when disarmed *)
   mutable transfer : transfer option;
   mutable force_election_quorum : bool; (* Quorum Fixer override *)
   mutable stopped : bool;
@@ -739,8 +740,6 @@ let data_quorum_of t cfg ~self acked =
 
 (* ----- timers ----- *)
 
-let cancel_timer = function Some h -> Sim.Engine.cancel h | None -> ()
-
 (* How long a follower goes without leader contact before it may
    campaign (jitter aside): the unit of every failure-detection timeout,
    and the window a leader lease must fit inside. *)
@@ -871,8 +870,8 @@ and cancel_retransmit peer =
   peer.retransmit_timer <- Sim.Engine.none
 
 and cancel_snap_timer xfer =
-  cancel_timer xfer.sx_timer;
-  xfer.sx_timer <- None
+  Sim.Engine.cancel xfer.sx_timer;
+  xfer.sx_timer <- Sim.Engine.none
 
 and cancel_snap peer =
   match peer.snap with
@@ -1253,7 +1252,7 @@ and fail_reads t ~reason =
   let round_waiters =
     match t.read_round with
     | Some round ->
-      cancel_timer round.rr_deadline;
+      Sim.Engine.cancel round.rr_deadline;
       t.read_round <- None;
       round.rr_waiters
     | None -> []
@@ -1275,21 +1274,20 @@ and maybe_start_read_round t =
         rr_marks = marks;
         rr_acks = [];
         rr_waiters = waiters;
-        rr_deadline = None;
+        rr_deadline = Sim.Engine.none;
       }
     in
     t.read_round <- Some round;
     Obs.Metrics.incr t.meters.m_readindex_rounds;
     Obs.Metrics.record t.meters.m_readindex_batch (float_of_int (List.length waiters));
     round.rr_deadline <-
-      Some
-        (Sim.Clock.schedule t.clock ~delay:(detection_window t) (fun () ->
-             match t.read_round with
-             | Some r when r == round ->
-               t.read_round <- None;
-               List.iter (fun k -> k (Error "read-index round timed out")) round.rr_waiters;
-               maybe_start_read_round t
-             | _ -> ()));
+      Sim.Clock.schedule t.clock ~delay:(detection_window t) (fun () ->
+          match t.read_round with
+          | Some r when r == round ->
+            t.read_round <- None;
+            List.iter (fun k -> k (Error "read-index round timed out")) round.rr_waiters;
+            maybe_start_read_round t
+          | _ -> ());
     (* The confirmation piggybacks on the replication stream: top up
        windows (or heartbeat) now rather than waiting for the tick. *)
     replicate_all t ~allow_empty:true;
@@ -1304,7 +1302,7 @@ and check_read_round t round =
       Quorum.data_quorum_satisfied t.params.quorum_mode (config t)
         ~leader_region:t.region ~acks
     then begin
-      cancel_timer round.rr_deadline;
+      Sim.Engine.cancel round.rr_deadline;
       t.read_round <- None;
       List.iter (fun k -> k (Ok round.rr_index)) round.rr_waiters;
       maybe_start_read_round t
@@ -1472,8 +1470,8 @@ and step_down t ~term ~new_leader =
   t.leader_id <- new_leader;
   t.election <- None;
   end_transfer t;
-  cancel_timer t.heartbeat_timer;
-  t.heartbeat_timer <- None;
+  Sim.Engine.cancel t.heartbeat_timer;
+  t.heartbeat_timer <- Sim.Engine.none;
   t.last_hb_tick_local <- neg_infinity;
   if was_leader then begin
     tracef t "raft" "%s: stepping down at term %d" t.id t.durable.current_term;
@@ -1546,7 +1544,7 @@ and quorum_contact_recent t =
       now -. p.last_ack <= t.params.auto_step_down_after)
 
 and start_heartbeats t =
-  cancel_timer t.heartbeat_timer;
+  Sim.Engine.cancel t.heartbeat_timer;
   let rec tick () =
     if t.role = Types.Leader && not t.stopped then begin
       (* Tick-interval watchdog: the countdown below was armed for
@@ -1584,12 +1582,11 @@ and start_heartbeats t =
            reset. *)
         replicate_all t ~allow_empty:true;
         t.heartbeat_timer <-
-          Some (Sim.Clock.schedule t.clock ~delay:t.params.heartbeat_interval tick)
+          Sim.Clock.schedule t.clock ~delay:t.params.heartbeat_interval tick
       end
     end
   in
-  t.heartbeat_timer <-
-    Some (Sim.Clock.schedule t.clock ~delay:t.params.heartbeat_interval tick)
+  t.heartbeat_timer <- Sim.Clock.schedule t.clock ~delay:t.params.heartbeat_interval tick
 
 (* ----- elections ----- *)
 
@@ -2182,7 +2179,12 @@ and maybe_install_snapshot t peer =
       Obs.Metrics.incr t.meters.m_snapshots_taken;
       t.next_snapshot_id <- t.next_snapshot_id + 1;
       let xfer =
-        { sx_id = t.next_snapshot_id; sx_snapshot = snapshot; sx_acked = 0; sx_timer = None }
+        {
+          sx_id = t.next_snapshot_id;
+          sx_snapshot = snapshot;
+          sx_acked = 0;
+          sx_timer = Sim.Engine.none;
+        }
       in
       (* Entry replication to this peer pauses: drain its window so a
          late ack cannot move the frontier mid-install. *)
@@ -2230,10 +2232,9 @@ and send_snapshot_chunk t peer xfer =
 and arm_snap_timer t xfer ~delay f =
   cancel_snap_timer xfer;
   xfer.sx_timer <-
-    Some
-      (Sim.Clock.schedule t.clock ~delay (fun () ->
-           xfer.sx_timer <- None;
-           f ()))
+    Sim.Clock.schedule t.clock ~delay (fun () ->
+        xfer.sx_timer <- Sim.Engine.none;
+        f ())
 
 and handle_install_snapshot_response t (r : Message.install_snapshot_response) =
   if r.term > t.durable.current_term then step_down t ~term:r.term ~new_leader:None
@@ -2871,7 +2872,7 @@ let create ?metrics ?tracebuf ?clock ?(group = 0) ~engine ~id ~region ~send ~log
       election = None;
       election_timer = Sim.Engine.none;
       election_fire = ignore;
-      heartbeat_timer = None;
+      heartbeat_timer = Sim.Engine.none;
       transfer = None;
       force_election_quorum = false;
       stopped = false;
@@ -2917,8 +2918,8 @@ let create ?metrics ?tracebuf ?clock ?(group = 0) ~engine ~id ~region ~send ~log
 let stop t =
   t.stopped <- true;
   disarm_election_timer t;
-  cancel_timer t.heartbeat_timer;
-  t.heartbeat_timer <- None;
+  Sim.Engine.cancel t.heartbeat_timer;
+  t.heartbeat_timer <- Sim.Engine.none;
   end_transfer t;
   cancel_peer_timers t;
   t.pending_install <- None;

@@ -53,7 +53,7 @@ type t = {
   mutable semisync_acked : int; (* highest seq acked by an acker *)
   mutable next_gno : int;
   mutable next_xid : int;
-  mutable ship_timer : Sim.Engine.handle option;
+  mutable ship_timer : Sim.Engine.handle; (* [Sim.Engine.none] when disarmed *)
   (* replica apply loop *)
   mutable apply_queue : Binlog.Entry.t Queue.t;
   mutable apply_busy : bool;
@@ -117,7 +117,7 @@ let rec ship_tick t =
       t.peers;
     ship_all t;
     t.ship_timer <-
-      Some (Sim.Engine.schedule t.engine ~delay:Params.ship_interval (fun () -> ship_tick t))
+      Sim.Engine.schedule t.engine ~delay:Params.ship_interval (fun () -> ship_tick t)
   end
 
 (* ----- client write path ----- *)
@@ -336,8 +336,8 @@ let crash t =
   if not t.crashed then begin
     t.crashed <- true;
     t.writes_enabled <- false;
-    (match t.ship_timer with Some h -> Sim.Engine.cancel h | None -> ());
-    t.ship_timer <- None;
+    Sim.Engine.cancel t.ship_timer;
+    t.ship_timer <- Sim.Engine.none;
     ignore (Myraft.Pipeline.abort_all t.pipeline);
     Queue.clear t.apply_queue;
     t.apply_busy <- false;
@@ -407,7 +407,7 @@ let create ~engine ~id ~region ~replicaset ~send ~discovery ~costs ~trace () =
       semisync_acked = 0;
       next_gno = 1;
       next_xid = 1;
-      ship_timer = None;
+      ship_timer = Sim.Engine.none;
       apply_queue = Queue.create ();
       apply_busy = false;
       applied_seq = 0;

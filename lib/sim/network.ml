@@ -55,12 +55,6 @@ type 'msg t = {
      with the primary, or a client pinned at 10 ms from it), copied into
      each link record when the link first carries traffic. *)
   link_latency : (Topology.node_id * Topology.node_id, float) Hashtbl.t;
-  (* Optional per-node egress capacity (bytes/µs): when set, sends from
-     that node serialize through its NIC — the leader-hotspot effect
-     proxying exists to relieve (§4.2). *)
-  egress_rate : (Topology.node_id, float) Hashtbl.t;
-  egress_free_at : (Topology.node_id, float) Hashtbl.t;
-  egress_queue_delay : (Topology.node_id, float ref) Hashtbl.t;
   node_faults : (Topology.node_id, fault_spec) Hashtbl.t;
   link_faults : (Topology.node_id * Topology.node_id, fault_spec) Hashtbl.t;
   (* Split lazily on first fault installation so fault-free runs keep the
@@ -105,9 +99,6 @@ let create engine topology ?(latency = Latency.default) () =
     links = Hashtbl.create 32;
     region_stats = Hashtbl.create 16;
     link_latency = Hashtbl.create 8;
-    egress_rate = Hashtbl.create 4;
-    egress_free_at = Hashtbl.create 4;
-    egress_queue_delay = Hashtbl.create 4;
     node_faults = Hashtbl.create 4;
     link_faults = Hashtbl.create 4;
     fault_rng = None;
@@ -170,32 +161,6 @@ let set_link_latency t ~a ~b ~latency =
   Hashtbl.replace t.link_latency (b, a) latency;
   Option.iter (fun l -> l.override <- Some latency) (find_link t ~src:a ~dst:b);
   Option.iter (fun l -> l.override <- Some latency) (find_link t ~src:b ~dst:a)
-
-(* Cap a node's egress bandwidth; messages it sends serialize through
-   the NIC and queue behind each other. *)
-let set_egress_rate t node ~bytes_per_s =
-  Hashtbl.replace t.egress_rate node (bytes_per_s /. 1_000_000.0 (* per µs *))
-
-(* Cumulative time messages spent queued behind [node]'s NIC. *)
-let egress_queue_delay t node =
-  match Hashtbl.find_opt t.egress_queue_delay node with Some r -> !r | None -> 0.0
-
-(* NIC serialization + queueing delay for sending [size] bytes now. *)
-let egress_delay t ~src ~size =
-  if Hashtbl.length t.egress_rate = 0 then 0.0
-  else
-    match Hashtbl.find_opt t.egress_rate src with
-    | None -> 0.0
-    | Some rate ->
-      let now = Engine.now t.engine in
-      let start = max now (Option.value (Hashtbl.find_opt t.egress_free_at src) ~default:now) in
-      let serialization = float_of_int size /. rate in
-      Hashtbl.replace t.egress_free_at src (start +. serialization);
-      let queued = start -. now in
-      (match Hashtbl.find_opt t.egress_queue_delay src with
-      | Some r -> r := !r +. queued
-      | None -> Hashtbl.replace t.egress_queue_delay src (ref queued));
-      queued +. serialization
 
 let topology t = t.topology
 
@@ -338,12 +303,11 @@ let send t ~src ~dst ~size msg =
     end
     else begin
       let base_delay =
-        egress_delay t ~src ~size
-        +. (match l.override with
-           | Some fixed -> fixed
-           | None ->
-             Latency.one_way t.latency ~src_region:l.src_region ~dst_region:l.dst_region
-               t.rng)
+        (match l.override with
+        | Some fixed -> fixed
+        | None ->
+          Latency.one_way t.latency ~src_region:l.src_region ~dst_region:l.dst_region
+            t.rng)
         +. extra_latency 0.0 specs
       in
       (* FIFO stream semantics: clamp the delivery behind the link's

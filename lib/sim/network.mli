@@ -70,13 +70,6 @@ val heal_all : 'msg t -> unit
     overriding the region model. *)
 val set_link_latency : 'msg t -> a:Topology.node_id -> b:Topology.node_id -> latency:float -> unit
 
-(** Cap a node's egress bandwidth: its sends serialize through the NIC
-    and queue behind each other (the leader-hotspot effect, §4.2). *)
-val set_egress_rate : 'msg t -> Topology.node_id -> bytes_per_s:float -> unit
-
-(** Cumulative time spent queued behind a node's NIC, microseconds. *)
-val egress_queue_delay : 'msg t -> Topology.node_id -> float
-
 (** [send t ~src ~dst ~size msg] accounts [size] bytes and schedules
     delivery; dropped silently when partitioned or either end is down. *)
 val send : 'msg t -> src:Topology.node_id -> dst:Topology.node_id -> size:int -> 'msg -> unit

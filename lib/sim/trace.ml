@@ -9,24 +9,18 @@ type entry = { time : float; tag : string; message : string }
 type t = {
   mutable entries : entry list; (* newest first *)
   mutable echo : bool;
-  mutable enabled : bool;
   engine : Engine.t;
 }
 
-let create ?(echo = false) engine = { entries = []; echo; enabled = true; engine }
+let create ?(echo = false) engine = { entries = []; echo; engine }
 
-let set_enabled t enabled = t.enabled <- enabled
-
-(* A disabled trace consumes the arguments without formatting them. *)
 let record t ~tag fmt =
-  if t.enabled then
-    Format.kasprintf
-      (fun message ->
-        let time = Engine.now t.engine in
-        t.entries <- { time; tag; message } :: t.entries;
-        if t.echo then Format.printf "[%10.0fus] %-12s %s@." time tag message)
-      fmt
-  else Format.ikfprintf ignore Format.str_formatter fmt
+  Format.kasprintf
+    (fun message ->
+      let time = Engine.now t.engine in
+      t.entries <- { time; tag; message } :: t.entries;
+      if t.echo then Format.printf "[%10.0fus] %-12s %s@." time tag message)
+    fmt
 
 let entries t = List.rev t.entries
 

@@ -7,10 +7,7 @@ type t
 
 val create : ?echo:bool -> Engine.t -> t
 
-val set_enabled : t -> bool -> unit
-
-(** [record t ~tag fmt ...] formats and stores one entry.  On a disabled
-    trace nothing is formatted: [%a] and [%t] printers do not run. *)
+(** [record t ~tag fmt ...] formats and stores one entry. *)
 val record : t -> tag:string -> ('a, Format.formatter, unit, unit) format4 -> 'a
 
 (** Entries oldest-first. *)

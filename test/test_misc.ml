@@ -22,20 +22,6 @@ let test_trace_records_with_virtual_time () =
     Alcotest.(check int) "tag filter" 1 (List.length (Sim.Trace.entries_with_tag trace "b"))
   | l -> Alcotest.failf "expected 2 entries, got %d" (List.length l)
 
-let test_trace_disabled_records_nothing () =
-  let e = Sim.Engine.create () in
-  let trace = Sim.Trace.create e in
-  Sim.Trace.set_enabled trace false;
-  Sim.Trace.record trace ~tag:"x" "dropped";
-  let printed = ref false in
-  let pp ppf () =
-    printed := true;
-    Format.pp_print_string ppf "costly"
-  in
-  Sim.Trace.record trace ~tag:"x" "dropped %a %d" pp () 7;
-  Alcotest.(check int) "nothing recorded" 0 (List.length (Sim.Trace.entries trace));
-  Alcotest.(check bool) "printer not run" false !printed
-
 (* ----- generic probe ----- *)
 
 let test_probe_counts_and_downtime () =
@@ -249,7 +235,6 @@ let suites =
       [
         Alcotest.test_case "records with virtual time" `Quick
           test_trace_records_with_virtual_time;
-        Alcotest.test_case "disabled records nothing" `Quick test_trace_disabled_records_nothing;
       ] );
     ( "sim.probe",
       [

@@ -446,7 +446,7 @@ let primary_write_words () =
     write i
   done;
   let words =
-    Helpers.minor_words (fun () ->
+    Kit.Alloc.minor_words (fun () ->
         for i = warmup to warmup + n - 1 do
           write i
         done)
@@ -503,7 +503,7 @@ let replica_apply_words ~batch ~warmup ~n ~step =
   in
   let ae first =
     let ae =
-      Helpers.append_entries ~leader:"mysql1" ~term:1
+      Kit.Bare.append_entries ~leader:"mysql1" ~term:1
         ~prev:((if first = 1 then 0 else 1), first - 1)
         ~commit:(first - 1) []
     in
@@ -525,7 +525,7 @@ let replica_apply_words ~batch ~warmup ~n ~step =
     feed i
   done;
   let words =
-    Helpers.minor_words (fun () ->
+    Kit.Alloc.minor_words (fun () ->
         for i = warmup to warmup + n - 1 do
           feed i
         done)

@@ -232,7 +232,7 @@ let pipeline_round_words ~m =
   done;
   let r = ref warmup in
   let words =
-    Helpers.minor_words ~rounds (fun () ->
+    Kit.Alloc.minor_words ~rounds (fun () ->
         round !r;
         incr r)
   in

@@ -854,7 +854,7 @@ let prop_ring_window_matches_list =
       in
       let ids = [ "p0"; "p1"; "p2" ] in
       let h =
-        Helpers.make_leader ~params
+        Kit.Bare.make_leader ~params
           (("L", "r1", true) :: List.map (fun id -> (id, "r1", true)) ids)
       in
       let model =
@@ -909,15 +909,15 @@ let prop_ring_window_matches_list =
               check (dst ^ ": window overflow") (List.length m.win <= window);
               m.next <- last + 1
             | Raft.Message.Refs _ -> check "no proxying in one region" false)
-          h.Helpers.sent;
-        Queue.clear h.Helpers.sent
+          h.Kit.Bare.sent;
+        Queue.clear h.Kit.Bare.sent
       in
       (* Retransmits fire on the leader's timers; the trace says when,
          from where and over how many sends. *)
       let traced = ref 0 in
       let advance dt =
-        Sim.Engine.run_for h.Helpers.engine dt;
-        let entries = Sim.Trace.entries_with_tag h.Helpers.trace "raft" in
+        Sim.Engine.run_for h.Kit.Bare.engine dt;
+        let entries = Sim.Trace.entries_with_tag h.Kit.Bare.trace "raft" in
         let fresh = List.filteri (fun i _ -> i >= !traced) entries in
         traced := List.length entries;
         let retransmits =
@@ -932,8 +932,8 @@ let prop_ring_window_matches_list =
             fresh
         in
         (* Each peer's resends follow its own retransmit, at its time. *)
-        let sends = List.of_seq (Queue.to_seq h.Helpers.sent) in
-        Queue.clear h.Helpers.sent;
+        let sends = List.of_seq (Queue.to_seq h.Kit.Bare.sent) in
+        Queue.clear h.Kit.Bare.sent;
         List.iter
           (fun (time, id, from, len) ->
             let m = peer id in
@@ -950,7 +950,7 @@ let prop_ring_window_matches_list =
             rewind m ~from;
             List.iter
               (fun ((dst, (ae : Raft.Message.append_entries)) as x) ->
-                if dst = id && ae.leader_time = time then Queue.push x h.Helpers.sent)
+                if dst = id && ae.leader_time = time then Queue.push x h.Kit.Bare.sent)
               sends;
             take_sends ())
           retransmits;
@@ -994,7 +994,7 @@ let prop_ring_window_matches_list =
           rewind m ~from:(List.fold_left (fun acc s -> min acc s.m_first) max_int still);
         let ack = min durable m.delivered in
         if ack > m.matched then m.matched <- ack;
-        Helpers.respond h ~peer:id ~success:true ~seq ~durable ~appended;
+        Kit.Bare.respond h ~peer:id ~success:true ~seq ~durable ~appended;
         take_sends ()
       in
       take_sends ();
@@ -1004,7 +1004,7 @@ let prop_ring_window_matches_list =
           (match op with
           | W_append k ->
             for _ = 1 to k do
-              ignore (Raft.Node.client_append h.Helpers.node Binlog.Entry.Noop)
+              ignore (Raft.Node.client_append h.Kit.Bare.node Binlog.Entry.Noop)
             done;
             take_sends ()
           | W_ack (p, i, r) ->
@@ -1039,7 +1039,7 @@ let prop_ring_window_matches_list =
                 end;
                 rewind m ~from:(max 1 (min (m.next - 1) (log_end + 1)))
               end;
-              Helpers.respond h ~peer:id ~success:false ~seq ~durable:log_end
+              Kit.Bare.respond h ~peer:id ~success:false ~seq ~durable:log_end
                 ~appended:log_end;
               take_sends ()
             end
@@ -1053,8 +1053,8 @@ let prop_ring_window_matches_list =
             (Helpers.window_gauge h = float_of_int total);
           check
             (Printf.sprintf "after %s: lease until %g, model %g" (window_op_to_string op)
-               (Raft.Node.lease_until h.Helpers.node) !lease)
-            (Raft.Node.lease_until h.Helpers.node = !lease))
+               (Raft.Node.lease_until h.Kit.Bare.node) !lease)
+            (Raft.Node.lease_until h.Kit.Bare.node = !lease))
         ops;
       true)
 
@@ -1135,11 +1135,11 @@ let prop_proxy_pick_matches_sort =
   QCheck.Test.make ~name:"one-pass proxy pick equals the sorted pick" ~count:300
     proxy_table_arb (fun (gap, peers) ->
       let h =
-        Helpers.make_leader
+        Kit.Bare.make_leader
           (("L", "r1", true) :: ("M", "r1", true)
           :: List.map (fun p -> (p.pp_id, "r2", p.pp_voter)) peers)
       in
-      let node = h.Helpers.node in
+      let node = h.Kit.Bare.node in
       for _ = 1 to 2 do
         ignore (Raft.Node.client_append node Binlog.Entry.Noop)
       done;
@@ -1148,25 +1148,25 @@ let prop_proxy_pick_matches_sort =
         Queue.iter
           (fun (dst, (ae : Raft.Message.append_entries)) ->
             Hashtbl.replace last_seq dst ae.seq)
-          h.Helpers.sent;
-        Queue.clear h.Helpers.sent;
-        Queue.clear h.Helpers.hops
+          h.Kit.Bare.sent;
+        Queue.clear h.Kit.Bare.sent;
+        Queue.clear h.Kit.Bare.hops
       in
       let ack_all kind =
         take ();
         List.iter
           (fun p ->
             if p.pp_ack = kind then
-              Helpers.respond h ~peer:p.pp_id ~success:true
+              Kit.Bare.respond h ~peer:p.pp_id ~success:true
                 ~seq:(Hashtbl.find last_seq p.pp_id) ~durable:p.pp_match
                 ~appended:p.pp_match)
           peers
       in
       ack_all `Early;
-      Sim.Engine.run_for h.Helpers.engine ((if gap then 2.0 else 0.5) *. Sim.Engine.s);
+      Sim.Engine.run_for h.Kit.Bare.engine ((if gap then 2.0 else 0.5) *. Sim.Engine.s);
       ack_all `Late;
       take ();
-      Helpers.respond h ~peer:"M" ~success:true ~seq:(Hashtbl.find last_seq "M")
+      Kit.Bare.respond h ~peer:"M" ~success:true ~seq:(Hashtbl.find last_seq "M")
         ~durable:3 ~appended:3;
       take ();
       ignore (Raft.Node.client_append node Binlog.Entry.Noop);
@@ -1176,7 +1176,7 @@ let prop_proxy_pick_matches_sort =
           let via =
             List.filter_map
               (fun (hop, dst) -> if dst = p.pp_id then Some hop else None)
-              (List.of_seq (Queue.to_seq h.Helpers.hops))
+              (List.of_seq (Queue.to_seq h.Kit.Bare.hops))
           in
           let hop = match expected with Some id when id <> p.pp_id -> id | _ -> p.pp_id in
           via <> [] && List.for_all (String.equal hop) via)

@@ -578,14 +578,14 @@ let leader_read_bound = 7
 let lane_bound = 2
 
 let test_leader_read_words () =
-  let words = Probe.Read_alloc.leader_read_words () in
+  let words, _ = Kit.Alloc.leader_read () in
   Alcotest.(check bool)
     (Printf.sprintf "%.1f words per lease read <= %d" words leader_read_bound)
     true
     (words <= float_of_int leader_read_bound)
 
 let test_lane_words () =
-  let words = Probe.Read_alloc.lane_words () in
+  let words, _ = Kit.Alloc.lane () in
   Alcotest.(check bool)
     (Printf.sprintf "%.1f words per lane open + settle <= %d" words lane_bound)
     true

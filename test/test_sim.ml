@@ -612,37 +612,6 @@ let test_reset_stats_keeps_fifo () =
     (List.map (fun (s, d, m, b) -> ((s, d), (m, b))) (Sim.Network.region_stat_rows net));
   Alcotest.(check int) "cross-region bytes reset" 0 (Sim.Network.cross_region_bytes net)
 
-let test_egress_capacity_serializes () =
-  let e, net = make_net () in
-  let arrivals = ref [] in
-  Sim.Network.register net "b" (fun ~src:_ _ -> arrivals := Sim.Engine.now e :: !arrivals);
-  (* 1 MB/s = 1 byte/us: a 1000-byte message serializes for 1000us *)
-  Sim.Network.set_egress_rate net "a" ~bytes_per_s:1_000_000.0;
-  Sim.Network.send net ~src:"a" ~dst:"b" ~size:1000 "m1";
-  Sim.Network.send net ~src:"a" ~dst:"b" ~size:1000 "m2";
-  Sim.Engine.run_until e 1_000_000.0;
-  (match List.rev !arrivals with
-  | [ t1; t2 ] ->
-    (* m1: serialization 1000 + latency 100; m2 queues behind m1 *)
-    Alcotest.(check (float 1.0)) "first arrival" 1100.0 t1;
-    Alcotest.(check (float 1.0)) "second queues" 2100.0 t2
-  | l -> Alcotest.failf "expected 2 arrivals, got %d" (List.length l));
-  Alcotest.(check bool) "queue delay recorded" true
-    (Sim.Network.egress_queue_delay net "a" >= 999.0)
-
-let test_egress_uncapped_nodes_unaffected () =
-  let e, net = make_net () in
-  let at = ref 0.0 in
-  Sim.Network.register net "b" (fun ~src:_ _ -> at := Sim.Engine.now e);
-  Sim.Network.set_egress_rate net "a" ~bytes_per_s:1_000_000.0;
-  (* c has no cap: only the latency model applies *)
-  Sim.Network.register net "c" (fun ~src:_ _ -> ());
-  Sim.Network.send net ~src:"c" ~dst:"b" ~size:100_000 "big";
-  Sim.Engine.run_until e 100_000.0;
-  (* c->b is cross-region (10ms): only the latency model applies, no
-     serialization despite the 100KB size *)
-  Alcotest.(check (float 1.0)) "no serialization on uncapped sender" 10_000.0 !at
-
 (* ----- allocation on the message path ----- *)
 
 (* A fault-free message costs only the engine event that delivers it:
@@ -662,31 +631,18 @@ let pinned_send_deliver_words = 11
    region-pair tuple is hashed per send. *)
 let cross_region_send_deliver_words = 15
 
-let check_send_deliver_words ?(dst = "b") ?(horizon = 1_000.0) ~name ~bound ~pin () =
-  let e, net = make_net ~latency:Sim.Latency.default () in
-  let got = ref 0 in
-  Sim.Network.register net dst (fun ~src:_ (_ : int) -> incr got);
-  if pin then Sim.Network.set_link_latency net ~a:"a" ~b:dst ~latency:100.0;
-  let batch = 100 and rounds = 200 in
-  let round () =
-    for i = 1 to batch do
-      Sim.Network.send net ~src:"a" ~dst ~size:100 i
-    done;
-    Sim.Engine.run_for e horizon
-  in
-  round ();
-  let words = Helpers.minor_words ~rounds round in
-  Alcotest.(check int) "every message delivered" ((rounds + 1) * batch) !got;
-  let per_msg = (words -. (2.0 *. float_of_int rounds)) /. float_of_int (rounds * batch) in
+let check_send_deliver_words ~bound link () =
+  let per_msg, _ = Kit.Alloc.send_deliver link in
   Alcotest.(check bool)
-    (Printf.sprintf "%s: %.2f words per send+deliver <= %d" name per_msg bound)
+    (Printf.sprintf "%s: %.2f words per send+deliver <= %d" (Kit.Alloc.link_name link)
+       per_msg bound)
     true
     (per_msg <= float_of_int bound)
 
 let test_rng_float_words () =
   let rng = Sim.Rng.of_int 5 in
   let sum = ref 0.0 in
-  let words = Helpers.minor_words ~rounds:1_000 (fun () -> sum := Sim.Rng.float rng) in
+  let words = Kit.Alloc.minor_words ~rounds:1_000 (fun () -> sum := Sim.Rng.float rng) in
   Alcotest.(check (float 0.)) "words per Rng.float (the returned box only)" 2.0
     (words /. 1_000.0)
 
@@ -848,22 +804,17 @@ let suites =
         Alcotest.test_case "link latency override" `Quick test_link_latency_override;
         Alcotest.test_case "reset_stats keeps fifo" `Quick test_reset_stats_keeps_fifo;
       ] );
-    ( "sim.egress",
-      [
-        Alcotest.test_case "capacity serializes sends" `Quick test_egress_capacity_serializes;
-        Alcotest.test_case "uncapped unaffected" `Quick test_egress_uncapped_nodes_unaffected;
-      ] );
     ( "sim.alloc",
       [
         Alcotest.test_case "same-region send+deliver words" `Quick
-          (check_send_deliver_words ~name:"same region" ~bound:same_region_send_deliver_words
-             ~pin:false);
+          (check_send_deliver_words ~bound:same_region_send_deliver_words
+             Kit.Alloc.Same_region);
         Alcotest.test_case "pinned-link send+deliver words" `Quick
-          (check_send_deliver_words ~name:"pinned link" ~bound:pinned_send_deliver_words
-             ~pin:true);
+          (check_send_deliver_words ~bound:pinned_send_deliver_words
+             Kit.Alloc.Pinned_link);
         Alcotest.test_case "cross-region send+deliver words" `Quick
-          (check_send_deliver_words ~dst:"c" ~horizon:100_000.0 ~name:"cross region"
-             ~bound:cross_region_send_deliver_words ~pin:false);
+          (check_send_deliver_words ~bound:cross_region_send_deliver_words
+             Kit.Alloc.Cross_region);
         Alcotest.test_case "Rng.float words" `Quick test_rng_float_words;
       ] );
     ( "sim.topology",

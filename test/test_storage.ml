@@ -159,17 +159,9 @@ let test_checkpoint_round_trip_keeps_history () =
 (* The next gno of the open tip only bumps an int, and membership
    checks (tip, folded intervals, misses) build no option or closure. *)
 let test_tip_add_and_has_committed_allocate_nothing () =
-  let gtids = Array.init 2_000 (fun i -> Binlog.Gtid.make ~source:"srv1" ~gno:(i + 1)) in
-  let acc = Binlog.Gtid_set.Acc.create () in
-  Binlog.Gtid_set.Acc.add acc gtids.(0);
-  Binlog.Gtid_set.Acc.add acc gtids.(1);
-  let words =
-    Helpers.minor_words (fun () ->
-        for i = 2 to 999 do
-          Binlog.Gtid_set.Acc.add acc gtids.(i)
-        done)
-  in
-  Alcotest.(check (float 0.)) "words per 1k tip adds" 0.0 words;
+  let words, _ = Kit.Alloc.tip_add () in
+  Alcotest.(check (float 0.)) "words per tip add" 0.0 words;
+  let gtids = Array.init 1_000 (fun i -> gtid (i + 1)) in
   let e = Storage.Engine.create () in
   for i = 0 to 99 do
     let p =
@@ -184,7 +176,7 @@ let test_tip_add_and_has_committed_allocate_nothing () =
   let other = Binlog.Gtid.make ~source:"srv2" ~gno:1 in
   let hits = ref 0 in
   let words =
-    Helpers.minor_words (fun () ->
+    Kit.Alloc.minor_words (fun () ->
         for i = 0 to 999 do
           if Storage.Engine.has_committed e gtids.(i) then incr hits;
           if Storage.Engine.has_committed e other then incr hits
@@ -201,21 +193,7 @@ let test_tip_add_and_has_committed_allocate_nothing () =
 let prepare_commit_words = 12
 
 let test_prepare_commit_words () =
-  let e = Storage.Engine.create () in
-  let n = 10_000 in
-  let gtids = Array.init (n + 1) (fun i -> Binlog.Gtid.make ~source:"srv1" ~gno:(i + 1)) in
-  let opids = Array.init (n + 1) (fun i -> opid (i + 1)) in
-  let events = Helpers.rows [ ("sbtest", insert "row-1" "v") ] in
-  let p = Storage.Engine.prepare e ~gtid:gtids.(0) ~events in
-  Storage.Engine.commit_prepared e p ~opid:opids.(0);
-  let words =
-    Helpers.minor_words (fun () ->
-        for i = 1 to n do
-          let p = Storage.Engine.prepare e ~gtid:gtids.(i) ~events in
-          Storage.Engine.commit_prepared e p ~opid:opids.(i)
-        done)
-  in
-  let per_txn = words /. float_of_int n in
+  let per_txn, _ = Kit.Alloc.prepare_commit () in
   Alcotest.(check bool)
     (Printf.sprintf "%.1f words per prepare+commit <= %d" per_txn prepare_commit_words)
     true
