@@ -393,15 +393,21 @@ let row_count t ~table:tbl_name =
   | exception Not_found -> 0
 
 (* Content digest used by the shadow-testing checksum comparisons between
-   leader and followers (§5.1). *)
+   leader and followers (§5.1): a CRC over the sorted (table, key, value)
+   rows, each string length-prefixed.  It reads only the rows' bytes, so
+   two engines holding equal rows agree however their strings are shared
+   in the heap. *)
 let checksum t =
   let rows = ref [] in
   Keys.iter
     (fun tbl_name tbl ->
       Keys.iter (fun key slot -> rows := (tbl_name, key, slot.value) :: !rows) tbl.rows)
     t.tables;
-  let sorted = List.sort compare !rows in
-  Binlog.Checksum.string (Marshal.to_string sorted [])
+  let feed st s = Binlog.Checksum.(feed_string (feed_int st (String.length s)) s) in
+  Binlog.Checksum.finalize
+    (List.fold_left
+       (fun st (tbl_name, key, value) -> feed (feed (feed st tbl_name) key) value)
+       Binlog.Checksum.init (List.sort compare !rows))
 
 (* Digest of the first [count] commits (in commit order); [0l] for an
    empty prefix.  Two replicas agree on every shared prefix iff they
@@ -489,6 +495,10 @@ let restore t ck =
       Vec.push t.commit_opids opid)
     ck.ck_commit_log
 
-let encode_checkpoint ck = Marshal.to_string ck []
+(* [No_sharing]: the bytes follow the checkpoint's values alone, not how
+   its strings happen to be shared in the heap, so a snapshot's size (and
+   with it its chunk count and transfer time) is the same on every
+   replica holding the same rows. *)
+let encode_checkpoint ck = Marshal.to_string ck [ Marshal.No_sharing ]
 
 let decode_checkpoint s : checkpoint = Marshal.from_string s 0

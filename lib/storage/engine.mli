@@ -86,7 +86,9 @@ val committed_count : t -> int
 val row_count : t -> table:string -> int
 
 (** Content digest for the shadow-testing checksum comparisons between
-    leader and followers (§5.1). *)
+    leader and followers (§5.1): a CRC-32 over the rows sorted by
+    (table, key, value), each string fed as its length then its bytes.
+    It depends on the rows' bytes only, never on heap sharing. *)
 val checksum : t -> int32
 
 (** Digest of the first [count] commits in commit order ([0l] when
@@ -110,7 +112,9 @@ val checkpoint : t -> checkpoint
     wholesale; commit listeners survive. *)
 val restore : t -> checkpoint -> unit
 
-(** Serialization for the InstallSnapshot wire payload. *)
+(** Serialization for the InstallSnapshot wire payload.  Equal
+    checkpoints encode to equal bytes, however their strings are shared
+    in the heap. *)
 val encode_checkpoint : checkpoint -> string
 
 val decode_checkpoint : string -> checkpoint

@@ -1184,10 +1184,7 @@ let prop_proxy_pick_matches_sort =
 
 (* ----- storage engine: row slots against the list-and-map engine ----- *)
 
-(* Two tables of four keys, three values and two GTID sources, all
-   fixed strings: a row key or value is then the same object in the
-   engine and in the reference, so their checksums (a CRC of marshalled
-   rows) must agree byte for byte. *)
+(* Two tables of four keys, three values and two GTID sources. *)
 let e_tables = [| "t1"; "t2" |]
 
 let e_keys = [| "a"; "b"; "c"; "d" |]
@@ -1377,9 +1374,15 @@ module Ref_engine = struct
     t.locks <- [];
     n
 
+  (* A CRC over the sorted rows, each string length-prefixed. *)
   let checksum t =
     let rows = List.map (fun ((tbl, key), value) -> (tbl, key, value)) t.c.rows in
-    Binlog.Checksum.string (Marshal.to_string (List.sort compare rows) [])
+    let open Binlog.Checksum in
+    let feed st s = feed_string (feed_int st (String.length s)) s in
+    finalize
+      (List.fold_left
+         (fun st (tbl, key, value) -> feed (feed (feed st tbl) key) value)
+         init (List.sort compare rows))
 end
 
 let e_fail fmt = QCheck.Test.fail_reportf fmt

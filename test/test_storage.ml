@@ -99,6 +99,24 @@ let test_checksum_equality () =
   Alcotest.(check bool) "diverged content, different checksum" false
     (Int32.equal (Storage.Engine.checksum a) (Storage.Engine.checksum b))
 
+(* Two engines hold equal rows: one shares a single value string across
+   its rows, the other a fresh copy per row.  Content checksum and
+   checkpoint bytes follow the rows alone, not the heap's sharing. *)
+let test_sharing_invisible () =
+  let shared = String.make 300 'd' in
+  let mk value =
+    let e = Storage.Engine.create () in
+    for i = 1 to 20 do
+      let p = prepare e ~gtid:(gtid i) ~writes:[ ("t", insert ("row-" ^ Int.to_string i) (value ())) ] in
+      Storage.Engine.commit_prepared e p ~opid:(opid i)
+    done;
+    e
+  in
+  let a = mk (fun () -> shared) and b = mk (fun () -> String.make 300 'd') in
+  Alcotest.(check int32) "checksum" (Storage.Engine.checksum b) (Storage.Engine.checksum a);
+  let encode e = Storage.Engine.encode_checkpoint (Storage.Engine.checkpoint e) in
+  Alcotest.(check bool) "encoded checkpoints equal" true (String.equal (encode a) (encode b))
+
 let test_duplicate_prepare_rejected () =
   let e = Storage.Engine.create () in
   ignore (prepare e ~gtid:(gtid 1) ~writes:[ ("t", insert "a" "1") ]);
@@ -210,6 +228,8 @@ let suites =
         Alcotest.test_case "crash recovery" `Quick test_crash_recovery_rolls_back_prepared;
         Alcotest.test_case "update/delete" `Quick test_update_delete_ops;
         Alcotest.test_case "content checksums" `Quick test_checksum_equality;
+        Alcotest.test_case "heap sharing changes no checksum or checkpoint" `Quick
+          test_sharing_invisible;
         Alcotest.test_case "duplicate prepare rejected" `Quick test_duplicate_prepare_rejected;
         Alcotest.test_case "checkpoint round trip keeps history" `Quick
           test_checkpoint_round_trip_keeps_history;
