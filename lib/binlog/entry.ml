@@ -17,11 +17,13 @@ type payload =
    concurrently with anything whose index is > [last_committed].  Kept
    outside the payload checksum — in the real binlog these live in the
    42-byte Gtid_event whose size we already account for, and they are
-   header metadata stamped by the primary, not client payload. *)
+   header metadata stamped by the primary, not client payload.  The
+   interval's upper end, MySQL's sequence_number, is always the entry's
+   own index, so it is read from the OpId rather than stored. *)
 type deps = { last_committed : int; sequence_number : int }
 
 (* Flat: the CRC is kept as an unsigned 32-bit int ([Int32.of_int] of it
-   is the stamped checksum) and the dependency interval as two int fields,
+   is the stamped checksum) and the dependency interval as one int field,
    [last_committed = -1] until stamped, so a retained entry owns no
    [int32] box, no option and no deps record. *)
 type t = {
@@ -30,7 +32,6 @@ type t = {
   checksum : int;
   size : int;
   mutable last_committed : int;
-  mutable sequence_number : int;
 }
 
 let payload_size payload =
@@ -91,7 +92,6 @@ let make ~opid payload =
     checksum = payload_checksum payload;
     size = payload_size payload + 16 (* opid + checksum framing *);
     last_committed = -1;
-    sequence_number = 0;
   }
 
 let opid t = t.opid
@@ -110,14 +110,13 @@ let verify t = payload_checksum t.payload = t.checksum
 
 let deps t =
   if t.last_committed < 0 then None
-  else Some { last_committed = t.last_committed; sequence_number = t.sequence_number }
+  else Some { last_committed = t.last_committed; sequence_number = Opid.index t.opid }
 
 let last_committed t = t.last_committed
 
-let set_deps t ~last_committed ~sequence_number =
+let set_deps t ~last_committed =
   if last_committed < 0 then invalid_arg "Entry.set_deps: negative last_committed";
-  t.last_committed <- last_committed;
-  t.sequence_number <- sequence_number
+  t.last_committed <- last_committed
 
 let gtid t = match t.payload with Transaction { gtid; _ } -> Some gtid | _ -> None
 

@@ -14,7 +14,7 @@ type payload =
     execute this transaction concurrently with any entry whose index is
     greater than [last_committed].  Header metadata, not payload: it is
     outside the checksum, like the fields of the real 42-byte
-    Gtid_event. *)
+    Gtid_event.  [sequence_number] is always the entry's own index. *)
 type deps = { last_committed : int; sequence_number : int }
 
 type t
@@ -46,7 +46,7 @@ val deps : t -> deps option
 val last_committed : t -> int
 
 (** Raises [Invalid_argument] on a negative [last_committed]. *)
-val set_deps : t -> last_committed:int -> sequence_number:int -> unit
+val set_deps : t -> last_committed:int -> unit
 
 (** The transaction's GTID, if this entry is a transaction. *)
 val gtid : t -> Gtid.t option

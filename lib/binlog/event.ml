@@ -57,6 +57,21 @@ let size t =
   in
   header + body_size
 
+(* One [Table_map] event per table, made at the table's first write:
+   the event holds only the table name, so every transaction on the
+   table can share it. *)
+type table_maps = (string, t) Hashtbl.t
+
+let table_maps () : table_maps = Hashtbl.create 8
+
+let table_map (maps : table_maps) table =
+  match Hashtbl.find maps table with
+  | event -> event
+  | exception Not_found ->
+    let event = Table_map { table } in
+    Hashtbl.add maps table event;
+    event
+
 let describe t =
   match t with
   | Format_description -> "FORMAT_DESCRIPTION"

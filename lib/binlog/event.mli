@@ -34,3 +34,13 @@ val row_op_size : row_op -> int
 val size : t -> int
 
 val describe : t -> string
+
+(** A memo of [Table_map] events, one per table.  A primary builds each
+    transaction's table map through it, so the transactions its log
+    retains share one event per table instead of holding one each. *)
+type table_maps
+
+val table_maps : unit -> table_maps
+
+(** The [Table_map] event of [table], made at its first use. *)
+val table_map : table_maps -> string -> t

@@ -71,6 +71,7 @@ type t = {
   rng : Sim.Rng.t;
   (* counters *)
   writeset : Binlog.Writeset.t; (* primary-side dependency tracker *)
+  table_maps : Binlog.Event.table_maps; (* one Table_map event per table *)
   mutable promotions : int;
   mutable demotions : int;
   mutable writes_committed : int;
@@ -634,7 +635,7 @@ let prepare_write t (req : Wire.write_request) local =
     let events =
       [
         Binlog.Event.make (Binlog.Event.Gtid_event gtid);
-        Binlog.Event.make (Binlog.Event.Table_map { table });
+        Binlog.Event.table_map t.table_maps table;
         Binlog.Event.make (Binlog.Event.Write_rows { table; ops = req.ops });
         Binlog.Event.make (Binlog.Event.Xid { xid = t.next_xid });
       ]
@@ -684,8 +685,7 @@ let flush_txn t txn =
       if entry != Binlog.Log_store.absent then
         Binlog.Entry.set_deps entry
           ~last_committed:
-            (Binlog.Writeset.stamp t.writeset ~index ~table:w.req.table ~ops:w.req.ops)
-          ~sequence_number:index;
+            (Binlog.Writeset.stamp t.writeset ~index ~table:w.req.table ~ops:w.req.ops);
       trace_event t ~stage:"flush" ~term:(Binlog.Opid.term opid) ~index;
       index
     | Error _ -> -1)
@@ -978,6 +978,7 @@ let create ?metrics ?tracebuf ?clock ?(group = 0) ~engine ~id ~region ~replicase
       log = Binlog.Log_store.create ~metrics ~mode:Binlog.Log_store.Relay ();
       durable = Raft.Node.fresh_durable ();
       writeset = Binlog.Writeset.create ~capacity:Params.writeset_history_size;
+      table_maps = Binlog.Event.table_maps ();
       raft = None;
       pipeline =
         (* replaced below: the pipeline's stage functions need [t] *)

@@ -53,6 +53,7 @@ type t = {
   mutable semisync_acked : int; (* highest seq acked by an acker *)
   mutable next_gno : int;
   mutable next_xid : int;
+  table_maps : Binlog.Event.table_maps; (* one Table_map event per table *)
   mutable ship_timer : Sim.Engine.handle; (* [Sim.Engine.none] when disarmed *)
   (* replica apply loop *)
   mutable apply_queue : Binlog.Entry.t Queue.t;
@@ -143,7 +144,7 @@ let prepare_write t ~client ~write_id ~local ~table ~ops =
     let events =
       [
         Binlog.Event.make (Binlog.Event.Gtid_event gtid);
-        Binlog.Event.make (Binlog.Event.Table_map { table });
+        Binlog.Event.table_map t.table_maps table;
         Binlog.Event.make (Binlog.Event.Write_rows { table; ops });
         Binlog.Event.make (Binlog.Event.Xid { xid = t.next_xid });
       ]
@@ -407,6 +408,7 @@ let create ~engine ~id ~region ~replicaset ~send ~discovery ~costs ~trace () =
       semisync_acked = 0;
       next_gno = 1;
       next_xid = 1;
+      table_maps = Binlog.Event.table_maps ();
       ship_timer = Sim.Engine.none;
       apply_queue = Queue.create ();
       apply_busy = false;

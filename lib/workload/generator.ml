@@ -89,6 +89,10 @@ type t = {
   zipf_cdf : float array; (* cumulative pmf over ranks; empty unless Zipf *)
   value_mu : float; (* lognormal of row payload size *)
   value_sigma : float;
+  (* One payload string per size: every payload of a size holds the
+     same bytes, so each write shares it rather than holding a copy that
+     every replica's log and engine would retain. *)
+  payloads : (int, string) Hashtbl.t;
   read_ratio : float; (* fraction of issued ops that are reads *)
   read_level : Read.Level.t;
   read_target : string option; (* None = primary *)
@@ -245,6 +249,7 @@ let create ~backend ~client_id ~region ?client_latency ?(write_timeout = 5.0 *. 
       zipf_cdf;
       value_mu;
       value_sigma;
+      payloads = Hashtbl.create 64;
       read_ratio;
       read_level;
       read_target;
@@ -289,12 +294,21 @@ let create ~backend ~client_id ~region ?client_latency ?(write_timeout = 5.0 *. 
   | None -> ());
   t
 
+(* The row payload of [size] bytes, made at its size's first use. *)
+let payload t size =
+  match Hashtbl.find t.payloads size with
+  | value -> value
+  | exception Not_found ->
+    let value = String.make size 'd' in
+    Hashtbl.add t.payloads size value;
+    value
+
 (* Issue one specific write; [k] runs when it settles (commit, reject or
    timeout).  Used directly by trace replay (Shadow). *)
 let issue_op ?k t ~table ~key ~value_size =
   let engine = t.backend.Backend.engine in
   t.stats.issued <- t.stats.issued + 1;
-  let ops = [ Binlog.Event.Insert { key; value = String.make value_size 'd' } ] in
+  let ops = [ Binlog.Event.Insert { key; value = payload t value_size } ] in
   let write_id = open_request t.writes ~now:(Sim.Engine.now engine) k in
   let sent = t.backend.Backend.send_write ~client:t.client_id ~write_id ~table ~ops in
   if not sent then begin
@@ -348,7 +362,7 @@ let draw_key_index t =
       Sim.Rng.int t.rng hot_keys
     else Sim.Rng.int t.rng t.key_space
 
-let draw_key t = Printf.sprintf "row-%d" (draw_key_index t)
+let draw_key t = "row-" ^ Int.to_string (draw_key_index t)
 
 (* Multi-table workloads (shard routing hashes (table, key)): each op
    lands on a uniformly drawn table. *)

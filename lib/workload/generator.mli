@@ -61,7 +61,8 @@ val stats : t -> stats
 val stop : t -> unit
 
 (** Issue one specific write (trace replay); [k] runs when it settles
-    (commit/reject/timeout). *)
+    (commit/reject/timeout).  Its row payload is [value_size] bytes of
+    ['d'], one string per size that every write of the size shares. *)
 val issue_op : ?k:(bool -> unit) -> t -> table:string -> key:string -> value_size:int -> unit
 
 (** Issue one write with generator-drawn key and payload size. *)

@@ -124,7 +124,7 @@ let txn_entry ?last_committed ~index ~key () =
          })
   in
   (match last_committed with
-  | Some lc -> Binlog.Entry.set_deps e ~last_committed:lc ~sequence_number:index
+  | Some lc -> Binlog.Entry.set_deps e ~last_committed:lc
   | None -> ());
   e
 

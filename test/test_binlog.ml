@@ -433,7 +433,7 @@ let test_entry_layout_words () =
              ];
          })
   in
-  Binlog.Entry.set_deps e ~last_committed:12_000 ~sequence_number:12_345;
+  Binlog.Entry.set_deps e ~last_committed:12_000;
   let words x = Obj.reachable_words (Obj.repr x) in
   let own = words e - words key - words value in
   Alcotest.(check bool) (Printf.sprintf "%d words <= 47" own) true (own <= 47)
@@ -447,7 +447,7 @@ let test_entry_verify_and_deps () =
     (Binlog.Entry.verify (Binlog.Entry.corrupt e Binlog.Entry.Body));
   Alcotest.(check bool) "no deps before stamping" true (Binlog.Entry.deps e = None);
   Alcotest.(check int) "last_committed unset" (-1) (Binlog.Entry.last_committed e);
-  Binlog.Entry.set_deps e ~last_committed:0 ~sequence_number:9;
+  Binlog.Entry.set_deps e ~last_committed:0;
   Alcotest.(check bool) "deps stamped" true
     (Binlog.Entry.deps e = Some { Binlog.Entry.last_committed = 0; sequence_number = 9 });
   Alcotest.(check int) "last_committed stamped" 0 (Binlog.Entry.last_committed e);

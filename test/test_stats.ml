@@ -79,6 +79,84 @@ let prop_mean_between_min_max =
       let m = Stats.Histogram.mean h in
       m >= Stats.Histogram.min_value h -. 1e-9 && m <= Stats.Histogram.max_value h +. 1e-9)
 
+(* The chunked histogram against a list of its samples in storage
+   order, across at least three chunk boundaries (chunks hold 4,096
+   samples): [n1] records, a sort (percentiles sort in place, so the
+   model sorts too), then records past 12,288 samples in all, and a
+   merge.  Count, iter order, percentiles, mean and stddev (summed in
+   the same order, so equal to the bit), merge and buckets all match. *)
+let model_percentile sorted p =
+  let n = Array.length sorted in
+  let rank = int_of_float (ceil (p /. 100.0 *. float_of_int n)) in
+  sorted.(max 0 (min (n - 1) (rank - 1)))
+
+let model_buckets sorted ~n =
+  let len = Array.length sorted in
+  let lo = max 1e-9 sorted.(0) and hi = sorted.(len - 1) in
+  let hi = if hi <= lo then lo *. 1.001 else hi in
+  let ratio = (hi /. lo) ** (1.0 /. float_of_int n) in
+  let counts = Array.make n 0 in
+  Array.iter
+    (fun v ->
+      let b = int_of_float (log (max lo v /. lo) /. log ratio) in
+      let b = max 0 (min (n - 1) b) in
+      counts.(b) <- counts.(b) + 1)
+    sorted;
+  List.init n (fun i ->
+      (lo *. (ratio ** float_of_int i), lo *. (ratio ** float_of_int (i + 1)), counts.(i)))
+
+let agrees h model =
+  let n = List.length model in
+  let got = ref [] in
+  Stats.Histogram.iter h (fun v -> got := v :: !got);
+  let mean = List.fold_left ( +. ) 0.0 model /. float_of_int n in
+  let stddev =
+    if n < 2 then 0.0
+    else
+      sqrt
+        (List.fold_left (fun acc v -> acc +. ((v -. mean) *. (v -. mean))) 0.0 model
+        /. float_of_int (n - 1))
+  in
+  Stats.Histogram.count h = n
+  && List.rev !got = model
+  && Stats.Histogram.mean h = mean
+  && Stats.Histogram.stddev h = stddev
+
+let percentiles_agree h model =
+  let sorted = Array.of_list (List.sort compare model) in
+  List.for_all
+    (fun p -> Stats.Histogram.percentile h p = model_percentile sorted p)
+    [ 0.0; 0.1; 1.0; 25.0; 50.0; 75.0; 99.0; 99.9; 100.0 ]
+  && Stats.Histogram.min_value h = sorted.(0)
+  && Stats.Histogram.max_value h = sorted.(Array.length sorted - 1)
+  && Stats.Histogram.buckets h ~n:20 = model_buckets sorted ~n:20
+
+let prop_chunked_against_list =
+  QCheck.Test.make ~name:"chunked samples = list model across chunk boundaries" ~count:10
+    QCheck.(triple (int_range 1 6_000) (int_range 0 4_000) (int_range 0 1_000_000))
+    (fun (n1, extra, seed) ->
+      let rng = Random.State.make [| seed |] in
+      (* repeats are common, so ties sort as they would in the field *)
+      let draw n = List.init n (fun _ -> float_of_int (Random.State.int rng 5_000) /. 7.0) in
+      let h = Stats.Histogram.create () in
+      let first = draw n1 in
+      List.iter (Stats.Histogram.record h) first;
+      let ok1 = agrees h first && percentiles_agree h first in
+      let sorted = List.sort compare first in
+      let ok2 = agrees h sorted in
+      let later = draw (12_289 - n1 + extra) in
+      List.iter (Stats.Histogram.record h) later;
+      let model = sorted @ later in
+      let ok3 = agrees h model && percentiles_agree h model in
+      let model = List.sort compare model in
+      let other = draw 5_000 in
+      let o = Stats.Histogram.create () in
+      List.iter (Stats.Histogram.record o) other;
+      let merged = Stats.Histogram.merge h o in
+      ok1 && ok2 && ok3 && agrees h model
+      && agrees merged (model @ other)
+      && percentiles_agree merged (model @ other))
+
 let test_timeseries_buckets () =
   let ts = Stats.Timeseries.create ~bucket_width:100.0 in
   Stats.Timeseries.record ts 10.0;
@@ -173,6 +251,7 @@ let suites =
         QCheck_alcotest.to_alcotest prop_percentile_bounds;
         QCheck_alcotest.to_alcotest prop_percentile_monotone;
         QCheck_alcotest.to_alcotest prop_mean_between_min_max;
+        QCheck_alcotest.to_alcotest prop_chunked_against_list;
       ] );
     ( "stats.summary",
       [

@@ -292,6 +292,37 @@ let test_generator_times_out_exactly = times_out_exactly ~n:60 ~gap:(0.1 *. ms)
 let test_generator_times_out_across_ring_growth =
   times_out_exactly ~n:3_000 ~gap:(0.2 *. ms)
 
+(* Every payload of a size holds the same bytes, so a generator makes
+   one string per size and every write of that size shares it.  The
+   table is the generator's own: another generator makes its own
+   strings. *)
+let test_payloads_shared_per_size () =
+  let engine = Sim.Engine.create ~seed:3 () in
+  let sent = ref "" in
+  let backend, _, _ = manual_backend engine in
+  let backend =
+    { backend with
+      Workload.Backend.send_write =
+        (fun ~client:_ ~write_id:_ ~table:_ ~ops ->
+          (match ops with
+          | [ Binlog.Event.Insert { value; _ } ] -> sent := value
+          | _ -> Alcotest.fail "not a one-row insert");
+          true) }
+  in
+  let make id = Workload.Generator.create ~backend ~client_id:id ~region:"r1" () in
+  let a = make "c1" and b = make "c2" in
+  let payload gen size =
+    Workload.Generator.issue_op gen ~table:"t" ~key:"k" ~value_size:size;
+    !sent
+  in
+  for size = 16 to 2000 do
+    let p = payload a size in
+    if String.length p <> size then Alcotest.failf "size %d: length %d" size (String.length p);
+    if not (String.for_all (Char.equal 'd') p) then Alcotest.failf "size %d: bytes" size;
+    if payload a size != p then Alcotest.failf "size %d: not shared" size;
+    if payload b size == p then Alcotest.failf "size %d: shared across generators" size
+  done
+
 let suites =
   [
     ( "workload.shadow",
@@ -315,5 +346,7 @@ let suites =
           test_generator_times_out_exactly;
         Alcotest.test_case "timeouts fire exactly across ring growth" `Quick
           test_generator_times_out_across_ring_growth;
+        Alcotest.test_case "one payload string per size" `Quick
+          test_payloads_shared_per_size;
       ] );
   ]
