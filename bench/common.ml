@@ -92,8 +92,11 @@ let semisync_ab_cluster ~seed ~costs =
    benches report real allocator pressure next to the virtual-time
    throughput numbers: minor-heap words tell us what the hot path costs
    the collector, and words-per-committed-transaction is the figure the
-   bench-regression gate locks in.  All stats are process-wide deltas —
-   run one cell at a time. *)
+   bench-regression gate locks in.  The minor words come from
+   [Gc.minor_words ()], which counts every word at once and only the
+   calling domain's; [Gc.quick_stat]'s figure advances only at a minor
+   collection, so it lags by up to one minor heap.  All stats are
+   deltas over the cell — run one cell at a time. *)
 
 type alloc_stats = {
   al_minor_words : float;
@@ -105,11 +108,13 @@ type alloc_stats = {
 
 let with_alloc_stats f =
   let a = Gc.quick_stat () in
+  let minor_a = Gc.minor_words () in
   let v = f () in
+  let minor_b = Gc.minor_words () in
   let b = Gc.quick_stat () in
   ( v,
     {
-      al_minor_words = b.Gc.minor_words -. a.Gc.minor_words;
+      al_minor_words = minor_b -. minor_a;
       al_promoted_words = b.Gc.promoted_words -. a.Gc.promoted_words;
       al_major_words = b.Gc.major_words -. a.Gc.major_words;
       al_minor_collections = b.Gc.minor_collections - a.Gc.minor_collections;

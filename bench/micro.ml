@@ -5,14 +5,15 @@
    in the engine, the pipeline, the replica applier and histogram
    recording; then every figure a tier-1 alloc pin checks (a leader
    settling acks, an AppendEntries round trip, a message sent and
-   delivered, an engine prepare+commit, a GTID tip add, a lease read
-   and a generator lane), timed and printed beside its words from the
-   kit probe the pin runs. *)
+   delivered, an engine prepare+commit, a GTID tip add, a lease read,
+   a generator lane and the log retained per committed write), timed
+   and printed beside its words from the kit probe the pin runs.  Every
+   fixture is built inside [run], so no other experiment pays for it. *)
 
 open Bechamel
 open Toolkit
 
-let gtid_set_add =
+let gtid_set_add () =
   Test.make ~name:"gtid_set.add (1k gnos)"
     (Staged.stage (fun () ->
          let set = ref Binlog.Gtid_set.empty in
@@ -21,7 +22,7 @@ let gtid_set_add =
          done;
          !set))
 
-let gtid_set_contains =
+let gtid_set_contains () =
   let set =
     let s = ref Binlog.Gtid_set.empty in
     for g = 1 to 10_000 do
@@ -33,7 +34,7 @@ let gtid_set_contains =
     (Staged.stage (fun () ->
          Binlog.Gtid_set.contains set (Binlog.Gtid.make ~source:"srv" ~gno:7777)))
 
-let log_append =
+let log_append () =
   Test.make ~name:"log_store.append (100 txns)"
     (Staged.stage (fun () ->
          let log = Binlog.Log_store.create () in
@@ -57,13 +58,13 @@ let log_append =
          done;
          log))
 
-let crc32 =
+let crc32 () =
   let payload = String.make 512 'x' in
   Test.make ~name:"crc32 (512B payload)" (Staged.stage (fun () -> Binlog.Checksum.string payload))
 
 (* One sysbench-style write as the commit path stamps it: GTID, table
    map, a one-row insert of ~300 B, XID. *)
-let entry_make =
+let entry_make () =
   let gtid = Binlog.Gtid.make ~source:"mysql1" ~gno:12_345 in
   let payload =
     Binlog.Entry.Transaction
@@ -88,9 +89,10 @@ let entry_make =
     (Staged.stage (fun () -> Binlog.Entry.make ~opid payload))
 
 (* The §6.1 evaluation ring: six regions of three voters each. *)
-let cfg_18 = Kit.Bare.config (Kit.Bare.ring 6)
+let ring_18 () = Kit.Bare.config (Kit.Bare.ring 6)
 
-let quorum_check =
+let quorum_check () =
+  let cfg_18 = ring_18 () in
   let acks = [ "n10"; "n11" ] in
   Test.make ~name:"flexiraft data-quorum check (18 voters)"
     (Staged.stage (fun () ->
@@ -98,7 +100,7 @@ let quorum_check =
            ~leader_region:"r1" ~acks))
 
 (* Config position of each member of [cfg_18]. *)
-let rank_18 id =
+let rank_18 cfg_18 id =
   let rec go i = function
     | m :: rest -> if m.Raft.Types.id = id then i else go (i + 1) rest
     | [] -> raise Not_found
@@ -107,13 +109,14 @@ let rank_18 id =
 
 (* A leader in r1 with a pipeline in flight: acks spread over the last
    few indexes, one stamp per member slot as the Raft node fills them. *)
-let commit_point =
+let commit_point () =
+  let cfg_18 = ring_18 () in
   let l =
     Raft.Quorum.layout Raft.Quorum.Single_region_dynamic cfg_18 ~self:"n10"
       ~leader_region:"r1"
   in
   Array.iteri
-    (fun i id -> (Raft.Quorum.stamps l).(i) <- float_of_int (1_000 - (rank_18 id * 3)))
+    (fun i id -> (Raft.Quorum.stamps l).(i) <- float_of_int (1_000 - (rank_18 cfg_18 id * 3)))
     (Raft.Quorum.slots l);
   Test.make ~name:"quorum.commit_point (18 voters)"
     (Staged.stage (fun () ->
@@ -121,14 +124,15 @@ let commit_point =
 
 (* The same leader's lease search: every peer's acked send, stamped a
    few hundred microseconds apart. *)
-let lease_point =
+let lease_point () =
+  let cfg_18 = ring_18 () in
   let l =
     Raft.Quorum.layout Raft.Quorum.Single_region_dynamic cfg_18 ~self:"n10"
       ~leader_region:"r1"
   in
   Array.iteri
     (fun i id ->
-      let local = 1_000_000.0 -. (float_of_int (rank_18 id - 1) *. 250.0) in
+      let local = 1_000_000.0 -. (float_of_int (rank_18 cfg_18 id - 1) *. 250.0) in
       (Raft.Quorum.stamps l).(i) <- local;
       (Raft.Quorum.globals l).(i) <- local +. 3.0)
     (Raft.Quorum.slots l);
@@ -137,7 +141,7 @@ let lease_point =
          Raft.Quorum.lease_point l ~now:1_000_500.0 ~now_global:1_000_503.0))
 
 (* One consensus-commit event into a full (wrapping) trace ring. *)
-let tracebuf_record =
+let tracebuf_record () =
   let tb = Obs.Tracebuf.create () in
   let index = ref 0 in
   Test.make ~name:"tracebuf.record"
@@ -148,7 +152,7 @@ let tracebuf_record =
 
 (* Leader cache turnover: 64 sysbench-sized entries put at the tail, then
    read back as one AppendEntries slice. *)
-let log_cache_put_slice =
+let log_cache_put_slice () =
   let entries =
     Array.init 64 (fun i ->
         Binlog.Entry.make
@@ -226,7 +230,7 @@ let engine_timer_reset live =
   in
   (test, engine)
 
-let pipeline_group_drain =
+let pipeline_group_drain () =
   (* submit → flush group → consensus release → engine commit for 100
      txns; exercises the preallocated group accumulator end to end *)
   Test.make ~name:"pipeline group drain (100 txns)"
@@ -251,7 +255,7 @@ let pipeline_group_drain =
    lanes while every engine commit waits on consensus: the in-flight
    table grows to all 1k entries before the first commit, as on a
    replica whose pipeline waits on the leader's commit marker. *)
-let applier_drain =
+let applier_drain () =
   let n = 1_000 in
   let params = { Myraft.Params.default with Myraft.Params.applier_workers = 4 } in
   let entries =
@@ -271,7 +275,7 @@ let applier_drain =
                    ];
                })
         in
-        Binlog.Entry.set_deps e ~last_committed:0 ~sequence_number:index;
+        Binlog.Entry.set_deps e ~last_committed:0;
         e)
   in
   Test.make ~name:"applier 1k entries / 4 lanes"
@@ -292,7 +296,7 @@ let applier_drain =
 
 (* Vec growth and random access at a million elements: the chunked
    directory against the one-level index it replaced. *)
-let vec_push =
+let vec_push () =
   Test.make ~name:"vec push (1M)"
     (Staged.stage (fun () ->
          let v = Vec.create ~dummy:0 in
@@ -301,7 +305,7 @@ let vec_push =
          done;
          v))
 
-let vec_get_random =
+let vec_get_random () =
   let n = 1 lsl 20 in
   let v = Vec.create ~dummy:0 in
   for i = 1 to n do
@@ -318,7 +322,7 @@ let vec_get_random =
 
 (* 10k one-row transactions appended to a fresh log, then each read back
    by index, as replication reads a cold log. *)
-let log_store_append_read =
+let log_store_append_read () =
   let n = 10_000 in
   let entries =
     Array.init n (fun i ->
@@ -347,7 +351,7 @@ let log_store_append_read =
          done;
          !bytes))
 
-let histogram_record =
+let histogram_record () =
   Test.make ~name:"histogram.record (1k samples)"
     (Staged.stage (fun () ->
          let h = Stats.Histogram.create () in
@@ -390,6 +394,8 @@ let pinned () =
     probe "gtid_set tip add" (per "op") (Kit.Alloc.tip_add ());
     probe "read.lease read at dispatch (leader)" (per "read") (Kit.Alloc.leader_read ());
     probe "workload.generator lane open+settle" (per "read") (Kit.Alloc.lane ());
+    probe "binlog retained per committed write" (per "write")
+      (Kit.Alloc.retained_per_write ());
   ]
 
 let run () =
@@ -399,25 +405,25 @@ let run () =
   let words = List.map snd pinned in
   let tests =
     [
-      gtid_set_add;
-      gtid_set_contains;
-      log_append;
-      crc32;
-      entry_make;
-      quorum_check;
-      commit_point;
-      lease_point;
-      tracebuf_record;
-      log_cache_put_slice;
+      gtid_set_add ();
+      gtid_set_contains ();
+      log_append ();
+      crc32 ();
+      entry_make ();
+      quorum_check ();
+      commit_point ();
+      lease_point ();
+      tracebuf_record ();
+      log_cache_put_slice ();
       heap_push_pop 1_000;
       heap_push_pop 300_000;
       timer_reset;
-      pipeline_group_drain;
-      applier_drain;
-      histogram_record;
-      vec_push;
-      vec_get_random;
-      log_store_append_read;
+      pipeline_group_drain ();
+      applier_drain ();
+      histogram_record ();
+      vec_push ();
+      vec_get_random ();
+      log_store_append_read ();
     ]
     @ List.map fst pinned
   in
