@@ -6,9 +6,10 @@
    recording; then every figure a tier-1 alloc pin checks (a leader
    settling acks, an AppendEntries round trip, a message sent and
    delivered, an engine prepare+commit, a GTID tip add, a lease read,
-   a generator lane and the log retained per committed write), timed
-   and printed beside its words from the kit probe the pin runs.  Every
-   fixture is built inside [run], so no other experiment pays for it. *)
+   a generator lane, and the log and histogram samples retained per
+   committed write), timed and printed beside its words from the kit
+   probe the pin runs.  Every fixture is built inside [run], so no
+   other experiment pays for it. *)
 
 open Bechamel
 open Toolkit
@@ -396,6 +397,8 @@ let pinned () =
     probe "workload.generator lane open+settle" (per "read") (Kit.Alloc.lane ());
     probe "binlog retained per committed write" (per "write")
       (Kit.Alloc.retained_per_write ());
+    probe "obs.histogram samples per write" (Printf.sprintf "%8.1f samples/write")
+      (Kit.Alloc.samples_per_write ());
   ]
 
 let run () =

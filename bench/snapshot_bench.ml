@@ -101,13 +101,14 @@ let run_cell ~entries ~frac ~seed =
     Myraft.Cluster.run_until cluster ~timeout:(300.0 *. s) (fun () ->
         Myraft.Server.applied_through rejoiner >= target)
   in
+  let m = Raft.Node.metrics (Myraft.Server.raft rejoiner) in
   {
     c_entries = entries;
     c_frac = frac;
     c_rejoin_s = (Myraft.Cluster.now cluster -. t0) /. s;
     c_target = target;
     c_purged_files = !purged_files;
-    c_installs = Raft.Node.snapshots_installed (Myraft.Server.raft rejoiner);
+    c_installs = Obs.Metrics.counter_value (Obs.Metrics.counter m "snapshot.installs");
     c_converged = converged;
   }
 

@@ -22,11 +22,6 @@
 
 let s = Sim.Engine.s
 
-let leader_raft cluster =
-  match Myraft.Cluster.raft_leader cluster with
-  | Some id -> Myraft.Cluster.raft_of cluster id
-  | None -> None
-
 type report = {
   c_scenario : string;
   c_seed : int;
@@ -82,7 +77,7 @@ let rolling_evacuation ~seed =
   let cluster = cluster_of h in
   Myraft.Cluster.run_for cluster (2.0 *. s);
   let reconfigs = ref 0 in
-  (match leader_raft cluster with
+  (match Myraft.Cluster.leader_raft cluster with
   | None -> Invariants.report (inv_of h) ~invariant:"evacuation" ~detail:"no leader"
   | Some leader ->
     (* Target: every r3 member replaced by a fresh same-kind node in the
@@ -214,7 +209,7 @@ let storm_churn ~seed =
        incr cycle;
        queue := cycle_ops cluster !cycle
      end);
-    match leader_raft cluster with
+    match Myraft.Cluster.leader_raft cluster with
     | Some leader when not (Raft.Node.has_pending_config_change leader) -> (
       match !queue with
       | op :: rest -> (
@@ -264,7 +259,7 @@ let sharded_churn ~seed =
     List.iteri
       (fun g c ->
         if applied.(g) < wanted then
-          match leader_raft c with
+          match Myraft.Cluster.leader_raft c with
           | Some leader when not (Raft.Node.has_pending_config_change leader) ->
             let victim = victims.((g + (applied.(g) / 2)) mod 2) in
             let result =

@@ -11,11 +11,6 @@ type replacement_report = {
 
 let s = Sim.Engine.s
 
-let leader_raft cluster =
-  match Myraft.Cluster.raft_leader cluster with
-  | Some id -> Myraft.Cluster.raft_of cluster id
-  | None -> None
-
 (* §A.1's external rotation automation: watch the primary's current
    binlog file size in a monitoring loop and call FLUSH BINARY LOGS when
    it exceeds the budget; opportunistically PURGE files that Raft's
@@ -68,7 +63,7 @@ let start_binlog_janitor ?(interval = 2.0 *. s) ?(keep_files = 3) cluster =
    voters mid-swap than it started with. *)
 let replace_member ?backup cluster ~dead ~replacement_id =
   let started = Myraft.Cluster.now cluster in
-  match leader_raft cluster with
+  match Myraft.Cluster.leader_raft cluster with
   | None -> Error "no leader to drive the membership change"
   | Some leader -> (
     let current = Raft.Node.config leader in

@@ -198,6 +198,11 @@ let raft_leader t =
       && match raft_of t id with Some r -> Raft.Node.is_leader r | None -> false)
     t.member_order
 
+let leader_raft t =
+  match raft_leader t with
+  | Some id -> raft_of t id
+  | None -> None
+
 (* The MySQL server currently serving as writable primary, if any. *)
 let primary t =
   List.find_map

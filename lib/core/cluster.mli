@@ -129,6 +129,9 @@ val is_crashed : t -> string -> bool
 (** The node currently acting as Raft leader, if any. *)
 val raft_leader : t -> string option
 
+(** The Raft node of {!raft_leader}. *)
+val leader_raft : t -> Raft.Node.t option
+
 (** The MySQL server currently serving as writable primary, if any. *)
 val primary : t -> Server.t option
 

@@ -46,9 +46,8 @@
    it, even across a [reset].
 
    Each stage boundary is timestamped so the per-stage latency histograms
-   (pipeline.flush_us / consensus_wait_us / engine_commit_us and the
-   end-to-end pipeline.txn_total_us) decompose a transaction's commit
-   latency the way Figure 4 does. *)
+   (pipeline.flush_us / consensus_wait_us / engine_commit_us) decompose a
+   transaction's commit latency the way Figure 4 does. *)
 
 (* Growable columns reused across flush cycles.  Slots at or past [len]
    hold [vacant]. *)
@@ -67,7 +66,6 @@ type meters = {
   m_flush : Obs.Metrics.histogram; (* us, submit -> group flushed *)
   m_consensus_wait : Obs.Metrics.histogram; (* us, flushed -> released *)
   m_engine_commit : Obs.Metrics.histogram; (* us, released -> finished *)
-  m_txn_total : Obs.Metrics.histogram; (* us, submit -> finished *)
   m_group_size : Obs.Metrics.histogram;
   m_commit_cycle_txns : Obs.Metrics.histogram; (* txns per merged engine cycle *)
 }
@@ -280,7 +278,6 @@ let create ?metrics ~engine ~params ~is_primary_path ~flush ~finish () =
           m_flush = Obs.Metrics.histogram m "pipeline.flush_us";
           m_consensus_wait = Obs.Metrics.histogram m "pipeline.consensus_wait_us";
           m_engine_commit = Obs.Metrics.histogram m "pipeline.engine_commit_us";
-          m_txn_total = Obs.Metrics.histogram m "pipeline.txn_total_us";
           m_group_size = Obs.Metrics.histogram m "pipeline.group_size";
           m_commit_cycle_txns = Obs.Metrics.histogram m "pipeline.commit_cycle_txns";
         };
@@ -346,8 +343,7 @@ and commit_cycle_done t stop =
       let i = p land item_mask t in
       let item = t.items.(i) in
       t.items.(i) <- vacant ();
-      t.finish item ~ok:true;
-      Obs.Metrics.record_elapsed t.meters.m_txn_total now t.submitted i
+      t.finish item ~ok:true
     done;
     n := !n + (last - first);
     t.g_head <- t.g_head + 1

@@ -19,7 +19,7 @@ type 'a t
     cost (checksum + compression + OpId, §3.4).  [metrics] receives the
     pipeline.* counters, the queue-depth gauge and the per-stage latency
     histograms (flush_us, consensus_wait_us, engine_commit_us,
-    txn_total_us, group_size). *)
+    group_size). *)
 val create :
   ?metrics:Obs.Metrics.t ->
   engine:Sim.Engine.t ->

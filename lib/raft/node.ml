@@ -416,12 +416,10 @@ type meters = {
   m_window : Obs.Metrics.gauge; (* in-flight entry AEs across all peers *)
   m_batch_bytes : Obs.Metrics.histogram; (* payload bytes per entry AE *)
   m_election_latency : Obs.Metrics.histogram; (* us, Real-phase start -> won *)
-  m_commit_latency : Obs.Metrics.histogram; (* us, local append -> commit *)
   m_readindex_rounds : Obs.Metrics.counter;
   m_readindex_forwarded : Obs.Metrics.counter;
   m_lease_extensions : Obs.Metrics.counter;
   m_lease_revocations : Obs.Metrics.counter;
-  m_readindex_batch : Obs.Metrics.histogram; (* waiters sharing one round *)
   m_backward_steps : Obs.Metrics.counter; (* local clock ran backwards *)
   m_clock_suspects : Obs.Metrics.counter; (* lease suppressed on clock anomaly *)
   m_stale_serves : Obs.Metrics.counter; (* lease reads past global expiry (oracle) *)
@@ -460,12 +458,10 @@ let make_meters m =
     m_window = Obs.Metrics.gauge m "raft.window_inflight";
     m_batch_bytes = Obs.Metrics.histogram m "raft.ae_batch_bytes";
     m_election_latency = Obs.Metrics.histogram m "raft.election_latency_us";
-    m_commit_latency = Obs.Metrics.histogram m "raft.commit_latency_us";
     m_readindex_rounds = Obs.Metrics.counter m "raft.readindex_rounds";
     m_readindex_forwarded = Obs.Metrics.counter m "raft.readindex_forwarded";
     m_lease_extensions = Obs.Metrics.counter m "raft.lease_extensions";
     m_lease_revocations = Obs.Metrics.counter m "raft.lease_revocations";
-    m_readindex_batch = Obs.Metrics.histogram m "raft.readindex_batch";
     m_backward_steps = Obs.Metrics.counter m "clock.backward_steps";
     m_clock_suspects = Obs.Metrics.counter m "clock.suspect_events";
     m_stale_serves = Obs.Metrics.counter m "raft.lease_stale_serves";
@@ -550,9 +546,6 @@ type t = {
   metrics : Obs.Metrics.t;
   meters : meters;
   tracebuf : Obs.Tracebuf.t option;
-  append_stamps : Append_stamps.t;
-  (* local append time per index, read when the index commits — feeds
-     raft.commit_latency_us *)
   mutable layout : Quorum.layout;
   (* The data quorum's slots under this leader, rebuilt with the peer
      table; [advance_commit] and [extend_lease] fill its stamps. *)
@@ -665,42 +658,32 @@ let cache t = t.cache
 
 let metrics t = t.metrics
 
-(* Stamp the local-append time of an entry; read when it commits. *)
-let note_append t entry =
-  Append_stamps.stamp t.append_stamps ~commit_index:t.commit_index
-    (Binlog.Entry.index entry) (Sim.Clock.now t.clock);
-  (* Corruption-recovery vote floor: once the log regains an entry at
-     least as up-to-date as what was truncated, normal voting resumes. *)
+(* Append to the local log: the leader's own entries and a follower's
+   replicated ones take the same path through log and cache.  Once the
+   log regains an entry at least as up-to-date as what corruption
+   recovery truncated, the vote floor lifts and normal voting resumes. *)
+let append_local t entry =
+  t.log.append entry;
+  Log_cache.put t.cache entry;
   match t.vote_floor with
   | Some fl when Binlog.Opid.at_least_as_up_to_date_as (Binlog.Entry.opid entry) fl ->
     t.vote_floor <- None
   | _ -> ()
 
-(* Append to the local log: the leader's own entries and a follower's
-   replicated ones take the same path through log, cache and stamps. *)
-let append_local t entry =
-  t.log.append entry;
-  Log_cache.put t.cache entry;
-  note_append t entry
-
-(* Commit-index advanced over (from_index-1, to_index]: count it, observe
-   append->commit latency for locally stamped indexes, and emit one
-   "consensus-commit" trace event per index so a transaction's consensus
-   step is visible on every node that learned of the commit. *)
+(* Commit-index advanced over (from_index-1, to_index]: count it and
+   emit one "consensus-commit" trace event per index so a transaction's
+   consensus step is visible on every node that learned of the commit. *)
 let note_commit t ~from_index ~to_index =
-  let now = Sim.Clock.now t.clock in
   Obs.Metrics.incr t.meters.m_commit_advances;
-  for idx = from_index to to_index do
-    let latency = Append_stamps.elapsed t.append_stamps idx ~now in
-    if not (Float.is_nan latency) then
-      Obs.Metrics.record t.meters.m_commit_latency latency;
-    match t.tracebuf with
-    | Some tb ->
+  match t.tracebuf with
+  | Some tb ->
+    let now = Sim.Clock.now t.clock in
+    for idx = from_index to to_index do
       let term = max 0 (t.log.term_of idx) in
       Obs.Tracebuf.record tb ~time:now ~node:t.id ~stage:"consensus-commit" ~term
         ~index:idx ()
-    | None -> ()
-  done
+    done
+  | None -> ()
 
 (* Raise the commit index to [n] (no-op unless it moves forward) and tell
    the state machine; leader quorum, follower AE and snapshot install
@@ -1279,7 +1262,6 @@ and maybe_start_read_round t =
     in
     t.read_round <- Some round;
     Obs.Metrics.incr t.meters.m_readindex_rounds;
-    Obs.Metrics.record t.meters.m_readindex_batch (float_of_int (List.length waiters));
     round.rr_deadline <-
       Sim.Clock.schedule t.clock ~delay:(detection_window t) (fun () ->
           match t.read_round with
@@ -2643,12 +2625,6 @@ let snapshot_in_flight t ~peer =
   | Some p -> p.snap <> None
   | None -> false
 
-let purge_wedges t = Obs.Metrics.counter_value t.meters.m_purge_wedges
-
-let snapshots_sent t = Obs.Metrics.counter_value t.meters.m_snapshots_sent
-
-let snapshots_installed t = Obs.Metrics.counter_value t.meters.m_snapshots_installed
-
 (* The embedder coalesced a group of its own appends into one fsync
    (group commit on the leader's write path): the local durable index
    just advanced, so entries may now commit — quorums the leader's own
@@ -2881,7 +2857,6 @@ let create ?metrics ?tracebuf ?clock ?(group = 0) ~engine ~id ~region ~send ~log
       metrics;
       meters = make_meters metrics;
       tracebuf;
-      append_stamps = Append_stamps.create ();
       layout = no_layout;
       peer_array = [||];
       inflight = 0;

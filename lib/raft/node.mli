@@ -345,16 +345,6 @@ val match_index_of : t -> peer:node_id -> int option
     it is paused). *)
 val snapshot_in_flight : t -> peer:node_id -> bool
 
-(** Episodes of a peer frontier falling behind the purge boundary
-    (the [raft.purge_wedges] counter). *)
-val purge_wedges : t -> int
-
-(** Snapshot transfers this leader completed ([snapshot.sends_completed]). *)
-val snapshots_sent : t -> int
-
-(** Snapshots this node installed as a follower ([snapshot.installs]). *)
-val snapshots_installed : t -> int
-
 (** Tell Raft the embedder coalesced a group of leader-side appends into
     one fsync: the local durable index advanced, so commit may too. *)
 val notify_log_synced : t -> unit

@@ -54,11 +54,7 @@ type params = {
 let default_params =
   { read_timeout = 2.0 *. Sim.Engine.s; retry_hint = 100.0 *. Sim.Engine.ms }
 
-type tier_meters = {
-  tm_served : Obs.Metrics.counter;
-  tm_rejected : Obs.Metrics.counter;
-  tm_latency : Obs.Metrics.histogram;
-}
+type tier_meters = { tm_served : Obs.Metrics.counter; tm_rejected : Obs.Metrics.counter }
 
 type t = {
   ops : ops;
@@ -77,7 +73,6 @@ let tier_meters m label =
   {
     tm_served = Obs.Metrics.counter m (Printf.sprintf "read.%s.served" label);
     tm_rejected = Obs.Metrics.counter m (Printf.sprintf "read.%s.rejected" label);
-    tm_latency = Obs.Metrics.histogram m (Printf.sprintf "read.%s.latency_us" label);
   }
 
 let create ?(params = default_params) ~metrics ~ops () =
@@ -103,12 +98,9 @@ let create ?(params = default_params) ~metrics ~ops () =
 
 (* ----- answered at dispatch ----- *)
 
-(* Dispatch spends no virtual time, so a read answered there is recorded
-   at 0 us, the reading it had as [now () - start]. *)
 let answer tier ops ~table ~key reply ctx =
   let v = ops.get ~table ~key in
   Obs.Metrics.incr tier.tm_served;
-  Obs.Metrics.record tier.tm_latency 0.0;
   reply ctx (Read_value v)
 
 let refuse t tier reason reply ctx =
@@ -124,7 +116,6 @@ type parked =
   | Parked : {
       svc : t;
       tier : tier_meters;
-      start : float;
       table : string;
       key : string;
       reply : 'c -> outcome -> unit;
@@ -139,9 +130,7 @@ let settle (Parked p) outcome =
     p.settled <- true;
     Sim.Engine.cancel p.deadline;
     (match outcome with
-    | Read_value _ ->
-      Obs.Metrics.incr p.tier.tm_served;
-      Obs.Metrics.record p.tier.tm_latency (p.svc.ops.now () -. p.start)
+    | Read_value _ -> Obs.Metrics.incr p.tier.tm_served
     | Read_rejected _ -> Obs.Metrics.incr p.tier.tm_rejected);
     p.reply p.ctx outcome
   end
@@ -179,7 +168,6 @@ let park t tier ~table ~key reply ctx =
     {
       svc = t;
       tier;
-      start = t.ops.now ();
       table;
       key;
       reply;
@@ -189,7 +177,8 @@ let park t tier ~table ~key reply ctx =
     }
 
 (* The deadline of a read still waiting once dispatch returns lands
-   [read_timeout] after [start], as if armed on entry. *)
+   [read_timeout] after its arrival, as if armed on entry: dispatch
+   spends no virtual time. *)
 let arm_deadline t (Parked p as r) =
   if not p.settled then
     p.deadline <- t.ops.schedule ~delay:t.params.read_timeout (on_deadline r)

@@ -45,8 +45,8 @@ val default_params : params
 
 type t
 
-(** [metrics] receives the read.* counters and per-tier latency
-    histograms. *)
+(** [metrics] receives the read.* counters: served and rejected per
+    tier, lease- and quorum-served linearizable reads, timeouts. *)
 val create : ?params:params -> metrics:Obs.Metrics.t -> ops:ops -> unit -> t
 
 (** [serve t ~level ~table ~key reply ctx] serves one read at the given

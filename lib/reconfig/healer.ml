@@ -26,11 +26,6 @@ let ms = Sim.Engine.ms
 (* How long {!apply_target} waits for each step to commit. *)
 let step_timeout = 30.0 *. s
 
-let leader_raft cluster =
-  match Myraft.Cluster.raft_leader cluster with
-  | Some id -> Myraft.Cluster.raft_of cluster id
-  | None -> None
-
 (* The newest installed config across live nodes — the fleet's effective
    membership even while a leader election is in flight. *)
 let newest_config cluster =
@@ -71,7 +66,7 @@ let caught_up cluster ~leader id =
    config. *)
 let wait_settled cluster ~timeout pred =
   Myraft.Cluster.run_until cluster ~timeout (fun () ->
-      match leader_raft cluster with
+      match Myraft.Cluster.leader_raft cluster with
       | Some r ->
         (not (Raft.Node.has_pending_config_change r)) && pred (Raft.Node.config r)
       | None -> false)
@@ -112,7 +107,7 @@ let apply_target ?(on_step = fun _ -> ()) cluster ~target =
         not (wait_settled cluster ~timeout:step_timeout (fun _ -> true))
       then Error "no settled leader"
       else
-        match leader_raft cluster with
+        match Myraft.Cluster.leader_raft cluster with
         | None -> Error "leader vanished"
         | Some leader -> (
           let current = Raft.Node.config leader in
@@ -331,7 +326,7 @@ let start_job t corpse_m =
 
 let tick t =
   bump t "healer.ticks";
-  match leader_raft t.cluster with
+  match Myraft.Cluster.leader_raft t.cluster with
   | None -> () (* elections first; liveness clocks keep their epoch *)
   | Some leader -> (
     let cfg = Raft.Node.config leader in

@@ -43,7 +43,6 @@ type t = {
   mutable frames_sent : int;
   mutable bytes_sent : int;
   mutable taps_fired : int;
-  frames_per_packet : Stats.Histogram.t;
 }
 
 let create ~engine ~topology ?latency ~window () =
@@ -61,7 +60,6 @@ let create ~engine ~topology ?latency ~window () =
       t.frames_sent <- t.frames_sent + List.length frames;
       let size = packet_size frames in
       t.bytes_sent <- t.bytes_sent + size;
-      Stats.Histogram.record t.frames_per_packet (float_of_int (List.length frames));
       Sim.Network.send t.network ~src ~dst ~size frames
   in
   let t =
@@ -77,7 +75,6 @@ let create ~engine ~topology ?latency ~window () =
       frames_sent = 0;
       bytes_sent = 0;
       taps_fired = 0;
-      frames_per_packet = Stats.Histogram.create ();
     }
   in
   t_ref := Some t;
@@ -154,8 +151,6 @@ let frames_sent t = t.frames_sent
 
 let bytes_sent t = t.bytes_sent
 
-let frames_per_packet t = t.frames_per_packet
-
 (* Registry-shaped view of the transport's counters: the shard.* mux
    rows plus the packet network's net.* rows (the cluster cannot dress
    them itself in shared mode — it owns no network). *)
@@ -166,9 +161,9 @@ let metrics t =
   Obs.Metrics.bump ~by:t.bytes_sent m "shard.mux.bytes";
   Obs.Metrics.bump ~by:(max 0 (t.frames_sent - t.packets_sent)) m "shard.mux.coalesced";
   Obs.Metrics.bump ~by:t.taps_fired m "shard.mux.liveness_taps";
-  if not (Stats.Histogram.is_empty t.frames_per_packet) then
+  if t.packets_sent > 0 then
     Obs.Metrics.set m "shard.mux.frames_per_packet_mean"
-      (Stats.Histogram.mean t.frames_per_packet);
+      (float_of_int t.frames_sent /. float_of_int t.packets_sent);
   let net = t.network in
   Obs.Metrics.bump ~by:(Sim.Network.total_messages net) m "net.messages";
   Obs.Metrics.bump ~by:(Sim.Network.total_bytes net) m "net.bytes";

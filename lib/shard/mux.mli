@@ -58,7 +58,5 @@ val frames_sent : t -> int
 
 val bytes_sent : t -> int
 
-val frames_per_packet : t -> Stats.Histogram.t
-
 (** shard.mux.* rows plus the packet network's net.* rows. *)
 val metrics : t -> Obs.Metrics.t

@@ -389,16 +389,21 @@ let lane () =
     failwith "read probe: a read did not settle";
   (words /. float_of_int n, round)
 
-(* ----- retained memory: the primary's log ----- *)
+(* ----- retained memory: the primary's log and the registries ----- *)
 
-(* Words of mysql1's log store retained per committed write, measured as
-   the growth of [Obj.reachable_words] of the log: on a bootstrapped
-   mysql1+lt1a+lt1b ring a generator issues one-row writes of a 300-byte
-   payload, one at a time.  The warm-up runs until the log's index
-   reaches 4,096, so the 4,096 measured writes open exactly one more of
-   the log's 4,096-slot chunks.  The returned round is one write run to
-   its commit. *)
-let retained_per_write () =
+(* A bootstrapped mysql1+lt1a+lt1b ring whose generator issues one-row
+   writes of a 300-byte payload, one at a time, warmed up until mysql1's
+   log index reaches 4,096.  [per_write ring figure] is the growth of
+   [figure ()] over 4,096 more writes, per write, so the measured writes
+   open exactly one more of the log's 4,096-slot chunks.  [write] runs
+   one write to its commit and fails if it did not commit. *)
+type write_ring = {
+  cluster : Myraft.Cluster.t;
+  log : Binlog.Log_store.t;
+  write : unit -> unit;
+}
+
+let write_ring () =
   let cluster =
     Myraft.Cluster.create ~seed:1 ~replicaset:"rs-retain"
       ~members:
@@ -428,16 +433,41 @@ let retained_per_write () =
       ~value_size:300;
     while !settled < !issued do
       Myraft.Cluster.run_for cluster (50.0 *. Sim.Engine.us)
-    done
+    done;
+    if !committed <> !issued then failwith "retention probe: a write did not commit"
   in
   while Binlog.Log_store.last_index log < 4_096 do
     write ()
   done;
-  let words () = float_of_int (Obj.reachable_words (Obj.repr log)) in
-  let before = words () and n = 4_096 in
+  { cluster; log; write }
+
+let per_write ring figure =
+  let before = figure () and n = 4_096 in
   for _ = 1 to n do
-    write ()
+    ring.write ()
   done;
-  let grown = words () -. before in
-  if !committed <> !issued then failwith "retention probe: a write did not commit";
-  (grown /. float_of_int n, write)
+  (figure () -. before) /. float_of_int n
+
+(* Words of mysql1's log store retained per committed write, measured as
+   the growth of [Obj.reachable_words] of the log.  The returned round is
+   one write run to its commit. *)
+let retained_per_write () =
+  let ring = write_ring () in
+  let words () = float_of_int (Obj.reachable_words (Obj.repr ring.log)) in
+  (per_write ring words, ring.write)
+
+(* Histogram samples the ring's registries retain per committed write:
+   the growth of [Stats.Histogram.count] summed over every histogram of
+   every member's registry. *)
+let samples_per_write () =
+  let ring = write_ring () in
+  let count acc (_, h) = acc + Stats.Histogram.count h in
+  let node acc id =
+    match Myraft.Cluster.metrics_of ring.cluster id with
+    | Some m ->
+      let snap = Obs.Metrics.snapshot m in
+      List.fold_left count acc snap.Obs.Metrics.snap_histograms
+    | None -> acc
+  in
+  let samples () = float_of_int (List.fold_left node 0 [ "mysql1"; "lt1a"; "lt1b" ]) in
+  (per_write ring samples, ring.write)

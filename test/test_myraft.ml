@@ -538,25 +538,25 @@ let replica_apply_words ~batch ~warmup ~n ~step =
 (* A committed write: the request's prepare event, the engine's prepare
    and commit, the pipeline's record, the log entry and its events, the
    AppendEntries round trips to both logtailers, the group's stage
-   events and the reply.  Measured at 419.1 words; putting back a
+   events and the reply.  Measured at 413.1 words; putting back a
    per-write closure (a [{flush; finish}] pair, the reply, the prepare
-   thunk), a per-write list or a per-group copy of the pipeline's
-   columns pushes it past the bound. *)
-let primary_write_bound = 423
+   thunk), a per-write list, a per-group copy of the pipeline's columns
+   or a latency sample per committed index pushes it past the bound. *)
+let primary_write_bound = 414
 
 (* An applied entry, one per AppendEntries: the follower's append and
    ack, the applier's ticket and execute event, the engine's prepare and
    commit, the pipeline's relay item and the group's stage events.
-   Measured at 108.9 words; a per-entry closure in the applier or the
+   Measured at 106.9 words; a per-entry closure in the applier or the
    pipeline, a hashtable or queue cell per entry, or a list of the
    entry's writes pushes it past the bound. *)
-let replica_apply_bound = 109
+let replica_apply_bound = 107
 
 (* An applied entry of a 64-entry AppendEntries, the batch shape the
    workloads send: the follower's append and ack and the pipeline's
    stage events are shared by the batch, so this is the applier, engine
-   and pipeline's cost per transaction.  Measured at 42.5 words. *)
-let replica_batch_apply_bound = 43
+   and pipeline's cost per transaction.  Measured at 40.5 words. *)
+let replica_batch_apply_bound = 41
 
 let test_primary_write_words () =
   let words = primary_write_words () in
@@ -580,6 +580,23 @@ let test_retained_write_words () =
        retained_write_bound)
     true
     (words <= float_of_int retained_write_bound)
+
+(* Histogram samples retained per committed write on the same ring,
+   summed over the three members' registries: the primary's three stage
+   latencies, group size and commit-cycle size, its two AEs' batch sizes,
+   and one fsync batch per member.  Measured at 10.0 (14.0 with a
+   commit-latency sample per member and an end-to-end one per
+   transaction); one more sample per write pushes it past the
+   bound. *)
+let retained_samples_bound = 10.5
+
+let test_retained_samples () =
+  let samples, _ = Kit.Alloc.samples_per_write () in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f histogram samples retained per committed write <= %.1f" samples
+       retained_samples_bound)
+    true
+    (samples <= retained_samples_bound)
 
 let check_replica_words ~batch ~warmup ~n ~step ~bound =
   let words = replica_apply_words ~batch ~warmup ~n ~step in
@@ -649,6 +666,8 @@ let suites =
     ( "myraft.alloc",
       [
         Alcotest.test_case "primary words per committed write" `Quick test_primary_write_words;
+        Alcotest.test_case "histogram samples retained per committed write" `Quick
+          test_retained_samples;
         Alcotest.test_case "log words retained per committed write" `Quick
           test_retained_write_words;
         Alcotest.test_case "replica words per applied entry" `Quick test_replica_apply_words;

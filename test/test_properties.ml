@@ -402,84 +402,6 @@ let prop_lease_point_matches_list_search =
        else None)
       = reference_lease_point mode cfg ~leader ~now ~now_global ~peers:members)
 
-(* ----- append stamps ----- *)
-
-type stamp_op = Append of int | Truncate of int | Commit of int
-
-(* Long append runs against short commit steps, so the commit lag
-   outgrows the initial ring; truncations may cut below the commit index
-   (crash recovery) and re-appends overwrite earlier stamps. *)
-let stamp_ops_gen =
-  QCheck.Gen.(
-    list_size (0 -- 40)
-      (frequency
-         [
-           (4, map (fun n -> Append n) (0 -- 120));
-           (1, map (fun n -> Truncate n) (0 -- 60));
-           (3, map (fun n -> Commit n) (0 -- 90));
-         ]))
-
-let stamp_ops_arb =
-  QCheck.make
-    ~print:(fun ops ->
-      String.concat ";"
-        (List.map
-           (function
-             | Append n -> Printf.sprintf "A%d" n
-             | Truncate n -> Printf.sprintf "T%d" n
-             | Commit n -> Printf.sprintf "C%d" n)
-           ops))
-    stamp_ops_gen
-
-(* Drive the stamp ring and the Hashtbl [Node] kept before it through the
-   same appends, truncations and commits; the commit-latency samples (one
-   per committed index that has a stamp) must agree. *)
-let stamp_samples ops =
-  let ring = Raft.Append_stamps.create () in
-  let table = Hashtbl.create 256 in
-  let last = ref 0 and commit = ref 0 and clock = ref 0.0 in
-  let ring_samples = ref [] and table_samples = ref [] in
-  List.iter
-    (function
-      | Append n ->
-        for _ = 1 to n do
-          incr last;
-          clock := !clock +. 0.5;
-          Raft.Append_stamps.stamp ring ~commit_index:!commit !last !clock;
-          Hashtbl.replace table !last !clock
-        done
-      | Truncate n -> last := max 0 (!last - n)
-      | Commit n ->
-        let target = min !last (!commit + n) in
-        clock := !clock +. 0.25;
-        for idx = !commit + 1 to target do
-          let sample = Raft.Append_stamps.elapsed ring idx ~now:!clock in
-          if not (Float.is_nan sample) then ring_samples := (idx, sample) :: !ring_samples;
-          match Hashtbl.find_opt table idx with
-          | Some at ->
-            Hashtbl.remove table idx;
-            table_samples := (idx, !clock -. at) :: !table_samples
-          | None -> ()
-        done;
-        commit := max !commit target)
-    ops;
-  (ring, List.rev !ring_samples, List.rev !table_samples)
-
-let prop_append_stamps_match_table =
-  QCheck.Test.make ~name:"stamp ring yields the Hashtbl's commit samples" ~count:500
-    stamp_ops_arb (fun ops ->
-      let _, ring, table = stamp_samples ops in
-      ring = table)
-
-let test_append_stamps_outgrow_ring () =
-  let ring, samples, reference =
-    stamp_samples [ Append 1000; Truncate 300; Append 400; Commit 1100 ]
-  in
-  Alcotest.(check int) "every committed index sampled" 1100 (List.length samples);
-  Alcotest.(check bool) "samples equal the Hashtbl's" true (samples = reference);
-  Alcotest.(check bool) "ring doubled past the lag" true
-    (Raft.Append_stamps.capacity ring >= 1024)
-
 (* ----- trace ring ----- *)
 
 (* The record-per-slot ring [Obs.Tracebuf] was before it went columnar. *)
@@ -1674,12 +1596,6 @@ let suites =
         QCheck_alcotest.to_alcotest prop_pessimistic_election_intersects_all_regions;
         QCheck_alcotest.to_alcotest prop_commit_point_matches_scan;
         QCheck_alcotest.to_alcotest prop_lease_point_matches_list_search;
-      ] );
-    ( "properties.stamp_ring",
-      [
-        QCheck_alcotest.to_alcotest prop_append_stamps_match_table;
-        Alcotest.test_case "commit lag outgrows the ring" `Quick
-          test_append_stamps_outgrow_ring;
       ] );
     ( "properties.tracebuf",
       [ QCheck_alcotest.to_alcotest prop_tracebuf_matches_record_ring ] );

@@ -31,6 +31,10 @@ type harness = {
 
 let raft n = Option.get n.raft
 
+(* A Raft node's counter, read from its metrics registry. *)
+let raft_counter r name =
+  Obs.Metrics.counter_value (Obs.Metrics.counter (Raft.Node.metrics r) name)
+
 let make_raft h n =
   let callbacks = Raft.Node.default_callbacks () in
   let node =
@@ -207,8 +211,9 @@ let test_wedge_counter_without_provider () =
      follower cannot be revived by a stale pre-compaction batch *)
   Sim.Engine.run_for h.engine (2.0 *. s);
   restart h "n3";
-  ignore (run_until h ~timeout:(5.0 *. s) (fun () -> Raft.Node.purge_wedges leader > 0));
-  Alcotest.(check bool) "wedge counted" true (Raft.Node.purge_wedges leader > 0);
+  let wedges () = raft_counter leader "raft.purge_wedges" in
+  ignore (run_until h ~timeout:(5.0 *. s) (fun () -> wedges () > 0));
+  Alcotest.(check bool) "wedge counted" true (wedges () > 0);
   Alcotest.(check bool) "no transfer without a provider" false
     (Raft.Node.snapshot_in_flight leader ~peer:"n3");
   Alcotest.(check int) "n3 stays behind the hole" 0
@@ -241,10 +246,11 @@ let test_snapshot_rescue_reconverges () =
   in
   Alcotest.(check bool) "n3 reconverges via snapshot" true
     (run_until h ~timeout:(20.0 *. s) caught_up);
-  Alcotest.(check bool) "leader completed a send" true (Raft.Node.snapshots_sent leader >= 1);
+  Alcotest.(check bool) "leader completed a send" true
+    (raft_counter leader "snapshot.sends_completed" >= 1);
   let n3 = get h "n3" in
   Alcotest.(check bool) "raft-level install recorded" true
-    (Raft.Node.snapshots_installed (raft n3) >= 1);
+    (raft_counter (raft n3) "snapshot.installs" >= 1);
   Alcotest.(check bool) "install callback fired" true (n3.installs >= 1);
   Alcotest.(check bool) "follower log rebased" true
     (Binlog.Log_store.purged_below n3.store > 1);
@@ -339,7 +345,7 @@ let test_cluster_purged_replica_rescue () =
     (Myraft.Cluster.run_until cluster ~timeout:(30.0 *. s) caught_up);
   let replica = Option.get (Myraft.Cluster.server cluster "mysql3") in
   Alcotest.(check bool) "rescued by InstallSnapshot" true
-    (Raft.Node.snapshots_installed (Myraft.Server.raft replica) >= 1);
+    (raft_counter (Myraft.Server.raft replica) "snapshot.installs" >= 1);
   (* data that only ever existed behind the purge horizon arrived via the
      engine checkpoint, not log replay *)
   Alcotest.(check (result (option string) string)) "pre-purge row present"
