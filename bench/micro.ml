@@ -174,12 +174,13 @@ let log_cache_put_slice () =
              }))
   in
   let cache = Raft.Log_cache.create ~max_bytes:(4 * 1024 * 1024) () in
+  let log = Binlog.Log_store.create () in
   Test.make ~name:"log_cache.put + read_slice (64 entries)"
     (Staged.stage (fun () ->
          Raft.Log_cache.truncate_from cache ~index:1;
          Array.iter (Raft.Log_cache.put cache) entries;
-         Raft.Log_cache.read_slice cache ~max_bytes:(128 * 1024) ~from_index:1 ~max_count:64
-           ~read_log:(fun _ -> Binlog.Log_store.absent)))
+         Raft.Log_cache.read_slice cache ~log ~max_bytes:(128 * 1024) ~from_index:1
+           ~max_count:64))
 
 (* The event queue at a steady depth: each run schedules one event a
    pseudo-random distance past the last one popped, then pops the

@@ -70,7 +70,9 @@ val file_ranges : t -> (string * int * int * bool) list
     The caller is responsible for the §A.1 safety heuristics. *)
 val purge_to : t -> file:string -> unit
 
-(** Entries below this index may have been purged. *)
+(** Entries below this index may have been purged, so a Raft leader has
+    no AppendEntries prev anchor below it minus one (the boundary's own
+    term stays answerable). *)
 val purged_below : t -> int
 
 (** OpId of the highest purged entry — the snapshot-style boundary whose
@@ -97,7 +99,10 @@ val gtid_set : t -> Gtid_set.t
     models the post-power-loss restart that loses the unsynced tail —
     the situation §3.3's demotion truncation must cope with. *)
 
-(** Highest index known durable (= [last_index] unless buffered). *)
+(** Highest index known durable (= [last_index] unless buffered).  Raft
+    acknowledges replication, and counts its own vote toward commit, only
+    up to here, so a crash that tears off the unsynced tail never loses
+    an acked entry. *)
 val synced_index : t -> int
 
 val unsynced_count : t -> int

@@ -255,8 +255,9 @@ let check_engine_convergence t =
    expired in *global* (true) time, no matter what its skewed local
    clock claims.  The Raft node counts such serves against its
    engine-time oracle ([lease_stale_serves]); any increase is a
-   violation.  A restart resets the counter (fresh node object), so the
-   high-water mark re-pins whenever the observed value goes backwards. *)
+   violation.  The count lives in the node's metrics registry; a node
+   built on a fresh registry starts again from zero, so the high-water
+   mark re-pins whenever the observed value goes backwards. *)
 let check_stale_lease_reads t =
   List.iter
     (fun p ->

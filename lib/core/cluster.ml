@@ -150,22 +150,27 @@ let metrics_of t id =
   | Some (Tailer_node l) -> Some (Logtailer.metrics l)
   | None -> None
 
-(* A registry-shaped view of the network's counters, built on demand:
-   sim cannot depend on obs (obs sits above sim), so the network exports
-   raw stat rows and the cluster dresses them as metrics.  In shared
-   mode the mux owns the network and exports these itself. *)
+(* The network's scalar net.* counters, bumped into [m]: sim cannot
+   depend on obs (obs sits above sim), so the network exports raw counts
+   and its owner dresses them as metrics. *)
+let add_network_counters m net =
+  Obs.Metrics.bump ~by:(Sim.Network.total_messages net) m "net.messages";
+  Obs.Metrics.bump ~by:(Sim.Network.total_bytes net) m "net.bytes";
+  Obs.Metrics.bump ~by:(Sim.Network.cross_region_bytes net) m "net.cross_region_bytes";
+  Obs.Metrics.bump ~by:(Sim.Network.dropped net) m "net.dropped";
+  Obs.Metrics.bump ~by:(Sim.Network.fault_dropped net) m "net.fault_dropped";
+  Obs.Metrics.bump ~by:(Sim.Network.duplicated net) m "net.duplicated";
+  Obs.Metrics.bump ~by:(Sim.Network.reordered net) m "net.reordered"
+
+(* A registry-shaped view of the network's counters, built on demand,
+   with a row per directed link and per region pair.  In shared mode the
+   mux owns the network and exports its scalar counters itself. *)
 let network_metrics t =
   let m = Obs.Metrics.create ~node:"network" () in
   (match t.network with
   | None -> ()
   | Some net ->
-    Obs.Metrics.bump ~by:(Sim.Network.total_messages net) m "net.messages";
-    Obs.Metrics.bump ~by:(Sim.Network.total_bytes net) m "net.bytes";
-    Obs.Metrics.bump ~by:(Sim.Network.cross_region_bytes net) m "net.cross_region_bytes";
-    Obs.Metrics.bump ~by:(Sim.Network.dropped net) m "net.dropped";
-    Obs.Metrics.bump ~by:(Sim.Network.fault_dropped net) m "net.fault_dropped";
-    Obs.Metrics.bump ~by:(Sim.Network.duplicated net) m "net.duplicated";
-    Obs.Metrics.bump ~by:(Sim.Network.reordered net) m "net.reordered";
+    add_network_counters m net;
     List.iter
       (fun (src, dst, msgs, bytes) ->
         Obs.Metrics.bump ~by:msgs m (Printf.sprintf "net.link.%s->%s.messages" src dst);

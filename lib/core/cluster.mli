@@ -91,6 +91,10 @@ val metrics_of : t -> string -> Obs.Metrics.t option
     histograms pool) plus network-derived net.* counters. *)
 val metrics_snapshot : t -> Obs.Metrics.snapshot
 
+(** Bump a network's scalar net.* counters (messages, bytes,
+    cross-region bytes, drops, duplicates, reorders) into a registry. *)
+val add_network_counters : Obs.Metrics.t -> 'msg Sim.Network.t -> unit
+
 val discovery : t -> Service_discovery.t
 
 val replicaset_name : t -> string

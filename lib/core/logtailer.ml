@@ -92,8 +92,7 @@ let make_raft t =
   Raft.Node.create ~metrics:t.metrics ?tracebuf:t.tracebuf ~clock:t.clock
     ~group:t.group ~engine:t.engine ~id:t.id ~region:t.region
     ~send:(fun ~dst msg -> t.send ~dst (Wire.Raft_msg msg))
-    ~log:(Raft.Node.log_ops_of_store t.log)
-    ~callbacks:(make_callbacks t) ~params:t.params.Params.raft
+    ~log:t.log ~callbacks:(make_callbacks t) ~params:t.params.Params.raft
     ~initial_config:t.initial_config ~durable:t.durable ~trace:t.trace ()
 
 let create ?metrics ?tracebuf ?clock ?(group = 0) ~engine ~id ~region ~send ~params

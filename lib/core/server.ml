@@ -7,8 +7,7 @@
    §3.3), advances the pipeline's consensus-commit watermark, signals the
    applier about new relay-log entries, and reports truncations so GTID
    metadata can be cleaned up.  Raft reads and writes the server's
-   binlog/relay-log through the log abstraction ([Raft.Node.log_ops]
-   specialised to [Binlog.Log_store]).
+   binlog/relay-log through the log abstraction, [Binlog.Log_store].
 
    Durable state (survives crash/restart): storage engine contents, log
    files, Raft term/vote.  Everything else is rebuilt by [restart]. *)
@@ -69,13 +68,8 @@ type t = {
   mutable next_xid : int;
   mutable orchestration_epoch : int; (* invalidates in-flight orchestrations *)
   rng : Sim.Rng.t;
-  (* counters *)
   writeset : Binlog.Writeset.t; (* primary-side dependency tracker *)
   table_maps : Binlog.Event.table_maps; (* one Table_map event per table *)
-  mutable promotions : int;
-  mutable demotions : int;
-  mutable writes_committed : int;
-  mutable writes_rejected : int;
   mutable truncated_gtids : Binlog.Gtid.t list;
   (* observability *)
   metrics : Obs.Metrics.t;
@@ -135,14 +129,6 @@ let storage t = t.storage
 let log t = t.log
 
 let pipeline t = t.pipeline
-
-let promotions t = t.promotions
-
-let demotions t = t.demotions
-
-let writes_committed t = t.writes_committed
-
-let writes_rejected t = t.writes_rejected
 
 let truncated_gtids t = List.rev t.truncated_gtids
 
@@ -381,7 +367,6 @@ and promotion_rewire t ~epoch =
                       Binlog.Gtid_set.max_gno (Binlog.Log_store.gtid_set t.log)
                         ~source:t.id
                       + 1;
-                    t.promotions <- t.promotions + 1;
                     Obs.Metrics.bump t.metrics "server.promotions";
                     tracef t "%s: promoted to primary (term %d)" t.id
                       (Raft.Node.current_term (raft t));
@@ -439,10 +424,7 @@ let begin_demotion t =
   List.iter (Storage.Engine.rollback_gtid t.storage) pending;
   (* Step 2: disable client writes. *)
   t.writes_enabled <- false;
-  if t.role = Primary then begin
-    t.demotions <- t.demotions + 1;
-    Obs.Metrics.bump t.metrics "server.demotions"
-  end;
+  if t.role = Primary then Obs.Metrics.bump t.metrics "server.demotions";
   t.role <- Replica;
   tracef t "%s: demoted (aborted %d in-flight, rolled back %d prepared)" t.id
     aborted_items (List.length pending);
@@ -585,8 +567,7 @@ let make_raft t =
   Raft.Node.create ~metrics:t.metrics ?tracebuf:t.tracebuf ~clock:t.clock
     ~group:t.group ~engine:t.engine ~id:t.id ~region:t.region
     ~send:(fun ~dst msg -> t.send ~dst (Wire.Raft_msg msg))
-    ~log:(Raft.Node.log_ops_of_store t.log)
-    ~callbacks:(make_callbacks t) ~params:t.params.Params.raft
+    ~log:t.log ~callbacks:(make_callbacks t) ~params:t.params.Params.raft
     ~initial_config:t.initial_config ~durable:t.durable ~trace:t.trace ()
 
 (* Group commit across the Raft boundary: a flush group's appends share
@@ -607,7 +588,6 @@ let send_outcome t (req : Wire.write_request) ~local outcome =
   | Some reply -> reply outcome
 
 let reject t req ~local reason =
-  t.writes_rejected <- t.writes_rejected + 1;
   Obs.Metrics.incr t.m_writes_rejected;
   send_outcome t req ~local (Wire.Rejected reason)
 
@@ -708,7 +688,6 @@ let finish_txn t txn ~ok =
   | Client_write w ->
     if ok && Storage.Engine.live w.prepared then begin
       Storage.Engine.commit_prepared t.storage w.prepared ~opid:w.opid;
-      t.writes_committed <- t.writes_committed + 1;
       Obs.Metrics.incr t.m_writes_committed;
       trace_event t ~stage:"engine-commit" ~term:(Binlog.Opid.term w.opid)
         ~index:(Binlog.Opid.index w.opid);
@@ -994,10 +973,6 @@ let create ?metrics ?tracebuf ?clock ?(group = 0) ~engine ~id ~region ~replicase
       next_xid = 1;
       orchestration_epoch = 0;
       rng = Sim.Rng.split (Sim.Engine.rng engine);
-      promotions = 0;
-      demotions = 0;
-      writes_committed = 0;
-      writes_rejected = 0;
       truncated_gtids = [];
       metrics;
       m_writes_committed = Obs.Metrics.counter metrics "server.writes_committed";

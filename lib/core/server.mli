@@ -144,14 +144,6 @@ val handle_message : t -> src:string -> Wire.t -> unit
 
 (** {2 Counters} *)
 
-val promotions : t -> int
-
-val demotions : t -> int
-
-val writes_committed : t -> int
-
-val writes_rejected : t -> int
-
 (** The registry all of this server's components record into. *)
 val metrics : t -> Obs.Metrics.t
 

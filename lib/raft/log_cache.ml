@@ -15,15 +15,14 @@
    is FIFO by index with a total-bytes budget, matching a cache over a
    strictly appended sequence.
 
-   Batch reads come in two shapes: [read_slice] (the hot path) fills an
-   internal scratch buffer and returns a right-sized array — one
-   allocation per AppendEntries batch, no list cells, no [List.rev] — and
-   [read] wraps it for callers that want a list.  Returned slices hold
-   the entries themselves, which are immutable, so they stay valid
-   however the cache evicts afterwards. *)
+   A batch read, [read_slice], fills an internal scratch buffer and
+   returns a right-sized array — one allocation per AppendEntries batch,
+   no list cells, no [List.rev].  Returned slices hold the entries
+   themselves, which are immutable, so they stay valid however the cache
+   evicts afterwards. *)
 
 (* Fills unused ring and scratch slots, so they retain nothing live; also
-   what [read_log] returns for an index the log does not hold. *)
+   what [Log_store.slot] returns for an index the log does not hold. *)
 let absent = Binlog.Log_store.absent
 
 type t = {
@@ -34,8 +33,6 @@ type t = {
   mutable bytes : int;
   max_bytes : int;
   mutable scratch : Binlog.Entry.t array; (* reused by read_slice *)
-  mutable disk_reads : int;
-  mutable hits : int;
   m_hits : Obs.Metrics.counter;
   m_disk_reads : Obs.Metrics.counter;
   m_bytes : Obs.Metrics.gauge;
@@ -53,8 +50,6 @@ let create ?metrics ?(max_bytes = 4 * 1024 * 1024) () =
     bytes = 0;
     max_bytes;
     scratch = Array.make 64 absent;
-    disk_reads = 0;
-    hits = 0;
     m_hits = Obs.Metrics.counter m "raft.log_cache.hits";
     m_disk_reads = Obs.Metrics.counter m "raft.log_cache.disk_reads";
     m_bytes = Obs.Metrics.gauge m "raft.log_cache.bytes";
@@ -138,14 +133,14 @@ let truncate_from t ~index =
   Obs.Metrics.set_gauge_int t.m_bytes t.bytes
 
 (* Read [from_index, from_index+max_count) preferring the cache, falling
-   back to [read_log] for the cold prefix, into the scratch buffer.
+   back to the log for the cold prefix, into the scratch buffer.
    Neither source boxes what it returns: a miss on both is the
    [Log_store.absent] sentinel.
    [max_bytes] additionally bounds the batch: collection stops before the
    entry that would exceed the budget, except that the first entry always
    ships so an oversized transaction still makes progress one-per-AE.
    Returns the number of entries filled. *)
-let read_scratch t ~max_bytes ~from_index ~max_count ~read_log =
+let read_scratch t ~log ~max_bytes ~from_index ~max_count =
   if max_count > Array.length t.scratch then
     t.scratch <- Array.make (max max_count (2 * Array.length t.scratch)) absent;
   let n = ref 0 in
@@ -154,20 +149,13 @@ let read_scratch t ~max_bytes ~from_index ~max_count ~read_log =
   while (not !stop) && !n < max_count do
     let idx = from_index + !n in
     let from_cache = contains t ~index:idx in
-    let e = if from_cache then t.ring.(slot t idx) else read_log idx in
+    let e = if from_cache then t.ring.(slot t idx) else Binlog.Log_store.slot log idx in
     if e == absent then stop := true
     else begin
       let sz = Binlog.Entry.size e in
       if !n > 0 && !bytes + sz > max_bytes then stop := true
       else begin
-        if from_cache then begin
-          t.hits <- t.hits + 1;
-          Obs.Metrics.incr t.m_hits
-        end
-        else begin
-          t.disk_reads <- t.disk_reads + 1;
-          Obs.Metrics.incr t.m_disk_reads
-        end;
+        Obs.Metrics.incr (if from_cache then t.m_hits else t.m_disk_reads);
         t.scratch.(!n) <- e;
         incr n;
         bytes := !bytes + sz
@@ -176,18 +164,13 @@ let read_scratch t ~max_bytes ~from_index ~max_count ~read_log =
   done;
   !n
 
-let read_slice t ~max_bytes ~from_index ~max_count ~read_log =
-  let n = read_scratch t ~max_bytes ~from_index ~max_count ~read_log in
+let read_slice t ~log ~max_bytes ~from_index ~max_count =
+  let n = read_scratch t ~log ~max_bytes ~from_index ~max_count in
   let out = Array.sub t.scratch 0 n in
   (* don't let the scratch keep evicted entries alive between batches *)
   Array.fill t.scratch 0 n absent;
   out
 
-let read t ?(max_bytes = max_int) ~from_index ~max_count ~read_log () =
-  Array.to_list (read_slice t ~max_bytes ~from_index ~max_count ~read_log)
-
-let disk_reads t = t.disk_reads
-
-let hits t = t.hits
+let disk_reads t = Obs.Metrics.counter_value t.m_disk_reads
 
 let cached_bytes t = t.bytes

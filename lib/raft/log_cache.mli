@@ -17,9 +17,9 @@ val put : t -> Binlog.Entry.t -> unit
     cache). *)
 val truncate_from : t -> index:int -> unit
 
-(** Read a range preferring the cache, calling [read_log] for cold
-    indexes; stops at the first missing entry, which [read_log] reports
-    as {!Binlog.Log_store.absent} (so a cold read allocates nothing).  [max_bytes] bounds the
+(** Read a range preferring the cache, reading cold indexes from [log]
+    with {!Binlog.Log_store.slot}; stops at the first entry neither
+    holds (so a cold read allocates nothing).  [max_bytes] bounds the
     total payload: collection stops before exceeding the budget, but the
     first entry always ships so oversized transactions still progress
     ([max_int] for no budget).
@@ -29,21 +29,11 @@ val truncate_from : t -> index:int -> unit
     themselves, which are immutable, so it stays valid however the cache
     evicts afterwards. *)
 val read_slice :
-  t -> max_bytes:int -> from_index:int -> max_count:int ->
-  read_log:(int -> Binlog.Entry.t) ->
+  t -> log:Binlog.Log_store.t -> max_bytes:int -> from_index:int -> max_count:int ->
   Binlog.Entry.t array
-
-(** [read_slice] as a list, for callers off the hot path ([max_bytes]
-    defaults to no budget). *)
-val read :
-  t -> ?max_bytes:int -> from_index:int -> max_count:int ->
-  read_log:(int -> Binlog.Entry.t) -> unit ->
-  Binlog.Entry.t list
 
 val contains : t -> index:int -> bool
 
 val disk_reads : t -> int
-
-val hits : t -> int
 
 val cached_bytes : t -> int

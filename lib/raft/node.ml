@@ -3,10 +3,10 @@
    and mock elections (§4.3).
 
    The node is deliberately unaware of MySQL: it reads and writes its log
-   through [log_ops] (the log abstraction of §3.1 that the plugin
-   specializes to binlogs) and drives the database through [callbacks]
-   (the orchestration API of §3.3).  Witnesses are nodes whose log_ops
-   wrap a bare log with no state machine behind it.
+   through [Binlog.Log_store] (the log abstraction of §3.1, which hides
+   the binlog/relay-log files, purge and fsync) and drives the database
+   through [callbacks] (the orchestration API of §3.3).  Witnesses are
+   nodes whose store has no state machine behind it.
 
    Faithful kuduraft behaviours kept on purpose:
    - no automatic leader step-down: a leader that loses its quorum keeps
@@ -17,47 +17,7 @@
 
 type node_id = Types.node_id
 
-(* Log abstraction (§3.1): everything Raft needs from a log, supplied by
-   the embedder.  The MySQL plugin backs it with binlog/relay-log files. *)
-type log_ops = {
-  append : Binlog.Entry.t -> unit;
-  entry_at : int -> Binlog.Entry.t; (* [Log_store.absent] when not held *)
-  last_opid : unit -> Binlog.Opid.t;
-  term_of : int -> int; (* the term at an index; -1 when unknown or purged *)
-  truncate_from : int -> Binlog.Entry.t list;
-  durable_index : unit -> int;
-      (* Highest index the log has fsynced.  Raft only acknowledges
-         replication (and only counts its own vote toward commit) up to
-         here, so a crash that tears off the unsynced tail can never lose
-         an acked entry. *)
-  run_batched : (unit -> unit) -> unit;
-      (* Run a batch of appends under one coalesced fsync (group commit):
-         [durable_index] covers the whole batch after return.  Logs
-         without group commit may use [fun f -> f ()]. *)
-  purged_below : unit -> int;
-      (* Entries below this index may have been compacted away; the
-         leader cannot construct an AppendEntries prev anchor below it
-         (minus one: the boundary's own term stays answerable). *)
-  install_snapshot :
-    last:Binlog.Opid.t -> gtids:Binlog.Gtid_set.t -> Binlog.Entry.t list;
-      (* Rebase the log at a snapshot boundary (InstallSnapshot receipt):
-         retain a matching tail or discard a conflicting one; returns the
-         dropped suffix for the same cleanup a truncation gets. *)
-}
-
-let log_ops_of_store (store : Binlog.Log_store.t) =
-  {
-    append = Binlog.Log_store.append store;
-    entry_at = Binlog.Log_store.slot store;
-    last_opid = (fun () -> Binlog.Log_store.last_opid store);
-    term_of = Binlog.Log_store.term_of store;
-    truncate_from = (fun i -> Binlog.Log_store.truncate_from store ~from_index:i);
-    durable_index = (fun () -> Binlog.Log_store.synced_index store);
-    run_batched = (fun f -> Binlog.Log_store.with_batched_fsync store f);
-    purged_below = (fun () -> Binlog.Log_store.purged_below store);
-    install_snapshot =
-      (fun ~last ~gtids -> Binlog.Log_store.install_snapshot store ~last ~gtids);
-  }
+module Log_store = Binlog.Log_store
 
 (* Orchestration callbacks from Raft into the state machine (§3.3). *)
 type callbacks = {
@@ -489,7 +449,7 @@ type lease = {
   (* The same lease interval evaluated on the engine's true clock: the
      instant after which a correct-clock voter could have completed an
      election.  Serving past it while the local reading still looks
-     valid is the stale-lease bug; [stale_lease_serves] counts it and
+     valid is the stale-lease bug; [raft.lease_stale_serves] counts it and
      the chaos checker fails the run on any nonzero count. *)
 }
 
@@ -517,7 +477,7 @@ type t = {
      tagging — the group never changes the protocol, only how the shard
      mux frames and demultiplexes this node's traffic. *)
   send : dst:node_id -> Message.t -> unit;
-  log : log_ops;
+  log : Log_store.t;
   durable : durable;
   params : params;
   trace : Sim.Trace.t;
@@ -542,7 +502,6 @@ type t = {
   mutable force_election_quorum : bool; (* Quorum Fixer override *)
   mutable stopped : bool;
   mutable last_leader_contact : float;
-  mutable elections_started : int;
   metrics : Obs.Metrics.t;
   meters : meters;
   tracebuf : Obs.Tracebuf.t option;
@@ -599,7 +558,6 @@ type t = {
      local interval diverging from [heartbeat_interval] is a watchdog
      for rate steps even when no ack can reach us.  neg_infinity between
      leaderships. *)
-  mutable stale_lease_serves : int; (* oracle: lease reads past global expiry *)
   mutable next_snapshot_id : int; (* leader-unique InstallSnapshot transfer ids *)
   mutable pending_install : pending_install option; (* follower-side transfer *)
   mutable vote_floor : Binlog.Opid.t option;
@@ -642,7 +600,7 @@ let commit_index t = t.commit_index
 
 let leader_id t = t.leader_id
 
-let last_opid t = t.log.last_opid ()
+let last_opid t = Log_store.last_opid t.log
 
 let last_index t = Binlog.Opid.index (last_opid t)
 
@@ -651,8 +609,6 @@ let config t = t.cfg
 let config_id t = t.cfg_id
 
 let quorum_mode t = t.params.quorum_mode
-
-let elections_started t = t.elections_started
 
 let cache t = t.cache
 
@@ -663,7 +619,7 @@ let metrics t = t.metrics
    log regains an entry at least as up-to-date as what corruption
    recovery truncated, the vote floor lifts and normal voting resumes. *)
 let append_local t entry =
-  t.log.append entry;
+  Log_store.append t.log entry;
   Log_cache.put t.cache entry;
   match t.vote_floor with
   | Some fl when Binlog.Opid.at_least_as_up_to_date_as (Binlog.Entry.opid entry) fl ->
@@ -679,7 +635,7 @@ let note_commit t ~from_index ~to_index =
   | Some tb ->
     let now = Sim.Clock.now t.clock in
     for idx = from_index to to_index do
-      let term = max 0 (t.log.term_of idx) in
+      let term = max 0 (Log_store.term_of t.log idx) in
       Obs.Tracebuf.record tb ~time:now ~node:t.id ~stage:"consensus-commit" ~term
         ~index:idx ()
     done
@@ -976,8 +932,8 @@ and ae_request t peer ~prev_opid ~leader_time ~reply_route payload =
    of that entry when it holds it (so the send builds none), else one
    made from [term] (the purge boundary, or index 0). *)
 and prev_anchor t prev_index ~term =
-  let e = t.log.entry_at prev_index in
-  if e != Binlog.Log_store.absent then Binlog.Entry.opid e
+  let e = Log_store.slot t.log prev_index in
+  if e != Log_store.absent then Binlog.Entry.opid e
   else Binlog.Opid.make ~term ~index:prev_index
 
 (* Ship one byte-budgeted batch from the send frontier; returns false
@@ -985,13 +941,13 @@ and prev_anchor t prev_index ~term =
 and send_entry_batch t peer =
   let from_index = peer.next_index in
   let entries =
-    Log_cache.read_slice t.cache ~max_bytes:peer.ae_budget ~from_index
-      ~max_count:t.params.max_entries_per_ae ~read_log:t.log.entry_at
+    Log_cache.read_slice t.cache ~log:t.log ~max_bytes:peer.ae_budget ~from_index
+      ~max_count:t.params.max_entries_per_ae
   in
   if Array.length entries = 0 then false
   else begin
     let prev_index = from_index - 1 in
-    let prev_term = t.log.term_of prev_index in
+    let prev_term = Log_store.term_of t.log prev_index in
     if prev_term < 0 then begin
       tracef t "raft" "%s: cannot replicate to %s: index %d purged" t.id peer.peer_id
         prev_index;
@@ -1068,7 +1024,7 @@ and send_heartbeat t peer =
   let prev_index =
     if peer.window.w_len = 0 then peer.next_index - 1 else peer.match_index
   in
-  let prev_term = t.log.term_of prev_index in
+  let prev_term = Log_store.term_of t.log prev_index in
   if prev_term < 0 then begin
     tracef t "raft" "%s: cannot heartbeat %s: index %d purged" t.id peer.peer_id
       prev_index;
@@ -1121,7 +1077,7 @@ and replicate_to t peer ~allow_empty =
      index the install is removing.  The chunk stream doubles as the
      leader's liveness signal to it. *)
   if t.role = Types.Leader && peer.snap = None then begin
-    if peer.next_index < t.log.purged_below () then
+    if peer.next_index < Log_store.purged_below t.log then
       (* The frontier fell into the purged hole: no prev anchor exists,
          so ordinary replication cannot make progress.  Flag the wedge
          and try the snapshot rescue. *)
@@ -1162,13 +1118,13 @@ and advance_commit t =
        entry — symmetrical with followers reporting their durable
        index. *)
     let n =
-      Quorum.commit_point t.layout ~self:(t.log.durable_index ()) ~above:t.commit_index
-        ~upto:(last_index t)
+      Quorum.commit_point t.layout ~self:(Log_store.synced_index t.log)
+        ~above:t.commit_index ~upto:(last_index t)
     in
     if
       n > t.commit_index
       (* Raft safety: only commit entries from the current term directly. *)
-      && t.log.term_of n = t.durable.current_term
+      && Log_store.term_of t.log n = t.durable.current_term
     then begin
       commit_through t n;
       (* Reads queued behind "no current-term commit yet" can start
@@ -1183,7 +1139,7 @@ and advance_commit t =
    committed an entry of its own term (the no-op appended on election);
    before that, entries committed by a predecessor may sit above it. *)
 and committed_in_current_term t =
-  t.log.term_of t.commit_index = t.durable.current_term
+  Log_store.term_of t.log t.commit_index = t.durable.current_term
 
 (* Extend the lease from quorum-acked send times: find the latest T such
    that {self} and every peer whose [acked_send_time] >= T satisfy the
@@ -1329,7 +1285,6 @@ and read_index t k =
    Counted, never blocked: the checker must see the bug. *)
 and count_stale_lease_serve t =
   if Sim.Engine.now t.engine > t.lease.until_global then begin
-    t.stale_lease_serves <- t.stale_lease_serves + 1;
     Obs.Metrics.incr t.meters.m_stale_serves;
     tracef t "raft" "%s: lease read served %.0f us past global expiry" t.id
       (Sim.Engine.now t.engine -. t.lease.until_global)
@@ -1625,7 +1580,6 @@ and begin_election ?(transfer = false) t ~phase =
     (match phase with
     | Message.Real ->
       t.role <- Types.Candidate;
-      t.elections_started <- t.elections_started + 1;
       Obs.Metrics.incr t.meters.m_elections_started;
       (* Anchor election latency at the first Real attempt of this outage;
          back-to-back retries extend the same measurement. *)
@@ -1872,13 +1826,13 @@ and append_batch t =
   for i = 0 to n - 1 do
     let entry = entries.(i) in
     let idx = Binlog.Entry.index entry in
-    let have = t.log.term_of idx in
+    let have = Log_store.term_of t.log idx in
     if have = Binlog.Entry.term entry then () (* already have it *)
     else if have >= 0 then begin
       (* Conflicting suffix: truncate, clean up GTIDs (§3.3 demotion
          step 4), then append.  Configs are log-free state now —
          truncation does not touch them. *)
-      let removed = t.log.truncate_from idx in
+      let removed = Log_store.truncate_from t.log ~from_index:idx in
       Log_cache.truncate_from t.cache ~index:idx;
       if removed <> [] then t.callbacks.on_truncated removed;
       append_local t entry;
@@ -1912,7 +1866,8 @@ and handle_append_entries t (ae : Message.append_entries) =
     let prev = ae.prev_opid in
     let prev_index = Binlog.Opid.index prev in
     let ok_prev =
-      prev_index <= last_index t && t.log.term_of prev_index = Binlog.Opid.term prev
+      prev_index <= last_index t
+      && Log_store.term_of t.log prev_index = Binlog.Opid.term prev
     in
     if not ok_prev then begin
       Obs.Metrics.incr t.meters.m_ae_rejected;
@@ -1934,7 +1889,7 @@ and handle_append_entries t (ae : Message.append_entries) =
         (* Coalesce the batch's appends into one fsync (group commit); the
            durable index read for the reply below covers the whole batch. *)
         t.batch <- entries;
-        t.log.run_batched t.append_batch;
+        Log_store.with_batched_fsync t.log t.append_batch;
         t.batch <- [||];
         if t.batch_from < n then
           t.callbacks.on_entries_appended entries ~pos:t.batch_from
@@ -1962,7 +1917,7 @@ and handle_append_entries t (ae : Message.append_entries) =
          deliberately [confirmed], never the raw log tail — a leftover
          stale-term suffix beyond what the request covered must not look
          like an ack. *)
-      reply_append t ae ~success:true ~last_log_index:(t.log.durable_index ())
+      reply_append t ae ~success:true ~last_log_index:(Log_store.synced_index t.log)
         ~last_appended_index:confirmed
     end
   end
@@ -2109,13 +2064,13 @@ and peer_recently_acked t ~now peer = now -. peer.last_ack <= 2.0 *. detection_w
    subsystem exists to fix.  Count the episode once and try to rescue
    with an engine-checkpoint install. *)
 and note_purge_wedge t peer =
-  if t.role = Types.Leader && peer.next_index < t.log.purged_below () then begin
+  if t.role = Types.Leader && peer.next_index < Log_store.purged_below t.log then begin
     if not peer.wedged then begin
       peer.wedged <- true;
       Obs.Metrics.incr t.meters.m_purge_wedges;
       tracef t "raft" "%s: %s wedged behind purge boundary %d (next_index %d)" t.id
         peer.peer_id
-        (t.log.purged_below ())
+        (Log_store.purged_below t.log)
         peer.next_index
     end;
     (* Only ship a checkpoint to a peer that has recently answered:
@@ -2138,8 +2093,8 @@ and note_purge_wedge t peer =
    boundary nacks it (keeping the exchange alive); a peer whose frontier
    was only spuriously rewound confirms it and unwedges. *)
 and probe_wedged_peer t peer =
-  let boundary = t.log.purged_below () - 1 in
-  let prev_term = t.log.term_of boundary in
+  let boundary = Log_store.purged_below t.log - 1 in
+  let prev_term = Log_store.term_of t.log boundary in
   if prev_term >= 0 then
     send_empty t peer (Binlog.Opid.make ~term:prev_term ~index:boundary)
 
@@ -2151,12 +2106,13 @@ and maybe_install_snapshot t peer =
          the wedge stays detectable through raft.purge_wedges. *)
       ()
     | Some snapshot
-      when Binlog.Opid.index (Snapshot.last snapshot) < t.log.purged_below () - 1 ->
+      when Binlog.Opid.index (Snapshot.last snapshot)
+           < Log_store.purged_below t.log - 1 ->
       (* The checkpoint ends below the purge boundary; installing it
          would leave the same hole between checkpoint and log. *)
       tracef t "raft" "%s: checkpoint %s cannot cover purge boundary %d" t.id
         (Binlog.Opid.to_string (Snapshot.last snapshot))
-        (t.log.purged_below ())
+        (Log_store.purged_below t.log)
     | Some snapshot ->
       Obs.Metrics.incr t.meters.m_snapshots_taken;
       t.next_snapshot_id <- t.next_snapshot_id + 1;
@@ -2290,7 +2246,7 @@ and handle_install_snapshot t (is : Message.install_snapshot) =
     adopt_leader t ~term:is.term ~leader:is.leader_id;
     let last = is.meta.Snapshot.last in
     let boundary = Binlog.Opid.index last in
-    if t.log.term_of boundary = Binlog.Opid.term last then
+    if Log_store.term_of t.log boundary = Binlog.Opid.term last then
       (* Our log already matches through the boundary: nothing to
          install (duplicate transfer, or we caught up in the interim).
          A full ack completes the leader's transfer. *)
@@ -2346,7 +2302,7 @@ and finish_install t ~meta ~data =
     (Binlog.Opid.to_string last) (String.length data);
   (* A conflicting tail dropped by the rebase gets the same §3.3-step-4
      cleanup a truncation does. *)
-  let removed = t.log.install_snapshot ~last ~gtids:meta.Snapshot.gtids in
+  let removed = Log_store.install_snapshot t.log ~last ~gtids:meta.Snapshot.gtids in
   Log_cache.truncate_from t.cache ~index:1;
   if removed <> [] then t.callbacks.on_truncated removed;
   (* Logless reconfiguration: the snapshot carries the config identity
@@ -2480,7 +2436,9 @@ let oplog_covers t new_config =
   committed_in_current_term t
   &&
   let n = t.commit_index in
-  data_quorum_of t new_config ~self:(t.log.durable_index () >= n) (fun p -> p.match_index >= n)
+  data_quorum_of t new_config
+    ~self:(Log_store.synced_index t.log >= n)
+    (fun p -> p.match_index >= n)
 
 let change_membership t new_config ~description =
   let ids = Types.member_ids new_config in
@@ -2678,7 +2636,7 @@ let lease_blocked t = t.lease_blocked
 (* Stale-lease oracle readout: lease fast-path serves issued after the
    lease had expired by *global* time.  Any non-zero delta between checker
    sweeps is a linearizability-safety violation. *)
-let lease_stale_serves t = t.stale_lease_serves
+let lease_stale_serves t = Obs.Metrics.counter_value t.meters.m_stale_serves
 
 let clock t = t.clock
 
@@ -2702,11 +2660,11 @@ let staleness_anchor t =
 (* The entries [first, last] from our log as one right-sized array, or
    [[||]] when one of them is not held. *)
 let gather_entries t ~first ~last =
-  let entries = Array.make (last - first + 1) Binlog.Log_store.absent in
+  let entries = Array.make (last - first + 1) Log_store.absent in
   let complete = ref true and idx = ref first in
   while !complete && !idx <= last do
-    let e = t.log.entry_at !idx in
-    if e == Binlog.Log_store.absent then complete := false
+    let e = Log_store.slot t.log !idx in
+    if e == Log_store.absent then complete := false
     else begin
       entries.(!idx - first) <- e;
       incr idx
@@ -2720,7 +2678,8 @@ let deliver_reconstituted t ~dst (ae : Message.append_entries) ~first_index ~las
      [last] does not carry the term the leader expects, our log has not
      caught up to the leader's view; degrade rather than ship stale data. *)
   let entries =
-    if t.log.term_of last = expected_last_term then gather_entries t ~first:first_index ~last
+    if Log_store.term_of t.log last = expected_last_term then
+      gather_entries t ~first:first_index ~last
     else [||]
   in
   let payload =
@@ -2747,7 +2706,7 @@ let handle_proxied t ~next_hops ~inner =
          referenced entries, then reconstitute.  A log that already holds
          them delivers at once, with no wait armed. *)
       let expected_last_term = last_term in
-      let held () = Binlog.Opid.index (t.log.last_opid ()) >= last in
+      let held () = Binlog.Opid.index (Log_store.last_opid t.log) >= last in
       if held () then
         deliver_reconstituted t ~dst ae ~first_index ~last_index:last ~expected_last_term
       else begin
@@ -2853,7 +2812,6 @@ let create ?metrics ?tracebuf ?clock ?(group = 0) ~engine ~id ~region ~send ~log
       force_election_quorum = false;
       stopped = false;
       last_leader_contact = neg_infinity;
-      elections_started = 0;
       metrics;
       meters = make_meters metrics;
       tracebuf;
@@ -2876,7 +2834,6 @@ let create ?metrics ?tracebuf ?clock ?(group = 0) ~engine ~id ~region ~send ~log
       last_local_now = Sim.Clock.now clock;
       clock_suspect_until = neg_infinity;
       last_hb_tick_local = neg_infinity;
-      stale_lease_serves = 0;
       next_snapshot_id = 0;
       pending_install = None;
       vote_floor = None;

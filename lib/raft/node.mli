@@ -3,9 +3,9 @@
     mock elections (§4.3).
 
     The node is unaware of MySQL: it reads/writes its log through
-    {!log_ops} (the log abstraction of §3.1) and drives the database
-    through {!callbacks} (the orchestration API of §3.3).  Witnesses are
-    nodes whose log has no state machine behind it.
+    {!Binlog.Log_store} (the log abstraction of §3.1) and drives the
+    database through {!callbacks} (the orchestration API of §3.3).
+    Witnesses are nodes whose log has no state machine behind it.
 
     kuduraft behaviours kept on purpose: no automatic leader step-down;
     graceful TransferLeadership runs no pre-election (mock elections
@@ -20,40 +20,6 @@
     are covered by a data quorum of the new config. *)
 
 type node_id = Types.node_id
-
-(** Log abstraction (§3.1): everything Raft needs from a log.  The MySQL
-    plugin backs it with binlog/relay-log files. *)
-type log_ops = {
-  append : Binlog.Entry.t -> unit;
-  entry_at : int -> Binlog.Entry.t;
-      (** The entry at an index, or {!Binlog.Log_store.absent} when the
-          log does not hold it (allocation-free: read per shipped entry). *)
-  last_opid : unit -> Binlog.Opid.t;
-  term_of : int -> int;
-      (** The term of the entry at an index: [0] at index 0, the
-          boundary's term at the purge boundary, [-1] when unknown or
-          purged.  No option, since it is read per shipped entry. *)
-  truncate_from : int -> Binlog.Entry.t list;
-  durable_index : unit -> int;
-      (** Highest index the log has fsynced.  Raft only acknowledges
-          replication (and counts its own vote toward commit) up to here,
-          so a crash that tears off the unsynced tail can never lose an
-          acked entry. *)
-  run_batched : (unit -> unit) -> unit;
-      (** Run a batch of appends under one coalesced fsync (group
-          commit): [durable_index] covers the whole batch after return.
-          Logs without group commit may use [fun f -> f ()]. *)
-  purged_below : unit -> int;
-      (** Entries below this index may have been compacted away; no
-          AppendEntries prev anchor below it (minus one) exists. *)
-  install_snapshot :
-    last:Binlog.Opid.t -> gtids:Binlog.Gtid_set.t -> Binlog.Entry.t list;
-      (** Rebase the log at a snapshot boundary: retain a matching tail
-          or discard a conflicting one; returns the dropped suffix. *)
-}
-
-(** Specialize the abstraction to a {!Binlog.Log_store}. *)
-val log_ops_of_store : Binlog.Log_store.t -> log_ops
 
 (** Orchestration callbacks from Raft into the state machine (§3.3);
     mutable so the embedder can wire them after construction. *)
@@ -154,7 +120,7 @@ val create :
   id:node_id ->
   region:string ->
   send:(dst:node_id -> Message.t -> unit) ->
-  log:log_ops ->
+  log:Binlog.Log_store.t ->
   callbacks:callbacks ->
   params:params ->
   initial_config:Types.config ->
@@ -253,8 +219,9 @@ val lease_until : t -> float
 val lease_blocked : t -> bool
 
 (** Lease fast-path serves issued after the lease had expired by global
-    time: the stale-read safety oracle's count.  Any increase between
-    checker sweeps is a linearizability violation. *)
+    time: the stale-read safety oracle's count, read from the
+    [raft.lease_stale_serves] counter of the node's registry.  Any
+    increase between checker sweeps is a linearizability violation. *)
 val lease_stale_serves : t -> int
 
 (** This node's local clock (fault-injection point for chaos). *)
@@ -330,8 +297,6 @@ val is_voter : t -> bool
     committed.  A demoted or restarted node therefore reports false —
     a leader crash mid-reconfig cannot wedge its successor. *)
 val has_pending_config_change : t -> bool
-
-val elections_started : t -> int
 
 val cache : t -> Log_cache.t
 

@@ -30,7 +30,6 @@ type t = {
   mutable in_failover : bool;
   mutable monitoring : bool;
   mutable failovers : int;
-  mutable promotions : int;
 }
 
 let tracef t fmt = Sim.Trace.record t.ctx.trace ~tag:"orchestrator" fmt
@@ -38,8 +37,6 @@ let tracef t fmt = Sim.Trace.record t.ctx.trace ~tag:"orchestrator" fmt
 let current_primary t = t.current_primary
 
 let failovers t = t.failovers
-
-let promotions t = t.promotions
 
 let create ctx ~initial_primary =
   {
@@ -51,7 +48,6 @@ let create ctx ~initial_primary =
     in_failover = false;
     monitoring = false;
     failovers = 0;
-    promotions = 0;
   }
 
 let server t id = List.find (fun s -> Server.id s = id) (t.ctx.servers ())
@@ -200,7 +196,6 @@ let rec promotion_wait_catchup t ~old_primary ~target ~on_done =
            repoint_everyone t ~new_primary:target;
            publish t ~new_primary:target;
            t.current_primary <- target;
-           t.promotions <- t.promotions + 1;
            tracef t "graceful promotion complete: %s is primary" target;
            on_done ()))
   end

@@ -26,7 +26,6 @@ type t = {
   mutable in_failover : bool;
   mutable monitoring : bool;
   mutable failovers : int;
-  mutable promotions : int;
 }
 
 val create : ctx -> initial_primary:string -> t
@@ -34,8 +33,6 @@ val create : ctx -> initial_primary:string -> t
 val current_primary : t -> string
 
 val failovers : t -> int
-
-val promotions : t -> int
 
 val handle_message : t -> src:string -> Wire.t -> unit
 

@@ -59,8 +59,6 @@ type t = {
   mutable apply_queue : Binlog.Entry.t Queue.t;
   mutable apply_busy : bool;
   mutable applied_seq : int;
-  mutable writes_committed : int;
-  mutable writes_rejected : int;
 }
 
 let id t = t.id
@@ -80,8 +78,6 @@ let log t = t.log
 let last_seq t = Binlog.Opid.index (Binlog.Log_store.last_opid t.log)
 
 let applied_seq t = t.applied_seq
-
-let writes_committed t = t.writes_committed
 
 let pipeline_in_flight t = Myraft.Pipeline.in_flight t.pipeline
 
@@ -132,7 +128,6 @@ let send_outcome t ~client ~write_id ~local gtid =
   | Some reply -> reply gtid
 
 let reject t ~client ~write_id ~local =
-  t.writes_rejected <- t.writes_rejected + 1;
   send_outcome t ~client ~write_id ~local None
 
 let prepare_write t ~client ~write_id ~local ~table ~ops =
@@ -197,7 +192,6 @@ let finish_write t w ~ok =
   if ok && Storage.Engine.live w.prepared then begin
     Storage.Engine.commit_prepared t.storage w.prepared
       ~opid:(Binlog.Opid.make ~term:1 ~index:w.seq);
-    t.writes_committed <- t.writes_committed + 1;
     send_outcome t ~client:w.client ~write_id:w.write_id ~local:w.local (Some w.gtid)
   end
   else begin
@@ -413,8 +407,6 @@ let create ~engine ~id ~region ~replicaset ~send ~discovery ~costs ~trace () =
       apply_queue = Queue.create ();
       apply_busy = false;
       applied_seq = 0;
-      writes_committed = 0;
-      writes_rejected = 0;
     }
   in
   t.pipeline <- make_pipeline t;

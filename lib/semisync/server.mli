@@ -40,8 +40,6 @@ val last_seq : t -> int
 (** Highest sequence applied to the engine (replica side). *)
 val applied_seq : t -> int
 
-val writes_committed : t -> int
-
 val pipeline_in_flight : t -> int
 
 (** (last received, last applied): the positions the orchestrator

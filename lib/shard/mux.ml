@@ -164,12 +164,5 @@ let metrics t =
   if t.packets_sent > 0 then
     Obs.Metrics.set m "shard.mux.frames_per_packet_mean"
       (float_of_int t.frames_sent /. float_of_int t.packets_sent);
-  let net = t.network in
-  Obs.Metrics.bump ~by:(Sim.Network.total_messages net) m "net.messages";
-  Obs.Metrics.bump ~by:(Sim.Network.total_bytes net) m "net.bytes";
-  Obs.Metrics.bump ~by:(Sim.Network.cross_region_bytes net) m "net.cross_region_bytes";
-  Obs.Metrics.bump ~by:(Sim.Network.dropped net) m "net.dropped";
-  Obs.Metrics.bump ~by:(Sim.Network.fault_dropped net) m "net.fault_dropped";
-  Obs.Metrics.bump ~by:(Sim.Network.duplicated net) m "net.duplicated";
-  Obs.Metrics.bump ~by:(Sim.Network.reordered net) m "net.reordered";
+  Myraft.Cluster.add_network_counters m t.network;
   m

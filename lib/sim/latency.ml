@@ -3,10 +3,14 @@
    The defaults are calibrated to the paper's setting: sub-millisecond
    round trips inside a region, tens of milliseconds across regions. *)
 
-type t = {
-  same_region : Rng.t -> float;
-  cross_region : src:Topology.region -> dst:Topology.region -> Rng.t -> float;
-}
+(* A delay drawn uniformly from [lo, lo + span); a zero span is the
+   fixed delay [lo] and draws nothing.  An all-float record, so a link
+   that holds one reads both bounds unboxed. *)
+type law = { lo : float; span : float }
+
+type t = src:Topology.region -> dst:Topology.region -> law
+
+let law (t : t) ~src ~dst = t ~src ~dst
 
 (* Deterministic pseudo-distance between two region names so that a given
    region pair always sees the same base latency without explicit
@@ -17,68 +21,26 @@ let pair_base ~lo ~hi src dst =
   let frac = float_of_int (h mod 1000) /. 1000.0 in
   lo +. ((hi -. lo) *. frac)
 
-(* One region pair's cross-region draw parameters: its base delay and
-   jitter bound, boxed once so a draw passes them on as they are. *)
-type pair = { p_src : string; p_dst : string; p_base : float; p_jitter : float }
+(* ~0.2-0.4ms RTT in-region *)
+let in_region = { lo = 90.0; span = 90.0 }
 
-let pair_slots = 64
-
-(* A cache of [pair]s keyed on the physical region strings of a link
-   (a network hands every send on a link the same two strings), so a
-   draw neither hashes the pair nor boxes its base again.  Region
-   strings are immutable, so a physical match is a match by value; a
-   miss recomputes into the next slot in turn.  [pair_base] is pure, so
-   every draw is the one it replaces.
-
-   [default] is shared by every network, so domains may draw from one
-   cache at once.  A slot holds a whole [pair] and a hit checks both of
-   its strings, so a slot another domain overwrites only costs a miss;
-   and [filled] and [next] are written from values already clamped into
-   the array, so a lost update cannot send the scan or the store past
-   its end. *)
-let cached_cross_region ~lo ~hi =
-  let slots = Array.make pair_slots { p_src = ""; p_dst = ""; p_base = 0.0; p_jitter = 0.0 } in
-  let filled = ref 0 and next = ref 0 in
-  let rec find src dst i =
-    if i >= !filled then begin
-      let base = pair_base ~lo ~hi src dst in
-      let p = { p_src = src; p_dst = dst; p_base = base; p_jitter = base *. 0.05 } in
-      let slot = !next in
-      slots.(slot) <- p;
-      next := (slot + 1) mod pair_slots;
-      filled := min pair_slots (!filled + 1);
-      p
-    end
-    else
-      let p = slots.(i) in
-      if p.p_src == src && p.p_dst == dst then p else find src dst (i + 1)
-  in
-  fun ~src ~dst rng ->
-    let p = find src dst 0 in
-    p.p_base +. Rng.uniform rng ~lo:0.0 ~hi:p.p_jitter
-
-let default =
-  {
-    (* ~0.2-0.4ms RTT in-region *)
-    same_region = (fun rng -> Rng.uniform rng ~lo:90.0 ~hi:180.0);
-    (* ~30-80ms RTT cross-region, stable per pair, small jitter *)
-    cross_region = cached_cross_region ~lo:15_000.0 ~hi:40_000.0;
-  }
+let default ~src ~dst =
+  if src = dst then in_region
+  else
+    (* ~30-80ms RTT cross-region, stable per pair, jitter up to 5% *)
+    let base = pair_base ~lo:15_000.0 ~hi:40_000.0 src dst in
+    { lo = base; span = base *. 0.05 }
 
 (* A model with fixed means, useful in unit tests. *)
 let fixed ~same ~cross =
-  { same_region = (fun _ -> same); cross_region = (fun ~src:_ ~dst:_ _ -> cross) }
+  let same = { lo = same; span = 0.0 } and cross = { lo = cross; span = 0.0 } in
+  fun ~src ~dst -> if src = dst then same else cross
 
-(* Override the delay for one specific region pair (e.g. pin clients at
-   ~10 ms RTT from the primary region, §6.1). *)
+(* Override the delay for one specific region pair, both directions
+   (e.g. pin clients at ~10 ms RTT from the primary region, §6.1). *)
 let override t ~region_a ~region_b ~lo ~hi =
-  let cross ~src ~dst rng =
+  let pinned = { lo; span = hi -. lo } in
+  fun ~src ~dst ->
     if (src = region_a && dst = region_b) || (src = region_b && dst = region_a) then
-      Rng.uniform rng ~lo ~hi
-    else t.cross_region ~src ~dst rng
-  in
-  { t with cross_region = cross }
-
-let one_way t ~src_region ~dst_region rng =
-  if src_region = dst_region then t.same_region rng
-  else t.cross_region ~src:src_region ~dst:dst_region rng
+      pinned
+    else t ~src ~dst

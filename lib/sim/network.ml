@@ -51,10 +51,11 @@ type 'msg t = {
   (* Per region pair; each link's record shares its pair's row.  Rows
      survive [reset_stats] zeroed, and a zero row is reported as absent. *)
   region_stats : (Topology.region * Topology.region, stats) Hashtbl.t;
-  (* Per-node-pair one-way latency overrides (e.g. a client colocated
-     with the primary, or a client pinned at 10 ms from it), copied into
-     each link record when the link first carries traffic. *)
-  link_latency : (Topology.node_id * Topology.node_id, float) Hashtbl.t;
+  (* Per-node-pair fixed one-way latencies (e.g. a client colocated
+     with the primary, or a client pinned at 10 ms from it), as
+     zero-span laws; a link takes its pair's when it first carries
+     traffic, in place of its region pair's. *)
+  link_latency : (Topology.node_id * Topology.node_id, Latency.law) Hashtbl.t;
   node_faults : (Topology.node_id, fault_spec) Hashtbl.t;
   link_faults : (Topology.node_id * Topology.node_id, fault_spec) Hashtbl.t;
   (* Split lazily on first fault installation so fault-free runs keep the
@@ -71,8 +72,8 @@ type 'msg t = {
    link, created on its first send: its network, both regions (a node's
    region never changes), the unordered region pair partitions are keyed
    by, the link's stats row and its region pair's row, the FIFO clock,
-   and the latency override.  A delivery event carries the link and the
-   message, so it needs no closure. *)
+   and the delay law, fixed when the link is created.  A delivery event
+   carries the link and the message, so it needs no closure. *)
 and 'msg link = {
   net : 'msg t;
   src : Topology.node_id;
@@ -83,7 +84,7 @@ and 'msg link = {
   stats : stats;
   pair_stats : stats;
   fifo : clock;
-  mutable override : float option;
+  mutable law : Latency.law;
 }
 
 let create engine topology ?(latency = Latency.default) () =
@@ -149,7 +150,10 @@ let link t ~src ~dst =
         stats = { messages = 0; bytes = 0 };
         pair_stats;
         fifo = { at = 0.0 };
-        override = Hashtbl.find_opt t.link_latency (src, dst);
+        law =
+          (match Hashtbl.find_opt t.link_latency (src, dst) with
+          | Some law -> law
+          | None -> Latency.law t.latency ~src:src_region ~dst:dst_region);
       }
     in
     Hashtbl.replace out dst l;
@@ -157,10 +161,11 @@ let link t ~src ~dst =
 
 (* Fix the one-way latency between two nodes (both directions). *)
 let set_link_latency t ~a ~b ~latency =
-  Hashtbl.replace t.link_latency (a, b) latency;
-  Hashtbl.replace t.link_latency (b, a) latency;
-  Option.iter (fun l -> l.override <- Some latency) (find_link t ~src:a ~dst:b);
-  Option.iter (fun l -> l.override <- Some latency) (find_link t ~src:b ~dst:a)
+  let law = { Latency.lo = latency; span = 0.0 } in
+  Hashtbl.replace t.link_latency (a, b) law;
+  Hashtbl.replace t.link_latency (b, a) law;
+  Option.iter (fun l -> l.law <- law) (find_link t ~src:a ~dst:b);
+  Option.iter (fun l -> l.law <- law) (find_link t ~src:b ~dst:a)
 
 let topology t = t.topology
 
@@ -302,12 +307,10 @@ let send t ~src ~dst ~size msg =
       t.fault_dropped <- t.fault_dropped + 1
     end
     else begin
+      (* A zero span is a fixed delay and draws nothing. *)
+      let law = l.law in
       let base_delay =
-        (match l.override with
-        | Some fixed -> fixed
-        | None ->
-          Latency.one_way t.latency ~src_region:l.src_region ~dst_region:l.dst_region
-            t.rng)
+        (if law.span = 0.0 then law.lo else law.lo +. (law.span *. Rng.float t.rng))
         +. extra_latency 0.0 specs
       in
       (* FIFO stream semantics: clamp the delivery behind the link's
@@ -379,7 +382,7 @@ let region_stat_rows t =
   |> List.sort compare
 
 (* Zero every counter in place: the link records, and with them the FIFO
-   clocks and latency overrides, live on. *)
+   clocks and delay laws, live on. *)
 let reset_stats t =
   let zero st =
     st.messages <- 0;

@@ -24,8 +24,7 @@ let config members =
 let node ~engine ~trace ~send ?(callbacks = Raft.Node.default_callbacks ())
     ?(params = Raft.Node.default_params) ~config (id, region, _) =
   Raft.Node.create ~engine ~id ~region ~send
-    ~log:
-      (Raft.Node.log_ops_of_store (Binlog.Log_store.create ~mode:Binlog.Log_store.Relay ()))
+    ~log:(Binlog.Log_store.create ~mode:Binlog.Log_store.Relay ())
     ~callbacks ~params ~initial_config:config ~durable:(Raft.Node.fresh_durable ())
     ~trace ()
 

@@ -125,7 +125,10 @@ let test_graceful_promotion () =
   let old_primary = Option.get (Myraft.Cluster.server cluster "mysql1") in
   Alcotest.(check bool) "mysql1 demoted" true
     (Myraft.Server.role old_primary = Myraft.Server.Replica);
-  Alcotest.(check int) "demotion count" 1 (Myraft.Server.demotions old_primary);
+  Alcotest.(check int) "demotion count" 1
+    (Obs.Metrics.counter_of
+       (Obs.Metrics.snapshot (Myraft.Server.metrics old_primary))
+       "server.demotions");
   (* writes work on the new primary and still replicate everywhere *)
   Helpers.check_ok "write after promotion"
     (Helpers.direct_write cluster ~key:"after" ~value:"promotion");

@@ -527,13 +527,13 @@ let cache_entry ~index ~size =
        })
 
 (* Reference copying read, straight from the pre-slice implementation. *)
-let reference_read cache entries ~read_log ~from_index ~max_count ~max_bytes =
+let reference_read cache entries ~log ~from_index ~max_count ~max_bytes =
   let rec collect idx n bytes acc =
     if n = 0 then List.rev acc
     else
       let e =
         if Raft.Log_cache.contains cache ~index:idx then Some entries.(idx - 1)
-        else read_log idx
+        else Binlog.Log_store.entry_at log idx
       in
       match e with
       | None -> List.rev acc
@@ -555,17 +555,15 @@ let prop_cache_slice_equals_copying_read =
       Array.iter (Raft.Log_cache.put cache) entries;
       (* the log is missing the last [log_hole] entries, so a cold read
          past the hole stops early *)
-      let read_log idx =
-        if idx >= 1 && idx <= n - log_hole then Some entries.(idx - 1) else None
-      in
+      let log = Binlog.Log_store.create () in
+      for i = 1 to n - log_hole do
+        Binlog.Log_store.append log entries.(i - 1)
+      done;
       let expected =
-        reference_read cache entries ~read_log ~from_index ~max_count
-          ~max_bytes:byte_budget
+        reference_read cache entries ~log ~from_index ~max_count ~max_bytes:byte_budget
       in
       let got =
-        Raft.Log_cache.read_slice cache ~max_bytes:byte_budget ~from_index ~max_count
-          ~read_log:(fun idx ->
-            match read_log idx with Some e -> e | None -> Binlog.Log_store.absent)
+        Raft.Log_cache.read_slice cache ~log ~max_bytes:byte_budget ~from_index ~max_count
       in
       Array.length got = List.length expected
       && List.for_all2
@@ -577,13 +575,12 @@ let prop_cache_slice_equals_copying_read =
    slots. *)
 let test_slice_survives_eviction () =
   let cache = Raft.Log_cache.create ~max_bytes:4_000 () in
-  let no_log _ = Binlog.Log_store.absent in
   for i = 1 to 10 do
     Raft.Log_cache.put cache (cache_entry ~index:i ~size:100)
   done;
   let slice =
-    Raft.Log_cache.read_slice cache ~max_bytes:max_int ~from_index:1 ~max_count:10
-      ~read_log:no_log
+    Raft.Log_cache.read_slice cache ~log:(Binlog.Log_store.create ()) ~max_bytes:max_int
+      ~from_index:1 ~max_count:10
   in
   Alcotest.(check int) "sliced all ten" 10 (Array.length slice);
   (* stuff the cache until indexes 1..10 are gone *)

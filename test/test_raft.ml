@@ -37,8 +37,7 @@ let make_raft h n =
     Raft.Node.create ~engine:h.engine ~id:n.id ~region:n.node_region
       ~send:(fun ~dst msg ->
         Sim.Network.send h.net ~src:n.id ~dst ~size:(Raft.Message.size msg) msg)
-      ~log:(Raft.Node.log_ops_of_store n.store)
-      ~callbacks ~params:h.params ~initial_config:h.config ~durable:n.durable
+      ~log:n.store ~callbacks ~params:h.params ~initial_config:h.config ~durable:n.durable
       ~trace:h.trace ()
   in
   callbacks.Raft.Node.on_leader_start <-
@@ -902,13 +901,13 @@ let test_log_cache_eviction_and_fallback () =
   (* reading from the start falls back to "parsing historical binlog
      files" (§3.1) and still returns everything in order *)
   let entries =
-    Raft.Log_cache.read cache ~from_index:1 ~max_count:50
-      ~read_log:(Binlog.Log_store.slot store) ()
+    Raft.Log_cache.read_slice cache ~log:store ~max_bytes:max_int ~from_index:1
+      ~max_count:50
   in
-  Alcotest.(check int) "all entries read" 50 (List.length entries);
+  Alcotest.(check int) "all entries read" 50 (Array.length entries);
   Alcotest.(check bool) "disk reads happened" true (Raft.Log_cache.disk_reads cache > 0);
-  Alcotest.(check (list int)) "in order" (List.init 50 (fun i -> i + 1))
-    (List.map Binlog.Entry.index entries)
+  Alcotest.(check (array int)) "in order" (Array.init 50 (fun i -> i + 1))
+    (Array.map Binlog.Entry.index entries)
 
 let test_log_cache_truncate () =
   let cache = Raft.Log_cache.create () in
@@ -982,19 +981,18 @@ let test_log_cache_byte_budget () =
   for i = 1 to 10 do
     Raft.Log_cache.put cache (mk i)
   done;
-  let no_log _ = Binlog.Log_store.absent in
+  let log = Binlog.Log_store.create () in
   let per_entry = Binlog.Entry.size (mk 1) in
   let read ~max_bytes =
-    Raft.Log_cache.read cache ~max_bytes ~from_index:1 ~max_count:10 ~read_log:no_log ()
+    Array.length
+      (Raft.Log_cache.read_slice cache ~log ~max_bytes ~from_index:1 ~max_count:10)
   in
   Alcotest.(check int) "budget of 3 entries returns 3" 3
-    (List.length (read ~max_bytes:(3 * per_entry)));
+    (read ~max_bytes:(3 * per_entry));
   Alcotest.(check int) "budget just under 3 entries returns 2" 2
-    (List.length (read ~max_bytes:((3 * per_entry) - 1)));
-  Alcotest.(check int) "tiny budget still ships the first entry" 1
-    (List.length (read ~max_bytes:1));
-  Alcotest.(check int) "unlimited budget honours max_count" 10
-    (List.length (read ~max_bytes:max_int))
+    (read ~max_bytes:((3 * per_entry) - 1));
+  Alcotest.(check int) "tiny budget still ships the first entry" 1 (read ~max_bytes:1);
+  Alcotest.(check int) "unlimited budget honours max_count" 10 (read ~max_bytes:max_int)
 
 (* ----- the leader's quorum layout follows membership ----- *)
 

@@ -625,11 +625,10 @@ let same_region_send_deliver_words = 13
 
 let pinned_send_deliver_words = 11
 
-(* Across regions the default model adds its jitter draw and the sum
-   with the pair's base, both boxed; the pair's base and jitter bound
-   come from a cache keyed on the link's region strings, so no
-   region-pair tuple is hashed per send. *)
-let cross_region_send_deliver_words = 15
+(* Across regions the draw is the same as in-region: the link holds its
+   region pair's delay law, fixed when the link was created, so no
+   region pair is hashed or looked up per send. *)
+let cross_region_send_deliver_words = 13
 
 let check_send_deliver_words ~bound link () =
   let per_msg, _ = Kit.Alloc.send_deliver link in

@@ -41,8 +41,7 @@ let make_raft h n =
     Raft.Node.create ~engine:h.engine ~id:n.id ~region:n.node_region
       ~send:(fun ~dst msg ->
         Sim.Network.send h.net ~src:n.id ~dst ~size:(Raft.Message.size msg) msg)
-      ~log:(Raft.Node.log_ops_of_store n.store)
-      ~callbacks ~params:h.params ~initial_config:h.config ~durable:n.durable
+      ~log:n.store ~callbacks ~params:h.params ~initial_config:h.config ~durable:n.durable
       ~trace:h.trace ()
   in
   if h.with_snapshots then begin
