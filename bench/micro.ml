@@ -1,7 +1,7 @@
 (* M1 — Bechamel micro-benchmarks (real wall-clock time) of the hot data
    structures: GTID-set operations, log append, CRC-32 checksumming,
    entry stamping, quorum evaluation, the commit point and the lease
-   threshold, the log cache, the trace ring, the event heap, timer churn
+   threshold, the log cache, the trace ring, the event queue, timer churn
    in the engine, the pipeline, the replica applier and histogram
    recording; then every figure a tier-1 alloc pin checks (a leader
    settling acks, an AppendEntries round trip, a message sent and
@@ -182,25 +182,26 @@ let log_cache_put_slice () =
          Raft.Log_cache.read_slice cache ~log ~max_bytes:(128 * 1024) ~from_index:1
            ~max_count:64))
 
-(* The event queue at a steady depth: each run schedules one event a
-   pseudo-random distance past the last one popped, then pops the
-   earliest, as the engine's loop does. *)
-let heap_push_pop depth =
-  let heap = Sim.Heap.create () in
-  let seq = ref 0 and now = ref 0.0 in
-  let next_key () =
+(* The event queue at a steady depth: [depth] self-rearming call
+   events, each firing schedules its successor a pseudo-random delay
+   (mean 2,499.5 us) ahead, so the queue sifts as the engine's loop does
+   under load.  Each run advances virtual time by the mean gap between
+   firings, so it schedules and fires one event on average. *)
+let engine_schedule_fire depth =
+  let engine = Sim.Engine.create () in
+  let seq = ref 0 in
+  let rec rearm () () =
     incr seq;
-    !now +. float_of_int ((!seq * 7919) mod 5_000)
+    let delay = float_of_int ((!seq * 7919) mod 5_000) in
+    ignore (Sim.Engine.schedule_call engine ~delay rearm () ())
   in
   for _ = 1 to depth do
-    Sim.Heap.push heap ~key:(next_key ()) ~seq:!seq ()
+    rearm () ()
   done;
+  let gap = 2_499.5 /. float_of_int depth in
   Test.make
-    ~name:(Printf.sprintf "sim.heap push+pop (depth %dk)" (depth / 1000))
-    (Staged.stage (fun () ->
-         Sim.Heap.push heap ~key:(next_key ()) ~seq:!seq ();
-         now := Sim.Heap.min_key heap;
-         Sim.Heap.pop_min heap))
+    ~name:(Printf.sprintf "sim.engine schedule+fire (depth %dk)" (depth / 1000))
+    (Staged.stage (fun () -> Sim.Engine.run_for engine gap))
 
 (* Timer churn at a steady live depth, as election timers see it: each
    run resets one long timer (cancel + schedule) and fires the earliest
@@ -419,8 +420,8 @@ let run () =
       lease_point ();
       tracebuf_record ();
       log_cache_put_slice ();
-      heap_push_pop 1_000;
-      heap_push_pop 300_000;
+      engine_schedule_fire 1_000;
+      engine_schedule_fire 300_000;
       timer_reset;
       pipeline_group_drain ();
       applier_drain ();

@@ -1102,8 +1102,13 @@ and replicate_to t peer ~allow_empty =
     end
   end
 
+(* [peer_array] holds [peers] in [Hashtbl.iter] order, the order sends
+   go out in: walking it builds no closure and moves no event. *)
 and replicate_all t ~allow_empty =
-  Hashtbl.iter (fun _ peer -> replicate_to t peer ~allow_empty) t.peers
+  let peers = t.peer_array in
+  for i = 0 to Array.length peers - 1 do
+    replicate_to t peers.(i) ~allow_empty
+  done
 
 (* ----- commit marker ----- *)
 

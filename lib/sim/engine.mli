@@ -3,11 +3,16 @@
     Virtual time is a float measured in {e microseconds} (the unit the
     paper reports commit latencies in).  The engine owns a single event
     queue; events scheduled for the same instant fire in scheduling
-    order, keeping runs deterministic. *)
+    order, keeping runs deterministic.  Scheduling and firing an event
+    allocate only its record (and the clock's box when time advances). *)
 
 type t
 
 type handle
+
+(** A delay handed over in an all-float record, so passing it to
+    {!schedule_call_cell} boxes nothing. *)
+type delay_cell = { mutable delay : float }
 
 (** Unit helpers: [us = 1.0], [ms = 1_000.0], [s = 1_000_000.0]. *)
 val us : float
@@ -39,6 +44,11 @@ val schedule : t -> delay:float -> (unit -> unit) -> handle
     against three for a thunk plus the closure).  Pass a top-level [f] so
     nothing else is allocated.  Returns a handle usable with {!cancel}. *)
 val schedule_call : t -> delay:float -> ('a -> 'b -> unit) -> 'a -> 'b -> handle
+
+(** [schedule_call_cell t cell f a b] is [schedule_call t
+    ~delay:cell.delay f a b], the key computed alike, but the delay is
+    not boxed.  The cell may be reused once this returns. *)
+val schedule_call_cell : t -> delay_cell -> ('a -> 'b -> unit) -> 'a -> 'b -> handle
 
 (** Schedule at an absolute virtual time (clamped to now). *)
 val schedule_at : t -> time:float -> (unit -> unit) -> handle

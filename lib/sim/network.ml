@@ -37,6 +37,7 @@ type clock = { mutable at : float }
 
 type 'msg t = {
   engine : Engine.t;
+  delay : Engine.delay_cell; (* hands each in-stream delay over unboxed *)
   topology : Topology.t;
   latency : Latency.t;
   rng : Rng.t;
@@ -90,6 +91,7 @@ and 'msg link = {
 let create engine topology ?(latency = Latency.default) () =
   {
     engine;
+    delay = { Engine.delay = 0.0 };
     topology;
     latency;
     rng = Rng.split (Engine.rng engine);
@@ -331,7 +333,8 @@ let send t ~src ~dst ~size msg =
         deliver_after l ~delay:(delay +. reorder_extra) msg
       else begin
         l.fifo.at <- fifo_at;
-        deliver_after l ~delay msg
+        t.delay.delay <- delay;
+        ignore (Engine.schedule_call_cell t.engine t.delay deliver l msg)
       end;
       (* matched here so that a healthy send does not box [delay] for a
          call that would return at once *)

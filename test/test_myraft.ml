@@ -541,25 +541,25 @@ let replica_apply_words ~batch ~warmup ~n ~step =
 (* A committed write: the request's prepare event, the engine's prepare
    and commit, the pipeline's record, the log entry and its events, the
    AppendEntries round trips to both logtailers, the group's stage
-   events and the reply.  Measured at 413.1 words; putting back a
+   events and the reply.  Measured at 330.2 words; putting back a
    per-write closure (a [{flush; finish}] pair, the reply, the prepare
    thunk), a per-write list, a per-group copy of the pipeline's columns
    or a latency sample per committed index pushes it past the bound. *)
-let primary_write_bound = 414
+let primary_write_bound = 331
 
 (* An applied entry, one per AppendEntries: the follower's append and
    ack, the applier's ticket and execute event, the engine's prepare and
    commit, the pipeline's relay item and the group's stage events.
-   Measured at 106.9 words; a per-entry closure in the applier or the
+   Measured at 94.8 words; a per-entry closure in the applier or the
    pipeline, a hashtable or queue cell per entry, or a list of the
    entry's writes pushes it past the bound. *)
-let replica_apply_bound = 107
+let replica_apply_bound = 95
 
 (* An applied entry of a 64-entry AppendEntries, the batch shape the
    workloads send: the follower's append and ack and the pipeline's
    stage events are shared by the batch, so this is the applier, engine
-   and pipeline's cost per transaction.  Measured at 40.5 words. *)
-let replica_batch_apply_bound = 41
+   and pipeline's cost per transaction.  Measured at 36.7 words. *)
+let replica_batch_apply_bound = 37
 
 let test_primary_write_words () =
   let words = primary_write_words () in

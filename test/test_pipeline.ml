@@ -241,9 +241,9 @@ let pipeline_round_words ~m =
     (Myraft.Pipeline.groups_formed p);
   words /. float_of_int rounds
 
-(* A stage event is a [schedule_call]: its 5-word event, the boxed
-   delay and the key boxed into the heap and back out at pop. *)
-let stage_event_words = 11
+(* A stage event is a [schedule_call]: its 5-word event, the delay
+   boxed across the call, and the clock's box when it fires. *)
+let stage_event_words = 9
 
 let test_steady_cycle_words () =
   let small = pipeline_round_words ~m:2 and large = pipeline_round_words ~m:66 in

@@ -1100,14 +1100,14 @@ let test_quorum_points_allocate_nothing () =
    settling one round of acks per appended entry.  Per ack it allocates
    only a share of what the round's one commit costs and of the
    engine's occasional growth: no list, option, tuple or closure, and no
-   float boxed into a record.  Measured at 0.69 words; a rebuilt window
+   float boxed into a record.  Measured at 0.62 words; a rebuilt window
    list, a hashed quorum lookup, a [Hashtbl.find_opt], a config-identity
    compare through tuples, an RTT or lease expiry stored boxed, or a
    latency sample per committed index pushes it past the bound. *)
 let leader_ack_words = 0.7
 
 (* The same on the paper's §6.1 ring, six regions of three: the
-   round's one commit is shared over seventeen acks.  Measured at 0.36
+   round's one commit is shared over seventeen acks.  Measured at 0.29
    words. *)
 let leader_ack_words_18 = 0.4
 
@@ -1122,20 +1122,20 @@ let test_leader_ack_words () =
     [ (3, leader_ack_words); (6, leader_ack_words_18) ]
 
 (* The follower's side of a 1-entry AE: the election timer's re-arm
-   (its event, key and jittered delay), the append and the response.
-   Measured at 25.9 words; a closure for the reply or the batch append,
+   (its event and jittered delay), the append and the response.
+   Measured at 23.9 words; a closure for the reply or the batch append,
    a [Some] around the timer handle, a term option per entry, a list of
    the appended entries or a latency sample per committed index pushes
    it past the bound. *)
-let follower_append_words = 26
+let follower_append_words = 24
 
 (* One leader send of a 1-entry batch, amortizing the entry's own append
    over the round's eight AEs: the message (an AE, or a PROXY_OP wrapped
-   for its proxy), the slice, the retransmit timer's event and key, and
-   the batch-size sample.  Measured at 31.9 words; a closure per send, a
-   fresh prev OpId, the retransmit handle's [Some] or a route list built
-   per send pushes it past the bound. *)
-let leader_send_words = 32
+   for its proxy), the slice, the retransmit timer's event, and the
+   batch-size sample.  Measured at 28.4 words; a closure per send or per
+   peer scan, a fresh prev OpId, the retransmit handle's [Some] or a
+   route list built per send pushes it past the bound. *)
+let leader_send_words = 29
 
 let test_follower_append_words () =
   let (_, follower, _), _ = Kit.Alloc.round_trip () in
