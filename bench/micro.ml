@@ -1,7 +1,7 @@
 (* M1 — Bechamel micro-benchmarks (real wall-clock time) of the hot data
    structures: GTID-set operations, log append, CRC-32 checksumming,
    entry stamping, quorum evaluation, the commit point and the lease
-   threshold, the log cache, the trace ring, the event queue, timer churn
+   threshold, a log slice, the trace ring, the event queue, timer churn
    in the engine, the pipeline, the replica applier and histogram
    recording; then every figure a tier-1 alloc pin checks (a leader
    settling acks, an AppendEntries round trip, a message sent and
@@ -151,9 +151,9 @@ let tracebuf_record () =
          Obs.Tracebuf.record tb ~time:1_000.0 ~node:"mysql1" ~stage:"consensus-commit" ~term:3
            ~index:!index ()))
 
-(* Leader cache turnover: 64 sysbench-sized entries put at the tail, then
-   read back as one AppendEntries slice. *)
-let log_cache_put_slice () =
+(* One AppendEntries batch read off the log: 64 sysbench-sized entries
+   sliced under a 128 KiB byte budget. *)
+let log_store_read_slice () =
   let entries =
     Array.init 64 (fun i ->
         Binlog.Entry.make
@@ -173,13 +173,11 @@ let log_cache_put_slice () =
                  ];
              }))
   in
-  let cache = Raft.Log_cache.create ~max_bytes:(4 * 1024 * 1024) () in
   let log = Binlog.Log_store.create () in
-  Test.make ~name:"log_cache.put + read_slice (64 entries)"
+  Array.iter (Binlog.Log_store.append log) entries;
+  Test.make ~name:"log_store.read_slice (64 entries)"
     (Staged.stage (fun () ->
-         Raft.Log_cache.truncate_from cache ~index:1;
-         Array.iter (Raft.Log_cache.put cache) entries;
-         Raft.Log_cache.read_slice cache ~log ~max_bytes:(128 * 1024) ~from_index:1
+         Binlog.Log_store.read_slice log ~max_bytes:(128 * 1024) ~from_index:1
            ~max_count:64))
 
 (* The event queue at a steady depth: [depth] self-rearming call
@@ -419,7 +417,7 @@ let run () =
       commit_point ();
       lease_point ();
       tracebuf_record ();
-      log_cache_put_slice ();
+      log_store_read_slice ();
       engine_schedule_fire 1_000;
       engine_schedule_fire 300_000;
       timer_reset;
@@ -433,7 +431,11 @@ let run () =
     @ List.map fst pinned
   in
   let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.25) ~kde:(Some 100) () in
+  (* No GC stabilisation between samples: it compacts the whole heap
+     each time, fixtures included, and that cost lands in the sample. *)
+  let cfg =
+    Benchmark.cfg ~limit:200 ~quota:(Time.second 0.25) ~kde:(Some 100) ~stabilize:false ()
+  in
   List.iter
     (fun test ->
       let results = Benchmark.all cfg instances test in

@@ -50,6 +50,7 @@ type t = {
   mutable synced_index : int; (* highest index known durable *)
   mutable buffered : bool; (* true: appends don't fsync until [sync] *)
   mutable torn_tail_k : int; (* max unsynced entries lost at crash *)
+  mutable scratch : Entry.t array; (* reused by [read_slice]; [absent] between calls *)
   m_appends : Obs.Metrics.counter;
   m_bytes_appended : Obs.Metrics.counter;
   m_fsyncs : Obs.Metrics.counter;
@@ -108,6 +109,7 @@ let create ?metrics ?(mode = Binlog) () =
       synced_index = 0;
       buffered = false;
       torn_tail_k = 0;
+      scratch = Array.make 64 absent;
       m_appends = Obs.Metrics.counter m "binlog.appends";
       m_bytes_appended = Obs.Metrics.counter m "binlog.bytes_appended";
       m_fsyncs = Obs.Metrics.counter m "binlog.fsyncs";
@@ -185,6 +187,36 @@ let entries_from t ~from_index ~max_count =
       if e == absent then List.rev acc else collect (idx + 1) (n - 1) (e :: acc)
   in
   collect (max 1 from_index) max_count []
+
+(* Fill the scratch buffer from [from_index] on: stop at [max_count], at
+   the first absent slot (the tail or a purged hole), or before the entry
+   that would take the batch past [max_bytes] — except that the first
+   entry always ships, so an oversized transaction still makes progress
+   one per batch.  Then return a right-sized copy: one allocation per
+   batch, no list cells.  The copy holds the entries themselves, which
+   are immutable, so it stays valid however the log truncates or purges
+   afterwards. *)
+let read_slice t ~max_bytes ~from_index ~max_count =
+  if max_count > Array.length t.scratch then
+    t.scratch <- Array.make (max max_count (2 * Array.length t.scratch)) absent;
+  let n = ref 0 and bytes = ref 0 and stop = ref false in
+  while (not !stop) && !n < max_count do
+    let e = slot t (from_index + !n) in
+    if e == absent then stop := true
+    else begin
+      let sz = Entry.size e in
+      if !n > 0 && !bytes + sz > max_bytes then stop := true
+      else begin
+        t.scratch.(!n) <- e;
+        incr n;
+        bytes := !bytes + sz
+      end
+    end
+  done;
+  let out = Array.sub t.scratch 0 !n in
+  (* don't let the scratch keep truncated or purged entries alive *)
+  Array.fill t.scratch 0 !n absent;
+  out
 
 (* Remove all entries with index >= [from_index]; returns them (ascending)
    so the caller can clean up GTID metadata (§3.3 demotion step 4). *)

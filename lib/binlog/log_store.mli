@@ -50,6 +50,15 @@ val append : t -> Entry.t -> unit
     a purged hole. *)
 val entries_from : t -> from_index:int -> max_count:int -> Entry.t list
 
+(** Present entries in [from_index, from_index+max_count) as one
+    right-sized array; stops early at the tail or a purged hole.
+    [max_bytes] bounds the total payload: collection stops before the
+    entry that would exceed it, but the first entry always ships so an
+    oversized transaction still progresses ([max_int] for no budget).
+    The array holds the entries themselves, so it stays valid whatever
+    the log truncates or purges afterwards. *)
+val read_slice : t -> max_bytes:int -> from_index:int -> max_count:int -> Entry.t array
+
 (** Remove all entries with index >= [from_index]; returns them
     (ascending) so callers can clean up GTID metadata (§3.3 step 4). *)
 val truncate_from : t -> from_index:int -> Entry.t list
@@ -106,9 +115,6 @@ val gtid_set : t -> Gtid_set.t
 val synced_index : t -> int
 
 val unsynced_count : t -> int
-
-(** Flush the buffered tail (one batched fsync). *)
-val sync : t -> unit
 
 (** Enter/leave the fsync-stall fault; leaving flushes. *)
 val set_buffered : t -> bool -> unit

@@ -441,8 +441,6 @@ let heal_now t =
 
 let metrics_snapshot t = Obs.Metrics.snapshot t.metrics
 
-let active t = t.active
-
 let total_injections t = t.total
 
 let injections t =

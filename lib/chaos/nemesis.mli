@@ -53,8 +53,6 @@ val heal_now : t -> unit
     [chaos.injected.<kind>] counter per fault kind). *)
 val metrics_snapshot : t -> Obs.Metrics.snapshot
 
-(** Outstanding (un-healed) faults. *)
-val active : t -> int
 
 val injections : t -> (Schedule.fault_kind * int) list
 

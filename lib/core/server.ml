@@ -70,7 +70,6 @@ type t = {
   rng : Sim.Rng.t;
   writeset : Binlog.Writeset.t; (* primary-side dependency tracker *)
   table_maps : Binlog.Event.table_maps; (* one Table_map event per table *)
-  mutable truncated_gtids : Binlog.Gtid.t list;
   (* observability *)
   metrics : Obs.Metrics.t;
   m_writes_committed : Obs.Metrics.counter; (* resolved once: bumped per commit *)
@@ -129,8 +128,6 @@ let storage t = t.storage
 let log t = t.log
 
 let pipeline t = t.pipeline
-
-let truncated_gtids t = List.rev t.truncated_gtids
 
 let metrics t = t.metrics
 
@@ -538,9 +535,7 @@ let make_callbacks t =
       List.iter
         (fun e ->
           match Binlog.Entry.gtid e with
-          | Some gtid ->
-            Storage.Engine.rollback_gtid t.storage gtid;
-            t.truncated_gtids <- gtid :: t.truncated_gtids
+          | Some gtid -> Storage.Engine.rollback_gtid t.storage gtid
           | None -> ())
         removed;
       if t.applier <> None then Applier.handle_truncation (applier t) ~from_index;
@@ -860,17 +855,11 @@ let restart t =
     let torn = Binlog.Log_store.crash_recover_log t.log in
     (* CRC sweep: unlike the torn tail, bit rot can hit entries this node
        already acked toward commit.  Truncate from the first corrupt
-       entry (normal replication re-fetches the suffix) and clean up the
-       GTID metadata of dropped transactions, like any truncation. *)
+       entry (normal replication re-fetches the suffix); the log drops
+       the GTIDs of the dropped transactions, like any truncation. *)
     let corruption = Binlog.Log_store.scan_for_corruption t.log in
     (match corruption with
     | Some r ->
-      List.iter
-        (fun e ->
-          match Binlog.Entry.gtid e with
-          | Some gtid -> t.truncated_gtids <- gtid :: t.truncated_gtids
-          | None -> ())
-        r.Binlog.Log_store.cr_dropped;
       tracef t "%s: recovery found corrupt entry at index %d; truncated %d entries"
         t.id r.Binlog.Log_store.cr_first_corrupt
         (List.length r.Binlog.Log_store.cr_dropped)
@@ -973,7 +962,6 @@ let create ?metrics ?tracebuf ?clock ?(group = 0) ~engine ~id ~region ~replicase
       next_xid = 1;
       orchestration_epoch = 0;
       rng = Sim.Rng.split (Sim.Engine.rng engine);
-      truncated_gtids = [];
       metrics;
       m_writes_committed = Obs.Metrics.counter metrics "server.writes_committed";
       m_writes_rejected = Obs.Metrics.counter metrics "server.writes_rejected";

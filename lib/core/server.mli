@@ -147,7 +147,4 @@ val handle_message : t -> src:string -> Wire.t -> unit
 (** The registry all of this server's components record into. *)
 val metrics : t -> Obs.Metrics.t
 
-(** GTIDs removed from metadata by log truncations (§3.3 step 4). *)
-val truncated_gtids : t -> Binlog.Gtid.t list
-
 val describe : t -> string

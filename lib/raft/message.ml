@@ -12,8 +12,8 @@ type node_id = Types.node_id
 type ae_payload =
   | Entries of Binlog.Entry.t array
     (* an array, not a list: the leader assembles each batch as one
-       right-sized slice from its log cache (no per-entry cells), and
-       receivers index it directly *)
+       right-sized slice of its log (Log_store.read_slice, no per-entry
+       cells), and receivers index it directly *)
   | Refs of { first_index : int; last_index : int; last_term : int }
     (* PROXY_OP: metadata only; [last_term] lets the proxy verify its local
        copy matches the leader's view before reconstituting *)

@@ -8,7 +8,8 @@ type node_id = Types.node_id
 
 type ae_payload =
   | Entries of Binlog.Entry.t array
-      (** assembled as one right-sized slice from the leader's log cache *)
+      (** assembled as one right-sized slice of the leader's log
+          ({!Binlog.Log_store.read_slice}) *)
   | Refs of { first_index : int; last_index : int; last_term : int }
       (** PROXY_OP: metadata only; [last_term] lets the proxy verify its
           local copy matches the leader's view before reconstituting *)

@@ -153,6 +153,11 @@ let mock_lag_allowance = 2_000
 
 let transfer_timeout = 3.0 *. Sim.Engine.s
 
+(* The window of recent log entries the leader counts as cached (§3.1,
+   §3.4): the paper ships them from memory and "parses historical binary
+   log files" for anything older.  The log already holds every entry in
+   memory, so the window is only a floor index and a byte total, and
+   what it yields is the hit / disk-read split. *)
 let cache_bytes = 4 * 1024 * 1024
 
 (* Pacing for the InstallSnapshot chunk stream, so a bulk install cannot
@@ -373,6 +378,9 @@ type meters = {
   m_retransmits : Obs.Metrics.counter;
   m_nacks : Obs.Metrics.counter;
   m_regressions : Obs.Metrics.counter; (* follower log ends below match_index *)
+  m_cache_hits : Obs.Metrics.counter; (* entries shipped from inside the window *)
+  m_cache_disk_reads : Obs.Metrics.counter; (* ... and from below its floor *)
+  m_cache_bytes : Obs.Metrics.gauge; (* the window's byte total *)
   m_window : Obs.Metrics.gauge; (* in-flight entry AEs across all peers *)
   m_batch_bytes : Obs.Metrics.histogram; (* payload bytes per entry AE *)
   m_election_latency : Obs.Metrics.histogram; (* us, Real-phase start -> won *)
@@ -415,6 +423,9 @@ let make_meters m =
     m_retransmits = Obs.Metrics.counter m "raft.retransmits";
     m_nacks = Obs.Metrics.counter m "raft.nacks";
     m_regressions = Obs.Metrics.counter m "raft.follower_log_regressions";
+    m_cache_hits = Obs.Metrics.counter m "raft.log_cache.hits";
+    m_cache_disk_reads = Obs.Metrics.counter m "raft.log_cache.disk_reads";
+    m_cache_bytes = Obs.Metrics.gauge m "raft.log_cache.bytes";
     m_window = Obs.Metrics.gauge m "raft.window_inflight";
     m_batch_bytes = Obs.Metrics.histogram m "raft.ae_batch_bytes";
     m_election_latency = Obs.Metrics.histogram m "raft.election_latency_us";
@@ -483,7 +494,8 @@ type t = {
   trace : Sim.Trace.t;
   rng : Sim.Rng.t;
   callbacks : callbacks;
-  cache : Log_cache.t;
+  mutable win_first : int; (* lowest index in the cache window; 0 when empty *)
+  mutable win_bytes : int; (* bytes of the entries from there to the tail *)
   mutable role : Types.role;
   mutable leader_id : node_id option;
   mutable commit_index : int;
@@ -610,17 +622,53 @@ let config_id t = t.cfg_id
 
 let quorum_mode t = t.params.quorum_mode
 
-let cache t = t.cache
-
 let metrics t = t.metrics
 
+(* Extend the cache window to the entry just appended at [index], then
+   move its floor up, oldest first, until its bytes fit [cache_bytes]
+   (the newest entry always stays).  A purged slot's size is gone with
+   it: once the floor meets one, it jumps to the purge horizon and the
+   bytes are recounted over the entries the log still holds. *)
+let advance_window t entry =
+  let index = Binlog.Entry.index entry in
+  if t.win_first = 0 then t.win_first <- index;
+  t.win_bytes <- t.win_bytes + Binlog.Entry.size entry;
+  while t.win_bytes > cache_bytes && t.win_first < index do
+    let e = Log_store.slot t.log t.win_first in
+    if e != Log_store.absent then begin
+      t.win_bytes <- t.win_bytes - Binlog.Entry.size e;
+      t.win_first <- t.win_first + 1
+    end
+    else begin
+      t.win_first <- Log_store.purged_below t.log;
+      t.win_bytes <- 0;
+      for i = t.win_first to index do
+        t.win_bytes <- t.win_bytes + Binlog.Entry.size (Log_store.slot t.log i)
+      done
+    end
+  done;
+  Obs.Metrics.set_gauge_int t.meters.m_cache_bytes t.win_bytes
+
+(* Cut the window back after the log dropped [removed], its entries from
+   [from_index] on ([from_index = 1] drops the whole window). *)
+let cut_window t ~from_index removed =
+  if t.win_first <> 0 then begin
+    if from_index <= t.win_first then begin
+      t.win_first <- 0;
+      t.win_bytes <- 0
+    end
+    else List.iter (fun e -> t.win_bytes <- t.win_bytes - Binlog.Entry.size e) removed;
+    Obs.Metrics.set_gauge_int t.meters.m_cache_bytes t.win_bytes
+  end
+
 (* Append to the local log: the leader's own entries and a follower's
-   replicated ones take the same path through log and cache.  Once the
-   log regains an entry at least as up-to-date as what corruption
-   recovery truncated, the vote floor lifts and normal voting resumes. *)
+   replicated ones take the same path through log and cache window.
+   Once the log regains an entry at least as up-to-date as what
+   corruption recovery truncated, the vote floor lifts and normal voting
+   resumes. *)
 let append_local t entry =
   Log_store.append t.log entry;
-  Log_cache.put t.cache entry;
+  advance_window t entry;
   match t.vote_floor with
   | Some fl when Binlog.Opid.at_least_as_up_to_date_as (Binlog.Entry.opid entry) fl ->
     t.vote_floor <- None
@@ -941,11 +989,19 @@ and prev_anchor t prev_index ~term =
 and send_entry_batch t peer =
   let from_index = peer.next_index in
   let entries =
-    Log_cache.read_slice t.cache ~log:t.log ~max_bytes:peer.ae_budget ~from_index
+    Log_store.read_slice t.log ~max_bytes:peer.ae_budget ~from_index
       ~max_count:t.params.max_entries_per_ae
   in
-  if Array.length entries = 0 then false
+  let n = Array.length entries in
+  if n = 0 then false
   else begin
+    (* Entries from the window floor on count as cache hits, the rest as
+       reads of historical log files. *)
+    let hits =
+      if t.win_first = 0 then 0 else max 0 (from_index + n - max from_index t.win_first)
+    in
+    Obs.Metrics.add t.meters.m_cache_hits hits;
+    Obs.Metrics.add t.meters.m_cache_disk_reads (n - hits);
     let prev_index = from_index - 1 in
     let prev_term = Log_store.term_of t.log prev_index in
     if prev_term < 0 then begin
@@ -1838,7 +1894,7 @@ and append_batch t =
          step 4), then append.  Configs are log-free state now —
          truncation does not touch them. *)
       let removed = Log_store.truncate_from t.log ~from_index:idx in
-      Log_cache.truncate_from t.cache ~index:idx;
+      cut_window t ~from_index:idx removed;
       if removed <> [] then t.callbacks.on_truncated removed;
       append_local t entry;
       if !from = n then from := i
@@ -2308,7 +2364,7 @@ and finish_install t ~meta ~data =
   (* A conflicting tail dropped by the rebase gets the same §3.3-step-4
      cleanup a truncation does. *)
   let removed = Log_store.install_snapshot t.log ~last ~gtids:meta.Snapshot.gtids in
-  Log_cache.truncate_from t.cache ~index:1;
+  cut_window t ~from_index:1 removed;
   if removed <> [] then t.callbacks.on_truncated removed;
   (* Logless reconfiguration: the snapshot carries the config identity
      as of the boundary; ordinary newest-wins ordering decides adoption
@@ -2665,17 +2721,11 @@ let staleness_anchor t =
 (* The entries [first, last] from our log as one right-sized array, or
    [[||]] when one of them is not held. *)
 let gather_entries t ~first ~last =
-  let entries = Array.make (last - first + 1) Log_store.absent in
-  let complete = ref true and idx = ref first in
-  while !complete && !idx <= last do
-    let e = Log_store.slot t.log !idx in
-    if e == Log_store.absent then complete := false
-    else begin
-      entries.(!idx - first) <- e;
-      incr idx
-    end
-  done;
-  if !complete then entries else [||]
+  let n = last - first + 1 in
+  let entries =
+    Log_store.read_slice t.log ~max_bytes:max_int ~from_index:first ~max_count:n
+  in
+  if Array.length entries = n then entries else [||]
 
 let deliver_reconstituted t ~dst (ae : Message.append_entries) ~first_index ~last_index:last
     ~expected_last_term =
@@ -2802,7 +2852,8 @@ let create ?metrics ?tracebuf ?clock ?(group = 0) ~engine ~id ~region ~send ~log
       trace;
       rng = Sim.Rng.split (Sim.Engine.rng engine);
       callbacks;
-      cache = Log_cache.create ~metrics ~max_bytes:cache_bytes ();
+      win_first = 0;
+      win_bytes = 0;
       role = Types.Follower;
       leader_id = None;
       commit_index = 0;

@@ -298,8 +298,6 @@ val is_voter : t -> bool
     a leader crash mid-reconfig cannot wedge its successor. *)
 val has_pending_config_change : t -> bool
 
-val cache : t -> Log_cache.t
-
 (** The registry this node records into. *)
 val metrics : t -> Obs.Metrics.t
 

@@ -23,7 +23,6 @@ type 'frame t = {
   window : float;
   flush : src:string -> dst:string -> 'frame list -> unit;
   buffers : (key, 'frame pending) Hashtbl.t;
-  mutable flushes : int;
 }
 
 let create ~engine ~window ~flush () =
@@ -33,7 +32,6 @@ let create ~engine ~window ~flush () =
     window;
     flush;
     buffers = Hashtbl.create 64;
-    flushes = 0;
   }
 
 let window t = t.window
@@ -45,7 +43,6 @@ let flush_key t key =
     Hashtbl.remove t.buffers key;
     let src, dst = key in
     let frames = List.rev pending.frames in
-    t.flushes <- t.flushes + 1;
     t.flush ~src ~dst frames
 
 let push t ~src ~dst frame =
@@ -64,5 +61,3 @@ let push t ~src ~dst frame =
 let flush_all t =
   let keys = Hashtbl.fold (fun k _ acc -> k :: acc) t.buffers [] in
   List.iter (flush_key t) keys
-
-let flushes t = t.flushes

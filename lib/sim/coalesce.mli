@@ -31,6 +31,3 @@ val push : 'frame t -> src:string -> dst:string -> 'frame -> unit
 (** Drain every buffer immediately (shutdown or deterministic test
     endpoints); the armed events then no-op. *)
 val flush_all : 'frame t -> unit
-
-(** Total batches flushed since creation. *)
-val flushes : 'frame t -> int

@@ -60,8 +60,6 @@ let normal_std t =
   let u2 = float t in
   sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2)
 
-let normal t ~mean ~stddev = mean +. (stddev *. normal_std t)
-
 (* Lognormal parameterised by the mean/stddev of the underlying normal.
    Used for heavy-tailed operational delays (automation queueing etc.). *)
 let lognormal t ~mu ~sigma = exp (mu +. (sigma *. normal_std t))

@@ -32,8 +32,6 @@ val uniform : t -> lo:float -> hi:float -> float
 (** Exponential with the given mean. *)
 val exponential : t -> mean:float -> float
 
-val normal : t -> mean:float -> stddev:float -> float
-
 (** Lognormal parameterised by the underlying normal's [mu]/[sigma]; used
     for heavy-tailed operational delays. *)
 val lognormal : t -> mu:float -> sigma:float -> float

@@ -20,11 +20,16 @@ let config members =
         members;
   }
 
-(* A node of [config] for the member (id, region, voter), on a fresh relay log. *)
+(* A node of [config] for the member (id, region, voter), on [log]
+   (default: a fresh relay log). *)
 let node ~engine ~trace ~send ?(callbacks = Raft.Node.default_callbacks ())
-    ?(params = Raft.Node.default_params) ~config (id, region, _) =
-  Raft.Node.create ~engine ~id ~region ~send
-    ~log:(Binlog.Log_store.create ~mode:Binlog.Log_store.Relay ())
+    ?(params = Raft.Node.default_params) ?log ~config (id, region, _) =
+  let log =
+    match log with
+    | Some log -> log
+    | None -> Binlog.Log_store.create ~mode:Binlog.Log_store.Relay ()
+  in
+  Raft.Node.create ~engine ~id ~region ~send ~log
     ~callbacks ~params ~initial_config:config ~durable:(Raft.Node.fresh_durable ())
     ~trace ()
 
@@ -49,8 +54,8 @@ let rec final_dst ~dst = function
   | _ -> None
 
 (* [members] are (id, region, voter); the first, a voter, is elected
-   leader on the spot. *)
-let make_leader ?params members =
+   leader on the spot, on [log] if given. *)
+let make_leader ?params ?log members =
   let engine = Sim.Engine.create ~seed:1 () in
   let trace = Sim.Trace.create engine in
   let sent = Queue.create () and hops = Queue.create () in
@@ -62,7 +67,7 @@ let make_leader ?params members =
       (final_dst ~dst:hop msg)
   in
   let node =
-    node ~engine ~trace ~send ?params ~config:(config members) (List.hd members)
+    node ~engine ~trace ~send ?params ?log ~config:(config members) (List.hd members)
   in
   Raft.Node.set_force_election_quorum node true;
   Raft.Node.trigger_election node;

@@ -483,33 +483,32 @@ let prop_tracebuf_matches_record_ring =
            [ 0; 1; 3; 100 ]
       && Obs.Tracebuf.render tb = Record_ring.render rr)
 
-(* ----- log cache: sliced reads ----- *)
+(* ----- log store: sliced reads ----- *)
 
-(* The ring-backed [read_slice] must return byte-for-byte what the
-   pre-slice copying implementation returned: walk from [from_index]
-   preferring the cache, fall back to the log, stop at the first missing
-   index, stop before the entry that would blow the byte budget — except
-   that the first entry always ships. *)
+(* [Log_store.read_slice] must return exactly what a copying read over
+   [entry_at] returns: walk from [from_index], stop at the tail or a
+   purged hole, stop before the entry that would blow the byte budget —
+   except that the first entry always ships. *)
 
-let cache_case_gen =
+let slice_case_gen =
   QCheck.Gen.(
     let* n = 1 -- 60 in
     let* sizes = list_repeat n (0 -- 800) in
-    let* cache_budget = 200 -- 20_000 in
+    let* purged = 0 -- (n / 2) in
     let* log_hole = 0 -- 3 in
     let* from_index = 1 -- n in
     let* max_count = 0 -- 20 in
     let* byte_budget = 50 -- 5_000 in
-    return (sizes, cache_budget, log_hole, from_index, max_count, byte_budget))
+    return (sizes, purged, log_hole, from_index, max_count, byte_budget))
 
-let cache_arb =
+let slice_arb =
   QCheck.make
-    ~print:(fun (sizes, cb, hole, fi, mc, bb) ->
-      Printf.sprintf "n=%d cache=%dB hole=%d from=%d count=%d budget=%dB"
-        (List.length sizes) cb hole fi mc bb)
-    cache_case_gen
+    ~print:(fun (sizes, purged, hole, fi, mc, bb) ->
+      Printf.sprintf "n=%d purged=%d hole=%d from=%d count=%d budget=%dB"
+        (List.length sizes) purged hole fi mc bb)
+    slice_case_gen
 
-let cache_entry ~index ~size =
+let slice_entry ~index ~size =
   Binlog.Entry.make
     ~opid:(Binlog.Opid.make ~term:1 ~index)
     (Binlog.Entry.Transaction
@@ -526,16 +525,12 @@ let cache_entry ~index ~size =
            ];
        })
 
-(* Reference copying read, straight from the pre-slice implementation. *)
-let reference_read cache entries ~log ~from_index ~max_count ~max_bytes =
+(* The copying read: one [entry_at] per index, consed and reversed. *)
+let reference_read log ~from_index ~max_count ~max_bytes =
   let rec collect idx n bytes acc =
     if n = 0 then List.rev acc
     else
-      let e =
-        if Raft.Log_cache.contains cache ~index:idx then Some entries.(idx - 1)
-        else Binlog.Log_store.entry_at log idx
-      in
-      match e with
+      match Binlog.Log_store.entry_at log idx with
       | None -> List.rev acc
       | Some e ->
         let sz = Binlog.Entry.size e in
@@ -544,55 +539,65 @@ let reference_read cache entries ~log ~from_index ~max_count ~max_bytes =
   in
   collect from_index max_count 0 []
 
-let prop_cache_slice_equals_copying_read =
-  QCheck.Test.make ~name:"sliced reads equal copying reads" ~count:500 cache_arb
-    (fun (sizes, cache_budget, log_hole, from_index, max_count, byte_budget) ->
+(* Purge every file before a freshly opened one. *)
+let purge_closed log =
+  Binlog.Log_store.rotate log;
+  let files = Binlog.Log_store.file_names log in
+  Binlog.Log_store.purge_to log ~file:(List.nth files (List.length files - 1))
+
+let prop_slice_equals_copying_read =
+  QCheck.Test.make ~name:"sliced reads equal copying reads" ~count:500 slice_arb
+    (fun (sizes, purged, log_hole, from_index, max_count, byte_budget) ->
       let n = List.length sizes in
       let entries =
-        Array.of_list (List.mapi (fun i size -> cache_entry ~index:(i + 1) ~size) sizes)
+        Array.of_list (List.mapi (fun i size -> slice_entry ~index:(i + 1) ~size) sizes)
       in
-      let cache = Raft.Log_cache.create ~max_bytes:cache_budget () in
-      Array.iter (Raft.Log_cache.put cache) entries;
-      (* the log is missing the last [log_hole] entries, so a cold read
-         past the hole stops early *)
+      (* the log is missing the last [log_hole] entries, so a read past
+         the tail stops early; the first [purged] are purged, so a read
+         from there stops at once *)
       let log = Binlog.Log_store.create () in
       for i = 1 to n - log_hole do
-        Binlog.Log_store.append log entries.(i - 1)
+        Binlog.Log_store.append log entries.(i - 1);
+        if i = purged then purge_closed log
       done;
       let expected =
-        reference_read cache entries ~log ~from_index ~max_count ~max_bytes:byte_budget
+        reference_read log ~from_index ~max_count ~max_bytes:byte_budget
       in
       let got =
-        Raft.Log_cache.read_slice cache ~log ~max_bytes:byte_budget ~from_index ~max_count
+        Binlog.Log_store.read_slice log ~max_bytes:byte_budget ~from_index ~max_count
       in
-      Array.length got = List.length expected
-      && List.for_all2
-           (fun e g -> e == g && Binlog.Entry.verify g)
-           expected (Array.to_list got))
+      let matches () =
+        Array.length got = List.length expected
+        && List.for_all2
+             (fun e g -> e == g && Binlog.Entry.verify g)
+             expected (Array.to_list got)
+      in
+      let same = matches () in
+      (* the slice holds the entries, not log slots: truncating and
+         purging the range under it leaves it intact *)
+      let cut = max from_index (Binlog.Log_store.purged_below log) in
+      ignore (Binlog.Log_store.truncate_from log ~from_index:cut);
+      purge_closed log;
+      same && matches ())
 
-(* A slice handed to the transport must survive the cache evicting (or
-   truncating) the range under it: the slice holds the entries, not ring
-   slots. *)
+(* A slice handed to the transport must survive the log truncating and
+   purging the range under it: the slice holds the entries, not slots. *)
 let test_slice_survives_eviction () =
-  let cache = Raft.Log_cache.create ~max_bytes:4_000 () in
-  for i = 1 to 10 do
-    Raft.Log_cache.put cache (cache_entry ~index:i ~size:100)
-  done;
+  let log = Binlog.Log_store.create () in
+  let entries = Array.init 10 (fun i -> slice_entry ~index:(i + 1) ~size:100) in
+  Array.iter (Binlog.Log_store.append log) entries;
   let slice =
-    Raft.Log_cache.read_slice cache ~log:(Binlog.Log_store.create ()) ~max_bytes:max_int
-      ~from_index:1 ~max_count:10
+    Binlog.Log_store.read_slice log ~max_bytes:max_int ~from_index:1 ~max_count:10
   in
   Alcotest.(check int) "sliced all ten" 10 (Array.length slice);
-  (* stuff the cache until indexes 1..10 are gone *)
-  let i = ref 11 in
-  while Raft.Log_cache.contains cache ~index:10 do
-    Raft.Log_cache.put cache (cache_entry ~index:!i ~size:600);
-    incr i
-  done;
-  Alcotest.(check bool) "evicted under the slice" false
-    (Raft.Log_cache.contains cache ~index:1);
+  ignore (Binlog.Log_store.truncate_from log ~from_index:6);
+  Binlog.Log_store.append log (slice_entry ~index:6 ~size:600);
+  purge_closed log;
+  Alcotest.(check bool) "purged under the slice" true
+    (Binlog.Log_store.entry_at log 1 = None);
   Array.iteri
     (fun k e ->
+      Alcotest.(check bool) "same entry" true (e == entries.(k));
       Alcotest.(check int) "index intact" (k + 1) (Binlog.Entry.index e);
       Alcotest.(check bool) "entry still verifies" true (Binlog.Entry.verify e))
     slice
@@ -1598,7 +1603,7 @@ let suites =
       [ QCheck_alcotest.to_alcotest prop_tracebuf_matches_record_ring ] );
     ( "properties.log_cache",
       [
-        QCheck_alcotest.to_alcotest prop_cache_slice_equals_copying_read;
+        QCheck_alcotest.to_alcotest prop_slice_equals_copying_read;
         Alcotest.test_case "slice survives eviction" `Quick test_slice_survives_eviction;
       ] );
     ( "properties.window",

@@ -869,123 +869,132 @@ let test_auto_step_down_quiet_leader_keeps_role () =
   Alcotest.(check bool) "no tail, no abdication" true
     (Raft.Node.is_leader (raft (get h "n1")))
 
-(* ----- log cache ----- *)
+(* ----- the leader's cache window over the log ----- *)
 
+(* A transaction entry of one row whose value is [bytes] long. *)
+let txn_entry ~term ~index ~bytes =
+  let ops = [ Binlog.Event.Insert { key = "k"; value = String.make bytes 'x' } ] in
+  Binlog.Entry.make
+    ~opid:(Binlog.Opid.make ~term ~index)
+    (Binlog.Entry.Transaction
+       {
+         gtid = Binlog.Gtid.make ~source:"s" ~gno:index;
+         events = [ Binlog.Event.make (Binlog.Event.Write_rows { table = "t"; ops }) ];
+       })
+
+let txn_payload ~index ~bytes = Binlog.Entry.payload (txn_entry ~term:1 ~index ~bytes)
+
+let noop_entry ~term ~index =
+  Binlog.Entry.make ~opid:(Binlog.Opid.make ~term ~index) Binlog.Entry.Noop
+
+let cache_counters node =
+  let m = Raft.Node.metrics node in
+  ( Obs.Metrics.counter_value (Obs.Metrics.counter m "raft.log_cache.hits"),
+    Obs.Metrics.counter_value (Obs.Metrics.counter m "raft.log_cache.disk_reads"),
+    int_of_float (Obs.Metrics.gauge_value (Obs.Metrics.gauge m "raft.log_cache.bytes")) )
+
+(* The window keeps the newest entries that fit 4 MiB.  A peer shipped
+   entries as they are appended reads inside it (hits); a peer rewound
+   behind its floor reads the older entries from the log (disk reads,
+   §3.1's "parsing historical binary log files") and the rest as hits. *)
 let test_log_cache_eviction_and_fallback () =
-  let cache = Raft.Log_cache.create ~max_bytes:2_000 () in
-  let store = Binlog.Log_store.create () in
-  for i = 1 to 50 do
-    let entry =
-      Binlog.Entry.make
-        ~opid:(Binlog.Opid.make ~term:1 ~index:i)
-        (Binlog.Entry.Transaction
-           {
-             gtid = Binlog.Gtid.make ~source:"s" ~gno:i;
-             events =
-               [
-                 Binlog.Event.make
-                   (Binlog.Event.Write_rows
-                      {
-                        table = "t";
-                        ops = [ Binlog.Event.Insert { key = "k"; value = String.make 200 'x' } ];
-                      });
-               ];
-           })
-    in
-    Binlog.Log_store.append store entry;
-    Raft.Log_cache.put cache entry
+  let h = Kit.Bare.make_leader (Kit.Bare.ring 1) in
+  let node = h.Kit.Bare.node in
+  Alcotest.(check int) "election no-op at 1" 1 (Raft.Node.last_index node);
+  let hits0, disk0, _ = cache_counters node in
+  (* five entries of 1.2 MiB: four no longer fit the 4 MiB window *)
+  let bytes = 1_200 * 1024 in
+  for i = 2 to 6 do
+    ignore (Raft.Node.client_append node (txn_payload ~index:i ~bytes))
   done;
-  (* early entries were evicted from the 2KB cache *)
-  Alcotest.(check bool) "oldest evicted" false (Raft.Log_cache.contains cache ~index:1);
-  Alcotest.(check bool) "newest cached" true (Raft.Log_cache.contains cache ~index:50);
-  (* reading from the start falls back to "parsing historical binlog
-     files" (§3.1) and still returns everything in order *)
-  let entries =
-    Raft.Log_cache.read_slice cache ~log:store ~max_bytes:max_int ~from_index:1
-      ~max_count:50
+  let noop = Binlog.Entry.size (noop_entry ~term:1 ~index:1) in
+  let size = Binlog.Entry.size (txn_entry ~term:1 ~index:2 ~bytes) in
+  Alcotest.(check bool) "four entries overflow the window" true
+    (noop + (3 * size) <= 4 * 1024 * 1024 && 4 * size > 4 * 1024 * 1024);
+  (* entries 1..6; the window keeps 4..6 *)
+  let hits1, disk1, window = cache_counters node in
+  Alcotest.(check int) "window holds the newest three" (3 * size) window;
+  Alcotest.(check int) "shipped at the tail: 2 peers x 5 hits" 10 (hits1 - hits0);
+  Alcotest.(check int) "no disk reads at the tail" 0 (disk1 - disk0);
+  (* n12 nacks, its log ending at 1: the leader resends 2..6 *)
+  let last_seq =
+    Queue.fold
+      (fun acc (dst, (ae : Raft.Message.append_entries)) ->
+        if dst = "n12" then ae.seq else acc)
+      0 h.sent
   in
-  Alcotest.(check int) "all entries read" 50 (Array.length entries);
-  Alcotest.(check bool) "disk reads happened" true (Raft.Log_cache.disk_reads cache > 0);
-  Alcotest.(check (array int)) "in order" (Array.init 50 (fun i -> i + 1))
-    (Array.map Binlog.Entry.index entries)
+  Queue.clear h.sent;
+  Kit.Bare.respond h ~peer:"n12" ~success:false ~seq:last_seq ~durable:1 ~appended:1;
+  let resent =
+    Queue.fold
+      (fun acc (dst, (ae : Raft.Message.append_entries)) ->
+        match ae.payload with
+        | Raft.Message.Entries es when dst = "n12" ->
+          acc @ Array.to_list (Array.map Binlog.Entry.index es)
+        | _ -> acc)
+      [] h.sent
+  in
+  Alcotest.(check (list int)) "resent from the rewound frontier" [ 2; 3; 4; 5; 6 ] resent;
+  let hits2, disk2, _ = cache_counters node in
+  Alcotest.(check int) "2 and 3 read from the log" 2 (disk2 - disk1);
+  Alcotest.(check int) "4..6 read inside the window" 3 (hits2 - hits1)
 
+(* A purge that reaches inside the window takes the purged entries'
+   sizes with it: the first eviction that meets a purged slot moves the
+   floor to the purge horizon and recounts the bytes the log still
+   holds. *)
+let test_log_cache_purge_inside_window () =
+  let log = Binlog.Log_store.create ~mode:Binlog.Log_store.Relay () in
+  let h = Kit.Bare.make_leader ~log (Kit.Bare.ring 1) in
+  let node = h.Kit.Bare.node in
+  let bytes = 1_200 * 1024 in
+  let append i = ignore (Raft.Node.client_append node (txn_payload ~index:i ~bytes)) in
+  List.iter append [ 2; 3 ];
+  Binlog.Log_store.rotate log;
+  append 4;
+  Binlog.Log_store.purge_to log ~file:(List.nth (Binlog.Log_store.file_names log) 1);
+  Alcotest.(check int) "1..3 purged" 4 (Binlog.Log_store.purged_below log);
+  let noop = Binlog.Entry.size (noop_entry ~term:1 ~index:1) in
+  let size = Binlog.Entry.size (txn_entry ~term:1 ~index:2 ~bytes) in
+  let _, _, window = cache_counters node in
+  Alcotest.(check int) "the purge leaves the byte total alone" (noop + (3 * size)) window;
+  append 5;
+  let _, _, window = cache_counters node in
+  Alcotest.(check int) "recounted over 4..5" (2 * size) window
+
+(* A follower's conflicting suffix is cut out of the window with it. *)
 let test_log_cache_truncate () =
-  let cache = Raft.Log_cache.create () in
-  for i = 1 to 10 do
-    Raft.Log_cache.put cache
-      (Binlog.Entry.make ~opid:(Binlog.Opid.make ~term:1 ~index:i) Binlog.Entry.Noop)
-  done;
-  Raft.Log_cache.truncate_from cache ~index:6;
-  Alcotest.(check bool) "kept below" true (Raft.Log_cache.contains cache ~index:5);
-  Alcotest.(check bool) "dropped at" false (Raft.Log_cache.contains cache ~index:6)
-
-(* Regression: [put] on an already-cached index must replace the old
-   entry's byte accounting, not add on top of it — re-appends during
-   leader changes used to inflate [cached_bytes] until spurious
-   evictions set in. *)
-let test_log_cache_duplicate_put_bytes () =
-  let mk index payload =
-    Binlog.Entry.make
-      ~opid:(Binlog.Opid.make ~term:1 ~index)
-      (Binlog.Entry.Transaction
-         {
-           gtid = Binlog.Gtid.make ~source:"s" ~gno:index;
-           events =
-             [
-               Binlog.Event.make
-                 (Binlog.Event.Write_rows
-                    { table = "t"; ops = [ Binlog.Event.Insert { key = "k"; value = payload } ] });
-             ];
-         })
+  let f = Kit.Bare.make_follower (Kit.Bare.ring 1) in
+  let node = f.Kit.Bare.f_node in
+  let ok, _, _ =
+    Kit.Bare.feed f ~leader:"n10"
+      (Kit.Bare.append_entries ~leader:"n10" ~term:1 ~prev:(0, 0) ~commit:0
+         (List.init 10 (fun i -> (1, i + 1))))
   in
-  let cache = Raft.Log_cache.create () in
-  let e1 = mk 1 (String.make 100 'a') in
-  Raft.Log_cache.put cache e1;
-  Alcotest.(check int) "one entry accounted exactly" (Binlog.Entry.size e1)
-    (Raft.Log_cache.cached_bytes cache);
-  Raft.Log_cache.put cache e1;
-  Alcotest.(check int) "re-insert does not double-count" (Binlog.Entry.size e1)
-    (Raft.Log_cache.cached_bytes cache);
-  let e1' = mk 1 (String.make 300 'b') in
-  Raft.Log_cache.put cache e1';
-  Alcotest.(check int) "replacement swaps the accounting" (Binlog.Entry.size e1')
-    (Raft.Log_cache.cached_bytes cache);
-  let e2 = mk 2 (String.make 50 'c') in
-  Raft.Log_cache.put cache e2;
-  Alcotest.(check int) "distinct index adds its size"
-    (Binlog.Entry.size e1' + Binlog.Entry.size e2)
-    (Raft.Log_cache.cached_bytes cache)
+  Alcotest.(check bool) "ten appended" true ok;
+  let noop = Binlog.Entry.size (noop_entry ~term:1 ~index:1) in
+  let _, _, window = cache_counters node in
+  Alcotest.(check int) "window holds all ten" (10 * noop) window;
+  let ok, _, _ =
+    Kit.Bare.feed f ~leader:"n11"
+      (Kit.Bare.append_entries ~leader:"n11" ~term:2 ~prev:(1, 5) ~commit:0 [ (2, 6) ])
+  in
+  Alcotest.(check bool) "conflict accepted" true ok;
+  Alcotest.(check int) "log ends at the new entry" 6 (Raft.Node.last_index node);
+  let _, _, window = cache_counters node in
+  Alcotest.(check int) "6..10 cut, new 6 added" (6 * noop) window
 
 (* The adaptive batcher trims reads to its byte budget — but at least
    one entry always ships, or a budget below the next entry's size
    would wedge replication. *)
 let test_log_cache_byte_budget () =
-  let mk index =
-    Binlog.Entry.make
-      ~opid:(Binlog.Opid.make ~term:1 ~index)
-      (Binlog.Entry.Transaction
-         {
-           gtid = Binlog.Gtid.make ~source:"s" ~gno:index;
-           events =
-             [
-               Binlog.Event.make
-                 (Binlog.Event.Write_rows
-                    {
-                      table = "t";
-                      ops = [ Binlog.Event.Insert { key = "k"; value = String.make 200 'x' } ];
-                    });
-             ];
-         })
-  in
-  let cache = Raft.Log_cache.create () in
-  for i = 1 to 10 do
-    Raft.Log_cache.put cache (mk i)
-  done;
   let log = Binlog.Log_store.create () in
-  let per_entry = Binlog.Entry.size (mk 1) in
+  for i = 1 to 10 do
+    Binlog.Log_store.append log (txn_entry ~term:1 ~index:i ~bytes:200)
+  done;
+  let per_entry = Binlog.Entry.size (txn_entry ~term:1 ~index:1 ~bytes:200) in
   let read ~max_bytes =
-    Array.length
-      (Raft.Log_cache.read_slice cache ~log ~max_bytes ~from_index:1 ~max_count:10)
+    Array.length (Binlog.Log_store.read_slice log ~max_bytes ~from_index:1 ~max_count:10)
   in
   Alcotest.(check int) "budget of 3 entries returns 3" 3
     (read ~max_bytes:(3 * per_entry));
@@ -1280,8 +1289,8 @@ let suites =
         Alcotest.test_case "eviction and disk fallback" `Quick
           test_log_cache_eviction_and_fallback;
         Alcotest.test_case "truncate" `Quick test_log_cache_truncate;
-        Alcotest.test_case "duplicate put keeps exact bytes" `Quick
-          test_log_cache_duplicate_put_bytes;
+        Alcotest.test_case "purge inside the window" `Quick
+          test_log_cache_purge_inside_window;
         Alcotest.test_case "byte budget" `Quick test_log_cache_byte_budget;
       ] );
   ]
