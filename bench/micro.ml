@@ -46,15 +46,9 @@ let log_append () =
                 (Binlog.Entry.Transaction
                    {
                      gtid = Binlog.Gtid.make ~source:"srv" ~gno:i;
-                     events =
-                       [
-                         Binlog.Event.make
-                           (Binlog.Event.Write_rows
-                              {
-                                table = "t";
-                                ops = [ Binlog.Event.Insert { key = "k"; value = "v" } ];
-                              });
-                       ];
+                     table = "t";
+                     ops = [ Binlog.Event.Insert { key = "k"; value = "v" } ];
+                     xid = 0;
                    }))
          done;
          log))
@@ -71,18 +65,9 @@ let entry_make () =
     Binlog.Entry.Transaction
       {
         gtid;
-        events =
-          [
-            Binlog.Event.make (Binlog.Event.Gtid_event gtid);
-            Binlog.Event.make (Binlog.Event.Table_map { table = "sbtest" });
-            Binlog.Event.make
-              (Binlog.Event.Write_rows
-                 {
-                   table = "sbtest";
-                   ops = [ Binlog.Event.Insert { key = "row-12345"; value = String.make 300 'd' } ];
-                 });
-            Binlog.Event.make (Binlog.Event.Xid { xid = 12_345 });
-          ];
+        table = "sbtest";
+        ops = [ Binlog.Event.Insert { key = "row-12345"; value = String.make 300 'd' } ];
+        xid = 12_345;
       }
   in
   let opid = Binlog.Opid.make ~term:3 ~index:12_345 in
@@ -161,16 +146,9 @@ let log_store_read_slice () =
           (Binlog.Entry.Transaction
              {
                gtid = Binlog.Gtid.make ~source:"srv" ~gno:(i + 1);
-               events =
-                 [
-                   Binlog.Event.make
-                     (Binlog.Event.Write_rows
-                        {
-                          table = "sbtest";
-                          ops =
-                            [ Binlog.Event.Insert { key = "k"; value = String.make 300 'd' } ];
-                        });
-                 ];
+               table = "sbtest";
+               ops = [ Binlog.Event.Insert { key = "k"; value = String.make 300 'd' } ];
+               xid = 0;
              }))
   in
   let log = Binlog.Log_store.create () in
@@ -268,12 +246,9 @@ let applier_drain () =
             (Binlog.Entry.Transaction
                {
                  gtid = Binlog.Gtid.make ~source:"srv" ~gno:index;
-                 events =
-                   [
-                     Binlog.Event.make
-                       (Binlog.Event.Write_rows
-                          { table = "t"; ops = [ Binlog.Event.Insert { key = "k"; value = "v" } ] });
-                   ];
+                 table = "t";
+                 ops = [ Binlog.Event.Insert { key = "k"; value = "v" } ];
+                 xid = 0;
                })
         in
         Binlog.Entry.set_deps e ~last_committed:0;
@@ -332,12 +307,9 @@ let log_store_append_read () =
           (Binlog.Entry.Transaction
              {
                gtid = Binlog.Gtid.make ~source:"srv" ~gno:(i + 1);
-               events =
-                 [
-                   Binlog.Event.make
-                     (Binlog.Event.Write_rows
-                        { table = "t"; ops = [ Binlog.Event.Insert { key = "k"; value = "v" } ] });
-                 ];
+               table = "t";
+               ops = [ Binlog.Event.Insert { key = "k"; value = "v" } ];
+               xid = 0;
              }))
   in
   Test.make ~name:"log_store append + entry_at (10k)"

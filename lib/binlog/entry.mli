@@ -3,8 +3,11 @@
     a replicated rotate marker.  The checksum is computed when Raft
     stamps the OpId (§3.4) so later corruption is detectable. *)
 
+(** A transaction is the fields its four binlog events carry (GTID
+    event, table map, rows event, XID): {!size}, {!checksum} and
+    {!describe} derive the events from them. *)
 type payload =
-  | Transaction of { gtid : Gtid.t; events : Event.t list }
+  | Transaction of { gtid : Gtid.t; table : string; ops : Event.row_op list; xid : int }
   | Noop
   | Config_change of { description : string; encoded : string }
   | Rotate_marker of { next_file : string }
@@ -58,7 +61,8 @@ val with_opid : t -> opid:Opid.t -> t
 
 (** Disk-corruption flavours: [Header] flips a bit in the stored checksum
     field; [Body] silently mutates the payload under a now-stale
-    checksum. *)
+    checksum.  A transaction's [Body] rot flips a bit of its XID, which
+    no replica applies: its rows are untouched, only the CRC tells. *)
 type corruption = Header | Body
 
 (** A bit-rotted copy of the entry, as re-read from a failing disk:

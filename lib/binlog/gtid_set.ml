@@ -112,8 +112,6 @@ let max_gno t ~source =
   | None -> 0
   | Some intervals -> List.fold_left (fun acc iv -> max acc iv.hi) 0 intervals
 
-let sources t = List.map fst (Source_map.bindings t)
-
 let fold_gtids t ~init f =
   Source_map.fold
     (fun source intervals acc ->

@@ -34,8 +34,6 @@ val equal : t -> t -> bool
     sequence after promotion. *)
 val max_gno : t -> source:string -> int
 
-val sources : t -> string list
-
 val fold_gtids : t -> init:'a -> ('a -> Gtid.t -> 'a) -> 'a
 
 (** MySQL-style rendering, e.g. "srv1:1-5:7,srv2:3". *)

@@ -25,20 +25,6 @@ type report = {
 let s = Sim.Engine.s
 let ms = Sim.Engine.ms
 
-let seed_server_from_entries server entries =
-  let log = Myraft.Server.log server in
-  let storage = Myraft.Server.storage server in
-  List.iter
-    (fun entry ->
-      Binlog.Log_store.append log entry;
-      match Binlog.Entry.payload entry with
-      | Binlog.Entry.Transaction { gtid; events } ->
-        Storage.Engine.commit_prepared storage
-          (Storage.Engine.prepare storage ~gtid ~events)
-          ~opid:(Binlog.Entry.opid entry)
-      | _ -> ())
-    entries
-
 let seed_tailer_from_entries tailer entries =
   let log = Myraft.Logtailer.log tailer in
   List.iter (fun entry -> Binlog.Log_store.append log entry) entries
@@ -109,7 +95,7 @@ let run ?(params = Myraft.Params.default) ?(seed = 23) ~members ~lock_service
             ~replicaset:(Semisync.Cluster.replicaset_name ss) ~members ()
         in
         List.iter
-          (fun srv -> seed_server_from_entries srv entries)
+          (fun srv -> Downstream.Backup.replay srv entries)
           (Myraft.Cluster.servers cluster);
         List.iter
           (fun tailer -> seed_tailer_from_entries tailer entries)

@@ -25,7 +25,7 @@ type txn =
       req : Wire.write_request; (* the session's request, as it arrived *)
       local : (Wire.write_outcome -> unit) option; (* [submit_write]'s reply *)
       gtid : Binlog.Gtid.t;
-      events : Binlog.Event.t list; (* its binlog events, as the engine staged them *)
+      xid : int; (* its XID event's id; the request holds its table and rows *)
       prepared : Storage.Engine.prepared;
       mutable opid : Binlog.Opid.t; (* assigned by Raft at flush *)
     }
@@ -69,7 +69,6 @@ type t = {
   mutable orchestration_epoch : int; (* invalidates in-flight orchestrations *)
   rng : Sim.Rng.t;
   writeset : Binlog.Writeset.t; (* primary-side dependency tracker *)
-  table_maps : Binlog.Event.table_maps; (* one Table_map event per table *)
   (* observability *)
   metrics : Obs.Metrics.t;
   m_writes_committed : Obs.Metrics.counter; (* resolved once: bumped per commit *)
@@ -264,7 +263,7 @@ let jittered t nominal = nominal *. Sim.Rng.lognormal t.rng ~mu:0.0 ~sigma:0.35
    attempt — allocates no retry state.  [tk] is the applier's fencing
    ticket: a transaction truncated out of the log while its prepare
    waited on a row lock must not zombie-prepare later. *)
-let rec applier_prepare t entry tk ~gtid ~events ~attempts =
+let rec applier_prepare t entry tk ~gtid ~table ~ops ~attempts =
   if not (Applier.live tk) then
     () (* entry truncated / applier restarted while waiting: abandon *)
   else if Storage.Engine.has_committed t.storage gtid then begin
@@ -275,9 +274,9 @@ let rec applier_prepare t entry tk ~gtid ~events ~attempts =
     (* An in-flight copy of the same transaction (e.g. submitted by the
        client path before a role change) is already in the pipeline;
        wait for it to settle. *)
-    applier_retry t entry tk ~gtid ~events ~attempts
+    applier_retry t entry tk ~gtid ~table ~ops ~attempts
   else
-    match Storage.Engine.prepare t.storage ~gtid ~events with
+    match Storage.Engine.prepare t.storage ~gtid ~table ~ops with
     | p ->
       Applier.set_prepared tk p;
       Pipeline.submit t.pipeline (Relay_txn tk);
@@ -289,9 +288,9 @@ let rec applier_prepare t entry tk ~gtid ~events ~attempts =
          first would engine-commit them ahead of this one, breaking
          commit order (slave_preserve_commit_order) and the recovery
          cursor's prefix assumption. *)
-      applier_retry t entry tk ~gtid ~events ~attempts
+      applier_retry t entry tk ~gtid ~table ~ops ~attempts
 
-and applier_retry t entry tk ~gtid ~events ~attempts =
+and applier_retry t entry tk ~gtid ~table ~ops ~attempts =
   let attempts = attempts + 1 in
   if attempts > 100_000 then begin
     Applier.finished tk ~ok:false;
@@ -300,20 +299,20 @@ and applier_retry t entry tk ~gtid ~events ~attempts =
   else
     ignore
       (Sim.Engine.schedule t.engine ~delay:(50.0 *. Sim.Engine.us) (fun () ->
-           applier_prepare t entry tk ~gtid ~events ~attempts))
+           applier_prepare t entry tk ~gtid ~table ~ops ~attempts))
 
 (* Execute one relay-log entry: prepare the transaction in the engine and
    push it into the commit pipeline, where it awaits the consensus-commit
    marker before engine commit. *)
 let applier_process t entry tk =
   match Binlog.Entry.payload entry with
-  | Binlog.Entry.Transaction { gtid; events } ->
+  | Binlog.Entry.Transaction { gtid; table; ops; _ } ->
     if Storage.Engine.has_committed t.storage gtid then begin
       (* idempotent replay *)
       Applier.finished tk ~ok:true;
       Applier.submitted tk
     end
-    else applier_prepare t entry tk ~gtid ~events ~attempts:0
+    else applier_prepare t entry tk ~gtid ~table ~ops ~attempts:0
   | Binlog.Entry.Rotate_marker _ | Binlog.Entry.Noop | Binlog.Entry.Config_change _ ->
     (* Nothing to execute, but order through the pipeline so
        applied_index remains a committed-prefix watermark; a replicated
@@ -606,26 +605,19 @@ let prepare_write t (req : Wire.write_request) local =
   if t.crashed || t.role <> Primary || not t.writes_enabled then
     reject t req ~local "demoted during prepare"
   else begin
-    let gtid = Binlog.Gtid.make ~source:t.id ~gno:t.next_gno and table = req.table in
-    let events =
-      [
-        Binlog.Event.make (Binlog.Event.Gtid_event gtid);
-        Binlog.Event.table_map t.table_maps table;
-        Binlog.Event.make (Binlog.Event.Write_rows { table; ops = req.ops });
-        Binlog.Event.make (Binlog.Event.Xid { xid = t.next_xid });
-      ]
-    in
-    match Storage.Engine.prepare t.storage ~gtid ~events with
+    let gtid = Binlog.Gtid.make ~source:t.id ~gno:t.next_gno in
+    match Storage.Engine.prepare t.storage ~gtid ~table:req.table ~ops:req.ops with
     | exception Storage.Engine.Lock_conflict _ -> reject t req ~local "lock wait conflict"
     | prepared ->
       (* Claim the gno and the xid only once the prepare sticks: burning
          a gno on a lock-conflict reject would leave a permanent hole in
          every gtid_executed set, fragmenting the interval lists that
          each binlog append updates. *)
+      let xid = t.next_xid in
       t.next_gno <- t.next_gno + 1;
-      t.next_xid <- t.next_xid + 1;
+      t.next_xid <- xid + 1;
       Pipeline.submit t.pipeline
-        (Client_write { req; local; gtid; events; prepared; opid = Binlog.Opid.zero })
+        (Client_write { req; local; gtid; xid; prepared; opid = Binlog.Opid.zero })
   end
 
 (* The prepare event of a session's write: the server and the request
@@ -646,7 +638,8 @@ let flush_txn t txn =
   | Client_write w -> (
     match
       Raft.Node.client_append (raft t)
-        (Binlog.Entry.Transaction { gtid = w.gtid; events = w.events })
+        (Binlog.Entry.Transaction
+           { gtid = w.gtid; table = w.req.table; ops = w.req.ops; xid = w.xid })
     with
     | Ok opid ->
       w.opid <- opid;
@@ -946,7 +939,6 @@ let create ?metrics ?tracebuf ?clock ?(group = 0) ~engine ~id ~region ~replicase
       log = Binlog.Log_store.create ~metrics ~mode:Binlog.Log_store.Relay ();
       durable = Raft.Node.fresh_durable ();
       writeset = Binlog.Writeset.create ~capacity:Params.writeset_history_size;
-      table_maps = Binlog.Event.table_maps ();
       raft = None;
       pipeline =
         (* replaced below: the pipeline's stage functions need [t] *)

@@ -17,6 +17,10 @@ val entry_count : t -> int
 
 val gtid_executed : t -> Binlog.Gtid_set.t
 
+(** Append the entries to the server's log and commit each transaction
+    in its engine, in order. *)
+val replay : Myraft.Server.t -> Binlog.Entry.t list -> unit
+
 (** Replay into a fresh (empty) MySQL server: seed log + engine. *)
 val restore_into_server : t -> Myraft.Server.t -> (unit, string) result
 

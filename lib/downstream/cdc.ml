@@ -13,7 +13,8 @@
 type record = {
   opid : Binlog.Opid.t;
   gtid : Binlog.Gtid.t;
-  table_ops : (string * Binlog.Event.row_op list) list;
+  table : string;
+  ops : Binlog.Event.row_op list;
 }
 
 let poll_interval = 50.0 *. Sim.Engine.ms
@@ -42,18 +43,10 @@ let stop t = t.running <- false
 
 let emit t entry =
   match Binlog.Entry.payload entry with
-  | Binlog.Entry.Transaction { gtid; events } ->
+  | Binlog.Entry.Transaction { gtid; table; ops; _ } ->
     if not (Binlog.Gtid_set.contains t.seen gtid) then begin
-      let table_ops =
-        List.filter_map
-          (fun ev ->
-            match Binlog.Event.body ev with
-            | Binlog.Event.Write_rows { table; ops } -> Some (table, ops)
-            | _ -> None)
-          events
-      in
       t.seen <- Binlog.Gtid_set.add t.seen gtid;
-      t.streamed <- { opid = Binlog.Entry.opid entry; gtid; table_ops } :: t.streamed
+      t.streamed <- { opid = Binlog.Entry.opid entry; gtid; table; ops } :: t.streamed
     end
   | Binlog.Entry.Noop | Binlog.Entry.Config_change _ | Binlog.Entry.Rotate_marker _ -> ()
 

@@ -10,7 +10,8 @@
 type record = {
   opid : Binlog.Opid.t;
   gtid : Binlog.Gtid.t;
-  table_ops : (string * Binlog.Event.row_op list) list;
+  table : string;
+  ops : Binlog.Event.row_op list;
 }
 
 type t

@@ -62,17 +62,16 @@ type table = {
   parked_rows : slot Keys.t; (* keys locked while absent *)
 }
 
-(* A prepared transaction: its events and, per row write, the slot it
-   locked (a key written twice appears twice).  The writes are the ops
-   of the [Write_rows] events, in event order, each on its event's
-   table; the engine walks the events themselves, so a transaction's
-   writes are never gathered into a list.  The handle is what commit
-   and rollback work through. *)
+(* A prepared transaction: its table and row ops and, per op, the slot
+   it locked (a key written twice appears twice).  The handle is what
+   commit and rollback work through.  Once committed or rolled back its
+   [slots] are [finished] (compared with [==]), so a handle needs no
+   liveness flag beside them. *)
 type prepared = {
   gtid : Binlog.Gtid.t;
-  events : Binlog.Event.t list;
-  slots : slot array;
-  mutable live : bool; (* neither committed nor rolled back *)
+  table : string;
+  ops : Binlog.Event.row_op list;
+  mutable slots : slot array;
 }
 
 exception Lock_conflict of { table : string; key : string; holder : Binlog.Gtid.t }
@@ -154,10 +153,9 @@ let table_for_commit t name =
     Keys.add t.tables name tbl;
     tbl
 
-let key_of_op = function
-  | Binlog.Event.Insert { key; _ } | Update { key; _ } | Delete { key; _ } -> key
-
 let dummy_slot = { value = dead; last_writer = nobody; holder = nobody }
+
+let finished = [| dummy_slot |]
 
 (* The slot for [key]: its row, its parked lock, or a new parked one.
    A present key costs one probe. *)
@@ -172,85 +170,58 @@ let find_slot tbl key =
       Keys.add tbl.parked_rows key slot;
       slot)
 
-(* Each walk over a transaction's writes below is a pair of top-level
-   recursions: one over the events, one over a [Write_rows] event's ops,
-   with [i] the write's position among all of them. *)
+(* Each walk over a transaction's writes below is one top-level
+   recursion over its ops, with [i] the op's position. *)
 
-let rec count_writes n = function
-  | [] -> n
-  | ev :: rest -> (
-    match Binlog.Event.body ev with
-    | Binlog.Event.Write_rows { ops; _ } -> count_writes (n + List.length ops) rest
-    | _ -> count_writes n rest)
-
-(* Unlock the slots of writes [i ..] (the first [n] of them), once each
+(* Unlock the slots of ops [i ..] (the first [n] of them), once each
    (a key written twice holds one slot twice).  A parked lock leaves
    its table and the slot dies. *)
-let rec release t p events i n =
+let rec release t p ops i n =
   if i < n then
-    match events with
+    match ops with
     | [] -> ()
-    | ev :: rest -> (
-      match Binlog.Event.body ev with
-      | Binlog.Event.Write_rows { table; ops } -> release_ops t p table ops rest i n
-      | _ -> release t p rest i n)
-
-and release_ops t p tbl_name ops rest i n =
-  match ops with
-  | [] -> release t p rest i n
-  | op :: more ->
-    if i < n then begin
+    | op :: more ->
       let slot = p.slots.(i) in
       if slot.holder != nobody then begin
         slot.holder <- nobody;
         if slot.value == parked then begin
-          Keys.remove (find_table t tbl_name).parked_rows (key_of_op op);
+          Keys.remove (find_table t p.table).parked_rows (Binlog.Event.row_op_key op);
           slot.value <- dead
         end
       end;
-      release_ops t p tbl_name more rest (i + 1) n
-    end
+      release t p more (i + 1) n
 
-(* Find, check and take each write's lock in one pass.  On a conflict
-   the locks already taken are released and nothing stays changed. *)
-let rec lock_rows t p events i =
-  match events with
-  | [] -> ()
-  | ev :: rest -> (
-    match Binlog.Event.body ev with
-    | Binlog.Event.Write_rows { table; ops } -> lock_ops t p table ops rest i
-    | _ -> lock_rows t p rest i)
-
-and lock_ops t p tbl_name ops rest i =
+(* Find, check and take each op's lock in [tbl] in one pass.  On a
+   conflict the locks already taken are released and nothing stays
+   changed. *)
+let rec lock_rows t p tbl ops i =
   match ops with
-  | [] -> lock_rows t p rest i
+  | [] -> ()
   | op :: more ->
-    let key = key_of_op op in
-    let slot = find_slot (table_for_prepare t tbl_name) key in
+    let key = Binlog.Event.row_op_key op in
+    let slot = find_slot tbl key in
     let holder = slot.holder in
     if holder != nobody && not (Binlog.Gtid.equal holder p.gtid) then begin
-      release t p p.events 0 i;
-      raise (Lock_conflict { table = tbl_name; key; holder })
+      release t p p.ops 0 i;
+      raise (Lock_conflict { table = p.table; key; holder })
     end;
     slot.holder <- p.gtid;
     p.slots.(i) <- slot;
-    lock_ops t p tbl_name more rest (i + 1)
+    lock_rows t p tbl more (i + 1)
 
 (* Stage a transaction.  Raises [Lock_conflict] if another prepared
    transaction holds a lock on any touched key. *)
-let prepare t ~gtid ~events =
+let prepare t ~gtid ~table ~ops =
   if By_gtid.mem t.prepared gtid then invalid_arg "Engine.prepare: duplicate gtid";
-  let p =
-    { gtid; events; slots = Array.make (count_writes 0 events) dummy_slot; live = true }
-  in
-  lock_rows t p events 0;
+  let p = { gtid; table; ops; slots = Array.make (List.length ops) dummy_slot } in
+  (match ops with [] -> () | _ -> lock_rows t p (table_for_prepare t table) ops 0);
   By_gtid.add t.prepared gtid p;
   p
 
-let live p = p.live
+let live p = p.slots != finished
 
 let unprepared =
-  { gtid = Binlog.Gtid.make ~source:"" ~gno:1; events = []; slots = [||]; live = false }
+  { gtid = Binlog.Gtid.make ~source:"" ~gno:1; table = ""; ops = []; slots = finished }
 
 let is_prepared t gtid = By_gtid.mem t.prepared gtid
 
@@ -262,18 +233,10 @@ let prepared_gtids t = By_gtid.fold (fun g _ acc -> g :: acc) t.prepared []
    triple into a throwaway string and concatenated it on every commit on
    every node.  The digest is deterministic across replicas because the
    folded fields are exactly the replicated transaction identity. *)
-let rec digest_writes st = function
+let rec digest_writes st tbl = function
   | [] -> st
-  | ev :: rest -> (
-    match Binlog.Event.body ev with
-    | Binlog.Event.Write_rows { table; ops } -> digest_ops st table ops rest
-    | _ -> digest_writes st rest)
-
-and digest_ops st tbl ops rest =
-  let open Binlog.Checksum in
-  match ops with
-  | [] -> digest_writes st rest
   | op :: more ->
+    let open Binlog.Checksum in
     let st = feed_string st tbl in
     let st =
       match op with
@@ -284,48 +247,40 @@ and digest_ops st tbl ops rest =
       | Binlog.Event.Delete { key; before } ->
         feed_string (feed_string (feed_int st 3) key) before
     in
-    digest_ops st tbl more rest
+    digest_writes st tbl more
 
-let commit_digest ~prev ~gtid ~opid events =
+let commit_digest ~prev ~gtid ~opid p =
   let open Binlog.Checksum in
   let st = feed_int init prev in
   let st = feed_string st (Binlog.Gtid.source gtid) in
   let st = feed_int st (Binlog.Gtid.gno gtid) in
   let st = feed_int st (Binlog.Opid.term opid) in
   let st = feed_int st (Binlog.Opid.index opid) in
-  finalize_int (digest_writes st events)
+  finalize_int (digest_writes st p.table p.ops)
 
-(* Apply each write through its slot.  Only a row that appears or
+(* Apply each op through its slot.  Only a row that appears or
    disappears touches a table. *)
-let rec apply_writes t p events i =
-  match events with
-  | [] -> ()
-  | ev :: rest -> (
-    match Binlog.Event.body ev with
-    | Binlog.Event.Write_rows { table; ops } -> apply_ops t p table ops rest i
-    | _ -> apply_writes t p rest i)
-
-and apply_ops t p tbl_name ops rest i =
+let rec apply_writes t p ops i =
   match ops with
-  | [] -> apply_writes t p rest i
+  | [] -> ()
   | op :: more ->
     let slot = p.slots.(i) in
     (match op with
     | Binlog.Event.Insert { key; value } | Update { key; after = value; _ } ->
       if slot.value == parked || slot.value == dead then begin
-        let tbl = table_for_commit t tbl_name in
+        let tbl = table_for_commit t p.table in
         if slot.value == parked then Keys.remove tbl.parked_rows key;
         Keys.add tbl.rows key slot
       end;
       slot.value <- value;
       slot.last_writer <- p.gtid
     | Delete { key; _ } ->
-      let tbl = table_for_commit t tbl_name in
+      let tbl = table_for_commit t p.table in
       if slot.value != parked && slot.value != dead then begin
         Keys.remove tbl.rows key;
         slot.value <- dead
       end);
-    apply_ops t p tbl_name more rest (i + 1)
+    apply_writes t p more (i + 1)
 
 let rec notify listeners gtid opid =
   match listeners with
@@ -335,28 +290,28 @@ let rec notify listeners gtid opid =
     notify rest gtid opid
 
 let finish t p =
-  p.live <- false;
   By_gtid.remove t.prepared p.gtid;
-  release t p p.events 0 (Array.length p.slots)
+  release t p p.ops 0 (Array.length p.slots);
+  p.slots <- finished
 
 (* Durably commit a prepared transaction, stamping the Raft OpId. *)
 let commit_prepared t p ~opid =
-  if not p.live then
+  if not (live p) then
     invalid_arg ("Engine.commit_prepared: not prepared: " ^ Binlog.Gtid.to_string p.gtid);
   let gtid = p.gtid in
-  apply_writes t p p.events 0;
+  apply_writes t p p.ops 0;
   finish t p;
   Binlog.Gtid_set.Acc.add t.gtid_executed gtid;
   if Binlog.Opid.compare opid t.last_committed_opid > 0 then t.last_committed_opid <- opid;
   t.committed_count <- t.committed_count + 1;
   let n = Vec.length t.commit_digests in
   let prev = if n = 0 then 0 else Vec.get t.commit_digests (n - 1) in
-  Vec.push t.commit_digests (commit_digest ~prev ~gtid ~opid p.events);
+  Vec.push t.commit_digests (commit_digest ~prev ~gtid ~opid p);
   Vec.push t.commit_gtids gtid;
   Vec.push t.commit_opids opid;
   notify t.commit_listeners gtid opid
 
-let rollback_prepared t p = if p.live then finish t p
+let rollback_prepared t p = if live p then finish t p
 
 let rollback_gtid t gtid =
   match By_gtid.find t.prepared gtid with

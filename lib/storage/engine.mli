@@ -27,14 +27,13 @@ val create : unit -> t
 
 type prepared
 
-(** Stage a transaction, acquiring row locks.  Its writes are the ops
-    of the [Write_rows] events among [events], in order, each on its
-    event's table; other events write nothing.  The handle keeps
-    [events] as they are.  Raises {!Lock_conflict} (for the first
-    conflicting write, and leaving nothing locked) if another prepared
-    transaction holds a touched key, and [Invalid_argument] on duplicate
-    gtids. *)
-val prepare : t -> gtid:Binlog.Gtid.t -> events:Binlog.Event.t list -> prepared
+(** Stage a transaction writing [ops], in order, on [table], acquiring
+    row locks.  The handle keeps [table] and [ops] as they are.  Raises
+    {!Lock_conflict} (for the first conflicting write, and leaving
+    nothing locked) if another prepared transaction holds a touched
+    key, and [Invalid_argument] on duplicate gtids. *)
+val prepare :
+  t -> gtid:Binlog.Gtid.t -> table:string -> ops:Binlog.Event.row_op list -> prepared
 
 (** The handle is still prepared: neither committed nor rolled back (by
     itself, {!rollback_gtid}, {!crash_recover} or {!restore}). *)

@@ -29,13 +29,6 @@ let direct_write ?(table = "t") ?(timeout = 5.0 *. s) cluster ~key ~value =
       | Some (Myraft.Wire.Rejected reason) -> Error reason
       | None -> Error "unreachable"
 
-(* (table, op) writes as a transaction's events, one [Write_rows] each,
-   for [Storage.Engine.prepare]. *)
-let rows writes =
-  List.map
-    (fun (table, op) -> Binlog.Event.make (Binlog.Event.Write_rows { table; ops = [ op ] }))
-    writes
-
 (* Substring search (no external deps). *)
 let contains s sub =
   let n = String.length s and m = String.length sub in

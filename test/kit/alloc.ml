@@ -246,20 +246,11 @@ let gtid gno = Binlog.Gtid.make ~source:"srv1" ~gno
    the engine, over 10k after one. *)
 let prepare_commit () =
   let e = Storage.Engine.create () in
-  let events =
-    [
-      Binlog.Event.make
-        (Binlog.Event.Write_rows
-           {
-             table = "sbtest";
-             ops = [ Binlog.Event.Insert { key = "row-1"; value = "v" } ];
-           });
-    ]
-  in
+  let ops = [ Binlog.Event.Insert { key = "row-1"; value = "v" } ] in
   let gtid = supply gtid
   and opid = supply (fun index -> Binlog.Opid.make ~term:1 ~index) in
   let round () =
-    let p = Storage.Engine.prepare e ~gtid:(gtid ()) ~events in
+    let p = Storage.Engine.prepare e ~gtid:(gtid ()) ~table:"sbtest" ~ops in
     Storage.Engine.commit_prepared e p ~opid:(opid ())
   in
   round ();

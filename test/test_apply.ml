@@ -115,12 +115,9 @@ let txn_entry ?last_committed ~index ~key () =
       (Binlog.Entry.Transaction
          {
            gtid = Binlog.Gtid.make ~source:"src" ~gno:index;
-           events =
-             [
-               Binlog.Event.make
-                 (Binlog.Event.Write_rows
-                    { table = "t"; ops = [ Binlog.Event.Insert { key; value = "v" } ] });
-             ];
+           table = "t";
+           ops = [ Binlog.Event.Insert { key; value = "v" } ];
+           xid = 0;
          })
   in
   (match last_committed with
@@ -594,11 +591,11 @@ let test_lock_conflict_retries_and_preserves_order () =
   let conflicts = ref 0 in
   let process entry tk =
     match Binlog.Entry.payload entry with
-    | Binlog.Entry.Transaction { gtid; events } ->
+    | Binlog.Entry.Transaction { gtid; table; ops; _ } ->
       let rec try_prepare () =
         if not (Myraft.Applier.live tk) then ()
         else
-          match Storage.Engine.prepare storage ~gtid ~events with
+          match Storage.Engine.prepare storage ~gtid ~table ~ops with
           | p ->
             Myraft.Pipeline.submit pipeline (entry, tk, p);
             Myraft.Applier.submitted tk

@@ -20,7 +20,7 @@ let test_cdc_streams_committed_txns () =
   let first = List.hd (Downstream.Cdc.records cdc) in
   Alcotest.(check string) "gtid source" "mysql1"
     (Binlog.Gtid.source first.Downstream.Cdc.gtid);
-  Alcotest.(check bool) "row ops present" true (first.Downstream.Cdc.table_ops <> [])
+  Alcotest.(check bool) "row ops present" true (first.Downstream.Cdc.ops <> [])
 
 let test_cdc_survives_failover_no_dups () =
   let cluster = Helpers.bootstrapped ~members:(Myraft.Cluster.small_members ()) () in

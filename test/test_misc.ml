@@ -121,12 +121,9 @@ let sample_entry size =
     (Binlog.Entry.Transaction
        {
          gtid = Binlog.Gtid.make ~source:"s" ~gno:1;
-         events =
-           [
-             Binlog.Event.make
-               (Binlog.Event.Write_rows
-                  { table = "t"; ops = [ Binlog.Event.Insert { key = "k"; value = String.make size 'x' } ] });
-           ];
+         table = "t";
+         ops = [ Binlog.Event.Insert { key = "k"; value = String.make size 'x' } ];
+         xid = 0;
        })
 
 let ae payload =

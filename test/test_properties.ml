@@ -41,12 +41,9 @@ let txn_entry ~term ~index =
     (Binlog.Entry.Transaction
        {
          gtid = Binlog.Gtid.make ~source:"src" ~gno:index;
-         events =
-           [
-             Binlog.Event.make
-               (Binlog.Event.Write_rows
-                  { table = "t"; ops = [ Binlog.Event.Insert { key = "k"; value = "v" } ] });
-           ];
+         table = "t";
+         ops = [ Binlog.Event.Insert { key = "k"; value = "v" } ];
+         xid = 0;
        })
 
 (* Replay ops against the store and a naive model (list of live
@@ -514,15 +511,9 @@ let slice_entry ~index ~size =
     (Binlog.Entry.Transaction
        {
          gtid = Binlog.Gtid.make ~source:"src" ~gno:index;
-         events =
-           [
-             Binlog.Event.make
-               (Binlog.Event.Write_rows
-                  {
-                    table = "t";
-                    ops = [ Binlog.Event.Insert { key = "k"; value = String.make size 'x' } ];
-                  });
-           ];
+         table = "t";
+         ops = [ Binlog.Event.Insert { key = "k"; value = String.make size 'x' } ];
+         xid = 0;
        })
 
 (* The copying read: one [entry_at] per index, consed and reversed. *)
@@ -1108,7 +1099,9 @@ let prop_proxy_pick_matches_sort =
 
 (* ----- storage engine: row slots against the list-and-map engine ----- *)
 
-(* Two tables of four keys, three values and two GTID sources. *)
+(* Two tables of four keys, three values and two GTID sources.  A
+   transaction writes one table, as a logged transaction does; which
+   one is drawn per transaction. *)
 let e_tables = [| "t1"; "t2" |]
 
 let e_keys = [| "a"; "b"; "c"; "d" |]
@@ -1141,18 +1134,20 @@ let e_op_gen =
   QCheck.Gen.(
     let write =
       map
-        (fun (w_table, w_key, w_kind, w_value) -> { w_table; w_key; w_kind; w_value })
-        (quad (0 -- 1) (0 -- 3) (0 -- 2) (0 -- 2))
+        (fun (w_key, w_kind, w_value) -> { w_table = 0; w_key; w_kind; w_value })
+        (triple (0 -- 3) (0 -- 2) (0 -- 2))
     in
     frequency
       [
         ( 6,
           map
-            (fun ((source, skip), reuse, writes) -> E_prepare { source; skip; reuse; writes })
+            (fun ((source, skip), reuse, (w_table, writes)) ->
+              let writes = List.map (fun w -> { w with w_table }) writes in
+              E_prepare { source; skip; reuse; writes })
             (triple
                (pair (0 -- 1) (frequency [ (5, return false); (1, return true) ]))
                (opt ~ratio:0.15 (0 -- 20))
-               (list_size (1 -- 3) write)) );
+               (pair (0 -- 1) (list_size (1 -- 3) write))) );
         (4, map (fun i -> E_commit i) (0 -- 10));
         (2, map (fun i -> E_rollback i) (0 -- 10));
         (1, map (fun i -> E_rollback_gtid i) (0 -- 20));
@@ -1399,7 +1394,8 @@ let run_engine_ops ops =
       let id = !next_id in
       incr next_id;
       let got =
-        match Storage.Engine.prepare e ~gtid ~events:(Helpers.rows writes) with
+        let table = match writes with (table, _) :: _ -> table | [] -> e_tables.(0) in
+        match Storage.Engine.prepare e ~gtid ~table ~ops:(List.map snd writes) with
         | h ->
           handles := (id, h) :: !handles;
           Ref_engine.Prepared

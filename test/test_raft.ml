@@ -682,19 +682,13 @@ let run_proxy_workload ~proxying =
          (Binlog.Entry.Transaction
             {
               gtid = Binlog.Gtid.make ~source:"a1" ~gno:i;
-              events =
+              table = "t";
+              ops =
                 [
-                  Binlog.Event.make
-                    (Binlog.Event.Write_rows
-                       {
-                         table = "t";
-                         ops =
-                           [
-                             Binlog.Event.Insert
-                               { key = Printf.sprintf "k%d" i; value = String.make 400 'x' };
-                           ];
-                       });
+                  Binlog.Event.Insert
+                    { key = Printf.sprintf "k%d" i; value = String.make 400 'x' };
                 ];
+              xid = 0;
             }));
     Sim.Engine.run_for h.engine (20.0 *. ms)
   done;
@@ -757,15 +751,9 @@ let test_catchup_bandwidth_no_duplication () =
       Binlog.Entry.Transaction
         {
           gtid = Binlog.Gtid.make ~source:"n1" ~gno:i;
-          events =
-            [
-              Binlog.Event.make
-                (Binlog.Event.Write_rows
-                   {
-                     table = "t";
-                     ops = [ Binlog.Event.Insert { key = "k"; value = String.make 400 'x' } ];
-                   });
-            ];
+          table = "t";
+          ops = [ Binlog.Event.Insert { key = "k"; value = String.make 400 'x' } ];
+          xid = 0;
         }
     in
     (match Raft.Node.client_append (raft (get h "n1")) entry_payload with
@@ -877,10 +865,7 @@ let txn_entry ~term ~index ~bytes =
   Binlog.Entry.make
     ~opid:(Binlog.Opid.make ~term ~index)
     (Binlog.Entry.Transaction
-       {
-         gtid = Binlog.Gtid.make ~source:"s" ~gno:index;
-         events = [ Binlog.Event.make (Binlog.Event.Write_rows { table = "t"; ops }) ];
-       })
+       { gtid = Binlog.Gtid.make ~source:"s" ~gno:index; table = "t"; ops; xid = index })
 
 let txn_payload ~index ~bytes = Binlog.Entry.payload (txn_entry ~term:1 ~index ~bytes)
 

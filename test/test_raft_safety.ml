@@ -77,19 +77,10 @@ let try_append w =
          (Binlog.Entry.Transaction
             {
               gtid = Binlog.Gtid.make ~source:"chaos" ~gno:w.gno;
-              events =
-                [
-                  Binlog.Event.make
-                    (Binlog.Event.Write_rows
-                       {
-                         table = "t";
-                         ops =
-                           [
-                             Binlog.Event.Insert
-                               { key = Printf.sprintf "k%d" w.gno; value = "v" };
-                           ];
-                       });
-                ];
+              table = "t";
+              ops =
+                [ Binlog.Event.Insert { key = Printf.sprintf "k%d" w.gno; value = "v" } ];
+              xid = 0;
             }))
   | _ -> ()
 

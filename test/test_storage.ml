@@ -6,13 +6,12 @@ let opid index = Binlog.Opid.make ~term:1 ~index
 
 let insert key value = Binlog.Event.Insert { key; value }
 
-(* These tests name a transaction's writes as (table, op) pairs; the
-   engine stages them as one Write_rows event each. *)
-let prepare e ~gtid ~writes = Storage.Engine.prepare e ~gtid ~events:(Helpers.rows writes)
+(* A transaction writing [ops] on [table] (default "t"). *)
+let prepare e ~gtid ?(table = "t") ops = Storage.Engine.prepare e ~gtid ~table ~ops
 
 let test_prepare_commit_visible () =
   let e = Storage.Engine.create () in
-  let p = prepare e ~gtid:(gtid 1) ~writes:[ ("t", insert "k" "v") ] in
+  let p = prepare e ~gtid:(gtid 1) [ insert "k" "v" ] in
   Alcotest.(check (option string)) "invisible while prepared" None
     (Storage.Engine.get e ~table:"t" ~key:"k");
   Storage.Engine.commit_prepared e p ~opid:(opid 1);
@@ -23,41 +22,41 @@ let test_prepare_commit_visible () =
 
 let test_rollback_discards () =
   let e = Storage.Engine.create () in
-  let p = prepare e ~gtid:(gtid 1) ~writes:[ ("t", insert "k" "v") ] in
+  let p = prepare e ~gtid:(gtid 1) [ insert "k" "v" ] in
   Storage.Engine.rollback_prepared e p;
   Alcotest.(check (option string)) "no data" None (Storage.Engine.get e ~table:"t" ~key:"k");
   Alcotest.(check bool) "gtid not executed" false (Storage.Engine.has_committed e (gtid 1));
   (* the same gtid can be prepared again (reapply after rollback, §A.2) *)
-  let p = prepare e ~gtid:(gtid 1) ~writes:[ ("t", insert "k" "v2") ] in
+  let p = prepare e ~gtid:(gtid 1) [ insert "k" "v2" ] in
   Storage.Engine.commit_prepared e p ~opid:(opid 1);
   Alcotest.(check (option string)) "reapplied" (Some "v2")
     (Storage.Engine.get e ~table:"t" ~key:"k")
 
 let test_lock_conflict () =
   let e = Storage.Engine.create () in
-  let p = prepare e ~gtid:(gtid 1) ~writes:[ ("t", insert "k" "v") ] in
-  (match prepare e ~gtid:(gtid 2) ~writes:[ ("t", insert "k" "w") ] with
+  let p = prepare e ~gtid:(gtid 1) [ insert "k" "v" ] in
+  (match prepare e ~gtid:(gtid 2) [ insert "k" "w" ] with
   | _ -> Alcotest.fail "expected lock conflict"
   | exception Storage.Engine.Lock_conflict { holder; _ } ->
     Alcotest.(check bool) "held by txn 1" true (Binlog.Gtid.equal holder (gtid 1)));
   Storage.Engine.commit_prepared e p ~opid:(opid 1);
   (* lock released at engine commit *)
-  let p = prepare e ~gtid:(gtid 2) ~writes:[ ("t", insert "k" "w") ] in
+  let p = prepare e ~gtid:(gtid 2) [ insert "k" "w" ] in
   Storage.Engine.commit_prepared e p ~opid:(opid 2);
   Alcotest.(check (option string)) "second write wins" (Some "w")
     (Storage.Engine.get e ~table:"t" ~key:"k")
 
 let test_no_conflict_disjoint_keys () =
   let e = Storage.Engine.create () in
-  ignore (prepare e ~gtid:(gtid 1) ~writes:[ ("t", insert "a" "1") ]);
-  ignore (prepare e ~gtid:(gtid 2) ~writes:[ ("t", insert "b" "2") ]);
+  ignore (prepare e ~gtid:(gtid 1) [ insert "a" "1" ]);
+  ignore (prepare e ~gtid:(gtid 2) [ insert "b" "2" ]);
   Alcotest.(check int) "two prepared" 2 (List.length (Storage.Engine.prepared_gtids e))
 
 let test_crash_recovery_rolls_back_prepared () =
   let e = Storage.Engine.create () in
-  let p = prepare e ~gtid:(gtid 1) ~writes:[ ("t", insert "a" "1") ] in
+  let p = prepare e ~gtid:(gtid 1) [ insert "a" "1" ] in
   Storage.Engine.commit_prepared e p ~opid:(opid 1);
-  ignore (prepare e ~gtid:(gtid 2) ~writes:[ ("t", insert "b" "2") ]);
+  ignore (prepare e ~gtid:(gtid 2) [ insert "b" "2" ]);
   let rolled = Storage.Engine.crash_recover e in
   Alcotest.(check int) "one rolled back" 1 rolled;
   Alcotest.(check (option string)) "committed survives" (Some "1")
@@ -69,15 +68,15 @@ let test_crash_recovery_rolls_back_prepared () =
 
 let test_update_delete_ops () =
   let e = Storage.Engine.create () in
-  let p = prepare e ~gtid:(gtid 1) ~writes:[ ("t", insert "k" "v1") ] in
+  let p = prepare e ~gtid:(gtid 1) [ insert "k" "v1" ] in
   Storage.Engine.commit_prepared e p ~opid:(opid 1);
   let p = prepare e ~gtid:(gtid 2)
-    ~writes:[ ("t", Binlog.Event.Update { key = "k"; before = "v1"; after = "v2" }) ] in
+    [ Binlog.Event.Update { key = "k"; before = "v1"; after = "v2" } ] in
   Storage.Engine.commit_prepared e p ~opid:(opid 2);
   Alcotest.(check (option string)) "updated" (Some "v2")
     (Storage.Engine.get e ~table:"t" ~key:"k");
   let p = prepare e ~gtid:(gtid 3)
-    ~writes:[ ("t", Binlog.Event.Delete { key = "k"; before = "v2" }) ] in
+    [ Binlog.Event.Delete { key = "k"; before = "v2" } ] in
   Storage.Engine.commit_prepared e p ~opid:(opid 3);
   Alcotest.(check (option string)) "deleted" None (Storage.Engine.get e ~table:"t" ~key:"k");
   Alcotest.(check int) "row count" 0 (Storage.Engine.row_count e ~table:"t")
@@ -85,16 +84,16 @@ let test_update_delete_ops () =
 let test_checksum_equality () =
   let mk () =
     let e = Storage.Engine.create () in
-    let p = prepare e ~gtid:(gtid 1) ~writes:[ ("t", insert "a" "1") ] in
+    let p = prepare e ~gtid:(gtid 1) [ insert "a" "1" ] in
     Storage.Engine.commit_prepared e p ~opid:(opid 1);
-    let p = prepare e ~gtid:(gtid 2) ~writes:[ ("u", insert "b" "2") ] in
+    let p = prepare e ~gtid:(gtid 2) ~table:"u" [ insert "b" "2" ] in
     Storage.Engine.commit_prepared e p ~opid:(opid 2);
     e
   in
   let a = mk () and b = mk () in
   Alcotest.(check int32) "identical content, identical checksum"
     (Storage.Engine.checksum a) (Storage.Engine.checksum b);
-  let p = prepare b ~gtid:(gtid 3) ~writes:[ ("t", insert "c" "3") ] in
+  let p = prepare b ~gtid:(gtid 3) [ insert "c" "3" ] in
   Storage.Engine.commit_prepared b p ~opid:(opid 3);
   Alcotest.(check bool) "diverged content, different checksum" false
     (Int32.equal (Storage.Engine.checksum a) (Storage.Engine.checksum b))
@@ -107,7 +106,7 @@ let test_sharing_invisible () =
   let mk value =
     let e = Storage.Engine.create () in
     for i = 1 to 20 do
-      let p = prepare e ~gtid:(gtid i) ~writes:[ ("t", insert ("row-" ^ Int.to_string i) (value ())) ] in
+      let p = prepare e ~gtid:(gtid i) [ insert ("row-" ^ Int.to_string i) (value ()) ] in
       Storage.Engine.commit_prepared e p ~opid:(opid i)
     done;
     e
@@ -119,9 +118,9 @@ let test_sharing_invisible () =
 
 let test_duplicate_prepare_rejected () =
   let e = Storage.Engine.create () in
-  ignore (prepare e ~gtid:(gtid 1) ~writes:[ ("t", insert "a" "1") ]);
+  ignore (prepare e ~gtid:(gtid 1) [ insert "a" "1" ]);
   Alcotest.check_raises "duplicate" (Invalid_argument "Engine.prepare: duplicate gtid")
-    (fun () -> ignore (prepare e ~gtid:(gtid 1) ~writes:[ ("t", insert "b" "2") ]))
+    (fun () -> ignore (prepare e ~gtid:(gtid 1) [ insert "b" "2" ]))
 
 (* The commit history (digest chain and GTID/OpId log) rides the
    checkpoint: a restored engine answers checksum_at and nth_commit
@@ -130,7 +129,7 @@ let test_checkpoint_round_trip_keeps_history () =
   let src = Storage.Engine.create () in
   for i = 1 to 40 do
     let p = prepare src ~gtid:(gtid i)
-      ~writes:[ ("t", insert (Printf.sprintf "k%d" (i mod 7)) (string_of_int i)) ] in
+      [ insert (Printf.sprintf "k%d" (i mod 7)) (string_of_int i) ] in
     Storage.Engine.commit_prepared src p ~opid:(Binlog.Opid.make ~term:(1 + (i / 10)) ~index:i)
   done;
   let ck =
@@ -138,7 +137,7 @@ let test_checkpoint_round_trip_keeps_history () =
       (Storage.Engine.encode_checkpoint (Storage.Engine.checkpoint src))
   in
   let dst = Storage.Engine.create () in
-  let p = prepare dst ~gtid:(gtid 99) ~writes:[ ("t", insert "junk" "x") ] in
+  let p = prepare dst ~gtid:(gtid 99) [ insert "junk" "x" ] in
   Storage.Engine.commit_prepared dst p ~opid:(opid 99);
   Storage.Engine.restore dst ck;
   Alcotest.(check int) "committed count" 40 (Storage.Engine.committed_count dst);
@@ -161,7 +160,7 @@ let test_checkpoint_round_trip_keeps_history () =
   (* the chain keeps extending identically after the restore *)
   List.iter
     (fun e ->
-      let p = prepare e ~gtid:(gtid 41) ~writes:[ ("t", insert "k41" "41") ] in
+      let p = prepare e ~gtid:(gtid 41) [ insert "k41" "41" ] in
       Storage.Engine.commit_prepared e p ~opid:(opid 41))
     [ src; dst ];
   Alcotest.(check int32) "next digest"
@@ -182,14 +181,12 @@ let test_tip_add_and_has_committed_allocate_nothing () =
   let gtids = Array.init 1_000 (fun i -> gtid (i + 1)) in
   let e = Storage.Engine.create () in
   for i = 0 to 99 do
-    let p =
-      prepare e ~gtid:gtids.(i) ~writes:[ ("t", insert "k" (string_of_int i)) ]
-    in
+    let p = prepare e ~gtid:gtids.(i) [ insert "k" (string_of_int i) ] in
     Storage.Engine.commit_prepared e p ~opid:(opid (i + 1))
   done;
   (* fold the tip so later lookups also walk the persistent set *)
   ignore (Storage.Engine.gtid_executed e);
-  let p = prepare e ~gtid:gtids.(100) ~writes:[ ("t", insert "k" "x") ] in
+  let p = prepare e ~gtid:gtids.(100) [ insert "k" "x" ] in
   Storage.Engine.commit_prepared e p ~opid:(opid 101);
   let other = Binlog.Gtid.make ~source:"srv2" ~gno:1 in
   let hits = ref 0 in
