@@ -50,6 +50,8 @@ let churn_bench () = Churn_bench.run ()
 
 let proxy_scale () = Proxy_bench.run ()
 
+let retained () = Retained_bench.run ()
+
 let experiments =
   [
     ("table1", "Table 1: role mapping", table1);
@@ -84,6 +86,7 @@ let experiments =
     ( "proxy-scale",
       "P4: 8-region x 104-replica fan-out, gate on tree saving >= 3x cross-region bytes",
       proxy_scale );
+    ("retained", "M2: heap words a committed txn retains, at two run lengths", retained);
   ]
 
 let run_all () =

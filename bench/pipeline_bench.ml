@@ -69,7 +69,9 @@ type cell = {
   c_promoted_per_txn : float;
 }
 
-let run_cell ~window ~rtt_ms ~seed =
+(* A cell's cluster with mysql1 elected and [threads] closed-loop
+   writers started, before any simulated time has run. *)
+let start_cell ~window ~rtt_ms ~seed =
   let params =
     {
       Myraft.Params.default with
@@ -94,6 +96,10 @@ let run_cell ~window ~rtt_ms ~seed =
       ~client_latency:(100.0 *. us) ~value_mu:(log 300.0) ~value_sigma:0.2 ()
   in
   Workload.Generator.start_closed_loop gen ~threads;
+  (cluster, gen)
+
+let run_cell ~window ~rtt_ms ~seed =
+  let cluster, gen = start_cell ~window ~rtt_ms ~seed in
   Myraft.Cluster.run_for cluster warmup;
   let stats = Workload.Generator.stats gen in
   let committed0 = stats.Workload.Generator.committed in
