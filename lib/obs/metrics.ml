@@ -3,10 +3,11 @@
 
    The registry is built for a hot path that is already instrumented by a
    discrete-event simulator: a metric is resolved (get-or-create, one
-   hashtable probe) once at wiring time and then mutated through a direct
-   record reference — recording is a single field update or a
-   [Stats.Histogram.record].  Components that only touch a metric on cold
-   paths can use the [bump]/[set]/[observe] conveniences instead.
+   hashtable probe and an add on a miss) once at wiring time and then
+   mutated through a direct record reference — recording is a single
+   field update or a [Stats.Histogram.record].  Components that only
+   touch a metric on cold paths can use the [bump]/[set]/[observe]
+   conveniences instead.
 
    Snapshots decouple observation from the live registry: a snapshot is
    an immutable, name-sorted view that can be merged across nodes (the
@@ -49,7 +50,7 @@ let counter t name =
   | Some c -> c
   | None ->
     let c = { c_name = name; c_value = 0 } in
-    Hashtbl.replace t.counters name c;
+    Hashtbl.add t.counters name c;
     c
 
 let incr c = c.c_value <- c.c_value + 1
@@ -67,7 +68,7 @@ let gauge t name =
   | Some g -> g
   | None ->
     let g = { g_name = name; g_cell = { v = 0.0 } } in
-    Hashtbl.replace t.gauges name g;
+    Hashtbl.add t.gauges name g;
     g
 
 let set_gauge g v = g.g_cell.v <- v
@@ -85,7 +86,7 @@ let histogram t name =
   | Some h -> h
   | None ->
     let h = { h_name = name; h_data = Stats.Histogram.create () } in
-    Hashtbl.replace t.histograms name h;
+    Hashtbl.add t.histograms name h;
     h
 
 let record h v = Stats.Histogram.record h.h_data v
