@@ -533,26 +533,29 @@ let replica_apply_words ~batch ~warmup ~n ~step =
 (* A committed write: the request's prepare event, the engine's prepare
    and commit, the pipeline's record, the log entry and its transaction
    record, the AppendEntries round trips to both logtailers, the group's
-   stage events and the reply.  Measured at 313.2 words (330.2 when a
-   transaction was a list of four events); putting back a per-write
+   stage events and the reply.  Measured at 307.2 words (313.2 when a
+   new key's slot and its two hashtable cells were three blocks, 330.2
+   when a transaction was a list of four events); putting back a per-write
    closure (a [{flush; finish}] pair, the reply, the prepare thunk), a
    per-write list, a per-group copy of the pipeline's columns or a
    latency sample per committed index pushes it past the bound. *)
-let primary_write_bound = 314
+let primary_write_bound = 308
 
 (* An applied entry, one per AppendEntries: the follower's append and
    ack, the applier's ticket and execute event, the engine's prepare and
    commit, the pipeline's relay item and the group's stage events.
-   Measured at 94.8 words; a per-entry closure in the applier or the
-   pipeline, a hashtable or queue cell per entry, or a list of the
-   entry's writes pushes it past the bound. *)
-let replica_apply_bound = 95
+   Measured at 88.8 words (94.8 with a new key in three blocks); a
+   per-entry closure in the applier or the pipeline, a hashtable or
+   queue cell per entry, or a list of the entry's writes pushes it past
+   the bound. *)
+let replica_apply_bound = 89
 
 (* An applied entry of a 64-entry AppendEntries, the batch shape the
    workloads send: the follower's append and ack and the pipeline's
    stage events are shared by the batch, so this is the applier, engine
-   and pipeline's cost per transaction.  Measured at 36.7 words. *)
-let replica_batch_apply_bound = 37
+   and pipeline's cost per transaction.  Measured at 30.7 words (36.7
+   with a new key in three blocks). *)
+let replica_batch_apply_bound = 31
 
 let test_primary_write_words () =
   let words = primary_write_words () in
@@ -560,6 +563,19 @@ let test_primary_write_words () =
     (Printf.sprintf "%.1f words per committed write <= %d" words primary_write_bound)
     true
     (words <= float_of_int primary_write_bound)
+
+(* Words a paper-topology [Cluster.create] plus [bootstrap] allocates:
+   74,426 measured.  It read 125,626 while each of the bootstrap's
+   config installs sorted both member lists to compare them and built
+   the ring's description from a [sprintf] per member. *)
+let setup_words_bound = 75_000
+
+let test_setup_words () =
+  let words, _ = Kit.Alloc.setup () in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words per create+bootstrap <= %d" words setup_words_bound)
+    true
+    (words <= float_of_int setup_words_bound)
 
 (* Words of the primary's log retained per committed one-row write with
    a 300-byte payload: the entry, its OpId, its transaction record and
@@ -667,6 +683,7 @@ let suites =
           test_retained_samples;
         Alcotest.test_case "log words retained per committed write" `Quick
           test_retained_write_words;
+        Alcotest.test_case "create+bootstrap words" `Quick test_setup_words;
         Alcotest.test_case "replica words per applied entry" `Quick test_replica_apply_words;
         Alcotest.test_case "replica words per applied entry, 64-entry AEs" `Quick
           test_replica_batch_apply_words;
